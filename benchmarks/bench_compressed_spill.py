@@ -30,7 +30,7 @@ from repro.bench import experiments
 from repro.core.optimizer import optimize
 from repro.core.problem import ScProblem
 from repro.engine.controller import Controller
-from repro.engine.simulator import SimulatorOptions
+from repro.engine import SimulatorOptions
 from repro.store import SpillConfig, TierSpec
 from repro.workloads.generator import (
     GeneratedWorkloadConfig,

@@ -37,7 +37,7 @@ from repro.bench.experiments import ExperimentResult
 from repro.db.engine import MiniDB, MvDefinition, SqlWorkload
 from repro.db.table import Table
 from repro.engine.controller import Controller
-from repro.engine.simulator import SimulatorOptions
+from repro.engine import SimulatorOptions
 from repro.obs.events import EventBus
 from repro.store.config import SpillConfig, parse_tier
 from repro.workloads.five_workloads import build_workload

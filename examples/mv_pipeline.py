@@ -16,7 +16,7 @@ from repro import ScProblem, optimize
 from repro.core.plan import Plan
 from repro.db import MiniDB, SqlWorkload
 from repro.db.engine import MvDefinition
-from repro.db.runner import run_workload
+from repro.exec import create_backend
 from repro.workloads.tpcds import load_tpcds
 
 MV_DEFINITIONS = [
@@ -71,7 +71,8 @@ def main() -> None:
               f"{sorted(plan.flagged)}")
 
         print("\nrefresh with S/C (real background materialization):")
-        sc_trace = run_workload(workload, plan, budget, method="sc")
+        backend = create_backend("minidb", workload=workload)
+        sc_trace = backend.run(workload.graph(), plan, budget, method="sc")
         print(f"  end-to-end: {sc_trace.end_to_end_time:.3f}s "
               f"(peak catalog {sc_trace.peak_catalog_usage * 1024:.1f} MB)")
 
@@ -79,8 +80,9 @@ def main() -> None:
             db.drop(definition.name)
 
         print("refresh without optimization (serial, all on disk):")
-        none_trace = run_workload(
-            workload, Plan.unoptimized(plan.order), 0.0, method="none")
+        none_trace = backend.run(
+            workload.graph(), Plan.unoptimized(plan.order), 0.0,
+            method="none")
         print(f"  end-to-end: {none_trace.end_to_end_time:.3f}s")
         print(f"\nreal speedup: "
               f"{none_trace.end_to_end_time / sc_trace.end_to_end_time:.2f}x")

@@ -21,7 +21,7 @@ from repro.bench.report import format_table
 from repro.core.optimizer import optimize
 from repro.core.problem import ScProblem
 from repro.engine.cluster import simulate_cluster_run
-from repro.engine.simulator import SimulatorOptions
+from repro.exec.base import SimulatorOptions
 from repro.metadata.costmodel import (
     ClusterProfile,
     DeviceProfile,

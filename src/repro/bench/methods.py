@@ -12,8 +12,8 @@ Two method sets mirror the paper's comparisons:
 from __future__ import annotations
 
 from repro.engine.controller import Controller
-from repro.engine.simulator import SimulatorOptions
 from repro.engine.trace import RunTrace
+from repro.exec.base import SimulatorOptions
 from repro.graph.dag import DependencyGraph
 from repro.metadata.costmodel import DeviceProfile
 

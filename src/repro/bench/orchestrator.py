@@ -135,7 +135,7 @@ def _store_counters(trace) -> tuple[int, int]:
 def _run_graph_trial(spec: TrialSpec, config: MatrixConfig,
                      cancel: threading.Event | None = None) -> dict:
     from repro.engine.controller import Controller
-    from repro.engine.simulator import SimulatorOptions
+    from repro.exec.base import SimulatorOptions
     from repro.store.config import RAM_COMPRESSED, SpillConfig, TierSpec
     from repro.workloads.five_workloads import build_workload
 

@@ -62,9 +62,8 @@ from repro.core.optimizer import OPTIMIZER_METHODS, optimize, plan_summary
 from repro.core.plan import Plan
 from repro.core.problem import ScProblem
 from repro.engine.controller import Controller
-from repro.engine.simulator import SimulatorOptions
 from repro.errors import ValidationError
-from repro.exec.base import backend_names
+from repro.exec.base import SimulatorOptions, backend_names
 from repro.graph.io import graph_from_json, graph_to_json
 from repro.store.config import (
     SPILL_CODECS,

@@ -20,7 +20,7 @@ name                      node selection                execution order
 ========================  ============================  =====================
 
 The LRU baseline of Figure 9 is not an optimizer (it makes no plan); it
-lives in :mod:`repro.engine.lru` and is selected through
+lives in :mod:`repro.exec.lru` and is selected through
 :mod:`repro.bench.methods`.
 """
 

@@ -15,8 +15,9 @@ compression. This package provides exactly enough DBMS to do that honestly:
 * a catalog distinguishing disk-resident from memory-resident tables
   (:mod:`~repro.db.catalog`), and
 * :class:`~repro.db.engine.MiniDB` tying it together with per-statement
-  read/compute/write timings, plus :mod:`~repro.db.runner`, which executes
-  an S/C plan with real background materialization threads.
+  read/compute/write timings; :mod:`repro.exec.minidb`
+  (``create_backend("minidb", workload=...)``) executes an S/C plan on it
+  with real background materialization threads.
 """
 
 from repro.db.table import Table

@@ -16,19 +16,20 @@ the mechanics of §III-C exactly:
   its materialization completes;
 * the run ends when every MV is durable on storage.
 
-Execution is dispatched through the unified backend layer in
+Those mechanics live once, in :class:`repro.exec.kernel.NodeKernel`, and
+execution is dispatched through the unified backend layer in
 :mod:`repro.exec`: the serial simulator above, the plan-free LRU baseline,
 the memory-bounded **parallel scheduler** (``backend="parallel"``,
 ``workers=N``), and the real mini columnar DBMS in :mod:`repro.db` with
 genuine disk I/O all implement one ``ExecutionBackend`` protocol and share
-one :class:`~repro.exec.ledger.MemoryLedger` for budget accounting.
+one :class:`~repro.exec.ledger.MemoryLedger` for budget accounting.  This
+package keeps what sits around the backends: the Controller, the storage
+device model, the trace types, adaptive re-planning and cluster scaling.
 """
 
-from repro.engine.memory_catalog import MemoryCatalog
 from repro.engine.storage import StorageDevice
 from repro.engine.trace import NodeTrace, RunTrace
-from repro.engine.simulator import RefreshSimulator, SimulatorOptions
-from repro.engine.lru import LruCache, LruSimulator
+from repro.exec.base import SimulatorOptions
 from repro.engine.controller import Controller
 from repro.engine.adaptive import (
     AdaptiveController,
@@ -38,14 +39,10 @@ from repro.engine.adaptive import (
 from repro.engine.cluster import simulate_cluster_run
 
 __all__ = [
-    "MemoryCatalog",
     "StorageDevice",
     "NodeTrace",
     "RunTrace",
-    "RefreshSimulator",
     "SimulatorOptions",
-    "LruCache",
-    "LruSimulator",
     "Controller",
     "AdaptiveController",
     "AdaptiveRunReport",

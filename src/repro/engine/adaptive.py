@@ -6,9 +6,10 @@ S/C's answer is metadata-driven re-optimization — plans derive from
 observed sizes, so estimates that drift (data growth, schema changes,
 seasonal skew) degrade the plan until fresh observations arrive.
 
-:class:`AdaptiveController` closes the loop *within* a run. It executes
-the plan on a **resumable** simulator (the Memory Catalog carries across
-decision points, so checking costs nothing), compares each finished
+:class:`AdaptiveController` closes the loop *within* a run. It drives the
+serial backend's **resumable** hooks (``prepare`` → ``execute_node`` … →
+``finish``, swapping ``ctx.plan`` at each re-plan — the Memory Catalog
+carries across decision points, so checking costs nothing), compares each finished
 node's actual output size against the estimate the plan was built from,
 and when the windowed drift exceeds a threshold it re-optimizes the
 remaining suffix of the DAG:
@@ -33,14 +34,15 @@ from repro.core.plan import Plan
 from repro.core.problem import ScProblem
 from repro.core.residency import residency_intervals
 from repro.core.speedup import compute_speedup_scores
-from repro.engine.simulator import (
-    RefreshSimulator,
-    SimulatorOptions,
-    SimulatorState,
-)
 from repro.engine.trace import RunTrace
 from repro.errors import ValidationError
+from repro.exec.base import (
+    ExecutionBackend,
+    SimulatorOptions,
+    create_backend,
+)
 from repro.graph.dag import DependencyGraph
+from repro.graph.topo import kahn_topological_order
 from repro.metadata.costmodel import DeviceProfile
 
 
@@ -159,16 +161,19 @@ class AdaptiveController:
         actual output sizes are ``true_sizes``.
 
         Plans are always built from current estimates; execution always
-        happens against the true sizes, on one continuous simulator state.
+        happens against the true sizes, on one continuous backend context.
         """
         missing = [v for v in estimated.nodes() if v not in true_sizes]
         if missing:
             raise ValidationError(
                 f"true_sizes missing nodes: {missing[:5]}")
-        simulator = RefreshSimulator(profile=self.profile,
-                                     options=self.options)
+        backend = self._backend()
         truth = _truth_graph(estimated, true_sizes)
-        state = simulator.begin(memory_budget, graph=truth)
+        # the context outlives every plan: each (re-)plan below swaps
+        # ctx.plan, so this placeholder order is validated, never run
+        ctx = backend.prepare(
+            truth, Plan.unoptimized(kahn_topological_order(truth)),
+            memory_budget, method="adaptive")
         report = AdaptiveRunReport(total_time=0.0)
 
         planning_graph = estimated.copy()
@@ -179,14 +184,14 @@ class AdaptiveController:
             problem = ScProblem(graph=planning_graph,
                                 memory_budget=memory_budget)
             plan = optimize(problem, method=self.method, seed=seed).plan
+            ctx.plan = plan
 
             segment: list[str] = []
-            segment_start = state.clock
+            segment_start = ctx.traces[-1].end if ctx.traces else 0.0
             replanned = False
             drift = 0.0
             for node_id in plan.order:
-                simulator.run_segment(truth, [node_id], plan.flagged,
-                                      state)
+                backend.execute_node(ctx, node_id)
                 segment.append(node_id)
                 observed[node_id] = true_sizes[node_id]
                 estimate = planning_graph.size_of(node_id)
@@ -202,7 +207,7 @@ class AdaptiveController:
 
             report.segments.append(SegmentRecord(
                 nodes=tuple(segment),
-                duration=state.clock - segment_start,
+                duration=ctx.traces[-1].end - segment_start,
                 replanned_after=replanned, drift_ratio=drift))
 
             remaining = [v for v in plan.order if v not in set(segment)]
@@ -218,7 +223,7 @@ class AdaptiveController:
                 compute_speedup_scores(planning_graph, self.profile)
                 recent_ratios.clear()
 
-        trace = simulator.finish(state, memory_budget, method="adaptive")
+        trace = backend.finish(ctx)
         report.trace = trace
         report.total_time = trace.end_to_end_time
         return report
@@ -232,9 +237,8 @@ class AdaptiveController:
         compute_speedup_scores(truth, self.profile)
         problem = ScProblem(graph=truth, memory_budget=memory_budget)
         plan = optimize(problem, method=self.method, seed=seed).plan
-        simulator = RefreshSimulator(profile=self.profile,
-                                     options=self.options)
-        return simulator.run(truth, plan, memory_budget).end_to_end_time
+        return self._backend().run(truth, plan,
+                                   memory_budget).end_to_end_time
 
     def stale_time(self, estimated: DependencyGraph,
                    true_sizes: dict[str, float], memory_budget: float,
@@ -243,9 +247,12 @@ class AdaptiveController:
         problem = ScProblem(graph=estimated, memory_budget=memory_budget)
         plan = optimize(problem, method=self.method, seed=seed).plan
         truth = _truth_graph(estimated, true_sizes)
-        simulator = RefreshSimulator(profile=self.profile,
-                                     options=self.options)
-        return simulator.run(truth, plan, memory_budget).end_to_end_time
+        return self._backend().run(truth, plan,
+                                   memory_budget).end_to_end_time
+
+    def _backend(self) -> ExecutionBackend:
+        return create_backend("simulator", profile=self.profile,
+                              options=self.options)
 
 
 def _truth_graph(graph: DependencyGraph,

@@ -7,17 +7,31 @@ cluster, so the I/O share of the critical path — the thing S/C removes —
 stays roughly constant. We model the cluster as a single device whose
 bandwidths scale by the Amdahl factor of
 :class:`~repro.metadata.costmodel.ClusterProfile`, then run the ordinary
-refresh simulator against it.
+serial backend against it.
 """
 
 from __future__ import annotations
 
 from repro.core.plan import Plan
-from repro.engine.lru import LruSimulator
-from repro.engine.simulator import RefreshSimulator, SimulatorOptions
 from repro.engine.trace import RunTrace
+from repro.exec.base import SimulatorOptions, create_backend
 from repro.graph.dag import DependencyGraph
+from repro.graph.topo import check_topological_order
 from repro.metadata.costmodel import ClusterProfile
+
+
+def _cluster_graph(graph: DependencyGraph,
+                   cluster: ClusterProfile) -> DependencyGraph:
+    """Copy of ``graph`` with observed compute times divided by the
+    cluster's speedup factor, mirroring how a bigger cluster would have
+    produced proportionally smaller observed timings."""
+    scaled = graph.copy()
+    factor = cluster.speedup_factor
+    for node_id in scaled.nodes():
+        node = scaled.node(node_id)
+        if node.compute_time is not None:
+            node.compute_time = node.compute_time / factor
+    return scaled
 
 
 def simulate_cluster_run(graph: DependencyGraph, plan: Plan,
@@ -29,20 +43,12 @@ def simulate_cluster_run(graph: DependencyGraph, plan: Plan,
 
     The Memory Catalog is not scaled with the cluster — the paper allocates
     a fixed catalog (e.g. 1.6 % of data size) regardless of worker count.
-    Node ``compute_time`` observations, when present, are divided by the
-    cluster's speedup factor, mirroring how a bigger cluster would have
-    produced proportionally smaller observed timings.
     """
-    device = cluster.effective_device()
-    scaled = graph.copy()
-    factor = cluster.speedup_factor
-    for node_id in scaled.nodes():
-        node = scaled.node(node_id)
-        if node.compute_time is not None:
-            node.compute_time = node.compute_time / factor
-    simulator = RefreshSimulator(profile=device,
-                                 options=options or SimulatorOptions())
-    return simulator.run(scaled, plan, memory_budget, method=method)
+    backend = create_backend("simulator",
+                             profile=cluster.effective_device(),
+                             options=options)
+    return backend.run(_cluster_graph(graph, cluster), plan, memory_budget,
+                       method=method)
 
 
 def simulate_cluster_lru(graph: DependencyGraph, order,
@@ -50,12 +56,10 @@ def simulate_cluster_lru(graph: DependencyGraph, order,
                          cluster: ClusterProfile,
                          method: str = "lru") -> RunTrace:
     """LRU-baseline counterpart of :func:`simulate_cluster_run`."""
-    device = cluster.effective_device()
-    scaled = graph.copy()
-    factor = cluster.speedup_factor
-    for node_id in scaled.nodes():
-        node = scaled.node(node_id)
-        if node.compute_time is not None:
-            node.compute_time = node.compute_time / factor
-    simulator = LruSimulator(profile=device)
-    return simulator.run(scaled, order, cache_size, method=method)
+    scaled = _cluster_graph(graph, cluster)
+    check_topological_order(scaled, order)
+    backend = create_backend("lru", profile=cluster.effective_device())
+    ctx = backend.prepare(scaled, None, cache_size, method=method)
+    for node_id in order:
+        backend.execute_node(ctx, node_id)
+    return backend.finish(ctx)

@@ -30,10 +30,9 @@ from dataclasses import dataclass, field, replace
 from repro.core.optimizer import optimize
 from repro.core.plan import Plan
 from repro.core.problem import ScProblem, TierAwareBudget
-from repro.engine.simulator import SimulatorOptions
 from repro.engine.trace import RunTrace
 from repro.errors import ValidationError
-from repro.exec.base import create_backend
+from repro.exec.base import SimulatorOptions, create_backend
 from repro.graph.dag import DependencyGraph
 from repro.metadata.costmodel import DeviceProfile
 from repro.obs.events import EventBus

@@ -18,9 +18,9 @@ from repro.core.optimizer import optimize
 from repro.core.problem import ScProblem
 from repro.core.residency import residency_intervals
 from repro.core.speedup import compute_speedup_scores
-from repro.engine.simulator import RefreshSimulator
 from repro.engine.trace import RunTrace
 from repro.etl.spec import PipelineSpec
+from repro.exec.base import create_backend
 from repro.graph.dag import DependencyGraph
 from repro.metadata.costmodel import DeviceProfile
 
@@ -140,6 +140,5 @@ def simulate_schedule(spec: PipelineSpec, schedule: PipelineSchedule,
     from repro.core.plan import Plan
 
     plan = Plan.make(schedule.order, set(schedule.flagged))
-    simulator = RefreshSimulator(
-        profile=cost_model or DeviceProfile())
-    return simulator.run(problem.graph, plan, schedule.memory_budget_gb)
+    backend = create_backend("simulator", profile=cost_model)
+    return backend.run(problem.graph, plan, schedule.memory_budget_gb)

@@ -9,6 +9,9 @@ Every way this repo can *run* a refresh plan lives behind one protocol:
   budget accountant: byte accounting, peak tracking, the consumer-count +
   materialization-hold release protocol, and dispatch-time reservations
   for concurrent admission control;
+* :class:`~repro.exec.kernel.NodeKernel` — the one modeled per-node
+  lifecycle (§III-C) every model-charging backend runs, and the one run
+  epilogue;
 * a lazy **registry** (:func:`~repro.exec.base.create_backend`) the
   Controller dispatches on by name.
 

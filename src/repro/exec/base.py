@@ -13,7 +13,9 @@ A backend turns a (graph, plan, budget) triple into a
 
 The default :meth:`ExecutionBackend.run` template executes nodes serially
 in plan order; schedulers (see :mod:`repro.exec.parallel`) override it and
-drive ``execute_node`` from their own dispatch loop.
+drive ``execute_node`` from their own dispatch loop.  What a modeled node
+costs is not a backend's business: that is
+:class:`repro.exec.kernel.NodeKernel`.
 
 Backends register under a short name (``"simulator"``, ``"lru"``,
 ``"parallel"``, ``"minidb"``) and are constructed through
@@ -38,8 +40,51 @@ from repro.graph.topo import kahn_topological_order
 
 if TYPE_CHECKING:  # annotation-only: keeps repro.exec importable without
     # triggering repro.engine's package init (which imports back into
-    # this module through the Controller)
+    # this module through the Controller) — repro.store's does too
     from repro.engine.trace import NodeTrace, RunTrace
+    from repro.store.config import SpillConfig
+
+
+@dataclass(frozen=True)
+class SimulatorOptions:
+    """Runtime policy knobs of the modeled backends.
+
+    Attributes:
+        on_overflow: what to do when a flagged insert cannot fit even after
+            stalling for background drains — ``"spill"`` (write to disk,
+            keep going) or ``"error"`` (raise :class:`ExecutionError`).
+        compute_penalty: fractional compute slowdown applied to every node,
+            modeling a Memory Catalog carved out of *query memory* instead
+            of spare memory (Figure 11b); 0 means spare memory.
+        strict_budget: raise instead of stalling when the *positional* plan
+            itself is infeasible (optimizer bug guard in tests).
+        spill: optional :class:`~repro.store.config.SpillConfig` enabling
+            the tiered store — flagged outputs that do not fit in RAM
+            keep their flag by demoting victims to lower tiers (charging
+            those tiers' device times, plus encode/decode when a spill
+            codec is armed), with stall-vs-spill arbitration weighing
+            each demotion against waiting for a pending drain
+            (``SpillConfig.arbitrate``) and promote-ahead prefetching of
+            soon-to-run consumers' spilled parents during idle device
+            time (``SpillConfig.prefetch``).  ``None`` (default) keeps
+            the original single-tier behavior exactly.
+    """
+
+    on_overflow: str = "spill"
+    compute_penalty: float = 0.0
+    strict_budget: bool = False
+    spill: SpillConfig | None = None
+
+    def __post_init__(self) -> None:
+        if self.on_overflow not in ("spill", "error"):
+            raise ValidationError("on_overflow must be 'spill' or 'error'")
+        if self.compute_penalty < 0:
+            raise ValidationError("compute_penalty must be >= 0")
+        if self.spill is not None:
+            from repro.store.config import SpillConfig
+
+            if not isinstance(self.spill, SpillConfig):
+                raise ValidationError("spill must be a SpillConfig or None")
 
 
 @dataclass

@@ -21,10 +21,9 @@ byte accounting, peak tracking, and the flagged-residency release protocol.
   :func:`repro.exec.parallel.run_threaded`), which must also wake on
   dependency completions, not just on freed space.
 
-The serial simulator's :class:`~repro.engine.memory_catalog.MemoryCatalog`
-is now a thin subclass of this ledger, so all backends share one
-implementation of the invariant the paper cares about: flagged residency
-never exceeds the configured budget.
+This ledger *is* the paper's Memory Catalog accounting for every backend,
+so they share one implementation of the invariant the paper cares about:
+flagged residency never exceeds the configured budget.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ The byte budget is enforced by the shared
 :class:`~repro.exec.ledger.MemoryLedger` with the same consumer-count +
 materialization-hold release protocol as the simulators.  Drain completion
 is observed from the *controller thread* (materializer threads only write
-bytes), so all MiniDB catalog mutations stay single-threaded, as in the
-original runner.
+bytes), so all MiniDB catalog mutations stay single-threaded.  This
+lifecycle is deliberately its own — it *measures* real bytes where
+:class:`~repro.exec.kernel.NodeKernel` *charges* a model — and shares
+only the kernel's run epilogue.
 
 Construct with the workload: ``create_backend("minidb", workload=wl)``;
 ``run`` then takes the workload's own dependency graph.  Passing
@@ -66,6 +68,7 @@ from repro.exec.base import (
     ExecutionContext,
     register_backend,
 )
+from repro.exec.kernel import finish_run
 from repro.exec.ledger import MemoryLedger
 from repro.graph.dag import DependencyGraph
 
@@ -252,36 +255,17 @@ class MiniDbBackend(ExecutionBackend):
         for node_id, write in state.writes.items():
             write.thread.join()
             self.materialize(ctx, node_id)
-        extras = {}
-        report = getattr(ctx.ledger, "tier_report", None)
-        if callable(report):
-            extras["tiered_store"] = report()
         if state.spill_files:  # leftover scratch copies (now durable)
             from repro.db import storage_format
 
             for node_id in list(state.spill_files):
                 storage_format.delete_table(state.spill_dir, node_id)
                 state.spill_files.discard(node_id)
-        end_to_end = time.perf_counter() - state.run_started
-        if self.bus.enabled:
-            self.bus.instant(
-                "run-finish", "run", "scheduler", end_to_end,
-                args={"method": ctx.method,
-                      "compute_finished_at": compute_finished,
-                      "background_drained_at": end_to_end})
-            ledger_metrics = getattr(ctx.ledger, "metrics", None)
-            if ledger_metrics is not None:
-                self.bus.metrics.merge(ledger_metrics)
-        return RunTrace(
-            nodes=ctx.traces,
-            end_to_end_time=end_to_end,
-            compute_finished_at=compute_finished,
-            background_drained_at=end_to_end,
-            peak_catalog_usage=ctx.ledger.peak_usage,
-            memory_budget=ctx.memory_budget,
-            method=ctx.method,
-            extras=extras,
-        )
+        # the run is over when every MV is durable and the scratch is gone
+        return finish_run(ctx.ledger, self.bus, ctx.traces,
+                          compute_finished,
+                          time.perf_counter() - state.run_started,
+                          ctx.memory_budget, ctx.method)
 
     # ------------------------------------------------------------------
     def _reap_drained(self, ctx: ExecutionContext) -> None:

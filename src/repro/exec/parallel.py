@@ -17,12 +17,11 @@ Two executors live here, both built on the shared
     output size can be *reserved* against the remaining ledger budget.
     Reservations count against admission immediately but commit to
     ``usage``/``peak_usage`` only at output time, so committed peaks keep
-    the serial semantics.  With ``workers=1`` the scheduler switches to
-    *serial-equivalent mode* — plan-order dispatch with output-time
-    admission and the serial simulator's stall-or-spill backpressure —
-    and reproduces the serial trace bit-for-bit.  Logical clocks plus a
-    seeded tie-break priority make every run reproducible for a given
-    seed.
+    the serial semantics.  With ``workers=1`` there is nothing to
+    schedule: the run is :meth:`~repro.exec.kernel.NodeKernel.run_node`
+    once per node in plan order — the serial simulator, bit for bit, by
+    construction.  Logical clocks plus a seeded tie-break priority make
+    every run reproducible for a given seed.
 
 :func:`run_threaded`
     A real worker pool (OS threads) executing a caller-supplied work
@@ -36,21 +35,18 @@ and no ready node fits, the highest-priority ready node runs *spilled*
 (blocking write, no flag) — so a refresh can always make progress, and
 ``on_overflow="error"`` raises instead.
 
-With a tiered store armed, admission decisions go through stall-vs-spill
-cost arbitration (``SpillConfig.arbitrate``): in serial mode the shared
-:func:`~repro.store.tiered.arbitrate_admission` rule applies at output
-time (bit-equal to the serial simulator); with ``workers > 1`` the same
-trade is made at dispatch time (:meth:`ParallelSimulatorBackend.
-_prefers_stall`) — a blocked flagged node demotes victims only when the
-modeled demote+promote round trip is cheaper than waiting for the next
-completion or drain.
+Every per-node charge — reads from whichever tier holds a parent,
+compute, output placement, drains, parent release — is the shared
+:class:`~repro.exec.kernel.NodeKernel`'s; this module owns only what is
+a scheduler: readiness, the worker heap, reservations, and *dispatch-time*
+stall-vs-spill arbitration (:meth:`ParallelSimulatorBackend.
+_prefers_stall`, ``SpillConfig.arbitrate``) — a blocked flagged node
+demotes victims only when the modeled demote+promote round trip is
+cheaper than waiting for the next completion or drain.
 
 With ``SpillConfig.prefetch`` on, each dispatch round opens with a
 promote-ahead pass: spilled parents of ready (soon-to-run) nodes are
-promoted back into RAM during the idle device window before dispatch
-(serial mode prefetches only the next plan-order node's parents, at the
-same clock as the serial simulator's hook, so ``workers=1`` stays
-bit-equal with prefetching on).
+promoted back into RAM during the idle device window before dispatch.
 """
 
 from __future__ import annotations
@@ -65,8 +61,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.plan import Plan
-from repro.engine.simulator import SimulatorOptions
-from repro.engine.storage import StorageDevice
 from repro.engine.trace import NodeTrace, RunTrace
 from repro.errors import ExecutionError, ValidationError
 from repro.exec.base import (
@@ -74,36 +68,34 @@ from repro.exec.base import (
     ExecutionContext,
     register_backend,
 )
+from repro.exec.kernel import NodeKernel
 from repro.exec.ledger import MemoryLedger
 from repro.graph.dag import DependencyGraph, Node
 from repro.graph.topo import check_topological_order
-from repro.metadata.costmodel import DeviceProfile
-
-# Event kinds, ordered so drains at time t apply before completions at t —
-# matching the serial simulator, which drains the catalog before inserting.
-_DRAIN = 0
-_COMPLETE = 1
+from repro.obs.events import emit_node_events
 
 
 @dataclass
 class _SchedulerState:
-    """Mutable event-loop state of the parallel simulation."""
+    """Mutable event-loop state of the parallel simulation.
 
-    storage: StorageDevice
+    Two event sources drive the loop: ``completions`` here and the
+    kernel's drain heap.  A drain due at time t applies before a
+    completion at t — matching the serial lifecycle, which drains the
+    catalog before inserting.
+    """
+
+    kernel: NodeKernel
     deps_left: dict[str, int]
     priority: dict[str, tuple]
     now: float = 0.0
     ready: set[str] = field(default_factory=set)
     blocked_since: dict[str, float] = field(default_factory=dict)
     idle_workers: list[int] = field(default_factory=list)
-    events: list[tuple] = field(default_factory=list)
+    # (end clock, dispatch sequence, node id, worker, node trace)
+    completions: list[tuple] = field(default_factory=list)
     seq: "itertools.count" = field(default_factory=itertools.count)
-    running: int = 0
-    drains_pending: int = 0
     completed: set[str] = field(default_factory=set)
-    spilled: set[str] = field(default_factory=set)
-    traces: list[NodeTrace] = field(default_factory=list)
-    trace_by_id: dict[str, NodeTrace] = field(default_factory=dict)
     last_completion: float = 0.0
     # tiered-store bookkeeping: demotion charges made while admitting a
     # node (successful or not), billed to that node's timeline when it
@@ -116,6 +108,13 @@ class _SchedulerState:
     arb_pending: dict[str, float] = field(default_factory=dict)
     arb_resolved: set[str] = field(default_factory=set)
 
+    def next_event_time(self) -> float | None:
+        """When the next drain or completion lands (None: nothing is
+        in flight, so waiting cannot free space)."""
+        return min((heap[0][0] for heap in (self.kernel.drains,
+                                            self.completions) if heap),
+                   default=None)
+
 
 @register_backend
 class ParallelSimulatorBackend(ExecutionBackend):
@@ -125,12 +124,12 @@ class ParallelSimulatorBackend(ExecutionBackend):
         tie_break: ``"plan"`` (default) prioritizes ready nodes by plan
             position; ``"random"`` assigns each node a seeded random
             priority instead — a different but still fully reproducible
-            schedule for a given ``seed``.  Serial mode is invariant:
-            with ``workers=1`` the scheduler *always* follows the plan
-            order (that is what makes it bit-equal to the serial
-            simulator), so requesting a random tie-break there is a
-            contradiction and raises :class:`ValidationError` instead
-            of silently degrading to plan order.
+            schedule for a given ``seed``.  With ``workers=1`` there is
+            nothing to break ties between — the run *is* the serial
+            lifecycle in plan order — so requesting a random tie-break
+            there is a contradiction and raises
+            :class:`ValidationError` instead of silently degrading to
+            plan order.
     """
 
     name = "parallel"
@@ -140,59 +139,53 @@ class ParallelSimulatorBackend(ExecutionBackend):
         if plan is None:
             raise ValidationError(
                 "the parallel backend requires a plan; optimize first")
-        if memory_budget < 0:
-            raise ValidationError("memory_budget must be >= 0")
         check_topological_order(graph, plan.order)
         tie_break = self.extra.get("tie_break", "plan")
         if tie_break not in ("plan", "random"):
             raise ValidationError("tie_break must be 'plan' or 'random'")
         if tie_break == "random" and self.workers == 1:
             raise ValidationError(
-                "tie_break='random' cannot apply with workers=1: serial "
-                "mode always dispatches in plan order (the invariant "
-                "that keeps it bit-equal to the serial simulator); use "
-                "workers > 1 or tie_break='plan'")
+                "tie_break='random' cannot apply with workers=1: one "
+                "worker always runs the plan order (that is the serial "
+                "simulator); use workers > 1 or tie_break='plan'")
         rng = random.Random(self.seed)
         position = plan.positions()
         if tie_break == "random":
             priority = {v: (rng.random(), position[v]) for v in plan.order}
         else:
             priority = {v: (position[v],) for v in plan.order}
+        kernel = NodeKernel.for_run(graph, memory_budget, self.profile,
+                                    self.options, bus=self.bus)
         state = _SchedulerState(
-            storage=StorageDevice(profile=self.profile or DeviceProfile()),
+            kernel=kernel,
             deps_left={v: graph.in_degree(v) for v in graph.nodes()},
             priority=priority,
             idle_workers=list(range(self.workers)),
         )
         heapq.heapify(state.idle_workers)
         state.ready = {v for v, d in state.deps_left.items() if d == 0}
-        options = self.options or SimulatorOptions()
-        if options.spill is not None:
-            from repro.store.tiered import (
-                TieredLedger,
-                compressibility_from_graph,
-            )
-
-            ledger: MemoryLedger = TieredLedger(
-                memory_budget, options.spill,
-                profile=self.profile or DeviceProfile(), bus=self.bus)
-            ledger.set_compressibility(compressibility_from_graph(graph))
-        else:
-            ledger = MemoryLedger(budget=memory_budget)
         return ExecutionContext(graph=graph, plan=plan,
                                 memory_budget=memory_budget, method=method,
-                                ledger=ledger,
-                                payload=state)
+                                ledger=kernel.ledger, payload=state,
+                                traces=kernel.traces)
 
     # ------------------------------------------------------------------
     def run(self, graph: DependencyGraph, plan: Plan | None,
             memory_budget: float, method: str = "") -> RunTrace:
         ctx = self.prepare(graph, plan, memory_budget, method=method)
-        state = ctx.payload
+        state: _SchedulerState = ctx.payload
+        if self.workers == 1:
+            # nothing to schedule: the kernel once per node in plan
+            # order, which is the serial simulator by construction
+            for node_id in plan.order:
+                self.check_cancelled(node_id)
+                state.kernel.run_node(node_id, node_id in plan.flagged)
+            state.last_completion = state.kernel.clock
+            return self.finish(ctx)
         self._dispatch_round(ctx)
         while len(state.completed) < graph.n:
             self.check_cancelled()
-            if not state.events:
+            if state.next_event_time() is None:
                 raise ExecutionError(
                     "parallel scheduler stalled: "
                     f"{graph.n - len(state.completed)} nodes unreachable")
@@ -202,111 +195,56 @@ class ParallelSimulatorBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------
     def execute_node(self, ctx: ExecutionContext, node_id: str) -> None:
-        """Charge one node's timeline from ``state.now`` on a free worker.
+        """Start one node at ``state.now`` on a free worker.
 
-        Reads route through the ledger (memory bandwidth for resident
-        flagged parents, storage otherwise), compute applies the option's
-        penalty, and the output either finishes in memory (flagged — the
-        ledger commit happens at the completion event) or pays a blocking
-        storage write.
+        Reads and compute are charged now; a flagged output that holds a
+        reservation is created in memory now and committed at the
+        completion event, a tier-direct one is placed at the completion
+        event, an unflagged one pays its blocking write now.
         """
         state: _SchedulerState = ctx.payload
-        options = self.options or SimulatorOptions()
-        profile = self.profile or DeviceProfile()
-        graph = ctx.graph
-        node = graph.node(node_id)
+        kernel = state.kernel
         worker = heapq.heappop(state.idle_workers)
         flagged = (node_id in ctx.plan.flagged
-                   and node_id not in state.spilled)
+                   and node_id not in kernel.spilled)
         trace = NodeTrace(node_id=node_id, start=state.now, flagged=flagged)
         if node_id in state.blocked_since:
             trace.stall = state.now - state.blocked_since.pop(node_id)
-        clock = state.now
-
-        input_bytes = 0.0
-        for parent in graph.parents(node_id):
-            size = graph.size_of(parent)
-            input_bytes += size
-            if parent in ctx.ledger and parent not in state.spilled:
-                clock = self._read_resident(ctx, parent, size, clock,
-                                            trace, profile, options)
-            else:
-                duration = state.storage.read_duration(size, clock)
-                trace.read_disk += duration
-                clock += duration
-        base_bytes = float(node.meta.get("base_input_gb", 0.0))
-        if base_bytes > 0:
-            duration = state.storage.read_duration(base_bytes, clock)
-            trace.read_disk += duration
-            clock += duration
-            input_bytes += base_bytes
-
-        compute = (node.compute_time if node.compute_time is not None
-                   else profile.compute_time(input_bytes))
-        compute *= 1.0 + options.compute_penalty
-        trace.compute = compute
-        clock += compute
+        clock = kernel.read_and_compute(node_id, trace, state.now)
 
         # bill demotions made while admitting this node (including ones
         # from attempts that ultimately failed — the moves happened)
-        for charge in state.pending_spill.pop(node_id, []):
+        for charge in state.pending_spill.pop(node_id, ()):
             trace.spill_write += charge.seconds
             clock += charge.seconds
 
-        if flagged and (self.workers == 1 or node_id in state.tier_direct):
-            # the output (admission, possible stall/spill, memory create)
-            # happens at the completion event
-            pass
-        elif flagged:
-            duration = profile.create_time_memory(node.size)
-            trace.create_memory = duration
-            clock += duration
-        else:
-            duration = state.storage.write_duration(node.size, clock)
-            trace.write = duration
-            clock += duration
+        if not flagged:
+            clock = kernel.place_output(node_id, trace, clock)
+        elif node_id not in state.tier_direct:
+            clock = kernel.charge_create(ctx.graph.size_of(node_id), trace,
+                                         clock)
 
         trace.end = clock
         state.ready.discard(node_id)
-        state.running += 1
-        state.traces.append(trace)
-        state.trace_by_id[node_id] = trace
-        heapq.heappush(state.events,
-                       (clock, _COMPLETE, next(state.seq), node_id, worker))
-
-    # ------------------------------------------------------------------
-    def _read_resident(self, ctx: ExecutionContext, parent: str,
-                       size: float, clock: float, trace: NodeTrace,
-                       profile: DeviceProfile,
-                       options: SimulatorOptions) -> float:
-        """Charge reading a resident parent from whichever tier holds it
-        (the same shared rule as the serial simulator)."""
-        if options.spill is not None:
-            from repro.store.tiered import charge_resident_read
-
-            handled, clock = charge_resident_read(
-                ctx.ledger, options.spill, parent, clock, trace)
-            if handled:
-                return clock
-        duration = profile.read_time_memory(size)
-        trace.read_memory += duration
-        return clock + duration
+        kernel.traces.append(trace)
+        heapq.heappush(state.completions,
+                       (clock, next(state.seq), node_id, worker, trace))
 
     # ------------------------------------------------------------------
     def _dispatch_round(self, ctx: ExecutionContext) -> None:
         """Start every node that is ready, admissible, and has a worker."""
         state: _SchedulerState = ctx.payload
+        kernel = state.kernel
         if self.bus.enabled and state.ready and state.idle_workers:
             self.bus.metrics.counter("scheduler.dispatch_rounds").inc()
             self.bus.instant(
                 "dispatch-round", "scheduler", "scheduler", state.now,
                 args={"ready": len(state.ready),
                       "idle_workers": len(state.idle_workers),
-                      "running": state.running})
-        options = self.options or SimulatorOptions()
+                      "running": len(state.completions)})
+        options = kernel.options
         tiered = options.spill is not None
-        prefetch_on = tiered and options.spill.prefetch
-        if prefetch_on and self.workers > 1 and state.ready:
+        if tiered and options.spill.prefetch and state.ready:
             # promote-ahead dispatch hook: the window before this round's
             # dispatches is idle device time — promote the spilled
             # parents of the nodes that can actually dispatch now (one
@@ -317,23 +255,13 @@ class ParallelSimulatorBackend(ExecutionBackend):
             # back (billed), a thrash loop prefetching exists to avoid.
             soon = sorted(state.ready, key=state.priority.__getitem__)
             for node_id in soon[:max(len(state.idle_workers), 1)]:
-                self._prefetch_for(ctx, node_id)
+                kernel.prefetch(node_id, state.now)
         while state.idle_workers and state.ready:
             candidates = sorted(state.ready, key=state.priority.__getitem__)
-            if self.workers == 1:
-                # serial-equivalent mode: always run the next plan-order
-                # node; admission happens at its output, as in §III-C —
-                # with prefetching on, its spilled parents are promoted
-                # in the idle window first, exactly as the serial
-                # simulator does at the same clock
-                if prefetch_on:
-                    self._prefetch_for(ctx, candidates[0])
-                self.execute_node(ctx, candidates[0])
-                continue
             chosen = None
             for node_id in candidates:
                 if (node_id in ctx.plan.flagged
-                        and node_id not in state.spilled
+                        and node_id not in kernel.spilled
                         and node_id not in state.tier_direct):
                     size = ctx.graph.size_of(node_id)
                     if ctx.ledger.reserve(node_id, size):
@@ -369,7 +297,7 @@ class ParallelSimulatorBackend(ExecutionBackend):
                 # Every ready node is flagged and over budget.  If work is
                 # in flight, a completion or drain will free space; if not,
                 # waiting cannot help — spill the best candidate (or raise).
-                if state.running > 0 or state.drains_pending > 0:
+                if state.next_event_time() is not None:
                     return
                 if options.strict_budget or options.on_overflow == "error":
                     node_id = candidates[0]
@@ -382,34 +310,16 @@ class ParallelSimulatorBackend(ExecutionBackend):
                     # output below RAM at its completion event
                     state.tier_direct.add(candidates[0])
                 else:
-                    state.spilled.add(candidates[0])
+                    kernel.spilled.add(candidates[0])
                 # RAM never hosts this output; any open arbitration on
                 # it is moot
                 state.arb_pending.pop(candidates[0], None)
                 continue
             self.execute_node(ctx, chosen)
 
-    def _prefetch_for(self, ctx: ExecutionContext, node_id: str) -> None:
-        """Promote-ahead prefetch of one ready node's spilled parents.
-
-        Delegates to :meth:`repro.store.tiered.TieredLedger.prefetch`:
-        parents are promoted only when they fit in RAM (never demoting
-        to make room) and their read + decode + create seconds are
-        hidden in the idle window's prefetch counters, not billed to
-        any node's timeline.
-        """
-        prefetch = getattr(ctx.ledger, "prefetch", None)
-        if prefetch is None:
-            return
-        state: _SchedulerState = ctx.payload
-        parents = [p for p in ctx.graph.parents(node_id)
-                   if p not in state.spilled]
-        if parents:
-            prefetch(parents, now=state.now)
-
     def _prefers_stall(self, ctx: ExecutionContext, node_id: str,
                        size: float) -> bool:
-        """Dispatch-time stall-vs-spill arbitration (``workers > 1``).
+        """Dispatch-time stall-vs-spill arbitration.
 
         A flagged candidate whose reservation does not fit may either
         demote victims now or stay blocked until in-flight work frees
@@ -429,16 +339,15 @@ class ParallelSimulatorBackend(ExecutionBackend):
         ledger = ctx.ledger
         if not ledger.config.arbitrate:
             return False
-        if state.running <= 0 and state.drains_pending <= 0:
+        next_event = state.next_event_time()
+        if next_event is None:
             return False  # nothing can free space: waiting cannot help
-        if not state.events:
-            return False
         estimate = ledger.estimate_spill_seconds(size, now=state.now)
         if estimate is None:
             return False  # RAM can never host it: tier-direct placement
         if node_id not in state.arb_resolved:
             state.arb_pending.setdefault(node_id, estimate)
-        return state.events[0][0] - state.now <= estimate
+        return next_event - state.now <= estimate
 
     def _resolve_arbitration(self, ctx: ExecutionContext, node_id: str,
                              stalled: bool) -> None:
@@ -468,195 +377,50 @@ class ParallelSimulatorBackend(ExecutionBackend):
 
     def _process_next_event(self, ctx: ExecutionContext) -> None:
         state: _SchedulerState = ctx.payload
-        event_time, kind, _, node_id, worker = heapq.heappop(state.events)
-        state.now = event_time
-        if kind == _DRAIN:
-            state.drains_pending -= 1
+        kernel = state.kernel
+        drains, completions = kernel.drains, state.completions
+        if drains and (not completions
+                       or drains[0][0] <= completions[0][0]):
+            state.now, node_id = heapq.heappop(drains)
             self.materialize(ctx, node_id)
             return
-        # completion
+        event_time, _, node_id, worker, trace = heapq.heappop(completions)
+        state.now = event_time
         graph = ctx.graph
-        end_clock = event_time
-        if node_id in ctx.plan.flagged and node_id not in state.spilled:
-            if self.workers == 1:
-                end_clock = self._serial_output(ctx, node_id)
-            elif node_id in state.tier_direct:
-                end_clock = self._serial_output_tiered(
-                    ctx, node_id, graph.size_of(node_id), event_time,
-                    state.trace_by_id[node_id],
-                    self.options or SimulatorOptions(),
-                    self.profile or DeviceProfile())
+        if trace.flagged:
+            if node_id in state.tier_direct:
+                # dispatch-time arbitration already ran; drains later
+                # than the next completion wait for the loop to reach
+                # them, so that completion sees the ledger of its time
+                state.now = kernel.place_output(node_id, trace, event_time,
+                                                arbitrate=False)
+                kernel.apply_drains(
+                    min(state.now, completions[0][0]) if completions
+                    else state.now)
+                trace.end = state.now
             else:
                 ctx.ledger.commit_reservation(
                     node_id, n_consumers=graph.out_degree(node_id),
                     materialization_pending=True)
-                drained_at = state.storage.submit_background_write(
-                    node_id, graph.size_of(node_id), event_time)
-                heapq.heappush(state.events,
-                               (drained_at, _DRAIN, next(state.seq),
-                                node_id, None))
-                state.drains_pending += 1
-        state.now = end_clock
-        for parent in graph.parents(node_id):
-            if parent in ctx.ledger and parent not in state.spilled:
-                ctx.ledger.consumer_done(parent)
+                kernel.submit_drain(node_id, graph.size_of(node_id),
+                                    event_time)
+        kernel.release_parents(node_id)
         heapq.heappush(state.idle_workers, worker)
-        state.running -= 1
         state.completed.add(node_id)
-        state.last_completion = max(state.last_completion, end_clock)
+        state.last_completion = max(state.last_completion, state.now)
         if self.bus.enabled:
-            from repro.obs.events import emit_node_events
-
-            emit_node_events(self.bus, state.trace_by_id[node_id],
-                             f"worker-{worker}")
+            emit_node_events(self.bus, trace, f"worker-{worker}")
         for child in graph.children(node_id):
             state.deps_left[child] -= 1
             if state.deps_left[child] == 0:
                 state.ready.add(child)
 
-    def _serial_output(self, ctx: ExecutionContext, node_id: str) -> float:
-        """Serial-mode flagged output: admission at output time (§III-C).
-
-        Reproduces the serial simulator's backpressure exactly: stall for
-        pending drains while waiting is cheaper than a blocking write,
-        spill otherwise (or raise under ``on_overflow="error"``).
-        Returns the post-output clock.
-        """
-        state: _SchedulerState = ctx.payload
-        options = self.options or SimulatorOptions()
-        profile = self.profile or DeviceProfile()
-        trace = state.trace_by_id[node_id]
-        size = ctx.graph.size_of(node_id)
-        ledger = ctx.ledger
-        clock = state.now
-        if options.spill is not None:
-            return self._serial_output_tiered(ctx, node_id, size, clock,
-                                              trace, options, profile)
-
-        can_spill = (not options.strict_budget
-                     and options.on_overflow == "spill")
-        spill_cost = state.storage.write_duration(size, clock)
-        deadline = clock + spill_cost if can_spill else float("inf")
-        while not ledger.fits(size) and state.drains_pending > 0:
-            event_time = state.events[0][0]
-            if event_time <= clock:
-                self._pop_drains_until(ctx, clock)
-                continue
-            if event_time > deadline:
-                break  # waiting costs more than writing through
-            trace.stall += event_time - clock
-            clock = event_time
-            self._pop_drains_until(ctx, clock)
-
-        if not ledger.fits(size):
-            if options.strict_budget or options.on_overflow == "error":
-                raise ExecutionError(
-                    f"Memory Catalog cannot host {node_id!r} "
-                    f"({size:.6g} GB; {ledger.available:.6g} free)")
-            state.spilled.add(node_id)
-            duration = state.storage.write_duration(size, clock)
-            trace.write = duration
-            clock += duration
-        else:
-            duration = profile.create_time_memory(size)
-            trace.create_memory = duration
-            clock += duration
-            ledger.insert(node_id, size,
-                          n_consumers=ctx.graph.out_degree(node_id),
-                          materialization_pending=True)
-            drained_at = state.storage.submit_background_write(
-                node_id, size, clock)
-            heapq.heappush(state.events,
-                           (drained_at, _DRAIN, next(state.seq),
-                            node_id, None))
-            state.drains_pending += 1
-        self._pop_drains_until(ctx, clock)
-        trace.end = clock
-        return clock
-
-    def _serial_output_tiered(self, ctx: ExecutionContext, node_id: str,
-                              size: float, clock: float, trace: NodeTrace,
-                              options: SimulatorOptions,
-                              profile: DeviceProfile) -> float:
-        """Serial-mode flagged output with the tiered store: arbitrate
-        stall-vs-spill, then demote victims (or place the output itself
-        in a lower tier) — mirrors the serial simulator's
-        ``_create_tiered`` exactly, including the arbitration, so
-        ``workers=1`` stays bit-equal."""
-        from repro.store.tiered import (
-            arbitrate_admission,
-            charge_tiered_output,
-        )
-
-        state: _SchedulerState = ctx.payload
-        self._pop_drains_until(ctx, clock)
-        if self.workers == 1:
-            # multi-worker tier_direct outputs skip this: their events
-            # heap can hold other nodes' completions, and their
-            # arbitration already happened at dispatch time
-            clock = arbitrate_admission(
-                ctx.ledger, size, clock, trace,
-                next_drain_time=lambda: (
-                    state.events[0][0]
-                    if state.drains_pending > 0 and state.events else None),
-                apply_drains=lambda now: self._pop_drains_until(ctx, now))
-        clock, inserted = charge_tiered_output(
-            ctx.ledger, node_id, size, ctx.graph.out_degree(node_id),
-            clock, trace, state.storage, profile.create_time_memory,
-            options.strict_budget or options.on_overflow == "error",
-            state.spilled)
-        if inserted:
-            drained_at = state.storage.submit_background_write(
-                node_id, size, clock)
-            heapq.heappush(state.events,
-                           (drained_at, _DRAIN, next(state.seq),
-                            node_id, None))
-            state.drains_pending += 1
-        self._pop_drains_until(ctx, clock)
-        trace.end = clock
-        return clock
-
-    def _pop_drains_until(self, ctx: ExecutionContext, now: float) -> None:
-        """Apply queued drain events with ``time <= now``."""
-        state: _SchedulerState = ctx.payload
-        while (state.events and state.events[0][0] <= now
-               and state.events[0][1] == _DRAIN):
-            _, _, _, node_id, _ = heapq.heappop(state.events)
-            state.drains_pending -= 1
-            self.materialize(ctx, node_id)
-
     # ------------------------------------------------------------------
     def finish(self, ctx: ExecutionContext) -> RunTrace:
         state: _SchedulerState = ctx.payload
-        while state.events:  # apply outstanding drains
-            _, kind, _, node_id, _ = heapq.heappop(state.events)
-            if kind == _DRAIN:
-                self.materialize(ctx, node_id)
-        drained = state.storage.drained_at()
-        extras = {}
-        report = getattr(ctx.ledger, "tier_report", None)
-        if callable(report):
-            extras["tiered_store"] = report()
-        if self.bus.enabled:
-            self.bus.instant(
-                "run-finish", "run", "scheduler",
-                max(state.last_completion, drained),
-                args={"method": ctx.method, "workers": self.workers,
-                      "compute_finished_at": state.last_completion,
-                      "background_drained_at": drained})
-            ledger_metrics = getattr(ctx.ledger, "metrics", None)
-            if ledger_metrics is not None:
-                self.bus.metrics.merge(ledger_metrics)
-        return RunTrace(
-            nodes=state.traces,
-            end_to_end_time=max(state.last_completion, drained),
-            compute_finished_at=state.last_completion,
-            background_drained_at=drained,
-            peak_catalog_usage=ctx.ledger.peak_usage,
-            memory_budget=ctx.memory_budget,
-            method=ctx.method,
-            extras=extras,
-        )
+        return state.kernel.finish_run(state.last_completion,
+                                       ctx.memory_budget, ctx.method,
+                                       workers=self.workers)
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,21 @@
 """Serial discrete-event simulator as an :class:`ExecutionBackend`.
 
-Adapts the resumable :class:`~repro.engine.simulator.RefreshSimulator`
-(begin / run_segment / finish) onto the five-hook backend protocol so the
-Controller can dispatch to it by name.  The simulation mechanics — input
-routing through the Memory Catalog, background materialization, drain
-backpressure — stay in :mod:`repro.engine.simulator`; this module owns
-only the protocol plumbing.
+Nodes execute one at a time in plan order, as in the paper's Presto
+deployment (one refresh statement at a time); parallelism enters only
+through the background materialization channel.  The backend *is*
+:meth:`~repro.exec.kernel.NodeKernel.run_node` once per node — every
+§III-C mechanic lives in :mod:`repro.exec.kernel`.
+
+The hooks are resumable: a caller may drive ``prepare`` →
+``execute_node`` … → ``finish`` itself and swap ``ctx.plan`` between
+nodes (the Memory Catalog, the background channel and the clock carry
+over), which is how :mod:`repro.engine.adaptive` re-plans mid-run
+without forcing flagged nodes to materialize at the boundary.
 """
 
 from __future__ import annotations
 
 from repro.core.plan import Plan
-from repro.engine.simulator import RefreshSimulator, SimulatorOptions
 from repro.engine.trace import RunTrace
 from repro.errors import ValidationError
 from repro.exec.base import (
@@ -19,9 +23,9 @@ from repro.exec.base import (
     ExecutionContext,
     register_backend,
 )
+from repro.exec.kernel import NodeKernel
 from repro.graph.dag import DependencyGraph
 from repro.graph.topo import check_topological_order
-from repro.metadata.costmodel import DeviceProfile
 
 
 @register_backend
@@ -36,21 +40,17 @@ class SerialSimulatorBackend(ExecutionBackend):
             raise ValidationError(
                 "the simulator backend requires a plan; optimize first")
         check_topological_order(graph, plan.order)
-        simulator = RefreshSimulator(
-            profile=self.profile or DeviceProfile(),
-            options=self.options or SimulatorOptions(),
-            bus=self.bus)
-        state = simulator.begin(memory_budget, graph=graph)
+        kernel = NodeKernel.for_run(graph, memory_budget, self.profile,
+                                    self.options, bus=self.bus)
         return ExecutionContext(graph=graph, plan=plan,
                                 memory_budget=memory_budget, method=method,
-                                ledger=state.catalog,
-                                payload=(simulator, state))
+                                ledger=kernel.ledger, payload=kernel,
+                                traces=kernel.traces)
 
     def execute_node(self, ctx: ExecutionContext, node_id: str) -> None:
-        simulator, state = ctx.payload
-        simulator.run_segment(ctx.graph, [node_id], ctx.plan.flagged, state)
-        ctx.traces = state.traces
+        ctx.payload.run_node(node_id, node_id in ctx.plan.flagged)
 
     def finish(self, ctx: ExecutionContext) -> RunTrace:
-        simulator, state = ctx.payload
-        return simulator.finish(state, ctx.memory_budget, method=ctx.method)
+        kernel: NodeKernel = ctx.payload
+        return kernel.finish_run(kernel.clock, ctx.memory_budget,
+                                 ctx.method)

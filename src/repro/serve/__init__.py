@@ -7,8 +7,9 @@ moves the unit of scale from a *plan* to a *request stream*:
 many concurrent refresh requests against **one shared**
 :class:`~repro.store.tiered.TieredLedger` — a bounded request queue
 with tenant priorities, per-tenant RAM budget shares (spill tiers stay
-shared), stall-vs-spill admission control reusing
-:func:`~repro.store.tiered.arbitrate_admission`, and per-request
+shared), the single-run backends' stall-vs-spill admission control
+(every request runs the shared :class:`~repro.exec.kernel.NodeKernel`
+phases), and per-request
 cancellation/deadline timeouts that unwind the ledger cleanly (no
 leaked holds, reservations, or consumer counts).
 

@@ -22,7 +22,7 @@ import asyncio
 
 from repro.core.plan import Plan
 from repro.engine.trace import RunTrace
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ValidationError
 from repro.exec.base import (
     ExecutionBackend,
     ExecutionContext,
@@ -55,7 +55,14 @@ class ServiceBackend(ExecutionBackend):
                 method: str = "") -> ExecutionContext:
         spill = None
         if self.options is not None:
-            spill = getattr(self.options, "spill", None)
+            if self.options.compute_penalty != 0:
+                # the service models spare-memory catalogs only; running
+                # anyway would return unpenalized numbers under a
+                # penalized label
+                raise ValidationError(
+                    "the service backend does not model compute_penalty; "
+                    "use a discrete-event backend or set it to 0")
+            spill = self.options.spill
         config = ServiceConfig(
             ram_budget_gb=memory_budget,
             spill=spill if spill is not None else SpillConfig(),
@@ -74,8 +81,8 @@ class ServiceBackend(ExecutionBackend):
 
     def execute_node(self, ctx: ExecutionContext, node_id: str) -> None:
         raise ExecutionError(  # pragma: no cover - contract guard
-            "ServiceBackend schedules whole requests; per-node execution "
-            "lives in RefreshService._execute")
+            "ServiceBackend schedules whole requests; RefreshService "
+            "sequences the kernel phases per node itself")
 
     def finish(self, ctx: ExecutionContext) -> RunTrace:
         raise ExecutionError(  # pragma: no cover - contract guard

@@ -18,11 +18,12 @@
   over-share output can overshoot the share by at most one entry
   (degrading to shared-RAM pressure, never deadlock), and the next
   admission sheds back below it;
-* **admission control** — flagged outputs go through the same
-  :func:`~repro.store.tiered.arbitrate_admission` stall-vs-spill rule
-  the single-run backends use, against a *service-wide* heap of pending
-  materialization drains, so one request's stall decision sees every
-  request's upcoming releases;
+* **admission control** — every request runs the same
+  :class:`~repro.exec.kernel.NodeKernel` phases the single-run backends
+  use (reads, compute, stall-vs-spill arbitration, output placement),
+  over the service's one ledger, one storage device and one
+  *service-wide* heap of pending materialization drains, so one
+  request's stall decision sees every request's upcoming releases;
 * **cancellation/deadlines with clean unwind** — cancellation is
   cooperative at node boundaries (the same ``threading.Event`` contract
   as :class:`~repro.exec.base.ExecutionBackend` ``cancel``); a
@@ -37,10 +38,10 @@ event loop, so concurrency, queueing delay, and the latency percentiles
 the benchmark reports are genuinely measured, not simulated.  The
 logical clock is shared: it is the service's wall age divided by
 ``time_scale``, so drain ETAs and stall decisions line up across
-concurrent requests.  (One knowing approximation: ``arbitrate_admission``
-applies the drains a stall waits through *at decision time*, then the
-request sleeps to its advanced clock — memory can free slightly earlier
-in wall terms than the drain's logical ETA.)
+concurrent requests.  (One knowing approximation: the kernel's
+arbitration applies the drains a stall waits through *at decision time*,
+then the request sleeps to its advanced clock — memory can free slightly
+earlier in wall terms than the drain's logical ETA.)
 
 This module runs a real event loop and measures real latencies, so
 wall-clock reads here are by design (``repro/serve/`` is on the
@@ -56,25 +57,21 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.engine.storage import StorageDevice
 from repro.engine.trace import NodeTrace, RunTrace
 from repro.errors import (
-    CatalogError,
     RunCancelledError,
     ServiceOverloadError,
     ValidationError,
 )
-from repro.engine.storage import StorageDevice
+from repro.exec.base import SimulatorOptions
+from repro.exec.kernel import NodeKernel
 from repro.graph.dag import DependencyGraph
 from repro.graph.topo import kahn_topological_order
 from repro.metadata.costmodel import DeviceProfile
 from repro.obs.events import EventBus, resolve_bus
 from repro.store.config import SpillConfig
-from repro.store.tiered import (
-    TieredLedger,
-    arbitrate_admission,
-    charge_resident_read,
-    charge_tiered_output,
-)
+from repro.store.tiered import TieredLedger
 
 
 @dataclass(frozen=True)
@@ -178,12 +175,10 @@ class _Request:
     queued_s: float
     cancel: threading.Event = field(default_factory=threading.Event)
     started_s: float | None = None
-    keys: set[str] = field(default_factory=set)
-
-    def key(self, node_id: str) -> str:
-        # request-scoped ledger keys: concurrent requests over the same
-        # workload must never collide on an entry id
-        return f"{self.request_id}/{node_id}"
+    # node id -> request-scoped ledger key (concurrent requests over
+    # the same workload must never collide on an entry id); filled
+    # when the request starts executing
+    keys: dict[str, str] = field(default_factory=dict)
 
 
 class RefreshService:
@@ -228,6 +223,9 @@ class RefreshService:
         # shared device clock, so concurrent writers contend for it
         # exactly like the single-run backends' storage device
         self._storage = StorageDevice(profile=self.profile)
+        # runtime policy of every request's kernel: the service's tiers,
+        # never raise on overflow, no compute penalty
+        self._options = SimulatorOptions(spill=config.spill)
         self._epoch = time.perf_counter()
         self._seq = itertools.count()
         self._pending: list[tuple[int, int, _Request]] = []
@@ -425,59 +423,30 @@ class RefreshService:
 
     async def _execute(self, request: _Request) -> RunTrace:
         graph, ledger = request.graph, self.ledger
-        spill = self.config.spill
-        profile = self.profile
-        traces: list[NodeTrace] = []
-        spilled: set[str] = set()
         tenant = request.tenant.name
         share_gb = request.tenant.share * self.config.ram_budget_gb
+        request.keys = {node_id: f"{request.request_id}/{node_id}"
+                        for node_id in request.order}
+        # the single-run lifecycle over the service's shared state;
+        # only the key function and the lost-flag set are this request's
+        kernel = NodeKernel(graph, ledger, self.profile, self._options,
+                            storage=self._storage, drains=self._drains,
+                            key=request.keys.__getitem__)
+        traces: list[NodeTrace] = []
         for node_id in request.order:
             self._check_boundary(request, node_id)
-            key = request.key(node_id)
             clock = self._now()
-            flagged = (node_id in request.flagged
-                       and node_id not in spilled)
-            trace = NodeTrace(node_id=node_id, start=clock, flagged=flagged)
-            input_gb = 0.0
-            for parent in graph.parents(node_id):
-                pkey = request.key(parent)
-                size = graph.size_of(parent)
-                input_gb += size
-                if ledger.tier_of(pkey) is not None:
-                    handled, clock = charge_resident_read(
-                        ledger, spill, pkey, clock, trace)
-                    if not handled:
-                        duration = profile.read_time_memory(size)
-                        trace.read_memory += duration
-                        clock += duration
-                else:
-                    duration = profile.read_time_disk(size)
-                    trace.read_disk += duration
-                    clock += duration
-            base_gb = float(graph.node(node_id).meta.get(
-                "base_input_gb", 0.0))
-            if base_gb > 0:
-                duration = profile.read_time_disk(base_gb)
-                trace.read_disk += duration
-                clock += duration
-                input_gb += base_gb
-            node = graph.node(node_id)
-            compute = (node.compute_time if node.compute_time is not None
-                       else profile.compute_time(input_gb))
-            trace.compute = compute
-            clock += compute
+            trace = NodeTrace(node_id=node_id, start=clock,
+                              flagged=node_id in request.flagged)
+            clock = kernel.read_and_compute(node_id, trace, clock)
             # realize the modeled read+compute on the event loop —
             # this is where concurrent requests genuinely overlap
             await self._sleep_until(clock)
-            for parent in graph.parents(node_id):
-                pkey = request.key(parent)
-                if ledger.tier_of(pkey) is not None:
-                    if ledger.consumer_done(pkey):
-                        request.keys.discard(pkey)
-            size = graph.size_of(node_id)
-            if flagged:
+            kernel.release_parents(node_id)
+            if trace.flagged:
                 # tenant share enforcement: shed our *own* RAM bytes
                 # first, so one tenant's burst cannot evict another's
+                size = graph.size_of(node_id)
                 while ledger.tenant_usage(tenant) + size > share_gb:
                     shed = ledger.demote_victim(now=clock, owner=tenant)
                     if shed is None:
@@ -485,30 +454,11 @@ class RefreshService:
                     for charge in shed[1]:
                         trace.spill_write += charge.seconds
                         clock += charge.seconds
-                clock = arbitrate_admission(
-                    ledger, size, clock, trace,
-                    self._next_drain_time, self._apply_drains)
-                ledger.set_owner(key, tenant)
-                clock, inserted = charge_tiered_output(
-                    ledger, key, size,
-                    n_consumers=graph.out_degree(node_id), clock=clock,
-                    trace=trace, storage=self._storage,
-                    create_time=profile.create_time_memory,
-                    raise_on_overflow=False, spilled=spilled)
-                if inserted:
-                    request.keys.add(key)
-                    # background materialization on the shared device
-                    # channel: the drain every arbitration (any
-                    # request's) can wait on
-                    eta = self._storage.submit_background_write(
-                        key, size, clock)
-                    heapq.heappush(self._drains, (eta, key))
-                else:
-                    spilled.add(node_id)
-            else:
-                duration = self._storage.write_duration(size, clock)
-                trace.write = duration
-                clock += duration
+                ledger.set_owner(request.keys[node_id], tenant)
+            # the background materialization lands on the shared device
+            # channel: the drain every arbitration (any request's) can
+            # wait on
+            clock = kernel.place_output(node_id, trace, clock)
             await self._sleep_until(clock)
             trace.end = clock
             traces.append(trace)
@@ -517,12 +467,11 @@ class RefreshService:
         # entries complete their release protocol; other requests'
         # drains stay queued on their own ETAs
         drained_at = self._finish_drains(request)
+        finished = traces[-1].end if traces else self._now()
         return RunTrace(
             nodes=traces,
-            end_to_end_time=max(drained_at, traces[-1].end if traces
-                                else self._now()),
-            compute_finished_at=(traces[-1].end if traces
-                                 else self._now()),
+            end_to_end_time=max(drained_at, finished),
+            compute_finished_at=finished,
             background_drained_at=drained_at,
             peak_catalog_usage=self.ledger.peak_usage,
             memory_budget=self.config.ram_budget_gb,
@@ -536,30 +485,27 @@ class RefreshService:
     # ------------------------------------------------------------------
     # materialization drains
     # ------------------------------------------------------------------
-    def _next_drain_time(self) -> float | None:
-        return self._drains[0][0] if self._drains else None
-
-    def _apply_drains(self, now: float) -> None:
-        while self._drains and self._drains[0][0] <= now:
-            _, key = heapq.heappop(self._drains)
-            if self.ledger.tier_of(key) is not None:
-                self.ledger.materialized(key)
+    def _drop_drains(self, request: _Request) -> list[tuple[float, str]]:
+        """Take the request's pending drains off the shared heap (in
+        place: every in-flight request's kernel holds the same list)."""
+        prefix = request.request_id + "/"
+        keep: list[tuple[float, str]] = []
+        dropped: list[tuple[float, str]] = []
+        for drain in self._drains:
+            (dropped if drain[1].startswith(prefix) else keep).append(drain)
+        if dropped:
+            self._drains[:] = keep
+            heapq.heapify(self._drains)
+        return dropped
 
     def _finish_drains(self, request: _Request) -> float:
         """Apply the request's remaining drains at their ETAs (logical
         end-of-run drain, like the backends' ``finish``)."""
         drained_at = self._now()
-        keep: list[tuple[float, str]] = []
-        prefix = request.request_id + "/"
-        for eta, key in self._drains:
-            if not key.startswith(prefix):
-                keep.append((eta, key))
-                continue
+        for eta, key in self._drop_drains(request):
             drained_at = max(drained_at, eta)
-            if self.ledger.tier_of(key) is not None:
+            if key in self.ledger:
                 self.ledger.materialized(key)
-        self._drains = keep
-        heapq.heapify(self._drains)
         return drained_at
 
     # ------------------------------------------------------------------
@@ -570,14 +516,10 @@ class RefreshService:
         drop its pending drains, then force-release every entry it still
         holds anywhere in the hierarchy.  After this, the request has
         leaked no holds, reservations, or consumer counts."""
-        prefix = request.request_id + "/"
-        self._drains = [(eta, key) for eta, key in self._drains
-                        if not key.startswith(prefix)]
-        heapq.heapify(self._drains)
-        for key in sorted(request.keys):
-            if self.ledger.tier_of(key) is not None:
+        self._drop_drains(request)
+        for key in sorted(request.keys.values()):
+            if key in self.ledger:
                 self.ledger.force_release(key)
-        request.keys.clear()
 
     # ------------------------------------------------------------------
     # invariants / reporting
@@ -593,10 +535,7 @@ class RefreshService:
         violations: dict[str, list] = {
             "leaked_entries": [], "negative_balances": [],
             "tenant_sum_mismatch": []}
-        leaked = [node_id for node_id in self.ledger.resident()]
-        for index in range(1, len(self.ledger.tiers)):
-            leaked.extend(self.ledger._tier_entries(index))
-        violations["leaked_entries"] = sorted(leaked)
+        violations["leaked_entries"] = sorted(self.ledger.resident())
         tenant_sum = 0.0
         for name in self.ledger.tenant_names():
             usage = self.ledger.tenant_usage(name)

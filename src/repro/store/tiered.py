@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.engine.storage import StorageDevice
-from repro.errors import BudgetExceededError, CatalogError, ExecutionError
+from repro.errors import BudgetExceededError, CatalogError
 from repro.exec.ledger import MemoryLedger
 from repro.metadata.costmodel import DeviceProfile
 from repro.obs.events import EventBus, resolve_bus
@@ -154,149 +154,6 @@ class SpillCharge:
     seconds: float
 
 
-def arbitrate_admission(ledger: "TieredLedger", size: float, clock: float,
-                        trace, next_drain_time, apply_drains) -> float:
-    """Stall-vs-spill arbitration ahead of a tiered admission.
-
-    The one decision rule shared by the serial simulator and the
-    parallel scheduler's serial mode (so ``workers=1`` bit-equality
-    holds): while the incoming flagged output does not fit in RAM and
-    background drains are pending, compare the modeled cost of
-    *stalling* (wait for the next drain to free space) against the
-    modeled cost of *spilling* (demote the policy's best victims and pay
-    their promote round trip later, via
-    :meth:`TieredLedger.estimate_spill_seconds`) and take the cheaper
-    action.  Decisions are counted on the ledger and surface in
-    ``tier_report()["arbitration"]``; the chosen action is recorded in
-    ``trace.admission``.
-
-    Args:
-        ledger: the run's tiered ledger.
-        size: the flagged output's size in GB.
-        clock: the node's current timeline position.
-        trace: the node's :class:`~repro.engine.trace.NodeTrace`
-            (``stall`` accrues here).
-        next_drain_time: zero-arg callable returning the next pending
-            drain's completion time, or ``None`` when nothing drains.
-        apply_drains: one-arg callable releasing every drain due by the
-            given time.
-
-    Returns:
-        The possibly-advanced clock.  The caller then admits the output
-        with :func:`charge_tiered_output`, which only demotes if the
-        stalls did not free enough room.
-    """
-    if not ledger.config.arbitrate:
-        return clock
-    stall_begun = clock
-    avoided = None
-    while not ledger.fits(size):
-        est = ledger.estimate_spill_seconds(size, now=clock)
-        if est is None:
-            break  # RAM cannot host it at all: no decision to make
-        event_time = next_drain_time()
-        if event_time is None:
-            break  # nothing draining: spilling is the only move
-        if event_time <= clock:
-            apply_drains(clock)
-            continue
-        if event_time > clock + est:
-            # waiting is modeled dearer than the spill round trip
-            trace.admission = "spill"
-            ledger.record_arbitration(stalled=False, now=clock)
-            break
-        if avoided is None:
-            avoided = est
-        trace.stall += event_time - clock
-        clock = event_time
-        apply_drains(clock)
-    if avoided is not None:
-        if ledger.fits(size):
-            trace.admission = "stall"
-            ledger.record_arbitration(stalled=True,
-                                      stall_seconds=clock - stall_begun,
-                                      avoided=avoided, now=clock)
-        elif trace.admission != "spill":
-            # stalled through every drain and still short on room: the
-            # admission ends in a (smaller) spill
-            trace.admission = "spill"
-            ledger.record_arbitration(stalled=False, now=clock)
-    return clock
-
-
-def charge_resident_read(ledger: "TieredLedger", spill: SpillConfig,
-                         parent: str, clock: float, trace) -> \
-        tuple[bool, float]:
-    """Charge reading a resident parent held in a spill tier.
-
-    The one read-charging rule shared by the serial simulator and the
-    parallel scheduler (so their ``workers=1`` bit-equality cannot
-    drift): a spilled parent pays its tier's device read into
-    ``trace.read_disk`` and, when promotion is on and RAM has room, one
-    in-memory create into ``trace.promote_read``.  Returns
-    ``(handled, clock)``; ``handled=False`` means the parent is
-    RAM-resident and the caller charges its memory-bandwidth read (the
-    recency bump has already been recorded).
-    """
-    tier = ledger.tier_of(parent)
-    if tier is None or tier == 0:
-        ledger.note_read(parent)
-        return False, clock
-    duration = ledger.tier_read_seconds(parent, now=clock)
-    trace.read_disk += duration
-    clock += duration
-    if spill.promote:
-        charge = ledger.promote(parent, now=clock)
-        if charge is not None:
-            trace.promote_read += charge.seconds
-            clock += charge.seconds
-    ledger.note_read(parent)
-    return True, clock
-
-
-def charge_tiered_output(ledger: "TieredLedger", node_id: str, size: float,
-                         n_consumers: int, clock: float, trace,
-                         storage: StorageDevice, create_time,
-                         raise_on_overflow: bool,
-                         spilled: set) -> tuple[float, bool]:
-    """Create a flagged output somewhere in the hierarchy, billing the
-    migration charges to ``trace``.
-
-    The one output-charging rule shared by the serial simulator and the
-    parallel scheduler (the output-side twin of
-    :func:`charge_resident_read`).  Returns ``(clock, inserted)``;
-    ``inserted=False`` means no tier could host the entry (finite
-    hierarchy) and the node lost its flag to a blocking write on
-    ``storage`` — demotions made before that failure are still billed.
-    Raises :class:`~repro.errors.ExecutionError` instead when
-    ``raise_on_overflow`` is set.
-    """
-    try:
-        tier_idx, charges = ledger.spill_insert(
-            node_id, size, n_consumers=n_consumers,
-            materialization_pending=True, now=clock)
-    except BudgetExceededError as exc:
-        for charge in getattr(exc, "charges", []):
-            trace.spill_write += charge.seconds
-            clock += charge.seconds
-        if raise_on_overflow:
-            raise ExecutionError(
-                f"no storage tier can host {node_id!r} "
-                f"({size:.6g} GB)") from None
-        spilled.add(node_id)
-        duration = storage.write_duration(size, clock)
-        trace.write = duration
-        return clock + duration, False
-    for charge in charges:
-        trace.spill_write += charge.seconds
-        clock += charge.seconds
-    if tier_idx == 0:
-        duration = create_time(size)
-        trace.create_memory = duration
-        clock += duration
-    return clock, True
-
-
 @dataclass
 class StorageTier:
     """One rung of the hierarchy: spec, its ledger, its device clock.
@@ -370,7 +227,8 @@ class TieredLedger(MemoryLedger):
       (``SpillConfig.prefetch``), their I/O hidden in the idle window;
     * :meth:`estimate_spill_seconds` / :meth:`record_arbitration` — the
       cost model and outcome counters behind stall-vs-spill arbitration
-      (see :func:`arbitrate_admission`), pricing encode + compressed
+      (the callers are :class:`repro.exec.kernel.NodeKernel` and the
+      parallel scheduler), pricing encode + compressed
       transfer on the demote leg and decode on the reload leg;
     * :meth:`pick_victim` / :meth:`demote` — the two-step protocol for
       executors doing *real* I/O, which move bytes themselves and then
@@ -468,7 +326,7 @@ class TieredLedger(MemoryLedger):
         # backends run before every node don't re-count one stuck
         # parent; cleared when the entry moves or leaves
         self._prefetch_missed: set[str] = set()
-        # stall-vs-spill arbitration outcomes (see arbitrate_admission)
+        # stall-vs-spill arbitration outcomes (see record_arbitration)
         self.stall_wins = 0
         self.spill_wins = 0
         self.stall_seconds = 0.0
@@ -1453,7 +1311,7 @@ class TieredLedger(MemoryLedger):
     def record_arbitration(self, stalled: bool, stall_seconds: float = 0.0,
                            avoided: float = 0.0,
                            now: float = 0.0) -> None:
-        """Count one stall-vs-spill decision (see ``arbitrate_admission``).
+        """Count one stall-vs-spill decision a backend made.
 
         Args:
             stalled: True when stalling won the arbitration.
@@ -1481,7 +1339,7 @@ class TieredLedger(MemoryLedger):
 
         A compressed tier transfers the stored bytes and then decodes
         the logical bytes — the decode-aware read path both the consumer
-        charge (:func:`charge_resident_read`) and the prefetch pass
+        charge (the kernel's resident read) and the prefetch pass
         price through this one method.
         """
         with self._lock:

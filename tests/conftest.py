@@ -5,9 +5,17 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.core.problem import ScProblem
+from repro.exec import create_backend
 from repro.graph.dag import DependencyGraph
+
+# Tier-1 is a function of the commit: every @given test draws the same
+# examples on every run, and nothing is replayed from (or written to) a
+# .hypothesis/ example database left behind by an earlier run.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 def pytest_configure(config):
@@ -15,6 +23,12 @@ def pytest_configure(config):
         "markers",
         "random_invariants: seeded randomized ledger-invariant harness "
         "(CI runs it as a dedicated job with a fixed seed matrix)")
+
+
+def run_workload(workload, plan, memory_budget_gb, method=""):
+    """One refresh of a ``SqlWorkload`` on the real MiniDB backend."""
+    return create_backend("minidb", workload=workload).run(
+        workload.graph(), plan, memory_budget_gb, method=method)
 
 
 def make_fig7_problem() -> ScProblem:

@@ -155,7 +155,7 @@ class TestAdaptiveWithTieredStore:
         return graph, truth
 
     def _options(self, adapt=None, codec="none"):
-        from repro.engine.simulator import SimulatorOptions
+        from repro.engine import SimulatorOptions
         from repro.store import SpillConfig, TierSpec
 
         return SimulatorOptions(spill=SpillConfig(

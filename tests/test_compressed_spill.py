@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.problem import ScProblem, TierAwareBudget
 from repro.engine.controller import Controller
-from repro.engine.simulator import SimulatorOptions
+from repro.engine import SimulatorOptions
 from repro.errors import ValidationError
 from repro.exec.base import create_backend
 from repro.metadata.costmodel import DeviceProfile

@@ -7,9 +7,9 @@ from repro.core.plan import Plan
 from repro.db import storage_format
 from repro.db.catalog import DatabaseCatalog
 from repro.db.engine import MiniDB, MvDefinition, SqlWorkload
-from repro.db.runner import run_workload
 from repro.db.table import Table
 from repro.errors import CatalogError, ExecutionError
+from tests.conftest import run_workload
 
 
 @pytest.fixture

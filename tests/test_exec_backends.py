@@ -10,7 +10,6 @@ from repro.core.optimizer import optimize
 from repro.core.plan import Plan
 from repro.core.problem import ScProblem
 from repro.engine.controller import Controller
-from repro.engine.memory_catalog import MemoryCatalog
 from repro.errors import ValidationError
 from repro.exec import MemoryLedger, backend_names, create_backend
 from repro.exec.parallel import run_threaded
@@ -76,7 +75,13 @@ class TestRegistryDispatch:
             backend.run(problem.graph, None, problem.memory_budget)
 
     def test_memory_catalog_is_a_ledger(self):
-        assert isinstance(MemoryCatalog(budget=1.0), MemoryLedger)
+        # the serial simulator's Memory Catalog is the shared ledger
+        # itself, not a subclass with its own accounting
+        problem = make_random_problem(3, n_nodes=8)
+        plan = optimize(problem, "sc").plan
+        ctx = create_backend("simulator").prepare(
+            problem.graph, plan, problem.memory_budget)
+        assert type(ctx.ledger) is MemoryLedger
 
 
 class TestParallelScheduler:

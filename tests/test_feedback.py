@@ -8,7 +8,7 @@ from repro.core.optimizer import optimize
 from repro.core.problem import ScProblem, TierAwareBudget, \
     warehouse_ram_gain
 from repro.engine.controller import Controller
-from repro.engine.simulator import SimulatorOptions
+from repro.engine import SimulatorOptions
 from repro.engine.trace import RunTrace
 from repro.errors import ValidationError
 from repro.feedback import CostFeedback, TierObservation

@@ -1,0 +1,153 @@
+"""Golden traces for the paths the node-execution kernel rewrote.
+
+``golden_pr4_trace.json`` / ``golden_pr5_trace.json`` pin the serial
+simulator only.  These three files pin what nothing else did — the
+``workers > 1`` scheduler, the adaptive controller's segment-wise runs
+and the LRU baseline — each generated from the code *before* the kernel
+existed (commit ``bf6d44f``), so passing proves the one-kernel refactor
+left every modeled number bit-equal.
+
+Regenerate (``python tests/test_golden_kernel.py --write``) only when a
+PR deliberately changes these pipelines' numbers — and say so in the
+commit.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from repro.core.optimizer import optimize
+from repro.core.problem import ScProblem
+from repro.engine import AdaptiveController, Controller, SimulatorOptions
+from repro.exec import create_backend
+from repro.graph.topo import kahn_topological_order
+from repro.store import SpillConfig, TierSpec
+from repro.workloads.generator import (
+    GeneratedWorkloadConfig,
+    WorkloadGenerator,
+)
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def _fixed_case(n_nodes, seed):
+    graph = WorkloadGenerator().generate(
+        GeneratedWorkloadConfig(n_nodes=n_nodes, height_width_ratio=0.5),
+        seed=seed)
+    budget = 0.3 * graph.total_size()
+    plan = optimize(ScProblem(graph=graph, memory_budget=budget),
+                    method="sc", seed=seed).plan
+    peak = Controller().refresh(
+        graph, budget, plan=plan, method="sc").peak_catalog_usage
+    return graph, plan, budget, peak
+
+
+def parallel4_payload() -> dict:
+    """``workers=4`` over ssd+disk tiers with zlib, prefetch and
+    arbitration on — once per tie-break rule."""
+    graph, plan, _, peak = _fixed_case(n_nodes=40, seed=2)
+    options = SimulatorOptions(spill=SpillConfig(
+        tiers=(TierSpec("ssd", 0.5 * peak), TierSpec("disk")),
+        codec="zlib", prefetch=True, arbitrate=True))
+    out = {}
+    for label, extra in (("plan", {"tie_break": "plan"}),
+                         ("random7", {"tie_break": "random", "seed": 7})):
+        backend = create_backend("parallel", options=options, workers=4,
+                                 **extra)
+        out[label] = backend.run(graph, plan, 0.3 * peak,
+                                 method="sc").to_dict()
+    return out
+
+
+def adaptive_payload() -> dict:
+    """Estimates that drift twice (x2.5, then x6 further down the DAG),
+    so the controller re-plans the suffix at least twice — on the plain
+    ledger and on the tiered store."""
+    graph, _, budget, _ = _fixed_case(n_nodes=24, seed=4)
+    order = kahn_topological_order(graph)
+    truth = {}
+    for index, node_id in enumerate(order):
+        factor = (1.0 if index < len(order) // 4
+                  else 2.5 if index < len(order) // 2 else 6.0)
+        truth[node_id] = factor * graph.size_of(node_id)
+    tiered = SimulatorOptions(spill=SpillConfig(
+        tiers=(TierSpec("ssd", budget), TierSpec("disk")), codec="zlib",
+        prefetch=True))
+    out = {}
+    for label, options in (("plain", SimulatorOptions()),
+                           ("tiered", tiered)):
+        report = AdaptiveController(
+            drift_threshold=0.25, options=options).refresh(
+                graph, truth, memory_budget=budget)
+        out[label] = {
+            "n_replans": report.n_replans,
+            "segments": [list(seg.nodes) for seg in report.segments],
+            "trace": report.trace.to_dict(),
+        }
+    return out
+
+
+def lru_payload() -> dict:
+    graph, _, budget, _ = _fixed_case(n_nodes=28, seed=0)
+    return {"lru": Controller().refresh(graph, budget,
+                                        method="lru").to_dict()}
+
+
+PAYLOADS = {
+    "golden_parallel4_trace.json": parallel4_payload,
+    "golden_adaptive_trace.json": adaptive_payload,
+    "golden_lru_trace.json": lru_payload,
+}
+
+
+def _golden(name: str) -> dict:
+    return json.loads((DATA / name).read_text())
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOADS))
+def test_reproduces_parent_trace_bit_for_bit(name):
+    assert PAYLOADS[name]() == _golden(name)
+
+
+def test_goldens_still_exercise_their_paths():
+    """The files are only anchors while the scenarios do the work."""
+    for run in _golden("golden_parallel4_trace.json").values():
+        report = run["extras"]["tiered_store"]
+        assert report["spill_count"] > 0
+        assert report["prefetch"]["count"] > 0
+        decisions = report["arbitration"]
+        assert decisions["stall_wins"] > 0 and decisions["spill_wins"] > 0
+        starts = [node["start"] for node in run["nodes"]]
+        assert len(set(starts)) < len(starts), "nothing ran concurrently"
+    adaptive = _golden("golden_adaptive_trace.json")
+    assert all(run["n_replans"] >= 2 for run in adaptive.values())
+    assert adaptive["tiered"]["trace"]["extras"]["tiered_store"][
+        "spill_count"] > 0
+    lru = _golden("golden_lru_trace.json")["lru"]
+    assert sum(node["cache_hits"] for node in lru["nodes"]) > 0
+    assert sum(node["cache_misses"] for node in lru["nodes"]) > 0
+
+
+@pytest.mark.parametrize("hashseed", ["1", "2"])
+def test_stable_under_pythonhashseed(hashseed):
+    """No set/dict iteration order leaks into a modeled number."""
+    env = dict(os.environ, PYTHONHASHSEED=hashseed,
+               PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, __file__], env=env, check=True, timeout=120,
+        capture_output=True, text=True).stdout
+    assert json.loads(out) == {name: _golden(name) for name in PAYLOADS}
+
+
+if __name__ == "__main__":
+    fresh = {name: build() for name, build in PAYLOADS.items()}
+    if "--write" in sys.argv[1:]:
+        for name, payload in fresh.items():
+            (DATA / name).write_text(
+                json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    else:
+        json.dump(fresh, sys.stdout, sort_keys=True)

@@ -14,10 +14,10 @@ from repro.core.optimizer import optimize
 from repro.core.plan import Plan
 from repro.core.problem import ScProblem
 from repro.db.engine import MiniDB, MvDefinition, SqlWorkload
-from repro.db.runner import run_workload
 from repro.engine.controller import Controller
 from repro.workloads.five_workloads import build_workload
 from repro.workloads.tpcds import load_tpcds
+from tests.conftest import run_workload
 
 
 @pytest.fixture(scope="module")

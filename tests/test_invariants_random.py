@@ -39,7 +39,7 @@ from repro.exec.lockorder import (
     LockOrderRegistry,
     TrackedRLock,
 )
-from repro.engine.simulator import SimulatorOptions
+from repro.engine import SimulatorOptions
 from repro.engine.trace import RunTrace
 from repro.store.config import (
     RAM_COMPRESSED,
@@ -328,12 +328,11 @@ def test_checked_ledger_actually_checks(seed, monkeypatch):
     while case is None:
         case = _random_case(rng)
     graph, plan, ram, spill = case
-    simulator_options = SimulatorOptions(spill=spill)
-    from repro.engine.simulator import RefreshSimulator
+    from repro.exec import create_backend
 
-    state = RefreshSimulator(options=simulator_options).begin(
-        ram, graph=graph)
-    ledger = state.catalog
+    ledger = create_backend(
+        "simulator", options=SimulatorOptions(spill=spill)).prepare(
+            graph, plan, ram).ledger
     assert isinstance(ledger, CheckedLedger)
     ledger.insert("probe", min(ram, 1.0), n_consumers=1)
     assert ledger.checks_run > 0

@@ -5,8 +5,9 @@ import pytest
 from repro.core.plan import Plan
 from repro.engine.cluster import simulate_cluster_lru, simulate_cluster_run
 from repro.engine.controller import Controller
-from repro.engine.lru import LruCache, LruSimulator
 from repro.errors import ValidationError
+from repro.exec import create_backend
+from repro.exec.lru import LruCache
 from repro.metadata.costmodel import ClusterProfile, DeviceProfile
 from tests.conftest import make_random_problem
 
@@ -49,12 +50,21 @@ class TestLruCache:
             cache.put("a", -1.0)
 
 
+def run_lru(graph, order, cache_size):
+    """The LRU backend driven hook by hook over an explicit order."""
+    backend = create_backend("lru")
+    ctx = backend.prepare(graph, None, cache_size)
+    for node_id in order:
+        backend.execute_node(ctx, node_id)
+    return backend.finish(ctx)
+
+
 class TestLruSimulator:
     def test_repeated_consumer_hits_cache(self, diamond_graph):
         for node_id in diamond_graph.nodes():
             diamond_graph.node(node_id).compute_time = 1.0
-        trace = LruSimulator().run(diamond_graph, ["a", "b", "c", "d"],
-                                   cache_size=100.0)
+        trace = run_lru(diamond_graph, ["a", "b", "c", "d"],
+                        cache_size=100.0)
         # a is read by b (miss -> cached at production) and by c (hit)
         total_hits = sum(n.cache_hits for n in trace.nodes)
         assert total_hits >= 2  # a for b&c from cache; b,c for d
@@ -63,7 +73,7 @@ class TestLruSimulator:
     def test_zero_cache_behaves_like_no_opt(self, diamond_graph):
         for node_id in diamond_graph.nodes():
             diamond_graph.node(node_id).compute_time = 1.0
-        lru = LruSimulator().run(diamond_graph, ["a", "b", "c", "d"], 0.0)
+        lru = run_lru(diamond_graph, ["a", "b", "c", "d"], 0.0)
         assert sum(n.cache_hits for n in lru.nodes) == 0
 
 

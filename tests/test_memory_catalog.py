@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.engine.memory_catalog import MemoryCatalog
 from repro.errors import BudgetExceededError, CatalogError
+from repro.exec import MemoryLedger
 
 
 class TestInsert:
     def test_budget_enforced(self):
-        catalog = MemoryCatalog(budget=10.0)
+        catalog = MemoryLedger(budget=10.0)
         catalog.insert("a", 6.0, n_consumers=1)
         assert catalog.usage == 6.0
         with pytest.raises(BudgetExceededError) as excinfo:
@@ -17,18 +17,18 @@ class TestInsert:
         assert excinfo.value.available == pytest.approx(4.0)
 
     def test_duplicate_rejected(self):
-        catalog = MemoryCatalog(budget=10.0)
+        catalog = MemoryLedger(budget=10.0)
         catalog.insert("a", 1.0, n_consumers=1)
         with pytest.raises(CatalogError):
             catalog.insert("a", 1.0, n_consumers=1)
 
     def test_negative_size_rejected(self):
-        catalog = MemoryCatalog(budget=10.0)
+        catalog = MemoryLedger(budget=10.0)
         with pytest.raises(CatalogError):
             catalog.insert("a", -1.0, n_consumers=0)
 
     def test_peak_tracking(self):
-        catalog = MemoryCatalog(budget=10.0)
+        catalog = MemoryLedger(budget=10.0)
         catalog.insert("a", 4.0, n_consumers=0,
                        materialization_pending=True)
         catalog.insert("b", 5.0, n_consumers=0,
@@ -41,7 +41,7 @@ class TestInsert:
 class TestReleaseProtocol:
     def test_release_needs_both_conditions(self):
         """Figure 6, t4: deletion requires consumers done AND durable."""
-        catalog = MemoryCatalog(budget=10.0)
+        catalog = MemoryLedger(budget=10.0)
         catalog.insert("mv1", 4.0, n_consumers=2)
         assert not catalog.consumer_done("mv1")   # 1 consumer left
         assert not catalog.consumer_done("mv1")   # consumers done...
@@ -51,43 +51,43 @@ class TestReleaseProtocol:
         assert catalog.usage == 0.0
 
     def test_materialize_first_then_consumers(self):
-        catalog = MemoryCatalog(budget=10.0)
+        catalog = MemoryLedger(budget=10.0)
         catalog.insert("mv1", 4.0, n_consumers=1)
         assert not catalog.materialized("mv1")
         assert catalog.consumer_done("mv1")
 
     def test_no_pending_materialization(self):
-        catalog = MemoryCatalog(budget=10.0)
+        catalog = MemoryLedger(budget=10.0)
         catalog.insert("mv1", 4.0, n_consumers=1,
                        materialization_pending=False)
         assert catalog.consumer_done("mv1")
 
     def test_zero_consumers_releases_on_materialize(self):
-        catalog = MemoryCatalog(budget=10.0)
+        catalog = MemoryLedger(budget=10.0)
         catalog.insert("sink", 2.0, n_consumers=0)
         assert catalog.materialized("sink")
 
     def test_over_release_rejected(self):
-        catalog = MemoryCatalog(budget=10.0)
+        catalog = MemoryLedger(budget=10.0)
         catalog.insert("a", 1.0, n_consumers=1)
         catalog.consumer_done("a")
         with pytest.raises(CatalogError):
             catalog.consumer_done("a")
 
     def test_double_materialize_rejected(self):
-        catalog = MemoryCatalog(budget=10.0)
+        catalog = MemoryLedger(budget=10.0)
         catalog.insert("a", 1.0, n_consumers=1)
         catalog.materialized("a")
         with pytest.raises(CatalogError):
             catalog.materialized("a")
 
     def test_unknown_table(self):
-        catalog = MemoryCatalog(budget=10.0)
+        catalog = MemoryLedger(budget=10.0)
         with pytest.raises(CatalogError):
             catalog.consumer_done("ghost")
 
     def test_force_release(self):
-        catalog = MemoryCatalog(budget=10.0)
+        catalog = MemoryLedger(budget=10.0)
         catalog.insert("a", 3.0, n_consumers=5)
         catalog.force_release("a")
         assert catalog.usage == 0.0

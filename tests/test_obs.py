@@ -34,7 +34,7 @@ from repro.bench.trajectory import (
 from repro.core.optimizer import optimize
 from repro.core.problem import ScProblem
 from repro.engine.controller import Controller
-from repro.engine.simulator import SimulatorOptions
+from repro.engine import SimulatorOptions
 from repro.obs.events import NULL_BUS, Event, EventBus, resolve_bus
 from repro.obs.export import (
     chrome_trace,

@@ -246,6 +246,16 @@ def test_caller_supplied_cancel_event_is_honored():
     _assert_clean(service)
 
 
+def test_audit_lists_a_leaked_spilled_entry_once():
+    # an entry leaked *below* RAM must be reported, and exactly once
+    graph, plan, budget = _case()
+    service = RefreshService(_config(budget), [TenantSpec("a", 1.0)])
+    tier, _ = service.ledger.spill_insert("leak", 2.0 * budget,
+                                          n_consumers=1)
+    assert tier > 0
+    assert service.audit()["leaked_entries"] == ["leak"]
+
+
 # ----------------------------------------------------------------------
 # tenant isolation
 # ----------------------------------------------------------------------
@@ -293,6 +303,68 @@ def test_service_backend_runs_one_refresh_via_controller():
     assert trace.method == "sc"
     assert trace.extras["service"]["tenant"] == "solo"
     assert len(trace.nodes) == len(plan.order)
+
+
+def test_solo_request_charges_match_the_serial_simulator():
+    # one kernel charges both: with nothing contending for the device
+    # (no interference) on a DAG that fits RAM, a solo service request
+    # bills every node exactly what the serial simulator bills it
+    from dataclasses import replace
+
+    from repro.metadata.costmodel import DeviceProfile
+
+    graph, plan, _ = _case()
+    budget = graph.total_size()
+    controller = Controller(
+        spill=_SPILL,
+        profile=replace(DeviceProfile(), background_interference=0.0))
+    serial = controller.refresh(graph, budget, plan=plan)
+    service = controller.refresh(graph, budget, plan=plan,
+                                 backend="service")
+    assert [n.node_id for n in service.nodes] == \
+        [n.node_id for n in serial.nodes]
+    for ours, theirs in zip(service.nodes, serial.nodes):
+        for stage in ("read_disk", "read_memory", "compute",
+                      "create_memory", "write"):
+            assert getattr(ours, stage) == getattr(theirs, stage), (
+                ours.node_id, stage)
+    assert any(n.read_memory > 0 for n in service.nodes)
+    assert any(n.read_disk > 0 for n in service.nodes)
+
+
+def test_service_reads_contend_on_the_shared_storage_device():
+    # a foreground read issued while a background materialization is in
+    # flight pays the device's interference, as on every other backend
+    from repro.core.plan import Plan
+    from repro.graph.dag import DependencyGraph
+    from repro.metadata.costmodel import DeviceProfile
+
+    graph = DependencyGraph()
+    graph.add_node("a", size=10.0, compute_time=0.1)
+    graph.add_node("b", size=0.1, compute_time=0.1,
+                   meta={"base_input_gb": 1.0})
+    graph.add_edge("a", "b")
+    profile = DeviceProfile()
+    trace = Controller(spill=_SPILL, profile=profile).refresh(
+        graph, 20.0, plan=Plan.make(["a", "b"], {"a"}),
+        backend="service")
+    reader = trace.nodes[1]
+    assert reader.read_memory > 0  # parent served from the catalog
+    assert reader.read_disk == pytest.approx(
+        profile.read_time_disk(1.0)
+        * (1.0 + profile.background_interference))
+
+
+def test_service_backend_rejects_compute_penalty():
+    # the service models spare-memory catalogs only: silently dropping
+    # the penalty would return unpenalized numbers under its label
+    from repro.engine import SimulatorOptions
+
+    graph, plan, budget = _case()
+    controller = Controller(
+        options=SimulatorOptions(compute_penalty=0.5, spill=_SPILL))
+    with pytest.raises(ValidationError, match="compute_penalty"):
+        controller.refresh(graph, budget, plan=plan, backend="service")
 
 
 def test_service_backend_honors_controller_cancel():

@@ -7,11 +7,26 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.optimizer import optimize
 from repro.core.plan import Plan
-from repro.engine.simulator import RefreshSimulator, SimulatorOptions
+from repro.engine import SimulatorOptions
 from repro.engine.storage import StorageDevice
 from repro.errors import ExecutionError, ValidationError
+from repro.exec import create_backend
 from repro.metadata.costmodel import DeviceProfile
 from tests.conftest import make_random_problem
+
+
+def simulator(profile=None, options=None):
+    """The serial backend (``prepare`` -> ``execute_node``* -> ``finish``;
+    ``run`` is that template over the whole plan)."""
+    return create_backend("simulator", profile=profile, options=options)
+
+
+def run_segment(backend, ctx, order, flagged):
+    """Execute ``order`` under ``flagged`` on a context left by earlier
+    segments — what a mid-run re-plan does."""
+    ctx.plan = Plan.make(order, set(flagged) & set(order))
+    for node_id in order:
+        backend.execute_node(ctx, node_id)
 
 
 def simple_profile() -> DeviceProfile:
@@ -32,7 +47,7 @@ class TestUnoptimizedRun:
         for node_id in chain_graph.nodes():
             chain_graph.node(node_id).compute_time = 1.0
         plan = Plan.unoptimized(["a", "b", "c", "d"])
-        trace = RefreshSimulator(profile=simple_profile()).run(
+        trace = simulator(profile=simple_profile()).run(
             chain_graph, plan, memory_budget=0.0)
         # node a: no parents, compute 1, write 1/0.5 = 2  -> 3
         # b, c, d: read 1 (disk), compute 1, write 2      -> 4 each
@@ -47,7 +62,7 @@ class TestUnoptimizedRun:
         for node_id in chain_graph.nodes():
             chain_graph.node(node_id).compute_time = 0.0
         plan = Plan.unoptimized(["a", "b", "c", "d"])
-        trace = RefreshSimulator(profile=simple_profile()).run(
+        trace = simulator(profile=simple_profile()).run(
             chain_graph, plan, memory_budget=0.0)
         assert trace.nodes[0].read_disk == pytest.approx(5.0)
 
@@ -57,7 +72,7 @@ class TestFlaggedRun:
         for node_id in chain_graph.nodes():
             chain_graph.node(node_id).compute_time = 10.0
         plan = Plan.make(["a", "b", "c", "d"], {"a", "b", "c"})
-        trace = RefreshSimulator(profile=simple_profile()).run(
+        trace = simulator(profile=simple_profile()).run(
             chain_graph, plan, memory_budget=100.0)
         # all intermediate reads come from memory
         assert trace.table_read_disk_latency == 0.0
@@ -69,10 +84,10 @@ class TestFlaggedRun:
     def test_flagged_run_not_slower(self, chain_graph):
         for node_id in chain_graph.nodes():
             chain_graph.node(node_id).compute_time = 1.0
-        simulator = RefreshSimulator(profile=simple_profile())
-        base = simulator.run(chain_graph,
-                             Plan.unoptimized(["a", "b", "c", "d"]), 0.0)
-        flagged = simulator.run(
+        backend = simulator(profile=simple_profile())
+        base = backend.run(chain_graph,
+                           Plan.unoptimized(["a", "b", "c", "d"]), 0.0)
+        flagged = backend.run(
             chain_graph, Plan.make(["a", "b", "c", "d"], {"a", "b", "c"}),
             100.0)
         assert flagged.end_to_end_time < base.end_to_end_time
@@ -82,7 +97,7 @@ class TestFlaggedRun:
         for node_id in chain_graph.nodes():
             chain_graph.node(node_id).compute_time = 0.0
         plan = Plan.make(["a", "b", "c", "d"], {"a", "b", "c"})
-        trace = RefreshSimulator(profile=simple_profile()).run(
+        trace = simulator(profile=simple_profile()).run(
             chain_graph, plan, memory_budget=100.0)
         assert trace.background_drained_at > trace.compute_finished_at
         assert trace.end_to_end_time == trace.background_drained_at
@@ -91,18 +106,18 @@ class TestFlaggedRun:
 class TestOverflowPolicies:
     def test_spill_when_budget_too_small(self, chain_graph):
         plan = Plan.make(["a", "b", "c", "d"], {"a"})
-        trace = RefreshSimulator(profile=simple_profile()).run(
+        trace = simulator(profile=simple_profile()).run(
             chain_graph, plan, memory_budget=0.5)  # a (1.0) cannot fit
         assert trace.nodes[0].write > 0  # spilled to a blocking write
         assert trace.peak_catalog_usage == 0.0
 
     def test_error_policy_raises(self, chain_graph):
         plan = Plan.make(["a", "b", "c", "d"], {"a"})
-        simulator = RefreshSimulator(
+        backend = simulator(
             profile=simple_profile(),
             options=SimulatorOptions(on_overflow="error"))
         with pytest.raises(ExecutionError):
-            simulator.run(chain_graph, plan, memory_budget=0.5)
+            backend.run(chain_graph, plan, memory_budget=0.5)
 
     def test_invalid_options(self):
         with pytest.raises(ValidationError):
@@ -114,7 +129,7 @@ class TestOverflowPolicies:
         for node_id in chain_graph.nodes():
             chain_graph.node(node_id).compute_time = 1.0
         plan = Plan.unoptimized(["a", "b", "c", "d"])
-        slow = RefreshSimulator(
+        slow = simulator(
             profile=simple_profile(),
             options=SimulatorOptions(compute_penalty=0.5)).run(
                 chain_graph, plan, 0.0)
@@ -150,15 +165,15 @@ class TestInvariants:
             problem = make_random_problem(seed, n_nodes=15,
                                           budget_fraction=0.3)
             plan = optimize(problem, "sc").plan
-            trace = RefreshSimulator().run(problem.graph, plan,
-                                           problem.memory_budget)
+            trace = simulator().run(problem.graph, plan,
+                                    problem.memory_budget)
             assert trace.peak_catalog_usage <= \
                 problem.memory_budget + 1e-9
 
     def test_invalid_order_rejected(self, diamond_graph):
         plan = Plan.unoptimized(["d", "a", "b", "c"])
         with pytest.raises(Exception):
-            RefreshSimulator().run(diamond_graph, plan, 0.0)
+            simulator().run(diamond_graph, plan, 0.0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -171,29 +186,30 @@ def test_property_sc_never_slower_than_unoptimized(seed):
         node = graph.node(node_id)
         node.compute_time = rng.uniform(0.0, 3.0)
         node.score = None or node.score
-    simulator = RefreshSimulator()
-    base = simulator.run(graph, optimize(problem, "none").plan,
-                         problem.memory_budget)
-    sc = simulator.run(graph, optimize(problem, "sc").plan,
+    backend = simulator()
+    base = backend.run(graph, optimize(problem, "none").plan,
                        problem.memory_budget)
+    sc = backend.run(graph, optimize(problem, "sc").plan,
+                     problem.memory_budget)
     assert sc.end_to_end_time <= base.end_to_end_time * 1.02
     assert sc.peak_catalog_usage <= problem.memory_budget + 1e-9
 
 
 class TestResumableState:
-    """The segment-wise API must compose to exactly one-shot runs."""
+    """Driving the hooks segment by segment must compose to exactly
+    one-shot runs."""
 
     def test_segments_equal_single_run(self, chain_graph):
         for node_id in chain_graph.nodes():
             chain_graph.node(node_id).compute_time = 1.0
         plan = Plan.make(["a", "b", "c", "d"], {"a", "b"})
-        simulator = RefreshSimulator(profile=simple_profile())
-        whole = simulator.run(chain_graph, plan, memory_budget=100.0)
+        backend = simulator(profile=simple_profile())
+        whole = backend.run(chain_graph, plan, memory_budget=100.0)
 
-        state = simulator.begin(100.0)
-        simulator.run_segment(chain_graph, ["a", "b"], plan.flagged, state)
-        simulator.run_segment(chain_graph, ["c", "d"], plan.flagged, state)
-        pieced = simulator.finish(state, 100.0)
+        ctx = backend.prepare(chain_graph, plan, 100.0)
+        run_segment(backend, ctx, ["a", "b"], plan.flagged)
+        run_segment(backend, ctx, ["c", "d"], plan.flagged)
+        pieced = backend.finish(ctx)
 
         assert pieced.end_to_end_time == pytest.approx(
             whole.end_to_end_time)
@@ -206,37 +222,40 @@ class TestResumableState:
             self, chain_graph):
         for node_id in chain_graph.nodes():
             chain_graph.node(node_id).compute_time = 0.0
-        simulator = RefreshSimulator(profile=simple_profile())
-        state = simulator.begin(100.0)
-        simulator.run_segment(chain_graph, ["a"], frozenset({"a"}), state)
-        assert state.resident_bytes > 0
-        simulator.run_segment(chain_graph, ["b"], frozenset(), state)
-        trace_b = state.traces[-1]
+        backend = simulator(profile=simple_profile())
+        ctx = backend.prepare(
+            chain_graph, Plan.unoptimized(["a", "b", "c", "d"]), 100.0)
+        run_segment(backend, ctx, ["a"], {"a"})
+        assert ctx.ledger.usage > 0
+        run_segment(backend, ctx, ["b"], ())
+        trace_b = ctx.traces[-1]
         assert trace_b.read_memory > 0
         assert trace_b.read_disk == 0
 
     def test_resident_bytes_drop_after_release(self, chain_graph):
-        simulator = RefreshSimulator(profile=simple_profile())
-        state = simulator.begin(100.0)
-        simulator.run_segment(chain_graph, ["a"], frozenset({"a"}), state)
-        before = state.resident_bytes
-        simulator.run_segment(chain_graph, ["b", "c", "d"], frozenset(),
-                              state)
-        simulator.finish(state, 100.0)
-        assert state.resident_bytes < before
+        backend = simulator(profile=simple_profile())
+        ctx = backend.prepare(
+            chain_graph, Plan.unoptimized(["a", "b", "c", "d"]), 100.0)
+        run_segment(backend, ctx, ["a"], {"a"})
+        before = ctx.ledger.usage
+        run_segment(backend, ctx, ["b", "c", "d"], ())
+        backend.finish(ctx)
+        assert ctx.ledger.usage < before
 
-    def test_negative_budget_rejected_in_begin(self):
+    def test_negative_budget_rejected_in_prepare(self, chain_graph):
         with pytest.raises(ValidationError):
-            RefreshSimulator(profile=simple_profile()).begin(-1.0)
+            simulator(profile=simple_profile()).prepare(
+                chain_graph, Plan.unoptimized(["a", "b", "c", "d"]), -1.0)
 
     def test_flag_changes_between_segments_respected(self, chain_graph):
         # a node flagged by a later segment's plan behaves like any flag
-        simulator = RefreshSimulator(profile=simple_profile())
-        state = simulator.begin(100.0)
-        simulator.run_segment(chain_graph, ["a"], frozenset(), state)
-        simulator.run_segment(chain_graph, ["b"], frozenset({"b"}), state)
-        assert state.traces[0].flagged is False
-        assert state.traces[1].flagged is True
+        backend = simulator(profile=simple_profile())
+        ctx = backend.prepare(
+            chain_graph, Plan.unoptimized(["a", "b", "c", "d"]), 100.0)
+        run_segment(backend, ctx, ["a"], ())
+        run_segment(backend, ctx, ["b"], {"b"})
+        assert ctx.traces[0].flagged is False
+        assert ctx.traces[1].flagged is True
 
     @given(seed=st.integers(0, 500), cut=st.integers(1, 14))
     @settings(max_examples=30, deadline=None)
@@ -244,15 +263,13 @@ class TestResumableState:
         problem = make_random_problem(seed, n_nodes=15,
                                       budget_fraction=0.4)
         plan = optimize(problem, "sc").plan
-        simulator = RefreshSimulator()
-        whole = simulator.run(problem.graph, plan, problem.memory_budget)
+        backend = simulator()
+        whole = backend.run(problem.graph, plan, problem.memory_budget)
 
-        state = simulator.begin(problem.memory_budget)
+        ctx = backend.prepare(problem.graph, plan, problem.memory_budget)
         order = list(plan.order)
-        simulator.run_segment(problem.graph, order[:cut], plan.flagged,
-                              state)
-        simulator.run_segment(problem.graph, order[cut:], plan.flagged,
-                              state)
-        pieced = simulator.finish(state, problem.memory_budget)
+        run_segment(backend, ctx, order[:cut], plan.flagged)
+        run_segment(backend, ctx, order[cut:], plan.flagged)
+        pieced = backend.finish(ctx)
         assert pieced.end_to_end_time == pytest.approx(
             whole.end_to_end_time, rel=1e-9)

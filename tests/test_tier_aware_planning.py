@@ -14,7 +14,7 @@ from repro.core.plan import Plan
 from repro.core.problem import ScProblem, TierAwareBudget, TierCapacity
 from repro.core.residency import assign_expected_tiers
 from repro.engine.controller import Controller
-from repro.engine.simulator import SimulatorOptions
+from repro.engine import SimulatorOptions
 from repro.errors import GraphError, ValidationError
 from repro.graph.dag import DependencyGraph
 from repro.metadata.costmodel import DeviceProfile

@@ -16,7 +16,7 @@ import pytest
 from repro.core.optimizer import optimize
 from repro.core.problem import ScProblem
 from repro.engine.controller import Controller
-from repro.engine.simulator import SimulatorOptions
+from repro.engine import SimulatorOptions
 from repro.engine.trace import NodeTrace, RunTrace
 from repro.store import SpillConfig, TierSpec
 from repro.workloads.generator import (
