@@ -11,11 +11,13 @@ from .base import Rule
 #: The contract comment a locked helper carries on its ``def`` line.
 CONTRACT_MARK = "lint: locked"
 
-#: Method calls that mutate a container in place.
+#: Method calls that mutate a container in place (``mark`` /
+#: ``mark_all`` / ``discard`` are also the write side of the ledger's
+#: ``VictimIndex``, which relies on the ledger lock for its safety).
 MUTATOR_METHODS = frozenset({
     "append", "appendleft", "add", "clear", "discard", "extend",
-    "insert", "move_to_end", "pop", "popleft", "popitem", "remove",
-    "rotate", "setdefault", "sort", "update",
+    "insert", "mark", "mark_all", "move_to_end", "pop", "popleft",
+    "popitem", "remove", "rotate", "setdefault", "sort", "update",
 })
 
 #: Dunder methods that run outside the public locking surface.

@@ -244,7 +244,14 @@ class ParallelSimulatorBackend(ExecutionBackend):
                       "running": len(state.completions)})
         options = kernel.options
         tiered = options.spill is not None
-        if tiered and options.spill.prefetch and state.ready:
+        prefetching = tiered and options.spill.prefetch
+        if not state.ready or not (state.idle_workers or prefetching):
+            return
+        # one priority sort per round: dispatched nodes drop out of the
+        # list in place, blocked ones stay and are retried after every
+        # dispatch (a later candidate's try_make_room may free RAM)
+        candidates = sorted(state.ready, key=state.priority.__getitem__)
+        if prefetching:
             # promote-ahead dispatch hook: the window before this round's
             # dispatches is idle device time — promote the spilled
             # parents of the nodes that can actually dispatch now (one
@@ -253,11 +260,9 @@ class ParallelSimulatorBackend(ExecutionBackend):
             # their parents would park bytes in RAM for many rounds,
             # where this round's admissions would demote them right
             # back (billed), a thrash loop prefetching exists to avoid.
-            soon = sorted(state.ready, key=state.priority.__getitem__)
-            for node_id in soon[:max(len(state.idle_workers), 1)]:
+            for node_id in candidates[:max(len(state.idle_workers), 1)]:
                 kernel.prefetch(node_id, state.now)
-        while state.idle_workers and state.ready:
-            candidates = sorted(state.ready, key=state.priority.__getitem__)
+        while state.idle_workers and candidates:
             chosen = None
             for node_id in candidates:
                 if (node_id in ctx.plan.flagged
@@ -316,6 +321,7 @@ class ParallelSimulatorBackend(ExecutionBackend):
                 state.arb_pending.pop(candidates[0], None)
                 continue
             self.execute_node(ctx, chosen)
+            candidates.remove(chosen)
 
     def _prefers_stall(self, ctx: ExecutionContext, node_id: str,
                        size: float) -> bool:

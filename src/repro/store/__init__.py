@@ -36,7 +36,11 @@ Architecture — three contracts, one facade
     smallest expected reload penalty per byte freed), ``lru``, and
     ``largest`` ship built in; third parties register more with
     :func:`~repro.store.policy.register_policy`.  Rankings always end
-    with the node id, keeping runs deterministic.
+    with the node id, keeping runs deterministic.  A policy is its
+    ``key``, a pure function of the entry's ``VictimInfo``: the ledger
+    keeps every tier ranked in a lazily synced
+    :class:`~repro.store.victim_index.VictimIndex` and re-keys an entry
+    only when one of those fields changes.
 
 How backends opt in
 ===================

@@ -5,6 +5,17 @@ victims from the front of the ranking until the incoming entry fits.
 Every ranking ends with the node id as the final tie-break so that runs
 are bit-for-bit reproducible.
 
+The contract for a policy author: a policy *is* its
+:meth:`SpillPolicy.key`, and ``key`` must be a pure function of the
+:class:`VictimInfo` it is handed.  The store keeps each tier ranked in a
+:class:`~repro.store.victim_index.VictimIndex`, which caches an entry's
+key until one of its ``VictimInfo`` fields changes — a key that reads a
+clock, a counter or anything else would go stale unnoticed.
+:meth:`SpillPolicy.order` is the reference ranking the index is tested
+against; it is not on the hot path and may not be overridden
+(:func:`register_policy` rejects a class that does: a ranking that is
+not a sort by ``key`` cannot be indexed).
+
 Built-in policies:
 
 ``cost``
@@ -57,10 +68,20 @@ class SpillPolicy(abc.ABC):
 
     @abc.abstractmethod
     def key(self, victim: VictimInfo) -> tuple:
-        """Sort key of one candidate (ascending; smallest evicts first)."""
+        """Sort key of one candidate (ascending; smallest evicts first).
+
+        Must be a pure function of ``victim``: the store caches the
+        result and recomputes it only when one of the entry's
+        ``VictimInfo`` fields changes.
+        """
 
     def order(self, victims: list[VictimInfo]) -> list[VictimInfo]:
-        """Deterministic ranking: policy key, then node id."""
+        """Deterministic ranking: policy key, then node id.
+
+        The reference the store's incrementally kept ranking must equal
+        (and the tests compare it against); the store itself never
+        calls it.  Not overridable — see :func:`register_policy`.
+        """
         return sorted(victims, key=lambda v: (*self.key(v), v.node_id))
 
 
@@ -71,9 +92,20 @@ _POLICIES: dict[str, type[SpillPolicy]] = {}
 
 
 def register_policy(cls: type[SpillPolicy]) -> type[SpillPolicy]:
-    """Class decorator adding a policy under its ``name``."""
+    """Class decorator adding a policy under its ``name``.
+
+    Raises:
+        ValidationError: no name, a name already taken, or a class that
+            overrides :meth:`SpillPolicy.order` — the store ranks by
+            ``key`` alone, so any other ranking would silently not
+            apply.
+    """
     if not cls.name:
         raise ValidationError(f"policy {cls.__name__} has no name")
+    if cls.order is not SpillPolicy.order:
+        raise ValidationError(
+            f"policy {cls.__name__} overrides order(); the store ranks "
+            f"victims by key() alone — express the ranking there")
     existing = _POLICIES.get(cls.name)
     if existing is not None and existing is not cls:
         raise ValidationError(

@@ -69,6 +69,7 @@ from repro.obs.events import EventBus, resolve_bus
 from repro.obs.metrics import MetricsRegistry
 from repro.store.config import NONE_CODEC, CodecProfile, SpillConfig, TierSpec
 from repro.store.policy import VictimInfo, create_policy
+from repro.store.victim_index import VictimIndex
 
 
 def compressibility_from_graph(graph) -> dict[str, float]:
@@ -309,6 +310,10 @@ class TieredLedger(MemoryLedger):
         self.codec_adapt: dict[str, dict] = {}
         self._recency: dict[str, int] = {}
         self._tick = 0
+        # every tier's policy ranking, synced lazily: mutations below
+        # only mark the entries they touch (see repro.store.victim_index)
+        self._victim_index = VictimIndex(self.policy, len(self.tiers),
+                                         self._victim_info)
         self.spill_count = 0
         self.promote_count = 0
         self.spill_bytes = 0.0
@@ -419,7 +424,9 @@ class TieredLedger(MemoryLedger):
             else:
                 released = tier.ledger.consumer_done(node_id)
             if released:
-                self._forget(node_id)
+                self._forget(idx, node_id)
+            else:
+                self._victim_index.mark(idx, node_id)
             return released
 
     def materialized(self, node_id: str) -> bool:
@@ -430,7 +437,7 @@ class TieredLedger(MemoryLedger):
             else:
                 released = tier.ledger.materialized(node_id)
             if released:
-                self._forget(node_id)
+                self._forget(idx, node_id)
             return released
 
     def force_release(self, node_id: str) -> None:
@@ -442,7 +449,7 @@ class TieredLedger(MemoryLedger):
                 self._tenant_credit(node_id, size)
             else:
                 tier.ledger.force_release(node_id)
-            self._forget(node_id)
+            self._forget(idx, node_id)
 
     def _holding(self, node_id: str) -> tuple[int, StorageTier]:
         if node_id in self._entries:
@@ -452,7 +459,10 @@ class TieredLedger(MemoryLedger):
             raise CatalogError(f"table {node_id!r} not in any tier")
         return idx, self.tiers[idx]
 
-    def _forget(self, node_id: str) -> None:  # lint: locked
+    def _forget(self, index: int, node_id: str) -> None:  # lint: locked
+        """Drop every side table's record of an entry released out of
+        tier ``index``."""
+        self._victim_index.discard(index, node_id)
         self._lower_location.pop(node_id, None)
         self._logical.pop(node_id, None)
         self._entry_codec.pop(node_id, None)
@@ -500,6 +510,7 @@ class TieredLedger(MemoryLedger):
                     raise CatalogError(
                         f"compressibility of {node_id!r} must be >= 0")
             self._compressibility = dict(mapping)
+            self._victim_index.mark_all()  # every realized ratio moved
 
     def _entry_ratio(self, index: int, node_id: str) -> float:
         """Realized stored ratio of ``node_id`` encoded into ``index``.
@@ -616,6 +627,7 @@ class TieredLedger(MemoryLedger):
         if diverged:
             record["repriced"] = True
             self._priced_ratio[index] = observed
+            self._victim_index.mark_all()  # reload costs are re-priced
             device = self.tiers[index].spec.resolved_profile()
             round_trip = (1.0 / device.effective_write_bandwidth
                           + 1.0 / device.effective_read_bandwidth)
@@ -651,21 +663,27 @@ class TieredLedger(MemoryLedger):
                       materialization_pending: bool) -> None:
         super()._commit_entry(node_id, size, n_consumers,
                               materialization_pending)
-        self._touch(node_id)
+        self._touch(0, node_id)
         # every path committing RAM bytes (insert / try_insert /
         # commit_reservation / adopt-on-promote) lands here, so this is
         # the single tenant charge point for tier 0
         self._tenant_charge(node_id, size)
 
-    def _touch(self, node_id: str) -> None:  # lint: locked
+    def _touch(self, index: int, node_id: str) -> None:  # lint: locked
+        """Stamp an access of ``node_id``, resident in tier ``index``,
+        and mark it for a re-rank (its recency moved; a new arrival is
+        stamped too, which is what first enters it in the ranking)."""
         self._tick += 1
         self._recency[node_id] = self._tick
+        self._victim_index.mark(index, node_id)
 
     def note_read(self, node_id: str) -> None:
         """Record an access for recency-based victim ranking."""
         with self._lock:
-            if node_id in self:
-                self._touch(node_id)
+            index = (0 if node_id in self._entries
+                     else self._lower_location.get(node_id))
+            if index is not None:
+                self._touch(index, node_id)
 
     # ------------------------------------------------------------------
     # per-tenant RAM accounting (multi-tenant serving; see repro.serve)
@@ -779,6 +797,7 @@ class TieredLedger(MemoryLedger):
     def detach(self, node_id: str) -> tuple[float, int, bool]:
         with self._lock:
             size, consumers, pending = super().detach(node_id)
+            self._victim_index.discard(0, node_id)
             self._tenant_credit(node_id, size)
             return size, consumers, pending
 
@@ -792,37 +811,33 @@ class TieredLedger(MemoryLedger):
     # ------------------------------------------------------------------
     # spill / promote
     # ------------------------------------------------------------------
-    def _tier_entries(self, index: int) -> list[str]:
-        if index == 0:
-            return list(self._entries)
-        return [n for n, i in self._lower_location.items() if i == index]
+    def _victim_info(self, index: int,  # lint: locked
+                     node_id: str) -> VictimInfo | None:
+        """What the spill policy sees of ``node_id``, resident in tier
+        ``index``; None when nothing sits below to demote into.
 
-    def _victims(self, index: int) -> list[VictimInfo]:
-        """Policy-ranked demotion candidates resident in tier ``index``.
-
-        ``size`` is the victim's footprint *in this tier* (what a
+        ``size`` is the entry's footprint *in this tier* (what a
         demotion frees here); ``reload_cost`` is decode-aware — the
         device read of the compressed bytes in the destination tier plus
-        the decode of the logical bytes.
+        the decode of the logical bytes.  Whatever this reads —
+        consumer count, recency, realized ratio, the tier's codec —
+        must mark the entry in the victim index when it changes.
         """
         if index + 1 >= len(self.tiers):
-            return []  # nothing below to demote into
-        ledger = self.tiers[index].ledger
+            return None
+        entry = self.tiers[index].ledger._require(node_id)
+        logical = (self._logical.get(node_id, entry.size) if index
+                   else entry.size)
+        stored_dst = logical / self._entry_ratio(index + 1, node_id)
         dst_profile = self.tiers[index + 1].spec.resolved_profile()
-        dst_codec = self._codec(index + 1)
-        infos = []
-        for node_id in self._tier_entries(index):
-            size = ledger.size_of(node_id)
-            logical = self._logical_size(index, node_id)
-            stored_dst = logical / self._entry_ratio(index + 1, node_id)
-            infos.append(VictimInfo(
-                node_id=node_id,
-                size=size,
-                consumers_left=ledger.consumers_left(node_id),
-                last_access=self._recency.get(node_id, 0),
-                reload_cost=(dst_profile.read_time_disk(stored_dst)
-                             + dst_codec.decode_seconds_per_gb * logical)))
-        return self.policy.order(infos)
+        return VictimInfo(
+            node_id=node_id,
+            size=entry.size,
+            consumers_left=entry.consumers_left,
+            last_access=self._recency.get(node_id, 0),
+            reload_cost=(dst_profile.read_time_disk(stored_dst)
+                         + self._codec(index + 1).decode_seconds_per_gb
+                         * logical))
 
     def _make_room(self, index: int, size: float,  # lint: locked
                    now: float) -> tuple[bool, list[SpillCharge]]:
@@ -838,7 +853,7 @@ class TieredLedger(MemoryLedger):
         charges: list[SpillCharge] = []
         while not tier.ledger.fits(size):
             demoted = None
-            for victim in self._victims(index):
+            for victim in self._victim_index.ranked(index):
                 # best victim first, but a lower-ranked one that *can*
                 # move beats giving up (the top pick may itself be too
                 # big for everything below)
@@ -931,6 +946,8 @@ class TieredLedger(MemoryLedger):
         dst = self.tiers[dst_idx]
         _, consumers, pending = src.ledger.detach(node_id)
         dst.ledger.adopt(node_id, stored_dst, consumers, pending)
+        self._victim_index.discard(idx, node_id)
+        self._victim_index.mark(dst_idx, node_id)
         self._lower_location[node_id] = dst_idx
         self._logical[node_id] = logical
         self._prefetch_missed.discard(node_id)  # new residency episode
@@ -1011,7 +1028,7 @@ class TieredLedger(MemoryLedger):
         second entry nobody chose).
         """
         with self._lock:
-            for victim in self._victims(tier):
+            for victim in self._victim_index.ranked(tier):
                 if victim.node_id not in exclude:
                     return victim.node_id
             return None
@@ -1036,7 +1053,7 @@ class TieredLedger(MemoryLedger):
         victim can be demoted.
         """
         with self._lock:
-            for victim in self._victims(0):
+            for victim in self._victim_index.ranked(0):
                 if victim.node_id in exclude:
                     continue
                 if owner is not None and \
@@ -1082,7 +1099,7 @@ class TieredLedger(MemoryLedger):
                                   materialization_pending)
                 self._lower_location[node_id] = idx
                 self._logical[node_id] = size
-                self._touch(node_id)
+                self._touch(idx, node_id)
                 self.spill_count += 1
                 self.spill_bytes += size
                 self.spill_stored_bytes += stored
@@ -1121,6 +1138,7 @@ class TieredLedger(MemoryLedger):
         if not self.fits(logical):
             return None
         _, consumers, pending = src.ledger.detach(node_id)
+        self._victim_index.discard(idx, node_id)
         del self._lower_location[node_id]
         self._logical.pop(node_id, None)
         self._entry_codec.pop(node_id, None)
@@ -1252,7 +1270,7 @@ class TieredLedger(MemoryLedger):
             dst = self.tiers[1]
             freed = 0.0
             cost = 0.0
-            for victim in self._victims(0):
+            for victim in self._victim_index.ranked(0):
                 if freed >= deficit - 1e-12:
                     break
                 freed += victim.size
@@ -1424,7 +1442,9 @@ class TieredLedger(MemoryLedger):
             tiers = []
             for index, tier in enumerate(self.tiers):
                 ledger = tier.ledger
-                entries = self._tier_entries(index)
+                # the tier's own residents (resident() on the RAM
+                # rung spans the whole hierarchy)
+                entries = ledger._entries
                 codec = self._codec(index)
                 tiers.append({
                     "name": tier.name,

@@ -117,3 +117,55 @@ def chain_graph() -> DependencyGraph:
     graph.add_edge("b", "c")
     graph.add_edge("c", "d")
     return graph
+
+
+def reference_victims(ledger, tier: int) -> list:
+    """Tier ``tier``'s ranking rebuilt from scratch — a fresh
+    ``VictimInfo`` per resident, then ``policy.order`` — which is how
+    the tiered store ranked victims before it kept a ``VictimIndex``.
+    Kept here, formula and all, as the reference the index is held to.
+    """
+    from repro.store.policy import VictimInfo
+
+    if tier + 1 >= len(ledger.tiers):
+        return []  # nothing below to demote into
+    tier_ledger = ledger.tiers[tier].ledger
+    dst_profile = ledger.tiers[tier + 1].spec.resolved_profile()
+    dst_codec = ledger.current_codec(tier + 1)
+    infos = []
+    for node_id in tier_ledger._entries:
+        logical = ledger.size_of(node_id)
+        stored_dst = logical / ledger._entry_ratio(tier + 1, node_id)
+        infos.append(VictimInfo(
+            node_id=node_id,
+            size=tier_ledger.size_of(node_id),
+            consumers_left=tier_ledger.consumers_left(node_id),
+            last_access=ledger._recency.get(node_id, 0),
+            reload_cost=(dst_profile.read_time_disk(stored_dst)
+                         + dst_codec.decode_seconds_per_gb * logical)))
+    return ledger.policy.order(infos)
+
+
+def assert_victim_index_current(ledger) -> None:
+    """Every tier of ``ledger``'s victim index, once its marks are
+    resolved, holds exactly the reference ranking (same members, same
+    order, every cached ``VictimInfo`` field fresh).
+
+    The check resolves the marks on a saved copy of the index state and
+    puts it back, so the run under test keeps accumulating marks the
+    way it would unobserved.
+    """
+    index = ledger._victim_index
+    with ledger._lock:
+        saved = ([list(order) for order in index._order],
+                 [dict(entries) for entries in index._entries],
+                 [set(marked) for marked in index._marked])
+        try:
+            for tier in range(len(ledger.tiers)):
+                reference = reference_victims(ledger, tier)
+                assert list(index.ranked(tier)) == reference, (
+                    f"tier {tier}: index ranking differs from a rebuild")
+                assert set(index.members(tier)) == {
+                    victim.node_id for victim in reference}
+        finally:
+            index._order, index._entries, index._marked = saved

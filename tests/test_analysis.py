@@ -142,9 +142,11 @@ def test_rep003_mutator_calls_count_as_writes(tmp_path):
         "    def track(self, x):\n"
         "        self._entries = {}\n"
         "    def poke(self, x):\n"
-        "        self._entries.update(x)\n"))
+        "        self._entries.update(x)\n"
+        "    def touch(self, x):\n"
+        "        self._victim_index.mark(0, x)\n"))
     assert [(v.code, v.line) for v in result.active] == [
-        ("REP003", 7), ("REP003", 9)]
+        ("REP003", 7), ("REP003", 9), ("REP003", 11)]
 
 
 # -- REP004 bus guard --------------------------------------------------

@@ -13,7 +13,9 @@ mutation** the core accounting invariants are re-verified in place:
   exceeds logical — realized ratios are clamped to >= 1);
 * spill / promote counters match the demotion / promotion episodes the
   harness independently tallies;
-* an entry is resident in exactly one tier.
+* an entry is resident in exactly one tier;
+* every tier's victim index, marks resolved, equals the ranking rebuilt
+  from scratch (``tests.conftest.assert_victim_index_current``).
 
 On top of the per-step checks, the two backends' traces must be
 bit-equal (full ``to_dict`` equality, extras included) and JSON
@@ -52,6 +54,8 @@ from repro.workloads.generator import (
     GeneratedWorkloadConfig,
     WorkloadGenerator,
 )
+
+from tests.conftest import assert_victim_index_current
 
 SEEDS = [int(text) for text in
          os.environ.get("REPRO_INVARIANT_SEEDS", "0,1,2").split(",")]
@@ -122,7 +126,13 @@ class CheckedLedger(TieredLedger):
                              f"{ledger.usage} > {ledger.budget}")
                 if index == 0:
                     continue
-                entries = self._tier_entries(index)
+                # the routing table's view of the tier must be the
+                # tier ledger's own (and, below, the victim index's)
+                entries = [n for n, i in self._lower_location.items()
+                           if i == index]
+                self._expect(set(entries) == set(ledger._entries),
+                             f"tier {tier.name}: routing table and "
+                             f"tier ledger disagree on its residents")
                 tier_sum = sum(ledger.size_of(n) for n in entries)
                 self._expect(abs(ledger.usage - tier_sum) <= _EPS,
                              f"tier {tier.name} usage {ledger.usage} != "
@@ -139,6 +149,9 @@ class CheckedLedger(TieredLedger):
             for node_id, count in seen.items():
                 self._expect(count == 1,
                              f"{node_id} resident in {count} tiers")
+            # victim ranking: the lazily synced index equals a rebuild
+            # from scratch — members, order, every cached field
+            assert_victim_index_current(self)
             # tenant accounting (multi-tenant serving): every balance
             # non-negative, and the sum of tenant usages equals the sum
             # of owned RAM entries — tenant books never drift from the

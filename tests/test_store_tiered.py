@@ -84,6 +84,22 @@ class TestPolicies:
         with pytest.raises(ValidationError, match="already registered"):
             register_policy(Impostor)
 
+    def test_policy_overriding_order_rejected(self):
+        # the store ranks through its VictimIndex, by key() alone: a
+        # ranking expressed in order() would silently never apply
+        class Reversed(SpillPolicy):
+            name = "reversed"
+
+            def key(self, victim):
+                return (victim.size,)
+
+            def order(self, victims):
+                return list(reversed(super().order(victims)))
+
+        with pytest.raises(ValidationError, match=r"overrides order\(\)"):
+            register_policy(Reversed)
+        assert "reversed" not in policy_names()
+
     def test_cost_policy_prefers_cheap_reload_per_byte(self):
         ranked = create_policy("cost").order([
             _victim("dead", size=5.0, consumers=0),   # nobody reads again
