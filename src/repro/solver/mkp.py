@@ -7,13 +7,14 @@ OR-Tools' BnB solver; this module is a self-contained equivalent.
 
 The solve proceeds in three stages:
 
-1. **Warm start** — greedy incumbent by profit density.
-2. **Root LP relaxation** (scipy's HiGGS when available) — gives the true
-   LP upper bound plus a fractional solution used two ways: rounding it
-   greedily usually produces a near-optimal incumbent, and its values guide
-   the branching order. When the incumbent already sits within
-   ``tolerance`` of the LP bound, the solution is certified without any
-   tree search — the common case for S/C's plateau-shaped instances.
+1. **Root LP relaxation** (scipy's HiGHS when installed — the ``lp``
+   extra) — gives the true LP upper bound plus a fractional solution whose
+   values guide the branching order. Without scipy the order is by profit
+   density alone; the solver stays correct but branches differently, so a
+   search that is cut off may return another incumbent.
+2. **Warm start** — greedy incumbent in branching order (with LP guidance
+   this doubles as LP rounding). When it already sits within ``tolerance``
+   of the LP bound the solution is certified without any tree search.
 3. **Depth-first branch and bound** (include-branch first) for the rest.
    At each search node the incumbent is challenged with the minimum of
    three valid upper bounds: remaining-profit sum; the **surrogate** row —
@@ -21,14 +22,38 @@ The solve proceeds in three stages:
    and the fractional bound of the currently tightest individual row.
    Relaxing all rows but one (or replacing them by their sum, which any
    feasible point also satisfies) can only enlarge the feasible region, so
-   each is a valid bound, and so is their minimum. Per-row item orders and
-   suffix profit sums are precomputed once per solve, so a bound evaluation
-   is a short early-exiting scan.
+   each is a valid bound, and so is their minimum.
 
-Instances arising from S/C are small (≤ ~100 variables); the solver still
-carries a node limit so pathological instances degrade to the best
-incumbent (``optimal=False``) instead of hanging. Without scipy the solver
-skips stage 2 and remains correct, only slower.
+S/C instances are not small — 24 to 1,116 items by 6 to 686 rows on 60-
+to 1,600-node DAGs — and stage 2 certifies only the easy ones: on every
+generated DAG of 60 to 1,600 nodes measured (``benchmarks/perf``'s corpus
+among them) the search runs into ``node_limit`` and returns its incumbent
+(``optimal=False``). Which incumbent that is depends on exactly which
+nodes were visited, so the loop is built to make a node cheap without
+changing the search:
+
+* **Threshold test.** A prune only asks whether the minimum of the three
+  bounds exceeds ``incumbent + margin``, so the bounds are evaluated
+  lazily, cheapest first, and a row's Dantzig scan stops at the first
+  partial sum that already exceeds the threshold — profits are >= 0, so
+  the sum is monotone and the verdict is the one the full sum gives.
+* **Inherited verdict.** The bound tested before pushing an exclude child
+  is the bound that child would test on entry, on the same state and
+  incumbent; the child is counted but does not repeat it.
+* **Sparse rows.** An item occupies only the rows of its residency
+  interval. Feasibility and the residual update touch those rows alone:
+  subtracting a zero weight is the identity, and on a skipped row the
+  dense test ``0 <= residual + eps`` holds because every include keeps
+  ``residual >= -eps``.
+* **Lazy rows.** A row's ratio order and zero-weight suffix sums are
+  built the first time that row is the tightest; a scan then reads flat
+  ``(position, weight, profit)`` tuples and starts past the leading
+  entries that are already decided.
+
+The contract: same nodes, same order, same prune verdicts — hence equal
+``MkpSolution`` fields on every instance — as the straightforward dense
+solver kept as ``tests/reference_mkp.py``; ``tests/test_mkp_parity.py``
+holds it to that, with and without the LP stage.
 """
 
 from __future__ import annotations
@@ -39,6 +64,11 @@ from typing import Sequence
 from repro.errors import SolverError, ValidationError
 
 _EPS = 1e-9
+
+# Phases of a search frame in BranchAndBoundSolver.solve; the two
+# entering ones sort first. _ENTER_UNPRUNED: the parent already tested
+# this node's bound (on the same state and incumbent) and it survived.
+_ENTER, _ENTER_UNPRUNED, _EXCLUDE, _UNWIND = range(4)
 
 
 @dataclass(frozen=True)
@@ -122,7 +152,7 @@ def _lp_relaxation(instance: MkpInstance, viable: Sequence[int],
     try:
         import numpy as np
         from scipy.optimize import linprog
-    except ImportError:  # pragma: no cover - scipy present in CI
+    except ImportError:  # pragma: no cover - CI installs scipy
         return None, None
     if not viable:
         return 0.0, {}
@@ -140,6 +170,63 @@ def _lp_relaxation(instance: MkpInstance, viable: Sequence[int],
         return None, None
     values = {item: float(result.x[j]) for j, item in enumerate(viable)}
     return float(-result.fun), values
+
+
+class _RowScan:
+    """One constraint row laid out for Dantzig-bound threshold tests.
+
+    ``zero_suffix[pos]`` is the profit of the row's zero-weight positions
+    from ``pos`` on; ``weighted`` holds its other positions as
+    ``(position, weight, profit)`` by decreasing profit ratio; and
+    ``first_live[pos]`` is the index of the first of those at ``pos`` or
+    later — every entry ahead of it is already decided at ``pos``.
+    """
+
+    __slots__ = ("zero_suffix", "weighted", "first_live")
+
+    def __init__(self, row: Sequence[float], order: Sequence[int],
+                 profit_at: Sequence[float]) -> None:
+        n_order = len(order)
+        # Stable sort: equal ratios stay in branching order.
+        weighted = [(pos, row[item], profit_at[pos])
+                    for pos, item in enumerate(order) if row[item] > 0]
+        weighted.sort(key=lambda entry: entry[2] / entry[1], reverse=True)
+        zero_suffix = [0.0] * (n_order + 1)
+        first_live = [len(weighted)] * (n_order + 1)
+        for index, (pos, _, _) in enumerate(weighted):
+            first_live[pos] = index
+        for pos in range(n_order - 1, -1, -1):
+            free = profit_at[pos] if row[order[pos]] <= 0 else 0.0
+            zero_suffix[pos] = zero_suffix[pos + 1] + free
+            first_live[pos] = min(first_live[pos], first_live[pos + 1])
+        self.zero_suffix = zero_suffix
+        self.weighted = weighted
+        self.first_live = first_live
+
+    def beats(self, pos: int, capacity: float, base: float,
+              threshold: float) -> bool:
+        """Whether ``base`` plus the row's Dantzig bound over the
+        undecided positions ``pos..`` at ``capacity`` exceeds
+        ``threshold``. Profits are >= 0, so the running sum only grows
+        and the scan stops at the first partial sum that already does.
+        """
+        total = self.zero_suffix[pos]
+        if base + total > threshold:
+            return True
+        remaining = capacity
+        for p, w, profit in self.weighted[self.first_live[pos]:]:
+            if p < pos:
+                continue  # already decided
+            if w <= remaining:
+                remaining -= w
+                total += profit
+                if base + total > threshold:
+                    return True
+            else:
+                if remaining > 0:
+                    total += profit * (remaining / w)
+                break
+        return base + total > threshold
 
 
 class BranchAndBoundSolver:
@@ -177,19 +264,26 @@ class BranchAndBoundSolver:
             return MkpSolution(selected=(), objective=0.0, optimal=True)
 
         profits = instance.profits
-        weights = [list(row) for row in instance.weights]
-        capacities = list(instance.capacities)
+        weights = instance.weights
+        capacities = instance.capacities
         n_rows = len(capacities)
 
+        # Sparse columns: the (row, weight) pairs an item occupies, rows
+        # ascending. An S/C item sits in the constraint sets of its
+        # residency interval only, a handful of rows out of hundreds.
+        occupied: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        for x, row in enumerate(weights):
+            for i, w in enumerate(row):
+                if w > 0:
+                    occupied[i].append((x, w))
+
         # Surrogate row: all constraints summed (itself a valid relaxation).
-        surrogate = [sum(weights[x][i] for x in range(n_rows))
-                     for i in range(n)]
+        surrogate = [sum(w for _, w in occupied[i]) for i in range(n)]
         surrogate_cap = sum(capacities)
 
         # Items violating some constraint alone can never be selected.
         viable = [i for i in range(n)
-                  if all(weights[x][i] <= capacities[x] + _EPS
-                         for x in range(n_rows))]
+                  if all(w <= capacities[x] + _EPS for x, w in occupied[i])]
 
         def density(i: int) -> float:
             if surrogate[i] <= 0:
@@ -207,60 +301,19 @@ class BranchAndBoundSolver:
                            reverse=True)
         else:
             order = sorted(viable, key=density, reverse=True)
-        pos_of = {item: pos for pos, item in enumerate(order)}
         n_order = len(order)
-
-        suffix_profit = [0.0] * (n_order + 1)
-        for pos in range(n_order - 1, -1, -1):
-            suffix_profit[pos] = suffix_profit[pos + 1] + profits[order[pos]]
-
-        # Per row (plus surrogate): items with positive weight sorted by
-        # profit ratio, and suffix sums of zero-weight item profits.
-        bound_rows = [*range(n_rows), "surrogate"]
-        row_weights: dict = {x: weights[x] for x in range(n_rows)}
-        row_weights["surrogate"] = surrogate
-        row_sorted: dict = {}
-        row_zero_suffix: dict = {}
-        for key in bound_rows:
-            row = row_weights[key]
-            weighted = [i for i in order if row[i] > 0]
-            weighted.sort(key=lambda i: profits[i] / row[i], reverse=True)
-            row_sorted[key] = weighted
-            zero_suffix = [0.0] * (n_order + 1)
-            for pos in range(n_order - 1, -1, -1):
-                item = order[pos]
-                extra = profits[item] if row[item] <= 0 else 0.0
-                zero_suffix[pos] = zero_suffix[pos + 1] + extra
-            row_zero_suffix[key] = zero_suffix
-
-        def row_bound(key, pos: int, residual_value: float) -> float:
-            """Dantzig bound of one row over undecided items order[pos:]."""
-            total = row_zero_suffix[key][pos]
-            remaining = residual_value
-            row = row_weights[key]
-            for item in row_sorted[key]:
-                if pos_of[item] < pos:
-                    continue  # already decided
-                w = row[item]
-                if w <= remaining:
-                    remaining -= w
-                    total += profits[item]
-                else:
-                    if remaining > 0:
-                        total += profits[item] * (remaining / w)
-                    break
-            return total
 
         # Greedy warm start for the incumbent. When LP guidance is present,
         # `order` starts with the items the LP wants, so this doubles as
         # LP rounding.
-        best_set = self._greedy(instance, order)
+        best_set = self._greedy(capacities, occupied, order)
         best_profit = instance.objective(best_set)
+
+        tolerance = self.tolerance
 
         def certified() -> bool:
             return (lp_bound is not None
-                    and best_profit >= lp_bound * (1.0 - self.tolerance)
-                    - _EPS)
+                    and best_profit >= lp_bound * (1.0 - tolerance) - _EPS)
 
         if certified():
             return MkpSolution(
@@ -270,39 +323,65 @@ class BranchAndBoundSolver:
                 nodes_explored=0,
                 notes="certified by root LP relaxation within tolerance")
 
-        residual = capacities[:]
+        # Everything below is indexed by branching position, not by item.
+        profit_at = [profits[item] for item in order]
+        occupied_at = [occupied[item] for item in order]
+        surrogate_at = [surrogate[item] for item in order]
+        suffix_profit = [0.0] * (n_order + 1)
+        for pos in range(n_order - 1, -1, -1):
+            suffix_profit[pos] = suffix_profit[pos + 1] + profit_at[pos]
+
+        fractional = self.use_fractional_bound
+        surrogate_scan = _RowScan(surrogate, order, profit_at)
+        row_scans: dict[int, _RowScan] = {}
+        residual = list(capacities)
+
+        def prunes(pos: int, base: float, residual_surrogate: float,
+                   threshold: float) -> bool:
+            """Whether no completion of the current partial selection
+            (profit ``base``, positions ``pos..`` undecided) can exceed
+            ``threshold``: the minimum of the remaining-profit, surrogate
+            and tightest-row bounds, evaluated only as far as the verdict
+            needs.
+            """
+            remaining = suffix_profit[pos]
+            if base + remaining <= threshold:
+                return True
+            if not fractional or remaining <= 0:
+                return False
+            if not surrogate_scan.beats(pos, residual_surrogate, base,
+                                        threshold):
+                return True
+            if not n_rows:
+                return False
+            tightest_residual = min(residual)
+            tightest = residual.index(tightest_residual)
+            scan = row_scans.get(tightest)
+            if scan is None:
+                scan = row_scans[tightest] = _RowScan(
+                    weights[tightest], order, profit_at)
+            return not scan.beats(pos, tightest_residual, base, threshold)
+
+        node_limit = self.node_limit
         residual_surrogate = surrogate_cap
         nodes_explored = 0
         include_marks: list[int] = []
         current_profit = 0.0
+        threshold = best_profit + max(_EPS, tolerance * abs(best_profit))
 
-        def prune_margin() -> float:
-            return max(_EPS, self.tolerance * abs(best_profit))
-
-        def bound(pos: int) -> float:
-            remaining = suffix_profit[pos]
-            ub = current_profit + remaining
-            if not self.use_fractional_bound or remaining <= 0:
-                return ub
-            ub = min(ub, current_profit
-                     + row_bound("surrogate", pos, residual_surrogate))
-            if n_rows:
-                tightest_residual = min(residual)
-                tightest = residual.index(tightest_residual)
-                ub = min(ub, current_profit
-                         + row_bound(tightest, pos, tightest_residual))
-            return ub
-
-        # Iterative DFS frames: [pos, phase] with phase 0 = try include,
-        # 1 = undo include / try exclude, 2 = unwind.
-        stack: list[list[int]] = [[0, 0]]
-        while stack:
-            frame = stack[-1]
-            pos, phase = frame
+        # Iterative DFS. A frame's depth is its position, so the stack is
+        # one phase per position: entering = count the node, test the
+        # bound (unless inherited) and try include; _EXCLUDE = undo
+        # include / try exclude; _UNWIND = pop.
+        phase = [_ENTER] * (n_order + 1)
+        pos = 0
+        while pos >= 0:
             if pos >= n_order:
                 if current_profit > best_profit + _EPS:
                     best_profit = current_profit
                     best_set = [order[p] for p in include_marks]
+                    threshold = best_profit + max(
+                        _EPS, tolerance * abs(best_profit))
                     if certified():
                         return MkpSolution(
                             selected=tuple(sorted(best_set)),
@@ -310,44 +389,52 @@ class BranchAndBoundSolver:
                             optimal=True,
                             nodes_explored=nodes_explored,
                             notes="reached root-LP target during search")
-                stack.pop()
+                pos -= 1
                 continue
-            if phase == 0:
+            state = phase[pos]
+            if state <= _ENTER_UNPRUNED:
                 nodes_explored += 1
-                if nodes_explored > self.node_limit:
+                if nodes_explored > node_limit:
                     return MkpSolution(
                         selected=tuple(sorted(best_set)),
                         objective=best_profit,
                         optimal=False,
                         nodes_explored=nodes_explored,
                         notes="node limit reached; incumbent returned")
-                if bound(pos) <= best_profit + prune_margin():
-                    stack.pop()
+                if state == _ENTER and prunes(pos, current_profit,
+                                              residual_surrogate, threshold):
+                    pos -= 1
                     continue
-                item = order[pos]
-                frame[1] = 1
-                if all(weights[x][item] <= residual[x] + _EPS
-                       for x in range(n_rows)):
-                    for x in range(n_rows):
-                        residual[x] -= weights[x][item]
-                    residual_surrogate -= surrogate[item]
-                    current_profit += profits[item]
+                phase[pos] = _EXCLUDE
+                rows = occupied_at[pos]
+                for x, w in rows:
+                    if w > residual[x] + _EPS:
+                        break
+                else:
+                    for x, w in rows:
+                        residual[x] -= w
+                    residual_surrogate -= surrogate_at[pos]
+                    current_profit += profit_at[pos]
                     include_marks.append(pos)
-                    stack.append([pos + 1, 0])
+                    pos += 1
+                    phase[pos] = _ENTER
                 continue
-            if phase == 1:
+            if state == _EXCLUDE:
                 if include_marks and include_marks[-1] == pos:
-                    item = order[pos]
                     include_marks.pop()
-                    current_profit -= profits[item]
-                    for x in range(n_rows):
-                        residual[x] += weights[x][item]
-                    residual_surrogate += surrogate[item]
-                frame[1] = 2
-                if bound(pos + 1) > best_profit + prune_margin():
-                    stack.append([pos + 1, 0])
+                    current_profit -= profit_at[pos]
+                    for x, w in occupied_at[pos]:
+                        residual[x] += w
+                    residual_surrogate += surrogate_at[pos]
+                phase[pos] = _UNWIND
+                if not prunes(pos + 1, current_profit, residual_surrogate,
+                              threshold):
+                    # The exclude child starts from exactly this state
+                    # and incumbent: it inherits the verdict.
+                    pos += 1
+                    phase[pos] = _ENTER_UNPRUNED
                 continue
-            stack.pop()
+            pos -= 1
 
         return MkpSolution(
             selected=tuple(sorted(best_set)),
@@ -356,14 +443,16 @@ class BranchAndBoundSolver:
             nodes_explored=nodes_explored)
 
     @staticmethod
-    def _greedy(instance: MkpInstance, order: Sequence[int]) -> list[int]:
-        residual = list(instance.capacities)
+    def _greedy(capacities: Sequence[float],
+                occupied: Sequence[Sequence[tuple[int, float]]],
+                order: Sequence[int]) -> list[int]:
+        residual = list(capacities)
         taken: list[int] = []
         for item in order:
-            if all(instance.weights[x][item] <= residual[x] + _EPS
-                   for x in range(len(residual))):
-                for x in range(len(residual)):
-                    residual[x] -= instance.weights[x][item]
+            rows = occupied[item]
+            if all(w <= residual[x] + _EPS for x, w in rows):
+                for x, w in rows:
+                    residual[x] -= w
                 taken.append(item)
         return taken
 
