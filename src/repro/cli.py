@@ -285,9 +285,13 @@ def _build_parser() -> argparse.ArgumentParser:
                            f"{policy_help()}")
     p_db.add_argument("--spill-codec", default="none",
                       choices=sorted(SPILL_CODECS),
-                      help="compress the spill dumps for real (numpy "
-                           "deflate) and charge the spill tier the "
-                           "measured on-disk bytes (default: none)")
+                      help="compress the spill dumps for real and charge "
+                           "the spill tier the measured on-disk bytes: "
+                           "a victim whose background write already "
+                           "encoded it is dumped as that blob, one "
+                           "still queued is encoded with this codec, "
+                           "once, for dump and warehouse both "
+                           "(default: none — stream the raw columns)")
     p_db.add_argument("--adaptive-codec", action="store_true",
                       help="mid-run codec re-pricing from the measured "
                            "on-disk ratios of the first dumps; a codec "

@@ -11,7 +11,8 @@ compression. This package provides exactly enough DBMS to do that honestly:
 * a SQL subset (SELECT–JOIN–WHERE–GROUP BY–ORDER BY–LIMIT) with a
   recursive-descent parser (:mod:`~repro.db.sql`) and a binder/planner
   (:mod:`~repro.db.planner`),
-* a compressed columnar on-disk format (:mod:`~repro.db.storage_format`),
+* one compressed columnar table format, in memory and on disk
+  (:mod:`~repro.db.columnar_codec`, :mod:`~repro.db.storage_format`),
 * a catalog distinguishing disk-resident from memory-resident tables
   (:mod:`~repro.db.catalog`), and
 * :class:`~repro.db.engine.MiniDB` tying it together with per-statement

@@ -27,9 +27,7 @@ class DatabaseCatalog:
 
     def __post_init__(self) -> None:
         os.makedirs(self.directory, exist_ok=True)
-        for entry in os.listdir(self.directory):
-            if entry.endswith(".npz"):
-                self._persisted.add(entry[:-len(".npz")])
+        self._persisted.update(storage_format.stored_tables(self.directory))
 
     # ------------------------------------------------------------------
     def exists(self, name: str) -> bool:
@@ -64,10 +62,10 @@ class DatabaseCatalog:
         del self._memory[name]
 
     # ------------------------------------------------------------------
-    def persist(self, name: str, table: Table, compress: bool = True) -> int:
-        """Write to the physical catalog; returns on-disk bytes."""
-        size = storage_format.write_table(table, self.directory, name,
-                                          compress=compress)
+    def persist(self, name: str, table: Table | bytes) -> int:
+        """Write ``table`` (or its already-encoded blob) to the physical
+        catalog; returns on-disk bytes."""
+        size = storage_format.write_table(table, self.directory, name)
         self._persisted.add(name)
         return size
 

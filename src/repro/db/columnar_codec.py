@@ -10,24 +10,30 @@ cannot see either structure; the ``columnar`` codec here encodes it away
 *before* the byte compressor runs (cf. the layout-aware encodings of
 *Optimised Storage for Datalog Reasoning*).
 
-The blob format is self-describing — magic, JSON header (column names,
-dtypes, per-column encoding, payload offsets), then the payload bytes —
-so :func:`decode_table` needs nothing but the blob.  Four codecs map to
-the :data:`~repro.store.config.SPILL_CODECS` presets:
+The blob format (``RCB1``) is self-describing — magic, JSON header
+(column names, dtypes, per-column encoding, payload lengths), then the
+payload bytes — so :func:`decode_table` needs nothing but the blob.  It
+is the repo's *only* table format: warehouse files and spill files
+(:mod:`repro.db.storage_format`) are this blob on disk, the
+``ram-compressed`` rung keeps it in memory, and a blob moves between the
+three verbatim.  Four codecs map to the
+:data:`~repro.store.config.SPILL_CODECS` presets:
 
 * ``none`` — raw column bytes, no compression (framing only);
 * ``zlib`` — raw column bytes, deflate level 6;
 * ``zlib1`` — raw column bytes, deflate level 1 (the fast preset the
   compressed-in-RAM rung defaults to);
 * ``columnar`` — per-column dictionary/delta pre-encoding, then
-  deflate level 1.
+  deflate level 1 (the warehouse default: faster *and* smaller than
+  deflate-6 on star-schema tables).
 
-These run for real in the MiniDB backend: a demotion into the
-``ram-compressed`` rung calls :func:`encode_table` and keeps the blob in
-memory, a read-back calls :func:`decode_table` lazily, and the measured
-blob sizes feed the ledger's observed-ratio telemetry and the adaptive
-codec loop.  Simulated backends charge the corresponding
-:class:`~repro.store.config.CodecProfile` presets instead.
+These run for real in the MiniDB backend: every materialization and
+every demotion into a compressing tier goes through
+:func:`encode_table` (once per table and refresh — see
+:mod:`repro.exec.minidb`), a read-back calls :func:`decode_table`
+lazily, and the measured blob sizes feed the ledger's observed-ratio
+telemetry and the adaptive codec loop.  Simulated backends charge the
+corresponding :class:`~repro.store.config.CodecProfile` presets instead.
 """
 
 from __future__ import annotations
@@ -61,13 +67,12 @@ def is_blob(data: bytes) -> bool:
     return data[: len(MAGIC)] == MAGIC
 
 
-def _compress(payload: bytes, level: int | None) -> bytes:
-    if level is None:
-        return payload
-    return zlib.compress(payload, level)
+def _compress(column: np.ndarray, level: int | None) -> bytes | memoryview:
+    raw = memoryview(column.view(np.uint8))     # in place: no copy
+    return raw if level is None else zlib.compress(raw, level)
 
 
-def _decompress(payload: bytes, level: int | None) -> bytes:
+def _decompress(payload: memoryview, level: int | None) -> bytes | memoryview:
     if level is None:
         return payload
     return zlib.decompress(payload)
@@ -81,23 +86,36 @@ def _code_dtype(cardinality: int) -> np.dtype:
     return np.dtype(np.uint32)
 
 
-def _encode_column(column: np.ndarray, codec: str) -> tuple[dict, list[bytes]]:
+def _dictionary(column: np.ndarray) -> list[np.ndarray] | None:
+    """``[distinct values, narrow per-row codes]`` where that pays.
+
+    Two keys may share a code only when they are bit-equal: floats are
+    keyed by their bits (so -0.0 and NaN payloads survive), kinds without
+    that guarantee (complex, long double) are not dictionary-encoded.
+    """
+    kind = column.dtype.kind
+    if kind == "f" and column.itemsize <= 8:
+        column = column.view(f"u{column.itemsize}")
+    elif kind not in "iubUS":
+        return None
+    values, codes = np.unique(column, return_inverse=True)
+    if values.size > _DICT_MAX_CARDINALITY or values.size * 2 > column.size:
+        return None
+    return [values, codes.astype(_code_dtype(values.size), copy=False)]
+
+
+def _encode_column(column: np.ndarray, codec: str) -> tuple[dict, list]:
     """Encode one column; returns (header entry, payload chunks)."""
     level = _LEVELS[codec]
-    entry: dict = {"dtype": column.dtype.str}
+    entry: dict = {"dtype": column.dtype.str, "encoding": "raw"}
+    parts = [column]
     if codec == "columnar" and column.size:
-        values, codes = np.unique(column, return_inverse=True)
-        if (values.size <= _DICT_MAX_CARDINALITY
-                and values.size * 2 <= column.size):
-            # dictionary: distinct values + narrow per-row codes
-            codes = codes.astype(_code_dtype(values.size), copy=False)
+        dictionary = _dictionary(column)
+        if dictionary is not None:
             entry["encoding"] = "dict"
-            entry["code_dtype"] = codes.dtype.str
-            chunks = [_compress(values.tobytes(), level),
-                      _compress(codes.tobytes(), level)]
-            entry["lengths"] = [len(chunk) for chunk in chunks]
-            return entry, chunks
-        if column.dtype.kind in "iu":
+            entry["code_dtype"] = dictionary[1].dtype.str
+            parts = dictionary
+        elif column.dtype.kind in "iu":
             # delta: residuals of near-sorted keys deflate far better
             # than the raw values (wraparound on overflow is lossless —
             # cumsum with the same dtype wraps back)
@@ -105,17 +123,14 @@ def _encode_column(column: np.ndarray, codec: str) -> tuple[dict, list[bytes]]:
             deltas[0] = column[0]
             np.subtract(column[1:], column[:-1], out=deltas[1:])
             entry["encoding"] = "delta"
-            chunk = _compress(deltas.tobytes(), level)
-            entry["lengths"] = [len(chunk)]
-            return entry, [chunk]
-    entry["encoding"] = "raw"
-    chunk = _compress(column.tobytes(), level)
-    entry["lengths"] = [len(chunk)]
-    return entry, [chunk]
+            parts = [deltas]
+    chunks = [_compress(part, level) for part in parts]
+    entry["lengths"] = [len(chunk) for chunk in chunks]
+    return entry, chunks
 
 
-def _decode_column(entry: dict, chunks: list[bytes], codec: str,
-                   length: int) -> np.ndarray:
+def _decode_column(entry: dict, chunks: list[memoryview],
+                   codec: str) -> np.ndarray:
     level = _LEVELS[codec]
     dtype = np.dtype(entry["dtype"])
     encoding = entry["encoding"]
@@ -130,33 +145,57 @@ def _decode_column(entry: dict, chunks: list[bytes], codec: str,
             return np.cumsum(data, dtype=dtype)
     if encoding != "raw":
         raise ExecutionError(f"unknown column encoding {encoding!r}")
-    return data.copy() if length else data
+    return data.copy()      # own the bytes: frombuffer views are read-only
 
 
-def encode_table(table: Table, codec: str = "zlib1") -> bytes:
-    """Serialize ``table`` into a self-describing compressed blob."""
+def encode_chunks(table: Table, codec: str = "zlib1") -> list:
+    """The blob of :func:`encode_table` as a list of buffers.
+
+    Header first, then one buffer per payload chunk — with ``none`` the
+    chunks are views of the table's own columns, so a writer can stream
+    them (``writelines``) without assembling the blob.  The views are
+    valid while ``table`` is alive.
+    """
     if codec not in _LEVELS:
         raise ValidationError(
             f"unknown table codec {codec!r}; choose from {codec_names()}")
     header: dict = {"codec": codec, "length": len(table), "columns": []}
-    payloads: list[bytes] = []
+    payloads: list = []
     for name, column in table.columns().items():
         entry, chunks = _encode_column(np.ascontiguousarray(column), codec)
         entry["name"] = name
         header["columns"].append(entry)
         payloads.extend(chunks)
     meta = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return b"".join([MAGIC, struct.pack(">I", len(meta)), meta, *payloads])
+    return [MAGIC + struct.pack(">I", len(meta)) + meta, *payloads]
+
+
+def encode_table(table: Table, codec: str = "zlib1") -> bytes:
+    """Serialize ``table`` into a self-describing compressed blob."""
+    return b"".join(encode_chunks(table, codec))
 
 
 def decode_table(blob: bytes) -> Table:
-    """Inverse of :func:`encode_table`."""
+    """Inverse of :func:`encode_table`.
+
+    Raises :class:`ExecutionError` for anything that is not a complete,
+    well-formed blob (bad magic, truncated, corrupt header or payload).
+    """
     if not is_blob(blob):
         raise ExecutionError("not a columnar blob (bad magic)")
+    try:
+        return _decode(memoryview(blob))
+    except (struct.error, zlib.error, ValueError, KeyError, TypeError,
+            IndexError, ValidationError) as exc:
+        raise ExecutionError(
+            f"corrupt or truncated columnar blob: {exc!r}") from exc
+
+
+def _decode(blob: memoryview) -> Table:
     offset = len(MAGIC)
     (meta_len,) = struct.unpack_from(">I", blob, offset)
     offset += 4
-    header = json.loads(blob[offset:offset + meta_len].decode("utf-8"))
+    header = json.loads(bytes(blob[offset:offset + meta_len]))
     offset += meta_len
     codec = header["codec"]
     if codec not in _LEVELS:
@@ -167,6 +206,12 @@ def decode_table(blob: bytes) -> Table:
         for length in entry["lengths"]:
             chunks.append(blob[offset:offset + length])
             offset += length
-        columns[entry["name"]] = _decode_column(entry, chunks, codec,
-                                                header["length"])
+        if offset > len(blob):
+            raise ValueError(f"payload of column {entry['name']!r} is short")
+        column = _decode_column(entry, chunks, codec)
+        if len(column) != header["length"]:
+            raise ValueError(
+                f"column {entry['name']!r} decodes to {len(column)} rows, "
+                f"header says {header['length']}")
+        columns[entry["name"]] = column
     return Table(columns)

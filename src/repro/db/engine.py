@@ -93,8 +93,8 @@ class MiniDB:
         timing.output_bytes = result.nbytes
         return result, timing
 
-    def ctas(self, name: str, sql: str, location: str = "disk",
-             compress: bool = True) -> StatementTiming:
+    def ctas(self, name: str, sql: str,
+             location: str = "disk") -> StatementTiming:
         """CREATE TABLE AS SELECT into disk or the memory catalog."""
         if location not in ("disk", "memory"):
             raise WorkloadError(
@@ -103,21 +103,21 @@ class MiniDB:
         timing.name = name
         if location == "disk":
             started = time.perf_counter()
-            self.catalog.persist(name, result, compress=compress)
+            self.catalog.persist(name, result)
             timing.write_seconds = time.perf_counter() - started
         else:
             self.catalog.put_memory(name, result)
         return timing
 
-    def materialize_from_memory(self, name: str,
-                                compress: bool = True) -> float:
+    def materialize_from_memory(self, name: str) -> float:
         """Persist a memory-resident table; returns elapsed seconds.
 
-        This is the unit of work the background materializer thread runs.
+        The blocking twin of what :mod:`repro.exec.minidb`'s drain pool
+        does in the background.
         """
         table = self.catalog.get_memory(name)
         started = time.perf_counter()
-        self.catalog.persist(name, table, compress=compress)
+        self.catalog.persist(name, table)
         return time.perf_counter() - started
 
     def release_memory(self, name: str) -> None:

@@ -1,66 +1,91 @@
-"""Columnar on-disk format with real compression.
+"""The on-disk table format: one RCB1 blob per table.
 
-A table is persisted as a single ``.npz`` archive (one compressed member
-per column) — structurally a poor man's Parquet: columnar layout, per-column
-compression, self-describing. The (de)serialization and zlib work is what
-gives the MiniDB its genuine read/write costs for the Figure 3 breakdown.
+A persisted table is the self-describing blob of
+:mod:`repro.db.columnar_codec` in a file — columnar layout, per-column
+encoding and compression, nothing else.  Warehouse files, spill files
+and the in-memory rung all hold that same blob, so bytes encoded once
+move between them verbatim: :func:`write_table` takes either a
+:class:`Table` (encoded with ``codec``) or the blob somebody already
+encoded.  The (de)serialization and deflate work is what gives the
+MiniDB its genuine read/write costs for the Figure 3 breakdown.
 
-``write_table(codec=...)`` selects the dump format: ``None`` keeps the
-classic ``.npz`` path (``compress`` picks savez_compressed vs savez),
-while a named codec writes the self-describing blob format of
-:mod:`repro.db.columnar_codec` instead — same path and suffix, so
-``delete_table`` / ``on_disk_size`` need no dispatch, and
-:func:`read_table` sniffs the magic bytes to pick the right decoder.
+Writes stream the header and the column chunks into ``<name>.tmp`` and
+rename it over the final path, so a reader — or a restarted catalog —
+never sees a torn file; :func:`stored_tables` removes the ``.tmp``
+leftovers of an interrupted write.
 """
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from repro.db import columnar_codec
 from repro.db.table import Table
 from repro.errors import ExecutionError
 
-_SUFFIX = ".npz"
+_SUFFIX = ".rcb"
+_TMP_SUFFIX = ".tmp"
+
+#: What the warehouse is written with: on star-schema tables ``columnar``
+#: is both faster and smaller than deflate-6 over the raw columns.
+DEFAULT_CODEC = "columnar"
 
 
 def table_path(directory: str, name: str) -> str:
     return os.path.join(directory, f"{name}{_SUFFIX}")
 
 
-def write_table(table: Table, directory: str, name: str,
-                compress: bool = True, codec: str | None = None) -> int:
-    """Persist ``table``; returns the on-disk size in bytes."""
+def write_table(table: Table | bytes, directory: str, name: str,
+                codec: str = DEFAULT_CODEC) -> int:
+    """Persist ``table`` — or its already-encoded blob, verbatim — and
+    return the on-disk size in bytes."""
     os.makedirs(directory, exist_ok=True)
     path = table_path(directory, name)
+    tmp = os.path.join(directory, f"{name}{_TMP_SUFFIX}")
+    chunks = ([table] if isinstance(table, bytes)
+              else columnar_codec.encode_chunks(table, codec))
     try:
-        if codec is not None:
-            blob = columnar_codec.encode_table(table, codec)
-            with open(path, "wb") as handle:
-                handle.write(blob)
-        else:
-            save = np.savez_compressed if compress else np.savez
-            save(path, **table.columns())
+        with open(tmp, "wb") as handle:
+            handle.writelines(chunks)
+        os.replace(tmp, path)
     except OSError as exc:
+        if os.path.exists(tmp):
+            os.remove(tmp)
         raise ExecutionError(f"failed to write table {name!r}: {exc}") \
             from exc
     return os.path.getsize(path)
 
 
 def read_table(directory: str, name: str) -> Table:
-    """Load a persisted table fully into memory (either format)."""
+    """Load a persisted table fully into memory."""
     path = table_path(directory, name)
     if not os.path.exists(path):
         raise ExecutionError(f"no persisted table {name!r} at {path}")
-    with open(path, "rb") as handle:
-        head = handle.read(len(columnar_codec.MAGIC))
-        if columnar_codec.is_blob(head):
-            return columnar_codec.decode_table(head + handle.read())
-    with np.load(path, allow_pickle=False) as archive:
-        columns = {key: archive[key] for key in archive.files}
-    return Table(columns)
+    try:
+        with open(path, "rb") as handle:
+            blob = handle.read()
+    except OSError as exc:
+        raise ExecutionError(f"failed to read table {name!r}: {exc}") \
+            from exc
+    try:
+        return columnar_codec.decode_table(blob)
+    except ExecutionError as exc:
+        raise ExecutionError(f"table {name!r} at {path}: {exc}") from exc
+
+
+def stored_tables(directory: str) -> set[str]:
+    """Names of the tables persisted under ``directory``.
+
+    A ``.tmp`` file is what an interrupted :func:`write_table` left
+    behind — never a table — and is removed.
+    """
+    names = set()
+    for entry in os.listdir(directory):
+        if entry.endswith(_SUFFIX):
+            names.add(entry[:-len(_SUFFIX)])
+        elif entry.endswith(_TMP_SUFFIX):
+            os.remove(os.path.join(directory, entry))
+    return names
 
 
 def delete_table(directory: str, name: str) -> None:

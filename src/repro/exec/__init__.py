@@ -26,7 +26,7 @@ parallel     memory-bounded parallel scheduler: worker pool over ready
              DAG nodes, ledger admission control, deterministic logical
              clocks with seeded tie-breaking
 minidb       the real MiniDB columnar engine with genuine disk I/O and
-             a background materializer thread
+             a small pool of background materializer threads
 ===========  ==========================================================
 
 The parallel scheduler also ships :func:`~repro.exec.parallel.run_threaded`,

@@ -1,35 +1,48 @@
 """MiniDB runner as an :class:`ExecutionBackend` (real wall-clock I/O).
 
 The honest counterpart of the discrete-event simulators: flagged MVs are
-created in the memory catalog and drained to disk by a *real* worker thread
-(numpy/zlib release the GIL for the heavy work, so the overlap the paper
-exploits is genuine); unflagged MVs pay the blocking write.
+created in the memory catalog and drained to disk in the background by
+*real* threads — a small fixed pool owned by the run, FIFO (numpy and
+zlib release the GIL for the heavy work, so the overlap the paper
+exploits is genuine; more threads than cores would only add allocator
+arenas and contention) — while unflagged MVs pay the blocking write.
 
 The byte budget is enforced by the shared
 :class:`~repro.exec.ledger.MemoryLedger` with the same consumer-count +
 materialization-hold release protocol as the simulators.  Drain completion
-is observed from the *controller thread* (materializer threads only write
-bytes), so all MiniDB catalog mutations stay single-threaded.  This
-lifecycle is deliberately its own — it *measures* real bytes where
-:class:`~repro.exec.kernel.NodeKernel` *charges* a model — and shares
-only the kernel's run epilogue.
+is observed from the *controller thread* (pool threads only encode and
+write bytes), so all ledger and memory-catalog mutations stay
+single-threaded; a drain that failed fails the run at the next reap with
+an :class:`~repro.errors.ExecutionError` naming the MV, before anything
+is evicted.  This lifecycle is deliberately its own — it *measures* real
+bytes where :class:`~repro.exec.kernel.NodeKernel` *charges* a model —
+and shares only the kernel's run epilogue.
+
+Warehouse, spill directory and in-memory rung all hold the one table
+format (the self-describing blob of :mod:`repro.db.columnar_codec`), and
+**a table is compressed at most once per refresh**: every flagged MV
+carries an encode-once cell (:class:`_Drain`) that its drain job and any
+demotion into a compressing tier share — whoever asks first encodes, the
+other waits for that encode and adopts the bytes, and a blob moves
+between rung, spill file and warehouse verbatim.
 
 Construct with the workload: ``create_backend("minidb", workload=wl)``;
 ``run`` then takes the workload's own dependency graph.  Passing
 ``spill_dir=<path>`` (plus optional ``spill_policy``) additionally arms
 *real* spill-to-disk through a :class:`~repro.store.tiered.TieredLedger`:
 when memory is pinned by entries with outstanding consumers, policy-ranked
-victims are serialized into the spill directory with
+victims are written into the spill directory with
 :func:`repro.db.storage_format.write_table` and their accounting moves to
 the spill tier; a spilled, not-yet-durable parent is read back with
 ``read_table`` and promoted before its consumer runs.  The wall-clock
 costs land in ``NodeTrace.spill_write`` / ``promote_read``.
 
-``spill_codec`` controls the dump format: ``"none"`` (default) writes
-raw uncompressed archives — a spill is a fast local dump, not a
-warehouse materialization — while ``"zlib"`` compresses each column for
-real (numpy's deflate), trading encode/decode wall-clock for smaller
-spill files.  Either way the ledger's spill tier is charged the
+``spill_codec`` controls the dump: ``"none"`` (default) streams the raw
+column bytes — a spill is a fast local dump, not a warehouse
+materialization — while a compressing codec writes the victim's blob:
+the one its drain already encoded (whatever codec that was), or, drain
+still queued, one encoded here with ``spill_codec`` and left for the
+drain to write.  Either way the ledger's spill tier is charged the
 *measured* on-disk bytes of every dump, so
 ``extras["tiered_store"]["spill_stored_gb"]`` reports the genuine
 compressed footprint next to the logical ``spill_bytes_gb``.
@@ -42,27 +55,30 @@ tax, drops the codec for the rest of the run — later victims dump raw
 (``extras["tiered_store"]["codec_adapt"]`` logs the decision).
 
 ``ram_compressed_gb=<GB>`` inserts a *real* compressed-in-RAM rung
-between RAM and the spill disk: a victim is encoded into an in-memory
-blob (:mod:`repro.db.columnar_codec`, default codec ``zlib1``) and the
-rung's budget is charged the measured blob bytes — no file I/O at all.
-Reads decode the blob lazily; when the rung itself fills, its
-policy-ranked victims cascade to the spill directory (the
-already-encoded blob is written verbatim — the dump format is
-self-describing, so ``read_table`` sniffs it back).  Measured encode/
-decode/dump wall clocks land per tier via
+between RAM and the spill disk: a victim's blob (adopted or encoded as
+above, default codec ``zlib1``) stays in memory and the rung's budget is
+charged the measured blob bytes — no file I/O at all.  Reads decode the
+blob lazily; when the rung itself fills, its policy-ranked victims
+cascade to the spill directory (the blob is written verbatim).  Measured
+encode/decode/dump wall clocks land per tier via
 ``TieredLedger.record_wall_seconds`` and feed the planner's feedback
 loop exactly like simulated charges.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from repro.core.plan import Plan
+from repro.db import columnar_codec, storage_format
+from repro.db.catalog import DatabaseCatalog
+from repro.db.table import Table
 from repro.engine.trace import NodeTrace, RunTrace
-from repro.errors import ExecutionError, ValidationError
+from repro.errors import CatalogError, ExecutionError, ValidationError
 from repro.exec.base import (
     ExecutionBackend,
     ExecutionContext,
@@ -74,14 +90,46 @@ from repro.graph.dag import DependencyGraph
 
 _GB = 1024.0 ** 3
 
+#: Threads draining flagged MVs to the warehouse.  A property of the
+#: host, not a setting: a thread per MV encodes no faster on the same
+#: cores, and each extra thread allocates from its own malloc arena.
+_DRAIN_WORKERS = min(2, os.cpu_count() or 1)
 
-@dataclass
-class _FlaggedWrite:
-    """One in-flight background materialization."""
 
-    size_gb: float
-    thread: threading.Thread
-    drained_applied: bool = False
+class _Drain:
+    """One flagged MV on its way to the warehouse.
+
+    Also the MV's encode-once cell: :meth:`blob` is asked by the pool
+    thread about to write and by the controller demoting the MV into a
+    compressing tier; the first asker encodes (and picks the codec), the
+    other waits on the lock and adopts the bytes.
+    """
+
+    def __init__(self, pool: ThreadPoolExecutor, catalog: DatabaseCatalog,
+                 name: str, table: Table) -> None:
+        # the table until it is encoded, its blob from then on — a direct
+        # reference, so a later spill may evict the memory-catalog entry
+        # without racing the drain
+        self._content: Table | bytes = table
+        self._lock = threading.Lock()
+        self.future = pool.submit(self._run, catalog, name)
+
+    def blob(self, codec: str) -> bytes:
+        with self._lock:
+            content = self._content
+            if isinstance(content, Table):
+                content = self._content = columnar_codec.encode_table(
+                    content, codec)
+            return content
+
+    @property
+    def encoded(self) -> bytes | None:
+        """The blob, if somebody has asked for it yet."""
+        content = self._content
+        return None if isinstance(content, Table) else content
+
+    def _run(self, catalog: DatabaseCatalog, name: str) -> None:
+        catalog.persist(name, self.blob(storage_format.DEFAULT_CODEC))
 
 
 @dataclass
@@ -89,17 +137,19 @@ class _MiniDbState:
     """Controller-thread view of an in-progress MiniDB run."""
 
     by_name: dict
-    writes: dict[str, _FlaggedWrite] = field(default_factory=dict)
+    pool: ThreadPoolExecutor
+    # background writes not yet applied to the ledger (a drained and
+    # applied write leaves; what it wrote is then durable)
+    writes: dict[str, _Drain] = field(default_factory=dict)
     run_started: float = 0.0
     evicted: set[str] = field(default_factory=set)
     spill_dir: str | None = None
     spill_files: set[str] = field(default_factory=set)
-    # compressed-in-RAM rung (ram_compressed_gb extra): encoded blobs of
-    # rung-resident tables.  A blob outlives a promotion back to RAM —
-    # tables are immutable, so a re-spill reuses it without re-encoding
-    # (the in-memory twin of the spill_files reuse rule).
+    # compressed-in-RAM rung (ram_compressed_gb extra); a rung entry's
+    # bytes are its drain's blob, which outlives a promotion back to RAM
+    # — tables are immutable, so a re-spill reuses it without
+    # re-encoding (the in-memory twin of the spill_files reuse rule)
     ram_rung_gb: float = 0.0
-    blobs: dict[str, bytes] = field(default_factory=dict)
 
     @property
     def device_tier(self) -> int:
@@ -133,8 +183,6 @@ class MiniDbBackend(ExecutionBackend):
                 "ram_compressed_gb needs spill_dir=<path> as well — the "
                 "rung cascades its victims into the spill directory")
         if spill_dir:
-            import os
-
             from repro.store.config import (
                 RAM_COMPRESSED,
                 SpillConfig,
@@ -162,14 +210,32 @@ class MiniDbBackend(ExecutionBackend):
         # clock IS wall time, so event timestamps line up with the
         # run-relative NodeTrace clocks
         self.bus.rebase()
-        state = _MiniDbState(by_name=by_name,
-                             run_started=time.perf_counter(),
-                             spill_dir=spill_dir,
-                             ram_rung_gb=rung_gb)
+        state = _MiniDbState(
+            by_name=by_name,
+            # threads start with the first flagged MV, not here
+            pool=ThreadPoolExecutor(max_workers=_DRAIN_WORKERS,
+                                    thread_name_prefix="materialize"),
+            run_started=time.perf_counter(),
+            spill_dir=spill_dir,
+            ram_rung_gb=rung_gb)
         return ExecutionContext(graph=graph, plan=plan,
                                 memory_budget=memory_budget, method=method,
                                 ledger=ledger,
                                 payload=state)
+
+    def run(self, graph: DependencyGraph, plan: Plan | None,
+            memory_budget: float, method: str = "") -> RunTrace:
+        """The serial template, plus: a failed or cancelled run leaves no
+        drain thread and no spill file behind."""
+        ctx = self.prepare(graph, plan, memory_budget, method=method)
+        try:
+            for node_id in ctx.plan.order:
+                self.check_cancelled(node_id)
+                self.execute_node(ctx, node_id)
+            return self.finish(ctx)
+        except BaseException:
+            self._close(ctx.payload)
+            raise
 
     # ------------------------------------------------------------------
     def execute_node(self, ctx: ExecutionContext, node_id: str) -> None:
@@ -191,14 +257,8 @@ class MiniDbBackend(ExecutionBackend):
             ctx.ledger.insert(node_id, size_gb,
                               n_consumers=ctx.graph.out_degree(node_id),
                               materialization_pending=True)
-            # the thread owns a direct table reference, so a later spill
-            # may evict the memory-catalog entry without racing the drain
-            thread = threading.Thread(
-                target=db.catalog.persist, args=(node_id, result),
-                name=f"materialize-{node_id}", daemon=True)
-            state.writes[node_id] = _FlaggedWrite(size_gb=size_gb,
-                                                  thread=thread)
-            thread.start()
+            state.writes[node_id] = _Drain(state.pool, db.catalog,
+                                           node_id, result)
         else:
             write_started = time.perf_counter()
             db.catalog.persist(node_id, result)
@@ -221,13 +281,25 @@ class MiniDbBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------
     def materialize(self, ctx: ExecutionContext, node_id: str) -> None:
-        """A background write drained; clear the hold, evict if released."""
+        """Wait for ``node_id``'s background write and apply it: clear
+        the hold, evict if released.
+
+        A write that failed fails the run *here*, before the only copy
+        of the table could be evicted, and takes the drain pool and the
+        spill files with it.
+        """
         state: _MiniDbState = ctx.payload
-        write = state.writes.get(node_id)
-        if write is None or write.drained_applied:
+        drain = state.writes.get(node_id)
+        if drain is None:
             return
-        write.thread.join()
-        write.drained_applied = True
+        try:
+            drain.future.result()
+        except Exception as exc:
+            self._close(state)
+            raise ExecutionError(
+                f"background write of MV {node_id!r} failed: {exc}") \
+                from exc
+        del state.writes[node_id]
         if node_id in ctx.ledger and ctx.ledger.materialized(node_id):
             self.evict(ctx, node_id)
 
@@ -239,46 +311,46 @@ class MiniDbBackend(ExecutionBackend):
         if node_id in ctx.ledger:  # force-eviction path (cleanup)
             ctx.ledger.force_release(node_id)
         state.evicted.add(node_id)
-        state.blobs.pop(node_id, None)
         db = self.extra["workload"].db
         if db.catalog.in_memory(node_id):
             db.release_memory(node_id)
         if node_id in state.spill_files:
-            from repro.db import storage_format
-
             storage_format.delete_table(state.spill_dir, node_id)
             state.spill_files.discard(node_id)
 
     def finish(self, ctx: ExecutionContext) -> RunTrace:
         state: _MiniDbState = ctx.payload
         compute_finished = time.perf_counter() - state.run_started
-        for node_id, write in state.writes.items():
-            write.thread.join()
+        for node_id in list(state.writes):
             self.materialize(ctx, node_id)
-        if state.spill_files:  # leftover scratch copies (now durable)
-            from repro.db import storage_format
-
-            for node_id in list(state.spill_files):
-                storage_format.delete_table(state.spill_dir, node_id)
-                state.spill_files.discard(node_id)
         # the run is over when every MV is durable and the scratch is gone
+        self._close(state)
         return finish_run(ctx.ledger, self.bus, ctx.traces,
                           compute_finished,
                           time.perf_counter() - state.run_started,
                           ctx.memory_budget, ctx.method)
 
+    def _close(self, state: _MiniDbState) -> None:
+        """Stop the drain pool — a running write is waited for, queued
+        ones (a failed or cancelled run's) are dropped — and remove the
+        leftover scratch copies; idempotent."""
+        state.pool.shutdown(wait=True, cancel_futures=True)
+        for node_id in state.spill_files:
+            storage_format.delete_table(state.spill_dir, node_id)
+        state.spill_files.clear()
+
     # ------------------------------------------------------------------
     def _reap_drained(self, ctx: ExecutionContext) -> None:
-        """Apply any background writes whose threads have finished."""
+        """Apply any background writes that have finished."""
         state: _MiniDbState = ctx.payload
-        for node_id, write in list(state.writes.items()):
-            if not write.drained_applied and not write.thread.is_alive():
+        for node_id, drain in list(state.writes.items()):
+            if drain.future.done():
                 self.materialize(ctx, node_id)
 
     def _reclaim(self, ctx: ExecutionContext, target_gb: float,
                  trace: NodeTrace,
                  protect: frozenset = frozenset()) -> bool:
-        """Stall until ``target_gb`` fits, joining drained writers.
+        """Stall until ``target_gb`` fits, waiting for background writes.
 
         Returns False (the caller spills to a blocking write) when the
         memory is held by entries that still have outstanding consumers —
@@ -298,17 +370,16 @@ class MiniDbBackend(ExecutionBackend):
             self._reap_drained(ctx)
             if ctx.ledger.fits(target_gb):
                 break
-            waiting = [w for n, w in state.writes.items()
-                       if not w.drained_applied and n in ctx.ledger
-                       and in_ram(n)
+            waiting = [d.future for n, d in state.writes.items()
+                       if n in ctx.ledger and in_ram(n)
                        and ctx.ledger.consumers_left(n) <= 0]
             if not waiting:
                 if state.spill_dir and self._spill_one(ctx, trace,
                                                        protect):
                     continue
                 return False  # outstanding consumers hold the memory
-            for write in waiting:
-                write.thread.join(timeout=0.05)
+            # the stall ends when the first of them frees its memory
+            wait(waiting, return_when=FIRST_COMPLETED)
         # spill seconds were booked into spill_write; stall is the rest
         trace.stall += max(0.0, time.perf_counter() - stall_started
                            - (trace.spill_write - spilling_before))
@@ -328,15 +399,15 @@ class MiniDbBackend(ExecutionBackend):
         A victim whose background write already drained is free to drop
         (its durable copy serves later readers; the next tier is charged
         zero bytes).  Without a ram-compressed rung the victim is dumped
-        into the spill directory — compressed for real when the spill
-        codec asks for it — and the tier is charged the *measured*
-        on-disk bytes.  With the rung armed the victim is encoded into
-        an in-memory blob instead (no file I/O); the rung's own victims
-        are cascaded to disk *first* so the ledger never has to move
-        accounting whose bytes this backend did not move, and a blob the
-        rung can never host (bigger compressed than the whole rung)
-        passes straight through to a disk dump.  Returns False when RAM
-        holds no spillable entry outside ``protect``.
+        into the spill directory — as its blob when the spill codec
+        compresses — and the tier is charged the *measured* on-disk
+        bytes.  With the rung armed the victim's blob stays in memory
+        instead (no file I/O); the rung's own victims are cascaded to
+        disk *first* so the ledger never has to move accounting whose
+        bytes this backend did not move, and a blob the rung can never
+        host (bigger compressed than the whole rung) passes straight
+        through to a disk dump.  Returns False when RAM holds no
+        spillable entry outside ``protect``.
         """
         from repro.store.tiered import TieredLedger
 
@@ -355,7 +426,7 @@ class MiniDbBackend(ExecutionBackend):
         elif state.ram_rung_gb > 0:
             self._spill_into_rung(ctx, victim, protect)
         else:
-            stored_gb = self._dump_table(ctx, victim)
+            stored_gb = self._dump(ctx, victim)
             db.release_memory(victim)
             ledger.demote(victim, stored_size=stored_gb)
         trace.spill_write += time.perf_counter() - started
@@ -363,23 +434,18 @@ class MiniDbBackend(ExecutionBackend):
 
     def _spill_into_rung(self, ctx: ExecutionContext, victim: str,
                          protect: frozenset) -> None:
-        """Encode ``victim`` into the compressed-in-RAM rung (tier 1)."""
-        from repro.db import columnar_codec
-
+        """Move ``victim``'s blob into the compressed-in-RAM rung (tier
+        1), encoding it only if its drain has not (mid-run adaptation
+        may have switched the rung's codec: encode with the *current*
+        one)."""
         state: _MiniDbState = ctx.payload
         db = self.extra["workload"].db
-        blob = state.blobs.get(victim)
-        if blob is None:
-            # mid-run adaptation may have switched the rung's codec:
-            # encode with the *current* one
-            codec = ctx.ledger.current_codec(1).name
-            encode_started = time.perf_counter()
-            blob = columnar_codec.encode_table(
-                db.catalog.get_memory(victim), codec)
-            ctx.ledger.record_wall_seconds(
-                1, spill_seconds=time.perf_counter() - encode_started,
-                spill_gb=ctx.ledger.size_of(victim))
-            state.blobs[victim] = blob
+        started = time.perf_counter()
+        # a RAM resident that is not durable has its write pending
+        blob = state.writes[victim].blob(ctx.ledger.current_codec(1).name)
+        ctx.ledger.record_wall_seconds(
+            1, spill_seconds=time.perf_counter() - started,
+            spill_gb=ctx.ledger.size_of(victim))
         stored_gb = len(blob) / _GB
         if self._free_rung(ctx, stored_gb, protect):
             db.release_memory(victim)
@@ -388,8 +454,7 @@ class MiniDbBackend(ExecutionBackend):
         # compressed bigger than the whole rung (or everything left in
         # it is protected): pass through — dump the already-encoded
         # blob to disk and walk the accounting down both rungs
-        state.blobs.pop(victim, None)
-        stored_gb = self._dump_blob(ctx, victim, blob)
+        stored_gb = self._dump(ctx, victim, blob)
         db.release_memory(victim)
         ctx.ledger.demote(victim, stored_size=0.0)
         ctx.ledger.demote(victim, stored_size=stored_gb)
@@ -403,8 +468,6 @@ class MiniDbBackend(ExecutionBackend):
         actual dump of the victim's blob into the spill directory (or
         nothing, for victims whose durable copy already serves).
         """
-        from repro.errors import CatalogError
-
         state: _MiniDbState = ctx.payload
         db = self.extra["workload"].db
         rung = ctx.ledger.tiers[1].ledger
@@ -414,69 +477,57 @@ class MiniDbBackend(ExecutionBackend):
             victim = ctx.ledger.pick_victim(exclude=protect, tier=1)
             if victim is None:
                 return False
-            blob = state.blobs.pop(victim, None)
             if db.catalog.persisted(victim):
                 stored = 0.0  # durable copy serves readers
-            elif blob is None:
-                raise CatalogError(
-                    f"rung entry {victim!r} has neither a blob nor a "
-                    f"durable copy")
             else:
-                stored = self._dump_blob(ctx, victim, blob)
+                stored = self._dump(ctx, victim,
+                                    self._rung_blob(state, victim))
             ctx.ledger.demote(victim, stored_size=stored)
         return True
 
-    def _dump_table(self, ctx: ExecutionContext, victim: str) -> float:
-        """Dump a RAM-resident table into the spill directory; returns
-        the measured stored GB (0.0 reuses an earlier still-valid copy's
-        size — tables are immutable)."""
-        from repro.db import storage_format
+    @staticmethod
+    def _rung_blob(state: _MiniDbState, name: str) -> bytes:
+        """The bytes of rung entry ``name``: its pending drain's blob."""
+        drain = state.writes.get(name)
+        blob = drain.encoded if drain is not None else None
+        if blob is None:
+            raise CatalogError(
+                f"rung entry {name!r} has neither a blob nor a durable "
+                f"copy")
+        return blob
 
+    def _dump(self, ctx: ExecutionContext, victim: str,
+              blob: bytes | None = None) -> float:
+        """Put ``victim`` into the spill directory; returns the measured
+        stored GB (an earlier still-valid copy is reused — tables are
+        immutable).
+
+        ``blob`` is a rung entry's bytes, written verbatim.  Without it
+        the victim is RAM-resident: streamed raw when the disk tier's
+        *current* codec (mid-run adaptation may have dropped the
+        configured one) is ``none``, else written as its blob — the one
+        its drain encoded, or one encoded here for the drain to reuse.
+        """
         state: _MiniDbState = ctx.payload
-        db = self.extra["workload"].db
         if victim in state.spill_files:
             return storage_format.on_disk_size(
                 state.spill_dir, victim) / _GB
-        # mid-run adaptation may have dropped the codec: consult the
-        # disk tier's *current* codec, not the configured preset
-        codec = ctx.ledger.current_codec(state.device_tier).name
-        table = db.catalog.get_memory(victim)
         started = time.perf_counter()
-        if codec in ("zlib1", "columnar"):
-            stored = storage_format.write_table(
-                table, state.spill_dir, victim, codec=codec)
+        codec = ctx.ledger.current_codec(state.device_tier).name
+        if blob is not None:
+            payload: Table | bytes = blob
+        elif codec == "none":
+            payload = self.extra["workload"].db.catalog.get_memory(victim)
         else:
-            stored = storage_format.write_table(
-                table, state.spill_dir, victim,
-                compress=codec != "none")
+            payload = state.writes[victim].blob(codec)
+        stored = storage_format.write_table(payload, state.spill_dir,
+                                            victim, codec=codec)
         ctx.ledger.record_wall_seconds(
             state.device_tier,
             spill_seconds=time.perf_counter() - started,
             spill_gb=ctx.ledger.size_of(victim))
         state.spill_files.add(victim)
         return stored / _GB
-
-    def _dump_blob(self, ctx: ExecutionContext, victim: str,
-                   blob: bytes) -> float:
-        """Write an already-encoded rung blob into the spill directory
-        verbatim (the blob format is self-describing, so ``read_table``
-        sniffs it back); returns the measured stored GB."""
-        from repro.db import storage_format
-
-        state: _MiniDbState = ctx.payload
-        if victim in state.spill_files:  # immutable: earlier copy valid
-            return storage_format.on_disk_size(
-                state.spill_dir, victim) / _GB
-        started = time.perf_counter()
-        path = storage_format.table_path(state.spill_dir, victim)
-        with open(path, "wb") as handle:
-            handle.write(blob)
-        ctx.ledger.record_wall_seconds(
-            state.device_tier,
-            spill_seconds=time.perf_counter() - started,
-            spill_gb=ctx.ledger.size_of(victim))
-        state.spill_files.add(victim)
-        return len(blob) / _GB
 
     def _stage_spilled_parents(self, ctx: ExecutionContext, node_id: str,
                                trace: NodeTrace) -> None:
@@ -488,10 +539,8 @@ class MiniDbBackend(ExecutionBackend):
         consumer actually needed the rows.  A parent that exists only in
         the spill directory is read back and promoted into RAM (spilling
         other victims to make room); when even that is impossible, the
-        parent's background write is joined so a durable copy exists.
+        parent's background write is waited for so a durable copy exists.
         """
-        from repro.db import columnar_codec, storage_format
-
         state: _MiniDbState = ctx.payload
         db = self.extra["workload"].db
         protect = frozenset(ctx.graph.parents(node_id))
@@ -505,11 +554,13 @@ class MiniDbBackend(ExecutionBackend):
             # covers only the read-back and re-admission below
             if self._reclaim(ctx, ctx.ledger.size_of(parent), trace,
                              protect=protect):
+                if db.catalog.persisted(parent):
+                    continue  # its write drained while room was made
                 started = time.perf_counter()
-                blob = state.blobs.get(parent) if tier == 1 and \
-                    state.ram_rung_gb > 0 else None
-                if blob is not None:  # rung-resident: lazy in-RAM decode
-                    table = columnar_codec.decode_table(blob)
+                if tier == 1 and state.ram_rung_gb > 0:
+                    # rung-resident: lazy in-RAM decode
+                    table = columnar_codec.decode_table(
+                        self._rung_blob(state, parent))
                 else:
                     table = storage_format.read_table(state.spill_dir,
                                                       parent)
@@ -520,9 +571,7 @@ class MiniDbBackend(ExecutionBackend):
                     tier, read_seconds=elapsed,
                     read_gb=ctx.ledger.size_of(parent))
                 trace.promote_read += elapsed
-            else:
-                write = state.writes.get(parent)
-                if write is not None:  # wait for the durable copy
-                    started = time.perf_counter()
-                    write.thread.join()
-                    trace.stall += time.perf_counter() - started
+            else:  # wait for the durable copy
+                started = time.perf_counter()
+                self.materialize(ctx, parent)
+                trace.stall += time.perf_counter() - started

@@ -1,10 +1,12 @@
 """Tests for the on-disk format, catalog, and the real plan runner."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.core.plan import Plan
-from repro.db import storage_format
+from repro.db import columnar_codec, storage_format
 from repro.db.catalog import DatabaseCatalog
 from repro.db.engine import MiniDB, MvDefinition, SqlWorkload
 from repro.db.table import Table
@@ -30,11 +32,74 @@ class TestStorageFormat:
 
     def test_compression_shrinks(self, tmp_path):
         compressible = Table({"a": np.zeros(100_000, dtype=np.int64)})
-        compressed = storage_format.write_table(
-            compressible, str(tmp_path), "c", compress=True)
         raw = storage_format.write_table(
-            compressible, str(tmp_path), "r", compress=False)
-        assert compressed < raw / 10
+            compressible, str(tmp_path), "r", codec="none")
+        assert raw >= compressible.nbytes
+        for codec in ("zlib", "zlib1", "columnar"):
+            compressed = storage_format.write_table(
+                compressible, str(tmp_path), "c", codec=codec)
+            assert compressed < raw / 10, codec
+        # the warehouse default compresses too
+        assert storage_format.write_table(
+            compressible, str(tmp_path), "d") < raw / 10
+
+    def test_an_encoded_blob_is_written_verbatim(self, tmp_path, table):
+        blob = columnar_codec.encode_table(table, "zlib1")
+        size = storage_format.write_table(blob, str(tmp_path), "t")
+        assert size == len(blob)
+        with open(storage_format.table_path(str(tmp_path), "t"),
+                  "rb") as handle:
+            assert handle.read() == blob
+        assert storage_format.read_table(str(tmp_path), "t").equals(table)
+
+    def test_no_temporary_file_is_left(self, tmp_path, table):
+        storage_format.write_table(table, str(tmp_path), "t")
+        assert os.listdir(tmp_path) == [
+            os.path.basename(storage_format.table_path(str(tmp_path), "t"))]
+
+    def test_failed_write_keeps_the_old_file_whole(self, tmp_path, table,
+                                                   monkeypatch):
+        storage_format.write_table(table, str(tmp_path), "t")
+
+        def no_space(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(storage_format.os, "replace", no_space)
+        with pytest.raises(ExecutionError, match="failed to write"):
+            storage_format.write_table(table.take(np.arange(10)),
+                                       str(tmp_path), "t")
+        monkeypatch.undo()
+        assert len(os.listdir(tmp_path)) == 1      # no .tmp left
+        assert storage_format.read_table(str(tmp_path), "t").equals(table)
+
+    @pytest.mark.parametrize("codec", ["none", "zlib", "columnar"])
+    def test_truncated_or_corrupt_file_is_an_execution_error(
+            self, tmp_path, table, codec):
+        storage_format.write_table(table, str(tmp_path), "t", codec=codec)
+        path = storage_format.table_path(str(tmp_path), "t")
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        header_end = 8 + int.from_bytes(blob[4:8], "big")
+        damaged = {
+            "empty": b"",
+            "magic only": blob[:4],
+            "half a header": blob[:header_end // 2],
+            "header only": blob[:header_end],
+            "half the payload": blob[:(header_end + len(blob)) // 2],
+            "one byte short": blob[:-1],
+            "garbled header": blob[:8] + b"\xff" * 8 + blob[16:],
+            "garbled payload": blob[:header_end] + bytes(
+                b ^ 0x5A for b in blob[header_end:]),
+        }
+        if codec == "none":     # raw bytes carry no redundancy to garble
+            del damaged["garbled payload"]
+        for what, data in damaged.items():
+            with open(path, "wb") as handle:
+                handle.write(data)
+            with pytest.raises(ExecutionError):
+                storage_format.read_table(str(tmp_path), "t")
+            with pytest.raises(ExecutionError):
+                columnar_codec.decode_table(data)
 
     def test_missing_table(self, tmp_path):
         with pytest.raises(ExecutionError):
@@ -66,6 +131,17 @@ class TestDatabaseCatalog:
         storage_format.write_table(table, str(tmp_path), "preexisting")
         catalog = DatabaseCatalog(str(tmp_path))
         assert catalog.persisted("preexisting")
+
+    def test_stale_temporary_files_are_not_tables(self, tmp_path, table):
+        """What an interrupted write left behind is removed, not adopted
+        as a persisted table."""
+        storage_format.write_table(table, str(tmp_path), "whole")
+        torn = tmp_path / "torn.tmp"
+        torn.write_bytes(columnar_codec.encode_table(table)[:100])
+        catalog = DatabaseCatalog(str(tmp_path))
+        assert catalog.tables() == ["whole"]
+        assert not torn.exists()
+        assert catalog.load_persisted("whole").equals(table)
 
     def test_errors(self, tmp_path, table):
         catalog = DatabaseCatalog(str(tmp_path))
