@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.db import storage_format
+from repro.db.columnar_codec import BlobHeader
 from repro.db.table import Table
 from repro.errors import CatalogError
 
@@ -69,10 +71,33 @@ class DatabaseCatalog:
         self._persisted.add(name)
         return size
 
-    def load_persisted(self, name: str) -> Table:
+    def load_persisted(self, name: str,
+                       columns: Sequence[str] | None = None) -> Table:
+        """Decode a persisted table, or only ``columns`` of it."""
+        self._require_persisted(name)
+        return storage_format.read_table(self.directory, name, columns)
+
+    def _require_persisted(self, name: str) -> None:
         if name not in self._persisted:
             raise CatalogError(f"table {name!r} not persisted")
-        return storage_format.read_table(self.directory, name)
+
+    # ------------------------------------------------------------------
+    # What a reader can learn without decoding a column: a resident
+    # answers from the live Table, a persisted table from its blob header.
+    def _header(self, name: str) -> BlobHeader:
+        self._require_persisted(name)
+        return storage_format.read_header(self.directory, name)
+
+    def column_names(self, name: str) -> list[str]:
+        if name in self._memory:
+            return self._memory[name].column_names
+        return list(self._header(name).column_names)
+
+    def decoded_bytes(self, name: str) -> int:
+        """``Table.nbytes`` of the table wherever it lives."""
+        if name in self._memory:
+            return self._memory[name].nbytes
+        return self._header(name).decoded_nbytes
 
     def drop(self, name: str) -> None:
         """Remove a table from both catalogs (missing is fine)."""

@@ -41,6 +41,9 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +52,9 @@ from repro.errors import ExecutionError, ValidationError
 
 #: Blob magic: "repro columnar blob, format 1".
 MAGIC = b"RCB1"
+
+#: Bytes before the JSON header: the magic and the header's length word.
+HEADER_PREFIX = len(MAGIC) + 4
 
 _LEVELS = {"none": None, "zlib": 6, "zlib1": 1, "columnar": 1}
 
@@ -175,43 +181,104 @@ def encode_table(table: Table, codec: str = "zlib1") -> bytes:
     return b"".join(encode_chunks(table, codec))
 
 
-def decode_table(blob: bytes) -> Table:
-    """Inverse of :func:`encode_table`.
-
-    Raises :class:`ExecutionError` for anything that is not a complete,
-    well-formed blob (bad magic, truncated, corrupt header or payload).
-    """
-    if not is_blob(blob):
-        raise ExecutionError("not a columnar blob (bad magic)")
+@contextmanager
+def _corruption_as_execution_error():
+    """Whatever a damaged blob makes the parser raise is one error."""
     try:
-        return _decode(memoryview(blob))
+        yield
     except (struct.error, zlib.error, ValueError, KeyError, TypeError,
             IndexError, ValidationError) as exc:
         raise ExecutionError(
             f"corrupt or truncated columnar blob: {exc!r}") from exc
 
 
-def _decode(blob: memoryview) -> Table:
-    offset = len(MAGIC)
-    (meta_len,) = struct.unpack_from(">I", blob, offset)
-    offset += 4
-    header = json.loads(bytes(blob[offset:offset + meta_len]))
-    offset += meta_len
-    codec = header["codec"]
-    if codec not in _LEVELS:
-        raise ExecutionError(f"blob written with unknown codec {codec!r}")
-    columns: dict[str, np.ndarray] = {}
-    for entry in header["columns"]:
+@dataclass(frozen=True)
+class BlobHeader:
+    """What a blob says about its table before any column is decoded."""
+
+    codec: str
+    length: int                     # rows
+    columns: tuple[dict, ...]       # name, dtype, encoding, chunk lengths
+    column_names: tuple[str, ...]   # in stored order
+    decoded_nbytes: int             # ``Table.nbytes`` of the decoded table
+    size: int                       # header bytes; the payload starts here
+
+
+def header_size(prefix: bytes) -> int:
+    """Bytes the header occupies (magic and length word included), from
+    the blob's first :data:`HEADER_PREFIX` bytes — what a reader needs to
+    fetch a file's header without its payload."""
+    if not is_blob(prefix):
+        raise ExecutionError("not a columnar blob (bad magic)")
+    with _corruption_as_execution_error():
+        (meta_len,) = struct.unpack_from(">I", prefix, len(MAGIC))
+    return HEADER_PREFIX + meta_len
+
+
+def read_header(blob: bytes) -> BlobHeader:
+    """Parse a blob's header; needs only its first :func:`header_size`
+    bytes.  A header that is short, garbled or names an unknown codec is
+    an :class:`ExecutionError`."""
+    size = header_size(blob)
+    with _corruption_as_execution_error():
+        if size > len(blob):
+            raise ValueError("header is short")
+        meta = json.loads(bytes(blob[HEADER_PREFIX:size]))
+        if meta["codec"] not in _LEVELS:
+            raise ExecutionError(
+                f"blob written with unknown codec {meta['codec']!r}")
+        columns = tuple(meta["columns"])
+        if not columns:
+            raise ValueError("header lists no columns")
+        return BlobHeader(
+            codec=meta["codec"], length=meta["length"], columns=columns,
+            column_names=tuple(entry["name"] for entry in columns),
+            decoded_nbytes=meta["length"] * sum(
+                np.dtype(entry["dtype"]).itemsize for entry in columns),
+            size=size)
+
+
+def decode_table(blob: bytes, columns: Sequence[str] | None = None) -> Table:
+    """Inverse of :func:`encode_table`; with ``columns``, of its
+    restriction to those columns (in the order given).
+
+    Columns that are not asked for are neither inflated nor decoded —
+    their chunks are stepped over by the lengths the header records, so
+    a blob that ends early is still caught.  Raises
+    :class:`ExecutionError` for anything that is not a complete,
+    well-formed blob (bad magic, truncated, corrupt header or payload)
+    and :class:`ValidationError` for a column the blob does not have.
+    """
+    header = read_header(blob)
+    if columns is None:
+        columns = header.column_names
+    wanted = set(columns)
+    if not wanted <= set(header.column_names):
+        raise ValidationError(
+            f"unknown columns {sorted(wanted.difference(header.column_names))}"
+            f"; available: {list(header.column_names)}")
+    with _corruption_as_execution_error():
+        decoded = _decode_payload(memoryview(blob), header, wanted)
+    return Table({name: decoded[name] for name in columns})
+
+
+def _decode_payload(blob: memoryview, header: BlobHeader,
+                    wanted: set[str]) -> dict[str, np.ndarray]:
+    offset = header.size
+    decoded: dict[str, np.ndarray] = {}
+    for entry in header.columns:
         chunks = []
         for length in entry["lengths"]:
             chunks.append(blob[offset:offset + length])
             offset += length
         if offset > len(blob):
             raise ValueError(f"payload of column {entry['name']!r} is short")
-        column = _decode_column(entry, chunks, codec)
-        if len(column) != header["length"]:
+        if entry["name"] not in wanted:
+            continue
+        column = _decode_column(entry, chunks, header.codec)
+        if len(column) != header.length:
             raise ValueError(
                 f"column {entry['name']!r} decodes to {len(column)} rows, "
-                f"header says {header['length']}")
-        columns[entry["name"]] = column
-    return Table(columns)
+                f"header says {header.length}")
+        decoded[entry["name"]] = column
+    return decoded

@@ -9,6 +9,12 @@ result — with real wall clocks around real numpy/zlib work.
 the dependency DAG from their FROM/JOIN clauses, and (after a profiling
 run) annotates that DAG with observed sizes and timings — the execution
 metadata S/C's optimizer consumes (paper §III-A).
+
+A statement text is parsed once (:func:`_parsed`) and bound against the
+schemas of the tables it names before any of them is read
+(:mod:`repro.db.planner`); building the DAG reads base-table sizes from
+blob headers. So a refresh decodes a table only inside a query that
+reads it, and then only the columns that query uses.
 """
 
 # repro-lint: file-disable=REP001 -- MiniDB times real numpy/zlib phase work; nothing here runs on the simulated clock
@@ -17,10 +23,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Sequence
 
 from repro.db.catalog import DatabaseCatalog
-from repro.db.planner import execute_select, referenced_tables
-from repro.db.sql import parse_select
+from repro.db.planner import execute_select
+from repro.db.sql import SelectStatement, parse_select
 from repro.db.table import Table
 from repro.errors import CatalogError, WorkloadError
 from repro.graph.dag import DependencyGraph
@@ -31,7 +39,12 @@ _GB = 1024.0 ** 3
 
 @dataclass
 class StatementTiming:
-    """Measured phases of one statement (seconds / bytes)."""
+    """Measured phases of one statement (seconds / bytes).
+
+    ``bytes_read_disk`` / ``bytes_read_memory`` count the columns the
+    statement read — a bound plan decodes only those — not the full
+    size of the tables it names.
+    """
 
     name: str
     read_seconds: float = 0.0
@@ -45,6 +58,50 @@ class StatementTiming:
     @property
     def total_seconds(self) -> float:
         return self.read_seconds + self.compute_seconds + self.write_seconds
+
+
+@lru_cache(maxsize=512)
+def _parsed(sql: str) -> SelectStatement:
+    """``parse_select``, once per statement text: a refresh runs the same
+    definitions over and over, and nothing mutates the AST."""
+    return parse_select(sql)
+
+
+class _TimedSource:
+    """The catalog as one statement's :class:`~repro.db.planner.TableSource`,
+    charging what the statement reads to its ``timing``.
+
+    A resident table is read in place (its schema from the live table,
+    a scan a zero-copy ``select``); a persisted one is opened twice, for
+    its blob header when the statement is bound and for the columns the
+    bound plan asks for when it runs.  Both are read time, and the bytes
+    counted are those of the columns read, not of the whole table.
+    """
+
+    def __init__(self, catalog: DatabaseCatalog, timing: StatementTiming):
+        self.catalog = catalog
+        self.timing = timing
+
+    def _timed_read(self, read, *args):
+        started = time.perf_counter()
+        try:
+            return read(*args)
+        finally:
+            self.timing.read_seconds += time.perf_counter() - started
+
+    def column_names(self, name: str) -> Sequence[str]:
+        if self.catalog.in_memory(name):
+            return self.catalog.column_names(name)
+        return self._timed_read(self.catalog.column_names, name)
+
+    def scan(self, name: str, columns: Sequence[str]) -> Table:
+        if self.catalog.in_memory(name):
+            table = self.catalog.get_memory(name).select(columns)
+            self.timing.bytes_read_memory += table.nbytes
+            return table
+        table = self._timed_read(self.catalog.load_persisted, name, columns)
+        self.timing.bytes_read_disk += table.nbytes
+        return table
 
 
 class MiniDB:
@@ -62,30 +119,15 @@ class MiniDB:
         else:
             self.catalog.put_memory(name, table)
 
-    def _timed_resolver(self, timing: StatementTiming):
-        """Table resolver that charges read time/bytes to ``timing``."""
-        def resolve(name: str) -> Table:
-            if self.catalog.in_memory(name):
-                table = self.catalog.get_memory(name)
-                timing.bytes_read_memory += table.nbytes
-                return table
-            started = time.perf_counter()
-            table = self.catalog.load_persisted(name)
-            timing.read_seconds += time.perf_counter() - started
-            timing.bytes_read_disk += table.nbytes
-            return table
-
-        return resolve
-
     # ------------------------------------------------------------------
     def query(self, sql: str) -> tuple[Table, StatementTiming]:
         """Run a SELECT; returns the result and its timing breakdown."""
         timing = StatementTiming(name="<query>")
-        statement = parse_select(sql)
-        resolver = self._timed_resolver(timing)
+        statement = _parsed(sql)
+        source = _TimedSource(self.catalog, timing)
         started = time.perf_counter()
-        result = execute_select(statement, resolver)
-        # The resolver's read time is folded into the same window; subtract
+        result = execute_select(statement, source)
+        # The source's read time is folded into the same window; subtract
         # it so compute measures operator work only.
         timing.compute_seconds = (time.perf_counter() - started
                                   - timing.read_seconds)
@@ -173,7 +215,7 @@ class SqlWorkload:
         for definition in self.definitions:
             graph.add_node(definition.name, sql=definition.sql)
         for definition in self.definitions:
-            for source in referenced_tables(definition.sql):
+            for source in _parsed(definition.sql).referenced_tables():
                 if source in mv_names:
                     if source == definition.name:
                         raise WorkloadError(
@@ -194,9 +236,11 @@ class SqlWorkload:
             node = graph.node(definition.name)
             node.size = timing.output_bytes / _GB
             node.compute_time = timing.compute_seconds
+            # the table's full decoded size, whatever the statement
+            # reads of it — from the blob header, nothing is decoded
             base_bytes = sum(
-                self.db.table(t).nbytes
-                for t in referenced_tables(definition.sql)
+                self.db.catalog.decoded_bytes(t)
+                for t in _parsed(definition.sql).referenced_tables()
                 if t not in mv_names)
             node.meta["base_input_gb"] = base_bytes / _GB
 

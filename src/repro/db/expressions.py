@@ -20,6 +20,17 @@ class Expr:
     """Base class for scalar expressions."""
 
     def evaluate(self, table: Table) -> np.ndarray:
+        """One value per row of ``table``."""
+        values = self.broadcast(table)
+        return values if values.ndim else np.full(len(table), values)
+
+    def broadcast(self, table: Table) -> np.ndarray:
+        """:meth:`evaluate`, except that a subtree made of literals only
+        stays the 0-d value NumPy broadcasts — ``col > 40`` compares
+        against one scalar, not against a column of 40s.  The 0-d value
+        carries the dtype ``np.full`` would give the column (NumPy
+        scalars and 0-d arrays promote by dtype, like arrays), so
+        results are the same arrays either way."""
         raise NotImplementedError
 
     def columns(self) -> set[str]:
@@ -34,7 +45,7 @@ class Col(Expr):
     name: str
     qualifier: str | None = None
 
-    def evaluate(self, table: Table) -> np.ndarray:
+    def broadcast(self, table: Table) -> np.ndarray:
         return table[self.name]
 
     def columns(self) -> set[str]:
@@ -50,8 +61,8 @@ class Lit(Expr):
 
     value: object
 
-    def evaluate(self, table: Table) -> np.ndarray:
-        return np.full(len(table), self.value)
+    def broadcast(self, table: Table) -> np.ndarray:
+        return np.asarray(self.value)
 
     def columns(self) -> set[str]:
         return set()
@@ -87,9 +98,9 @@ class BinOp(Expr):
                 and self.op not in _BOOL):
             raise ValidationError(f"unknown operator {self.op!r}")
 
-    def evaluate(self, table: Table) -> np.ndarray:
-        left = self.left.evaluate(table)
-        right = self.right.evaluate(table)
+    def broadcast(self, table: Table) -> np.ndarray:
+        left = self.left.broadcast(table)
+        right = self.right.broadcast(table)
         if self.op in _ARITH:
             func = _ARITH[self.op]
         elif self.op in _COMPARE:
@@ -111,8 +122,8 @@ class Not(Expr):
 
     operand: Expr
 
-    def evaluate(self, table: Table) -> np.ndarray:
-        values = self.operand.evaluate(table)
+    def broadcast(self, table: Table) -> np.ndarray:
+        values = self.operand.broadcast(table)
         if values.dtype != np.bool_:
             raise SqlError("NOT requires a boolean operand")
         return np.logical_not(values)

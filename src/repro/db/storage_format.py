@@ -18,6 +18,8 @@ leftovers of an interrupted write.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from typing import Sequence
 
 from repro.db import columnar_codec
 from repro.db.table import Table
@@ -56,21 +58,37 @@ def write_table(table: Table | bytes, directory: str, name: str,
     return os.path.getsize(path)
 
 
-def read_table(directory: str, name: str) -> Table:
-    """Load a persisted table fully into memory."""
+@contextmanager
+def _reading(directory: str, name: str):
+    """Open a persisted table's file; what goes wrong while it is read
+    or decoded is an :class:`ExecutionError` naming the table."""
     path = table_path(directory, name)
     if not os.path.exists(path):
         raise ExecutionError(f"no persisted table {name!r} at {path}")
     try:
         with open(path, "rb") as handle:
-            blob = handle.read()
+            yield handle
     except OSError as exc:
         raise ExecutionError(f"failed to read table {name!r}: {exc}") \
             from exc
-    try:
-        return columnar_codec.decode_table(blob)
     except ExecutionError as exc:
         raise ExecutionError(f"table {name!r} at {path}: {exc}") from exc
+
+
+def read_header(directory: str, name: str) -> columnar_codec.BlobHeader:
+    """Schema, row count and decoded size of a persisted table, from the
+    head of its file — no column is fetched or decoded."""
+    with _reading(directory, name) as handle:
+        prefix = handle.read(columnar_codec.HEADER_PREFIX)
+        rest = columnar_codec.header_size(prefix) - len(prefix)
+        return columnar_codec.read_header(prefix + handle.read(rest))
+
+
+def read_table(directory: str, name: str,
+               columns: Sequence[str] | None = None) -> Table:
+    """Load a persisted table — or just ``columns`` of it — into memory."""
+    with _reading(directory, name) as handle:
+        return columnar_codec.decode_table(handle.read(), columns)
 
 
 def stored_tables(directory: str) -> set[str]:

@@ -16,6 +16,12 @@ from repro.graph.dag import DependencyGraph
 # .hypothesis/ example database left behind by an earlier run.
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
+# The opposite trade, for CI's seeded random-invariants matrix
+# (`pytest --hypothesis-profile=fuzz --hypothesis-seed=N <files>`): many
+# examples, drawn from the seed.  Tests that fix no `max_examples` of
+# their own (tests/test_select_parity.py) take their budget from here.
+settings.register_profile("fuzz", max_examples=1500, derandomize=False,
+                          database=None)
 
 
 def pytest_configure(config):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.db.engine import MiniDB, MvDefinition, SqlWorkload
-from repro.db.planner import execute_sql, referenced_tables
+from repro.db.planner import WholeTables, execute_sql, referenced_tables
 from repro.db.table import Table
 from repro.errors import CatalogError, PlanningError, WorkloadError
 
@@ -26,7 +26,7 @@ def db(tmp_path) -> MiniDB:
 
 
 def resolver_for(db):
-    return lambda name: db.table(name)
+    return WholeTables(db.table)
 
 
 class TestPlanner:
