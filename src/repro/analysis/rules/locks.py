@@ -59,7 +59,7 @@ class LockDisciplineRule(Rule):
                "self._lock:` or `# lint: locked` helpers")
     explanation = """\
 `MemoryLedger`, `TieredLedger`, and their subclasses share mutable
-accounting state (`_entries`, `_usage`, `_reserved`, tier telemetry…)
+accounting state (`_entries`, `_usage`, `_reserved`, tier routing…)
 across scheduler worker threads; every invariant the fuzz harness
 checks at runtime assumes those fields only change under `self._lock`.
 This rule is the static half of that contract:
@@ -73,9 +73,7 @@ This rule is the static half of that contract:
   itself inside a locked scope or another `# lint: locked` helper.
 
 `__init__` is exempt (no concurrent access before construction
-completes).  Known lexical blind spot: aliasing state into a local
-(`t = self._telemetry[i]; t.x += 1`) is invisible to the checker —
-don't do that outside the lock.
+completes).
 
 Fix: wrap the write in `with self._lock:`, or mark the helper
 `# lint: locked` and fix any unlocked call site the checker reports.

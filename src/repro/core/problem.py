@@ -31,20 +31,6 @@ if TYPE_CHECKING:  # annotation-only; importing repro.metadata here would
     from repro.store.config import SpillConfig
 
 
-def warehouse_ram_gain(profile: "DeviceProfile") -> float:
-    """Seconds one flagged GB in RAM saves versus the warehouse path.
-
-    The blocking write + codec read a flag avoids, minus the in-memory
-    create and read it costs instead — the yardstick every spill tier's
-    round-trip penalty is discounted against, both for modeled budgets
-    (:meth:`TierAwareBudget.from_spill`) and observed-cost feedback
-    budgets (:meth:`TierAwareBudget.from_observations`).
-    """
-    return (1.0 / profile.effective_write_bandwidth
-            + 1.0 / profile.effective_read_bandwidth
-            - 2.0 / profile.memory_bandwidth)
-
-
 @dataclass(frozen=True)
 class TierCapacity:
     """One spill tier as the *planner* sees it.
@@ -100,7 +86,9 @@ class TierAwareBudget:
     the warehouse path (blocking write + codec read, minus the in-memory
     create and read).  A tier whose round trip costs as much as the
     warehouse contributes nothing; a near-free tier contributes almost
-    its full capacity.
+    its full capacity.  Both figures come from
+    :mod:`repro.store.pricing`, the functions the runtime ledger bills
+    through, so a plan and its run price a tier alike.
 
     Attributes:
         ram: the RAM (Memory Catalog) budget, in GB.
@@ -174,10 +162,11 @@ class TierAwareBudget:
             A budget whose discounts reflect observed reality where it
             was measured and the model everywhere else.
         """
+        # imported here: both packages import repro.core on their way in
         from repro.metadata.costmodel import DeviceProfile
+        from repro.store import pricing
 
-        profile = profile or DeviceProfile()
-        ram_gain = warehouse_ram_gain(profile)
+        ram_gain = pricing.warehouse_ram_gain(profile or DeviceProfile())
         observations = observations or {}
         tiers = []
         for spec in spill.tiers:
@@ -193,14 +182,10 @@ class TierAwareBudget:
             # preset-ratio transfer pricing
             write_leg = observed.get("spill_write_seconds_per_gb")
             if write_leg is None:
-                write_leg = (1.0 / device.effective_write_bandwidth
-                             / ratio
-                             + codec.encode_seconds_per_gb)
+                write_leg = pricing.write_leg_per_gb(device, codec, ratio)
             read_leg = observed.get("promote_read_seconds_per_gb")
             if read_leg is None:
-                read_leg = (1.0 / device.effective_read_bandwidth
-                            / ratio
-                            + codec.decode_seconds_per_gb)
+                read_leg = pricing.read_leg_per_gb(device, codec, ratio)
             penalty = write_leg + read_leg
             discount = (max(0.0, 1.0 - penalty / ram_gain)
                         if ram_gain > 0 else 0.0)

@@ -101,12 +101,17 @@ class CatalogError(ExecutionError):
 
 
 class BudgetExceededError(CatalogError):
-    """An insert would push the Memory Catalog above its configured size."""
+    """An insert would push the Memory Catalog above its configured size.
+
+    ``charges`` holds the demotions a tiered ledger made trying to find
+    the room before it gave up — they happened, so callers bill them.
+    """
 
     def __init__(self, message: str, requested: float, available: float):
         super().__init__(message)
         self.requested = requested
         self.available = available
+        self.charges: list = []
 
 
 class SqlError(ReproError):

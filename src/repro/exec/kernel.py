@@ -38,9 +38,10 @@ function can be shared (the service hands every request the same three
 and a request-scoped key), the lost-flag set is per run.
 
 :func:`finish_run` is the one run epilogue (tiered-store report,
-``run-finish`` event, metrics merge, :class:`RunTrace`).  MiniDB shares
-only that: it *measures* real bytes moved by real threads where the
-kernel *charges* a model, so the two lifecycles share no logic.
+``run-finish`` event, store counters published, :class:`RunTrace`).
+MiniDB shares that and the ledger's eviction path: it *measures* real
+bytes moved by real threads where the kernel *charges* a model, so the
+two per-node lifecycles share no logic.
 """
 
 from __future__ import annotations
@@ -83,9 +84,9 @@ def finish_run(ledger: MemoryLedger, bus: EventBus, nodes: list[NodeTrace],
                           "compute_finished_at": compute_finished,
                           "background_drained_at": drained,
                           **event_args})
-        ledger_metrics = getattr(ledger, "metrics", None)
-        if ledger_metrics is not None:
-            bus.metrics.merge(ledger_metrics)
+        stats = getattr(ledger, "stats", None)
+        if stats is not None:
+            stats.publish(bus.metrics)
     return RunTrace(
         nodes=nodes,
         end_to_end_time=end_to_end,
@@ -391,7 +392,7 @@ class NodeKernel:
                 key, size, n_consumers=self.graph.out_degree(node_id),
                 materialization_pending=True, now=clock)
         except BudgetExceededError as exc:
-            for charge in getattr(exc, "charges", []):
+            for charge in exc.charges:
                 trace.spill_write += charge.seconds
                 clock += charge.seconds
             if raise_on_overflow:

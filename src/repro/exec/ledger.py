@@ -278,11 +278,9 @@ class MemoryLedger:
             return self._maybe_release(node_id)
 
     def force_release(self, node_id: str) -> None:
-        """Unconditional eviction (end-of-run cleanup)."""
-        with self._lock:
-            entry = self._require(node_id)
-            self._usage -= entry.size
-            del self._entries[node_id]
+        """Unconditional eviction (end-of-run cleanup): a :meth:`detach`
+        whose release-protocol state nobody picks up."""
+        self.detach(node_id)
 
     # ------------------------------------------------------------------
     # tier migration (see repro.store.tiered)

@@ -14,9 +14,14 @@ is observed from the *controller thread* (pool threads only encode and
 write bytes), so all ledger and memory-catalog mutations stay
 single-threaded; a drain that failed fails the run at the next reap with
 an :class:`~repro.errors.ExecutionError` naming the MV, before anything
-is evicted.  This lifecycle is deliberately its own — it *measures* real
-bytes where :class:`~repro.exec.kernel.NodeKernel` *charges* a model —
-and shares only the kernel's run epilogue.
+is evicted.  The per-node lifecycle is deliberately its own — it
+*measures* real bytes where :class:`~repro.exec.kernel.NodeKernel`
+*charges* a model — and shares the kernel's run epilogue; *eviction* is
+not: which victim leaves RAM, what has to cascade out of its way and
+where the accounting lands is the ledger's one eviction path
+(:meth:`~repro.store.tiered.TieredLedger.demote_victim`), and this
+backend only moves the bytes it is asked to (:meth:`MiniDbBackend.
+_move_bytes`, the ledger's ``Mover``).
 
 Warehouse, spill directory and in-memory rung all hold the one table
 format (the self-describing blob of :mod:`repro.db.columnar_codec`), and
@@ -67,6 +72,7 @@ loop exactly like simulated charges.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
@@ -145,16 +151,13 @@ class _MiniDbState:
     evicted: set[str] = field(default_factory=set)
     spill_dir: str | None = None
     spill_files: set[str] = field(default_factory=set)
-    # compressed-in-RAM rung (ram_compressed_gb extra); a rung entry's
-    # bytes are its drain's blob, which outlives a promotion back to RAM
-    # — tables are immutable, so a re-spill reuses it without
-    # re-encoding (the in-memory twin of the spill_files reuse rule)
-    ram_rung_gb: float = 0.0
-
-    @property
-    def device_tier(self) -> int:
-        """Ledger index of the on-disk spill tier."""
-        return 2 if self.ram_rung_gb > 0 else 1
+    # ledger index of the on-disk spill tier: 2 when the compressed-in-
+    # RAM rung (ram_compressed_gb extra) sits above it as tier 1.  A
+    # rung entry's bytes are its drain's blob, which outlives a
+    # promotion back to RAM — tables are immutable, so a re-spill reuses
+    # it without re-encoding (the in-memory twin of the spill_files
+    # reuse rule)
+    device_tier: int = 1
 
 
 @register_backend
@@ -217,7 +220,7 @@ class MiniDbBackend(ExecutionBackend):
                                     thread_name_prefix="materialize"),
             run_started=time.perf_counter(),
             spill_dir=spill_dir,
-            ram_rung_gb=rung_gb)
+            device_tier=2 if rung_gb > 0 else 1)
         return ExecutionContext(graph=graph, plan=plan,
                                 memory_budget=memory_budget, method=method,
                                 ledger=ledger,
@@ -355,9 +358,12 @@ class MiniDbBackend(ExecutionBackend):
         Returns False (the caller spills to a blocking write) when the
         memory is held by entries that still have outstanding consumers —
         waiting could not free it.  With a spill directory configured the
-        fallback is a *real* spill of a policy-ranked victim instead;
-        ``protect`` names entries that must stay in RAM (the parents of
-        the node currently being staged).
+        fallback is a *real* spill of a policy-ranked victim instead: the
+        ledger selects it, cascades whatever has to make way for it and
+        moves the accounting, :meth:`_move_bytes` moves the bytes — one
+        call, one lock acquisition.  ``protect`` names entries that must
+        stay where they are (the parents of the node currently being
+        staged), in RAM or as cascade victims below it.
         """
         state: _MiniDbState = ctx.payload
         stall_started = time.perf_counter()
@@ -373,13 +379,21 @@ class MiniDbBackend(ExecutionBackend):
             waiting = [d.future for n, d in state.writes.items()
                        if n in ctx.ledger and in_ram(n)
                        and ctx.ledger.consumers_left(n) <= 0]
-            if not waiting:
-                if state.spill_dir and self._spill_one(ctx, trace,
-                                                       protect):
-                    continue
+            if waiting:
+                # the stall ends when the first of them frees its memory
+                wait(waiting, return_when=FIRST_COMPLETED)
+                continue
+            if not state.spill_dir:
                 return False  # outstanding consumers hold the memory
-            # the stall ends when the first of them frees its memory
-            wait(waiting, return_when=FIRST_COMPLETED)
+            spill_started = time.perf_counter()
+            moved = ctx.ledger.demote_victim(
+                exclude=protect,
+                mover=functools.partial(self._move_bytes, ctx))
+            if moved is None:
+                return False  # ... and nothing in RAM may be spilled
+            # the victim's accounting has left RAM: so may its table
+            self.extra["workload"].db.release_memory(moved[0])
+            trace.spill_write += time.perf_counter() - spill_started
         # spill seconds were booked into spill_write; stall is the rest
         trace.stall += max(0.0, time.perf_counter() - stall_started
                            - (trace.spill_write - spilling_before))
@@ -392,98 +406,56 @@ class MiniDbBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # real spill-to-disk (spill_dir configured)
     # ------------------------------------------------------------------
-    def _spill_one(self, ctx: ExecutionContext, trace: NodeTrace,
-                   protect: frozenset = frozenset()) -> bool:
-        """Evict one policy-ranked victim from RAM one rung down.
+    def _move_bytes(self, ctx: ExecutionContext, node_id: str, src: int,
+                    dst: int) -> float:
+        """The ledger's :data:`~repro.store.tiered.Mover`: put
+        ``node_id``'s bytes where tier ``dst`` keeps them and return the
+        *measured* stored GB.
 
         A victim whose background write already drained is free to drop
-        (its durable copy serves later readers; the next tier is charged
-        zero bytes).  Without a ram-compressed rung the victim is dumped
-        into the spill directory — as its blob when the spill codec
-        compresses — and the tier is charged the *measured* on-disk
-        bytes.  With the rung armed the victim's blob stays in memory
-        instead (no file I/O); the rung's own victims are cascaded to
-        disk *first* so the ledger never has to move accounting whose
-        bytes this backend did not move, and a blob the rung can never
-        host (bigger compressed than the whole rung) passes straight
-        through to a disk dump.  Returns False when RAM holds no
-        spillable entry outside ``protect``.
-        """
-        from repro.store.tiered import TieredLedger
+        (its durable copy serves later readers: zero bytes, wherever in
+        the hierarchy the accounting lands), and an earlier still-valid
+        spill file is reused — tables are immutable.
 
+        Into the ram-compressed rung the victim's blob stays in memory,
+        no file I/O: it is encoded only if its drain has not, with the
+        rung's *current* codec (mid-run adaptation may have switched
+        it).  Into the spill directory it is dumped.  With the rung
+        armed it has a blob by then — it sits in the rung, or was just
+        encoded for a rung that could not host it (bigger compressed
+        than the whole rung, or everything left there is protected) and
+        is asked for again one tier down — and that is written verbatim.
+        Otherwise it is RAM-resident: streamed raw when the disk tier's
+        current codec is ``none``, else written as its blob — the one
+        its drain encoded, or one encoded here for the drain to reuse.
+        """
         state: _MiniDbState = ctx.payload
         db = self.extra["workload"].db
-        ledger: TieredLedger = ctx.ledger
-        victim = ledger.pick_victim(exclude=protect)
-        if victim is None:
-            return False
+        if db.catalog.persisted(node_id):
+            return 0.0
+        on_disk = dst == state.device_tier
+        if on_disk and node_id in state.spill_files:
+            return storage_format.on_disk_size(
+                state.spill_dir, node_id) / _GB
         started = time.perf_counter()
-        if db.catalog.persisted(victim):
-            # the durable warehouse copy serves readers: charge nothing,
-            # wherever in the hierarchy the accounting lands
-            db.release_memory(victim)
-            ledger.demote(victim, stored_size=0.0)
-        elif state.ram_rung_gb > 0:
-            self._spill_into_rung(ctx, victim, protect)
+        codec = ctx.ledger.tiers[dst].codec.name
+        if not on_disk:
+            # a RAM resident that is not durable has its write pending
+            stored = len(state.writes[node_id].blob(codec))
         else:
-            stored_gb = self._dump(ctx, victim)
-            db.release_memory(victim)
-            ledger.demote(victim, stored_size=stored_gb)
-        trace.spill_write += time.perf_counter() - started
-        return True
-
-    def _spill_into_rung(self, ctx: ExecutionContext, victim: str,
-                         protect: frozenset) -> None:
-        """Move ``victim``'s blob into the compressed-in-RAM rung (tier
-        1), encoding it only if its drain has not (mid-run adaptation
-        may have switched the rung's codec: encode with the *current*
-        one)."""
-        state: _MiniDbState = ctx.payload
-        db = self.extra["workload"].db
-        started = time.perf_counter()
-        # a RAM resident that is not durable has its write pending
-        blob = state.writes[victim].blob(ctx.ledger.current_codec(1).name)
-        ctx.ledger.record_wall_seconds(
-            1, spill_seconds=time.perf_counter() - started,
-            spill_gb=ctx.ledger.size_of(victim))
-        stored_gb = len(blob) / _GB
-        if self._free_rung(ctx, stored_gb, protect):
-            db.release_memory(victim)
-            ctx.ledger.demote(victim, stored_size=stored_gb)
-            return
-        # compressed bigger than the whole rung (or everything left in
-        # it is protected): pass through — dump the already-encoded
-        # blob to disk and walk the accounting down both rungs
-        stored_gb = self._dump(ctx, victim, blob)
-        db.release_memory(victim)
-        ctx.ledger.demote(victim, stored_size=0.0)
-        ctx.ledger.demote(victim, stored_size=stored_gb)
-
-    def _free_rung(self, ctx: ExecutionContext, stored_gb: float,
-                   protect: frozenset) -> bool:
-        """Cascade rung victims to disk until ``stored_gb`` fits tier 1.
-
-        The real-bytes twin of the ledger's internal ``_make_room``:
-        every accounting demotion out of the rung is preceded by an
-        actual dump of the victim's blob into the spill directory (or
-        nothing, for victims whose durable copy already serves).
-        """
-        state: _MiniDbState = ctx.payload
-        db = self.extra["workload"].db
-        rung = ctx.ledger.tiers[1].ledger
-        if stored_gb > rung.budget:
-            return False
-        while not rung.fits(stored_gb):
-            victim = ctx.ledger.pick_victim(exclude=protect, tier=1)
-            if victim is None:
-                return False
-            if db.catalog.persisted(victim):
-                stored = 0.0  # durable copy serves readers
+            if state.device_tier > 1:
+                payload: Table | bytes = self._rung_blob(state, node_id)
+            elif codec == "none":
+                payload = db.catalog.get_memory(node_id)
             else:
-                stored = self._dump(ctx, victim,
-                                    self._rung_blob(state, victim))
-            ctx.ledger.demote(victim, stored_size=stored)
-        return True
+                payload = state.writes[node_id].blob(codec)
+            stored = storage_format.write_table(payload, state.spill_dir,
+                                                node_id, codec=codec)
+            state.spill_files.add(node_id)
+        ctx.ledger.record_wall_seconds(
+            dst, "spill_in", time.perf_counter() - started,
+            ctx.ledger.size_of(node_id))
+        return stored / _GB
 
     @staticmethod
     def _rung_blob(state: _MiniDbState, name: str) -> bytes:
@@ -495,39 +467,6 @@ class MiniDbBackend(ExecutionBackend):
                 f"rung entry {name!r} has neither a blob nor a durable "
                 f"copy")
         return blob
-
-    def _dump(self, ctx: ExecutionContext, victim: str,
-              blob: bytes | None = None) -> float:
-        """Put ``victim`` into the spill directory; returns the measured
-        stored GB (an earlier still-valid copy is reused — tables are
-        immutable).
-
-        ``blob`` is a rung entry's bytes, written verbatim.  Without it
-        the victim is RAM-resident: streamed raw when the disk tier's
-        *current* codec (mid-run adaptation may have dropped the
-        configured one) is ``none``, else written as its blob — the one
-        its drain encoded, or one encoded here for the drain to reuse.
-        """
-        state: _MiniDbState = ctx.payload
-        if victim in state.spill_files:
-            return storage_format.on_disk_size(
-                state.spill_dir, victim) / _GB
-        started = time.perf_counter()
-        codec = ctx.ledger.current_codec(state.device_tier).name
-        if blob is not None:
-            payload: Table | bytes = blob
-        elif codec == "none":
-            payload = self.extra["workload"].db.catalog.get_memory(victim)
-        else:
-            payload = state.writes[victim].blob(codec)
-        stored = storage_format.write_table(payload, state.spill_dir,
-                                            victim, codec=codec)
-        ctx.ledger.record_wall_seconds(
-            state.device_tier,
-            spill_seconds=time.perf_counter() - started,
-            spill_gb=ctx.ledger.size_of(victim))
-        state.spill_files.add(victim)
-        return stored / _GB
 
     def _stage_spilled_parents(self, ctx: ExecutionContext, node_id: str,
                                trace: NodeTrace) -> None:
@@ -557,7 +496,7 @@ class MiniDbBackend(ExecutionBackend):
                 if db.catalog.persisted(parent):
                     continue  # its write drained while room was made
                 started = time.perf_counter()
-                if tier == 1 and state.ram_rung_gb > 0:
+                if tier != state.device_tier:
                     # rung-resident: lazy in-RAM decode
                     table = columnar_codec.decode_table(
                         self._rung_blob(state, parent))
@@ -568,8 +507,7 @@ class MiniDbBackend(ExecutionBackend):
                 ctx.ledger.promote(parent)
                 elapsed = time.perf_counter() - started
                 ctx.ledger.record_wall_seconds(
-                    tier, read_seconds=elapsed,
-                    read_gb=ctx.ledger.size_of(parent))
+                    tier, "read", elapsed, ctx.ledger.size_of(parent))
                 trace.promote_read += elapsed
             else:  # wait for the durable copy
                 started = time.perf_counter()

@@ -1,16 +1,16 @@
 """Metrics registry: named counters, gauges, and histograms.
 
-The registry is the *backing store* for run counters that previously
-lived as ad-hoc instance attributes — most prominently the
-:class:`~repro.store.tiered.TieredLedger` spill/promote/arbitration
-tallies, which are now registry counters exposed through attribute
-descriptors so ``tier_report()`` (and therefore every serialized trace)
-stays bit-compatible with the pre-registry goldens.
+One registry spans one observed run: it lives on the
+:class:`~repro.obs.events.EventBus`.  Backends observe node latencies
+into it as they go; the tiered store keeps its own tallies in a plain
+:class:`~repro.store.stats.StoreStats` (its report has to be filled with
+the bus off) and writes them in under their ``store.*`` names at run
+finish (:meth:`~repro.store.stats.StoreStats.publish`).
 
 Three instrument kinds, matching the usual telemetry taxonomy:
 
 * :class:`Counter` — a monotone-ish scalar (``inc``; direct assignment
-  is allowed because the ledger descriptors write through ``+=``);
+  is allowed, which is how a finished run's totals are written in);
 * :class:`Gauge` — a point-in-time level (``set``), e.g. per-tier
   occupancy in stored GB;
 * :class:`Histogram` — a streaming summary (``observe``) keeping count,
@@ -19,8 +19,7 @@ Three instrument kinds, matching the usual telemetry taxonomy:
 
 Instances are created on first use (``registry.counter("spill.count")``)
 so instrumentation sites never need registration boilerplate.  Mutation
-is *caller-synchronized*: the ledger mutates its counters under its own
-re-entrant lock, and the registry only locks instrument creation.
+is *caller-synchronized*: the registry only locks instrument creation.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ import threading
 
 class Counter:
     """A named scalar tally.  ``value`` keeps the Python numeric type it
-    was last assigned (int stays int), so registry-backed report fields
-    serialize exactly as their plain-attribute ancestors did."""
+    was last assigned (int stays int)."""
 
     __slots__ = ("name", "value")
 
@@ -137,30 +135,6 @@ class MetricsRegistry:
         return instrument
 
     # ------------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry", prefix: str = "") -> None:
-        """Copy ``other``'s instruments in under ``prefix`` (overwrite).
-
-        Used at run finish to surface a ledger's private backing
-        registry through the run-level bus registry; overwrite
-        semantics keep repeated merges (two-pass ``--replan`` runs)
-        reporting the *latest* run, never a double-count.
-        """
-        with other._lock:
-            counters = list(other._counters.items())
-            gauges = list(other._gauges.items())
-            histograms = list(other._histograms.items())
-        for name, counter in counters:
-            self.counter(prefix + name).value = counter.value
-        for name, gauge in gauges:
-            self.gauge(prefix + name).value = gauge.value
-        for name, histogram in histograms:
-            mine = self.histogram(prefix + name)
-            mine.count = histogram.count
-            mine.total = histogram.total
-            mine.min = histogram.min
-            mine.max = histogram.max
-            mine.buckets = dict(histogram.buckets)
-
     def snapshot(self) -> dict:
         """JSON-compatible dump of every instrument."""
         with self._lock:

@@ -8,30 +8,47 @@ with a storage *hierarchy* — RAM on top, then one or more spill tiers
 slowdown instead of failing, while the RAM-tier budget invariant keeps
 holding exactly as before.
 
-Architecture — three contracts, one facade
-==========================================
+Architecture — an accounting core and three things beside it
+===========================================================
 
-**Tier contract** (:class:`~repro.store.config.TierSpec` +
-:class:`~repro.store.tiered.StorageTier`)
-    A tier is a capacity plus a device cost model.  Each tier owns its
-    own :class:`~repro.exec.ledger.MemoryLedger`, so per-tier usage,
-    peak, and admission share the exact accounting code RAM uses, and a
-    :class:`~repro.engine.storage.StorageDevice` that prices reads and
-    writes for simulated runs (real-I/O executors measure wall clocks
-    instead and run with ``charge_io=False``).
+**The accounting core** (:class:`~repro.store.tiered.TieredLedger`)
+    Subclasses ``MemoryLedger``; its inherited state *is* the RAM tier,
+    and each lower :class:`~repro.store.tiered.StorageTier` owns a plain
+    ``MemoryLedger`` of its own, so per-tier usage, peak and admission
+    share the exact accounting code RAM uses.  Every method backends
+    already call — ``insert`` / ``try_insert``, reservations, ``fits``,
+    ``usage`` / ``peak_usage``, ``consumer_done`` / ``materialized`` /
+    ``force_release``, ``in`` — keeps its meaning, with release-protocol
+    calls routed to whichever tier holds the entry.  It holds only what
+    must change under the lock: entries, budgets, holds, routing,
+    recency, the victim ranking, and migration.  Entries migrate with
+    the ledger's ``detach``/``adopt`` primitive, carrying their consumer
+    counts and materialization holds with them, so the paper's release
+    protocol is tier-agnostic — and there is **one eviction path**
+    (``_make_room`` and the demotion under it) behind ``spill_insert``,
+    ``try_make_room`` and ``demote_victim`` alike.
 
-**Ledger contract** (:class:`~repro.store.tiered.TieredLedger`)
-    The facade subclasses ``MemoryLedger``; its inherited state *is* the
-    RAM tier.  Every method backends already call — ``insert`` /
-    ``try_insert``, reservations, ``fits``, ``usage`` / ``peak_usage``,
-    ``consumer_done`` / ``materialized`` / ``force_release``, ``in`` —
-    keeps its meaning, with release-protocol calls routed to whichever
-    tier holds the entry.  Entries migrate with the ledger's
-    ``detach``/``adopt`` primitive, carrying their consumer counts and
-    materialization holds with them, so the paper's release protocol is
-    tier-agnostic.
+**Pricing** (:mod:`repro.store.pricing`)
+    What a move costs, as pure functions of device profiles, codecs,
+    ratios and sizes: realized ratio, encode / decode seconds, the
+    demote charge, the reload cost, the per-GB round trip, the
+    codec-adaptation decision.  The ledger bills through them and
+    :class:`~repro.core.problem.TierAwareBudget` plans through them, so
+    planner and runtime cannot price a tier differently.
 
-**Policy contract** (:class:`~repro.store.policy.SpillPolicy`)
+**Stats** (:class:`~repro.store.stats.StoreStats`)
+    What a run did: the spill / promote / prefetch / arbitration
+    counters, per-tier observed telemetry, the ``codec_adapt`` log, the
+    ``store`` events (bus on) and the assembly of ``tier_report()``.
+    The core calls it directly, once per migration, tier read, prefetch
+    outcome and arbitration — it is not a bus sink, so the report is
+    filled with the bus off.
+
+**Tenants** (:class:`~repro.store.tenants.TenantAccounts`)
+    Whose RAM it is: the serve layer's per-tenant shares of tier 0,
+    charged and credited from the core's three RAM hooks.
+
+**The policy contract** (:class:`~repro.store.policy.SpillPolicy`)
     Victim selection is pluggable: ``cost`` (S/C-style scoring —
     smallest expected reload penalty per byte freed), ``lru``, and
     ``largest`` ship built in; third parties register more with
@@ -41,6 +58,17 @@ Architecture — three contracts, one facade
     keeps every tier ranked in a lazily synced
     :class:`~repro.store.victim_index.VictimIndex` and re-keys an entry
     only when one of those fields changes.
+
+**The mover contract** (:data:`~repro.store.tiered.Mover`)
+    An executor doing *real* I/O hands ``demote_victim`` a callable
+    ``mover(node_id, src, dst) -> stored_gb``.  The core picks the
+    victim and, under the same lock acquisition, asks the mover to put
+    its bytes where tier ``dst`` keeps them, makes room there for the
+    **measured** size (cascading that tier's own victims through the
+    same mover, never one the caller excluded), and moves the
+    accounting; a tier that cannot make the room is skipped and the
+    entry lands further down as *one* move.  A mover that raises leaves
+    the entry where it was.
 
 How backends opt in
 ===================
@@ -59,7 +87,8 @@ How backends opt in
   read back with ``read_table`` on promotion, so wall-clock traces
   include genuine serialization + compression cost.  It uses the same
   ``TieredLedger`` with ``charge_io=False`` (bytes accounting and
-  policy, no simulated seconds).
+  policy, no simulated seconds) and rides the same eviction path, as a
+  ``Mover``.
 * Backends that do nothing keep a plain ``MemoryLedger`` — with spill
   disabled every trace is bit-identical to the pre-tiered behavior.
 

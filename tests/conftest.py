@@ -137,7 +137,7 @@ def reference_victims(ledger, tier: int) -> list:
         return []  # nothing below to demote into
     tier_ledger = ledger.tiers[tier].ledger
     dst_profile = ledger.tiers[tier + 1].spec.resolved_profile()
-    dst_codec = ledger.current_codec(tier + 1)
+    dst_codec = ledger.tiers[tier + 1].codec
     infos = []
     for node_id in tier_ledger._entries:
         logical = ledger.size_of(node_id)

@@ -115,7 +115,7 @@ class TestCompressedAccounting:
         charges = ledger.demote("a")
         assert len(charges) == 1
         ssd = ledger.tiers[1]
-        expected = ssd.write_seconds(4.0, 0.0) + 1.0 * 8.0
+        expected = ssd.profile.write_time_disk(4.0) + 1.0 * 8.0
         assert charges[0].seconds == pytest.approx(expected)
         assert charges[0].size == 8.0  # SpillCharge carries logical GB
 
@@ -124,7 +124,7 @@ class TestCompressedAccounting:
         ledger.insert("a", 8.0, n_consumers=1)
         ledger.demote("a")
         ssd = ledger.tiers[1]
-        expected = ssd.read_seconds(4.0, 0.0) + 0.5 * 8.0
+        expected = ssd.profile.read_time_disk(4.0) + 0.5 * 8.0
         assert ledger.tier_read_seconds("a") == pytest.approx(expected)
 
     def test_stored_and_logical_spill_volumes_reported(self):

@@ -5,8 +5,7 @@ mid-run codec adaptation (SpillConfig.adapt)."""
 import pytest
 
 from repro.core.optimizer import optimize
-from repro.core.problem import ScProblem, TierAwareBudget, \
-    warehouse_ram_gain
+from repro.core.problem import ScProblem, TierAwareBudget
 from repro.engine.controller import Controller
 from repro.engine import SimulatorOptions
 from repro.engine.trace import RunTrace
@@ -14,6 +13,7 @@ from repro.errors import ValidationError
 from repro.feedback import CostFeedback, TierObservation
 from repro.metadata.costmodel import DeviceProfile
 from repro.store import CodecAdaptConfig, SpillConfig, TierSpec
+from repro.store.pricing import warehouse_ram_gain
 from repro.store.tiered import TieredLedger, compressibility_from_graph
 from repro.workloads.generator import (
     GeneratedWorkloadConfig,
@@ -212,12 +212,12 @@ class TestCodecAdaptation:
         for name in ("a", "b", "c"):
             ledger.insert(name, 0.9, n_consumers=1)
             ledger.demote(name)
-        record = ledger.codec_adapt["ssd"]
+        record = ledger.stats.codec_adapt["ssd"]
         assert record["repriced"] is True
         assert record["switched_to"] == "none"
         assert record["observed_ratio"] == pytest.approx(1.0)
-        assert ledger.current_codec(1).name == "none"
-        assert ledger.priced_ratio(1) == pytest.approx(1.0)
+        assert ledger.tiers[1].codec.name == "none"
+        assert ledger.tiers[1].priced_ratio == pytest.approx(1.0)
         # entries stored before the switch keep their encoding codec
         # for decode pricing; new spills store raw
         assert ledger.stored_size_of("c") == pytest.approx(0.9)
@@ -227,11 +227,11 @@ class TestCodecAdaptation:
         for name in ("a", "b"):
             ledger.insert(name, 0.9, n_consumers=1)
             ledger.demote(name)
-        record = ledger.codec_adapt["ssd"]
+        record = ledger.stats.codec_adapt["ssd"]
         assert record["repriced"] is False
         assert record["switched_to"] is None
-        assert ledger.current_codec(1).name == "zlib"
-        assert ledger.priced_ratio(1) == pytest.approx(2.6)
+        assert ledger.tiers[1].codec.name == "zlib"
+        assert ledger.tiers[1].priced_ratio == pytest.approx(2.6)
 
     def test_repriced_without_switch_when_codec_still_pays(self):
         """A diverged-but-still-compressing workload re-prices the cost
@@ -245,11 +245,11 @@ class TestCodecAdaptation:
         for name in ("a", "b"):
             ledger.insert(name, 0.9, n_consumers=1)
             ledger.demote(name)
-        record = ledger.codec_adapt["disk"]
+        record = ledger.stats.codec_adapt["disk"]
         assert record["repriced"] is True
         assert record["switched_to"] is None
-        assert ledger.current_codec(1).name == "zlib"
-        assert ledger.priced_ratio(1) == pytest.approx(1.8)
+        assert ledger.tiers[1].codec.name == "zlib"
+        assert ledger.tiers[1].priced_ratio == pytest.approx(1.8)
 
     def test_adapt_disabled_never_touches_codec(self):
         ledger = self._ledger(adapt=None)
@@ -257,8 +257,8 @@ class TestCodecAdaptation:
         for name in ("a", "b", "c"):
             ledger.insert(name, 0.9, n_consumers=1)
             ledger.demote(name)
-        assert ledger.codec_adapt == {}
-        assert ledger.current_codec(1).name == "zlib"
+        assert ledger.stats.codec_adapt == {}
+        assert ledger.tiers[1].codec.name == "zlib"
 
     def test_adaptation_logged_in_trace_extras(self):
         graph, plan, peak = _spilling_case(compressibility=0.0)

@@ -49,6 +49,7 @@ from repro.store.config import (
     SpillConfig,
     TierSpec,
 )
+from repro.store.stats import Traffic
 from repro.store.tiered import TieredLedger
 from repro.workloads.generator import (
     GeneratedWorkloadConfig,
@@ -90,12 +91,13 @@ class CheckedLedger(TieredLedger):
                 tier.ledger._lock)
 
     # -- independent episode tallies ----------------------------------
-    def _demote_locked(self, node_id, now, stored_override=None):
-        charges = super()._demote_locked(node_id, now,
-                                         stored_override=stored_override)
-        if charges is not None:
+    def _demote_locked(self, node_id, now, mover=None,
+                       exclude=frozenset()):
+        moved, charges = super()._demote_locked(node_id, now, mover,
+                                                exclude)
+        if moved:
             self.observed_demotions += 1
-        return charges
+        return moved, charges
 
     def _promote_locked(self, node_id, now):
         charge = super()._promote_locked(node_id, now)
@@ -128,8 +130,8 @@ class CheckedLedger(TieredLedger):
                     continue
                 # the routing table's view of the tier must be the
                 # tier ledger's own (and, below, the victim index's)
-                entries = [n for n, i in self._lower_location.items()
-                           if i == index]
+                entries = [n for n, spilled in self._below.items()
+                           if spilled.tier == index]
                 self._expect(set(entries) == set(ledger._entries),
                              f"tier {tier.name}: routing table and "
                              f"tier ledger disagree on its residents")
@@ -158,9 +160,9 @@ class CheckedLedger(TieredLedger):
             # ledger's own tier-0 accounting
             owned_sum = sum(
                 entry.size for node_id, entry in self._entries.items()
-                if self._owners.get(node_id) is not None)
+                if self.tenants.owners.get(node_id) is not None)
             tenant_sum = 0.0
-            for name, account in self._tenant_accounts.items():
+            for name, account in self.tenants.accounts.items():
                 self._expect(account.usage >= -_EPS,
                              f"tenant {name} usage negative: "
                              f"{account.usage}")
@@ -171,29 +173,38 @@ class CheckedLedger(TieredLedger):
             # counters: monotone, non-negative, episode-consistent
             # (prefetch promotions count on the prefetch counter, not
             # promote_count — together they cover every up-move)
+            stats = self.stats
             self._expect(
-                self.spill_count == self.observed_demotions,
-                f"spill_count {self.spill_count} != observed demotion "
+                stats.spill_count == self.observed_demotions,
+                f"spill_count {stats.spill_count} != observed demotion "
                 f"episodes {self.observed_demotions}")
             self._expect(
-                self.promote_count + self.prefetch_count
+                stats.promote_count + stats.prefetch_count
                 == self.observed_promotions,
-                f"promote_count {self.promote_count} + prefetch_count "
-                f"{self.prefetch_count} != observed promotion episodes "
+                f"promote_count {stats.promote_count} + prefetch_count "
+                f"{stats.prefetch_count} != observed promotion episodes "
                 f"{self.observed_promotions}")
             for name in ("spill_bytes", "promote_bytes",
                          "spill_stored_bytes", "prefetch_bytes",
                          "prefetch_hidden_seconds", "stall_seconds",
                          "avoided_spill_seconds"):
-                self._expect(getattr(self, name) >= 0.0,
+                self._expect(getattr(stats, name) >= 0.0,
                              f"{name} went negative")
-            self._expect(0 <= self.demote_bypass_count <= self.spill_count,
-                         "demote_bypass_count out of range")
+            self._expect(
+                0 <= stats.demote_bypass_count <= stats.spill_count,
+                "demote_bypass_count out of range")
             # per-tier telemetry (spill-in/read/promote episodes, the
             # decode-aware read counters included) never goes negative
-            for index, telemetry in enumerate(self._telemetry):
-                for field in vars(telemetry):
-                    self._expect(getattr(telemetry, field) >= 0,
+            for index, telemetry in enumerate(stats.tiers):
+                flat = {name: value for name, value in
+                        vars(telemetry).items()
+                        if not isinstance(value, Traffic)}
+                for leg in ("spill_in", "read", "promote"):
+                    flat.update(
+                        (f"{leg}.{name}", value) for name, value in
+                        vars(getattr(telemetry, leg)).items())
+                for field, value in flat.items():
+                    self._expect(value >= 0,
                                  f"tier {index} telemetry {field} "
                                  f"went negative")
             # lock ordering: no pair of ledger locks ever nested in
@@ -231,12 +242,12 @@ _original_spill_insert = TieredLedger.spill_insert
 
 
 def _spill_insert_checked(self, *args, **kwargs):
-    before = self.spill_count - self.observed_demotions
+    before = self.stats.spill_count - self.observed_demotions
     result = _original_spill_insert(self, *args, **kwargs)
     tier_idx, _ = result
     if tier_idx > 0:
         self.observed_demotions += 1  # direct placement episode
-    drift = (self.spill_count - self.observed_demotions) - before
+    drift = (self.stats.spill_count - self.observed_demotions) - before
     if drift:
         raise LedgerInvariantError(
             f"spill_insert changed spill_count by an unobserved "
@@ -580,7 +591,7 @@ def test_service_requests_with_random_cancellations_leave_no_residue(
     # the run exercised the checker (every mutation re-verified the
     # invariants, tenant-sum included) and actually spilled
     assert ledger.checks_run > 0
-    assert ledger.spill_count > 0, "service fuzz never spilled"
+    assert ledger.stats.spill_count > 0, "service fuzz never spilled"
     # drained service: zero residue anywhere in the hierarchy
     violations = service.audit()
     assert all(not value for value in violations.values()), violations

@@ -114,18 +114,24 @@ class TestMetricsRegistry:
         assert histogram.buckets == {0.0: 2, 4.0: 2, 8.0: 1}
         assert histogram.mean == pytest.approx(11.0 / 5.0)
 
-    def test_merge_overwrites_never_double_counts(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        second.counter("spills").value = 7
-        second.gauge("usage").set(1.5)
-        second.histogram("lat").observe(2.0)
-        first.counter("spills").value = 99
-        first.merge(second)
-        first.merge(second)  # replan-style repeated merge
-        snap = first.snapshot()
-        assert snap["counters"]["spills"] == 7
-        assert snap["gauges"]["usage"] == 1.5
-        assert snap["histograms"]["lat"]["count"] == 1
+    def test_publish_overwrites_never_double_counts(self):
+        """A ledger's run counters land in the run registry under their
+        store.* names; a second publish (a --replan second pass reusing
+        the bus) reports the latest totals, never a sum."""
+        from repro.store.tiered import TieredLedger
+
+        ledger = TieredLedger(10.0)
+        ledger.insert("a", 6.0, n_consumers=1)
+        ledger.spill_insert("b", 8.0, n_consumers=1)   # demotes a
+        registry = MetricsRegistry()
+        registry.counter("store.spill.count").value = 99
+        ledger.stats.publish(registry)
+        ledger.stats.publish(registry)
+        counters = registry.snapshot()["counters"]
+        assert counters["store.spill.count"] == 1
+        assert isinstance(counters["store.spill.count"], int)
+        assert counters["store.spill.logical_gb"] == 6.0
+        assert counters["store.promote.count"] == 0
 
     def test_render_empty_and_populated(self):
         registry = MetricsRegistry()

@@ -9,6 +9,7 @@ tier-aware planning with a rung, and the MiniDB backend's *real* rung
 """
 
 import math
+import os
 
 import pytest
 
@@ -118,12 +119,23 @@ class TestRungLedgerEconomics:
         assert ledger.size_of("x") == ledger.stored_size_of("x") == 2.0
 
     def test_rung_victims_are_selectable(self):
+        """The rung has its own ranking (the index is the ledger's, so
+        this reads it there), and a cascade out of the rung skips the
+        entries it is told to."""
         ledger = _rung_ledger()
         ledger.insert("x", 2.0, n_consumers=1)
         ledger.demote("x", now=0.0)
-        assert ledger.pick_victim(tier=1) == "x"
-        assert ledger.pick_victim(tier=1,
-                                  exclude=frozenset({"x"})) is None
+        ranked = [victim.node_id
+                  for victim in ledger._victim_index.ranked(1)]
+        assert ranked == ["x"]
+        # y's blob needs more of the rung than x leaves free: x is the
+        # only thing that could make way for it, and x is excluded
+        ledger.insert("y", 4.0, n_consumers=1)
+        moved = ledger.demote_victim(
+            exclude=frozenset({"x"}),
+            mover=lambda node, src, dst: 1.5 if dst == 1 else 1.0)
+        assert ledger.tier_of("x") == 1
+        assert moved[0] == "y" and ledger.tier_of("y") == 2
 
     def test_cascade_off_the_rung_pays_decode_plus_device_write(self):
         ledger = _rung_ledger()
@@ -153,7 +165,7 @@ class TestDemoteBypass:
         assert charge.dst == "ssd"
         assert ledger.tier_of("a") == 1  # undisturbed
         assert ledger.tier_of("b") == 2
-        assert ledger.demote_bypass_count == 1
+        assert ledger.stats.demote_bypass_count == 1
 
     def test_rung_with_room_is_never_bypassed(self):
         ledger = _rung_ledger(ram=10.0, rung=4.0, ssd=50.0)
@@ -161,21 +173,27 @@ class TestDemoteBypass:
             ledger.insert(node_id, 2.0, n_consumers=1)
             ledger.demote(node_id, now=0.0)
         assert ledger.tier_of("a") == ledger.tier_of("b") == 1
-        assert ledger.demote_bypass_count == 0
+        assert ledger.stats.demote_bypass_count == 0
 
     def test_real_io_demotes_never_bypass(self):
-        """Executors that move bytes themselves (stored_size measured)
-        always go exactly one tier down — the MiniDB contract."""
+        """Executors that move bytes themselves (stored size measured
+        by their mover) go one tier down whenever that tier can make
+        room — the MiniDB contract."""
         ledger = _rung_ledger(ram=10.0, rung=1.0, ssd=50.0)
         for node_id in ("a", "b"):
             ledger.insert(node_id, 2.0, n_consumers=1)
-        ledger.demote("a", now=0.0, stored_size=0.9)
-        charges = ledger.demote("b", now=0.0, stored_size=0.9)
+
+        def mover(node_id, src, dst):
+            return 0.9
+
+        assert ledger.demote_victim(mover=mover)[0] == "a"
+        victim, charges = ledger.demote_victim(mover=mover)
+        assert victim == "b"
         # b displaced a into ssd instead of skipping the rung
         assert charges[-1].dst == RAM_COMPRESSED
         assert ledger.tier_of("b") == 1
         assert ledger.tier_of("a") == 2
-        assert ledger.demote_bypass_count == 0
+        assert ledger.stats.demote_bypass_count == 0
 
 
 class TestRungAdaptation:
@@ -191,19 +209,19 @@ class TestRungAdaptation:
         must switch the codec off even though the rung's own transfer
         legs are free (the saving is priced at the tier below)."""
         ledger = self._adapted(0.0)
-        record = ledger.codec_adapt[RAM_COMPRESSED]
+        record = ledger.stats.codec_adapt[RAM_COMPRESSED]
         assert record["observed_ratio"] == pytest.approx(1.0)
         assert record["repriced"] and record["switched_to"] == "none"
-        assert ledger.current_codec(1).name == "none"
-        assert ledger.priced_ratio(1) == 1.0
+        assert ledger.tiers[1].codec.name == "none"
+        assert ledger.tiers[1].priced_ratio == 1.0
 
     def test_highly_compressible_rung_keeps_its_codec(self):
         ledger = self._adapted(2.0)
-        record = ledger.codec_adapt[RAM_COMPRESSED]
+        record = ledger.stats.codec_adapt[RAM_COMPRESSED]
         assert record["observed_ratio"] > ZLIB1.ratio
         assert record["repriced"] and record["switched_to"] is None
-        assert ledger.current_codec(1).name == "zlib1"
-        assert ledger.priced_ratio(1) == pytest.approx(
+        assert ledger.tiers[1].codec.name == "zlib1"
+        assert ledger.tiers[1].priced_ratio == pytest.approx(
             record["observed_ratio"])
 
 
@@ -290,6 +308,66 @@ class TestMiniDbRung:
         raw = db.table("events").columns()
         expected = raw["amount"][raw["amount"] > 1].sum()
         assert np.isclose(spend.sum(), expected)
+
+    def test_blob_bigger_than_the_rung_is_one_move_to_disk(
+            self, tmp_path, monkeypatch):
+        """Regression: a blob the rung can never host used to be walked
+        down with two demotes — ``spill_count`` +2 and a spill-in on a
+        rung the bytes never entered.  On the one eviction path it is
+        one move RAM -> spill-disk.  (1-byte rung, the 25-MV star; the
+        root's warehouse write is held back so the victim cannot turn
+        durable — and free to drop — under the test.)"""
+        import threading
+
+        from repro.db import storage_format
+        from repro.engine.trace import NodeTrace
+        from repro.exec import create_backend
+        from tests.test_minidb_drain import star_of_25
+
+        workload, plan = star_of_25(tmp_path)
+        profiled = workload.profile()
+        ram = 1.2 * profiled.size_of("root")
+        warehouse = workload.db.catalog.directory
+        written = threading.Event()
+        real = storage_format.write_table
+
+        def holding_back(table, directory, name, codec="columnar"):
+            if directory == warehouse and name == "root":
+                written.wait(timeout=30)
+            return real(table, directory, name, codec)
+
+        monkeypatch.setattr(storage_format, "write_table", holding_back)
+        spill_dir = tmp_path / "spill"
+        backend = create_backend(
+            "minidb", workload=workload, spill_dir=str(spill_dir),
+            spill_policy="largest", ram_compressed_gb=1.0 / 1024 ** 3)
+        ctx = backend.prepare(workload.graph(), plan, ram)
+        try:
+            backend.execute_node(ctx, "root")
+            probe = NodeTrace(node_id="probe", start=0.0, flagged=True)
+            assert backend._reclaim(ctx, ram, probe)  # all of RAM: root goes
+            ledger = ctx.ledger
+            rung, disk = ledger.stats.tiers[1], ledger.stats.tiers[2]
+            assert ledger.tier_of("root") == 2
+            assert ledger.stats.spill_count == 1
+            assert rung.spill_in.count == 0 and disk.spill_in.count == 1
+            assert ledger.stored_size_of("root") > 0.0
+            assert ledger.tiers[1].ledger.peak_usage == 0.0
+            assert not workload.db.catalog.in_memory("root")
+            assert probe.spill_write > 0.0
+        finally:
+            written.set()
+        for node_id in plan.order[1:]:
+            backend.execute_node(ctx, node_id)
+        report = backend.finish(ctx).extras["tiered_store"]
+        # the rung only ever took the books of durable (zero-byte) victims
+        assert report["tiers"][1]["peak"] == 0.0
+        assert report["tiers"][1]["observed"]["spill_in_stored_gb"] == 0.0
+        assert report["spill_count"] == sum(
+            tier["observed"]["spill_in_count"] for tier in report["tiers"])
+        for name in plan.order:
+            assert workload.db.catalog.persisted(name)
+        assert os.listdir(spill_dir) == []
 
     def test_rung_requires_a_spill_dir(self, workload):
         workload.profile()

@@ -187,7 +187,7 @@ class TestTieredLedger:
         assert tier == 0
         assert ledger.tier_of("a") == 1 and ledger.tier_of("b") == 0
         assert ledger.usage == 8.0      # RAM-only accounting
-        assert ledger.spill_count == 1
+        assert ledger.stats.spill_count == 1
         assert [c.node_id for c in charges] == ["a"]
         assert charges[0].seconds > 0   # charged at the SSD's speed
 
@@ -230,7 +230,7 @@ class TestTieredLedger:
         charge = ledger.promote("a")
         assert charge is not None and charge.dst == "ram"
         assert ledger.tier_of("a") == 0
-        assert ledger.promote_count == 1
+        assert ledger.stats.promote_count == 1
         assert ledger.consumers_left("a") == 2  # state preserved
 
     def test_promote_refuses_when_ram_is_full(self):
@@ -261,21 +261,51 @@ class TestTieredLedger:
         ok, charges = ledger.try_make_room(3.0)
         assert ok and [c.node_id for c in charges] == ["a"]
 
+    def test_failed_cascade_still_reports_the_moves_it_made(self):
+        """Regression: a cascade that fails part-way used to drop the
+        seconds of the demotions it had already made — the verdict came
+        back ``(False, [])`` while s1 had moved ssd -> disk."""
+        ledger = TieredLedger(3.0, SpillConfig(
+            tiers=(TierSpec("ssd", 2.0), TierSpec("disk", 1.0)),
+            policy="largest"))
+        for node_id in ("s1", "s2"):
+            ledger.insert(node_id, 1.0, n_consumers=1)
+            ledger.demote(node_id)
+        ledger.insert("r", 2.0, n_consumers=1)
+        # r -> ssd needs both ssd residents out; disk hosts only one
+        ok, charges = ledger.try_make_room(3.0)
+        assert not ok
+        assert [(c.node_id, c.src, c.dst) for c in charges] == [
+            ("s1", "ssd", "disk")]
+        assert charges[0].seconds == pytest.approx(3.31, abs=0.01)
+        assert ledger.tier_of("s1") == 2 and ledger.tier_of("r") == 0
+        assert ledger.stats.spill_count == 3
+        # the public single-entry demote carries them on its error
+        with pytest.raises(BudgetExceededError) as refusal:
+            ledger.demote("r")
+        assert refusal.value.charges == []     # nothing more could move
+
     def test_charge_io_false_moves_bytes_for_free(self):
         ledger = _ledger(charge_io=False)
         ledger.insert("a", 6.0, n_consumers=1)
         _, charges = ledger.spill_insert("b", 8.0, n_consumers=1)
         assert all(c.seconds == 0.0 for c in charges)
-        assert ledger.spill_count == 1  # counters still advance
+        assert ledger.stats.spill_count == 1  # counters still advance
 
-    def test_pick_victim_honors_exclusions(self):
-        ledger = _ledger(policy="largest")
-        ledger.insert("big", 6.0, n_consumers=1)
-        ledger.insert("small", 2.0, n_consumers=1)
-        assert ledger.pick_victim() == "big"
-        assert ledger.pick_victim(exclude=frozenset({"big"})) == "small"
-        assert ledger.pick_victim(
+    def test_demote_victim_honors_exclusions(self):
+        def fresh():
+            ledger = _ledger(policy="largest")
+            ledger.insert("big", 6.0, n_consumers=1)
+            ledger.insert("small", 2.0, n_consumers=1)
+            return ledger
+
+        assert fresh().demote_victim()[0] == "big"
+        assert fresh().demote_victim(
+            exclude=frozenset({"big"}))[0] == "small"
+        ledger = fresh()
+        assert ledger.demote_victim(
             exclude=frozenset({"big", "small"})) is None
+        assert ledger.tier_of("big") == ledger.tier_of("small") == 0
 
     def test_lru_policy_uses_note_read_recency(self):
         ledger = _ledger(policy="lru")

@@ -173,8 +173,8 @@ class VictimIndexMachine(RuleBasedStateMachine):
         self.ledger.estimate_spill_seconds(size)
 
     @rule(tier=st.integers(0, 2))
-    def pick_victim(self, tier):
-        self.ledger.pick_victim(tier=tier)
+    def rank(self, tier):
+        next(self.ledger._victim_index.ranked(tier), None)
 
     @invariant()
     def index_equals_rebuild(self):
