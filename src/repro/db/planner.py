@@ -380,9 +380,3 @@ def execute_select(statement: SelectStatement,
 def execute_sql(sql: str, source: TableSource) -> Table:
     """Parse + execute one SELECT statement."""
     return execute_select(parse_select(sql), source)
-
-
-def referenced_tables(sql: str) -> list[str]:
-    """Table names a statement reads — the dependency extractor the
-    Controller uses to build refresh DAGs from MV definitions."""
-    return parse_select(sql).referenced_tables()

@@ -75,10 +75,6 @@ class StorageDevice:
         return end
 
     # ------------------------------------------------------------------
-    @property
-    def total_background_bytes(self) -> float:
-        return sum(job.size for job in self.background_writes)
-
     def drained_at(self) -> float:
         """Time at which every queued background write has completed."""
         return self.busy_until

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.db.engine import MiniDB, MvDefinition, SqlWorkload
-from repro.db.planner import WholeTables, execute_sql, referenced_tables
+from repro.db.planner import WholeTables, execute_sql
 from repro.db.table import Table
 from repro.errors import CatalogError, PlanningError, WorkloadError
 
@@ -73,10 +73,6 @@ class TestPlanner:
         with pytest.raises(PlanningError):
             execute_sql("SELECT category FROM items ORDER BY item_id",
                         resolver_for(db))
-
-    def test_referenced_tables(self):
-        assert referenced_tables(
-            "SELECT a FROM t JOIN u ON x = y") == ["t", "u"]
 
 
 class TestMiniDB:

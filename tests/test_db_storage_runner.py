@@ -91,8 +91,6 @@ class TestStorageFormat:
             "garbled payload": blob[:header_end] + bytes(
                 b ^ 0x5A for b in blob[header_end:]),
         }
-        if codec == "none":     # raw bytes carry no redundancy to garble
-            del damaged["garbled payload"]
         for what, data in damaged.items():
             with open(path, "wb") as handle:
                 handle.write(data)

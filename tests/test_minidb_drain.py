@@ -230,6 +230,19 @@ class TestDrainPool:
         backend = create_backend(
             "minidb", workload=workload, cancel=cancel,
             spill_dir=str(spill_dir), spill_codec="zlib")
+        # the cancel comes from a pool thread, and a run only looks at it
+        # between nodes: a controller that outran its drains would cross
+        # its last boundary first and finish.  Hold it there until the
+        # cancelling write has happened, however slow the drain.
+        check = backend.check_cancelled
+
+        def check_after_the_write(node_id=None):
+            if node_id == plan.order[-1]:
+                assert cancel.wait(timeout=30)
+            check(node_id)
+
+        monkeypatch.setattr(backend, "check_cancelled",
+                            check_after_the_write)
         with pytest.raises(RunCancelledError):
             backend.run(workload.graph(), plan, ram)
         assert drain_threads() == []

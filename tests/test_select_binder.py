@@ -325,8 +325,8 @@ def test_refresh_decodes_only_inside_queries(star, monkeypatch):
     monkeypatch.setattr(MiniDB, "query", query)
     monkeypatch.setattr(columnar_codec, "_decode_column", counting(
         "decode", columnar_codec._decode_column))
-    monkeypatch.setattr(columnar_codec, "_decompress", counting(
-        "inflate", columnar_codec._decompress))
+    monkeypatch.setattr(columnar_codec, "_column_bytes", counting(
+        "inflate", columnar_codec._column_bytes))
 
     workload.graph()
     assert not calls                    # annotated, nothing decoded
