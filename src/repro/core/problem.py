@@ -297,12 +297,14 @@ class ScProblem:
         return dict(self._scores)
 
     def total_score(self, flagged: set[str] | frozenset[str]) -> float:
-        """Objective of S/C Opt: ``Σ_{v in U} t_v``."""
-        return sum(self._scores[v] for v in flagged)
+        """Objective of S/C Opt: ``Σ_{v in U} t_v`` — summed exactly, so
+        the same set gives the same float in any iteration order."""
+        return math.fsum(self._scores[v] for v in flagged)
 
     def total_size(self, flagged: set[str] | frozenset[str]) -> float:
-        """Algorithm 2's convergence metric: ``Σ_{v in U} s_v``."""
-        return sum(self._sizes[v] for v in flagged)
+        """Algorithm 2's convergence metric: ``Σ_{v in U} s_v`` (exact
+        sum: a hash-order ulp must not read as an improvement)."""
+        return math.fsum(self._sizes[v] for v in flagged)
 
     @property
     def effective_budget(self) -> float:

@@ -14,6 +14,7 @@ intervals:
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from repro.errors import GraphError
@@ -95,13 +96,14 @@ def average_memory_usage(graph: DependencyGraph, order: Sequence[str],
     if not flagged:
         return 0.0
     intervals = residency_intervals(graph, order)
-    total = 0.0
+    terms = []
     for node in flagged:
         if node not in intervals:
             raise GraphError(f"flagged node {node!r} not in graph")
         start, end = intervals[node]
-        total += (end - start) * graph.size_of(node)
-    return total / len(order)
+        terms.append((end - start) * graph.size_of(node))
+    # exact sum: ``flagged`` is a set, and its order must not reach a float
+    return math.fsum(terms) / len(order)
 
 
 def is_feasible(graph: DependencyGraph, order: Sequence[str],

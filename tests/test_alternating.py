@@ -1,12 +1,23 @@
 """Tests for the alternating optimization loop (Algorithm 2)."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.alternating import AlternatingOptimizer
+from repro.core.optimizer import optimize
+from repro.core.problem import ScProblem
 from repro.core.residency import is_feasible, peak_memory_usage
 from repro.errors import ValidationError
 from repro.graph.topo import is_topological_order
+from repro.workloads.generator import (
+    GeneratedWorkloadConfig,
+    WorkloadGenerator,
+)
 from tests.conftest import make_fig7_problem, make_random_problem
 
 
@@ -94,3 +105,53 @@ def test_property_result_always_feasible(seed, budget_fraction):
                        problem.memory_budget)
     assert result.total_score == pytest.approx(
         problem.total_score(plan.flagged))
+
+
+# ----------------------------------------------------------------------
+# a flag set is a set: its iteration order must not reach the plan
+# ----------------------------------------------------------------------
+def _hash_order_problem() -> ScProblem:
+    """The 32-node DAG whose flagged sizes sum to 102.10539568386599 or
+    102.105395683866 depending on the order they are added in."""
+    graph = WorkloadGenerator().generate(
+        GeneratedWorkloadConfig(n_nodes=32, height_width_ratio=0.5), seed=1)
+    return ScProblem(graph=graph, memory_budget=0.3 * graph.total_size())
+
+
+def _hash_order_plan() -> dict:
+    result = optimize(_hash_order_problem(), method="sc", seed=0)
+    return {"order": list(result.plan.order),
+            "flagged": sorted(result.plan.flagged),
+            "stop_reason": result.stop_reason,
+            "iterations": result.iterations}
+
+
+def test_plan_is_stable_under_pythonhashseed():
+    """Seed 17 used to take a last-ulp difference between two sums of
+    the same sizes for an improvement, run a third iteration and return
+    another order."""
+    plans = []
+    for hashseed in ("0", "17"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, __file__], env=env, check=True, timeout=120,
+            capture_output=True, text=True).stdout
+        plans.append(json.loads(out))
+    assert plans[0] == plans[1]
+    assert plans[0]["stop_reason"] == "no_improvement"
+
+
+def test_same_set_in_another_insertion_order_is_no_improvement():
+    problem = _hash_order_problem()
+    flagged = optimize(problem, method="sc", seed=0).plan.flagged
+    rebuilt = frozenset(sorted(flagged, reverse=True))
+    assert rebuilt == flagged
+    for convergence in ("size", "score"):
+        optimizer = AlternatingOptimizer(convergence=convergence)
+        assert not optimizer._improves(problem, rebuilt, flagged)
+        assert not optimizer._improves(problem, flagged, rebuilt)
+
+
+if __name__ == "__main__":
+    json.dump(_hash_order_plan(), sys.stdout)
