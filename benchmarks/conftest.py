@@ -1,14 +1,14 @@
 """Shared configuration for the benchmark suite.
 
-Each ``bench_*.py`` file regenerates one table or figure from the paper's
-evaluation section (see DESIGN.md's experiment index). Run with::
+``bench_experiments.py`` runs every experiment of
+:data:`repro.bench.EXPERIMENTS` — the paper's §VI figures and tables,
+the repo's own sweeps, the design ablations — once and holds it to its
+claims; ``bench_obs_overhead.py`` and ``bench_service_latency.py`` are
+wall-clock harnesses with CI steps of their own; ``perf/`` is the
+``BENCHMARK.json`` gate.  Every test prints its reproduction table
+through :func:`show` (no ``-s`` needed)::
 
-    pytest benchmarks/ --benchmark-only
-
-Benchmarks print their reproduction table (use ``-s`` to see them inline)
-and assert the paper's qualitative claims — who wins, and roughly where —
-rather than absolute numbers, since the substrate is a simulator rather
-than the authors' Presto testbed.
+    PYTHONPATH=src python -m pytest benchmarks/bench_experiments.py -q
 """
 
 import pytest

@@ -1,9 +1,14 @@
-"""Experiment drivers — one per table/figure of the paper's evaluation.
+"""Experiment drivers — one per table/figure of the paper's evaluation,
+plus the repo's own sweeps of the tiered store.
 
 Every driver returns an :class:`ExperimentResult` whose ``rows`` regenerate
-the corresponding artifact. Drivers take size knobs (number of DAGs,
-scales) so the pytest-benchmark wrappers stay fast by default while the
-paper-scale sweep remains one argument away.
+the corresponding artifact.  Called with no arguments a driver runs at the
+size ``repro-sc bench <id>`` prints and ``benchmarks/bench_experiments.py``
+checks its claims on; the size knobs (number of DAGs, scales) keep the
+tier-1 smoke tests tiny and the paper-scale sweep one argument away.  The
+five tiered sweeps keep only their arms and row shaping: the case (DAG,
+plan, no-spill peak) and the planned-and-executed cell are
+:mod:`repro.bench.below_peak`'s, shared with ``bench matrix``.
 """
 
 from __future__ import annotations
@@ -12,6 +17,12 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from repro.bench.below_peak import (
+    Case,
+    generated_cases,
+    run_cell,
+    ssd_and_disk,
+)
 from repro.bench.methods import (
     FIGURE9_METHODS,
     FIGURE12_METHODS,
@@ -26,6 +37,13 @@ from repro.metadata.costmodel import (
     ClusterProfile,
     DeviceProfile,
     POLARS_PROFILE,
+)
+from repro.store.config import (
+    RAM_COMPRESSED,
+    CodecAdaptConfig,
+    SpillConfig,
+    TierSpec,
+    resolve_codec,
 )
 from repro.workloads.calibrate import measured_io_share
 from repro.workloads.five_workloads import (
@@ -134,6 +152,7 @@ def fig3_io_breakdown(scales_gb: tuple[float, ...] = (0.01, 0.02, 0.05),
 # Table III — workload summary
 # ----------------------------------------------------------------------
 def table3_workload_summary() -> ExperimentResult:
+    """The five workloads: node counts and I/O ratios."""
     rows = []
     for name in WORKLOAD_NAMES:
         queries, n_nodes, io_share = WORKLOAD_SUMMARY[name]
@@ -161,6 +180,7 @@ def table3_workload_summary() -> ExperimentResult:
 # ----------------------------------------------------------------------
 def fig9_end_to_end(scale_gb: float = 100.0, seed: int = 2,
                     ) -> ExperimentResult:
+    """End-to-end refresh time: six methods x five workloads x two datasets."""
     profile = DeviceProfile()
     rows = []
     raw: dict = {}
@@ -199,6 +219,7 @@ def fig9_end_to_end(scale_gb: float = 100.0, seed: int = 2,
 # ----------------------------------------------------------------------
 def fig10_scales(scales_gb: tuple[float, ...] = (10, 25, 50, 100, 1000),
                  seed: int = 2) -> ExperimentResult:
+    """S/C speedup across dataset scales, catalog fixed at 1.6 % of data."""
     profile = DeviceProfile()
     rows = []
     raw: dict = {}
@@ -290,6 +311,7 @@ def table4_latency_breakdown(scale_gb: float = 100.0,
                              fractions: tuple[float, ...] = (
                                  0.004, 0.008, 0.016, 0.032, 0.064),
                              seed: int = 2) -> ExperimentResult:
+    """Table-read / compute / query latency vs Memory Catalog size."""
     profile = DeviceProfile()
     rows = []
     raw: dict = {}
@@ -334,6 +356,7 @@ def table4_latency_breakdown(scale_gb: float = 100.0,
 # ----------------------------------------------------------------------
 def fig12_ablation(scale_gb: float = 100.0, seed: int = 2,
                    ) -> ExperimentResult:
+    """Each subproblem solution swapped for a baseline inside Algorithm 2."""
     profile = DeviceProfile()
     rows = []
     raw: dict = {}
@@ -372,6 +395,7 @@ def fig12_ablation(scale_gb: float = 100.0, seed: int = 2,
 def table5_cluster_scaling(scale_gb: float = 100.0,
                            worker_counts: tuple[int, ...] = (1, 2, 3, 4, 5),
                            seed: int = 2) -> ExperimentResult:
+    """S/C on multi-worker clusters: runtimes and speedup per cluster size."""
     graphs = build_five_workloads(scale_gb=scale_gb, partitioned=False)
     budget = 0.016 * scale_gb
     rows = []
@@ -551,51 +575,26 @@ def spill_tier_sweep(budget_fractions: tuple[float, ...] =
     budget, spill/promote counts, and whether the RAM-tier peak stayed
     within its budget on *every* run.
     """
-    from repro.engine.controller import Controller
-    from repro.store.config import SpillConfig, TierSpec
-
-    generator = WorkloadGenerator()
-    config = GeneratedWorkloadConfig(n_nodes=n_nodes,
-                                     height_width_ratio=0.5)
-    cases = []
-    for i in range(n_dags):
-        graph = generator.generate(config, seed=seed + i)
-        budget = 0.3 * graph.total_size()
-        problem = ScProblem(graph=graph, memory_budget=budget)
-        plan = optimize(problem, method="sc", seed=seed).plan
-        peak = Controller().refresh(
-            graph, budget, plan=plan, method="sc").peak_catalog_usage
-        cases.append((graph, plan, peak))
-
+    cases = generated_cases(n_dags, n_nodes, seed)
     totals: dict[float, float] = {}
     spills: dict[float, int] = {}
     promotes: dict[float, int] = {}
     spilled_gb: dict[float, float] = {}
     budget_ok = True
     for fraction in budget_fractions:
-        total = 0.0
-        n_spills = n_promotes = 0
-        volume = 0.0
-        for graph, plan, peak in cases:
-            ram = fraction * peak
-            spill = SpillConfig(
-                tiers=(TierSpec("ssd", 0.5 * peak), TierSpec("disk")),
-                policy=policy)
-            controller = Controller(
-                options=SimulatorOptions(spill=spill))
-            trace = controller.refresh(graph, ram, plan=plan,
-                                       method="sc", backend=backend)
-            total += trace.end_to_end_time
-            report = trace.extras["tiered_store"]
-            n_spills += report["spill_count"]
-            n_promotes += report["promote_count"]
-            volume += report["spill_bytes_gb"]
-            budget_ok &= trace.peak_catalog_usage <= ram + 1e-9
-            budget_ok &= report["tiers"][0]["peak"] <= ram + 1e-9
-        totals[fraction] = total
-        spills[fraction] = n_spills
-        promotes[fraction] = n_promotes
-        spilled_gb[fraction] = volume
+        totals[fraction] = spilled_gb[fraction] = 0.0
+        spills[fraction] = promotes[fraction] = 0
+        for case in cases:
+            ram = fraction * case.peak
+            run = run_cell(case.graph, ram,
+                           SpillConfig(tiers=ssd_and_disk(case.peak),
+                                       policy=policy),
+                           "given", plan=case.plan, backend=backend)
+            totals[fraction] += run.trace.end_to_end_time
+            spills[fraction] += run.report["spill_count"]
+            promotes[fraction] += run.report["promote_count"]
+            spilled_gb[fraction] += run.report["spill_bytes_gb"]
+            budget_ok &= run.within(ram)
 
     full = totals[max(budget_fractions)]
     rows = [[f"{100 * fraction:g}%", totals[fraction],
@@ -640,24 +639,7 @@ def spill_planning_sweep(budget_fractions: tuple[float, ...] =
     plans beat tier-blind plans because they flag the nodes whose
     warehouse round trip dwarfs a cheap SSD spill.
     """
-    from repro.core.problem import TierAwareBudget
-    from repro.engine.controller import Controller
-    from repro.store.config import SpillConfig, TierSpec
-
-    generator = WorkloadGenerator()
-    config = GeneratedWorkloadConfig(n_nodes=n_nodes,
-                                     height_width_ratio=0.5)
-    profile = DeviceProfile()
-    cases = []
-    for i in range(n_dags):
-        graph = generator.generate(config, seed=seed + i)
-        budget = 0.3 * graph.total_size()
-        problem = ScProblem(graph=graph, memory_budget=budget)
-        plan = optimize(problem, method="sc", seed=seed).plan
-        peak = Controller(profile=profile).refresh(
-            graph, budget, plan=plan, method="sc").peak_catalog_usage
-        cases.append((graph, peak))
-
+    cases = generated_cases(n_dags, n_nodes, seed)
     blind_totals: dict[float, float] = {}
     aware_totals: dict[float, float] = {}
     blind_flags: dict[float, int] = {}
@@ -666,43 +648,23 @@ def spill_planning_sweep(budget_fractions: tuple[float, ...] =
     stall_avoided: dict[float, float] = {}
     budget_ok = True
     for fraction in budget_fractions:
-        blind_time = aware_time = avoided = 0.0
-        n_blind = n_aware = n_spills = 0
-        for graph, peak in cases:
-            ram = fraction * peak
-            spill = SpillConfig(
-                tiers=(TierSpec("ssd", 0.5 * peak), TierSpec("disk")),
-                policy=policy)
-            controller = Controller(
-                profile=profile, options=SimulatorOptions(spill=spill))
-            blind_plan = optimize(
-                ScProblem(graph=graph, memory_budget=ram),
-                method="sc", seed=seed).plan
-            aware_plan = optimize(
-                ScProblem(graph=graph, memory_budget=ram,
-                          tier_budget=TierAwareBudget.from_spill(
-                              ram, spill, profile=profile)),
-                method="sc", seed=seed).plan
-            for plan, bucket in ((blind_plan, "blind"),
-                                 (aware_plan, "aware")):
-                trace = controller.refresh(graph, ram, plan=plan,
-                                           method="sc", backend=backend)
-                budget_ok &= trace.peak_catalog_usage <= ram + 1e-9
-                if bucket == "blind":
-                    blind_time += trace.end_to_end_time
-                else:
-                    aware_time += trace.end_to_end_time
-                    report = trace.extras["tiered_store"]
-                    n_spills += report["spill_count"]
-                    avoided += trace.stall_avoided_time
-            n_blind += len(blind_plan.flagged)
-            n_aware += len(aware_plan.flagged)
-        blind_totals[fraction] = blind_time
-        aware_totals[fraction] = aware_time
-        blind_flags[fraction] = n_blind
-        aware_flags[fraction] = n_aware
-        aware_spills[fraction] = n_spills
-        stall_avoided[fraction] = avoided
+        blind_totals[fraction] = aware_totals[fraction] = 0.0
+        blind_flags[fraction] = aware_flags[fraction] = 0
+        aware_spills[fraction] = 0
+        stall_avoided[fraction] = 0.0
+        for case in cases:
+            ram = fraction * case.peak
+            spill = SpillConfig(tiers=ssd_and_disk(case.peak), policy=policy)
+            blind, aware = (run_cell(case.graph, ram, spill, planning,
+                                     seed=seed, backend=backend)
+                            for planning in ("blind", "aware"))
+            budget_ok &= blind.within(ram) and aware.within(ram)
+            blind_totals[fraction] += blind.trace.end_to_end_time
+            aware_totals[fraction] += aware.trace.end_to_end_time
+            blind_flags[fraction] += len(blind.plan.flagged)
+            aware_flags[fraction] += len(aware.plan.flagged)
+            aware_spills[fraction] += aware.report["spill_count"]
+            stall_avoided[fraction] += aware.trace.stall_avoided_time
 
     rows = [[f"{100 * fraction:g}%", blind_totals[fraction],
              aware_totals[fraction],
@@ -755,22 +717,7 @@ def compressed_spill_sweep(budget_fractions: tuple[float, ...] =
     * every run's trace extras carry the per-codec accounting
       (``codec``, ``spill_stored_gb``, ``prefetch`` counters).
     """
-    from repro.engine.controller import Controller
-    from repro.store.config import SpillConfig, TierSpec, resolve_codec
-
-    generator = WorkloadGenerator()
-    config = GeneratedWorkloadConfig(n_nodes=n_nodes,
-                                     height_width_ratio=0.5)
-    cases = []
-    for i in range(n_dags):
-        graph = generator.generate(config, seed=seed + i)
-        budget = 0.3 * graph.total_size()
-        problem = ScProblem(graph=graph, memory_budget=budget)
-        plan = optimize(problem, method="sc", seed=seed).plan
-        peak = Controller().refresh(
-            graph, budget, plan=plan, method="sc").peak_catalog_usage
-        cases.append((graph, plan, peak))
-
+    cases = generated_cases(n_dags, n_nodes, seed)
     arms = [(codec, prefetch) for codec in codecs
             for prefetch in (False, True)]
     totals: dict[tuple[str, bool], dict[float, float]] = {
@@ -782,19 +729,18 @@ def compressed_spill_sweep(budget_fractions: tuple[float, ...] =
     extras_ok = True
     for fraction in budget_fractions:
         prefetches[fraction] = 0
-        for codec, prefetch in arms:
-            total = 0.0
-            for graph, plan, peak in cases:
-                ram = fraction * peak
-                spill = SpillConfig(
-                    tiers=(TierSpec("ssd", 0.5 * peak), TierSpec("disk")),
-                    policy=policy, codec=codec, prefetch=prefetch)
-                controller = Controller(
-                    options=SimulatorOptions(spill=spill))
-                trace = controller.refresh(graph, ram, plan=plan,
-                                           method="sc", backend=backend)
-                total += trace.end_to_end_time
-                report = trace.extras["tiered_store"]
+        for arm in arms:
+            codec, prefetch = arm
+            totals[arm][fraction] = 0.0
+            for case in cases:
+                ram = fraction * case.peak
+                run = run_cell(
+                    case.graph, ram,
+                    SpillConfig(tiers=ssd_and_disk(case.peak), policy=policy,
+                                codec=codec, prefetch=prefetch),
+                    "given", plan=case.plan, backend=backend)
+                totals[arm][fraction] += run.trace.end_to_end_time
+                report = run.report
                 extras_ok &= (report.get("codec") == codec
                               and "spill_stored_gb" in report
                               and report.get("prefetch", {}).get(
@@ -805,9 +751,7 @@ def compressed_spill_sweep(budget_fractions: tuple[float, ...] =
                 logical_gb[codec] += report["spill_bytes_gb"]
                 if prefetch:
                     prefetches[fraction] += report["prefetch"]["count"]
-                budget_ok &= trace.peak_catalog_usage <= ram + 1e-9
-                budget_ok &= report["tiers"][0]["peak"] <= ram + 1e-9
-            totals[(codec, prefetch)][fraction] = total
+                budget_ok &= run.within(ram)
 
     rows = []
     base_arm = (codecs[0], False)  # first codec, no prefetch = baseline
@@ -886,23 +830,7 @@ def ram_compression_sweep(budget_fractions: tuple[float, ...] =
     rung arm is strictly faster than *both* baselines at every
     below-peak point.
     """
-    from repro.core.problem import TierAwareBudget
-    from repro.engine.controller import Controller
-    from repro.store.config import RAM_COMPRESSED, SpillConfig, TierSpec
-
-    generator = WorkloadGenerator()
-    config = GeneratedWorkloadConfig(n_nodes=n_nodes,
-                                     height_width_ratio=0.5)
-    cases = []
-    for i in range(n_dags):
-        graph = generator.generate(config, seed=seed + i)
-        budget = 0.3 * graph.total_size()
-        problem = ScProblem(graph=graph, memory_budget=budget)
-        plan = optimize(problem, method="sc", seed=seed).plan
-        peak = Controller().refresh(
-            graph, budget, plan=plan, method="sc").peak_catalog_usage
-        cases.append((graph, plan, peak))
-
+    cases = generated_cases(n_dags, n_nodes, seed)
     arms = ("nospill", "ssd", "rung")
     totals: dict[str, dict[float, float]] = {arm: {} for arm in arms}
     rung_spills: dict[float, int] = {}
@@ -912,49 +840,30 @@ def ram_compression_sweep(budget_fractions: tuple[float, ...] =
     for fraction in budget_fractions:
         rung_spills[fraction] = rung_promotes[fraction] = 0
         for arm in arms:
-            total = 0.0
-            for graph, _, peak in cases:
-                physical_ram = fraction * peak
+            totals[arm][fraction] = 0.0
+            for case in cases:
+                ram = fraction * case.peak
+                tiers = None if arm == "nospill" else ssd_and_disk(case.peak)
                 if arm == "rung":
-                    rung_gb = rung_fraction * physical_ram
-                    ram = physical_ram - rung_gb
-                    tiers = (TierSpec(RAM_COMPRESSED, rung_gb),
-                             TierSpec("ssd", 0.5 * peak),
-                             TierSpec("disk"))
-                elif arm == "ssd":
-                    ram = physical_ram
-                    tiers = (TierSpec("ssd", 0.5 * peak),
-                             TierSpec("disk"))
-                else:
-                    ram = physical_ram
-                    tiers = None
-                spill = (SpillConfig(tiers=tiers, policy=policy)
-                         if tiers else None)
-                tier_budget = (TierAwareBudget.from_spill(ram, spill)
-                               if spill is not None else None)
-                plan = optimize(
-                    ScProblem(graph=graph, memory_budget=ram,
-                              tier_budget=tier_budget),
-                    method="sc", seed=seed).plan
-                controller = Controller(
-                    options=SimulatorOptions(spill=spill))
-                trace = controller.refresh(graph, ram, plan=plan,
-                                           method="sc", backend=backend)
-                total += trace.end_to_end_time
-                budget_ok &= trace.peak_catalog_usage <= ram + 1e-9
-                if spill is None:
-                    continue
-                report = trace.extras["tiered_store"]
-                budget_ok &= report["tiers"][0]["peak"] <= ram + 1e-9
+                    rung_gb = rung_fraction * ram
+                    ram -= rung_gb
+                    tiers = (TierSpec(RAM_COMPRESSED, rung_gb), *tiers)
+                run = run_cell(
+                    case.graph, ram,
+                    SpillConfig(tiers=tiers, policy=policy) if tiers
+                    else None,
+                    "aware" if tiers else "blind",
+                    seed=seed, backend=backend)
+                totals[arm][fraction] += run.trace.end_to_end_time
+                budget_ok &= run.within(ram)
                 if arm == "rung":
-                    rung_tier = report["tiers"][1]
+                    rung_tier = run.report["tiers"][1]
                     budget_ok &= rung_tier["peak"] <= rung_gb + 1e-9
-                    rung_spills[fraction] += report["spill_count"]
-                    rung_promotes[fraction] += report["promote_count"]
+                    rung_spills[fraction] += run.report["spill_count"]
+                    rung_promotes[fraction] += run.report["promote_count"]
                     observed = rung_tier["observed"]
                     rung_ratio_gb[0] += observed["spill_in_gb"]
                     rung_ratio_gb[1] += observed["spill_in_stored_gb"]
-            totals[arm][fraction] = total
 
     rows = []
     for fraction in budget_fractions:
@@ -1036,29 +945,11 @@ def feedback_loop_sweep(budget_fractions: tuple[float, ...] =
       tuition) or beats the best fixed codec on both mixes — it drops
       the codec on the lean mix and keeps it on the rich mix.
     """
-    from repro.core.problem import TierAwareBudget
-    from repro.engine.controller import Controller
-    from repro.feedback import CostFeedback
-    from repro.store.config import CodecAdaptConfig, SpillConfig, TierSpec
-
-    generator = WorkloadGenerator()
-    config = GeneratedWorkloadConfig(n_nodes=n_nodes,
-                                     height_width_ratio=0.5)
-    profile = DeviceProfile()
-
-    def build_cases(lean_fraction: float) -> list:
-        cases = []
-        for i in range(n_dags):
-            graph = generator.generate(config, seed=seed + i)
-            _mixed_compressibility(graph, seed=seed * 977 + i,
-                                   lean_fraction=lean_fraction)
-            budget = 0.3 * graph.total_size()
-            plan = optimize(ScProblem(graph=graph, memory_budget=budget),
-                            method="sc", seed=seed).plan
-            peak = Controller(profile=profile).refresh(
-                graph, budget, plan=plan, method="sc").peak_catalog_usage
-            cases.append((graph, plan, peak))
-        return cases
+    def build_cases(lean_fraction: float) -> list[Case]:
+        return generated_cases(
+            n_dags, n_nodes, seed,
+            stamp=lambda graph, i: _mixed_compressibility(
+                graph, seed=seed * 977 + i, lean_fraction=lean_fraction))
 
     def spill_config(peak: float, codec: str, adapt: bool = False,
                      cold: bool = False) -> SpillConfig:
@@ -1074,47 +965,32 @@ def feedback_loop_sweep(budget_fractions: tuple[float, ...] =
                    if adapt else None))
 
     # ---- replanning: static tier-aware plan vs feedback replan ----
-    cases = build_cases(lean_fraction=0.7)
     static_totals: dict[float, float] = {}
     replan_totals: dict[float, float] = {}
     static_flags: dict[float, int] = {}
     replan_flags: dict[float, int] = {}
     observed_ratios: list[float] = []
     budget_ok = True
+    cases = build_cases(lean_fraction=0.7)
     for fraction in budget_fractions:
-        static_time = replan_time = 0.0
-        n_static = n_replan = 0
-        for graph, _, peak in cases:
-            ram = fraction * peak
-            spill = spill_config(peak, codec="zlib", cold=True)
-            controller = Controller(profile=profile,
-                                    options=SimulatorOptions(spill=spill))
-            static_plan = optimize(
-                ScProblem(graph=graph, memory_budget=ram,
-                          tier_budget=TierAwareBudget.from_spill(
-                              ram, spill, profile=profile)),
-                method="sc", seed=seed).plan
-            first = controller.refresh(graph, ram, plan=static_plan,
-                                       method="sc", backend=backend)
-            feedback = CostFeedback.from_trace(first)
-            for tier in feedback.tiers:
-                if tier.observed_ratio is not None:
-                    observed_ratios.append(tier.observed_ratio)
-            replanned = controller.replan_from_trace(graph, first, ram,
-                                                     method="sc",
-                                                     seed=seed)
-            second = controller.refresh(graph, ram, plan=replanned,
-                                        method="sc", backend=backend)
-            static_time += first.end_to_end_time
-            replan_time += second.end_to_end_time
-            n_static += len(static_plan.flagged)
-            n_replan += len(replanned.flagged)
-            budget_ok &= first.peak_catalog_usage <= ram + 1e-9
-            budget_ok &= second.peak_catalog_usage <= ram + 1e-9
-        static_totals[fraction] = static_time
-        replan_totals[fraction] = replan_time
-        static_flags[fraction] = n_static
-        replan_flags[fraction] = n_replan
+        static_totals[fraction] = replan_totals[fraction] = 0.0
+        static_flags[fraction] = replan_flags[fraction] = 0
+        for case in cases:
+            ram = fraction * case.peak
+            second = run_cell(
+                case.graph, ram,
+                spill_config(case.peak, codec="zlib", cold=True),
+                "replan", seed=seed, backend=backend)
+            first = second.first
+            observed_ratios += [  # of the spill tiers, as the replan saw them
+                tier["observed"]["observed_ratio"]
+                for tier in first.report["tiers"][1:]
+                if tier["observed"]["observed_ratio"] is not None]
+            static_totals[fraction] += first.trace.end_to_end_time
+            replan_totals[fraction] += second.trace.end_to_end_time
+            static_flags[fraction] += len(first.plan.flagged)
+            replan_flags[fraction] += len(second.plan.flagged)
+            budget_ok &= second.within(ram)
 
     # ---- adaptive codec vs fixed codecs, lean and rich mixes ----
     # each case's plan was built for the full 0.3*total budget; running
@@ -1128,21 +1004,19 @@ def feedback_loop_sweep(budget_fractions: tuple[float, ...] =
     for mix, mix_cases in mixes.items():
         arms = {"none": 0.0, "zlib": 0.0, "adaptive": 0.0}
         events: dict = {}
-        for graph, plan, peak in mix_cases:
-            ram = codec_fraction * peak
+        for case in mix_cases:
+            ram = codec_fraction * case.peak
             for arm in arms:
-                spill = spill_config(
-                    peak, codec="none" if arm == "none" else "zlib",
-                    adapt=arm == "adaptive")
-                controller = Controller(
-                    profile=profile,
-                    options=SimulatorOptions(spill=spill))
-                trace = controller.refresh(graph, ram, plan=plan,
-                                           method="sc", backend=backend)
-                arms[arm] += trace.end_to_end_time
-                budget_ok &= trace.peak_catalog_usage <= ram + 1e-9
+                run = run_cell(
+                    case.graph, ram,
+                    spill_config(case.peak,
+                                 codec="none" if arm == "none" else "zlib",
+                                 adapt=arm == "adaptive"),
+                    "given", plan=case.plan, backend=backend)
+                arms[arm] += run.trace.end_to_end_time
+                budget_ok &= run.within(ram)
                 if arm == "adaptive":
-                    for name, record in trace.extras["tiered_store"][
+                    for name, record in run.report[
                             "codec_adapt"]["tiers"].items():
                         tally = events.setdefault(
                             name, {"repriced": 0, "switched": 0})

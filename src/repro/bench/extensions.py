@@ -1,24 +1,13 @@
 """Extension experiments beyond the paper's figures.
 
-DESIGN.md §5 records the design decisions this reproduction made on top
-of the paper's algorithms; each driver here ablates one of them, plus two
-experiments for the paper's forward-looking claims (IVM compatibility,
-workload drift). All drivers return the same
-:class:`~repro.bench.experiments.ExperimentResult` shape the paper-figure
-drivers use.
-
-=======================  ====================================================
-driver                   question answered
-=======================  ====================================================
-``ablation_convergence`` does Algorithm 2's size-based stop (line 5) beat a
-                         score-based variant?
-``ablation_tolerance``   what does the BnB 1 % optimality gap cost vs exact?
-``sensitivity_background``  how robust are speedups to the background
-                         channel's interference/parallelism assumptions?
-``adaptive_drift``       how much of the oracle's advantage does mid-run
-                         re-planning recover under workload drift?
-``ivm_integration``      do IVM and S/C compose (paper §VII's claim)?
-=======================  ====================================================
+Three drivers ablate a design decision this reproduction made on top
+of the paper's algorithms (Algorithm 2's convergence test, the MKP
+search's optimality gap, the background channel's assumptions) and two
+exercise the paper's forward-looking claims (IVM compatibility,
+workload drift).  All return the same
+:class:`~repro.bench.experiments.ExperimentResult` shape the
+paper-figure drivers use and run as ``repro-sc bench <id>`` like them;
+:data:`repro.bench.EXPERIMENTS` names them.
 """
 
 from __future__ import annotations
@@ -29,7 +18,6 @@ from repro.bench.experiments import ExperimentResult
 from repro.bench.methods import run_method
 from repro.core.alternating import AlternatingOptimizer
 from repro.core.knapsack_select import select_nodes_mkp
-from repro.core.optimizer import optimize
 from repro.core.problem import ScProblem
 from repro.core.speedup import compute_speedup_scores
 from repro.engine.adaptive import AdaptiveController

@@ -19,14 +19,15 @@ A completed run aggregates the per-trial ``RunTrace`` totals and
 ``BENCH_<date>.json`` (validated by :mod:`repro.bench.trajectory`) and
 a markdown report with per-axis pivot tables under the run directory.
 
-The per-cell execution path mirrors the repo's sweep benchmarks: each
-workload's no-spill peak defines the 100% RAM point, every cell runs
-under ``ram_fraction * peak`` with an SSD + unbounded-disk hierarchy
-(plus the compressed-in-RAM rung when the ``rung`` axis arms it),
-plans are tier-aware for the hierarchy they run on, and the
-``replan`` feedback arm reports the second pass of the observed-cost
-loop.  MiniDB cells run the real SQL demo workload with real spills
-under a temporary directory; their timings are wall-clock.
+A graph cell runs the same code as a point of the sweep drivers,
+:func:`repro.bench.below_peak.run_cell`: each workload's no-spill peak
+defines the 100% RAM point, every cell runs under
+``ram_fraction * peak`` with an SSD + unbounded-disk hierarchy (plus
+the compressed-in-RAM rung when the ``rung`` axis arms it), plans are
+tier-aware for the hierarchy they run on, and the ``replan`` feedback
+arm reports the second pass of the observed-cost loop.  MiniDB cells
+run the real SQL demo workload with real spills under a temporary
+directory; their timings are wall-clock.
 """
 
 from __future__ import annotations
@@ -42,12 +43,10 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 from repro.bench.experiment import (
-    DEMO_WORKLOAD,
     MatrixConfig,
     PrunedCell,
     TrialSpec,
     expand_matrix,
-    load_config,
 )
 from repro.errors import ValidationError
 
@@ -127,15 +126,9 @@ def _baseline_peak(workload: str, scale_gb: float, method: str,
         return _PEAK_CACHE[key]
 
 
-def _store_counters(trace) -> tuple[int, int]:
-    report = trace.extras.get("tiered_store") or {}
-    return (report.get("spill_count", 0), report.get("promote_count", 0))
-
-
 def _run_graph_trial(spec: TrialSpec, config: MatrixConfig,
                      cancel: threading.Event | None = None) -> dict:
-    from repro.engine.controller import Controller
-    from repro.exec.base import SimulatorOptions
+    from repro.bench.below_peak import run_cell
     from repro.store.config import RAM_COMPRESSED, SpillConfig, TierSpec
     from repro.workloads.five_workloads import build_workload
 
@@ -144,42 +137,28 @@ def _run_graph_trial(spec: TrialSpec, config: MatrixConfig,
                           spec.seed)
     ram = spec.ram_fraction * peak
     graph = build_workload(spec.workload, scale_gb=config.scale_gb)
-    if spec.backend == "lru":
-        trace = Controller(cancel=cancel).refresh(graph, ram, method="lru",
-                                                  seed=spec.seed)
-        return _metrics(spec, trace)
+    if spec.backend == "lru":  # plan-free and tier-free
+        return _metrics(run_cell(graph, ram, None, "given", method="lru",
+                                 seed=spec.seed, cancel=cancel))
     tiers = [TierSpec("ssd", config.ssd_fraction * peak),
              TierSpec("disk")]
     if spec.rung:
         tiers.insert(0, TierSpec(RAM_COMPRESSED,
                                  config.rung_fraction * peak))
-    spill = SpillConfig(tiers=tuple(tiers), policy=config.policy,
-                        codec=spec.codec)
-    controller = Controller(options=SimulatorOptions(spill=spill),
-                            cancel=cancel)
-    plan = controller.plan(graph, ram, method=spec.method,
-                           seed=spec.seed, tier_aware=True)
-    trace = controller.refresh(graph, ram, method=spec.method,
-                               seed=spec.seed, plan=plan,
-                               backend=spec.backend,
-                               workers=spec.workers)
-    first_pass_s = None
-    if spec.feedback == "replan":
-        first_pass_s = trace.end_to_end_time
-        plan = controller.replan_from_trace(graph, trace, ram,
-                                            method=spec.method,
-                                            seed=spec.seed)
-        trace = controller.refresh(graph, ram, method=spec.method,
-                                   seed=spec.seed, plan=plan,
-                                   backend=spec.backend,
-                                   workers=spec.workers)
-    return _metrics(spec, trace, first_pass_s=first_pass_s)
+    return _metrics(run_cell(
+        graph, ram,
+        SpillConfig(tiers=tuple(tiers), policy=config.policy,
+                    codec=spec.codec),
+        "replan" if spec.feedback == "replan" else "aware",
+        method=spec.method, seed=spec.seed, backend=spec.backend,
+        workers=spec.workers, cancel=cancel))
 
 
 def _run_minidb_trial(spec: TrialSpec, config: MatrixConfig,
                       cancel: threading.Event | None = None) -> dict:
     import tempfile
 
+    from repro.bench.below_peak import CellRun
     from repro.db.engine import demo_workload
     from repro.engine.controller import Controller
     from repro.store.config import SpillConfig
@@ -200,20 +179,20 @@ def _run_minidb_trial(spec: TrialSpec, config: MatrixConfig,
         trace = controller.refresh_on_minidb(workload, ram,
                                              method=spec.method,
                                              seed=spec.seed, plan=plan)
-    return _metrics(spec, trace)
+    return _metrics(CellRun(plan, trace))
 
 
-def _metrics(spec: TrialSpec, trace, first_pass_s=None) -> dict:
-    spills, promotes = _store_counters(trace)
+def _metrics(run) -> dict:
+    trace = run.trace
     metrics = {
         "end_to_end_s": trace.end_to_end_time,
         "peak_catalog": trace.peak_catalog_usage,
         "memory_budget": trace.memory_budget,
-        "spill_count": spills,
-        "promote_count": promotes,
+        "spill_count": run.report.get("spill_count", 0),
+        "promote_count": run.report.get("promote_count", 0),
     }
-    if first_pass_s is not None:
-        metrics["first_pass_s"] = first_pass_s
+    if run.first is not None:
+        metrics["first_pass_s"] = run.first.trace.end_to_end_time
     return {"metrics": metrics, "trace": trace.to_dict()}
 
 
@@ -463,11 +442,6 @@ def run_matrix(config: MatrixConfig, run_dir: str, *,
         say(f"  snapshot: {bench_path}")
         say(f"  report:   {report_path}")
     return run
-
-
-def run_matrix_file(config_path: str, run_dir: str, **kwargs) -> MatrixRun:
-    """Convenience wrapper: load a config file, then :func:`run_matrix`."""
-    return run_matrix(load_config(config_path), run_dir, **kwargs)
 
 
 # ----------------------------------------------------------------------

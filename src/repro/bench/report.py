@@ -43,8 +43,15 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence],
     return "\n".join(lines)
 
 
-def format_speedup(value: float) -> str:
-    return f"{value:.2f}x"
+def _string_keys(value):
+    """``value`` with every tuple dict key (``("TPC-DS", "io1")``, a
+    driver's natural index) joined into the string JSON needs."""
+    if isinstance(value, dict):
+        return {("/".join(map(str, key)) if isinstance(key, tuple) else key):
+                _string_keys(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_string_keys(item) for item in value]
+    return value
 
 
 def result_payload(result, **extra) -> dict:
@@ -61,7 +68,7 @@ def result_payload(result, **extra) -> dict:
         "title": result.title,
         "headers": list(result.headers),
         "rows": [list(row) for row in result.rows],
-        "data": dict(result.data),
+        "data": _string_keys(result.data),
     }
     overlap = set(payload) & set(extra)
     if overlap:
@@ -76,10 +83,12 @@ def emit_result_json(result, path: str | None = None,
     """Write :func:`result_payload` as JSON — the one helper behind
     every ``bench_*.py`` artifact dump.
 
-    ``path`` names the output directly; ``env_var`` looks the path up
-    in the environment instead (the benchmarks' opt-in convention,
-    e.g. ``RAMCODEC_BENCH_JSON``).  Returns the path written, or
-    ``None`` when the environment variable is unset/empty.
+    ``path`` names the output directly
+    (``benchmarks/bench_experiments.py`` writes one payload per
+    experiment); ``env_var`` looks the path up in the environment
+    instead (the opt-in of ``benchmarks/bench_service_latency.py``).
+    Returns the path written, or ``None`` when the environment
+    variable is unset/empty.
     """
     if path is None:
         if env_var is None:

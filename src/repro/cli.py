@@ -16,18 +16,15 @@ Subcommands:
   *observed* tier costs, and ``--replan`` does both passes in one
   command (run, observe, re-plan, run again).
 * ``workload`` — emit one of the paper's five workloads as graph JSON.
-* ``bench`` — run one experiment driver (fig2..fig14, table3..table5,
-  plus the repo's own ``parallel``/``spill``/``spillplan``/
-  ``spillcodec``/``feedback`` sweeps), or ``bench matrix CONFIG`` —
-  the standing experiment orchestrator: expand a declarative TOML/JSON
-  benchmark matrix (backend x workload x RAM fraction x codec x
-  feedback x rung x seed), run every cell with bounded parallelism,
-  per-trial timeout and crash isolation, persist each finished cell to
-  the run directory (``--resume DIR`` continues an interrupted matrix
-  without re-running completed cells, ``--retry-failed`` re-opens
-  failed cells), and aggregate into a schema-valid ``BENCH_<date>.json``
-  plus a markdown report with per-axis pivot tables (``--report``
-  prints it).
+* ``bench`` — run one experiment driver by its id in
+  :data:`repro.bench.EXPERIMENTS` (``bench --help`` lists them), or
+  ``bench matrix CONFIG`` — the standing experiment orchestrator
+  (:mod:`repro.bench.orchestrator`): expand a declarative TOML/JSON
+  benchmark matrix, run every cell with bounded parallelism, per-trial
+  timeout and crash isolation into a resumable run directory
+  (``--resume DIR``, ``--retry-failed``), and aggregate it into a
+  schema-valid ``BENCH_<date>.json`` plus a markdown report
+  (``--report`` prints it).
 * ``minidb`` — refresh a demo SQL workload on the real MiniDB backend;
   ``--spill-dir`` arms real spill-to-disk (``--spill-codec zlib``
   compresses the dumps for real), ``--ram-compressed GB`` inserts the
@@ -54,10 +51,11 @@ fast ``zlib1`` preset.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
-from repro.bench import experiments
+from repro.bench import EXPERIMENTS
 from repro.core.optimizer import OPTIMIZER_METHODS, optimize, plan_summary
 from repro.core.plan import Plan
 from repro.core.problem import ScProblem
@@ -74,26 +72,6 @@ from repro.store.config import (
 )
 from repro.store.policy import policy_help, policy_names
 from repro.workloads.five_workloads import WORKLOAD_NAMES, build_workload
-
-_EXPERIMENTS = {
-    "fig2": experiments.fig2_query_type_breakdown,
-    "fig3": experiments.fig3_io_breakdown,
-    "table3": experiments.table3_workload_summary,
-    "fig9": experiments.fig9_end_to_end,
-    "fig10": experiments.fig10_scales,
-    "fig11": experiments.fig11_memory_sweep,
-    "table4": experiments.table4_latency_breakdown,
-    "fig12": experiments.fig12_ablation,
-    "table5": experiments.table5_cluster_scaling,
-    "fig13": experiments.fig13_optimization_time,
-    "fig14": experiments.fig14_parameter_sweep,
-    "parallel": experiments.parallel_scaling,
-    "spill": experiments.spill_tier_sweep,
-    "spillplan": experiments.spill_planning_sweep,
-    "spillcodec": experiments.compressed_spill_sweep,
-    "feedback": experiments.feedback_loop_sweep,
-    "ramcodec": experiments.ram_compression_sweep,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -213,22 +191,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench", help="run one paper experiment, or a benchmark matrix")
-    p_bench.add_argument("experiment",
-                         choices=sorted(_EXPERIMENTS) + ["matrix"],
-                         help="experiment id: fig2..fig14/table3..table5 "
-                              "reproduce the paper; 'parallel' measures "
-                              "the memory-bounded scheduler; 'spill' "
-                              "sweeps RAM below a plan's peak with the "
-                              "tiered store armed; 'spillplan' compares "
-                              "tier-blind vs tier-aware planning; "
-                              "'spillcodec' sweeps spill codec x "
-                              "prefetch below the peak; 'feedback' "
-                              "measures observed-cost replanning and "
-                              "the adaptive codec; 'ramcodec' sweeps "
-                              "the compressed-in-RAM rung against "
-                              "uncompressed RAM and straight-to-SSD; "
-                              "'matrix' runs a declarative benchmark "
-                              "matrix from a config file")
+    p_bench.add_argument(
+        "experiment", choices=[*EXPERIMENTS, "matrix"], metavar="ID",
+        help=" ".join(
+            [f"'{name}': {inspect.getdoc(driver).splitlines()[0]}"
+             for name, driver in EXPERIMENTS.items()]
+            + ["'matrix': run a declarative benchmark matrix from a "
+               "config file."]).replace("%", "%%"))
     p_bench.add_argument("config", nargs="?",
                          help="matrix config (TOML or JSON; required "
                               "for 'matrix', e.g. "
@@ -665,7 +634,7 @@ def _cmd_bench(args) -> int:
         print("repro-sc bench: error: a config file only applies to "
               "'bench matrix'", file=sys.stderr)
         return 2
-    result = _EXPERIMENTS[args.experiment]()
+    result = EXPERIMENTS[args.experiment]()
     print(result.render())
     return 0
 

@@ -1,13 +1,30 @@
 """Smoke tests for the experiment drivers (tiny parameterizations).
 
-The full-size assertions live in ``benchmarks/``; here we verify every
-driver runs, returns well-formed rows, and renders.
+The full-size assertions live in ``benchmarks/bench_experiments.py``;
+here we verify every driver runs, returns well-formed rows, and
+renders; that the registry, the claims and the ``bench`` command name
+the same experiments; and the below-peak cell the tiered sweeps and
+``bench matrix`` share.
 """
+
+import argparse
+import dataclasses
 
 import pytest
 
-from repro.bench import experiments
+from benchmarks.bench_experiments import CLAIMS
+from repro import cli
+from repro.bench import EXPERIMENTS, experiments
+from repro.bench.below_peak import (
+    PLANNING_ARMS,
+    CellRun,
+    generated_cases,
+    run_cell,
+    ssd_and_disk,
+)
 from repro.bench.report import format_table
+from repro.errors import ValidationError
+from repro.store.config import SpillConfig
 
 
 class TestReport:
@@ -93,3 +110,89 @@ class TestDrivers:
         assert ("DAG size", "100") in result.data["normalized"]
         assert result.data["normalized"][("DAG size", "100")] == \
             pytest.approx(1.0)
+
+
+class TestRegistry:
+    def test_every_driver_has_claims_and_a_bench_id(self):
+        """A driver without claims, claims without a driver, or either
+        out of ``repro-sc bench``'s reach fails here."""
+        parser = cli._build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        bench_ids = next(action for action in
+                         commands.choices["bench"]._actions
+                         if action.dest == "experiment").choices
+        assert list(CLAIMS) == list(EXPERIMENTS)
+        assert list(bench_ids) == [*EXPERIMENTS, "matrix"]
+        # bench --help says the first line of each driver's docstring
+        assert all(driver.__doc__ for driver in EXPERIMENTS.values())
+
+
+class TestBelowPeakCell:
+    @pytest.fixture(scope="class")
+    def case(self):
+        return generated_cases(n_dags=1, n_nodes=16, seed=3)[0]
+
+    def test_case_is_planned_at_its_no_spill_peak(self, case):
+        assert case.plan.flagged
+        assert 0 < case.peak <= 0.3 * case.graph.total_size() + 1e-9
+
+    @pytest.mark.parametrize("planning", PLANNING_ARMS)
+    def test_every_arm_runs_within_the_budget(self, case, planning):
+        ram = 0.4 * case.peak
+        run = run_cell(case.graph, ram,
+                       SpillConfig(tiers=ssd_and_disk(case.peak)),
+                       planning, plan=case.plan)
+        assert len(run.trace.nodes) == case.graph.n
+        assert run.within(ram)
+        if planning == "given":  # the full-budget plan must spill here
+            assert run.plan is case.plan
+            assert run.report["spill_count"] > 0
+        if planning == "replan":
+            first = run.first
+            assert first.first is None and first.plan is not run.plan
+            assert first.trace is not run.trace
+            assert first.within(ram)
+        else:
+            assert run.first is None
+
+    def test_budget_check_reads_trace_tier0_and_both_passes(self, case):
+        ram = 0.4 * case.peak
+        run = run_cell(case.graph, ram,
+                       SpillConfig(tiers=ssd_and_disk(case.peak)), "replan")
+        tier0_peak = run.report["tiers"][0]["peak"]
+        assert 0 < tier0_peak <= ram + 1e-9
+        quiet = dataclasses.replace(run.trace, peak_catalog_usage=0.0)
+        assert not CellRun(run.plan, quiet).within(0.5 * tier0_peak)
+        no_report = dataclasses.replace(run.trace, extras={})
+        assert CellRun(run.plan, no_report).within(ram)
+        assert not CellRun(run.plan, no_report).within(
+            0.5 * run.trace.peak_catalog_usage)
+        over = dataclasses.replace(run.first.trace,
+                                   peak_catalog_usage=2 * ram)
+        assert not CellRun(run.plan, run.trace,
+                           first=CellRun(run.first.plan, over)).within(ram)
+
+    def test_aware_plans_against_the_tiers(self, case):
+        ram = 0.4 * case.peak
+        spill = SpillConfig(tiers=ssd_and_disk(case.peak))
+        blind = run_cell(case.graph, ram, spill, "blind")
+        aware = run_cell(case.graph, ram, spill, "aware")
+        assert blind.plan.expected_tiers == ()
+        assert aware.plan.expected_tiers
+        assert len(aware.plan.flagged) >= len(blind.plan.flagged)
+
+    def test_controller_defines_the_edge_cases(self, case):
+        # given, no plan: refresh optimizes tier-blind on its own
+        unplanned = run_cell(case.graph, case.peak, None, "given")
+        assert unplanned.plan is None and unplanned.report == {}
+        assert unplanned.within(case.peak)
+        # ... or runs a plan-free baseline
+        lru = run_cell(case.graph, case.peak, None, "given", method="lru")
+        assert lru.trace.method == "lru"
+        # tier-aware planning needs tiers to price
+        for planning in ("aware", "replan"):
+            with pytest.raises(ValidationError, match="spill configuration"):
+                run_cell(case.graph, case.peak, None, planning)
+        with pytest.raises(ValueError, match="planning"):
+            run_cell(case.graph, case.peak, None, "oracle")

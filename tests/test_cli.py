@@ -71,9 +71,15 @@ class TestWorkload:
 
 
 class TestBench:
-    def test_runs_fig2(self, capsys):
-        assert main(["bench", "fig2"]) == 0
-        assert "transformation" in capsys.readouterr().out
+    @pytest.mark.parametrize("experiment, column", [
+        ("fig2", "transformation"),
+        ("adaptive_drift", "re-plans"),  # a bench/extensions.py driver
+    ])
+    def test_prints_the_experiments_table(self, experiment, column,
+                                          capsys):
+        assert main(["bench", experiment]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"[{experiment}]") and column in out
 
 
 class TestExplain:

@@ -56,6 +56,11 @@ class TestCodecConfig:
         config = SpillConfig(codec="zlib")
         assert config.codec is ZLIB_CODEC
         assert SpillConfig().codec is NONE_CODEC
+        # a config that never heard of codecs or prefetch is the
+        # explicit knobs-off one, so it runs the uncompressed pipeline
+        tiers = (TierSpec("ssd", 8.0), TierSpec("disk"))
+        assert SpillConfig(tiers=tiers) == SpillConfig(
+            tiers=tiers, codec="none", prefetch=False)
         with pytest.raises(ValidationError, match="unknown spill codec"):
             SpillConfig(codec="snappy")
 

@@ -68,7 +68,11 @@ class TestSpillDisabledIsIdentical:
                                      backend=backend, workers=workers)
         assert trace.extras == {}
         assert all(n.spill_write == 0 and n.promote_read == 0
+                   and n.admission == ""  # no arbitration ever ran
                    for n in trace.nodes)
+        if workers == 1:  # serial and workers=1 agree number for number
+            assert trace.to_dict() == Controller().refresh(
+                graph, budget, plan=plan, method="sc").to_dict()
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_roomy_spill_run_matches_disabled_run(self, seed):

@@ -165,6 +165,12 @@ def test_large_columns(codec):
     assert_same_table(columnar_codec.decode_table(blob), table)
     if codec == "columnar":
         assert len(blob) < len(columnar_codec.encode_table(table, "zlib1"))
+        # the two shapes the codec exists for — a low-cardinality
+        # column (dictionary) and a near-sequence (delta) — by a margin
+        shaped = Table({"status": rng.integers(0, 8, n),
+                        "order_id": np.arange(n, dtype=np.int64) * 3})
+        assert 2 * len(columnar_codec.encode_table(shaped, codec)) < \
+            len(columnar_codec.encode_table(shaped, "zlib"))
 
 
 def test_float_dictionary_keeps_the_bits():
