@@ -42,11 +42,8 @@ simulator arm pins.
 
 import time
 
-import numpy as np
-
 from repro.bench.experiments import ExperimentResult
-from repro.db.engine import MiniDB, MvDefinition, SqlWorkload
-from repro.db.table import Table
+from repro.db.engine import demo_workload
 from repro.engine.controller import Controller
 from repro.engine import SimulatorOptions
 from repro.obs.events import EventBus
@@ -70,33 +67,6 @@ _SIM_MEMORY_GB = 1.0
 _SIM_SPILL = SpillConfig(
     tiers=(parse_tier("ssd:2:zlib"), parse_tier("disk:inf:zlib")),
     prefetch=True)
-
-
-def _demo_workload(data_dir: str, rows: int = _DB_ROWS,
-                   seed: int = 0) -> SqlWorkload:
-    """The CLI's six-MV demo workload over one generated base table."""
-    db = MiniDB(data_dir)
-    rng = np.random.default_rng(seed)
-    db.register_table("events", Table({
-        "user": rng.integers(0, 50, rows),
-        "amount": rng.uniform(0, 10, rows),
-    }))
-    return SqlWorkload(db=db, definitions=[
-        MvDefinition("mv_recent",
-                     "SELECT user, amount FROM events WHERE amount > 1"),
-        MvDefinition("mv_big",
-                     "SELECT user, amount FROM mv_recent WHERE amount > 2"),
-        MvDefinition("mv_spend",
-                     "SELECT user, SUM(amount) AS spend "
-                     "FROM mv_recent GROUP BY user"),
-        MvDefinition("mv_whales",
-                     "SELECT user, amount FROM mv_big WHERE amount > 5"),
-        MvDefinition("mv_big_spend",
-                     "SELECT user, SUM(amount) AS spend "
-                     "FROM mv_big GROUP BY user"),
-        MvDefinition("mv_vip",
-                     "SELECT user, amount FROM mv_whales WHERE amount > 8"),
-    ])
 
 
 def _time_minidb_arms(workload, plan, spill_dir, bus):
@@ -124,7 +94,7 @@ def test_minidb_events_on_cost_per_event(tmp_path, show):
     """Was ``..._overhead_under_two_percent``: the same two arms, read
     as seconds per emitted event instead of a share of a refresh that
     keeps getting shorter (module docstring)."""
-    workload = _demo_workload(str(tmp_path / "warehouse"))
+    workload = demo_workload(str(tmp_path / "warehouse"), rows=_DB_ROWS)
     spill_dir = str(tmp_path / "spill")
     profiled = workload.profile()
     planner = Controller(spill_dir=spill_dir,

@@ -33,7 +33,6 @@ requests), never latencies.
 """
 
 import os
-import random
 
 import pytest
 
@@ -45,6 +44,7 @@ from repro.serve.service import (
     ServiceConfig,
     TenantSpec,
     percentile,
+    run_open_loop,
 )
 from repro.store.config import SpillConfig, TierSpec
 from repro.workloads.five_workloads import build_workload
@@ -66,30 +66,14 @@ def _workload():
 
 def _run_open_loop(graph, plan, budget, n_requests, arrival_rate,
                    seed=0, max_concurrent=8):
-    """One open-loop trial: Poisson arrivals that never wait for
-    completions.  Returns (service, results)."""
-    import asyncio
-
+    """One open-loop trial.  Returns (service, results)."""
     config = ServiceConfig(
         ram_budget_gb=budget, spill=_SPILL,
         queue_limit=max(n_requests, 1),
         max_concurrent=max_concurrent, time_scale=_TIME_SCALE)
     service = RefreshService(config, list(_TENANTS))
-    rng = random.Random(seed)
-    names = [spec.name for spec in _TENANTS]
-
-    async def open_loop():
-        async with service as svc:
-            handles = []
-            for i in range(n_requests):
-                # open loop: sleep the inter-arrival gap, submit, move
-                # on — never await a completion before the next arrival
-                await asyncio.sleep(rng.expovariate(arrival_rate))
-                handles.append(await svc.submit(
-                    graph, plan, tenant=names[i % len(names)]))
-            return [await handle for handle in handles]
-
-    return service, asyncio.run(open_loop())
+    return service, run_open_loop(service, graph, plan, n_requests,
+                                  arrival_rate, seed=seed)
 
 
 def _peak_overlap(results) -> int:
@@ -250,4 +234,4 @@ def test_emit_bench_artifact(show):
             "peak_overlap": _peak_overlap(results),
         })
     show(result)
-    emit_result_json(result, env_var="SERVICE_BENCH_JSON")
+    emit_result_json(result, path=os.environ["SERVICE_BENCH_JSON"])

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 from typing import Sequence
 
 
@@ -78,24 +77,9 @@ def result_payload(result, **extra) -> dict:
     return payload
 
 
-def emit_result_json(result, path: str | None = None,
-                     env_var: str | None = None, **extra) -> str | None:
-    """Write :func:`result_payload` as JSON — the one helper behind
-    every ``bench_*.py`` artifact dump.
-
-    ``path`` names the output directly
-    (``benchmarks/bench_experiments.py`` writes one payload per
-    experiment); ``env_var`` looks the path up in the environment
-    instead (the opt-in of ``benchmarks/bench_service_latency.py``).
-    Returns the path written, or ``None`` when the environment
-    variable is unset/empty.
-    """
-    if path is None:
-        if env_var is None:
-            raise ValueError("pass path or env_var")
-        path = os.environ.get(env_var)
-        if not path:
-            return None
+def emit_result_json(result, path: str, **extra) -> str:
+    """Write :func:`result_payload` as JSON to ``path`` and return it —
+    the one helper behind every ``bench_*.py`` artifact dump."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(result_payload(result, **extra), handle, indent=2,
                   default=str)

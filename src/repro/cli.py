@@ -1,51 +1,15 @@
-"""Command-line interface: ``repro-sc <subcommand>``.
+"""Command-line interface: ``repro-sc <subcommand>`` (``--help`` lists
+them, ``<subcommand> --help`` their flags).
 
-Subcommands:
-
-* ``optimize`` — read a dependency-graph JSON, write/print the S/C plan.
-* ``simulate`` — run a plan (or optimize first) through the refresh
-  simulator and print the timing summary + Gantt chart; ``--tier``
-  arms the tiered spill store (``--tier ram:4 --tier ssd:8 --tier
-  disk:inf``), ``--spill-codec zlib`` compresses the spill files (with
-  decode-aware costing), ``--prefetch`` promotes spilled parents ahead
-  of their consumers, and ``--tier-aware-plan`` lets the optimizer
-  price flagging against those tiers.  The feedback loop:
-  ``--adaptive-codec`` re-prices (or drops) the codec mid-run from
-  measured spill ratios, ``--save-trace out.json`` persists the run,
-  ``--feedback out.json`` plans the next run against that trace's
-  *observed* tier costs, and ``--replan`` does both passes in one
-  command (run, observe, re-plan, run again).
-* ``workload`` — emit one of the paper's five workloads as graph JSON.
-* ``bench`` — run one experiment driver by its id in
-  :data:`repro.bench.EXPERIMENTS` (``bench --help`` lists them), or
-  ``bench matrix CONFIG`` — the standing experiment orchestrator
-  (:mod:`repro.bench.orchestrator`): expand a declarative TOML/JSON
-  benchmark matrix, run every cell with bounded parallelism, per-trial
-  timeout and crash isolation into a resumable run directory
-  (``--resume DIR``, ``--retry-failed``), and aggregate it into a
-  schema-valid ``BENCH_<date>.json`` plus a markdown report
-  (``--report`` prints it).
-* ``minidb`` — refresh a demo SQL workload on the real MiniDB backend;
-  ``--spill-dir`` arms real spill-to-disk (``--spill-codec zlib``
-  compresses the dumps for real), ``--ram-compressed GB`` inserts the
-  compressed-in-RAM rung between the catalog and the disk tier
-  (victims are encoded in memory, reads decode lazily), and
-  ``--plan-tiers`` plans tier-aware against it.
-
-* ``obs`` — observability reports: ``obs report TRACE`` itemizes a
-  saved trace's seconds per stage (the Figure 3 axes plus the
-  bounded-memory mechanics).
-
-``simulate`` and ``minidb`` both accept ``--events PATH`` (record
-span/instant/counter events; ``.jsonl`` gets the event log, anything
-else a Chrome-trace JSON for ui.perfetto.dev), ``--metrics`` (print
-the run's counters/gauges/histograms), and ``--profile PATH`` to dump
-a cProfile of the whole run for offline analysis (``python -m
-pstats``; a top-10 cumulative summary also lands on stderr).
-The simulated tier stack accepts the same rung as a first tier:
-``--tier ram-compressed:2 --tier ssd:8`` prices demotions at encode
-cost only (no device transfer) and defaults the rung codec to the
-fast ``zlib1`` preset.
+A thin shell over :class:`~repro.engine.controller.Controller`: each
+subcommand parses its flags, calls the library and prints the result.
+The library owns the run-configuration rules; the
+:class:`~repro.errors.ValidationError` one of them raises is printed as
+``repro-sc <command>: error: <message>`` and exits with status 2.  What
+stays here are the rules about the flags themselves: one RAM budget
+(``--memory`` or ``--tier ram:SIZE``), a config file only for ``bench
+matrix``, and ``--adaptive-codec`` only over a hierarchy with a tier
+that compresses.
 """
 
 from __future__ import annotations
@@ -53,7 +17,10 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import pathlib
 import sys
+from collections import Counter
+from functools import partial
 
 from repro.bench import EXPERIMENTS
 from repro.core.optimizer import OPTIMIZER_METHODS, optimize, plan_summary
@@ -61,17 +28,57 @@ from repro.core.plan import Plan
 from repro.core.problem import ScProblem
 from repro.engine.controller import Controller
 from repro.errors import ValidationError
-from repro.exec.base import SimulatorOptions, backend_names
+from repro.exec.base import backend_names
 from repro.graph.io import graph_from_json, graph_to_json
 from repro.store.config import (
     SPILL_CODECS,
     CodecAdaptConfig,
     SpillConfig,
+    minidb_spill_config,
     parse_tier,
-    resolve_codec,
 )
 from repro.store.policy import policy_help, policy_names
 from repro.workloads.five_workloads import WORKLOAD_NAMES, build_workload
+
+
+def _run_flags(methods: list[str]) -> argparse.ArgumentParser:
+    """The flags ``simulate`` and ``minidb`` share, as an argparse
+    parent (only ``simulate`` offers the plan-free ``lru`` method)."""
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--method", default="sc", choices=methods)
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--spill-policy", default="cost",
+                     choices=sorted(policy_names()),
+                     help=f"victim-selection policy for spilling — "
+                          f"{policy_help()}")
+    run.add_argument("--spill-codec", default="none",
+                     choices=sorted(SPILL_CODECS),
+                     help="compress what spills with this codec: the "
+                          "tier is charged the stored bytes, a demotion "
+                          "pays an encode, a read-back a decode "
+                          "(default: none — raw dumps; simulate: "
+                          "per-tier override via --tier NAME:GB:CODEC)")
+    run.add_argument("--adaptive-codec", action="store_true",
+                     help="mid-run codec re-pricing: measure the "
+                          "realized compression of the first spills per "
+                          "tier, re-price the stall-vs-spill cost model "
+                          "with the observed ratio, and drop a codec "
+                          "that stops paying for itself")
+    run.add_argument("--events", metavar="PATH",
+                     help="record span/instant/counter events and write "
+                          "them here: a .jsonl suffix gets the "
+                          "line-per-event log, anything else the "
+                          "Chrome-trace JSON (load in ui.perfetto.dev or "
+                          "chrome://tracing); with --replan only the "
+                          "second pass is recorded")
+    run.add_argument("--metrics", action="store_true",
+                     help="print the run's metrics registry "
+                          "(counters/gauges/histograms) after the "
+                          "summary")
+    run.add_argument("--profile", metavar="PATH",
+                     help="dump a cProfile of the whole run to PATH "
+                          "(inspect with python -m pstats)")
+    return run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,6 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_opt = sub.add_parser("optimize", help="compute a refresh plan")
+    p_opt.set_defaults(handler=_cmd_optimize)
     p_opt.add_argument("graph", help="path to dependency-graph JSON")
     p_opt.add_argument("--memory", type=float, required=True,
                        help="Memory Catalog size (same unit as sizes)")
@@ -91,14 +99,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--output", help="write plan JSON here "
                                         "(default: stdout)")
 
-    p_sim = sub.add_parser("simulate", help="simulate a refresh run")
+    p_sim = sub.add_parser(
+        "simulate", help="simulate a refresh run",
+        parents=[_run_flags(sorted(OPTIMIZER_METHODS) + ["lru"])])
+    p_sim.set_defaults(handler=_cmd_simulate)
     p_sim.add_argument("graph", help="path to dependency-graph JSON")
     p_sim.add_argument("--memory", type=float,
                        help="RAM budget (or pass --tier ram:SIZE)")
-    p_sim.add_argument("--method", default="sc",
-                       choices=sorted(OPTIMIZER_METHODS) + ["lru"])
-    p_sim.add_argument("--plan", help="optional pre-computed plan JSON")
-    p_sim.add_argument("--seed", type=int, default=0)
     # minidb is excluded: it needs a SqlWorkload, which simulate's
     # graph-JSON input cannot provide (see the 'minidb' subcommand)
     graph_backends = sorted(set(backend_names()) - {"minidb"})
@@ -112,37 +119,31 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="storage tier; repeat the flag once per tier, "
                             "hottest first (e.g. --tier ram:4 --tier ssd:8 "
                             "--tier disk:inf); any tier besides 'ram' arms "
-                            "spill-to-disk")
-    p_sim.add_argument("--spill-policy", default="cost",
-                       choices=sorted(policy_names()),
-                       help=f"victim-selection policy for spilling — "
-                            f"{policy_help()}")
-    p_sim.add_argument("--spill-codec", default="none",
-                       choices=sorted(SPILL_CODECS),
-                       help="compress spill files with this codec: tier "
-                            "capacity is charged compressed bytes, "
-                            "demotions pay an encode stage, read-backs "
-                            "a decode stage (default: none; per-tier "
-                            "override via --tier NAME:GB:CODEC)")
+                            "spill-to-disk; a first 'ram-compressed' tier "
+                            "is the compressed-in-RAM rung (codec zlib1 "
+                            "unless one is given)")
     p_sim.add_argument("--prefetch", action="store_true",
                        help="promote-ahead prefetching: promote spilled "
                             "parents of soon-to-run consumers back to "
                             "RAM during idle device time")
-    p_sim.add_argument("--adaptive-codec", action="store_true",
-                       help="mid-run codec re-pricing: measure the "
-                            "realized compression of the first few "
-                            "spills per tier, re-price the arbitration "
-                            "cost model with the observed ratio, and "
-                            "drop a codec that stops paying for itself")
     p_sim.add_argument("--adapt-samples", type=int, default=4,
                        metavar="K",
                        help="spilled tables to measure per tier before "
                             "the adaptive-codec decision (default: 4)")
-    p_sim.add_argument("--feedback", metavar="TRACE.json",
-                       help="plan against the observed tier costs of a "
-                            "previous run's trace JSON (written with "
-                            "--save-trace) instead of the modeled "
-                            "presets; requires --tier")
+    sources = p_sim.add_mutually_exclusive_group()
+    sources.add_argument("--plan", help="optional pre-computed plan JSON")
+    sources.add_argument("--feedback", metavar="TRACE.json",
+                         help="plan against the observed tier costs of a "
+                              "previous run's trace JSON (written with "
+                              "--save-trace) instead of the modeled "
+                              "presets; requires --tier")
+    sources.add_argument("--tier-aware-plan", action="store_true",
+                         help="price flagging against the spill tiers: "
+                              "the optimizer fills an effective budget of "
+                              "RAM plus each tier's capacity discounted by "
+                              "its spill+promote cost per byte, and the "
+                              "plan records each node's expected tier "
+                              "(requires --tier)")
     p_sim.add_argument("--save-trace", metavar="PATH",
                        help="write the run's RunTrace JSON here (the "
                             "input format of --feedback)")
@@ -158,32 +159,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="disable stall-vs-spill cost arbitration "
                             "(spill always wins, the pre-arbitration "
                             "behavior)")
-    p_sim.add_argument("--tier-aware-plan", action="store_true",
-                       help="price flagging against the spill tiers: the "
-                            "optimizer fills an effective budget of RAM "
-                            "plus each tier's capacity discounted by its "
-                            "spill+promote cost per byte, and the plan "
-                            "records each node's expected tier (requires "
-                            "--tier)")
     p_sim.add_argument("--gantt", action="store_true",
                        help="print an ASCII execution timeline")
-    p_sim.add_argument("--events", metavar="PATH",
-                       help="record span/instant/counter events and "
-                            "write them here: a .jsonl suffix gets the "
-                            "line-per-event log, anything else the "
-                            "Chrome-trace JSON (load in ui.perfetto.dev "
-                            "or chrome://tracing); with --replan only "
-                            "the second pass is recorded")
-    p_sim.add_argument("--metrics", action="store_true",
-                       help="print the run's metrics registry "
-                            "(counters/gauges/histograms) after the "
-                            "summary")
-    p_sim.add_argument("--profile", metavar="PATH",
-                       help="dump a cProfile of the whole run to PATH "
-                            "(inspect with python -m pstats)")
 
     p_wl = sub.add_parser("workload",
                           help="emit one of the paper's workloads")
+    p_wl.set_defaults(handler=_cmd_workload)
     p_wl.add_argument("name", choices=sorted(WORKLOAD_NAMES))
     p_wl.add_argument("--scale-gb", type=float, default=100.0)
     p_wl.add_argument("--partitioned", action="store_true")
@@ -191,6 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench", help="run one paper experiment, or a benchmark matrix")
+    p_bench.set_defaults(handler=_cmd_bench)
     p_bench.add_argument(
         "experiment", choices=[*EXPERIMENTS, "matrix"], metavar="ID",
         help=" ".join(
@@ -230,7 +212,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               "cells (ok cells are never re-run)")
 
     p_db = sub.add_parser(
-        "minidb", help="refresh a demo SQL workload on the real MiniDB")
+        "minidb", help="refresh a demo SQL workload on the real MiniDB",
+        parents=[_run_flags(sorted(OPTIMIZER_METHODS))])
+    p_db.set_defaults(handler=_cmd_minidb)
     p_db.add_argument("--memory", type=float, required=True,
                       help="RAM budget in GB for the memory catalog")
     p_db.add_argument("--rows", type=int, default=120_000,
@@ -248,24 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "encoded in memory (default codec zlib1) and "
                            "decoded lazily on first read; requires "
                            "--spill-dir for the overflow tier")
-    p_db.add_argument("--spill-policy", default="cost",
-                      choices=sorted(policy_names()),
-                      help=f"victim-selection policy for spilling — "
-                           f"{policy_help()}")
-    p_db.add_argument("--spill-codec", default="none",
-                      choices=sorted(SPILL_CODECS),
-                      help="compress the spill dumps for real and charge "
-                           "the spill tier the measured on-disk bytes: "
-                           "a victim whose background write already "
-                           "encoded it is dumped as that blob, one "
-                           "still queued is encoded with this codec, "
-                           "once, for dump and warehouse both "
-                           "(default: none — stream the raw columns)")
-    p_db.add_argument("--adaptive-codec", action="store_true",
-                      help="mid-run codec re-pricing from the measured "
-                           "on-disk ratios of the first dumps; a codec "
-                           "that stops paying for itself is dropped "
-                           "for the rest of the run")
     p_db.add_argument("--plan-memory", type=float,
                       help="optimize the plan for this budget instead of "
                            "--memory (a bigger machine's plan, executed "
@@ -274,23 +240,10 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="tier-aware planning: price flagging against "
                            "the spill tier and print each flagged MV's "
                            "expected tier (requires --spill-dir)")
-    p_db.add_argument("--method", default="sc",
-                      choices=sorted(OPTIMIZER_METHODS))
-    p_db.add_argument("--seed", type=int, default=0)
-    p_db.add_argument("--events", metavar="PATH",
-                      help="record span/instant/counter events and "
-                           "write them here (.jsonl: event log; "
-                           "otherwise Chrome-trace JSON for "
-                           "ui.perfetto.dev / chrome://tracing)")
-    p_db.add_argument("--metrics", action="store_true",
-                      help="print the run's metrics registry after "
-                           "the summary")
-    p_db.add_argument("--profile", metavar="PATH",
-                      help="dump a cProfile of the whole run to PATH "
-                           "(inspect with python -m pstats)")
 
     p_obs = sub.add_parser(
         "obs", help="observability reports over saved run traces")
+    p_obs.set_defaults(handler=_cmd_obs)
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
     p_obs_report = obs_sub.add_parser(
         "report",
@@ -301,6 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser(
         "explain", help="explain a plan's flag decisions node by node")
+    p_exp.set_defaults(handler=_cmd_explain)
     p_exp.add_argument("graph", help="path to dependency-graph JSON")
     p_exp.add_argument("--memory", type=float, required=True)
     p_exp.add_argument("--method", default="sc",
@@ -311,6 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_pipe = sub.add_parser(
         "pipeline", help="optimize a generic ETL pipeline spec")
+    p_pipe.set_defaults(handler=_cmd_pipeline)
     p_pipe.add_argument("spec", help="path to pipeline-spec JSON")
     p_pipe.add_argument("--memory", type=float, required=True)
     p_pipe.add_argument("--method", default="sc",
@@ -324,6 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "ledger: Poisson request arrivals, per-tenant p50/p99, "
              "shared-ledger invariant audit (non-zero exit on any "
              "violation — this is the CI smoke gate)")
+    p_srv.set_defaults(handler=_cmd_serve)
     p_srv.add_argument("--workload", default="io1",
                        choices=sorted(WORKLOAD_NAMES))
     p_srv.add_argument("--scale-gb", type=float, default=20.0,
@@ -351,72 +307,64 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_graph(path: str):
-    with open(path, encoding="utf-8") as handle:
-        return graph_from_json(handle.read())
+def _read(path: str) -> str:
+    return pathlib.Path(path).read_text(encoding="utf-8")
+
+
+def _write_or_print(text: str, path: str | None) -> None:
+    if path:
+        pathlib.Path(path).write_text(text, encoding="utf-8")
+    else:
+        print(text)
 
 
 def _cmd_optimize(args) -> int:
-    graph = _load_graph(args.graph)
-    problem = ScProblem(graph=graph, memory_budget=args.memory)
+    problem = ScProblem(graph=graph_from_json(_read(args.graph)),
+                        memory_budget=args.memory)
     result = optimize(problem, method=args.method, seed=args.seed)
-    payload = {
-        "plan": result.plan.to_dict(),
-        "summary": plan_summary(problem, result),
-    }
-    text = json.dumps(payload, indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        print(text)
+    _write_or_print(json.dumps({"plan": result.plan.to_dict(),
+                                "summary": plan_summary(problem, result)},
+                               indent=2), args.output)
     return 0
+
+
+def _check_adaptable(spill: SpillConfig) -> None:
+    """``--adaptive-codec`` needs a tier of the hierarchy that will run
+    which compresses (a ``ram-compressed`` rung does by default).  A
+    usage rule, not a library one: a raw hierarchy may arm adaptation."""
+    if spill.adapt is not None and all(
+            tier.resolved_codec(spill.codec).ratio <= 1.0
+            for tier in spill.tiers):
+        raise ValidationError(
+            "--adaptive-codec has nothing to adapt: every tier stores "
+            "raw; pick a compressing --spill-codec (e.g. zlib)")
 
 
 def _spill_setup(args) -> tuple[float, SpillConfig | None]:
     """Resolve (ram_budget, spill config) from --memory/--tier flags."""
     specs = [parse_tier(text) for text in args.tier]
-    ram = [spec for spec in specs if spec.name == "ram"]
+    ram = [spec.budget for spec in specs if spec.name == "ram"]
     lower = tuple(spec for spec in specs if spec.name != "ram")
-    if len(ram) > 1:
-        raise ValidationError("pass at most one 'ram' tier")
-    if ram and args.memory is not None:
+    if len(ram) + (args.memory is not None) != 1:
         raise ValidationError(
-            "pass the RAM budget once: either --memory or --tier ram:SIZE")
-    if ram:
-        memory = ram[0].budget
-    elif args.memory is not None:
-        memory = args.memory
-    else:
-        raise ValidationError(
-            "a RAM budget is required: --memory or --tier ram:SIZE")
+            "pass the RAM budget once: --memory or --tier ram:SIZE")
+    memory = ram[0] if ram else args.memory
     if not lower:
         return memory, None
-    adapt = (CodecAdaptConfig(samples=args.adapt_samples)
-             if args.adaptive_codec else None)
-    # the rung counts: a ram-compressed tier defaults to zlib1 even
-    # without an explicit codec, so resolve per-tier before deciding
-    # that there is "nothing to adapt"
-    config_default = resolve_codec(args.spill_codec)
-    if adapt is not None and not any(
-            spec.resolved_codec(config_default).ratio > 1.0
-            for spec in lower):
-        raise ValidationError(
-            "--adaptive-codec has nothing to adapt: every tier stores "
-            "raw; add --spill-codec zlib (or a per-tier NAME:GB:CODEC)")
-    return memory, SpillConfig(tiers=lower, policy=args.spill_policy,
-                               promote=not args.no_promote,
-                               arbitrate=not args.no_arbitration,
-                               codec=args.spill_codec,
-                               prefetch=args.prefetch,
-                               adapt=adapt)
+    spill = SpillConfig(
+        tiers=lower, policy=args.spill_policy, promote=not args.no_promote,
+        arbitrate=not args.no_arbitration, codec=args.spill_codec,
+        prefetch=args.prefetch,
+        adapt=(CodecAdaptConfig(samples=args.adapt_samples)
+               if args.adaptive_codec else None))
+    _check_adaptable(spill)
+    return memory, spill
 
 
 def _make_bus(args):
     """An EventBus when --events/--metrics asked for one, else None
     (backends then default to the zero-overhead NULL_BUS)."""
-    if not (getattr(args, "events", None) or getattr(args, "metrics",
-                                                     False)):
+    if not (args.events or args.metrics):
         return None
     from repro.obs.events import EventBus
 
@@ -428,14 +376,12 @@ def _emit_observability(args, bus) -> None:
     if bus is None:
         return
     if args.events:
-        if args.events.endswith(".jsonl"):
-            from repro.obs.export import events_to_jsonl
+        from repro.obs.export import events_to_jsonl, write_chrome_trace
 
+        if args.events.endswith(".jsonl"):
             events_to_jsonl(bus.events, args.events)
             note = "JSONL event log"
         else:
-            from repro.obs.export import write_chrome_trace
-
             write_chrome_trace(bus.events, args.events)
             note = "Chrome trace; load in ui.perfetto.dev"
         print(f"events:            {args.events} "
@@ -500,114 +446,86 @@ def _print_spill_stats(trace) -> None:
               f"/ {budget}{codec_note}")
 
 
-def _print_run_summary(args, plan, trace) -> None:
-    print(f"method:            {args.method}")
-    if plan is not None and plan.expected_tiers:
-        from collections import Counter
-
-        counts = Counter(plan.tier_map().values())
-        planned = ", ".join(f"{name}: {n}"
-                            for name, n in sorted(counts.items()))
-        print(f"planned tiers:     {planned} "
-              f"({len(plan.flagged)}/{len(plan.order)} flagged)")
-    if args.backend:
-        print(f"backend:           {args.backend} "
-              f"(workers={args.workers})")
+def _print_summary(head: list[str], trace,
+                   peak: str = "{:.3f} / {:.3f}") -> None:
+    """The run summary of ``simulate`` and ``minidb``: the command's
+    ``head`` lines, the Figure 3 time axes, the RAM peak against its
+    budget (formatted by ``peak``), then what the run spilled."""
+    print(*head, sep="\n")
     print(f"end-to-end time:   {trace.end_to_end_time:.3f} s")
     print(f"table read:        {trace.table_read_latency:.3f} s "
           f"(disk {trace.table_read_disk_latency:.3f} s)")
     print(f"compute:           {trace.compute_latency:.3f} s")
     print(f"blocking write:    {trace.write_latency:.3f} s")
     print(f"stall:             {trace.stall_time:.3f} s")
-    print(f"peak catalog use:  {trace.peak_catalog_usage:.3f} "
-          f"/ {trace.memory_budget:.3f}")
+    print("peak catalog use:  "
+          + peak.format(trace.peak_catalog_usage, trace.memory_budget))
     _print_spill_stats(trace)
 
 
+def _simulate_head(args, plan) -> list[str]:
+    head = [f"method:            {args.method}"]
+    if plan is not None and plan.expected_tiers:
+        counts = Counter(plan.tier_map().values())
+        planned = ", ".join(f"{name}: {n}"
+                            for name, n in sorted(counts.items()))
+        head.append(f"planned tiers:     {planned} "
+                    f"({len(plan.flagged)}/{len(plan.order)} flagged)")
+    if args.backend:
+        head.append(f"backend:           {args.backend} "
+                    f"(workers={args.workers})")
+    return head
+
+
 def _cmd_simulate(args) -> int:
-    graph = _load_graph(args.graph)
-    try:
-        memory, spill = _spill_setup(args)
-        if spill is not None and ("lru" in (args.method, args.backend)):
-            raise ValidationError(
-                "the LRU baseline does not support storage tiers; drop "
-                "--tier or pick another method/backend")
-        if args.tier_aware_plan and spill is None:
-            raise ValidationError(
-                "--tier-aware-plan needs spill tiers; add --tier "
-                "(e.g. --tier ssd:8 --tier disk:inf)")
-        if args.tier_aware_plan and args.plan:
-            raise ValidationError(
-                "--tier-aware-plan optimizes a fresh plan; drop --plan "
-                "or pass a plan that was already tier-aware")
-        if (args.feedback or args.replan) and spill is None:
-            raise ValidationError(
-                "feedback planning needs spill tiers; add --tier "
-                "(e.g. --tier ssd:8 --tier disk:inf)")
-        if args.feedback and args.plan:
-            raise ValidationError(
-                "--feedback optimizes a fresh plan from observed "
-                "costs; drop --plan")
-        if args.feedback and args.tier_aware_plan:
-            raise ValidationError(
-                "--feedback already plans tier-aware (against observed "
-                "costs); drop --tier-aware-plan")
-    except ValidationError as exc:
-        # bad flag combinations keep argparse's usage-error contract
-        print(f"repro-sc simulate: error: {exc}", file=sys.stderr)
-        return 2
+    graph = graph_from_json(_read(args.graph))
+    memory, spill = _spill_setup(args)
     bus = _make_bus(args)
-    controller = Controller(options=SimulatorOptions(spill=spill),
-                            bus=bus)
+    controller = Controller(spill=spill, bus=bus)
+    if args.replan:
+        controller.tier_budget(memory)  # no tiers: fail before pass 1
     plan = None
     if args.plan:
-        with open(args.plan, encoding="utf-8") as handle:
-            plan = Plan.from_json(handle.read())
-    elif args.feedback:
-        from repro.engine.trace import RunTrace
-        from repro.feedback import CostFeedback
+        plan = Plan.from_json(_read(args.plan))
+    elif args.feedback or args.tier_aware_plan:
+        feedback = None
+        if args.feedback:
+            from repro.engine.trace import RunTrace
+            from repro.feedback import CostFeedback
 
-        with open(args.feedback, encoding="utf-8") as handle:
-            observed = RunTrace.from_json(handle.read())
-        try:
-            feedback = CostFeedback.from_trace(observed)
-        except ValidationError as exc:
-            print(f"repro-sc simulate: error: {exc}", file=sys.stderr)
-            return 2
+            feedback = CostFeedback.from_trace(
+                RunTrace.from_json(_read(args.feedback)))
         plan = controller.plan(graph, memory, method=args.method,
-                               seed=args.seed, feedback=feedback)
-    elif args.tier_aware_plan:
-        plan = controller.plan(graph, memory, method=args.method,
-                               seed=args.seed, tier_aware=True)
-    trace = controller.refresh(graph, memory, method=args.method,
-                               seed=args.seed, plan=plan,
-                               backend=args.backend, workers=args.workers)
+                               seed=args.seed,
+                               tier_aware=args.tier_aware_plan,
+                               feedback=feedback)
+    refresh = partial(controller.refresh, graph, memory,
+                      method=args.method, seed=args.seed,
+                      backend=args.backend, workers=args.workers)
+    trace = refresh(plan=plan)
     if args.replan:
         print("=== pass 1 (pre-feedback) ===")
-    _print_run_summary(args, plan, trace)
+    _print_summary(_simulate_head(args, plan), trace)
     if args.replan:
-        plan = controller.replan_from_trace(graph, trace, memory,
+        first = trace
+        plan = controller.replan_from_trace(graph, first, memory,
                                             method=args.method,
                                             seed=args.seed)
-        first = trace
         if bus is not None:
             # record only the replanned pass: one bus spans one run
             bus.clear()
             bus.rebase()
-        trace = controller.refresh(graph, memory, method=args.method,
-                                   seed=args.seed, plan=plan,
-                                   backend=args.backend,
-                                   workers=args.workers)
+        trace = refresh(plan=plan)
         print()
         print("=== pass 2 (replanned from observed costs) ===")
-        _print_run_summary(args, plan, trace)
+        _print_summary(_simulate_head(args, plan), trace)
         delta = first.end_to_end_time - trace.end_to_end_time
         print(f"replan gain:       {delta:+.3f} s "
               f"({100 * delta / first.end_to_end_time:.1f}% of pass 1)"
               if first.end_to_end_time > 0 else "replan gain:       n/a")
     if args.save_trace:
-        with open(args.save_trace, "w", encoding="utf-8") as handle:
-            handle.write(trace.to_json())
+        pathlib.Path(args.save_trace).write_text(trace.to_json(),
+                                                 encoding="utf-8")
     _emit_observability(args, bus)
     if args.gantt:
         print()
@@ -618,141 +536,71 @@ def _cmd_simulate(args) -> int:
 def _cmd_workload(args) -> int:
     graph = build_workload(args.name, scale_gb=args.scale_gb,
                            partitioned=args.partitioned)
-    text = graph_to_json(graph)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        print(text)
+    _write_or_print(graph_to_json(graph), args.output)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    if args.experiment == "matrix":
-        return _cmd_bench_matrix(args)
-    if args.config:
-        print("repro-sc bench: error: a config file only applies to "
-              "'bench matrix'", file=sys.stderr)
-        return 2
-    result = EXPERIMENTS[args.experiment]()
-    print(result.render())
-    return 0
-
-
-def _cmd_bench_matrix(args) -> int:
-    import pathlib
-
+    if args.experiment != "matrix":
+        if args.config:
+            raise ValidationError(
+                "a config file only applies to 'bench matrix'")
+        print(EXPERIMENTS[args.experiment]().render())
+        return 0
     from repro.bench.experiment import load_config
     from repro.bench.orchestrator import run_matrix
 
     if not args.config:
-        print("repro-sc bench matrix: error: a config file is required "
-              "(e.g. benchmarks/matrix_smoke.toml)", file=sys.stderr)
-        return 2
+        raise ValidationError("a config file is required for 'bench "
+                              "matrix' (e.g. benchmarks/matrix_smoke.toml)")
     if args.run_dir and args.resume:
-        print("repro-sc bench matrix: error: pass --run-dir for a "
-              "fresh run or --resume DIR to continue one, not both",
-              file=sys.stderr)
-        return 2
-    try:
-        config = load_config(args.config)
-        if args.resume:
-            run_dir = args.resume
-        elif args.run_dir:
-            run_dir = args.run_dir
-        else:
-            run_dir = str(pathlib.Path("matrix_runs") / config.name)
-        run = run_matrix(
-            config, run_dir, jobs=args.jobs, resume=bool(args.resume),
-            date=args.date, fail_matching=tuple(args.inject_fail),
-            retry_failed=args.retry_failed,
-            progress=lambda message: print(message, file=sys.stderr))
-    except ValidationError as exc:
-        print(f"repro-sc bench matrix: error: {exc}", file=sys.stderr)
-        return 2
+        raise ValidationError("pass --run-dir for a fresh run or --resume "
+                              "DIR to continue one, not both")
+    config = load_config(args.config)
+    run = run_matrix(
+        config, args.resume or args.run_dir or f"matrix_runs/{config.name}",
+        jobs=args.jobs, resume=bool(args.resume), date=args.date,
+        fail_matching=tuple(args.inject_fail),
+        retry_failed=args.retry_failed,
+        progress=lambda message: print(message, file=sys.stderr))
     print(run.summary())
     if run.bench_path:
         print(f"snapshot: {run.bench_path}")
         print(f"report:   {run.report_path}")
     if args.report and run.report_path:
         print()
-        with open(run.report_path, encoding="utf-8") as handle:
-            print(handle.read())
-    if run.interrupted:
-        return 130
-    return 0
-
-
-def _run_minidb(args, data_dir: str, bus=None):
-    from repro.db.engine import demo_workload
-
-    workload = demo_workload(data_dir, rows=args.rows, seed=args.seed)
-    profiled = workload.profile()
-    adapt = CodecAdaptConfig() if args.adaptive_codec else None
-    controller = Controller(spill_dir=args.spill_dir,
-                            ram_compressed_gb=args.ram_compressed,
-                            spill=SpillConfig(policy=args.spill_policy,
-                                              codec=args.spill_codec,
-                                              adapt=adapt),
-                            bus=bus)
-    plan_memory = (args.memory if args.plan_memory is None
-                   else args.plan_memory)
-    plan = controller.plan_for_minidb(profiled, plan_memory,
-                                      method=args.method, seed=args.seed,
-                                      tier_aware=args.plan_tiers)
-    trace = controller.refresh_on_minidb(
-        workload, args.memory, method=args.method, seed=args.seed,
-        plan=plan)
-    return plan, trace
+        print(_read(run.report_path))
+    return 130 if run.interrupted else 0
 
 
 def _cmd_minidb(args) -> int:
-    if args.plan_tiers and not args.spill_dir:
-        print("repro-sc minidb: error: --plan-tiers needs --spill-dir "
-              "(the extra flags would degrade to blocking writes)",
-              file=sys.stderr)
-        return 2
-    if args.ram_compressed and not args.spill_dir:
-        print("repro-sc minidb: error: --ram-compressed needs "
-              "--spill-dir (the rung overflows into the disk tier)",
-              file=sys.stderr)
-        return 2
-    # a rung always has a codec (default zlib1), so with --ram-compressed
-    # there is something to adapt even under --spill-codec none
-    if (args.adaptive_codec and args.spill_codec == "none"
-            and not args.ram_compressed):
-        print("repro-sc minidb: error: --adaptive-codec has nothing to "
-              "adapt with --spill-codec none; add --spill-codec zlib "
-              "or arm the rung with --ram-compressed",
-              file=sys.stderr)
-        return 2
-    if args.adaptive_codec and not args.spill_dir:
-        print("repro-sc minidb: error: --adaptive-codec needs "
-              "--spill-dir (without it the run never spills, so there "
-              "is nothing to measure)", file=sys.stderr)
-        return 2
-    bus = _make_bus(args)
-    if args.data_dir:
-        plan, trace = _run_minidb(args, args.data_dir, bus=bus)
-    else:
-        import tempfile
+    import tempfile
 
-        with tempfile.TemporaryDirectory() as scratch:
-            plan, trace = _run_minidb(args, f"{scratch}/warehouse",
-                                      bus=bus)
-    print(f"method:            {args.method} "
-          f"({len(plan.flagged)}/{len(plan.order)} MVs flagged)")
-    if plan.expected_tiers:
-        for node, tier in plan.expected_tiers:
-            print(f"  planned tier:    {node:<16s} -> {tier}")
-    print(f"end-to-end time:   {trace.end_to_end_time:.3f} s")
-    print(f"table read:        {trace.table_read_latency:.3f} s")
-    print(f"compute:           {trace.compute_latency:.3f} s")
-    print(f"blocking write:    {trace.write_latency:.3f} s")
-    print(f"stall:             {trace.stall_time:.3f} s")
-    print(f"peak catalog use:  {trace.peak_catalog_usage:.6f} "
-          f"/ {trace.memory_budget:.6f} GB")
-    _print_spill_stats(trace)
+    from repro.db.engine import demo_workload
+
+    spill = SpillConfig(
+        policy=args.spill_policy, codec=args.spill_codec,
+        adapt=CodecAdaptConfig() if args.adaptive_codec else None)
+    _check_adaptable(minidb_spill_config(args.ram_compressed, spill.policy,
+                                         spill.codec, spill.adapt))
+    bus = _make_bus(args)
+    controller = Controller(spill=spill, spill_dir=args.spill_dir,
+                            ram_compressed_gb=args.ram_compressed, bus=bus)
+    with tempfile.TemporaryDirectory() as scratch:
+        workload = demo_workload(args.data_dir or f"{scratch}/warehouse",
+                                 rows=args.rows, seed=args.seed)
+        plan = controller.plan_for_minidb(
+            workload.profile(),
+            args.memory if args.plan_memory is None else args.plan_memory,
+            method=args.method, seed=args.seed, tier_aware=args.plan_tiers)
+        trace = controller.refresh_on_minidb(
+            workload, args.memory, method=args.method, seed=args.seed,
+            plan=plan)
+    head = [f"method:            {args.method} "
+            f"({len(plan.flagged)}/{len(plan.order)} MVs flagged)"]
+    head += [f"  planned tier:    {node:<16s} -> {tier}"
+             for node, tier in plan.expected_tiers]
+    _print_summary(head, trace, peak="{:.6f} / {:.6f} GB")
     _emit_observability(args, bus)
     return 0
 
@@ -761,17 +609,15 @@ def _cmd_obs(args) -> int:
     from repro.engine.trace import RunTrace
     from repro.obs.report import attribution_table
 
-    with open(args.trace, encoding="utf-8") as handle:
-        trace = RunTrace.from_json(handle.read())
-    print(attribution_table(trace))
+    print(attribution_table(RunTrace.from_json(_read(args.trace))))
     return 0
 
 
 def _cmd_explain(args) -> int:
     from repro.viz.explain import explain_plan
 
-    graph = _load_graph(args.graph)
-    problem = ScProblem(graph=graph, memory_budget=args.memory)
+    problem = ScProblem(graph=graph_from_json(_read(args.graph)),
+                        memory_budget=args.memory)
     result = optimize(problem, method=args.method, seed=args.seed)
     print(explain_plan(problem, result.plan,
                        include_profile=not args.no_profile))
@@ -782,8 +628,7 @@ def _cmd_pipeline(args) -> int:
     from repro.etl.planner import plan_pipeline, simulate_schedule
     from repro.etl.spec import PipelineSpec
 
-    with open(args.spec, encoding="utf-8") as handle:
-        spec = PipelineSpec.from_json(handle.read())
+    spec = PipelineSpec.from_json(_read(args.spec))
     schedule = plan_pipeline(spec, memory_budget_gb=args.memory,
                              method=args.method)
     print(schedule.render())
@@ -798,53 +643,34 @@ def _cmd_pipeline(args) -> int:
 def _cmd_serve(args) -> int:
     """Open-loop serving demo + the CI smoke gate (exit 1 on any
     shared-ledger invariant violation)."""
-    import asyncio
-    import random
-
-    from repro.serve.service import TenantSpec, percentile
-    from repro.store.config import TierSpec
+    from repro.serve import TenantSpec, run_open_loop
+    from repro.serve.service import percentile
 
     graph = build_workload(args.workload, scale_gb=args.scale_gb)
     memory = args.ram_fraction * graph.total_size()
-    controller = Controller(spill=SpillConfig(tiers=(TierSpec("disk"),)))
+    controller = Controller(spill=SpillConfig())   # one unbounded disk
     plan = controller.plan(graph, memory, method=args.method,
                            seed=args.seed)
-    names = [f"tenant-{i}" for i in range(args.tenants)]
-    tenants = [TenantSpec(name, share=1.0 / args.tenants,
+    tenants = [TenantSpec(f"tenant-{i}", share=1.0 / args.tenants,
                           priority=args.tenants - i)
-               for i, name in enumerate(names)]
+               for i in range(args.tenants)]
     service = controller.create_service(
         memory, tenants, queue_limit=max(args.requests, 1),
         max_concurrent=args.max_concurrent, time_scale=args.time_scale,
         deadline_s=args.deadline)
-    rng = random.Random(args.seed)
-
-    async def _open_loop():
-        async with service as svc:
-            handles = []
-            for i in range(args.requests):
-                await asyncio.sleep(
-                    rng.expovariate(args.arrival_rate))
-                handles.append(await svc.submit(
-                    graph, plan, tenant=names[i % len(names)]))
-            return [await handle for handle in handles]
-
-    results = asyncio.run(_open_loop())
+    results = run_open_loop(service, graph, plan, args.requests,
+                            args.arrival_rate, seed=args.seed)
     print(f"workload {args.workload} @ {args.scale_gb:g} GB, "
           f"RAM {memory:.2f} GB ({args.ram_fraction:g} of total), "
           f"{args.tenants} tenants, {len(results)} requests")
     print(f"{'tenant':<12} {'ok':>3} {'other':>5} "
           f"{'p50 (s)':>9} {'p99 (s)':>9}")
-    for name in names:
-        latencies = [r.latency_s for r in results
-                     if r.tenant == name and r.status == "ok"]
-        other = sum(1 for r in results
-                    if r.tenant == name and r.status != "ok")
-        p50 = f"{percentile(latencies, 50):9.3f}" if latencies else "        -"
-        p99 = f"{percentile(latencies, 99):9.3f}" if latencies else "        -"
-        print(f"{name:<12} {len(latencies):>3} {other:>5} {p50} {p99}")
-    violations = service.audit()
-    bad = {key: value for key, value in violations.items() if value}
+    for name, ok in service.latencies_by_tenant().items():
+        other = sum(r.tenant == name and r.status != "ok" for r in results)
+        p50, p99 = (f"{percentile(ok, q):9.3f}" if ok else "        -"
+                    for q in (50, 99))
+        print(f"{name:<12} {len(ok):>3} {other:>5} {p50} {p99}")
+    bad = {key: value for key, value in service.audit().items() if value}
     if bad:
         print(f"INVARIANT VIOLATIONS: {bad}", file=sys.stderr)
         return 1
@@ -853,40 +679,33 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "optimize": _cmd_optimize,
-        "simulate": _cmd_simulate,
-        "workload": _cmd_workload,
-        "bench": _cmd_bench,
-        "minidb": _cmd_minidb,
-        "obs": _cmd_obs,
-        "explain": _cmd_explain,
-        "pipeline": _cmd_pipeline,
-        "serve": _cmd_serve,
-    }
-    handler = handlers[args.command]
-    profile_path = getattr(args, "profile", None)
-    if not profile_path:
-        return handler(args)
+def _profiled(args) -> int:
+    """Run the command under cProfile: stats to ``--profile``, the top
+    10 by cumulative time to stderr."""
     import cProfile
+    import pstats
 
     profiler = cProfile.Profile()
-    profiler.enable()
     try:
-        status = handler(args)
+        return profiler.runcall(args.handler, args)
     finally:
-        profiler.disable()
-        profiler.dump_stats(profile_path)
-        import pstats
-
-        print(f"profile:           {profile_path} "
-              f"(python -m pstats {profile_path})", file=sys.stderr)
+        profiler.dump_stats(args.profile)
+        print(f"profile:           {args.profile} "
+              f"(python -m pstats {args.profile})", file=sys.stderr)
         print("top 10 by cumulative time:", file=sys.stderr)
         stats = pstats.Stats(profiler, stream=sys.stderr)
         stats.sort_stats("cumulative").print_stats(10)
-    return status
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        if getattr(args, "profile", None):
+            return _profiled(args)
+        return args.handler(args)
+    except ValidationError as exc:
+        print(f"repro-sc {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -36,7 +36,7 @@ from repro.exec.base import SimulatorOptions, create_backend
 from repro.graph.dag import DependencyGraph
 from repro.metadata.costmodel import DeviceProfile
 from repro.obs.events import EventBus
-from repro.store.config import RAM_COMPRESSED, SpillConfig, TierSpec
+from repro.store.config import SpillConfig, minidb_spill_config
 
 
 @dataclass
@@ -323,25 +323,26 @@ class Controller:
 
     # ------------------------------------------------------------------
     def minidb_tier_budget(self, memory_budget: float) -> TierAwareBudget:
-        """Tier-aware budget matching the MiniDB backend's spill tier.
+        """Tier-aware budget pricing the hierarchy the MiniDB backend
+        will spill into (:func:`~repro.store.config.minidb_spill_config`
+        over :attr:`ram_compressed_gb` and the controller's spill policy,
+        codec and adaptation), so a tier-aware plan anticipates the real
+        run's storage layout — compressed dumps included.
 
-        The MiniDB executor spills into one unbounded ``"spill-disk"``
-        tier under ``spill_dir`` — preceded by a finite
-        ``ram-compressed`` rung when :attr:`ram_compressed_gb` arms one;
-        this prices exactly that hierarchy — including the controller's
-        spill codec, so compressed dumps raise the tier's effective
-        capacity and add their encode/decode cost — so a tier-aware
-        plan anticipates the real run's storage layout.
+        Raises:
+            ValidationError: without ``spill_dir`` — the run would have
+                no spill tier, and the plan's extra flags would degrade
+                to blocking writes.
         """
-        tiers: tuple[TierSpec, ...] = (TierSpec("spill-disk"),)
-        if self.ram_compressed_gb > 0:
-            tiers = (TierSpec(RAM_COMPRESSED,
-                              self.ram_compressed_gb),) + tiers
-        spill = SpillConfig(
-            tiers=tiers,
-            policy=self.spill.policy if self.spill else "cost",
-            codec=self.spill.codec if self.spill else "none")
-        return TierAwareBudget.from_spill(memory_budget, spill,
+        if not self.spill_dir:
+            raise ValidationError(
+                "tier-aware MiniDB planning needs spill_dir armed; the "
+                "plan's extra flags would otherwise degrade to blocking "
+                "writes")
+        spill = self.spill or SpillConfig()
+        config = minidb_spill_config(self.ram_compressed_gb, spill.policy,
+                                     spill.codec, spill.adapt)
+        return TierAwareBudget.from_spill(memory_budget, config,
                                           profile=self.profile)
 
     def plan_for_minidb(self, graph: DependencyGraph, memory_budget: float,
@@ -363,9 +364,7 @@ class Controller:
     def refresh_on_minidb(self, workload, memory_budget: float,
                           method: str = "sc", seed: int = 0,
                           plan: Plan | None = None,
-                          tier_aware: bool = False,
-                          ram_compressed_gb: float | None = None,
-                          ) -> RunTrace:
+                          tier_aware: bool = False) -> RunTrace:
         """Execute a SQL workload on the real MiniDB backend.
 
         ``workload`` is a :class:`repro.db.engine.SqlWorkload` — a MiniDB
@@ -385,47 +384,33 @@ class Controller:
             seed: optimizer seed.
             plan: pre-computed plan; skips optimization when given.
             tier_aware: when optimizing here, price flagging against
-                the MiniDB spill tier (:meth:`minidb_tier_budget`);
-                requires ``spill_dir`` so the run can honor the flags.
-            ram_compressed_gb: per-call override of the controller's
-                compressed-in-RAM rung budget (``None`` uses
-                :attr:`ram_compressed_gb`; requires ``spill_dir``).
+                the MiniDB spill tier (:meth:`minidb_tier_budget`).
 
         Returns:
             The run's wall-clock :class:`~repro.engine.trace.RunTrace`.
 
         Raises:
-            ValidationError: ``tier_aware`` without a ``spill_dir``.
+            ValidationError: ``spill.adapt`` without a ``spill_dir`` (a
+                run that cannot spill has no dumps to measure), and the
+                rules of :meth:`minidb_tier_budget` and the backend (a
+                ``ram_compressed_gb`` rung needs ``spill_dir`` too).
         """
+        spill = self.spill or SpillConfig()
+        if spill.adapt is not None and not self.spill_dir:
+            raise ValidationError(
+                "codec adaptation on MiniDB needs spill_dir armed; "
+                "without a spill tier the run never spills, so there is "
+                "nothing to measure")
         graph = workload.graph()
-        if tier_aware and not self.spill_dir:
-            raise ValidationError(
-                "tier-aware MiniDB planning needs spill_dir armed; the "
-                "plan's extra flags would otherwise degrade to blocking "
-                "writes")
-        rung_gb = (self.ram_compressed_gb if ram_compressed_gb is None
-                   else ram_compressed_gb)
-        if rung_gb > 0 and not self.spill_dir:
-            raise ValidationError(
-                "ram_compressed_gb needs spill_dir armed — the rung "
-                "cascades its victims into the spill directory")
         if plan is None:
             plan = self.plan_for_minidb(graph, memory_budget,
                                         method=method, seed=seed,
                                         tier_aware=tier_aware)
-        extra = {}
-        if self.spill_dir:
-            extra["spill_dir"] = self.spill_dir
-            extra["spill_policy"] = (self.spill.policy if self.spill
-                                     else "cost")
-            # the resolved CodecProfile, so custom codecs pass through
-            extra["spill_codec"] = (self.spill.codec if self.spill
-                                    else "none")
-            extra["spill_adapt"] = (self.spill.adapt if self.spill
-                                    else None)
-            extra["ram_compressed_gb"] = rung_gb
         executor = create_backend(  # lazy import: optional numpy dep
             "minidb", profile=self.profile, options=self.options,
             seed=seed, bus=self.bus, cancel=self.cancel,
-            workload=workload, **extra)
+            workload=workload, spill_dir=self.spill_dir,
+            spill_policy=spill.policy, spill_codec=spill.codec,
+            spill_adapt=spill.adapt,
+            ram_compressed_gb=self.ram_compressed_gb)
         return executor.run(graph, plan, memory_budget, method=method)

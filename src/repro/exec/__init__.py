@@ -31,7 +31,7 @@ minidb       the real MiniDB columnar engine with genuine disk I/O and
 
 The parallel scheduler also ships :func:`~repro.exec.parallel.run_threaded`,
 a real thread-pool executor used to measure wall-clock scaling (see
-``benchmarks/bench_parallel_scaling.py``).
+``repro-sc bench parallel``).
 
 Backends short on RAM can swap the plain ledger for the
 :class:`~repro.store.tiered.TieredLedger` facade from :mod:`repro.store`

@@ -186,19 +186,12 @@ class MiniDbBackend(ExecutionBackend):
                 "ram_compressed_gb needs spill_dir=<path> as well — the "
                 "rung cascades its victims into the spill directory")
         if spill_dir:
-            from repro.store.config import (
-                RAM_COMPRESSED,
-                SpillConfig,
-                TierSpec,
-            )
+            from repro.store.config import minidb_spill_config
             from repro.store.tiered import TieredLedger
 
             os.makedirs(spill_dir, exist_ok=True)
-            tiers = (TierSpec("spill-disk"),)
-            if rung_gb > 0:
-                tiers = (TierSpec(RAM_COMPRESSED, rung_gb),) + tiers
-            config = SpillConfig(
-                tiers=tiers,
+            config = minidb_spill_config(
+                rung_gb,
                 policy=self.extra.get("spill_policy", "cost"),
                 codec=self.extra.get("spill_codec", "none"),
                 adapt=self.extra.get("spill_adapt"))

@@ -26,8 +26,8 @@ Two executors live here, both built on the shared
 :func:`run_threaded`
     A real worker pool (OS threads) executing a caller-supplied work
     function per node under the same ledger admission rule, used to
-    measure *wall-clock* scaling in ``benchmarks/bench_parallel_scaling``
-    and to stress the ledger's thread safety.
+    measure *wall-clock* scaling in ``repro-sc bench parallel`` and to
+    stress the ledger's thread safety.
 
 Both executors avoid admission deadlock the same way the serial simulator
 escapes drain backpressure: when nothing is running, nothing is draining,

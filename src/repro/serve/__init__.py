@@ -21,9 +21,10 @@ Entry points:
 * the ``service`` execution backend (:mod:`repro.serve.backend`) — the
   :class:`~repro.exec.base.ExecutionBackend` face of the same
   machinery, so ``Controller.refresh(..., backend="service")`` works;
-* ``python -m repro serve`` — the open-loop CLI demo / CI smoke;
-* ``benchmarks/bench_service_latency.py`` — the latency-percentile
-  harness (Poisson arrivals × tenants × RAM fraction).
+* :func:`run_open_loop` — seeded Poisson arrivals that never wait for
+  a completion, behind both ``repro-sc serve`` (the open-loop CLI demo
+  / CI smoke) and ``benchmarks/bench_service_latency.py`` (the
+  latency-percentile harness).
 """
 
 from repro.serve.service import (
@@ -31,6 +32,7 @@ from repro.serve.service import (
     RequestResult,
     ServiceConfig,
     TenantSpec,
+    run_open_loop,
 )
 
 __all__ = [
@@ -38,4 +40,5 @@ __all__ = [
     "RequestResult",
     "ServiceConfig",
     "TenantSpec",
+    "run_open_loop",
 ]

@@ -53,6 +53,7 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
+import random
 import threading
 import time
 from dataclasses import dataclass, field
@@ -554,6 +555,30 @@ class RefreshService:
             if result.status == "ok":
                 out[result.tenant].append(result.latency_s)
         return out
+
+
+def run_open_loop(service: RefreshService, graph: DependencyGraph, plan,
+                  n_requests: int, arrival_rate: float,
+                  seed: int = 0) -> list[RequestResult]:
+    """Drive ``service`` open-loop and return the results in submission
+    order: ``n_requests`` seeded Poisson arrivals (``arrival_rate`` per
+    wall second), the tenants taking turns.  An arrival never waits for
+    a completion — the clock keeps ticking while the service queues,
+    which is what exposes queueing delay (a closed loop self-throttles
+    and hides the knee)."""
+    rng = random.Random(seed)
+    names = list(service.tenants)
+
+    async def open_loop():
+        async with service as svc:
+            handles = []
+            for i in range(n_requests):
+                await asyncio.sleep(rng.expovariate(arrival_rate))
+                handles.append(await svc.submit(
+                    graph, plan, tenant=names[i % len(names)]))
+            return [await handle for handle in handles]
+
+    return asyncio.run(open_loop())
 
 
 def percentile(values: list[float], q: float) -> float:

@@ -109,8 +109,8 @@ Run-level observability lives in ``RunTrace.extras["tiered_store"]``
 (per-tier usage/peak plus spill/promote counts and bytes, codec names,
 stored-vs-logical volumes, and prefetch outcomes), surfaced by the
 Controller, the CLI (``--tier``, ``--spill-policy``, ``--spill-dir``,
-``--spill-codec``, ``--prefetch``), ``benchmarks/bench_spill_tiers.py``,
-and ``benchmarks/bench_compressed_spill.py``.
+``--spill-codec``, ``--prefetch``), ``repro-sc bench spill`` and
+``repro-sc bench spillcodec``.
 """
 
 from repro.store.config import (

@@ -366,3 +366,22 @@ class SpillConfig:
                 raise ValidationError(
                     f"{RAM_COMPRESSED!r} lives in RAM and needs a "
                     f"finite budget (GB of compressed bytes)")
+
+
+def minidb_spill_config(ram_compressed_gb: float = 0.0,
+                        policy: str = "cost",
+                        codec: CodecProfile | str = "none",
+                        adapt: CodecAdaptConfig | None = None,
+                        ) -> SpillConfig:
+    """The hierarchy a MiniDB run spills into: one unbounded
+    ``spill-disk`` tier (the spill directory), under a finite
+    ``ram-compressed`` rung when ``ram_compressed_gb`` arms one.
+
+    The one builder of that hierarchy: the backend runs it and
+    ``Controller.minidb_tier_budget`` prices it.
+    """
+    tiers: tuple[TierSpec, ...] = (TierSpec("spill-disk"),)
+    if ram_compressed_gb > 0:
+        tiers = (TierSpec(RAM_COMPRESSED, ram_compressed_gb),) + tiers
+    return SpillConfig(tiers=tiers, policy=policy, codec=codec,
+                       adapt=adapt)

@@ -1,18 +1,13 @@
-"""Terminal-friendly rendering: ASCII charts and plan explanations.
+"""Terminal-friendly plan explanations.
 
-The benchmark harness reproduces the paper's tables as text; this package
-adds the *figures* — grouped bar charts (Figure 9/12), line series
-(Figures 10/11/13/14) — and an optimizer-facing ``explain`` view that
-answers the operator question "why was this MV (not) kept in memory?".
+An optimizer-facing ``explain`` view (``repro-sc explain``) that answers
+the operator question "why was this MV (not) kept in memory?", with an
+ASCII chart of the plan's Memory Catalog occupancy.
 """
 
-from repro.viz.charts import bar_chart, grouped_bar_chart, line_chart
 from repro.viz.explain import explain_plan, memory_profile_chart
 
 __all__ = [
-    "bar_chart",
-    "grouped_bar_chart",
-    "line_chart",
     "explain_plan",
     "memory_profile_chart",
 ]

@@ -51,6 +51,89 @@ class TestSimulate:
         assert "lru" in capsys.readouterr().out
 
 
+_SIM = ["simulate", "{graph}"]
+_DB = ["minidb", "--memory", "0.001", "--rows", "2000"]
+
+#: Every rejected flag combination, whichever layer rejects it: argparse
+#: (the plan sources are mutually exclusive), the CLI's own flag rules,
+#: or the library the command calls.
+REJECTED = {
+    "no RAM budget": [*_SIM],
+    "RAM budget twice": [*_SIM, "--memory", "1", "--tier", "ram:1"],
+    "two ram tiers": [*_SIM, "--tier", "ram:1", "--tier", "ram:2"],
+    "bad tier budget": [*_SIM, "--memory", "1", "--tier", "ssd:lots"],
+    "nothing to adapt": [*_SIM, "--memory", "1", "--tier", "disk:inf",
+                         "--adaptive-codec"],
+    "lru method with tiers": [*_SIM, "--memory", "1", "--tier", "disk:inf",
+                              "--method", "lru"],
+    "lru backend with tiers": [*_SIM, "--memory", "1", "--tier",
+                               "disk:inf", "--backend", "lru"],
+    "lru backend, optimizing method": [*_SIM, "--memory", "1",
+                                       "--backend", "lru"],
+    "lru method, parallel backend": [*_SIM, "--memory", "1", "--method",
+                                     "lru", "--backend", "parallel"],
+    "tier-aware plan without tiers": [*_SIM, "--memory", "1",
+                                      "--tier-aware-plan"],
+    "tier-aware plan and a plan": [*_SIM, "--memory", "1", "--tier",
+                                   "disk:inf", "--tier-aware-plan",
+                                   "--plan", "{plan}"],
+    "feedback and a plan": [*_SIM, "--memory", "1", "--tier", "disk:inf",
+                            "--feedback", "{trace}", "--plan", "{plan}"],
+    "feedback and tier-aware plan": [*_SIM, "--memory", "1", "--tier",
+                                     "disk:inf", "--feedback", "{trace}",
+                                     "--tier-aware-plan"],
+    "feedback without tiers": [*_SIM, "--memory", "1", "--feedback",
+                               "{trace}"],
+    "feedback from an untiered trace": [*_SIM, "--memory", "1", "--tier",
+                                        "disk:inf", "--feedback",
+                                        "{untiered}"],
+    "replan without tiers": [*_SIM, "--memory", "1", "--replan"],
+    "plan tiers without spill dir": [*_DB, "--plan-tiers"],
+    "rung without spill dir": [*_DB, "--ram-compressed", "0.001"],
+    "minidb nothing to adapt": [*_DB, "--spill-dir", "{spill}",
+                                "--adaptive-codec"],
+    "adaptation without spill dir": [*_DB, "--spill-codec", "zlib",
+                                     "--adaptive-codec"],
+    "config for a named experiment": ["bench", "fig2", "matrix.toml"],
+    "matrix without config": ["bench", "matrix"],
+    "run dir and resume": ["bench", "matrix", "matrix.toml", "--run-dir",
+                           "a", "--resume", "b"],
+}
+
+
+class TestRejectedFlags:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory) -> dict:
+        root = tmp_path_factory.mktemp("rejected")
+        paths = {name: str(root / f"{name}.json")
+                 for name in ("graph", "plan", "trace", "untiered")}
+        paths["spill"] = str(root / "spill")
+        save_graph(make_fig7_problem().graph, paths["graph"])
+        assert main(["optimize", paths["graph"], "--memory", "100",
+                     "--output", paths["plan"]]) == 0
+        for key, tiers in (("trace", ["--tier", "disk:inf"]),
+                           ("untiered", [])):
+            assert main(["simulate", paths["graph"], "--memory", "100",
+                         *tiers, "--save-trace", paths[key]]) == 0
+        return paths
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_exits_two_with_one_error_line(self, case, files, capsys):
+        capsys.readouterr()
+        argv = [arg.format(**files) for arg in REJECTED[case]]
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse's own usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("repro-sc "), \
+            captured.err
+
+
 class TestWorkload:
     def test_emits_graph_json(self, capsys):
         assert main(["workload", "io2", "--scale-gb", "10"]) == 0

@@ -559,16 +559,3 @@ class TestResultPayload:
         assert emit_result_json(fake_result(), path=path) == path
         with open(path, encoding="utf-8") as handle:
             assert json.load(handle)["title"] == "helper test"
-
-    def test_emit_via_env_var(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "env.json")
-        monkeypatch.setenv("HELPER_BENCH_JSON", path)
-        assert emit_result_json(fake_result(),
-                                env_var="HELPER_BENCH_JSON") == path
-        monkeypatch.delenv("HELPER_BENCH_JSON")
-        assert emit_result_json(fake_result(),
-                                env_var="HELPER_BENCH_JSON") is None
-
-    def test_emit_requires_a_target(self):
-        with pytest.raises(ValueError, match="path or env_var"):
-            emit_result_json(fake_result())

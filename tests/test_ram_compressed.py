@@ -10,6 +10,7 @@ tier-aware planning with a rung, and the MiniDB backend's *real* rung
 
 import math
 import os
+import traceback
 
 import pytest
 
@@ -370,7 +371,21 @@ class TestMiniDbRung:
         assert os.listdir(spill_dir) == []
 
     def test_rung_requires_a_spill_dir(self, workload):
+        """The Controller forwards the rung; the backend that builds the
+        hierarchy is the one place that rejects it."""
         workload.profile()
-        with pytest.raises(ValidationError, match="spill_dir"):
+        with pytest.raises(ValidationError, match="spill_dir") as info:
             Controller(ram_compressed_gb=1.0).refresh_on_minidb(
                 workload, 1000.0)
+        frame = traceback.extract_tb(info.tb)[-1]
+        assert frame.name == "prepare"
+        assert frame.filename.endswith(os.path.join("exec", "minidb.py"))
+
+    def test_adaptation_requires_a_spill_dir(self, workload):
+        """A run that cannot spill has no dumps to measure: adaptation
+        is rejected instead of silently dropped with the spill config."""
+        workload.profile()
+        controller = Controller(spill=SpillConfig(
+            codec="zlib", adapt=CodecAdaptConfig()))
+        with pytest.raises(ValidationError, match="spill_dir"):
+            controller.refresh_on_minidb(workload, 1000.0)

@@ -240,8 +240,19 @@ class TestControllerTierAware:
         assert aware.end_to_end_time < blind.end_to_end_time
 
     def test_minidb_tier_budget_matches_executor_tier(self):
-        budget = Controller().minidb_tier_budget(1.0)
+        budget = Controller(spill_dir="spill").minidb_tier_budget(1.0)
         assert [t.name for t in budget.tiers] == ["spill-disk"]
+        rung = Controller(spill_dir="spill", ram_compressed_gb=0.5)
+        assert [t.name for t in rung.minidb_tier_budget(1.0).tiers] == [
+            "ram-compressed", "spill-disk"]
+
+    def test_tier_aware_minidb_plan_requires_spill_dir(self):
+        """Without a spill directory the run has no spill tier, so a
+        plan priced against one would flag what the run cannot host."""
+        controller = Controller(spill=SpillConfig(codec="zlib"))
+        with pytest.raises(ValidationError, match="spill_dir"):
+            controller.plan_for_minidb(_graph(), 1e-4, tier_aware=True)
+        assert controller.plan_for_minidb(_graph(), 1e-4).order
 
     def test_refresh_on_minidb_tier_aware_requires_spill_dir(self,
                                                              tmp_path):

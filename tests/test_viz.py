@@ -1,4 +1,4 @@
-"""Tests for ASCII charts and plan explanation (repro.viz)."""
+"""Tests for plan explanation (repro.viz)."""
 
 import pytest
 
@@ -9,67 +9,7 @@ from repro.core.speedup import compute_speedup_scores
 from repro.errors import ValidationError
 from repro.graph.dag import DependencyGraph
 from repro.metadata.costmodel import DeviceProfile
-from repro.viz.charts import bar_chart, grouped_bar_chart, line_chart
 from repro.viz.explain import explain_plan, memory_profile_chart
-
-
-class TestBarChart:
-    def test_renders_all_labels_and_values(self):
-        text = bar_chart({"no opt": 100.0, "sc": 60.0}, unit="s")
-        assert "no opt" in text and "sc" in text
-        assert "100" in text and "60" in text
-
-    def test_longest_bar_for_max(self):
-        text = bar_chart({"a": 10.0, "b": 5.0}, width=20)
-        line_a, line_b = text.splitlines()
-        assert line_a.count("█") == 20
-        assert line_b.count("█") == 10
-
-    def test_zero_values_ok(self):
-        text = bar_chart({"a": 0.0, "b": 0.0})
-        assert "a" in text
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            bar_chart({})
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValidationError):
-            bar_chart({"a": -1.0})
-
-
-class TestGroupedBarChart:
-    def test_groups_and_global_scale(self):
-        text = grouped_bar_chart({
-            "io1": {"No opt": 300.0, "S/C": 180.0},
-            "io2": {"No opt": 295.0, "S/C": 200.0},
-        }, width=30)
-        assert "io1:" in text and "io2:" in text
-        # global max (300) gets the full width
-        longest = max(line.count("█") for line in text.splitlines())
-        assert longest == 30
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            grouped_bar_chart({})
-
-
-class TestLineChart:
-    def test_marks_and_legend(self):
-        text = line_chart(["10", "100", "1000"],
-                          {"TPC-DS": [1.4, 1.35, 1.3],
-                           "TPC-DSp": [2.7, 2.6, 2.4]})
-        assert "o=TPC-DS" in text
-        assert "x=TPC-DSp" in text
-        assert "1000" in text
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            line_chart(["a", "b"], {"s": [1.0]})
-
-    def test_single_point(self):
-        text = line_chart(["x"], {"s": [5.0]})
-        assert "o" in text
 
 
 def small_problem() -> tuple[ScProblem, Plan]:
