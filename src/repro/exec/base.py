@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import abc
 import importlib
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar
 
 from repro.core.plan import Plan
 from repro.errors import ValidationError
-from repro.exec.ledger import MemoryLedger
+from repro.exec.ledger import MemoryLedger, NoLock
 from repro.graph.dag import DependencyGraph
 from repro.graph.topo import kahn_topological_order
 
@@ -135,6 +136,9 @@ class ExecutionBackend(abc.ABC):
         # RunCancelledError after unwinding their ledger state
         self.cancel = cancel
         self.extra = kwargs
+        # what the run's ledger locks with; create_backend swaps in
+        # NoLock for the backends that touch it from one thread only
+        self.ledger_lock = threading.RLock
 
     # ------------------------------------------------------------------
     def check_cancelled(self, node_id: str | None = None) -> None:
@@ -205,6 +209,12 @@ _BACKEND_MODULES: dict[str, str] = {
     "service": "repro.serve.backend",
 }
 
+#: Backends whose ledger only the run's own thread ever touches (the
+#: discrete-event simulators): :func:`create_backend` builds their
+#: ledgers with :class:`~repro.exec.ledger.NoLock`.  MiniDB (drain
+#: threads) and the service keep the re-entrant lock.
+_ONE_THREAD_BACKENDS = frozenset({"simulator", "parallel", "lru"})
+
 
 def register_backend(cls: type[ExecutionBackend]) -> type[ExecutionBackend]:
     """Class decorator adding a backend to the registry by its ``name``.
@@ -258,7 +268,12 @@ def get_backend(name: str) -> type[ExecutionBackend]:
 def create_backend(name: str, *, profile=None, options=None,
                    workers: int = 1, seed: int = 0, bus=None,
                    cancel=None, **kwargs) -> ExecutionBackend:
-    """Instantiate a backend with the shared constructor contract."""
+    """Instantiate a backend with the shared constructor contract, and
+    choose its ledger's lock (not an option: see
+    :data:`_ONE_THREAD_BACKENDS`)."""
     cls = get_backend(name)
-    return cls(profile=profile, options=options, workers=workers,
-               seed=seed, bus=bus, cancel=cancel, **kwargs)
+    backend = cls(profile=profile, options=options, workers=workers,
+                  seed=seed, bus=bus, cancel=cancel, **kwargs)
+    if name in _ONE_THREAD_BACKENDS:
+        backend.ledger_lock = NoLock
+    return backend

@@ -47,6 +47,8 @@ two per-node lifecycles share no logic.
 from __future__ import annotations
 
 import heapq
+import math
+import threading
 from typing import Callable
 
 from repro.engine.storage import StorageDevice
@@ -137,11 +139,13 @@ class NodeKernel:
     def for_run(cls, graph: DependencyGraph, memory_budget: float,
                 profile: DeviceProfile | None,
                 options: SimulatorOptions | None,
-                bus: EventBus = NULL_BUS) -> "NodeKernel":
+                bus: EventBus = NULL_BUS,
+                lock: Callable[[], object] = threading.RLock,
+                ) -> "NodeKernel":
         """Fresh single-run state: a ledger sized ``memory_budget`` —
         tiered, with the graph's per-node ``meta["compressibility"]``
-        installed, when ``options.spill`` is armed — and its own device,
-        drain heap and clock."""
+        installed, when ``options.spill`` is armed — built with
+        ``lock``, and its own device, drain heap and clock."""
         if memory_budget < 0:
             raise ValidationError("memory_budget must be >= 0")
         profile = profile or DeviceProfile()
@@ -155,10 +159,11 @@ class NodeKernel:
             )
 
             ledger: MemoryLedger = TieredLedger(
-                memory_budget, options.spill, profile=profile, bus=bus)
+                memory_budget, options.spill, profile=profile, bus=bus,
+                lock=lock)
             ledger.set_compressibility(compressibility_from_graph(graph))
         else:
-            ledger = MemoryLedger(budget=memory_budget)
+            ledger = MemoryLedger(budget=memory_budget, lock=lock)
         return cls(graph, ledger, profile, options, bus=bus)
 
     # ------------------------------------------------------------------
@@ -336,7 +341,9 @@ class NodeKernel:
         and take the cheaper move.  Decisions are counted on the ledger
         (``tier_report()["arbitration"]``) and recorded in
         ``trace.admission``; :meth:`_place_tiered` then demotes only if
-        the stalls did not free enough room.
+        the stalls did not free enough room.  Once a stall has recorded
+        the estimate it ``avoided``, every later turn asks the ledger
+        only for the verdict (``at_least``).
         """
         ledger, drains = self.ledger, self.drains
         if not ledger.config.arbitrate:
@@ -344,7 +351,15 @@ class NodeKernel:
         stall_begun = clock
         avoided = None
         while not ledger.fits(size):
-            estimate = ledger.estimate_spill_seconds(size, now=clock)
+            at_least = None
+            if avoided is not None and drains:
+                # the smallest wait w with clock + w >= the next drain,
+                # so a partial estimate past it stalls as the whole would
+                at_least = drains[0][0] - clock
+                while clock + at_least < drains[0][0]:
+                    at_least = math.nextafter(at_least, math.inf)
+            estimate = ledger.estimate_spill_seconds(size, now=clock,
+                                                     at_least=at_least)
             if estimate is None:
                 break  # RAM cannot host it at all: no decision to make
             if not drains:

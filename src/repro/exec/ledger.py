@@ -19,7 +19,10 @@ byte accounting, peak tracking, and the flagged-residency release protocol.
   :meth:`try_insert` is an atomic check-and-claim that concurrent workers
   can race safely.  Blocking admission loops live in the schedulers (see
   :func:`repro.exec.parallel.run_threaded`), which must also wake on
-  dependency completions, not just on freed space.
+  dependency completions, not just on freed space.  A ledger only one
+  thread ever touches (the discrete-event simulators') is built with
+  :class:`NoLock` instead — :func:`repro.exec.base.create_backend`
+  makes that choice, per backend.
 
 This ledger *is* the paper's Memory Catalog accounting for every backend,
 so they share one implementation of the invariant the paper cares about:
@@ -30,11 +33,34 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import BudgetExceededError, CatalogError
 
 #: Absolute slack used by every fit test, mirroring the optimizer's epsilon.
 _EPS = 1e-12
+
+
+class NoLock:
+    """The lock of a ledger one thread owns: it guards nothing, and
+    entering it costs less than an uncontended ``RLock`` round trip.
+    Same protocol as ``RLock`` (context manager, ``acquire`` /
+    ``release``), so lock wrappers such as
+    :class:`repro.exec.lockorder.TrackedRLock` still wrap it."""
+
+    __slots__ = ()
+
+    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
+        return True
+
+    def release(self) -> None:
+        pass
+
+    def __enter__(self) -> bool:
+        return True
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        return None
 
 
 @dataclass
@@ -54,9 +80,13 @@ class MemoryLedger:
     Attributes:
         budget: capacity in the same unit as table sizes (GB throughout
             the repo).
+
+    ``lock`` builds the ledger's lock: ``threading.RLock`` unless every
+    call comes from one thread (:class:`NoLock`).
     """
 
-    def __init__(self, budget: float = 0.0) -> None:
+    def __init__(self, budget: float = 0.0,
+                 lock: Callable[[], object] = threading.RLock) -> None:
         if budget < 0:
             raise CatalogError("ledger budget must be >= 0")
         self.budget = budget
@@ -65,7 +95,7 @@ class MemoryLedger:
         self._usage = 0.0
         self._peak = 0.0
         self._charged = 0.0
-        self._lock = threading.RLock()
+        self._lock = lock()
 
     # ------------------------------------------------------------------
     # accounting views
@@ -83,12 +113,14 @@ class MemoryLedger:
     @property
     def reserved(self) -> float:
         """Bytes promised to dispatched-but-not-finished flagged nodes."""
-        return sum(self._reserved.values())
+        return sum(self._reserved.values()) if self._reserved else 0
 
     @property
     def available(self) -> float:
         """Bytes a new admission may claim (budget − usage − reserved)."""
-        return self.budget - self._usage - self.reserved
+        reserved = self._reserved
+        return (self.budget - self._usage
+                - (sum(reserved.values()) if reserved else 0))
 
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._entries
@@ -343,9 +375,10 @@ class MemoryLedger:
         return False
 
     def _require(self, node_id: str) -> _Entry:
-        if node_id not in self._entries:
+        entry = self._entries.get(node_id)
+        if entry is None:
             raise CatalogError(f"table {node_id!r} not in Memory Catalog")
-        return self._entries[node_id]
+        return entry
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"{type(self).__name__}(budget={self.budget:.3g}, "

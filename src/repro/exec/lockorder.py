@@ -20,7 +20,9 @@ actually taken and detects inversions:
 The fuzz harness (``tests/test_invariants_random.py``) wires this into
 its ``CheckedLedger`` so every randomized scenario also audits lock
 ordering.  The registry is cheap (one dict update per nested acquire)
-but not free — production ledgers keep plain ``RLock``s.
+but not free — production ledgers keep plain ``RLock``s (or, on one
+thread, :class:`~repro.exec.ledger.NoLock`, which it wraps just as
+well).
 """
 
 from __future__ import annotations

@@ -20,7 +20,9 @@ here.  Base-table reads and compute are charged by the shared
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
+from typing import Callable
 
 from repro.core.plan import Plan
 from repro.engine.trace import NodeTrace, RunTrace
@@ -47,12 +49,11 @@ class LruCache:
     """
 
     def __init__(self, capacity: float,
-                 ledger: MemoryLedger | None = None) -> None:
+                 lock: Callable[[], object] = threading.RLock) -> None:
         if capacity < 0:
             raise ValidationError("cache capacity must be >= 0")
         self.capacity = capacity
-        self.ledger = ledger if ledger is not None \
-            else MemoryLedger(budget=capacity)
+        self.ledger = MemoryLedger(budget=capacity, lock=lock)
         self._entries: "OrderedDict[str, float]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -108,7 +109,7 @@ class LruBackend(ExecutionBackend):
                 ) -> ExecutionContext:
         if plan is not None:
             raise ValidationError("the LRU baseline does not take a plan")
-        cache = LruCache(capacity=memory_budget)
+        cache = LruCache(capacity=memory_budget, lock=self.ledger_lock)
         # the baseline ignores the Controller's runtime policy (it never
         # did apply compute_penalty): the kernel charges with defaults
         kernel = NodeKernel(graph, cache.ledger,

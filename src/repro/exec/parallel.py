@@ -111,9 +111,12 @@ class _SchedulerState:
     def next_event_time(self) -> float | None:
         """When the next drain or completion lands (None: nothing is
         in flight, so waiting cannot free space)."""
-        return min((heap[0][0] for heap in (self.kernel.drains,
-                                            self.completions) if heap),
-                   default=None)
+        drains, completions = self.kernel.drains, self.completions
+        if drains and completions:
+            return min(drains[0][0], completions[0][0])
+        if drains or completions:
+            return (drains or completions)[0][0]
+        return None
 
 
 @register_backend
@@ -155,7 +158,8 @@ class ParallelSimulatorBackend(ExecutionBackend):
         else:
             priority = {v: (position[v],) for v in plan.order}
         kernel = NodeKernel.for_run(graph, memory_budget, self.profile,
-                                    self.options, bus=self.bus)
+                                    self.options, bus=self.bus,
+                                    lock=self.ledger_lock)
         state = _SchedulerState(
             kernel=kernel,
             deps_left={v: graph.in_degree(v) for v in graph.nodes()},
@@ -340,6 +344,9 @@ class ParallelSimulatorBackend(ExecutionBackend):
         resolves — a reservation that later succeeds without demotions
         is a stall win; one that ends in ``try_make_room`` charges is a
         spill win, however many rounds it stayed blocked in between.
+        Only that first estimate is needed whole: every later one asks
+        the ledger for the verdict (``at_least``) and stops pricing as
+        soon as it is in.
         """
         state: _SchedulerState = ctx.payload
         ledger = ctx.ledger
@@ -348,12 +355,16 @@ class ParallelSimulatorBackend(ExecutionBackend):
         next_event = state.next_event_time()
         if next_event is None:
             return False  # nothing can free space: waiting cannot help
-        estimate = ledger.estimate_spill_seconds(size, now=state.now)
+        wait = next_event - state.now
+        first = (node_id not in state.arb_resolved
+                 and node_id not in state.arb_pending)
+        estimate = ledger.estimate_spill_seconds(
+            size, now=state.now, at_least=None if first else wait)
         if estimate is None:
             return False  # RAM can never host it: tier-direct placement
-        if node_id not in state.arb_resolved:
-            state.arb_pending.setdefault(node_id, estimate)
-        return next_event - state.now <= estimate
+        if first:
+            state.arb_pending[node_id] = estimate
+        return wait <= estimate
 
     def _resolve_arbitration(self, ctx: ExecutionContext, node_id: str,
                              stalled: bool) -> None:

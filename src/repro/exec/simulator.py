@@ -41,7 +41,8 @@ class SerialSimulatorBackend(ExecutionBackend):
                 "the simulator backend requires a plan; optimize first")
         check_topological_order(graph, plan.order)
         kernel = NodeKernel.for_run(graph, memory_budget, self.profile,
-                                    self.options, bus=self.bus)
+                                    self.options, bus=self.bus,
+                                    lock=self.ledger_lock)
         return ExecutionContext(graph=graph, plan=plan,
                                 memory_budget=memory_budget, method=method,
                                 ledger=kernel.ledger, payload=kernel,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from repro.errors import ValidationError
 
@@ -90,12 +91,14 @@ class DeviceProfile:
                 "background_interference must be in [0, 1)")
 
     # ------------------------------------------------------------------
-    @property
+    # cached: every modeled read and write divides by these, and the
+    # profile is frozen
+    @cached_property
     def effective_read_bandwidth(self) -> float:
         """GB/s of a full table scan: device transfer + decode pipeline."""
         return _pipeline_bandwidth(self.disk_read_bandwidth, self.decode_rate)
 
-    @property
+    @cached_property
     def effective_write_bandwidth(self) -> float:
         """GB/s of a blocking materialization: encode + device transfer."""
         return _pipeline_bandwidth(self.disk_write_bandwidth,

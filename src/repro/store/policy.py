@@ -52,6 +52,11 @@ class VictimInfo:
         last_access: logical recency stamp (larger = more recent).
         reload_cost: seconds one consumer would pay to read the entry
             back from the tier it would be demoted to.
+        demote_cost: seconds the demotion into that tier is billed.
+        create_cost: seconds a promotion back into RAM is billed.
+
+    The last two are prices, not ranking inputs: the store caches them
+    here so a stall-vs-spill estimate only adds numbers.
     """
 
     node_id: str
@@ -59,6 +64,8 @@ class VictimInfo:
     consumers_left: int
     last_access: int
     reload_cost: float
+    demote_cost: float = 0.0
+    create_cost: float = 0.0
 
 
 class SpillPolicy(abc.ABC):

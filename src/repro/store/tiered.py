@@ -64,6 +64,8 @@ Two run-time refinements close the model-vs-runtime loop:
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -202,13 +204,16 @@ class TieredLedger(MemoryLedger):
     All mutations run under the inherited re-entrant lock, so the same
     thread-safety guarantees concurrent schedulers rely on carry over;
     :attr:`stats` and :attr:`tenants` are only touched with it held.
+    ``lock`` builds it and every tier ledger's lock (see
+    :class:`~repro.exec.ledger.MemoryLedger`).
     """
 
     def __init__(self, budget: float, config: SpillConfig | None = None,
                  profile: DeviceProfile | None = None,
                  charge_io: bool = True,
-                 bus: EventBus | None = None) -> None:
-        super().__init__(budget=budget)
+                 bus: EventBus | None = None,
+                 lock: Callable[[], object] = threading.RLock) -> None:
+        super().__init__(budget=budget, lock=lock)
         self.bus = resolve_bus(bus)
         self.config = config or SpillConfig()
         self.policy = create_policy(self.config.policy)
@@ -223,7 +228,7 @@ class TieredLedger(MemoryLedger):
         for spec in self.config.tiers:
             codec = spec.resolved_codec(self.config.codec)
             self.tiers.append(StorageTier(
-                spec, MemoryLedger(budget=spec.budget),
+                spec, MemoryLedger(budget=spec.budget, lock=lock),
                 spec.resolved_profile(), codec, codec.ratio))
         self._below: dict[str, _Spilled] = {}
         # per-node compressibility multipliers (see set_compressibility)
@@ -472,23 +477,32 @@ class TieredLedger(MemoryLedger):
         ``size`` is the entry's footprint *in this tier* (what a
         demotion frees here); ``reload_cost`` is decode-aware — the
         device read of the compressed bytes in the destination tier plus
-        the decode of the logical bytes.  Whatever this reads —
-        consumer count, recency, realized ratio, the tier's codec —
-        must mark the entry in the victim index when it changes.
+        the decode of the logical bytes.  ``demote_cost`` is what moving
+        it one tier down is billed (:meth:`_move_seconds`, at the ratio
+        it realizes there) and ``create_cost`` what promoting it back
+        into RAM is.  Whatever this reads — consumer count, recency,
+        realized ratio, the tier's codec — must mark the entry in the
+        victim index when it changes.
         """
         if index + 1 >= len(self.tiers):
             return None
-        entry = self.tiers[index].ledger._require(node_id)
+        src, dst = self.tiers[index], self.tiers[index + 1]
+        entry = src.ledger._require(node_id)
         logical = self._logical_size(index, node_id)
-        dst = self.tiers[index + 1]
+        stored_dst = logical / self._entry_ratio(index + 1, node_id)
         return VictimInfo(
             node_id=node_id,
             size=entry.size,
             consumers_left=entry.consumers_left,
             last_access=self._recency.get(node_id, 0),
             reload_cost=pricing.read_seconds(
-                dst.profile, dst.codec,
-                logical / self._entry_ratio(index + 1, node_id), logical))
+                dst.profile, dst.codec, stored_dst, logical),
+            demote_cost=self._move_seconds(
+                src, entry.size,
+                NONE_CODEC if index == 0 else self._below[node_id].codec,
+                dst, stored_dst, logical),
+            create_cost=(self.profile.create_time_memory(logical)
+                         if self.charge_io else 0.0))
 
     def _make_room(self, index: int, size: float, now: float,  # lint: locked
                    mover: Mover | None = None,
@@ -726,9 +740,9 @@ class TieredLedger(MemoryLedger):
                     f"table {node_id!r} already resident in tier "
                     f"{tier.name!r}")
             ok, charges = self._make_room(0, size, now)
-            if ok:
-                self.insert(node_id, size, n_consumers,
-                            materialization_pending)
+            if ok:  # checked and made room for: commit it
+                self._commit_entry(node_id, size, n_consumers,
+                                   materialization_pending)
                 return 0, charges
             for idx in range(1, len(self.tiers)):
                 stored = size / self._entry_ratio(idx, node_id)
@@ -813,6 +827,8 @@ class TieredLedger(MemoryLedger):
         Returns:
             The hidden (overlapped) seconds of this pass.
         """
+        if not self._below:
+            return 0.0  # nothing below RAM to promote
         hidden = 0.0
         with self._lock:
             for parent in parents:
@@ -832,8 +848,9 @@ class TieredLedger(MemoryLedger):
             self.stats.prefetch_hidden_seconds += hidden
         return hidden
 
-    def estimate_spill_seconds(self, size: float,
-                               now: float = 0.0) -> float | None:
+    def estimate_spill_seconds(self, size: float, now: float = 0.0,
+                               at_least: float | None = None,
+                               ) -> float | None:
         """Modeled cost of admitting ``size`` GB into RAM by demoting.
 
         Walks the victim policy's ranking, summing for each victim that
@@ -844,7 +861,16 @@ class TieredLedger(MemoryLedger):
         promotion is on; without promotion every remaining consumer
         re-reads the tier).  Cascade demotions further down are not
         modeled — this is an *estimate* for stall-vs-spill arbitration,
-        not a quote.
+        not a quote.  Each victim's prices are cached on its
+        :class:`VictimInfo` (see :meth:`_victim_info`), so the walk only
+        adds them up.
+
+        ``at_least`` asks for a verdict instead of the whole number:
+        once the running cost reaches it, pricing stops (sizes are
+        still summed, so the ``None`` case is unchanged) and the partial
+        cost — itself ``>= at_least`` — comes back.  Either way
+        ``at_least <= result`` holds exactly when it holds for the
+        full estimate.
 
         Returns:
             ``0.0`` when the size already fits, ``None`` when no amount
@@ -854,33 +880,28 @@ class TieredLedger(MemoryLedger):
             modeled seconds otherwise.
         """
         with self._lock:
-            if self.fits(size):
+            available = self.available
+            if size <= available + 1e-12:  # it fits
                 return 0.0
             if len(self.tiers) < 2:
                 return None  # RAM-only hierarchy: no demotion possible
-            if size > self.available + self.usage + 1e-12:
+            if size > available + self._usage + 1e-12:
                 return None  # exceeds what RAM can ever admit
-            deficit = size - self.available
-            ram, dst = self.tiers[0], self.tiers[1]
+            deficit = size - available
+            promote = self.config.promote
+            stop = math.inf if at_least is None else at_least
             freed = 0.0
             cost = 0.0
             for victim in self._victim_index.ranked(0):
                 if freed >= deficit - 1e-12:
                     break
                 freed += victim.size
-                # per-victim realized ratio: the same figure the actual
-                # demotion will charge, so one estimate never mixes
-                # preset and realized pricing
-                cost += self._move_seconds(
-                    ram, victim.size, NONE_CODEC, dst,
-                    victim.size / self._entry_ratio(1, victim.node_id),
-                    victim.size)
+                if cost >= stop:
+                    continue  # the verdict is in: only sizes matter now
+                cost += victim.demote_cost
                 if victim.consumers_left > 0:
-                    if self.config.promote:
-                        cost += (victim.reload_cost
-                                 + (self.profile.create_time_memory(
-                                     victim.size) if self.charge_io
-                                    else 0.0))
+                    if promote:
+                        cost += victim.reload_cost + victim.create_cost
                     else:
                         cost += victim.consumers_left * victim.reload_cost
             if freed < deficit - 1e-12:

@@ -130,25 +130,35 @@ def reference_victims(ledger, tier: int) -> list:
     ``VictimInfo`` per resident, then ``policy.order`` — which is how
     the tiered store ranked victims before it kept a ``VictimIndex``.
     Kept here, formula and all, as the reference the index is held to.
+    The cached prices are held to a fresh ``_move_seconds`` — the call
+    a demotion is billed through — and a fresh promote-create.
     """
+    from repro.store.config import NONE_CODEC
     from repro.store.policy import VictimInfo
 
     if tier + 1 >= len(ledger.tiers):
         return []  # nothing below to demote into
-    tier_ledger = ledger.tiers[tier].ledger
-    dst_profile = ledger.tiers[tier + 1].spec.resolved_profile()
-    dst_codec = ledger.tiers[tier + 1].codec
+    src, dst = ledger.tiers[tier], ledger.tiers[tier + 1]
+    tier_ledger = src.ledger
+    dst_profile = dst.spec.resolved_profile()
+    dst_codec = dst.codec
     infos = []
     for node_id in tier_ledger._entries:
         logical = ledger.size_of(node_id)
+        size = tier_ledger.size_of(node_id)
         stored_dst = logical / ledger._entry_ratio(tier + 1, node_id)
+        src_codec = NONE_CODEC if tier == 0 else ledger._below[node_id].codec
         infos.append(VictimInfo(
             node_id=node_id,
-            size=tier_ledger.size_of(node_id),
+            size=size,
             consumers_left=tier_ledger.consumers_left(node_id),
             last_access=ledger._recency.get(node_id, 0),
             reload_cost=(dst_profile.read_time_disk(stored_dst)
-                         + dst_codec.decode_seconds_per_gb * logical)))
+                         + dst_codec.decode_seconds_per_gb * logical),
+            demote_cost=ledger._move_seconds(src, size, src_codec, dst,
+                                             stored_dst, logical),
+            create_cost=(ledger.profile.create_time_memory(logical)
+                         if ledger.charge_io else 0.0)))
     return ledger.policy.order(infos)
 
 
