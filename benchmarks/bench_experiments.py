@@ -269,8 +269,7 @@ def _fig14(result):
 def _parallel(result):
     """Simulated makespan shrinks as workers grow, with a measurable
     speedup at 4 workers on wide DAGs; the shared ``MemoryLedger`` keeps
-    flagged residency within the budget on *every* run; the wall-clock
-    row shows the concurrency is operating-system real."""
+    flagged residency within the budget on *every* run."""
     totals = result.data["totals"]
     workers = sorted(totals)
     times = [totals[w] for w in workers]
@@ -287,11 +286,6 @@ def _parallel(result):
         assert after <= before * 1.10
     # and 4 workers buy a real, measurable speedup on wide DAGs
     assert totals[1] / totals[4] > 1.2, totals
-
-    # real threads show real wall-clock speedup (generous bound: CI boxes
-    # schedule threads noisily, the effect is still unmistakable)
-    wall = result.data["wall_clock"]
-    assert wall[1] / wall[max(wall)] > 1.3, wall
 
 
 def _spill(result):

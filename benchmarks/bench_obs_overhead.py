@@ -177,45 +177,3 @@ def test_simulator_bus_observes_without_perturbing(show):
         f"per-event cost {1e6 * per_event:.1f}us exceeds "
         f"{1e6 * _MAX_EVENT_COST:.0f}us")
 
-
-def test_threaded_dispatch_rounds_are_not_poll_quantized(show):
-    """Regression: the thread-pool dispatcher is event-driven.
-
-    It used to park on ``cv.wait(timeout=0.5)`` when blocked, so a
-    wakeup could trail the completion that enabled it by up to the full
-    poll interval.  Now a blocked round parks on a predicate wait keyed
-    to the completion count and wakes exactly on ``finish_node``'s
-    notify — the wall-clock gap ending every blocked round must be the
-    running nodes' remaining compute, never a ~0.5 s poll tail.
-    """
-    from repro.exec.parallel import run_threaded
-
-    graph = build_workload("io1", scale_gb=100.0)
-    planner = Controller()
-    plan = planner.plan(graph, _SIM_MEMORY_GB, method="sc", seed=0)
-    bus = EventBus()
-    # a one-worker pool over multi-node ready sets blocks the
-    # dispatcher on every round while a node runs (~10 ms each)
-    trace = run_threaded(graph, plan, memory_budget=graph.total_size(),
-                         workers=1, time_scale=5e-4, bus=bus)
-    assert trace.end_to_end_time < 0.5  # compute itself is tiny
-
-    rounds = [event for event in bus.events
-              if event.name == "dispatch-round"]
-    blocked_gaps = [
-        rounds[i].t0 - rounds[i - 1].t0
-        for i in range(1, len(rounds)) if rounds[i].args["after_block"]]
-    assert blocked_gaps, "no blocked dispatch round was observed"
-    worst = max(blocked_gaps)
-    show(ExperimentResult(
-        experiment_id="obs-overhead",
-        title="blocked dispatch-round wakeup gaps (event-driven wait)",
-        headers=["rounds", "blocked", "worst gap (ms)"],
-        rows=[[len(rounds), len(blocked_gaps), f"{1e3 * worst:.2f}"]]))
-
-    # a single 0.5 s-quantized wakeup anywhere would trip this: each
-    # node's scaled compute is ~10 ms, leaving a huge margin below the
-    # old poll interval even on a loaded CI box
-    assert worst < 0.25, (
-        f"blocked dispatch round woke {worst:.3f}s after the previous "
-        f"round — poll-quantized, not event-driven")

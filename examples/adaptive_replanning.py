@@ -13,7 +13,6 @@ from repro.core.speedup import compute_speedup_scores
 from repro.engine.adaptive import AdaptiveController
 from repro.graph.dag import DependencyGraph
 from repro.metadata.costmodel import DeviceProfile
-from repro.metadata.store import MetadataStore, RecurringPipeline
 
 
 def profiled_graph() -> DependencyGraph:
@@ -58,17 +57,6 @@ def main() -> None:
         mark = " -> re-planned" if seg.replanned_after else ""
         print(f"  {i + 1}. {', '.join(seg.nodes):<40} "
               f"{seg.duration:7.2f} s  drift={seg.drift_ratio:.2f}{mark}")
-
-    # across runs, the persistent store keeps observations for next time
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as root:
-        store = MetadataStore(root)
-        pipeline = RecurringPipeline(store=store, workload="nightly")
-        pipeline.observe(truth)
-        plan = pipeline.plan(graph, memory_budget=budget)
-        print("\nnext run plans from the persisted observations:")
-        print(f"  flagged: {sorted(plan.flagged)}")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ Run:  python examples/parallel_refresh.py
 from repro.core.optimizer import optimize
 from repro.core.problem import ScProblem
 from repro.engine import Controller
-from repro.exec.parallel import run_threaded
 from repro.workloads.generator import (
     GeneratedWorkloadConfig,
     WorkloadGenerator,
@@ -48,13 +47,6 @@ def main() -> None:
         print(f"  parallel x{workers:<2d}       {trace.end_to_end_time:9.2f} s "
               f"(peak {trace.peak_catalog_usage:6.2f} GB, "
               f"speedup {serial.end_to_end_time / trace.end_to_end_time:4.2f}x)")
-
-    print("\n== real threads (sleep-backed work, wall clock) ==")
-    for workers in (1, 8):
-        trace = run_threaded(graph, plan, budget, workers=workers,
-                             time_scale=2e-4)
-        print(f"  threads x{workers:<2d}        {trace.end_to_end_time:9.3f} s "
-              f"(peak {trace.peak_catalog_usage:6.2f} GB)")
 
 
 if __name__ == "__main__":

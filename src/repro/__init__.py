@@ -32,7 +32,7 @@ from repro.core import (
     select_nodes_mkp,
 )
 from repro.graph import DependencyGraph, generate_layered_dag
-from repro.metadata import ClusterProfile, DeviceProfile, WorkloadMetadata
+from repro.metadata import ClusterProfile, DeviceProfile
 
 __version__ = "1.0.0"
 
@@ -50,6 +50,5 @@ __all__ = [
     "generate_layered_dag",
     "DeviceProfile",
     "ClusterProfile",
-    "WorkloadMetadata",
     "__version__",
 ]

@@ -5,7 +5,8 @@ determinism, seeded tie-breaks, thread-safe ledger accounting,
 zero-overhead-when-off observability, a stable ``tiered_store``
 telemetry schema, and a closed error taxonomy — are enforced
 dynamically by the fuzz harness and the golden traces.  This package
-enforces them *statically*, in seconds, on every PR:
+enforces them *statically*, in seconds, on every PR, and keeps code
+that no run path reaches from growing back:
 
 ====== ============================ =========================================
 code   name                         protects
@@ -16,6 +17,7 @@ REP003 ledger-lock-discipline       thread-safe ledger accounting
 REP004 bus-guard                    <2% observability overhead when off
 REP005 extras-schema                ``extras["tiered_store"]`` key stability
 REP006 error-taxonomy               ``repro.errors``-only public failures
+REP007 unreachable-module           no module only tests or examples import
 ====== ============================ =========================================
 
 Run ``python -m repro.analysis src/repro`` (see ``--help``), or

@@ -82,7 +82,7 @@ _LIST_KEYS = {
 _STR_KEYS = {"baseline", "lock_attr", "error_module", "schema_module"}
 
 
-def _parse_pyproject(text: str, name: str) -> dict:
+def parse_pyproject(text: str, name: str) -> dict:
     """Parse pyproject TOML with :mod:`tomllib`, falling back to the
     TOML-subset parser the bench matrix already ships for 3.10."""
     try:
@@ -107,7 +107,7 @@ def load_config(root: Path) -> LintConfig:
     pyproject = root / "pyproject.toml"
     if not pyproject.is_file():
         return LintConfig()
-    payload = _parse_pyproject(
+    payload = parse_pyproject(
         pyproject.read_text(encoding="utf-8"), str(pyproject))
     table = payload.get("tool", {}).get("repro-lint", {})
     if not isinstance(table, dict):

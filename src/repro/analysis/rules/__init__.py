@@ -6,6 +6,7 @@ from .busguard import BusGuardRule
 from .errors_taxonomy import ErrorTaxonomyRule
 from .extras_schema import ExtrasSchemaRule
 from .locks import LockDisciplineRule
+from .reachability import UnreachableModuleRule
 from .rng import RngRule
 from .wallclock import WallClockRule
 
@@ -16,6 +17,7 @@ ALL_RULES: tuple[Rule, ...] = (
     BusGuardRule(),
     ExtrasSchemaRule(),
     ErrorTaxonomyRule(),
+    UnreachableModuleRule(),
 )
 
 RULES_BY_CODE = {rule.code: rule for rule in ALL_RULES}

@@ -480,24 +480,15 @@ def fig13_optimization_time(dag_sizes: tuple[int, ...] = (10, 25, 50, 100),
 def parallel_scaling(worker_counts: tuple[int, ...] = (1, 2, 4, 8),
                      n_dags: int = 3, n_nodes: int = 48,
                      budget_fraction: float = 0.25, seed: int = 0,
-                     wall_clock: bool = True,
-                     wall_clock_time_scale: float = 5e-4,
                      ) -> ExperimentResult:
     """Measure (don't claim) the parallel backend's speedup on wide DAGs.
 
-    Two measurements per worker count over ``n_dags`` generated wide DAGs
-    (height/width ratio 0.25, so plenty of ready nodes coexist):
-
-    * **simulated makespan** — total end-to-end time from the
-      deterministic discrete-event scheduler, with the ``MemoryLedger``
-      peak checked against the budget on every run;
-    * **wall clock** (1 and max workers only, ``wall_clock=True``) — real
-      thread-pool execution via :func:`repro.exec.parallel.run_threaded`
-      with sleep-backed node work, so the concurrency being measured is
-      operating-system real.
+    The simulated makespan per worker count over ``n_dags`` generated
+    wide DAGs (height/width ratio 0.25, so plenty of ready nodes
+    coexist): total end-to-end time from the deterministic
+    discrete-event scheduler, with the ``MemoryLedger`` peak checked
+    against the budget on every run.
     """
-    from repro.exec.parallel import run_threaded
-
     generator = WorkloadGenerator()
     config = GeneratedWorkloadConfig(n_nodes=n_nodes,
                                      height_width_ratio=0.25)
@@ -529,28 +520,13 @@ def parallel_scaling(worker_counts: tuple[int, ...] = (1, 2, 4, 8),
         rows.append([str(workers), totals[workers],
                      base / totals[workers]])
 
-    wall: dict[int, float] = {}
-    if wall_clock:
-        for workers in (1, max(worker_counts)):
-            elapsed = 0.0
-            for graph, plan, budget in cases:
-                trace = run_threaded(graph, plan, budget, workers=workers,
-                                     time_scale=wall_clock_time_scale)
-                elapsed += trace.end_to_end_time
-                budget_ok &= trace.peak_catalog_usage <= budget + 1e-9
-            wall[workers] = elapsed
-        rows.append([f"wall-clock x{max(worker_counts)}",
-                     wall[max(worker_counts)],
-                     wall[1] / wall[max(worker_counts)]])
-
     return ExperimentResult(
         experiment_id="parallel",
         title=f"Memory-bounded parallel scheduler: {n_dags} wide DAGs "
               f"({n_nodes} nodes, {100 * budget_fraction:g}% budget)",
         headers=["workers", "total time (s)", "speedup vs 1 worker"],
         rows=rows,
-        data={"totals": totals, "wall_clock": wall,
-              "budget_ok": budget_ok},
+        data={"totals": totals, "budget_ok": budget_ok},
     )
 
 

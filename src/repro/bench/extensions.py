@@ -188,8 +188,7 @@ def ivm_integration(scale_gb: float = 100.0,
 
     IVM is emulated on the Table III workloads by shrinking every node's
     refresh bytes (and, via calibration, its compute) to the incremental
-    delta fraction — the regime the real :mod:`repro.ivm` machinery
-    produces, demonstrated end-to-end in its tests and example. The claim
+    delta fraction, the regime an IVM engine refreshes in. The claim
     under test is the paper's §VII: the two techniques compose.
     """
     budget = 0.016 * scale_gb

@@ -263,16 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--no-profile", action="store_true",
                        help="skip the occupancy chart")
 
-    p_pipe = sub.add_parser(
-        "pipeline", help="optimize a generic ETL pipeline spec")
-    p_pipe.set_defaults(handler=_cmd_pipeline)
-    p_pipe.add_argument("spec", help="path to pipeline-spec JSON")
-    p_pipe.add_argument("--memory", type=float, required=True)
-    p_pipe.add_argument("--method", default="sc",
-                        choices=sorted(OPTIMIZER_METHODS))
-    p_pipe.add_argument("--simulate", action="store_true",
-                        help="also simulate the optimized schedule")
-
     p_srv = sub.add_parser(
         "serve",
         help="open-loop multi-tenant serving demo over one shared "
@@ -621,22 +611,6 @@ def _cmd_explain(args) -> int:
     result = optimize(problem, method=args.method, seed=args.seed)
     print(explain_plan(problem, result.plan,
                        include_profile=not args.no_profile))
-    return 0
-
-
-def _cmd_pipeline(args) -> int:
-    from repro.etl.planner import plan_pipeline, simulate_schedule
-    from repro.etl.spec import PipelineSpec
-
-    spec = PipelineSpec.from_json(_read(args.spec))
-    schedule = plan_pipeline(spec, memory_budget_gb=args.memory,
-                             method=args.method)
-    print(schedule.render())
-    if args.simulate:
-        trace = simulate_schedule(spec, schedule)
-        print()
-        print(f"simulated end-to-end time: "
-              f"{trace.end_to_end_time:.3f} s")
     return 0
 
 

@@ -34,9 +34,7 @@ def compute_speedup_scores(graph: DependencyGraph,
                            ) -> dict[str, float]:
     """Set every node's ``score`` from its size and consumer count.
 
-    Returns the scores keyed by node id (the graph is modified in place,
-    matching how :class:`~repro.metadata.metadata.WorkloadMetadata` refreshes
-    annotations between runs).
+    Returns the scores keyed by node id (the graph is modified in place).
     """
     cost_model = cost_model or DeviceProfile()
     scores: dict[str, float] = {}

@@ -29,10 +29,6 @@ minidb       the real MiniDB columnar engine with genuine disk I/O and
              a small pool of background materializer threads
 ===========  ==========================================================
 
-The parallel scheduler also ships :func:`~repro.exec.parallel.run_threaded`,
-a real thread-pool executor used to measure wall-clock scaling (see
-``repro-sc bench parallel``).
-
 Backends short on RAM can swap the plain ledger for the
 :class:`~repro.store.tiered.TieredLedger` facade from :mod:`repro.store`
 — same admission/release protocol, but entries that do not fit demote to

@@ -16,13 +16,12 @@ byte accounting, peak tracking, and the flagged-residency release protocol.
   against admission (so concurrent workers can never over-commit) but not
   against ``usage``/``peak_usage`` (so serial peak semantics are preserved);
 * **thread safety** — every mutation runs under one re-entrant lock, so
-  :meth:`try_insert` is an atomic check-and-claim that concurrent workers
-  can race safely.  Blocking admission loops live in the schedulers (see
-  :func:`repro.exec.parallel.run_threaded`), which must also wake on
-  dependency completions, not just on freed space.  A ledger only one
-  thread ever touches (the discrete-event simulators') is built with
-  :class:`NoLock` instead — :func:`repro.exec.base.create_backend`
-  makes that choice, per backend.
+  :meth:`try_insert` is an atomic check-and-claim that concurrent
+  threads (MiniDB's drains, the service's requests) can race safely.  A
+  ledger only one thread ever touches (the discrete-event simulators')
+  is built with :class:`NoLock` instead —
+  :func:`repro.exec.base.create_backend` makes that choice, per
+  backend.
 
 This ledger *is* the paper's Memory Catalog accounting for every backend,
 so they share one implementation of the invariant the paper cares about:
@@ -45,8 +44,8 @@ class NoLock:
     """The lock of a ledger one thread owns: it guards nothing, and
     entering it costs less than an uncontended ``RLock`` round trip.
     Same protocol as ``RLock`` (context manager, ``acquire`` /
-    ``release``), so lock wrappers such as
-    :class:`repro.exec.lockorder.TrackedRLock` still wrap it."""
+    ``release``), so lock wrappers such as the test suite's lock-order
+    audit (``tests/lockorder.py``) still wrap it."""
 
     __slots__ = ()
 

@@ -7,33 +7,25 @@ lines of work in PAPERS.md).  The hard part is that S/C's memory bound is
 *global*: concurrent workers must never jointly push flagged residency
 past the Memory Catalog budget.
 
-Two executors live here, both built on the shared
-:class:`~repro.exec.ledger.MemoryLedger`:
+:class:`ParallelSimulatorBackend` (registry name ``"parallel"``) is a
+deterministic discrete-event simulation of ``workers`` logical workers
+over the shared :class:`~repro.exec.ledger.MemoryLedger`.  A node
+dispatches when (a) all parents completed, (b) a worker is free, and
+(c) — **admission control** — if flagged, its output size can be
+*reserved* against the remaining ledger budget.  Reservations count
+against admission immediately but commit to ``usage``/``peak_usage``
+only at output time, so committed peaks keep the serial semantics.  With
+``workers=1`` there is nothing to schedule: the run is
+:meth:`~repro.exec.kernel.NodeKernel.run_node` once per node in plan
+order — the serial simulator, bit for bit, by construction.  Logical
+clocks plus a seeded tie-break priority make every run reproducible for
+a given seed; no real clock is read.
 
-:class:`ParallelSimulatorBackend` (registry name ``"parallel"``)
-    A deterministic discrete-event simulation of ``workers`` logical
-    workers.  A node dispatches when (a) all parents completed, (b) a
-    worker is free, and (c) — **admission control** — if flagged, its
-    output size can be *reserved* against the remaining ledger budget.
-    Reservations count against admission immediately but commit to
-    ``usage``/``peak_usage`` only at output time, so committed peaks keep
-    the serial semantics.  With ``workers=1`` there is nothing to
-    schedule: the run is :meth:`~repro.exec.kernel.NodeKernel.run_node`
-    once per node in plan order — the serial simulator, bit for bit, by
-    construction.  Logical clocks plus a seeded tie-break priority make
-    every run reproducible for a given seed.
-
-:func:`run_threaded`
-    A real worker pool (OS threads) executing a caller-supplied work
-    function per node under the same ledger admission rule, used to
-    measure *wall-clock* scaling in ``repro-sc bench parallel`` and to
-    stress the ledger's thread safety.
-
-Both executors avoid admission deadlock the same way the serial simulator
-escapes drain backpressure: when nothing is running, nothing is draining,
-and no ready node fits, the highest-priority ready node runs *spilled*
-(blocking write, no flag) — so a refresh can always make progress, and
-``on_overflow="error"`` raises instead.
+The scheduler avoids admission deadlock the same way the serial
+simulator escapes drain backpressure: when nothing is running, nothing
+is draining, and no ready node fits, the highest-priority ready node
+runs *spilled* (blocking write, no flag) — so a refresh can always make
+progress, and ``on_overflow="error"`` raises instead.
 
 Every per-node charge — reads from whichever tier holds a parent,
 compute, output placement, drains, parent release — is the shared
@@ -54,11 +46,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.core.plan import Plan
 from repro.engine.trace import NodeTrace, RunTrace
@@ -69,8 +57,7 @@ from repro.exec.base import (
     register_backend,
 )
 from repro.exec.kernel import NodeKernel
-from repro.exec.ledger import MemoryLedger
-from repro.graph.dag import DependencyGraph, Node
+from repro.graph.dag import DependencyGraph
 from repro.graph.topo import check_topological_order
 from repro.obs.events import emit_node_events
 
@@ -439,147 +426,3 @@ class ParallelSimulatorBackend(ExecutionBackend):
                                        ctx.memory_budget, ctx.method,
                                        workers=self.workers)
 
-
-# ----------------------------------------------------------------------
-# real thread-pool execution (wall-clock scaling)
-# ----------------------------------------------------------------------
-def run_threaded(graph: DependencyGraph, plan: Plan, memory_budget: float,
-                 workers: int = 2,
-                 work: Callable[[Node], None] | None = None,
-                 time_scale: float = 1.0, bus=None) -> RunTrace:
-    """Execute ``plan`` with real OS threads under ledger admission.
-
-    ``work`` runs once per node on a pool thread (default: sleep for the
-    node's ``compute_time`` scaled by ``time_scale`` — sleeps release the
-    GIL, so the concurrency, and therefore the measured wall-clock
-    speedup, is genuine).  Flagged outputs are admitted into a shared
-    :class:`MemoryLedger` *before* dispatch under one lock, so concurrent
-    workers can never exceed ``memory_budget``; a flagged node that cannot
-    be admitted waits for releases, or spills (runs unflagged) when
-    nothing is in flight to free space.
-
-    A blocked dispatcher parks on an event-driven predicate wait keyed
-    to the completion count — it wakes exactly when a worker finishes
-    (``finish_node`` notifies under the condition variable), never on a
-    timed poll, so there is no sleep-quantized idle tail between a
-    completion and the next dispatch round
-    (``benchmarks/bench_obs_overhead.py`` asserts this on the emitted
-    dispatch-round instants).
-
-    With ``bus`` given, every dispatch round emits a ``scheduler``
-    instant whose timestamp is the dispatcher's wall clock, carrying
-    dispatched/running/ready counts and whether the previous round
-    blocked.
-
-    Returns a :class:`RunTrace` of wall-clock (``perf_counter``) timings.
-    """
-    from repro.obs.events import resolve_bus
-
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
-    check_topological_order(graph, plan.order)
-    if work is None:
-        def work(node: Node) -> None:
-            time.sleep(max(node.compute_time or 0.0, 0.0) * time_scale)
-
-    bus = resolve_bus(bus)
-    ledger = MemoryLedger(budget=memory_budget)
-    position = plan.positions()
-    cv = threading.Condition()
-    deps_left = {v: graph.in_degree(v) for v in graph.nodes()}
-    ready = {v for v, d in deps_left.items() if d == 0}
-    running: set[str] = set()
-    completed: set[str] = set()
-    spilled: set[str] = set()
-    traces: dict[str, NodeTrace] = {}
-    started = time.perf_counter()  # repro-lint: disable=REP001 -- run_threaded measures the real thread executor's wall clock by design
-
-    def finish_node(node_id: str, flagged: bool) -> None:
-        with cv:
-            traces[node_id].end = time.perf_counter() - started  # repro-lint: disable=REP001 -- run_threaded measures the real thread executor's wall clock by design
-            if flagged:
-                # output is durable once the task returns; clear the hold
-                ledger.materialized(node_id)
-            for parent in graph.parents(node_id):
-                if parent in ledger:
-                    ledger.consumer_done(parent)
-            running.discard(node_id)
-            completed.add(node_id)
-            for child in graph.children(node_id):
-                deps_left[child] -= 1
-                if deps_left[child] == 0:
-                    ready.add(child)
-            cv.notify_all()
-
-    def task(node_id: str, flagged: bool) -> None:
-        node = graph.node(node_id)
-        try:
-            work(node)
-        finally:
-            finish_node(node_id, flagged)
-
-    with ThreadPoolExecutor(max_workers=workers,
-                            thread_name_prefix="refresh") as pool:
-        with cv:
-            blocked = False
-            while len(completed) < graph.n:
-                dispatched = False
-                dispatched_count = 0
-                for node_id in sorted(ready, key=position.__getitem__):
-                    if len(running) >= workers:
-                        break
-                    flagged = (node_id in plan.flagged
-                               and node_id not in spilled)
-                    if flagged and not ledger.try_insert(
-                            node_id, graph.size_of(node_id),
-                            n_consumers=graph.out_degree(node_id),
-                            materialization_pending=True):
-                        continue  # blocked on admission; try the next node
-                    trace = NodeTrace(
-                        node_id=node_id,
-                        start=time.perf_counter() - started,  # repro-lint: disable=REP001 -- run_threaded measures the real thread executor's wall clock by design
-                        flagged=flagged)
-                    trace.compute = max(graph.node(node_id).compute_time
-                                        or 0.0, 0.0) * time_scale
-                    traces[node_id] = trace
-                    ready.discard(node_id)
-                    running.add(node_id)
-                    pool.submit(task, node_id, flagged)
-                    dispatched = True
-                    dispatched_count += 1
-                if bus.enabled:
-                    bus.instant(
-                        "dispatch-round", "scheduler", "scheduler",
-                        time.perf_counter() - started,  # repro-lint: disable=REP001 -- run_threaded measures the real thread executor's wall clock by design
-                        args={"dispatched": dispatched_count,
-                              "running": len(running),
-                              "ready": len(ready),
-                              "after_block": blocked})
-                blocked = False
-                if len(completed) >= graph.n:
-                    break
-                if not dispatched:
-                    if not running and ready:
-                        # nothing in flight can free space: force progress
-                        spilled.add(min(ready, key=position.__getitem__))
-                        continue
-                    # event-driven: wake exactly on the completion that
-                    # finish_node notifies about — a timed poll here
-                    # added up to its full interval of idle tail per
-                    # round, and hid a missing notify instead of
-                    # hanging on it
-                    completions = len(completed)
-                    blocked = True
-                    cv.wait_for(lambda: len(completed) > completions)
-
-    wall = time.perf_counter() - started  # repro-lint: disable=REP001 -- run_threaded measures the real thread executor's wall clock by design
-    ordered = sorted(traces.values(), key=lambda t: (t.start, t.node_id))
-    return RunTrace(
-        nodes=ordered,
-        end_to_end_time=wall,
-        compute_finished_at=wall,
-        background_drained_at=wall,
-        peak_catalog_usage=ledger.peak_usage,
-        memory_budget=memory_budget,
-        method=f"threaded[{workers}]",
-    )

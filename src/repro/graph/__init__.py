@@ -21,7 +21,6 @@ from repro.graph.traversal import (
 )
 from repro.graph.generators import LayeredDagConfig, generate_layered_dag
 from repro.graph.markov import MarkovChain
-from repro.graph.stats import DagStats, dag_stats
 
 __all__ = [
     "DependencyGraph",
@@ -37,6 +36,4 @@ __all__ = [
     "LayeredDagConfig",
     "generate_layered_dag",
     "MarkovChain",
-    "DagStats",
-    "dag_stats",
 ]

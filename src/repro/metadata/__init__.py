@@ -1,29 +1,19 @@
-"""Execution metadata and the device cost model.
+"""The device cost model and output-size estimation.
 
 S/C's optimization consumes per-node observations from past refresh runs
 (paper §III-A): output table sizes and the timings from which speedup scores
 are derived. :class:`~repro.metadata.costmodel.DeviceProfile` turns sizes
 into read/write/compute times using calibrated bandwidths (defaults match
-the paper's testbed, §VI-A); :class:`~repro.metadata.metadata.WorkloadMetadata`
-accumulates observations across runs and annotates dependency graphs.
+the paper's testbed, §VI-A); :class:`~repro.metadata.estimator.
+OperatorSizeEstimator` derives a generated node's output size from its
+inputs.
 """
 
 from repro.metadata.costmodel import ClusterProfile, DeviceProfile
-from repro.metadata.metadata import NodeMetadata, WorkloadMetadata
 from repro.metadata.estimator import OperatorSizeEstimator
-from repro.metadata.store import (
-    DriftReport,
-    MetadataStore,
-    RecurringPipeline,
-)
 
 __all__ = [
     "DeviceProfile",
     "ClusterProfile",
-    "NodeMetadata",
-    "WorkloadMetadata",
     "OperatorSizeEstimator",
-    "MetadataStore",
-    "RecurringPipeline",
-    "DriftReport",
 ]

@@ -3,10 +3,8 @@
 The paper solves S/C Opt Nodes with the branch-and-bound knapsack solver
 from Google OR-Tools. This package is our from-scratch replacement: a
 multidimensional 0-1 knapsack branch-and-bound solver with fractional upper
-bounds, plus the heuristic machinery the paper's ablations need (greedy
-selection, simulated annealing over orders, recursive separator ordering) and
-an exhaustive reference solver used by the test suite to certify optimality
-on small instances.
+bounds, plus the order search the paper's ablations need (simulated
+annealing over orders, recursive separator ordering).
 """
 
 from repro.solver.mkp import (
@@ -15,8 +13,6 @@ from repro.solver.mkp import (
     MkpSolution,
     solve_mkp,
 )
-from repro.solver.brute import solve_mkp_brute_force
-from repro.solver.greedy import greedy_mkp, greedy_mkp_by_density
 from repro.solver.sa import AnnealingSchedule, anneal_order
 from repro.solver.separator import separator_order
 
@@ -25,9 +21,6 @@ __all__ = [
     "MkpSolution",
     "BranchAndBoundSolver",
     "solve_mkp",
-    "solve_mkp_brute_force",
-    "greedy_mkp",
-    "greedy_mkp_by_density",
     "AnnealingSchedule",
     "anneal_order",
     "separator_order",

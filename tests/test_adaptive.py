@@ -1,5 +1,4 @@
-"""Tests for adaptive re-planning (repro.engine.adaptive) and the
-persistent metadata store (repro.metadata.store)."""
+"""Tests for adaptive re-planning (repro.engine.adaptive)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +10,6 @@ from repro.engine.adaptive import AdaptiveController, sync_points
 from repro.errors import ValidationError
 from repro.graph.dag import DependencyGraph
 from repro.metadata.costmodel import DeviceProfile
-from repro.metadata.store import MetadataStore, RecurringPipeline
 from repro.core.speedup import compute_speedup_scores
 from tests.conftest import make_random_problem
 
@@ -214,82 +212,3 @@ class TestAdaptiveWithTieredStore:
                    for record in adapt["tiers"].values())
         assert sorted(report.executed) == sorted(graph.nodes())
 
-
-class TestMetadataStore:
-    def test_round_trip(self, tmp_path):
-        store = MetadataStore(tmp_path)
-        store.record_run("daily", {"a": 1.0, "b": 2.0}, {"a": 0.5})
-        loaded = store.load("daily")
-        assert loaded.node("a").estimated_size == pytest.approx(1.0)
-        assert loaded.node("a").estimated_compute_time == pytest.approx(0.5)
-
-    def test_accumulates_over_runs(self, tmp_path):
-        store = MetadataStore(tmp_path)
-        store.record_run("w", {"a": 1.0})
-        store.record_run("w", {"a": 3.0})
-        assert store.load("w").node("a").estimated_size == \
-            pytest.approx(2.0)
-
-    def test_lists_workloads(self, tmp_path):
-        store = MetadataStore(tmp_path)
-        store.record_run("w1", {"a": 1.0})
-        store.record_run("w2", {"a": 1.0})
-        assert store.workloads() == ["w1", "w2"]
-        assert "w1" in store
-        assert "w3" not in store
-
-    def test_invalid_names_rejected(self, tmp_path):
-        store = MetadataStore(tmp_path)
-        for bad in ("", "../evil", ".hidden"):
-            with pytest.raises(ValidationError):
-                store.record_run(bad, {"a": 1.0})
-
-    def test_corrupt_file_raises(self, tmp_path):
-        store = MetadataStore(tmp_path)
-        (tmp_path / "w.json").write_text("{not json")
-        with pytest.raises(ValidationError):
-            store.load("w")
-
-    def test_missing_workload_is_empty(self, tmp_path):
-        store = MetadataStore(tmp_path)
-        metadata = store.load("never_seen")
-        assert "x" not in metadata
-
-    def test_drift_report(self, tmp_path):
-        store = MetadataStore(tmp_path)
-        for size in (1.0, 1.0, 1.0, 2.0, 2.0):
-            store.record_run("w", {"a": size, "b": 1.0})
-        report = store.drift("w", recent=2)
-        assert report.node_ratios["a"] == pytest.approx(2.0, rel=0.2)
-        assert report.node_ratios["b"] == pytest.approx(1.0)
-        assert report.drifted_nodes(threshold=0.25) == ["a"]
-        assert report.max_drift > 0.5
-
-    def test_drift_needs_history(self, tmp_path):
-        store = MetadataStore(tmp_path)
-        store.record_run("w", {"a": 1.0})
-        assert store.drift("w").node_ratios == {}
-
-
-class TestRecurringPipeline:
-    def test_plan_uses_observed_sizes(self, tmp_path):
-        graph = diamond_graph()
-        store = MetadataStore(tmp_path)
-        pipeline = RecurringPipeline(store=store, workload="w")
-
-        # first run: cold start plans from the graph's own estimates
-        plan1 = pipeline.plan(graph, memory_budget=1.2)
-        assert set(plan1.order) == set(graph.nodes())
-
-        # observe much larger 'a'; next plan must not flag it
-        pipeline.observe({v: (10.0 if v == "a" else graph.size_of(v))
-                          for v in graph.nodes()})
-        plan2 = pipeline.plan(graph, memory_budget=1.2)
-        assert "a" not in plan2.flagged
-
-    def test_observe_then_drift(self, tmp_path):
-        pipeline = RecurringPipeline(store=MetadataStore(tmp_path),
-                                     workload="w")
-        for factor in (1.0, 1.0, 1.0, 1.6, 1.6):
-            pipeline.observe({"a": factor})
-        assert pipeline.drift(recent=2).max_drift > 0.3

@@ -273,6 +273,74 @@ def test_rep006_only_applies_to_configured_files(tmp_path):
     assert result.active == []
 
 
+# -- REP007 unreachable module ----------------------------------------
+
+#: A package tree: ``pkg.cli`` is the console script, ``benchmarks/``
+#: imports ``pkg.api``; everything else is reached only as noted.
+REACH_TREE = {
+    "pyproject.toml": '[project.scripts]\ntool = "pkg.cli:main"\n',
+    "benchmarks/perf/run.py": "from pkg import api\n",
+    "src/pkg/__init__.py": (
+        "from pkg.api import run\n"
+        "from pkg.dead import helper\n"),
+    "src/pkg/cli.py": "def main():\n    return 0\n",
+    "src/pkg/api.py": (
+        '"""Mentions pkg.doconly, in a docstring only."""\n'
+        'BACKENDS = {"table": "pkg.tabled"}\n'
+        "def run():\n"
+        "    from . import lazy\n"
+        "    return lazy\n"),
+    "src/pkg/dead.py": "def helper():\n    return 1\n",
+    "src/pkg/doconly.py": "x = 1\n",
+    "src/pkg/tabled.py": "x = 1\n",
+    "src/pkg/lazy.py": "x = 1\n",
+    "src/pkg/tool.py": "if __name__ == '__main__':\n    print(1)\n",
+    "src/pkg/schema.py": SCHEMA_SOURCE,
+}
+
+
+def lint_tree(tmp_path: Path, tree: dict[str, str]):
+    for rel, source in tree.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source, encoding="utf-8")
+    return analyze(tmp_path, ("src",), LintConfig(
+        schema_module="src/pkg/schema.py", schema_constants=("DECLARED",),
+        schema_producers=()))
+
+
+def test_rep007_flags_test_only_modules(tmp_path):
+    """Re-exported by the package but imported by no run path, and named
+    only inside a docstring: both are test-only."""
+    result = lint_tree(tmp_path, REACH_TREE)
+    assert [(v.code, v.path, v.line) for v in result.active] == [
+        ("REP007", "src/pkg/dead.py", 1),
+        ("REP007", "src/pkg/doconly.py", 1)]
+
+
+def test_rep007_quiet_on_every_kind_of_root_and_edge(tmp_path):
+    """A lazy relative import, an exact dotted-name string, a
+    ``__main__`` guard, the console script and the schema module."""
+    tree = dict(REACH_TREE)
+    tree["src/pkg/__init__.py"] = "from pkg.api import run\n"
+    tree["src/pkg/api.py"] += "BACKENDS['doc'] = 'pkg.doconly'\n"
+    tree["src/pkg/dead.py"] = ""
+    tree["benchmarks/perf/run.py"] += "import pkg.dead\n"
+    assert lint_tree(tmp_path, tree).active == []
+
+
+def test_rep007_follows_the_binding_not_the_whole_init(tmp_path):
+    tree = dict(REACH_TREE)
+    tree["benchmarks/perf/run.py"] = "from pkg import run\n"
+    flagged = [v.path for v in lint_tree(tmp_path, tree).active]
+    # `run` binds pkg.api, whose lazy import and string stay edges;
+    # `helper` (pkg.dead) is never asked for
+    assert flagged == ["src/pkg/dead.py", "src/pkg/doconly.py"]
+    tree["benchmarks/perf/run.py"] = "import pkg\n"
+    flagged = [v.path for v in lint_tree(tmp_path, tree).active]
+    assert flagged == ["src/pkg/doconly.py"]
+
+
 # -- suppressions ------------------------------------------------------
 
 def test_suppression_silences_and_inventories(tmp_path):
@@ -434,7 +502,7 @@ def test_cli_explain_and_list_rules(tmp_path):
     proc = _run_cli(repo, "--list-rules")
     assert proc.returncode == 0
     for code in ("REP001", "REP002", "REP003", "REP004", "REP005",
-                 "REP006", "REP000"):
+                 "REP006", "REP007", "REP000"):
         assert code in proc.stdout
 
 
@@ -460,10 +528,15 @@ class MemoryLedger:
 
 def main(argv):
     raise RuntimeError("boom")
+
+import pkg
 '''
 
-#: (code, 1-indexed line in SCRATCH) for each deliberate violation.
+#: (code, 1-indexed line) for each deliberate violation: the first is
+#: ``src/pkg/orphan.py``'s (``import pkg`` runs an empty ``__init__``),
+#: the rest SCRATCH's.
 EXPECTED = [
+    ("REP007", 1),
     ("REP001", 11),
     ("REP002", 12),
     ("REP003", 13),
@@ -480,6 +553,9 @@ def test_every_rule_catches_its_seeded_violation(tmp_path):
         schema_producers=(),
         error_taxonomy_files=("scratch.py",))
     (tmp_path / "schema.py").write_text(SCHEMA_SOURCE, encoding="utf-8")
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "__init__.py").write_text("")
+    (tmp_path / "src" / "pkg" / "orphan.py").write_text("x = 1\n")
     result = lint(tmp_path, SCRATCH, config, filename="scratch.py")
     assert codes_and_lines(result) == EXPECTED
 

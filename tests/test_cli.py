@@ -176,33 +176,3 @@ class TestExplain:
         assert main(["explain", graph_file, "--memory", "100",
                      "--no-profile"]) == 0
         assert "occupancy" not in capsys.readouterr().out
-
-
-class TestPipeline:
-    @pytest.fixture
-    def spec_file(self, tmp_path) -> str:
-        from repro.etl.spec import JobSpec, PipelineSpec
-
-        spec = PipelineSpec(name="nightly", jobs=[
-            JobSpec("extract", kind="extract", output_gb=0.5,
-                    external_input_gb=1.0, compute_s=1.0),
-            JobSpec("transform", inputs=("extract",), output_gb=0.4,
-                    compute_s=2.0),
-            JobSpec("load", kind="load", inputs=("transform",),
-                    output_gb=0.4, compute_s=0.5),
-        ])
-        path = str(tmp_path / "spec.json")
-        with open(path, "w") as handle:
-            handle.write(spec.to_json())
-        return path
-
-    def test_prints_schedule(self, spec_file, capsys):
-        assert main(["pipeline", spec_file, "--memory", "1.0"]) == 0
-        out = capsys.readouterr().out
-        assert "nightly" in out
-        assert "storage" in out
-
-    def test_simulate_flag(self, spec_file, capsys):
-        assert main(["pipeline", spec_file, "--memory", "1.0",
-                     "--simulate"]) == 0
-        assert "end-to-end" in capsys.readouterr().out

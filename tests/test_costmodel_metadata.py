@@ -1,4 +1,4 @@
-"""Tests for the device cost model and execution metadata."""
+"""Tests for the device cost model and the output-size estimator."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.metadata.costmodel import (
     POLARS_PROFILE,
 )
 from repro.metadata.estimator import OperatorSizeEstimator
-from repro.metadata.metadata import NodeMetadata, WorkloadMetadata
 
 
 class TestDeviceProfile:
@@ -92,57 +91,6 @@ class TestClusterProfile:
             ClusterProfile(worker_count=0)
         with pytest.raises(ValidationError):
             ClusterProfile(serial_fraction=1.0)
-
-
-class TestNodeMetadata:
-    def test_windowed_mean(self):
-        meta = NodeMetadata(node_id="a", window=3)
-        for value in (10.0, 20.0, 30.0, 40.0):
-            meta.record(value)
-        assert meta.estimated_size == pytest.approx(30.0)  # last 3
-
-    def test_rejects_negative(self):
-        meta = NodeMetadata(node_id="a")
-        with pytest.raises(ValidationError):
-            meta.record(-1.0)
-        with pytest.raises(ValidationError):
-            meta.record(1.0, compute_time=-0.5)
-
-    def test_no_observations(self):
-        meta = NodeMetadata(node_id="a")
-        assert meta.estimated_size == 0.0
-        assert meta.estimated_compute_time is None
-
-
-class TestWorkloadMetadata:
-    def test_record_and_annotate(self, diamond_graph):
-        store = WorkloadMetadata()
-        store.record_run({"a": 7.0, "b": 2.0},
-                         compute_times={"a": 1.5})
-        store.annotate_graph(diamond_graph)
-        assert diamond_graph.size_of("a") == 7.0
-        assert diamond_graph.node("a").compute_time == 1.5
-        assert diamond_graph.size_of("c") == 3.0  # untouched
-
-    def test_annotate_with_scores(self, diamond_graph):
-        store = WorkloadMetadata()
-        store.record_run({v: 1.0 for v in diamond_graph.nodes()})
-        store.annotate_graph(diamond_graph, cost_model=DeviceProfile())
-        assert all(diamond_graph.score_of(v) > 0
-                   for v in diamond_graph.nodes())
-
-    def test_require_all(self, diamond_graph):
-        store = WorkloadMetadata()
-        store.record_run({"a": 1.0})
-        with pytest.raises(ValidationError):
-            store.annotate_graph(diamond_graph, require_all=True)
-
-    def test_json_round_trip(self):
-        store = WorkloadMetadata()
-        store.record_run({"a": 1.0, "b": 2.0}, {"a": 0.5})
-        restored = WorkloadMetadata.from_json(store.to_json())
-        assert restored.node("a").output_sizes == [1.0]
-        assert restored.node("a").compute_times == [0.5]
 
 
 class TestOperatorSizeEstimator:

@@ -8,8 +8,8 @@ from repro.core.madfs import ma_dfs_order
 from repro.core.residency import average_memory_usage
 from repro.errors import ValidationError
 from repro.graph.topo import is_topological_order
-from repro.solver.exact_order import minimum_average_memory_order
 from tests.conftest import make_fig7_problem, make_random_problem
+from tests.exact_order import minimum_average_memory_order
 
 
 class TestOracle:

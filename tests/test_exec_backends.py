@@ -12,7 +12,6 @@ from repro.core.problem import ScProblem
 from repro.engine.controller import Controller
 from repro.errors import ValidationError
 from repro.exec import MemoryLedger, backend_names, create_backend
-from repro.exec.parallel import run_threaded
 from repro.workloads.generator import (
     GeneratedWorkloadConfig,
     WorkloadGenerator,
@@ -146,25 +145,6 @@ class TestParallelScheduler:
                                      backend="parallel", workers=4)
         assert len(trace.nodes) == graph.n
         assert trace.peak_catalog_usage <= 1e-9
-
-
-class TestThreadedExecutor:
-    def test_all_nodes_run_and_budget_holds(self):
-        graph, plan, budget = _generated_case(1, n_nodes=16)
-        trace = run_threaded(graph, plan, budget, workers=4,
-                             time_scale=1e-5)
-        assert len(trace.nodes) == graph.n
-        assert trace.peak_catalog_usage <= budget + 1e-9
-        assert trace.end_to_end_time > 0
-
-    def test_dependencies_respected(self):
-        graph, plan, budget = _generated_case(3, n_nodes=16)
-        trace = run_threaded(graph, plan, budget, workers=4,
-                             time_scale=1e-5)
-        started = {n.node_id: n.start for n in trace.nodes}
-        ended = {n.node_id: n.end for n in trace.nodes}
-        for producer, consumer in graph.edges():
-            assert started[consumer] >= ended[producer] - 1e-6
 
 
 class TestLedgerConcurrentAdmission:

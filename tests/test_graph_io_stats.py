@@ -1,4 +1,4 @@
-"""Tests for graph serialization and statistics."""
+"""Tests for graph serialization."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.graph.io import (
     load_graph,
     save_graph,
 )
-from repro.graph.stats import dag_stats
 
 
 class TestJsonRoundTrip:
@@ -56,27 +55,3 @@ class TestDot:
         assert "lightblue" in dot
         assert dot.count("fillcolor") == 1
 
-
-class TestStats:
-    def test_diamond_stats(self, diamond_graph):
-        stats = dag_stats(diamond_graph)
-        assert stats.n_nodes == 4
-        assert stats.n_edges == 4
-        assert stats.height == 3
-        assert stats.width == 2
-        assert stats.n_sources == 1
-        assert stats.n_sinks == 1
-        assert stats.max_outdegree == 2
-        assert stats.total_size == pytest.approx(10.0)
-
-    def test_chain_stats(self, chain_graph):
-        stats = dag_stats(chain_graph)
-        assert stats.height == 4
-        assert stats.width == 1
-        assert stats.height_width_ratio == 4.0
-        assert stats.stage_stdev == 0.0
-
-    def test_as_dict_round_trip(self, chain_graph):
-        payload = dag_stats(chain_graph).as_dict()
-        assert payload["n_nodes"] == 4
-        assert payload["height"] == 4

@@ -36,11 +36,6 @@ import pytest
 from repro.core.optimizer import optimize
 from repro.core.problem import ScProblem
 from repro.engine.controller import Controller
-from repro.exec.lockorder import (
-    LockOrderError,
-    LockOrderRegistry,
-    TrackedRLock,
-)
 from repro.engine import SimulatorOptions
 from repro.engine.trace import RunTrace
 from repro.store.config import (
@@ -57,6 +52,7 @@ from repro.workloads.generator import (
 )
 
 from tests.conftest import assert_victim_index_current
+from tests.lockorder import LockOrderError, LockOrderRegistry, TrackedRLock
 
 SEEDS = [int(text) for text in
          os.environ.get("REPRO_INVARIANT_SEEDS", "0,1,2").split(",")]

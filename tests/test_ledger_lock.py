@@ -2,9 +2,9 @@
 
 A ledger that only the run's own thread touches (the serial, parallel
 discrete-event and LRU simulators) locks with ``NoLock``; the backends
-with threads of their own — MiniDB's drains, the service,
-``run_threaded``'s pool — keep a re-entrant lock.  ``create_backend``
-makes the choice; nothing else can.
+with threads of their own — MiniDB's drains and the service — keep a
+re-entrant lock.  ``create_backend`` makes the choice; nothing else
+can.
 """
 
 import threading
@@ -16,9 +16,7 @@ from repro.core.plan import Plan
 from repro.db import MiniDB, SqlWorkload, Table
 from repro.db.engine import MvDefinition
 from repro.exec import create_backend
-from repro.exec import parallel as parallel_module
 from repro.exec.ledger import MemoryLedger, NoLock
-from repro.exec.parallel import run_threaded
 from repro.exec.simulator import SerialSimulatorBackend
 from repro.graph.dag import DependencyGraph
 from repro.store.config import SpillConfig, TierSpec
@@ -94,21 +92,6 @@ def test_minidb_keeps_the_reentrant_lock(tmp_path):
             assert all(isinstance(lock, RLOCK) for lock in locks)
         finally:
             backend.finish(ctx)
-
-
-def test_run_threaded_keeps_the_reentrant_lock(monkeypatch):
-    made = []
-
-    class Recording(MemoryLedger):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(parallel_module, "MemoryLedger", Recording)
-    graph, plan = _chain()
-    run_threaded(graph, plan, 2.0, workers=2)
-    (ledger,) = made
-    assert isinstance(ledger._lock, RLOCK)
 
 
 def test_only_create_backend_chooses():

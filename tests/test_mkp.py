@@ -3,16 +3,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ValidationError
-from repro.solver.brute import solve_mkp_brute_force
-from repro.solver.greedy import greedy_mkp, greedy_mkp_by_density
 from repro.solver.mkp import (
     BranchAndBoundSolver,
     MkpInstance,
     solve_mkp,
 )
+from tests.brute_mkp import solve_mkp_brute_force
 
 
 def random_instance(rng: random.Random, max_items: int = 12,
@@ -120,27 +119,28 @@ class TestAgainstBruteForce:
                                                    rel=1e-6)
 
 
-class TestGreedyHeuristics:
-    def test_greedy_feasible(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            inst = random_instance(rng)
-            assert inst.is_feasible(greedy_mkp(inst))
-            assert inst.is_feasible(greedy_mkp_by_density(inst))
-
-    def test_density_greedy_prefers_dense_items(self):
-        inst = MkpInstance.from_lists(
-            [10.0, 9.0], [[10.0, 1.0]], [10.0])
-        assert greedy_mkp_by_density(inst) == [1]
-        # index-order greedy takes item 0 first and fills the row
-        assert greedy_mkp(inst) == [0]
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_property_bnb_matches_brute_force(seed):
     rng = random.Random(seed)
     inst = random_instance(rng, max_items=10, max_rows=4)
+    exact = solve_mkp(inst, tolerance=0.0)
+    reference = solve_mkp_brute_force(inst)
+    assert exact.objective == pytest.approx(reference.objective, rel=1e-6)
+    assert inst.is_feasible(exact.selected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 5.0)),
+                min_size=1, max_size=10),
+       st.floats(0.5, 8.0))
+@example(items=[(1.0, 1.0), (1.0, 2.220446049250313e-16)], capacity=1.0)
+def test_single_row_bnb_matches_brute_force(items, capacity):
+    """One knapsack row.  In the pinned example the two weights sum
+    2.2e-16 past the capacity: both solvers must read that through the
+    same feasibility tolerance."""
+    inst = MkpInstance.from_lists([p for p, _ in items],
+                                  [[w for _, w in items]], [capacity])
     exact = solve_mkp(inst, tolerance=0.0)
     reference = solve_mkp_brute_force(inst)
     assert exact.objective == pytest.approx(reference.objective, rel=1e-6)
