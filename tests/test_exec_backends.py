@@ -117,6 +117,26 @@ class TestParallelScheduler:
         assert times[2] <= times[0] + 1e-9
         assert times[2] < times[0]  # wide DAGs must actually speed up
 
+    @pytest.mark.parametrize("workers", [2, 4, 8])
+    def test_all_nodes_run_and_budget_holds(self, workers):
+        graph, plan, budget = _generated_case(1, n_nodes=16)
+        trace = Controller().refresh(graph, budget, plan=plan, method="sc",
+                                     backend="parallel", workers=workers)
+        assert sorted(n.node_id for n in trace.nodes) == \
+            sorted(graph.nodes())
+        assert trace.peak_catalog_usage <= budget + 1e-9
+        assert trace.end_to_end_time > 0
+
+    @pytest.mark.parametrize("workers", [2, 4, 8])
+    def test_dependencies_respected(self, workers):
+        graph, plan, budget = _generated_case(3, n_nodes=16)
+        trace = Controller().refresh(graph, budget, plan=plan, method="sc",
+                                     backend="parallel", workers=workers)
+        started = {n.node_id: n.start for n in trace.nodes}
+        ended = {n.node_id: n.end for n in trace.nodes}
+        for producer, consumer in graph.edges():
+            assert started[consumer] >= ended[producer]
+
     def test_deterministic_given_seed(self):
         graph, plan, budget = _generated_case(4, ratio=0.25)
         controller = Controller()

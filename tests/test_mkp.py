@@ -119,6 +119,39 @@ class TestAgainstBruteForce:
                                                    rel=1e-6)
 
 
+#: Small hand-built instances: (profits, weight rows, capacities, the
+#: optimal selection).
+HAND_INSTANCES = {
+    "textbook": ([60, 100, 120], [[1, 2, 3]], [5.0], {1, 2}),
+    "zero-capacity-takes-free-items": ([5, 7], [[0.0, 1.0]], [0.0], {0}),
+    "capacity-never-exceeded": (
+        [10, 10, 10], [[0.4, 0.4, 0.4]], [1.0], {0, 1}),
+    "three-thirds-overflow": (
+        [1, 1, 1], [[0.34, 0.34, 0.34]], [1.0], {0, 1}),
+    "dominating-row": (
+        [1, 2, 3], [[2, 2, 2], [1, 1, 1]], [5.0, 5.0], {1, 2}),
+    "incomparable-rows": ([1, 2], [[2, 0], [0, 2]], [2.0, 2.0], {0, 1}),
+    "collapsing-rows": (
+        [8, 7, 6, 5], [[3, 3, 2, 2], [1, 1, 1, 1]], [6.0, 6.0], {0, 1}),
+    "two-rows": (
+        [10, 8, 6, 4], [[3, 2, 2, 1], [1, 2, 3, 1]], [4.0, 4.0], {0, 3}),
+    "two-rows-six-items": (
+        [10, 8, 6, 4, 9, 2], [[3, 2, 2, 1, 3, 1], [1, 2, 3, 1, 2, 2]],
+        [4.0, 4.0], {0, 3}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_INSTANCES))
+def test_hand_instance_matches_brute_force(name):
+    profits, rows, capacities, optimum = HAND_INSTANCES[name]
+    inst = MkpInstance.from_lists(profits, rows, capacities)
+    exact = solve_mkp(inst, tolerance=0.0)
+    reference = solve_mkp_brute_force(inst)
+    assert exact.objective == pytest.approx(inst.objective(optimum))
+    assert reference.objective == pytest.approx(inst.objective(optimum))
+    assert inst.is_feasible(exact.selected)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_property_bnb_matches_brute_force(seed):

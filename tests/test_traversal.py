@@ -30,6 +30,10 @@ class TestLevels:
         levels = longest_path_levels(diamond_graph)
         assert levels == {"a": 0, "b": 1, "c": 1, "d": 2}
 
+    def test_chain_levels(self, chain_graph):
+        levels = longest_path_levels(chain_graph)
+        assert sorted(levels.values()) == [0, 1, 2, 3]
+
     def test_longest_path_wins(self):
         # a -> b -> c and a -> c: c sits at level 2, not 1
         graph = DependencyGraph.from_edges(
