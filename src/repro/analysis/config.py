@@ -39,12 +39,11 @@ class LintConfig:
     #: Baseline file (repo-relative) holding ratcheted violations.
     baseline: str = "repro-lint-baseline.json"
     #: REP001 — files/dirs where real wall-clock reads are legitimate.
-    #: (``repro/serve/`` runs a real asyncio event loop: arrivals,
-    #: deadlines, and latency percentiles are wall-clock by design)
+    #: (``repro/serve/`` is not one: it reads only its event loop's
+    #: clock, which a virtual-time loop makes deterministic)
     wallclock_allow: tuple[str, ...] = (
         "repro/exec/minidb.py",
         "repro/bench/orchestrator.py",
-        "repro/serve/",
         "benchmarks/",
     )
     #: REP004 — helper modules that are NULL_BUS-safe by construction.

@@ -63,8 +63,8 @@ class Controller:
             this controller creates; setting it stops the run at the
             next node boundary with
             :class:`~repro.errors.RunCancelledError` (the bench
-            orchestrator's trial timeout and the serve layer's
-            per-request cancellation both drive this).
+            orchestrator's trial timeout drives this; a service request
+            takes the same kind of event at ``submit``).
     """
 
     profile: DeviceProfile = field(default_factory=DeviceProfile)

@@ -130,9 +130,9 @@ class ExecutionBackend(abc.ABC):
         # observability event bus (repro.obs); NULL_BUS unless the run
         # was launched with tracing on, so instrumentation is free
         self.bus = resolve_bus(bus)
-        # cooperative cancellation: a threading.Event the caller (bench
-        # orchestrator trial timeout, serve-layer request cancellation)
-        # sets to stop the run at the next node boundary; backends raise
+        # cooperative cancellation: a threading.Event the caller (the
+        # bench orchestrator's trial timeout) sets to stop the run at
+        # the next node boundary; backends raise
         # RunCancelledError after unwinding their ledger state
         self.cancel = cancel
         self.extra = kwargs
@@ -206,13 +206,12 @@ _BACKEND_MODULES: dict[str, str] = {
     "lru": "repro.exec.lru",
     "parallel": "repro.exec.parallel",
     "minidb": "repro.exec.minidb",
-    "service": "repro.serve.backend",
 }
 
 #: Backends whose ledger only the run's own thread ever touches (the
 #: discrete-event simulators): :func:`create_backend` builds their
-#: ledgers with :class:`~repro.exec.ledger.NoLock`.  MiniDB (drain
-#: threads) and the service keep the re-entrant lock.
+#: ledgers with :class:`~repro.exec.ledger.NoLock`.  MiniDB's drain
+#: threads need the re-entrant lock, so it keeps it.
 _ONE_THREAD_BACKENDS = frozenset({"simulator", "parallel", "lru"})
 
 

@@ -27,13 +27,14 @@ once:
    *and* its drain completed.
 
 :meth:`~NodeKernel.run_node` is those phases back to back on the
-kernel's own clock — that *is* the serial simulator, and the parallel
-scheduler's ``workers=1`` route, so the two are equal by construction.
-Callers that interleave other work sequence the phases themselves: the
-parallel scheduler reads and computes at dispatch and places tier-direct
-outputs at the completion event; the service awaits the wall clock and
-sheds its tenant's share between phases.  The run state is explicit —
-ledger, :class:`~repro.engine.storage.StorageDevice`, drain heap and key
+kernel's own clock — that *is* the serial simulator, the parallel
+scheduler's ``workers=1`` route and every node of a service request
+(which then awaits its event loop until the kernel's clock), so the
+three are equal by construction.  The parallel scheduler interleaves
+other work and sequences the phases itself: it reads and computes at
+dispatch and places tier-direct outputs at the completion event.  The
+run state is explicit — ledger,
+:class:`~repro.engine.storage.StorageDevice`, drain heap and key
 function can be shared (the service hands every request the same three
 and a request-scoped key), the lost-flag set is per run.
 

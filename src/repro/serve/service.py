@@ -9,21 +9,22 @@
   submissions with :class:`~repro.errors.ServiceOverloadError` before
   any ledger or queue state is taken, which is what an open-loop client
   reads as backpressure;
+* **one lifecycle** — every node of every request runs
+  :meth:`~repro.exec.kernel.NodeKernel.run_node`, the serial
+  simulator's lifecycle (prefetch, reads, compute, stall-vs-spill
+  arbitration, output placement, parent release), over the service's
+  one ledger, one storage device and one *service-wide* heap of pending
+  materialization drains, so one request's stall decision sees every
+  request's upcoming releases;
 * **tenant budget shares** — each tenant's share partitions the RAM
-  budget only (spill tiers stay shared); a request whose flagged output
-  would push its tenant over its share first sheds the tenant's *own*
-  RAM residency via :meth:`~repro.store.tiered.TieredLedger.
-  demote_victim` (``owner=``) so tenants cannot squeeze each other out
-  of tier 0.  Enforcement is admission-granular: a single promote or an
-  over-share output can overshoot the share by at most one entry
-  (degrading to shared-RAM pressure, never deadlock), and the next
-  admission sheds back below it;
-* **admission control** — every request runs the same
-  :class:`~repro.exec.kernel.NodeKernel` phases the single-run backends
-  use (reads, compute, stall-vs-spill arbitration, output placement),
-  over the service's one ledger, one storage device and one
-  *service-wide* heap of pending materialization drains, so one
-  request's stall decision sees every request's upcoming releases;
+  budget only (spill tiers stay shared).  The service tags a flagged
+  output with its tenant before admission
+  (:meth:`~repro.store.tiered.TieredLedger.set_owner`) and the ledger
+  enforces the share there: ``spill_insert`` sheds the tenant's *own*
+  RAM entries while the output does not fit the rest of its share, and
+  a promote that would not fit it is not made, so tenants cannot
+  squeeze each other out of tier 0.  One tenant with the whole budget
+  is therefore billed exactly what the serial simulator bills;
 * **cancellation/deadlines with clean unwind** — cancellation is
   cooperative at node boundaries (the same ``threading.Event`` contract
   as :class:`~repro.exec.base.ExecutionBackend` ``cancel``); a
@@ -31,21 +32,18 @@
   force-releases its residual entries, so the shared ledger keeps no
   leaked holds, reservations, or consumer counts.
 
-Execution is modeled the same way the discrete-event backends model it
-(device cost model + tier charges), but *realized* on the wall clock:
-one logical (modeled) second sleeps ``time_scale`` real seconds on the
-event loop, so concurrency, queueing delay, and the latency percentiles
-the benchmark reports are genuinely measured, not simulated.  The
-logical clock is shared: it is the service's wall age divided by
-``time_scale``, so drain ETAs and stall decisions line up across
-concurrent requests.  (One knowing approximation: the kernel's
-arbitration applies the drains a stall waits through *at decision time*,
-then the request sleeps to its advanced clock — memory can free slightly
-earlier in wall terms than the drain's logical ETA.)
-
-This module runs a real event loop and measures real latencies, so
-wall-clock reads here are by design (``repro/serve/`` is on the
-repro-lint REP001 allowlist).
+**One clock.**  The service reads time only from its event loop
+(``loop.time()``), and one modeled second takes ``time_scale`` loop
+seconds.  A node starts at the later of its request's kernel clock and
+the loop's, runs on the kernel's clock, and the request then waits on
+the loop until the kernel's clock (an absolute ``loop.call_at``).  On a
+real event loop concurrency, queueing delay and latency percentiles
+are measured; on a virtual-time loop — one whose clock jumps to the
+next timer when nothing is ready — a run is deterministic, and a solo
+request at ``time_scale=1`` never drifts from the kernel's clock.  (One
+knowing approximation: a node's phases touch the shared ledger when it
+starts, then the request sleeps to its end — memory can free slightly
+earlier in loop terms than the model's timeline.)
 """
 
 from __future__ import annotations
@@ -55,11 +53,10 @@ import heapq
 import itertools
 import random
 import threading
-import time
 from dataclasses import dataclass, field
 
 from repro.engine.storage import StorageDevice
-from repro.engine.trace import NodeTrace, RunTrace
+from repro.engine.trace import RunTrace
 from repro.errors import (
     RunCancelledError,
     ServiceOverloadError,
@@ -100,10 +97,10 @@ class ServiceConfig:
         queue_limit: max *pending* requests; submissions beyond it are
             rejected with :class:`~repro.errors.ServiceOverloadError`.
         max_concurrent: refresh requests executing at once.
-        time_scale: wall seconds one modeled second takes (the knob
+        time_scale: loop seconds one modeled second takes (the knob
             that keeps benchmarks fast: ``1e-3`` → a modeled 30 s
-            refresh takes 30 ms of wall clock).
-        deadline_s: default per-request deadline in *wall* seconds
+            refresh takes 30 ms of wall clock on a real loop).
+        deadline_s: default per-request deadline in *loop* seconds
             (``None``: no deadline); enforced cooperatively at node
             boundaries, like cancellation.
     """
@@ -121,8 +118,8 @@ class RequestResult:
     """Terminal record of one refresh request.
 
     ``status`` is one of ``"ok"``, ``"cancelled"``, ``"timeout"``
-    (deadline), or ``"failed"``; latencies are wall seconds measured on
-    the service clock.  ``trace`` is the per-request
+    (deadline), or ``"failed"``; latencies are loop seconds since the
+    service started.  ``trace`` is the per-request
     :class:`~repro.engine.trace.RunTrace` (``None`` unless ``ok``).
     """
 
@@ -137,7 +134,7 @@ class RequestResult:
 
     @property
     def latency_s(self) -> float:
-        """Submission-to-terminal wall latency (what a client sees)."""
+        """Submission-to-terminal latency (what a client sees)."""
         return self.finished_s - self.queued_s
 
     @property
@@ -227,13 +224,11 @@ class RefreshService:
         # runtime policy of every request's kernel: the service's tiers,
         # never raise on overflow, no compute penalty
         self._options = SimulatorOptions(spill=config.spill)
-        self._epoch = time.perf_counter()
+        self._epoch: float | None = None  # loop time at __aenter__
         self._seq = itertools.count()
         self._pending: list[tuple[int, int, _Request]] = []
         self._running = 0
         self._closing = False
-        self._wakeup: asyncio.Condition | None = None
-        self._dispatcher: asyncio.Task | None = None
         self._tasks: set[asyncio.Task] = set()
         # service-wide pending materialization drains:
         # (logical eta, request-scoped key) — *every* request's
@@ -242,47 +237,49 @@ class RefreshService:
         self.results: list[RequestResult] = []
 
     # ------------------------------------------------------------------
-    # clocks
+    # the one clock: the running event loop's
     # ------------------------------------------------------------------
     def wall(self) -> float:
-        """Wall seconds since the service epoch."""
-        return time.perf_counter() - self._epoch
+        """Loop seconds since the service started."""
+        return asyncio.get_running_loop().time() - self._epoch
 
     def _now(self) -> float:
-        """Logical (modeled) seconds since the service epoch."""
+        """Logical (modeled) seconds since the service started."""
         return self.wall() / self.config.time_scale
 
     async def _sleep_until(self, t_logical: float) -> None:
-        delay = (t_logical - self._now()) * self.config.time_scale
-        if delay > 0:
-            await asyncio.sleep(delay)
+        """Wait until logical time ``t_logical``, woken at an absolute
+        loop time so the wait adds no rounding of its own."""
+        loop = asyncio.get_running_loop()
+        when = self._epoch + t_logical * self.config.time_scale
+        if when > loop.time():
+            woken = loop.create_future()
+            timer = loop.call_at(when, woken.set_result, None)
+            try:
+                await woken
+            finally:
+                timer.cancel()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     async def __aenter__(self) -> "RefreshService":
-        self._wakeup = asyncio.Condition()
-        self._dispatcher = asyncio.create_task(self._dispatch_loop())
+        self._epoch = asyncio.get_running_loop().time()
         return self
 
     async def __aexit__(self, *exc) -> None:
         await self.drain()
 
     async def drain(self) -> None:
-        """Run every queued/running request to a terminal state, then
-        stop the dispatcher."""
-        assert self._wakeup is not None
-        async with self._wakeup:
-            self._closing = True
-            self._wakeup.notify_all()
-        if self._dispatcher is not None:
-            await self._dispatcher
-            self._dispatcher = None
-        if self._tasks:
+        """Stop accepting requests and run every queued/running request
+        to a terminal state."""
+        self._closing = True
+        self._start_ready()
+        while self._tasks:
             await asyncio.gather(*self._tasks)
 
     # ------------------------------------------------------------------
-    # submission
+    # submission and dispatch
     # ------------------------------------------------------------------
     async def submit(self, graph: DependencyGraph, plan,
                      tenant: str,
@@ -291,6 +288,8 @@ class RefreshService:
                      ) -> RequestHandle:
         """Queue one refresh request; returns an awaitable handle.
 
+        The request starts on a later turn of the loop, so back-to-back
+        submissions queue (and are dispatched by priority) together.
         ``cancel`` lets a caller supply the request's cancellation
         event (the :class:`~repro.exec.base.ExecutionBackend` ``cancel``
         contract); by default each request gets its own.
@@ -299,16 +298,17 @@ class RefreshService:
             ServiceOverloadError: the pending queue is at
                 ``queue_limit`` (nothing was enqueued — open-loop
                 backpressure).
-            ValidationError: unknown tenant, or submitting after
-                ``drain``.
+            ValidationError: unknown tenant, or submitting outside
+                ``async with`` / after ``drain``.
         """
         if tenant not in self.tenants:
             raise ValidationError(f"unknown tenant {tenant!r}")
-        if self._closing or self._wakeup is None:
+        if self._closing or self._epoch is None:
             raise ValidationError("service is not accepting requests")
         if len(self._pending) >= self.config.queue_limit:
             raise ServiceOverloadError(
                 f"request queue full ({self.config.queue_limit} pending)")
+        loop = asyncio.get_running_loop()
         spec = self.tenants[tenant]
         seq = next(self._seq)
         order = (list(plan.order) if plan is not None
@@ -319,7 +319,7 @@ class RefreshService:
             flagged=flagged,
             deadline_s=(self.config.deadline_s if deadline_s is None
                         else deadline_s),
-            future=asyncio.get_running_loop().create_future(),
+            future=loop.create_future(),
             queued_s=self.wall(),
             cancel=cancel if cancel is not None else threading.Event())
         if self.bus.enabled:
@@ -327,38 +327,20 @@ class RefreshService:
                              self._now(),
                              args={"request": request.request_id,
                                    "pending": len(self._pending) + 1})
-        async with self._wakeup:
-            heapq.heappush(self._pending, (-spec.priority, seq, request))
-            self._wakeup.notify_all()
+        heapq.heappush(self._pending, (-spec.priority, seq, request))
+        loop.call_soon(self._start_ready)
         return RequestHandle(request)
 
-    # ------------------------------------------------------------------
-    # dispatch
-    # ------------------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
-        assert self._wakeup is not None
-        while True:
-            async with self._wakeup:
-                # wake only when there is something to *do*: a pending
-                # request with a free slot, or a drain with an empty
-                # queue (drain still dispatches every queued request)
-                await self._wakeup.wait_for(
-                    lambda: (self._pending
-                             and self._running < self.config.max_concurrent)
-                    or (self._closing and not self._pending))
-                if not self._pending:
-                    return  # draining and the queue is empty
-                _, _, request = heapq.heappop(self._pending)
-                self._running += 1
-            task = asyncio.create_task(self._run_request(request))
+    def _start_ready(self) -> None:
+        """Start pending requests, highest priority first, while a slot
+        is free (called after a submission and when a request ends)."""
+        while self._pending and self._running < self.config.max_concurrent:
+            _, _, request = heapq.heappop(self._pending)
+            self._running += 1
+            task = asyncio.get_running_loop().create_task(
+                self._run_request(request))
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
-
-    async def _release_slot(self) -> None:
-        assert self._wakeup is not None
-        async with self._wakeup:
-            self._running -= 1
-            self._wakeup.notify_all()
 
     # ------------------------------------------------------------------
     # request execution
@@ -375,7 +357,7 @@ class RefreshService:
                                        request.started_s - request.queued_s})
         status, trace, error = "ok", None, None
         try:
-            trace = await self._execute(request)
+            trace = await self._execute(request, started_logical)
         except RunCancelledError as exc:
             status = ("timeout" if "deadline" in str(exc) else "cancelled")
             error = str(exc)
@@ -388,11 +370,10 @@ class RefreshService:
             status, error = "failed", f"{type(exc).__name__}: {exc}"
             self._unwind(request)
         finally:
-            finished = self.wall()
             result = RequestResult(
                 request_id=request.request_id, tenant=tenant,
                 status=status, queued_s=request.queued_s,
-                started_s=request.started_s, finished_s=finished,
+                started_s=request.started_s, finished_s=self.wall(),
                 trace=trace, error=error)
             self.results.append(result)
             if self.bus.enabled:
@@ -408,7 +389,8 @@ class RefreshService:
                           "latency_s": result.latency_s})
             if not request.future.done():
                 request.future.set_result(result)
-            await self._release_slot()
+            self._running -= 1
+            self._start_ready()
 
     def _check_boundary(self, request: _Request,
                         node_id: str | None) -> None:
@@ -422,58 +404,43 @@ class RefreshService:
                 f"request {request.request_id} deadline "
                 f"({request.deadline_s:g}s) exceeded", node_id=node_id)
 
-    async def _execute(self, request: _Request) -> RunTrace:
-        graph, ledger = request.graph, self.ledger
+    async def _execute(self, request: _Request, started: float) -> RunTrace:
         tenant = request.tenant.name
-        share_gb = request.tenant.share * self.config.ram_budget_gb
-        request.keys = {node_id: f"{request.request_id}/{node_id}"
-                        for node_id in request.order}
-        # the single-run lifecycle over the service's shared state;
-        # only the key function and the lost-flag set are this request's
-        kernel = NodeKernel(graph, ledger, self.profile, self._options,
-                            storage=self._storage, drains=self._drains,
-                            key=request.keys.__getitem__)
-        traces: list[NodeTrace] = []
+        keys = request.keys = {node_id: f"{request.request_id}/{node_id}"
+                               for node_id in request.order}
+        # the serial lifecycle over the service's shared state; only
+        # the key function and the lost-flag set are this request's
+        kernel = NodeKernel(request.graph, self.ledger, self.profile,
+                            self._options, storage=self._storage,
+                            drains=self._drains, key=keys.__getitem__)
+        kernel.clock = drained = started
         for node_id in request.order:
             self._check_boundary(request, node_id)
-            clock = self._now()
-            trace = NodeTrace(node_id=node_id, start=clock,
-                              flagged=node_id in request.flagged)
-            clock = kernel.read_and_compute(node_id, trace, clock)
-            # realize the modeled read+compute on the event loop —
-            # this is where concurrent requests genuinely overlap
-            await self._sleep_until(clock)
-            kernel.release_parents(node_id)
-            if trace.flagged:
-                # tenant share enforcement: shed our *own* RAM bytes
-                # first, so one tenant's burst cannot evict another's
-                size = graph.size_of(node_id)
-                while ledger.tenant_usage(tenant) + size > share_gb:
-                    shed = ledger.demote_victim(now=clock, owner=tenant)
-                    if shed is None:
-                        break  # nothing of ours left to shed
-                    for charge in shed[1]:
-                        trace.spill_write += charge.seconds
-                        clock += charge.seconds
-                ledger.set_owner(request.keys[node_id], tenant)
-            # the background materialization lands on the shared device
-            # channel: the drain every arbitration (any request's) can
-            # wait on
-            clock = kernel.place_output(node_id, trace, clock)
-            await self._sleep_until(clock)
-            trace.end = clock
-            traces.append(trace)
+            kernel.clock = max(kernel.clock, self._now())
+            flagged = node_id in request.flagged
+            if flagged:  # the ledger holds the output to this share
+                self.ledger.set_owner(keys[node_id], tenant)
+            busy = self._storage.busy_until
+            kernel.run_node(node_id, flagged)
+            if self._storage.busy_until != busy:
+                # this node queued a background write: the channel is
+                # serial, so the request's writes are done when it is
+                drained = self._storage.busy_until
+            # realize the node on the event loop — this is where
+            # concurrent requests genuinely overlap
+            await self._sleep_until(kernel.clock)
         self._check_boundary(request, None)
-        # drain this request's own pending materializations so its
+        # land this request's own pending materializations so its
         # entries complete their release protocol; other requests'
         # drains stay queued on their own ETAs
-        drained_at = self._finish_drains(request)
-        finished = traces[-1].end if traces else self._now()
+        for _, key in self._drop_drains(request):
+            if key in self.ledger:
+                self.ledger.materialized(key)
         return RunTrace(
-            nodes=traces,
-            end_to_end_time=max(drained_at, finished),
-            compute_finished_at=finished,
-            background_drained_at=drained_at,
+            nodes=kernel.traces,
+            end_to_end_time=max(kernel.clock, drained),
+            compute_finished_at=kernel.clock,
+            background_drained_at=drained,
             peak_catalog_usage=self.ledger.peak_usage,
             memory_budget=self.config.ram_budget_gb,
             method=f"service[{tenant}]",
@@ -483,9 +450,6 @@ class RefreshService:
             }},
         )
 
-    # ------------------------------------------------------------------
-    # materialization drains
-    # ------------------------------------------------------------------
     def _drop_drains(self, request: _Request) -> list[tuple[float, str]]:
         """Take the request's pending drains off the shared heap (in
         place: every in-flight request's kernel holds the same list)."""
@@ -499,19 +463,6 @@ class RefreshService:
             heapq.heapify(self._drains)
         return dropped
 
-    def _finish_drains(self, request: _Request) -> float:
-        """Apply the request's remaining drains at their ETAs (logical
-        end-of-run drain, like the backends' ``finish``)."""
-        drained_at = self._now()
-        for eta, key in self._drop_drains(request):
-            drained_at = max(drained_at, eta)
-            if key in self.ledger:
-                self.ledger.materialized(key)
-        return drained_at
-
-    # ------------------------------------------------------------------
-    # unwind
-    # ------------------------------------------------------------------
     def _unwind(self, request: _Request) -> None:
         """Return the shared ledger to a clean state for this request:
         drop its pending drains, then force-release every entry it still
@@ -530,26 +481,29 @@ class RefreshService:
 
         Returns a dict of violation lists — all empty on a healthy
         service.  Meaningful after :meth:`drain`: a drained service
-        must hold no request entries and every tenant balance must be
-        zero (and during a run, tenant usage must sum to RAM usage).
+        must hold no request entries and no owner record of an entry
+        that is gone, every tenant balance must be zero (and during a
+        run, tenant usage must sum to RAM usage).
         """
+        ledger = self.ledger
         violations: dict[str, list] = {
-            "leaked_entries": [], "negative_balances": [],
-            "tenant_sum_mismatch": []}
-        violations["leaked_entries"] = sorted(self.ledger.resident())
+            "leaked_entries": sorted(ledger.resident()),
+            "orphan_owners": sorted(key for key in ledger.tenants.owners
+                                    if key not in ledger),
+            "negative_balances": [], "tenant_sum_mismatch": []}
         tenant_sum = 0.0
-        for name in self.ledger.tenant_names():
-            usage = self.ledger.tenant_usage(name)
+        for name in ledger.tenant_names():
+            usage = ledger.tenant_usage(name)
             tenant_sum += usage
             if usage < -1e-9:
                 violations["negative_balances"].append((name, usage))
-        if abs(tenant_sum - self.ledger.usage) > 1e-6:
+        if abs(tenant_sum - ledger.usage) > 1e-6:
             violations["tenant_sum_mismatch"].append(
-                (tenant_sum, self.ledger.usage))
+                (tenant_sum, ledger.usage))
         return violations
 
     def latencies_by_tenant(self) -> dict[str, list[float]]:
-        """Wall latencies of completed (``ok``) requests per tenant."""
+        """Latencies of completed (``ok``) requests per tenant."""
         out: dict[str, list[float]] = {name: [] for name in self.tenants}
         for result in self.results:
             if result.status == "ok":

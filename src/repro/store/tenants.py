@@ -10,11 +10,13 @@ Reservations are deliberately not tenant-charged — they become
 committed bytes, and a tenant charge, at ``commit_reservation`` time,
 mirroring how ``usage`` / ``peak_usage`` treat them.
 
-It only accounts: the serve layer enforces a share at admission time,
-so a single over-share admission (a node bigger than its tenant's
-slice) degrades to shared-RAM pressure instead of deadlocking the
-request.  Not thread-safe on its own: the owning ledger calls it with
-its lock held.
+It only accounts (and answers :meth:`TenantAccounts.fits`): the ledger
+enforces a share at admission time — ``TieredLedger.spill_insert``
+sheds the owner's own RAM entries, and a promote that would not fit
+the share is not made — so a single over-share output (a node bigger
+than what its tenant can free of its slice) degrades to shared-RAM
+pressure instead of deadlocking the request.  Not thread-safe on its
+own: the owning ledger calls it with its lock held.
 """
 
 from __future__ import annotations
@@ -81,6 +83,17 @@ class TenantAccounts:
         self.owners[node_id] = tenant
         if resident_size is not None:
             self.charge(node_id, resident_size)
+
+    def fits(self, node_id: str, size: float) -> bool:
+        """Whether ``size`` more RAM GB of ``node_id`` stay within its
+        owner's share, in ``MemoryLedger.fits``' test form (so a tenant
+        owning the whole budget fits exactly when RAM does); True for an
+        entry nobody owns."""
+        tenant = self.owners.get(node_id)
+        if tenant is None:
+            return True
+        account = self.accounts[tenant]
+        return size <= account.budget - account.usage + 1e-12
 
     def charge(self, node_id: str, size: float) -> None:
         """``size`` GB of ``node_id`` were committed to RAM."""

@@ -414,10 +414,12 @@ class TieredLedger(MemoryLedger):
         """Attribute ``node_id``'s RAM residency to ``tenant``.
 
         May be called before the entry exists (the serve layer tags a
-        request's node keys ahead of admission); if the entry is already
-        RAM-resident its bytes move between tenant accounts atomically.
-        The mapping persists across demotions/promotions and clears when
-        the entry fully leaves the hierarchy.
+        request's node keys ahead of admission, and :meth:`spill_insert`
+        then holds the entry to its owner's share); if the entry is
+        already RAM-resident its bytes move between tenant accounts
+        atomically.  The mapping persists across demotions/promotions
+        and clears when the entry fully leaves the hierarchy, or when
+        its admission fails.
         """
         with self._lock:
             entry = self._entries.get(node_id)
@@ -705,9 +707,8 @@ class TieredLedger(MemoryLedger):
         pick the same victim.  Entries named in ``exclude`` are never
         offered, in RAM or as cascade victims further down.  When
         ``owner`` is given only RAM entries owned by that tenant are
-        considered — the serve layer uses this to shed a tenant's own
-        bytes when it exceeds its RAM share, without touching other
-        tenants' residency.  Falls down the policy ranking past victims
+        considered — the selection :meth:`spill_insert` sheds an
+        over-share tenant with.  Falls down the policy ranking past victims
         that cannot move (e.g. too big for every lower tier), mirroring
         :meth:`_make_room`.
 
@@ -724,13 +725,16 @@ class TieredLedger(MemoryLedger):
                      now: float = 0.0) -> tuple[int, list[SpillCharge]]:
         """Admit a new entry somewhere in the hierarchy.
 
-        Prefers RAM (demoting victims to make room); an entry bigger
-        than RAM itself is created directly in the first lower tier that
-        can hold it.  Returns ``(tier_index, charges)``; raises
+        Prefers RAM (demoting victims to make room — first the owner's
+        own, while a tenant-owned entry does not fit its owner's share,
+        see :meth:`_shed_owner`); an entry bigger than RAM itself is
+        created directly in the first lower tier that can hold it.
+        Returns ``(tier_index, charges)``; raises
         :class:`BudgetExceededError` only when no tier can host the
-        entry (impossible with an unbounded last tier).  Demotions made
-        before such a failure are real — the raised error carries them
-        in a ``charges`` attribute so the caller can still bill them.
+        entry (impossible with an unbounded last tier), dropping its
+        owner record.  Demotions made before such a failure are real —
+        the raised error carries them in a ``charges`` attribute so the
+        caller can still bill them.
         """
         with self._lock:
             self._check_new(node_id, size)
@@ -739,7 +743,10 @@ class TieredLedger(MemoryLedger):
                 raise CatalogError(
                     f"table {node_id!r} already resident in tier "
                     f"{tier.name!r}")
-            ok, charges = self._make_room(0, size, now)
+            charges = (self._shed_owner(node_id, size, now)
+                       if node_id in self.tenants.owners else [])
+            ok, more = self._make_room(0, size, now)
+            charges.extend(more)
             if ok:  # checked and made room for: commit it
                 self._commit_entry(node_id, size, n_consumers,
                                    materialization_pending)
@@ -755,11 +762,44 @@ class TieredLedger(MemoryLedger):
                     materialization_pending, now))
                 self._touch(idx, node_id)
                 return idx, charges
+            # the entry never existed: forget whom it was tagged for
+            self.tenants.owners.pop(node_id, None)
             error = BudgetExceededError(
                 f"no storage tier can host {node_id!r} ({size:.6g} GB)",
                 requested=size, available=self.available)
             error.charges = charges
             raise error
+
+    def _shed_owner(self, node_id: str, size: float,  # lint: locked
+                    now: float) -> list[SpillCharge]:
+        """Enforce the share of tenant-owned ``node_id``'s owner ahead
+        of its RAM admission: demote the owner's *own* RAM victims while
+        ``size`` does not fit what is left of its share, so one tenant's
+        burst cannot evict another's entries.
+
+        An output bigger than RAM sheds nothing — it is placed below RAM
+        anyway — and the share test has :meth:`fits`' form, so a single
+        tenant owning the whole budget sheds exactly what
+        :meth:`_make_room` would have demoted.  Only an output bigger
+        than all the owner can free overshoots its share, by that one
+        entry (promotes never do: :meth:`_promote_locked`).
+        """
+        owner = self.tenants.owners[node_id]
+        charges: list[SpillCharge] = []
+        if size > self.available + self._usage:
+            return charges
+        while not self.tenants.fits(node_id, size):
+            victim, moved = self._demote_best(0, now, None, frozenset(),
+                                              owner)
+            charges.extend(moved)
+            if victim is None:
+                break  # nothing of the owner's left to shed
+        return charges
+
+    def _admits(self, node_id: str, size: float) -> bool:  # lint: locked
+        """Whether ``size`` GB of ``node_id`` may enter RAM with no
+        demotion: they fit RAM and what is left of the owner's share."""
+        return self.fits(size) and self.tenants.fits(node_id, size)
 
     def _promote_locked(self, node_id: str,  # lint: locked
                         now: float) -> SpillCharge | None:
@@ -767,13 +807,14 @@ class TieredLedger(MemoryLedger):
         caller's); None = no move.
 
         RAM is charged the entry's *logical* size — tables live decoded
-        in the Memory Catalog whatever codec the tier used.
+        in the Memory Catalog whatever codec the tier used.  It moves
+        only when that fits RAM and its owner's share.
         """
         idx, src = self._holding(node_id)
         if idx == 0:
             return None
         logical = self._below[node_id].logical
-        if not self.fits(logical):
+        if not self._admits(node_id, logical):
             return None
         _, consumers, pending = src.ledger.detach(node_id)
         self._victim_index.discard(idx, node_id)
@@ -809,10 +850,10 @@ class TieredLedger(MemoryLedger):
         Called by backends during *idle device time* — after a node
         completes and before its successor dispatches — for the parents
         of soon-to-run consumers (``SpillConfig.prefetch``).  Each
-        spilled parent that fits in RAM is promoted (no evictions: a
-        prefetch never demotes resident entries to make room), so the
-        consumer reads it at memory bandwidth instead of paying the
-        tier's device + decode path.
+        spilled parent that fits in RAM and in its owner's share is
+        promoted (no evictions: a prefetch never demotes resident
+        entries to make room), so the consumer reads it at memory
+        bandwidth instead of paying the tier's device + decode path.
 
         The device read, decode, and in-memory create of a prefetched
         parent are modeled as overlapped with the idle window — they are
@@ -835,7 +876,7 @@ class TieredLedger(MemoryLedger):
                 spilled = self._below.get(parent)
                 if spilled is None:
                     continue
-                if not self.fits(spilled.logical):
+                if not self._admits(parent, spilled.logical):
                     if not spilled.prefetch_missed:
                         spilled.prefetch_missed = True
                         self.stats.prefetch_miss(parent, spilled, now)

@@ -1,17 +1,22 @@
 """Golden traces for the paths the node-execution kernel rewrote.
 
 ``golden_pr4_trace.json`` / ``golden_pr5_trace.json`` pin the serial
-simulator only.  These three files pin what nothing else did — the
+simulator only.  Three of these files pin what nothing else did — the
 ``workers > 1`` scheduler, the adaptive controller's segment-wise runs
 and the LRU baseline — each generated from the code *before* the kernel
 existed (commit ``bf6d44f``), so passing proves the one-kernel refactor
-left every modeled number bit-equal.
+left every modeled number bit-equal.  ``golden_service_trace.json``
+pins a two-tenant ``RefreshService`` session, run on the virtual-time
+loop of ``tests/virtual_clock.py`` so that it is repeatable; it was
+generated once the service ran ``NodeKernel.run_node`` on its event
+loop's clock.
 
 Regenerate (``python tests/test_golden_kernel.py --write``) only when a
 PR deliberately changes these pipelines' numbers — and say so in the
 commit.
 """
 
+import asyncio
 import json
 import os
 import pathlib
@@ -25,11 +30,14 @@ from repro.core.problem import ScProblem
 from repro.engine import AdaptiveController, Controller, SimulatorOptions
 from repro.exec import create_backend
 from repro.graph.topo import kahn_topological_order
+from repro.serve import RefreshService, ServiceConfig, TenantSpec
 from repro.store import SpillConfig, TierSpec
 from repro.workloads.generator import (
     GeneratedWorkloadConfig,
     WorkloadGenerator,
 )
+
+from tests.virtual_clock import run_virtual
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -97,10 +105,50 @@ def lru_payload() -> dict:
                                         method="lru").to_dict()}
 
 
+def service_payload() -> dict:
+    """Two tenants (priorities 1 and 0) share one ssd+disk ledger at
+    ``max_concurrent=2`` on the virtual loop: five requests queued at
+    once, three more arriving while others run, one cancelled mid-run
+    and one past its deadline mid-run."""
+    graph, plan, _, peak = _fixed_case(n_nodes=24, seed=4)
+    spill = SpillConfig(tiers=(TierSpec("ssd", 0.5 * peak),
+                               TierSpec("disk")),
+                        codec="zlib", prefetch=True)
+    service = RefreshService(
+        ServiceConfig(ram_budget_gb=0.5 * peak, spill=spill,
+                      max_concurrent=2, time_scale=1.0),
+        [TenantSpec("hi", 0.5, priority=1), TenantSpec("lo", 0.5)])
+
+    async def session():
+        async with service as svc:
+            handles = [await svc.submit(graph, plan, tenant=tenant)
+                       for tenant in ("lo", "hi", "lo", "hi")]
+            handles.append(await svc.submit(graph, plan, tenant="lo",
+                                            deadline_s=5000.0))
+            await asyncio.sleep(5.0)
+            handles[1].cancel()
+            for tenant in ("hi", "lo", "hi"):
+                await asyncio.sleep(5.0)
+                handles.append(await svc.submit(graph, plan, tenant=tenant))
+            return [await handle for handle in handles]
+
+    requests = [{
+        "request_id": result.request_id, "tenant": result.tenant,
+        "status": result.status, "error": result.error,
+        "queued_s": result.queued_s, "started_s": result.started_s,
+        "finished_s": result.finished_s,
+        "trace": None if result.trace is None else result.trace.to_dict(),
+    } for result in run_virtual(session())]
+    return {"requests": requests,
+            "tiered_store": service.ledger.tier_report(),
+            "audit": service.audit()}
+
+
 PAYLOADS = {
     "golden_parallel4_trace.json": parallel4_payload,
     "golden_adaptive_trace.json": adaptive_payload,
     "golden_lru_trace.json": lru_payload,
+    "golden_service_trace.json": service_payload,
 }
 
 
@@ -130,6 +178,16 @@ def test_goldens_still_exercise_their_paths():
     lru = _golden("golden_lru_trace.json")["lru"]
     assert sum(node["cache_hits"] for node in lru["nodes"]) > 0
     assert sum(node["cache_misses"] for node in lru["nodes"]) > 0
+    service = _golden("golden_service_trace.json")
+    requests = service["requests"]
+    assert len(requests) >= 6
+    assert {"ok", "cancelled", "timeout"} <= {r["status"] for r in requests}
+    ran = sorted((r["started_s"], r["finished_s"]) for r in requests
+                 if r["status"] == "ok")
+    assert any(later[0] < earlier[1]
+               for earlier, later in zip(ran, ran[1:])), "no overlap"
+    assert service["tiered_store"]["spill_count"] > 0
+    assert not any(service["audit"].values())
 
 
 @pytest.mark.parametrize("hashseed", ["1", "2"])

@@ -1,10 +1,11 @@
 """Which lock each backend's ledger gets.
 
 A ledger that only the run's own thread touches (the serial, parallel
-discrete-event and LRU simulators) locks with ``NoLock``; the backends
-with threads of their own — MiniDB's drains and the service — keep a
-re-entrant lock.  ``create_backend`` makes the choice; nothing else
-can.
+discrete-event and LRU simulators) locks with ``NoLock``; MiniDB, whose
+drains run on threads of their own, keeps a re-entrant lock.
+``create_backend`` makes the choice; nothing else can.  The service,
+which is no backend, builds its shared ledger with the re-entrant lock
+too.
 """
 
 import threading
@@ -19,6 +20,7 @@ from repro.exec import create_backend
 from repro.exec.ledger import MemoryLedger, NoLock
 from repro.exec.simulator import SerialSimulatorBackend
 from repro.graph.dag import DependencyGraph
+from repro.serve import RefreshService, ServiceConfig, TenantSpec
 from repro.store.config import SpillConfig, TierSpec
 from repro.engine import SimulatorOptions
 
@@ -71,10 +73,12 @@ def test_lru_baseline_locks_nothing():
 
 
 def test_service_keeps_the_reentrant_lock():
-    graph, plan = _chain()
-    backend = create_backend("service", options=_TIERED)
-    ledger = backend.prepare(graph, plan, 2.0).ledger
-    assert all(isinstance(lock, RLOCK) for lock in _locks(ledger))
+    service = RefreshService(
+        ServiceConfig(ram_budget_gb=2.0, spill=_TIERED.spill),
+        [TenantSpec("solo", 1.0)])
+    locks = _locks(service.ledger)
+    assert len(locks) == 3
+    assert all(isinstance(lock, RLOCK) for lock in locks)
 
 
 def test_minidb_keeps_the_reentrant_lock(tmp_path):

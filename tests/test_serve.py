@@ -2,10 +2,14 @@
 
 Deterministic tier-1 coverage of the serve layer's contracts — tenant
 validation, priority dispatch, open-loop backpressure, cooperative
-cancellation/deadlines with clean ledger unwind, the ``service``
-execution backend, and the Controller entry points.  The randomized
-concurrency fuzz (many requests x random cancellations x checked
-ledger) lives in ``tests/test_invariants_random.py``.
+cancellation/deadlines with clean ledger unwind, owner records, the
+shared storage device, and the Controller entry points.  Tests that
+wait on the service's clock run on the virtual-time loop of
+``tests/virtual_clock.py``, so they do not depend on host speed.  A
+solo request's equivalence with the serial simulator is
+``tests/test_serve_solo.py``; the randomized concurrency fuzz (many
+requests x random cancellations x checked ledger) lives in
+``tests/test_invariants_random.py``.
 """
 
 from __future__ import annotations
@@ -15,16 +19,18 @@ import threading
 
 import pytest
 
+from repro.core.plan import Plan
 from repro.engine.controller import Controller
-from repro.errors import (
-    RunCancelledError,
-    ServiceOverloadError,
-    ValidationError,
-)
+from repro.errors import ServiceOverloadError, ValidationError
+from repro.graph.dag import DependencyGraph
+from repro.metadata.costmodel import DeviceProfile
 from repro.serve import RefreshService, ServiceConfig, TenantSpec
 from repro.serve.service import percentile
 from repro.store.config import SpillConfig, TierSpec
 from repro.workloads.five_workloads import build_workload
+
+from tests.test_serve_solo import assert_solo_is_serial, run_solo
+from tests.virtual_clock import run_virtual
 
 _SPILL = SpillConfig(tiers=(TierSpec("disk"),))
 
@@ -203,9 +209,10 @@ def test_cancelled_request_unwinds_without_leaks():
             results = [await victim, await survivor]
         return service, results
 
-    service, (cancelled, ok) = asyncio.run(main())
+    service, (cancelled, ok) = run_virtual(main())
     assert cancelled.status == "cancelled"
     assert cancelled.trace is None
+    assert 0.01 < cancelled.finished_s < ok.finished_s  # mid-run
     assert ok.status == "ok"  # the survivor is unaffected
     _assert_clean(service)
     assert service.ledger.resident() == []
@@ -223,9 +230,11 @@ def test_deadline_expires_as_timeout_and_unwinds():
                                       deadline_s=0.02)
             return service, await handle
 
-    service, result = asyncio.run(main())
+    service, result = run_virtual(main())
     assert result.status == "timeout"
     assert "deadline" in result.error
+    # checked at the first node boundary past the deadline
+    assert result.started_s == 0.0 and result.finished_s > 0.02
     _assert_clean(service)
 
 
@@ -256,16 +265,71 @@ def test_audit_lists_a_leaked_spilled_entry_once():
     assert service.audit()["leaked_entries"] == ["leak"]
 
 
+def test_audit_lists_an_owner_record_without_an_entry():
+    service = RefreshService(_config(1.0), [TenantSpec("a", 1.0)])
+    service.ledger.set_owner("ghost", "a")
+    assert service.audit()["orphan_owners"] == ["ghost"]
+
+
+def test_an_output_no_tier_can_host_leaves_no_owner_record():
+    # a flagged output bigger than every tier of a finite hierarchy
+    # loses its flag to a blocking write; the owner record the service
+    # tagged it with before admission must go with it
+    graph = DependencyGraph()
+    graph.add_node("a", size=0.5, compute_time=1.0)
+    graph.add_node("huge", size=3.0, compute_time=1.0)
+    graph.add_edge("a", "huge")
+    plan = Plan.make(["a", "huge"], {"a", "huge"})
+    service = RefreshService(
+        _config(1.0, spill=SpillConfig(tiers=(TierSpec("ssd", 1.0),))),
+        [TenantSpec("a", 1.0)])
+
+    async def main():
+        async with service as svc:
+            handles = [await svc.submit(graph, plan, tenant="a")
+                       for _ in range(3)]
+            return [await handle for handle in handles]
+
+    results = run_virtual(main())
+    assert [r.status for r in results] == ["ok"] * 3
+    assert all(r.trace.nodes[1].write > 0 for r in results)  # lost flag
+    assert service.ledger.tenants.owners == {}
+    _assert_clean(service)
+
+
 # ----------------------------------------------------------------------
 # tenant isolation
 # ----------------------------------------------------------------------
 
+def test_spill_insert_sheds_only_the_owners_entries():
+    # tenant a is at its 1 GB share: its next output fits RAM but not
+    # the share, so admission demotes a's own entry and leaves b's
+    service = RefreshService(_config(2.0), [TenantSpec("a", 0.5),
+                                            TenantSpec("b", 0.5)])
+    ledger = service.ledger
+    for key, owner in (("b/old", "b"), ("a/old", "a"), ("a/new", "a")):
+        ledger.set_owner(key, owner)
+    ledger.spill_insert("b/old", 0.5, n_consumers=1)
+    ledger.spill_insert("a/old", 1.0, n_consumers=1)
+    tier, charges = ledger.spill_insert("a/new", 0.5, n_consumers=1)
+    assert tier == 0
+    assert [charge.node_id for charge in charges] == ["a/old"]
+    assert ledger.tier_of("b/old") == 0 and ledger.tier_of("a/old") == 1
+    assert ledger.tenant_usage("a") == pytest.approx(0.5)
+    # RAM has room for a/old again, a's share has not: no promote
+    assert ledger.promote("a/old") is None
+    assert ledger.prefetch(["a/old"]) == 0.0
+    assert ledger.tier_of("a/old") == 1
+    ledger.force_release("a/new")
+    assert ledger.promote("a/old") is not None
+
+
 def test_tenant_share_is_enforced_by_shedding_own_entries():
-    # share enforcement is admission-granular: before every flagged
-    # admission the request sheds its own tenant's RAM entries until
-    # the output fits its share, so a tenant's peak can exceed its
-    # slice by at most one entry (a promote or an over-share output),
-    # never by unbounded accumulation
+    # shares are enforced at every RAM admission: a flagged output
+    # first sheds the owner's own RAM entries until it fits the share,
+    # and a promote that would not fit the share is not made, so a
+    # tenant's peak can exceed its slice by at most one over-share
+    # output, in every interleaving of the concurrent requests
     graph, plan, budget = _case(scale_gb=50.0, workload="io2",
                                 ram_fraction=0.5)
     largest = max(graph.size_of(node) for node in graph.nodes())
@@ -292,89 +356,34 @@ def test_tenant_share_is_enforced_by_shedding_own_entries():
 
 
 # ----------------------------------------------------------------------
-# the `service` execution backend + Controller entry points
+# one lifecycle: the serial simulator's, over the shared state
 # ----------------------------------------------------------------------
 
-def test_service_backend_runs_one_refresh_via_controller():
-    graph, plan, budget = _case()
-    controller = Controller(spill=_SPILL)
-    trace = controller.refresh(graph, budget, method="sc", seed=0,
-                               plan=plan, backend="service")
-    assert trace.method == "sc"
-    assert trace.extras["service"]["tenant"] == "solo"
-    assert len(trace.nodes) == len(plan.order)
-
-
 def test_solo_request_charges_match_the_serial_simulator():
-    # one kernel charges both: with nothing contending for the device
-    # (no interference) on a DAG that fits RAM, a solo service request
-    # bills every node exactly what the serial simulator bills it
-    from dataclasses import replace
-
-    from repro.metadata.costmodel import DeviceProfile
-
+    # one kernel lifecycle bills both: on the virtual loop a solo
+    # service request bills every node exactly what the serial
+    # simulator bills it (tests/test_serve_solo.py runs 200+ cells)
     graph, plan, _ = _case()
-    budget = graph.total_size()
-    controller = Controller(
-        spill=_SPILL,
-        profile=replace(DeviceProfile(), background_interference=0.0))
-    serial = controller.refresh(graph, budget, plan=plan)
-    service = controller.refresh(graph, budget, plan=plan,
-                                 backend="service")
-    assert [n.node_id for n in service.nodes] == \
-        [n.node_id for n in serial.nodes]
-    for ours, theirs in zip(service.nodes, serial.nodes):
-        for stage in ("read_disk", "read_memory", "compute",
-                      "create_memory", "write"):
-            assert getattr(ours, stage) == getattr(theirs, stage), (
-                ours.node_id, stage)
-    assert any(n.read_memory > 0 for n in service.nodes)
-    assert any(n.read_disk > 0 for n in service.nodes)
+    assert_solo_is_serial(graph, plan, graph.total_size(), _SPILL)
 
 
 def test_service_reads_contend_on_the_shared_storage_device():
     # a foreground read issued while a background materialization is in
-    # flight pays the device's interference, as on every other backend
-    from repro.core.plan import Plan
-    from repro.graph.dag import DependencyGraph
-    from repro.metadata.costmodel import DeviceProfile
-
+    # flight pays the device's interference, as on every backend
     graph = DependencyGraph()
     graph.add_node("a", size=10.0, compute_time=0.1)
     graph.add_node("b", size=0.1, compute_time=0.1,
                    meta={"base_input_gb": 1.0})
     graph.add_edge("a", "b")
     profile = DeviceProfile()
-    trace = Controller(spill=_SPILL, profile=profile).refresh(
-        graph, 20.0, plan=Plan.make(["a", "b"], {"a"}),
-        backend="service")
-    reader = trace.nodes[1]
+    _, result = run_solo(graph, Plan.make(["a", "b"], {"a"}), 20.0, _SPILL,
+                         profile)
+    reader = result.trace.nodes[1]
+    assert result.trace.extras["service"]["tenant"] == "solo"
     assert reader.read_memory > 0  # parent served from the catalog
     assert reader.read_disk == pytest.approx(
         profile.read_time_disk(1.0)
         * (1.0 + profile.background_interference))
-
-
-def test_service_backend_rejects_compute_penalty():
-    # the service models spare-memory catalogs only: silently dropping
-    # the penalty would return unpenalized numbers under its label
-    from repro.engine import SimulatorOptions
-
-    graph, plan, budget = _case()
-    controller = Controller(
-        options=SimulatorOptions(compute_penalty=0.5, spill=_SPILL))
-    with pytest.raises(ValidationError, match="compute_penalty"):
-        controller.refresh(graph, budget, plan=plan, backend="service")
-
-
-def test_service_backend_honors_controller_cancel():
-    graph, plan, budget = _case()
-    cancel = threading.Event()
-    cancel.set()
-    controller = Controller(spill=_SPILL, cancel=cancel)
-    with pytest.raises(RunCancelledError):
-        controller.refresh(graph, budget, method="sc", seed=0,
-                           plan=plan, backend="service")
 
 
 def test_refresh_concurrent_convenience_wrapper():
