@@ -10,20 +10,10 @@ minimal; it is configurable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ValidationError
 from repro.metadata.costmodel import DeviceProfile
-
-
-@dataclass(frozen=True)
-class BackgroundWrite:
-    """One background materialization job."""
-
-    node_id: str
-    size: float
-    start: float
-    end: float
 
 
 @dataclass
@@ -37,7 +27,6 @@ class StorageDevice:
 
     profile: DeviceProfile
     busy_until: float = 0.0
-    background_writes: list[BackgroundWrite] = field(default_factory=list)
 
     # ------------------------------------------------------------------
     def _interference(self, now: float) -> float:
@@ -58,8 +47,7 @@ class StorageDevice:
             raise ValidationError("write size must be >= 0")
         return self.profile.write_time_disk(size) * self._interference(now)
 
-    def submit_background_write(self, node_id: str, size: float,
-                                now: float) -> float:
+    def submit_background_write(self, size: float, now: float) -> float:
         """Queue a background materialization; returns its completion time.
 
         Jobs serialize on the background channel: a job starts at
@@ -67,11 +55,9 @@ class StorageDevice:
         """
         if size < 0:
             raise ValidationError("write size must be >= 0")
-        start = max(now, self.busy_until)
-        end = start + self.profile.background_write_time(size)
+        end = (max(now, self.busy_until)
+               + self.profile.background_write_time(size))
         self.busy_until = end
-        self.background_writes.append(
-            BackgroundWrite(node_id=node_id, size=size, start=start, end=end))
         return end
 
     # ------------------------------------------------------------------

@@ -115,6 +115,14 @@ class NodeKernel:
         key: node id -> ledger key (identity unless runs share a ledger).
         clock / traces: :meth:`run_node`'s timeline; callers that
             sequence the phases themselves pass their own clock.
+
+    A run never changes its graph or key function, so each node's
+    inputs — one ``(parent, ledger key, size)`` row per parent — are
+    built on the node's first use and kept for the kernel's life
+    (``prefetch``, ``read_and_compute`` and ``release_parents`` share
+    them).  Reading a parent is one ledger call (``note_read``: the
+    holding tier or None), and so is releasing one (``consumer_done``,
+    for exactly the parents the read found resident).
     """
 
     def __init__(self, graph: DependencyGraph, ledger: MemoryLedger,
@@ -135,6 +143,10 @@ class NodeKernel:
         self.spilled: set[str] = set()
         self.clock = 0.0
         self.traces: list[NodeTrace] = []
+        self._inputs: dict[str, list[tuple[str, str, float]]] = {}
+        # node id -> keys of the parents its read found resident, until
+        # its release_parents
+        self._held: dict[str, list[str]] = {}
 
     @classmethod
     def for_run(cls, graph: DependencyGraph, memory_budget: float,
@@ -197,6 +209,17 @@ class NodeKernel:
     # ------------------------------------------------------------------
     # phases
     # ------------------------------------------------------------------
+    def _inputs_of(self, node_id: str) -> list[tuple[str, str, float]]:
+        """``node_id``'s ``(parent, ledger key, size)`` rows."""
+        try:
+            return self._inputs[node_id]
+        except KeyError:
+            node, key = self.graph.node, self.key
+            rows = self._inputs[node_id] = [
+                (parent, key(parent), node(parent).size)
+                for parent in self.graph.parents(node_id)]
+            return rows
+
     def prefetch(self, node_id: str, now: float) -> None:
         """Promote-ahead of ``node_id``'s spilled parents at ``now``.
 
@@ -204,32 +227,56 @@ class NodeKernel:
         bytes' device read + decode + create are hidden in it — the
         ledger books them in its prefetch counters, not on any node's
         timeline (see :meth:`repro.store.tiered.TieredLedger.prefetch`).
+        Nothing is looked at while nothing sits below RAM.
         """
         spill = self.options.spill
-        if spill is None or not spill.prefetch:
+        if (spill is None or not spill.prefetch
+                or not self.ledger.any_below_ram):
             return
-        parents = [self.key(p) for p in self.graph.parents(node_id)
-                   if p not in self.spilled]
-        if parents:
-            self.ledger.prefetch(parents, now=now)
+        spilled = self.spilled
+        self.ledger.prefetch((key for parent, key, _ in
+                              self._inputs_of(node_id)
+                              if parent not in spilled), now=now)
 
     def read_and_compute(self, node_id: str, trace: NodeTrace,
                          clock: float) -> float:
-        """Charge input reads and compute; returns the new clock."""
-        graph, ledger, storage = self.graph, self.ledger, self.storage
+        """Charge input reads and compute; returns the new clock.
+
+        Each parent's read is one :meth:`~MemoryLedger.note_read`, which
+        names the tier holding it: RAM residents pay memory bandwidth; a
+        parent spilled to a lower tier pays that tier's device read (+
+        decode) into ``trace.read_disk`` and, when promotion is on and
+        RAM has room, one in-memory create into ``trace.promote_read``
+        to copy it back up for later consumers; the rest are read from
+        storage.
+        """
+        ledger, storage, spilled = self.ledger, self.storage, self.spilled
+        held = self._held[node_id] = []
         input_bytes = 0.0
-        for parent in graph.parents(node_id):
-            size = graph.size_of(parent)
+        for parent, key, size in self._inputs_of(node_id):
             input_bytes += size
-            key = self.key(parent)
-            if key in ledger and parent not in self.spilled:
-                clock = self._read_resident(key, size, clock, trace)
-            else:
+            tier = None if parent in spilled else ledger.note_read(key)
+            if tier is None:
                 duration = storage.read_duration(size, clock)
                 trace.read_disk += duration
                 clock += duration
-        return self.base_read_and_compute(graph.node(node_id), input_bytes,
-                                          trace, clock)
+                continue
+            held.append(key)
+            if tier:  # below RAM
+                duration = ledger.tier_read_seconds(key, now=clock)
+                trace.read_disk += duration
+                clock += duration
+                if self.options.spill.promote:
+                    charge = ledger.promote(key, now=clock)
+                    if charge is not None:
+                        trace.promote_read += charge.seconds
+                        clock += charge.seconds
+            else:
+                duration = self.profile.read_time_memory(size)
+                trace.read_memory += duration
+                clock += duration
+        return self.base_read_and_compute(self.graph.node(node_id),
+                                          input_bytes, trace, clock)
 
     def base_read_and_compute(self, node: Node, input_bytes: float,
                               trace: NodeTrace, clock: float) -> float:
@@ -246,35 +293,6 @@ class NodeKernel:
         trace.compute = compute
         return clock + compute
 
-    def _read_resident(self, key: str, size: float, clock: float,
-                       trace: NodeTrace) -> float:
-        """Charge reading a resident parent from whichever tier holds it.
-
-        RAM residents pay memory bandwidth; a parent spilled to a lower
-        tier pays that tier's device read (+ decode) into
-        ``trace.read_disk`` and, when promotion is on and RAM has room,
-        one in-memory create into ``trace.promote_read`` to copy it back
-        up for later consumers.  Either way the read bumps recency.
-        """
-        ledger = self.ledger
-        spill = self.options.spill
-        if spill is not None:
-            if ledger.tier_of(key):  # below RAM
-                duration = ledger.tier_read_seconds(key, now=clock)
-                trace.read_disk += duration
-                clock += duration
-                if spill.promote:
-                    charge = ledger.promote(key, now=clock)
-                    if charge is not None:
-                        trace.promote_read += charge.seconds
-                        clock += charge.seconds
-                ledger.note_read(key)
-                return clock
-            ledger.note_read(key)
-        duration = self.profile.read_time_memory(size)
-        trace.read_memory += duration
-        return clock + duration
-
     def place_output(self, node_id: str, trace: NodeTrace, clock: float,
                      arbitrate: bool = True) -> float:
         """Produce ``node_id``'s output; returns the new clock.
@@ -289,7 +307,7 @@ class NodeKernel:
         for a caller that already arbitrated (the parallel scheduler
         does, at dispatch time).
         """
-        size = self.graph.size_of(node_id)
+        size = self.graph.node(node_id).size
         if not trace.flagged:
             return self._blocking_write(size, trace, clock)
         self.apply_drains(clock)
@@ -440,7 +458,7 @@ class NodeKernel:
 
     def submit_drain(self, key: str, size: float, clock: float) -> None:
         """Queue ``key``'s background materialization from ``clock``."""
-        eta = self.storage.submit_background_write(key, size, clock)
+        eta = self.storage.submit_background_write(size, clock)
         heapq.heappush(self.drains, (eta, key))
 
     def apply_drains(self, now: float) -> None:
@@ -453,9 +471,10 @@ class NodeKernel:
                 ledger.materialized(key)
 
     def release_parents(self, node_id: str) -> None:
-        """``node_id`` finished consuming its resident parents."""
-        ledger = self.ledger
-        for parent in self.graph.parents(node_id):
-            key = self.key(parent)
-            if key in ledger and parent not in self.spilled:
-                ledger.consumer_done(key)
+        """``node_id`` finished consuming its resident parents — those
+        its :meth:`read_and_compute` found: a parent's entry cannot
+        leave before this release, nor arrive after its consumer
+        read."""
+        consumer_done = self.ledger.consumer_done
+        for key in self._held.pop(node_id):
+            consumer_done(key)

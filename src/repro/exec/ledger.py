@@ -18,8 +18,10 @@ byte accounting, peak tracking, and the flagged-residency release protocol.
 * **thread safety** — every mutation runs under one re-entrant lock, so
   :meth:`try_insert` is an atomic check-and-claim that concurrent
   threads (MiniDB's drains, the service's requests) can race safely.  A
-  ledger only one thread ever touches (the discrete-event simulators')
-  is built with :class:`NoLock` instead —
+  public call takes that lock once: what it needs under it (the fit
+  test, the release cores) are unlocked ``_`` helpers, never another
+  public call.  A ledger only one thread ever touches (the
+  discrete-event simulators') is built with :class:`NoLock` instead —
   :func:`repro.exec.base.create_backend` makes that choice, per
   backend.
 
@@ -68,10 +70,6 @@ class _Entry:
     consumers_left: int
     materialization_pending: bool
 
-    @property
-    def releasable(self) -> bool:
-        return self.consumers_left <= 0 and not self.materialization_pending
-
 
 class MemoryLedger:
     """Thread-safe bounded accounting of in-memory table residency.
@@ -81,7 +79,11 @@ class MemoryLedger:
             the repo).
 
     ``lock`` builds the ledger's lock: ``threading.RLock`` unless every
-    call comes from one thread (:class:`NoLock`).
+    call comes from one thread (:class:`NoLock`).  Each public call
+    acquires it once; ``consumer_done`` and ``materialized`` are that
+    lock around the unlocked ``_consumer_done`` / ``_materialized``
+    cores, which a :class:`~repro.store.tiered.TieredLedger` calls on
+    its tier ledgers under its own lock.
     """
 
     def __init__(self, budget: float = 0.0,
@@ -124,6 +126,13 @@ class MemoryLedger:
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._entries
 
+    def note_read(self, node_id: str) -> int | None:
+        """A consumer reads ``node_id``: the index of the tier holding
+        it — always 0 (RAM) here — or None when it is not resident.  A
+        plain ledger keeps no recency; the tiered store's override also
+        records the read."""
+        return 0 if node_id in self._entries else None
+
     def resident(self) -> list[str]:
         return list(self._entries)
 
@@ -153,7 +162,11 @@ class MemoryLedger:
         dispatched nodes count as taken.
         """
         with self._lock:
-            return size <= self.available + _EPS
+            return self._fits(size)
+
+    def _fits(self, size: float) -> bool:
+        """:meth:`fits` for a caller that holds the lock."""
+        return size <= self.available + _EPS
 
     # ------------------------------------------------------------------
     # raw byte accounting (recency-managed caches)
@@ -205,7 +218,7 @@ class MemoryLedger:
         """
         with self._lock:
             self._check_new(node_id, size)
-            if not self.fits(size):
+            if not self._fits(size):
                 raise BudgetExceededError(
                     f"inserting {node_id!r} ({size:.6g}) exceeds Memory "
                     f"Catalog budget ({self.available:.6g} available of "
@@ -224,7 +237,7 @@ class MemoryLedger:
         """
         with self._lock:
             self._check_new(node_id, size)
-            if not self.fits(size):
+            if not self._fits(size):
                 return False
             self._commit_entry(node_id, size, n_consumers,
                                materialization_pending)
@@ -246,7 +259,7 @@ class MemoryLedger:
             if node_id in self._reserved:
                 raise CatalogError(
                     f"table {node_id!r} already has a reservation")
-            if not self.fits(size):
+            if not self._fits(size):
                 return False
             self._reserved[node_id] = size
             return True
@@ -283,12 +296,15 @@ class MemoryLedger:
                 outstanding consumers.
         """
         with self._lock:
-            entry = self._require(node_id)
-            if entry.consumers_left <= 0:
-                raise CatalogError(
-                    f"table {node_id!r} has no outstanding consumers")
-            entry.consumers_left -= 1
-            return self._maybe_release(node_id)
+            return self._consumer_done(node_id)
+
+    def _consumer_done(self, node_id: str) -> bool:  # lint: locked
+        entry = self._require(node_id)
+        if entry.consumers_left <= 0:
+            raise CatalogError(
+                f"table {node_id!r} has no outstanding consumers")
+        entry.consumers_left -= 1
+        return self._maybe_release(node_id, entry)
 
     def materialized(self, node_id: str) -> bool:
         """Background materialization of ``node_id`` completed.
@@ -301,12 +317,15 @@ class MemoryLedger:
                 already materialized.
         """
         with self._lock:
-            entry = self._require(node_id)
-            if not entry.materialization_pending:
-                raise CatalogError(
-                    f"table {node_id!r} was already materialized")
-            entry.materialization_pending = False
-            return self._maybe_release(node_id)
+            return self._materialized(node_id)
+
+    def _materialized(self, node_id: str) -> bool:  # lint: locked
+        entry = self._require(node_id)
+        if not entry.materialization_pending:
+            raise CatalogError(
+                f"table {node_id!r} was already materialized")
+        entry.materialization_pending = False
+        return self._maybe_release(node_id, entry)
 
     def force_release(self, node_id: str) -> None:
         """Unconditional eviction (end-of-run cleanup): a :meth:`detach`
@@ -340,7 +359,7 @@ class MemoryLedger:
         """
         with self._lock:
             self._check_new(node_id, size)
-            if not self.fits(size):
+            if not self._fits(size):
                 raise BudgetExceededError(
                     f"adopting {node_id!r} ({size:.6g}) exceeds ledger "
                     f"budget ({self.available:.6g} available of "
@@ -363,21 +382,26 @@ class MemoryLedger:
             consumers_left=n_consumers,
             materialization_pending=materialization_pending)
         self._usage += size
-        self._peak = max(self._peak, self._usage)
+        if self._usage > self._peak:
+            self._peak = self._usage
 
-    def _maybe_release(self, node_id: str) -> bool:  # lint: locked
-        entry = self._entries[node_id]
-        if entry.releasable:
-            self._usage -= entry.size
-            del self._entries[node_id]
-            return True
-        return False
+    def _maybe_release(self, node_id: str,  # lint: locked
+                       entry: _Entry) -> bool:
+        """The release rule: ``node_id`` (whose record is ``entry``)
+        leaves once its last consumer finished *and* its drain
+        completed."""
+        if entry.consumers_left > 0 or entry.materialization_pending:
+            return False
+        self._usage -= entry.size
+        del self._entries[node_id]
+        return True
 
     def _require(self, node_id: str) -> _Entry:
-        entry = self._entries.get(node_id)
-        if entry is None:
-            raise CatalogError(f"table {node_id!r} not in Memory Catalog")
-        return entry
+        try:
+            return self._entries[node_id]
+        except KeyError:
+            raise CatalogError(
+                f"table {node_id!r} not in Memory Catalog") from None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"{type(self).__name__}(budget={self.budget:.3g}, "

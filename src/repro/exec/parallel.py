@@ -238,20 +238,25 @@ class ParallelSimulatorBackend(ExecutionBackend):
         prefetching = tiered and options.spill.prefetch
         if not state.ready or not (state.idle_workers or prefetching):
             return
+        # promote-ahead dispatch hook: the window before this round's
+        # dispatches is idle device time — promote the spilled parents
+        # of the nodes that can actually dispatch now (one per idle
+        # worker, hottest first; the hottest alone when none is idle,
+        # and then nothing dispatches).  Ready nodes further down the
+        # priority order are *not* soon-to-run: prefetching their
+        # parents would park bytes in RAM for many rounds, where this
+        # round's admissions would demote them right back (billed), a
+        # thrash loop prefetching exists to avoid.
+        if not state.idle_workers:
+            kernel.prefetch(min(state.ready, key=state.priority.__getitem__),
+                            state.now)
+            return
         # one priority sort per round: dispatched nodes drop out of the
         # list in place, blocked ones stay and are retried after every
         # dispatch (a later candidate's try_make_room may free RAM)
         candidates = sorted(state.ready, key=state.priority.__getitem__)
         if prefetching:
-            # promote-ahead dispatch hook: the window before this round's
-            # dispatches is idle device time — promote the spilled
-            # parents of the nodes that can actually dispatch now (one
-            # per idle worker, hottest first).  Ready nodes further down
-            # the priority order are *not* soon-to-run: prefetching
-            # their parents would park bytes in RAM for many rounds,
-            # where this round's admissions would demote them right
-            # back (billed), a thrash loop prefetching exists to avoid.
-            for node_id in candidates[:max(len(state.idle_workers), 1)]:
+            for node_id in candidates[:len(state.idle_workers)]:
                 kernel.prefetch(node_id, state.now)
         while state.idle_workers and candidates:
             chosen = None

@@ -46,7 +46,8 @@ Architecture — an accounting core and three things beside it
 
 **Tenants** (:class:`~repro.store.tenants.TenantAccounts`)
     Whose RAM it is: the serve layer's per-tenant shares of tier 0,
-    charged and credited from the core's three RAM hooks.
+    charged where the core commits RAM bytes and credited where they
+    leave (a demotion or a release).
 
 **The policy contract** (:class:`~repro.store.policy.SpillPolicy`)
     Victim selection is pluggable: ``cost`` (S/C-style scoring —

@@ -2,10 +2,11 @@
 
 Tenant budget shares partition tier 0 only — spill tiers stay shared.
 :class:`TenantAccounts` is the collaborator
-:class:`~repro.store.tiered.TieredLedger` charges and credits from the
-three hooks every committed RAM byte passes through (``_commit_entry``
-in; ``_maybe_release`` and ``detach`` out), so tenant balances move in
-lockstep with RAM ``usage``.
+:class:`~repro.store.tiered.TieredLedger` charges and credits where
+every committed RAM byte passes (``_commit_entry`` in; ``detach`` and a
+release's ``_forget`` out), so tenant balances move in lockstep with RAM
+``usage``.  It remembers what it charged each entry, so a credit needs
+no size.
 Reservations are deliberately not tenant-charged — they become
 committed bytes, and a tenant charge, at ``commit_reservation`` time,
 mirroring how ``usage`` / ``peak_usage`` treat them.
@@ -40,7 +41,7 @@ class TenantAccount:
 class TenantAccounts:
     """Who owns which entry, and each owner's RAM balance.
 
-    Both maps stay empty for single-tenant runs.
+    All three maps stay empty for single-tenant runs.
     """
 
     def __init__(self) -> None:
@@ -49,6 +50,8 @@ class TenantAccounts:
         #: across demotions and promotions, and is dropped by the ledger
         #: when the entry leaves the hierarchy
         self.owners: dict[str, str] = {}
+        #: node id -> RAM GB charged to its owner, while it is in RAM
+        self.charged: dict[str, float] = {}
 
     def register(self, name: str, budget: float) -> None:
         """Register (or re-budget) a tenant's RAM share."""
@@ -78,8 +81,7 @@ class TenantAccounts:
                 f"unknown tenant {tenant!r}; register_tenant first")
         if self.owners.get(node_id) == tenant:
             return
-        if resident_size is not None:
-            self.credit(node_id, resident_size)
+        self.credit(node_id)
         self.owners[node_id] = tenant
         if resident_size is not None:
             self.charge(node_id, resident_size)
@@ -100,15 +102,22 @@ class TenantAccounts:
         tenant = self.owners.get(node_id)
         if tenant is None:
             return
+        self.charged[node_id] = size
         account = self.accounts[tenant]
         account.usage += size
         account.peak = max(account.peak, account.usage)
 
-    def credit(self, node_id: str, size: float) -> None:
-        """``size`` GB of ``node_id`` left RAM."""
-        tenant = self.owners.get(node_id)
-        if tenant is not None:
-            self.accounts[tenant].usage -= size
+    def credit(self, node_id: str) -> None:
+        """``node_id`` left RAM: its owner gets back what it was
+        charged."""
+        size = self.charged.pop(node_id, None)
+        if size is not None:
+            self.accounts[self.owners[node_id]].usage -= size
+
+    def forget(self, node_id: str) -> None:
+        """``node_id`` left the hierarchy: credit it, drop its owner."""
+        self.credit(node_id)
+        self.owners.pop(node_id, None)
 
     def report(self, ram_entries: Iterable[str]) -> dict:
         """Per-tenant accounting block for ``tier_report()["tenants"]``;

@@ -247,10 +247,17 @@ class TieredLedger(MemoryLedger):
 
     # ------------------------------------------------------------------
     # routing: an entry lives in exactly one tier, and every release-
-    # protocol call runs the base-class method on that tier's ledger
+    # protocol call runs the base-class core on that tier's ledger,
+    # under this ledger's lock alone
     # ------------------------------------------------------------------
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._entries or node_id in self._below
+
+    @property
+    def any_below_ram(self) -> bool:
+        """Whether some entry sits below RAM (what :meth:`prefetch`
+        could promote)."""
+        return bool(self._below)
 
     def tier_of(self, node_id: str) -> int | None:
         """Index of the tier holding ``node_id`` (0 = RAM), or None."""
@@ -289,7 +296,7 @@ class TieredLedger(MemoryLedger):
     def consumer_done(self, node_id: str) -> bool:
         with self._lock:
             idx, tier = self._holding(node_id)
-            released = MemoryLedger.consumer_done(tier.ledger, node_id)
+            released = tier.ledger._consumer_done(node_id)
             if released:
                 self._forget(idx, node_id)
             else:
@@ -299,7 +306,7 @@ class TieredLedger(MemoryLedger):
     def materialized(self, node_id: str) -> bool:
         with self._lock:
             idx, tier = self._holding(node_id)
-            released = MemoryLedger.materialized(tier.ledger, node_id)
+            released = tier.ledger._materialized(node_id)
             if released:
                 self._forget(idx, node_id)
             return released
@@ -326,11 +333,13 @@ class TieredLedger(MemoryLedger):
 
     def _forget(self, index: int, node_id: str) -> None:  # lint: locked
         """Drop every record of an entry released out of tier
-        ``index``."""
+        ``index`` (crediting its owner for the RAM bytes it left)."""
         self._victim_index.discard(index, node_id)
-        self._below.pop(node_id, None)
-        self._recency.pop(node_id, None)
-        self.tenants.owners.pop(node_id, None)
+        if index:
+            del self._below[node_id]
+        del self._recency[node_id]  # every arrival was stamped
+        if self.tenants.owners:
+            self.tenants.forget(node_id)
 
     # ------------------------------------------------------------------
     # codecs and ratios
@@ -392,13 +401,27 @@ class TieredLedger(MemoryLedger):
         self._recency[node_id] = self._tick
         self._victim_index.mark(index, node_id)
 
-    def note_read(self, node_id: str) -> None:
-        """Record an access for recency-based victim ranking."""
+    def note_read(self, node_id: str) -> int | None:
+        """A consumer reads ``node_id``: stamp the access for recency
+        ranking and return the index of the tier holding it (0 = RAM),
+        or None — touching nothing — when no tier does.
+
+        The kernel's one ledger call per parent read: it replaces a
+        membership test, :meth:`tier_of` and a separate touch.  It runs
+        *before* the read is charged (:meth:`tier_read_seconds`, a
+        :meth:`promote`), which leaves the final tick and the victim
+        index's marks what touching after them would.
+        """
         with self._lock:
             if node_id in self._entries:
-                self._touch(0, node_id)
-            elif node_id in self._below:
-                self._touch(self._below[node_id].tier, node_id)
+                index = 0
+            else:
+                spilled = self._below.get(node_id)
+                if spilled is None:
+                    return None
+                index = spilled.tier
+            self._touch(index, node_id)
+            return index
 
     # ------------------------------------------------------------------
     # tenants (multi-tenant serving; see repro.store.tenants)
@@ -441,31 +464,27 @@ class TieredLedger(MemoryLedger):
             account = self.tenants.account(name)
             return account.budget - account.usage
 
-    # The three RAM hooks.  Every path committing RAM bytes (insert /
-    # try_insert / commit_reservation / adopt-on-promote) lands in
-    # _commit_entry and every path returning them in _maybe_release or
-    # detach, so these keep recency, the victim ranking and the tenant
-    # balances in lockstep with tier-0 usage.  Only tier 0 is hooked:
-    # lower-tier ledgers are plain MemoryLedger objects.
+    # The two RAM hooks.  Every path committing RAM bytes (insert /
+    # try_insert / commit_reservation / adopt / promote) lands in
+    # _commit_entry, and every path returning them in a release (then
+    # _forget) or in detach, so these keep recency, the victim ranking
+    # and the tenant balances in lockstep with tier-0 usage.  Only
+    # tier 0 is hooked: lower-tier ledgers are plain MemoryLedger
+    # objects, and the release rule is MemoryLedger's alone.  The
+    # tenant books are touched only once some tenant owns an entry.
     def _commit_entry(self, node_id: str, size: float, n_consumers: int,  # lint: locked
                       materialization_pending: bool) -> None:
-        super()._commit_entry(node_id, size, n_consumers,
-                              materialization_pending)
+        MemoryLedger._commit_entry(self, node_id, size, n_consumers,
+                                   materialization_pending)
         self._touch(0, node_id)
-        self.tenants.charge(node_id, size)
-
-    def _maybe_release(self, node_id: str) -> bool:  # lint: locked
-        size = self._entries[node_id].size
-        released = super()._maybe_release(node_id)
-        if released:
-            self.tenants.credit(node_id, size)
-        return released
+        if self.tenants.owners:
+            self.tenants.charge(node_id, size)
 
     def detach(self, node_id: str) -> tuple[float, int, bool]:
         with self._lock:
             size, consumers, pending = super().detach(node_id)
             self._victim_index.discard(0, node_id)
-            self.tenants.credit(node_id, size)
+            self.tenants.credit(node_id)
             return size, consumers, pending
 
     # ------------------------------------------------------------------
@@ -518,10 +537,10 @@ class TieredLedger(MemoryLedger):
         made trying.
         """
         tier = self.tiers[index]
-        if size > tier.ledger.available + tier.ledger.usage:
+        if size > tier.ledger.available + tier.ledger._usage:
             return False, []  # bigger than the tier can ever admit
         charges: list[SpillCharge] = []
-        while not tier.ledger.fits(size):
+        while not tier.ledger._fits(size):
             victim, moved = self._demote_best(index, now, mover, exclude)
             charges.extend(moved)
             if victim is None:
@@ -799,7 +818,7 @@ class TieredLedger(MemoryLedger):
     def _admits(self, node_id: str, size: float) -> bool:  # lint: locked
         """Whether ``size`` GB of ``node_id`` may enter RAM with no
         demotion: they fit RAM and what is left of the owner's share."""
-        return self.fits(size) and self.tenants.fits(node_id, size)
+        return self._fits(size) and self.tenants.fits(node_id, size)
 
     def _promote_locked(self, node_id: str,  # lint: locked
                         now: float) -> SpillCharge | None:
@@ -819,7 +838,9 @@ class TieredLedger(MemoryLedger):
         _, consumers, pending = src.ledger.detach(node_id)
         self._victim_index.discard(idx, node_id)
         del self._below[node_id]
-        self.adopt(node_id, logical, consumers, pending)
+        # _admits checked the fit: commit as adopt would, without
+        # re-entering this ledger's lock
+        self._commit_entry(node_id, logical, consumers, pending)
         charge = SpillCharge(
             node_id=node_id, src=src.name, dst="ram", size=logical,
             seconds=(self.profile.create_time_memory(logical)
@@ -996,7 +1017,8 @@ class TieredLedger(MemoryLedger):
                 return 0.0
             spilled = self._below[node_id]
             seconds = pricing.read_seconds(
-                tier.profile, spilled.codec, tier.ledger.size_of(node_id),
+                tier.profile, spilled.codec,
+                tier.ledger._require(node_id).size,
                 spilled.logical) if self.charge_io else 0.0
             self.stats.read(node_id, spilled, seconds, now)
             return seconds

@@ -149,6 +149,23 @@ def test_rep003_mutator_calls_count_as_writes(tmp_path):
         ("REP003", 7), ("REP003", 9), ("REP003", 11)]
 
 
+def test_rep003_release_core_needs_the_lock(tmp_path):
+    """The public release call is the lock around an unlocked core; a
+    caller that reaches the core without the lock is flagged."""
+    result = lint(tmp_path, LEDGER_HEADER + (
+        "    def consumer_done(self, n):\n"
+        "        with self._lock:\n"
+        "            return self._consumer_done(n)\n"
+        "    def _consumer_done(self, n):  # lint: locked\n"
+        "        self._usage -= n\n"
+        "        return True\n"
+        "class TieredLedger(MemoryLedger):\n"
+        "    def consumer_done(self, n):\n"
+        "        return self._consumer_done(n)\n"))
+    assert codes_and_lines(result) == [("REP003", 14)]
+    assert "_consumer_done" in result.active[0].message
+
+
 # -- REP004 bus guard --------------------------------------------------
 
 def test_rep004_flags_unguarded_emission(tmp_path):

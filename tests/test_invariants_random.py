@@ -228,7 +228,8 @@ def _checked(method_name):
 
 for _name in ("demote", "promote", "prefetch", "try_make_room",
               "insert", "consumer_done", "materialized",
-              "force_release", "adopt", "demote_victim", "set_owner"):
+              "force_release", "adopt", "demote_victim", "set_owner",
+              "note_read"):
     setattr(CheckedLedger, _name, _checked(_name))
 
 

@@ -1,11 +1,12 @@
-"""Which lock each backend's ledger gets.
+"""Which lock each backend's ledger gets, and how often a call takes it.
 
 A ledger that only the run's own thread touches (the serial, parallel
 discrete-event and LRU simulators) locks with ``NoLock``; MiniDB, whose
 drains run on threads of their own, keeps a re-entrant lock.
 ``create_backend`` makes the choice; nothing else can.  The service,
 which is no backend, builds its shared ledger with the re-entrant lock
-too.
+too.  Built that way, a public call on the kernel's read, release and
+admission paths acquires it once, and nothing nests inside.
 """
 
 import threading
@@ -13,9 +14,12 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.optimizer import optimize
 from repro.core.plan import Plan
+from repro.core.problem import ScProblem
 from repro.db import MiniDB, SqlWorkload, Table
 from repro.db.engine import MvDefinition
+from repro.engine.controller import Controller
 from repro.exec import create_backend
 from repro.exec.ledger import MemoryLedger, NoLock
 from repro.exec.simulator import SerialSimulatorBackend
@@ -23,6 +27,7 @@ from repro.graph.dag import DependencyGraph
 from repro.serve import RefreshService, ServiceConfig, TenantSpec
 from repro.store.config import SpillConfig, TierSpec
 from repro.engine import SimulatorOptions
+from repro.workloads import GeneratedWorkloadConfig, generate_workload
 
 RLOCK = type(threading.RLock())
 
@@ -104,3 +109,96 @@ def test_only_create_backend_chooses():
     ledger = SerialSimulatorBackend().prepare(graph, plan, 2.0).ledger
     assert isinstance(ledger._lock, RLOCK)
     assert isinstance(MemoryLedger(1.0)._lock, RLOCK)
+
+
+# -- how often a public call takes the lock ---------------------------
+
+class _Tally:
+    """Acquisitions of every lock of one ledger, and how deep they
+    nested since the last reset."""
+
+    def __init__(self):
+        self.acquired = self.depth = self.deepest = 0
+
+
+class _CountingRLock:
+    """An ``RLock`` that reports to a shared :class:`_Tally`."""
+
+    def __init__(self, tally):
+        self._lock = threading.RLock()
+        self._tally = tally
+
+    def acquire(self, blocking=True, timeout=-1):
+        acquired = self._lock.acquire(blocking, timeout)
+        if acquired:
+            tally = self._tally
+            tally.acquired += 1
+            tally.depth += 1
+            tally.deepest = max(tally.deepest, tally.depth)
+        return acquired
+
+    def release(self):
+        self._tally.depth -= 1
+        self._lock.release()
+
+    def __enter__(self):
+        return self.acquire()
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+def _counted_run(ram_fraction, paths):
+    """A serial tiered run at ``ram_fraction`` of the no-spill peak on
+    a ledger built with counting RLocks: per public call in ``paths``,
+    the ``(acquisitions, deepest nesting)`` pairs it made."""
+    graph = generate_workload(GeneratedWorkloadConfig(n_nodes=80), seed=3)
+    budget = 0.3 * graph.total_size()
+    plan = optimize(ScProblem(graph=graph, memory_budget=budget),
+                    method="greedy+madfs", seed=0).plan
+    peak = Controller().refresh(graph, budget, plan=plan).peak_catalog_usage
+    spill = SpillConfig(tiers=(TierSpec("ssd", 0.5 * peak),
+                               TierSpec("disk")),
+                        codec="zlib", prefetch=True)
+    tally = _Tally()
+    backend = SerialSimulatorBackend(options=SimulatorOptions(spill=spill))
+    backend.ledger_lock = lambda: _CountingRLock(tally)
+    ctx = backend.prepare(graph, plan, ram_fraction * peak)
+    ledger, seen = ctx.ledger, {name: [] for name in paths}
+    for name in paths:
+        def counted(*args, _call=getattr(ledger, name), _seen=seen[name],
+                    **kwargs):
+            before, tally.deepest = tally.acquired, 0
+            result = _call(*args, **kwargs)
+            _seen.append((tally.acquired - before, tally.deepest))
+            return result
+        setattr(ledger, name, counted)
+    for node_id in plan.order:
+        backend.execute_node(ctx, node_id)
+    spills = backend.finish(ctx).extras["tiered_store"]["spill_count"]
+    return seen, spills
+
+
+def test_fit_run_takes_each_lock_once_per_public_call():
+    """Read (``note_read``), release (``consumer_done``,
+    ``materialized``) and admission (``fits``, ``spill_insert``): one
+    acquisition per call, none nested inside it."""
+    seen, spills = _counted_run(1.0, ("note_read", "consumer_done",
+                                      "materialized", "fits",
+                                      "spill_insert"))
+    assert spills == 0
+    for name, calls in seen.items():
+        assert calls, f"{name} never ran"
+        assert set(calls) == {(1, 1)}, name
+
+
+def test_spilled_reads_and_releases_still_take_one_lock():
+    """Below RAM too, a read or a release reaches the tier ledger's
+    core under the RAM lock alone.  Demotions and promotes may nest
+    RAM -> tier (``tests/lockorder.py`` audits that order)."""
+    seen, spills = _counted_run(0.25, ("note_read", "tier_read_seconds",
+                                       "consumer_done", "materialized"))
+    assert spills > 0
+    assert seen["tier_read_seconds"], "no parent was read below RAM"
+    for name, calls in seen.items():
+        assert set(calls) == {(1, 1)}, name

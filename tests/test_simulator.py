@@ -139,8 +139,8 @@ class TestOverflowPolicies:
 class TestStorageDevice:
     def test_background_serialization(self):
         device = StorageDevice(profile=simple_profile())
-        first = device.submit_background_write("a", 1.0, now=0.0)
-        second = device.submit_background_write("b", 1.0, now=0.0)
+        first = device.submit_background_write(1.0, now=0.0)
+        second = device.submit_background_write(1.0, now=0.0)
         assert first == pytest.approx(2.0)
         assert second == pytest.approx(4.0)  # waits for the first
         assert device.drained_at() == pytest.approx(4.0)
@@ -155,7 +155,7 @@ class TestStorageDevice:
                                 background_parallelism=1.0)
         device = StorageDevice(profile=profile)
         assert device.read_duration(1.0, now=0.0) == pytest.approx(1.0)
-        device.submit_background_write("x", 10.0, now=0.0)
+        device.submit_background_write(10.0, now=0.0)
         assert device.read_duration(1.0, now=1.0) == pytest.approx(1.5)
 
 

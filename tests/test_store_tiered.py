@@ -317,6 +317,26 @@ class TestTieredLedger:
         assert ledger.tier_of("first") == 1    # then first had to go too
         assert ledger.tier_of("c") == 0
 
+    def test_note_read_names_the_holding_tier_and_ticks_once(self):
+        ledger = _ledger()
+        ledger.insert("a", 6.0, n_consumers=2)
+        ledger.spill_insert("b", 8.0, n_consumers=1)   # a on the SSD
+        ledger.spill_insert("huge", 25.0, n_consumers=1)   # on the disk
+        for key, tier in (("b", 0), ("a", 1), ("huge", 2)):
+            tick = ledger._tick
+            assert ledger.note_read(key) == tier == ledger.tier_of(key)
+            assert ledger._tick == tick + 1
+            assert ledger._recency[key] == ledger._tick
+        tick, recency = ledger._tick, dict(ledger._recency)
+        assert ledger.note_read("absent") is None
+        assert ledger._tick == tick and ledger._recency == recency
+
+    def test_plain_ledger_note_read_is_a_membership_test(self):
+        ledger = MemoryLedger(4.0)
+        ledger.insert("a", 1.0, n_consumers=1)
+        assert ledger.note_read("a") == 0
+        assert ledger.note_read("absent") is None
+
     def test_duplicate_ids_rejected_across_tiers(self):
         ledger = _ledger()
         ledger.insert("a", 6.0, n_consumers=1)
