@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.problem import ScProblem
 from repro.errors import CycleError
 from repro.graph.dag import DependencyGraph
 
@@ -97,8 +96,3 @@ def ma_dfs_order(graph: DependencyGraph,
             f"graph has a cycle; MA-DFS covered {len(order)}/{graph.n} nodes")
     return order
 
-
-def ma_dfs_for_problem(problem: ScProblem,
-                       flagged: Iterable[str]) -> list[str]:
-    """Convenience wrapper matching the order-solver callable signature."""
-    return ma_dfs_order(problem.graph, flagged)

@@ -1,7 +1,5 @@
 """Order-solver baselines for S/C Opt Order (paper §VI-A and §VI-F).
 
-* plain **DFS with random tie-breaking** — the off-the-shelf order MA-DFS
-  improves on (Figure 8);
 * **SA** — simulated annealing over dependency-safe swaps, minimizing
   average memory usage (10,000 iterations in the paper);
 * **Separator** — recursive graph-separator ordering.
@@ -17,20 +15,11 @@ from typing import Callable, Sequence
 
 from repro.core.problem import ScProblem
 from repro.core.residency import average_memory_usage
-from repro.graph.topo import dfs_topological_order, kahn_topological_order
+from repro.graph.topo import kahn_topological_order
 from repro.solver.sa import AnnealingSchedule, anneal_order
 from repro.solver.separator import separator_order
 
 OrderSolver = Callable[[ScProblem, frozenset[str]], Sequence[str]]
-
-
-def dfs_random_order_solver(seed: int = 0) -> OrderSolver:
-    """DFS topological order with random tie-breaking (ignores ``flagged``)."""
-    def solve(problem: ScProblem, flagged: frozenset[str]) -> list[str]:
-        rng = random.Random(seed)
-        return dfs_topological_order(problem.graph, rng=rng)
-
-    return solve
 
 
 def sa_order_solver(schedule: AnnealingSchedule | None = None,

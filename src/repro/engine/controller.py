@@ -8,10 +8,9 @@ registry — it never special-cases an executor.  Available backends
 
 * ``"simulator"`` (default) — the serial discrete-event simulator;
 * ``"parallel"`` — the memory-bounded parallel scheduler: ``workers``
-  logical workers execute ready DAG nodes concurrently, with ledger
-  admission control keeping flagged residency within budget and seeded
-  deterministic tie-breaking (``workers=1`` reproduces the serial
-  simulator);
+  logical workers execute ready DAG nodes concurrently, in plan order,
+  with ledger admission control keeping flagged residency within budget
+  (``workers=1`` reproduces the serial simulator);
 * ``"lru"`` — the plan-free LRU-cache baseline (topological order,
   blocking writes); selected automatically for ``method="lru"``;
 * ``"minidb"`` — the real columnar MiniDB with genuine disk I/O, used by
@@ -201,7 +200,7 @@ class Controller:
             memory_budget: Memory Catalog (RAM) size in GB.
             method: optimizer method; ``"lru"`` routes to the plan-free
                 LRU baseline (no plan, no other backend).
-            seed: optimizer/scheduler seed.
+            seed: optimizer seed.
             plan: pre-computed plan; skips optimization when given.
             backend: executor registry name (default: the controller's
                 ``backend`` field).

@@ -2,9 +2,9 @@
 
 Every way this repo can *run* a refresh plan lives behind one protocol:
 
-* :class:`~repro.exec.base.ExecutionBackend` — the five-hook executor
-  contract (``prepare`` / ``execute_node`` / ``materialize`` / ``evict`` /
-  ``finish``) plus a serial ``run`` template;
+* :class:`~repro.exec.base.ExecutionBackend` — every backend's ``run``;
+  the serial ones inherit its template and are resumable through three
+  hooks (``prepare`` / ``execute_node`` / ``finish``);
 * :class:`~repro.exec.ledger.MemoryLedger` — the shared, thread-safe
   budget accountant: byte accounting, peak tracking, the consumer-count +
   materialization-hold release protocol, and dispatch-time reservations
@@ -23,8 +23,8 @@ name         executor
 simulator    serial discrete-event simulator (paper §III-C mechanics)
 lru          LRU result-cache baseline (paper §VI-A; plan-free)
 parallel     memory-bounded parallel scheduler: worker pool over ready
-             DAG nodes, ledger admission control, deterministic logical
-             clocks with seeded tie-breaking
+             DAG nodes in plan order, ledger admission control,
+             deterministic logical clocks
 minidb       the real MiniDB columnar engine with genuine disk I/O and
              a small pool of background materializer threads
 ===========  ==========================================================

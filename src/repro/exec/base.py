@@ -1,33 +1,30 @@
 """ExecutionBackend protocol and the backend registry.
 
 A backend turns a (graph, plan, budget) triple into a
-:class:`~repro.engine.trace.RunTrace` through five hooks:
+:class:`~repro.engine.trace.RunTrace` through :meth:`ExecutionBackend.run`.
+The serial backends (``simulator``, ``lru``) inherit its template, which
+makes them resumable through three hooks a caller may also drive itself:
 
 * :meth:`ExecutionBackend.prepare` — allocate run state (ledger, storage,
   clocks) and return an :class:`ExecutionContext`;
 * :meth:`ExecutionBackend.execute_node` — run one DAG node;
-* :meth:`ExecutionBackend.materialize` — a node's output became durable
-  on storage (clears its materialization hold in the ledger);
-* :meth:`ExecutionBackend.evict` — drop a node's output from memory;
 * :meth:`ExecutionBackend.finish` — drain outstanding work and summarize.
 
-The default :meth:`ExecutionBackend.run` template executes nodes serially
-in plan order; schedulers (see :mod:`repro.exec.parallel`) override it and
-drive ``execute_node`` from their own dispatch loop.  What a modeled node
-costs is not a backend's business: that is
-:class:`repro.exec.kernel.NodeKernel`.
+The parallel scheduler (:mod:`repro.exec.parallel`) overrides ``run``
+with its own event loop and implements no hook; MiniDB overrides it to
+clean up after a failed run.  What a modeled node costs is not a
+backend's business: that is :class:`repro.exec.kernel.NodeKernel`.
 
 Backends register under a short name (``"simulator"``, ``"lru"``,
 ``"parallel"``, ``"minidb"``) and are constructed through
 :func:`create_backend`, which is what :class:`repro.engine.controller.
 Controller` dispatches on — no executor-specific branches remain in the
 controller.  Registration is lazy: naming a backend imports its module on
-first use, so optional dependencies (MiniDB) stay optional.
+first use.
 """
 
 from __future__ import annotations
 
-import abc
 import importlib
 import threading
 from dataclasses import dataclass, field
@@ -57,8 +54,6 @@ class SimulatorOptions:
         compute_penalty: fractional compute slowdown applied to every node,
             modeling a Memory Catalog carved out of *query memory* instead
             of spare memory (Figure 11b); 0 means spare memory.
-        strict_budget: raise instead of stalling when the *positional* plan
-            itself is infeasible (optimizer bug guard in tests).
         spill: optional :class:`~repro.store.config.SpillConfig` enabling
             the tiered store — flagged outputs that do not fit in RAM
             keep their flag by demoting victims to lower tiers (charging
@@ -73,7 +68,6 @@ class SimulatorOptions:
 
     on_overflow: str = "spill"
     compute_penalty: float = 0.0
-    strict_budget: bool = False
     spill: SpillConfig | None = None
 
     def __post_init__(self) -> None:
@@ -106,7 +100,7 @@ class ExecutionContext:
     traces: list[NodeTrace] = field(default_factory=list)
 
 
-class ExecutionBackend(abc.ABC):
+class ExecutionBackend:
     """Base class for refresh-run executors.
 
     Subclasses set ``name`` (the registry key) and ``requires_plan``
@@ -155,28 +149,20 @@ class ExecutionBackend(abc.ABC):
                 node_id=node_id)
 
     # ------------------------------------------------------------------
-    @abc.abstractmethod
+    # the serial run template's hooks: a backend that overrides run (a
+    # scheduler, MiniDB) calls only what it implements
     def prepare(self, graph: DependencyGraph, plan: Plan | None,
                 memory_budget: float, method: str = "") -> ExecutionContext:
         """Validate inputs and allocate the run state."""
+        raise NotImplementedError(f"{self.name} does not run serially")
 
-    @abc.abstractmethod
     def execute_node(self, ctx: ExecutionContext, node_id: str) -> None:
         """Execute one node (read inputs, compute, produce output)."""
+        raise NotImplementedError(f"{self.name} does not run serially")
 
-    def materialize(self, ctx: ExecutionContext, node_id: str) -> None:
-        """Mark ``node_id``'s output durable; releases its ledger hold."""
-        if ctx.ledger is not None and node_id in ctx.ledger:
-            ctx.ledger.materialized(node_id)
-
-    def evict(self, ctx: ExecutionContext, node_id: str) -> None:
-        """Forcibly drop ``node_id``'s output from memory."""
-        if ctx.ledger is not None and node_id in ctx.ledger:
-            ctx.ledger.force_release(node_id)
-
-    @abc.abstractmethod
     def finish(self, ctx: ExecutionContext) -> RunTrace:
         """Drain background work and build the run summary."""
+        raise NotImplementedError(f"{self.name} does not run serially")
 
     # ------------------------------------------------------------------
     def run(self, graph: DependencyGraph, plan: Plan | None,
@@ -199,8 +185,7 @@ class ExecutionBackend(abc.ABC):
 # ----------------------------------------------------------------------
 _BACKENDS: dict[str, type[ExecutionBackend]] = {}
 
-#: Where each built-in backend lives; imported on first use so optional
-#: dependencies (numpy for MiniDB) load only when asked for.
+#: Where each built-in backend lives; imported on first use.
 _BACKEND_MODULES: dict[str, str] = {
     "simulator": "repro.exec.simulator",
     "lru": "repro.exec.lru",

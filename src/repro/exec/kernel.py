@@ -311,8 +311,7 @@ class NodeKernel:
         if not trace.flagged:
             return self._blocking_write(size, trace, clock)
         self.apply_drains(clock)
-        raise_on_overflow = (self.options.strict_budget
-                             or self.options.on_overflow == "error")
+        raise_on_overflow = self.options.on_overflow == "error"
         if self.options.spill is not None:
             if arbitrate:
                 clock = self._arbitrate(size, trace, clock)

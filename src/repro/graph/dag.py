@@ -295,20 +295,6 @@ class DependencyGraph:
                 sub.add_edge(producer, consumer)
         return sub
 
-    # ------------------------------------------------------------------
-    # interop
-    # ------------------------------------------------------------------
-    def to_networkx(self):
-        """Export as a :class:`networkx.DiGraph` (node attrs copied)."""
-        import networkx as nx
-
-        nxg = nx.DiGraph()
-        for node in self._nodes.values():
-            nxg.add_node(node.node_id, size=node.size, score=node.score,
-                         op=node.op)
-        nxg.add_edges_from(self.edges())
-        return nxg
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"DependencyGraph(n={self.n}, m={self.m}, "
                 f"total_size={self.total_size():.3g})")

@@ -15,7 +15,6 @@ from repro.core.problem import ScProblem, TierAwareBudget
 from repro.engine.controller import Controller
 from repro.engine import SimulatorOptions
 from repro.errors import ValidationError
-from repro.exec.base import create_backend
 from repro.metadata.costmodel import DeviceProfile
 from repro.store import (
     NONE_CODEC,
@@ -294,35 +293,6 @@ class TestSatelliteRegressions:
         ledger.tiers = ledger.tiers[:1]  # strip the spill tiers
         assert ledger.estimate_spill_seconds(2.0) is None
         assert ledger.estimate_spill_seconds(0.5) == 0.0  # still fits
-
-    def test_random_tie_break_with_one_worker_rejected(self):
-        with pytest.raises(ValidationError, match="workers=1"):
-            create_backend("parallel", workers=1,
-                           tie_break="random").run(
-                *_small_case(), method="sc")
-
-    def test_random_tie_break_with_many_workers_still_works(self):
-        graph, plan, budget = _small_case()
-        trace = create_backend("parallel", workers=3, seed=1,
-                               tie_break="random").run(
-            graph, plan, budget, method="sc")
-        assert len(trace.nodes) == graph.n
-
-
-def _small_case():
-    from repro.core.optimizer import optimize
-    from repro.workloads.generator import (
-        GeneratedWorkloadConfig,
-        WorkloadGenerator,
-    )
-
-    graph = WorkloadGenerator().generate(
-        GeneratedWorkloadConfig(n_nodes=12, height_width_ratio=0.5),
-        seed=0)
-    budget = 0.4 * graph.total_size()
-    plan = optimize(ScProblem(graph=graph, memory_budget=budget),
-                    method="sc", seed=0).plan
-    return graph, plan, budget
 
 
 # ----------------------------------------------------------------------

@@ -139,9 +139,3 @@ class TestCopiesAndSubgraphs:
     def test_subgraph_unknown_node(self, diamond_graph):
         with pytest.raises(GraphError):
             diamond_graph.subgraph(["a", "ghost"])
-
-    def test_to_networkx(self, diamond_graph):
-        nxg = diamond_graph.to_networkx()
-        assert nxg.number_of_nodes() == 4
-        assert nxg.number_of_edges() == 4
-        assert nxg.nodes["a"]["size"] == 4.0

@@ -147,17 +147,6 @@ class TestParallelScheduler:
         assert [n.node_id for n in runs[0].nodes] == \
             [n.node_id for n in runs[1].nodes]
 
-    def test_random_tie_break_reproducible(self):
-        graph, plan, budget = _generated_case(6, ratio=0.25)
-        backend = create_backend("parallel", workers=4, seed=3,
-                                 tie_break="random")
-        a = backend.run(graph, plan, budget, method="sc")
-        backend2 = create_backend("parallel", workers=4, seed=3,
-                                  tie_break="random")
-        b = backend2.run(graph, plan, budget, method="sc")
-        assert a.end_to_end_time == b.end_to_end_time
-        assert a.peak_catalog_usage <= budget + 1e-9
-
     def test_tiny_budget_spills_instead_of_deadlocking(self):
         graph, plan, _ = _generated_case(2)
         # a budget smaller than any node forces the spill fallback

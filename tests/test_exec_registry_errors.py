@@ -82,14 +82,7 @@ class TestImportFailures:
 class TestRegistrationConflicts:
     def test_nameless_backend_rejected(self):
         class Nameless(ExecutionBackend):
-            def prepare(self, graph, plan, memory_budget, method=""):
-                raise NotImplementedError
-
-            def execute_node(self, ctx, node_id):
-                raise NotImplementedError
-
-            def finish(self, ctx):
-                raise NotImplementedError
+            pass
 
         with pytest.raises(ValidationError, match="has no name"):
             register_backend(Nameless)

@@ -35,6 +35,7 @@ import pytest
 
 from repro.core.optimizer import optimize
 from repro.core.problem import ScProblem
+from repro.core.residency import peak_memory_usage
 from repro.engine.controller import Controller
 from repro.engine import SimulatorOptions
 from repro.engine.trace import RunTrace
@@ -554,9 +555,12 @@ def test_service_requests_with_random_cancellations_leave_no_residue(
     graph = WorkloadGenerator().generate(
         GeneratedWorkloadConfig(n_nodes=rng.choice([12, 18])),
         seed=rng.randrange(10_000))
-    budget = rng.uniform(0.25, 0.4) * graph.total_size()
-    plan = optimize(ScProblem(graph=graph, memory_budget=budget),
+    fraction = rng.uniform(0.25, 0.4)
+    plan = optimize(ScProblem(graph=graph,
+                              memory_budget=fraction * graph.total_size()),
                     method="sc", seed=rng.randrange(100)).plan
+    # RAM below one request's no-spill peak, so every seed spills
+    budget = fraction * peak_memory_usage(graph, plan.order, plan.flagged)
     config = ServiceConfig(
         ram_budget_gb=budget,
         spill=SpillConfig(tiers=(TierSpec("ssd"),)),

@@ -21,6 +21,7 @@ from repro.db import MiniDB, SqlWorkload, Table
 from repro.db.engine import MvDefinition
 from repro.engine.controller import Controller
 from repro.exec import create_backend
+from repro.exec.kernel import NodeKernel
 from repro.exec.ledger import MemoryLedger, NoLock
 from repro.exec.simulator import SerialSimulatorBackend
 from repro.graph.dag import DependencyGraph
@@ -59,15 +60,25 @@ _TIERED = SimulatorOptions(spill=SpillConfig(
     ("parallel", 3, _TIERED),
     ("parallel", 3, None),
 ])
-def test_discrete_event_simulators_lock_nothing(name, workers, options):
+def test_discrete_event_simulators_lock_nothing(name, workers, options,
+                                                monkeypatch):
+    """Read off the kernel each run builds, so the scheduler (which has
+    no ``prepare``) is checked the same way as the serial simulator."""
     graph, plan = _chain()
-    backend = create_backend(name, workers=workers, options=options)
-    ledger = backend.prepare(graph, plan, 2.0).ledger
-    locks = _locks(ledger)
-    assert len(locks) == (3 if options else 1)
-    assert all(isinstance(lock, NoLock) for lock in locks)
+    kernels = []
+    for_run = NodeKernel.for_run
+
+    def spy(*args, **kwargs):
+        kernels.append(for_run(*args, **kwargs))
+        return kernels[-1]
+
+    monkeypatch.setattr(NodeKernel, "for_run", spy)
     backend = create_backend(name, workers=workers, options=options)
     assert backend.run(graph, plan, 2.0).nodes
+    [kernel] = kernels
+    locks = _locks(kernel.ledger)
+    assert len(locks) == (3 if options else 1)
+    assert all(isinstance(lock, NoLock) for lock in locks)
 
 
 def test_lru_baseline_locks_nothing():

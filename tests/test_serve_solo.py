@@ -12,8 +12,8 @@ figures.  The serial simulator is pinned by ``golden_pr4`` /
 ``golden_pr5``, so this pins the service too.
 
 Documented differences, which these cells avoid: the service installs
-no per-node ``meta["compressibility"]``, has no ``compute_penalty`` /
-``strict_budget``, and its ``RunTrace`` carries ``extras["service"]``
+no per-node ``meta["compressibility"]``, has no ``compute_penalty``,
+and its ``RunTrace`` carries ``extras["service"]``
 instead of ``extras["tiered_store"]``.
 """
 
