@@ -151,17 +151,6 @@ class MiniDB:
             self.catalog.put_memory(name, result)
         return timing
 
-    def materialize_from_memory(self, name: str) -> float:
-        """Persist a memory-resident table; returns elapsed seconds.
-
-        The blocking twin of what :mod:`repro.exec.minidb`'s drain pool
-        does in the background.
-        """
-        table = self.catalog.get_memory(name)
-        started = time.perf_counter()
-        self.catalog.persist(name, table)
-        return time.perf_counter() - started
-
     def release_memory(self, name: str) -> None:
         self.catalog.evict_memory(name)
 

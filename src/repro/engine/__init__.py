@@ -31,11 +31,7 @@ from repro.engine.storage import StorageDevice
 from repro.engine.trace import NodeTrace, RunTrace
 from repro.exec.base import SimulatorOptions
 from repro.engine.controller import Controller
-from repro.engine.adaptive import (
-    AdaptiveController,
-    AdaptiveRunReport,
-    sync_points,
-)
+from repro.engine.adaptive import AdaptiveController, AdaptiveRunReport
 from repro.engine.cluster import simulate_cluster_run
 
 __all__ = [
@@ -46,6 +42,5 @@ __all__ = [
     "Controller",
     "AdaptiveController",
     "AdaptiveRunReport",
-    "sync_points",
     "simulate_cluster_run",
 ]

@@ -6,13 +6,14 @@ S/C's answer is metadata-driven re-optimization — plans derive from
 observed sizes, so estimates that drift (data growth, schema changes,
 seasonal skew) degrade the plan until fresh observations arrive.
 
-:class:`AdaptiveController` closes the loop *within* a run. It drives the
-serial backend's **resumable** hooks (``prepare`` → ``execute_node`` … →
-``finish``, swapping ``ctx.plan`` at each re-plan — the Memory Catalog
-carries across decision points, so checking costs nothing), compares each finished
-node's actual output size against the estimate the plan was built from,
-and when the windowed drift exceeds a threshold it re-optimizes the
-remaining suffix of the DAG:
+:class:`AdaptiveController` closes the loop *within* a run. It holds one
+:class:`~repro.exec.kernel.NodeKernel` for the whole run and steps it
+node by node (``run_node(v, v in plan.flagged)``), so a re-plan is only a
+new flag set — the Memory Catalog, the background channel and the clock
+carry across decision points, and checking costs nothing.  It compares
+each finished node's actual output size against the estimate the plan
+was built from, and when the windowed drift exceeds a threshold it
+re-optimizes the remaining suffix of the DAG:
 
 * still-resident flagged nodes stay in memory — their remaining
   consumers read them from the catalog as planned;
@@ -30,9 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.optimizer import optimize
-from repro.core.plan import Plan
 from repro.core.problem import ScProblem
-from repro.core.residency import residency_intervals
 from repro.core.speedup import compute_speedup_scores
 from repro.engine.trace import RunTrace
 from repro.errors import ValidationError
@@ -41,8 +40,9 @@ from repro.exec.base import (
     SimulatorOptions,
     create_backend,
 )
+from repro.exec.kernel import NodeKernel
+from repro.exec.ledger import NoLock
 from repro.graph.dag import DependencyGraph
-from repro.graph.topo import kahn_topological_order
 from repro.metadata.costmodel import DeviceProfile
 
 
@@ -76,25 +76,6 @@ def _median(values: list[float]) -> float:
     if len(ordered) % 2:
         return ordered[mid]
     return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
-def sync_points(graph: DependencyGraph, plan: Plan) -> list[int]:
-    """Positions after which no flagged residency spans the boundary.
-
-    Position ``p`` is a sync point when every flagged node starting at or
-    before ``p`` also releases at or before ``p`` — the Memory Catalog is
-    empty between ``p`` and ``p+1``. The final position is always a sync
-    point. (Diagnostic helper; the controller no longer needs sync points
-    thanks to the resumable simulator.)
-    """
-    intervals = residency_intervals(graph, plan.order)
-    n = len(plan.order)
-    open_until = [0] * n
-    for node in plan.flagged:
-        start, end = intervals[node]
-        for p in range(start, end):
-            open_until[p] = 1
-    return [p for p in range(n) if p == n - 1 or not open_until[p]]
 
 
 def _suffix_subgraph(graph: DependencyGraph, remaining: list[str],
@@ -161,19 +142,17 @@ class AdaptiveController:
         actual output sizes are ``true_sizes``.
 
         Plans are always built from current estimates; execution always
-        happens against the true sizes, on one continuous backend context.
+        happens against the true sizes, on one kernel for the whole run.
         """
         missing = [v for v in estimated.nodes() if v not in true_sizes]
         if missing:
             raise ValidationError(
                 f"true_sizes missing nodes: {missing[:5]}")
-        backend = self._backend()
         truth = _truth_graph(estimated, true_sizes)
-        # the context outlives every plan: each (re-)plan below swaps
-        # ctx.plan, so this placeholder order is validated, never run
-        ctx = backend.prepare(
-            truth, Plan.unoptimized(kahn_topological_order(truth)),
-            memory_budget, method="adaptive")
+        # the kernel outlives every plan: a (re-)plan below only changes
+        # which of the nodes still to run are flagged
+        kernel = NodeKernel.for_run(truth, memory_budget, self.profile,
+                                    self.options, lock=NoLock)
         report = AdaptiveRunReport(total_time=0.0)
 
         planning_graph = estimated.copy()
@@ -184,14 +163,13 @@ class AdaptiveController:
             problem = ScProblem(graph=planning_graph,
                                 memory_budget=memory_budget)
             plan = optimize(problem, method=self.method, seed=seed).plan
-            ctx.plan = plan
 
             segment: list[str] = []
-            segment_start = ctx.traces[-1].end if ctx.traces else 0.0
+            segment_start = kernel.clock
             replanned = False
             drift = 0.0
             for node_id in plan.order:
-                backend.execute_node(ctx, node_id)
+                kernel.run_node(node_id, node_id in plan.flagged)
                 segment.append(node_id)
                 observed[node_id] = true_sizes[node_id]
                 estimate = planning_graph.size_of(node_id)
@@ -207,7 +185,7 @@ class AdaptiveController:
 
             report.segments.append(SegmentRecord(
                 nodes=tuple(segment),
-                duration=ctx.traces[-1].end - segment_start,
+                duration=kernel.clock - segment_start,
                 replanned_after=replanned, drift_ratio=drift))
 
             remaining = [v for v in plan.order if v not in set(segment)]
@@ -223,7 +201,7 @@ class AdaptiveController:
                 compute_speedup_scores(planning_graph, self.profile)
                 recent_ratios.clear()
 
-        trace = backend.finish(ctx)
+        trace = kernel.finish_run(kernel.clock, memory_budget, "adaptive")
         report.trace = trace
         report.total_time = trace.end_to_end_time
         return report

@@ -16,7 +16,6 @@ from repro.core.plan import Plan
 from repro.engine.trace import RunTrace
 from repro.exec.base import SimulatorOptions, create_backend
 from repro.graph.dag import DependencyGraph
-from repro.graph.topo import check_topological_order
 from repro.metadata.costmodel import ClusterProfile
 
 
@@ -49,17 +48,3 @@ def simulate_cluster_run(graph: DependencyGraph, plan: Plan,
                              options=options)
     return backend.run(_cluster_graph(graph, cluster), plan, memory_budget,
                        method=method)
-
-
-def simulate_cluster_lru(graph: DependencyGraph, order,
-                         cache_size: float,
-                         cluster: ClusterProfile,
-                         method: str = "lru") -> RunTrace:
-    """LRU-baseline counterpart of :func:`simulate_cluster_run`."""
-    scaled = _cluster_graph(graph, cluster)
-    check_topological_order(scaled, order)
-    backend = create_backend("lru", profile=cluster.effective_device())
-    ctx = backend.prepare(scaled, None, cache_size, method=method)
-    for node_id in order:
-        backend.execute_node(ctx, node_id)
-    return backend.finish(ctx)

@@ -147,11 +147,6 @@ class RunTrace:
         return {"read": read / total, "compute": compute / total,
                 "write": write / total}
 
-    def io_ratio(self) -> float:
-        """I/O share of total node time (Table III's "I/O ratio")."""
-        parts = self.breakdown()
-        return parts["read"] + parts["write"]
-
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """Plain-dict form of the whole run (JSON-compatible).

@@ -53,18 +53,6 @@ class SolverError(ReproError):
     """The optimization solver failed to produce a solution."""
 
 
-class SolverTimeoutError(SolverError):
-    """The branch-and-bound solver hit its node/time limit.
-
-    The incumbent (best feasible solution found so far) is attached so
-    callers can degrade gracefully.
-    """
-
-    def __init__(self, message: str, incumbent=None):
-        super().__init__(message)
-        self.incumbent = incumbent
-
-
 class ExecutionError(ReproError):
     """A refresh run failed while executing on an engine backend."""
 

@@ -3,8 +3,9 @@
 Every way this repo can *run* a refresh plan lives behind one protocol:
 
 * :class:`~repro.exec.base.ExecutionBackend` — every backend's ``run``;
-  the serial ones inherit its template and are resumable through three
-  hooks (``prepare`` / ``execute_node`` / ``finish``);
+  the serial simulator alone inherits its template and steps through
+  three hooks (``prepare`` / ``execute_node`` / ``finish``) over a
+  :class:`~repro.exec.base.SerialRun`;
 * :class:`~repro.exec.ledger.MemoryLedger` — the shared, thread-safe
   budget accountant: byte accounting, peak tracking, the consumer-count +
   materialization-hold release protocol, and dispatch-time reservations
@@ -38,7 +39,6 @@ spill tiers (SSD/disk) instead of blocking; the simulators arm it via
 
 from repro.exec.base import (
     ExecutionBackend,
-    ExecutionContext,
     backend_names,
     create_backend,
     get_backend,
@@ -48,7 +48,6 @@ from repro.exec.ledger import MemoryLedger
 
 __all__ = [
     "ExecutionBackend",
-    "ExecutionContext",
     "MemoryLedger",
     "backend_names",
     "create_backend",

@@ -1,19 +1,19 @@
 """ExecutionBackend protocol and the backend registry.
 
 A backend turns a (graph, plan, budget) triple into a
-:class:`~repro.engine.trace.RunTrace` through :meth:`ExecutionBackend.run`.
-The serial backends (``simulator``, ``lru``) inherit its template, which
-makes them resumable through three hooks a caller may also drive itself:
+:class:`~repro.engine.trace.RunTrace` through :meth:`ExecutionBackend.run`;
+every backend implements ``run``.  What a modeled node costs is not a
+backend's business: that is :class:`repro.exec.kernel.NodeKernel`, and a
+caller that steps a run node by node (the adaptive controller, the
+service) holds a kernel of its own.
 
-* :meth:`ExecutionBackend.prepare` — allocate run state (ledger, storage,
-  clocks) and return an :class:`ExecutionContext`;
+The serial simulator alone inherits the base ``run`` template, which
+steps it through three hooks a caller may also drive itself:
+
+* :meth:`ExecutionBackend.prepare` — validate, build the run's kernel and
+  return a :class:`SerialRun`;
 * :meth:`ExecutionBackend.execute_node` — run one DAG node;
 * :meth:`ExecutionBackend.finish` — drain outstanding work and summarize.
-
-The parallel scheduler (:mod:`repro.exec.parallel`) overrides ``run``
-with its own event loop and implements no hook; MiniDB overrides it to
-clean up after a failed run.  What a modeled node costs is not a
-backend's business: that is :class:`repro.exec.kernel.NodeKernel`.
 
 Backends register under a short name (``"simulator"``, ``"lru"``,
 ``"parallel"``, ``"minidb"``) and are constructed through
@@ -27,19 +27,19 @@ from __future__ import annotations
 
 import importlib
 import threading
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, ClassVar
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.core.plan import Plan
 from repro.errors import ValidationError
-from repro.exec.ledger import MemoryLedger, NoLock
+from repro.exec.ledger import NoLock
 from repro.graph.dag import DependencyGraph
-from repro.graph.topo import kahn_topological_order
 
 if TYPE_CHECKING:  # annotation-only: keeps repro.exec importable without
     # triggering repro.engine's package init (which imports back into
     # this module through the Controller) — repro.store's does too
-    from repro.engine.trace import NodeTrace, RunTrace
+    from repro.engine.trace import RunTrace
+    from repro.exec.kernel import NodeKernel
     from repro.store.config import SpillConfig
 
 
@@ -83,21 +83,16 @@ class SimulatorOptions:
 
 
 @dataclass
-class ExecutionContext:
-    """Per-run state shared between the backend hooks.
+class SerialRun:
+    """A serial run between :meth:`ExecutionBackend.prepare` and
+    :meth:`~ExecutionBackend.finish`: its kernel (ledger, clock, node
+    traces), the plan whose flags the next node follows — a stepping
+    caller may swap it between nodes — and the method name the trace
+    will carry."""
 
-    ``ledger`` is the budget accountant every backend must respect;
-    ``payload`` carries backend-specific state (simulator clocks, thread
-    pools, database handles).
-    """
-
-    graph: DependencyGraph
-    plan: Plan | None
-    memory_budget: float
-    method: str = ""
-    ledger: MemoryLedger | None = None
-    payload: Any = None
-    traces: list[NodeTrace] = field(default_factory=list)
+    kernel: NodeKernel
+    plan: Plan
+    method: str
 
 
 class ExecutionBackend:
@@ -112,7 +107,7 @@ class ExecutionBackend:
     requires_plan: ClassVar[bool] = True
 
     def __init__(self, profile=None, options=None, workers: int = 1,
-                 seed: int = 0, bus=None, cancel=None, **kwargs) -> None:
+                 seed: int = 0, bus=None, cancel=None) -> None:
         from repro.obs.events import resolve_bus
 
         if workers < 1:
@@ -129,7 +124,6 @@ class ExecutionBackend:
         # the next node boundary; backends raise
         # RunCancelledError after unwinding their ledger state
         self.cancel = cancel
-        self.extra = kwargs
         # what the run's ledger locks with; create_backend swaps in
         # NoLock for the backends that touch it from one thread only
         self.ledger_lock = threading.RLock
@@ -149,35 +143,30 @@ class ExecutionBackend:
                 node_id=node_id)
 
     # ------------------------------------------------------------------
-    # the serial run template's hooks: a backend that overrides run (a
-    # scheduler, MiniDB) calls only what it implements
+    # the serial run template's hooks: only the serial simulator
+    # implements them; every other backend overrides run
     def prepare(self, graph: DependencyGraph, plan: Plan | None,
-                memory_budget: float, method: str = "") -> ExecutionContext:
+                memory_budget: float, method: str = "") -> SerialRun:
         """Validate inputs and allocate the run state."""
         raise NotImplementedError(f"{self.name} does not run serially")
 
-    def execute_node(self, ctx: ExecutionContext, node_id: str) -> None:
+    def execute_node(self, run: SerialRun, node_id: str) -> None:
         """Execute one node (read inputs, compute, produce output)."""
         raise NotImplementedError(f"{self.name} does not run serially")
 
-    def finish(self, ctx: ExecutionContext) -> RunTrace:
+    def finish(self, run: SerialRun) -> RunTrace:
         """Drain background work and build the run summary."""
         raise NotImplementedError(f"{self.name} does not run serially")
 
     # ------------------------------------------------------------------
     def run(self, graph: DependencyGraph, plan: Plan | None,
             memory_budget: float, method: str = "") -> RunTrace:
-        """Template method: prepare, execute every node, finish.
-
-        Serial backends inherit this; schedulers override it.
-        """
-        ctx = self.prepare(graph, plan, memory_budget, method=method)
-        order = (list(ctx.plan.order) if ctx.plan is not None
-                 else kahn_topological_order(graph))
-        for node_id in order:
+        """Template method: prepare, execute every node, finish."""
+        run = self.prepare(graph, plan, memory_budget, method=method)
+        for node_id in run.plan.order:
             self.check_cancelled(node_id)
-            self.execute_node(ctx, node_id)
-        return self.finish(ctx)
+            self.execute_node(run, node_id)
+        return self.finish(run)
 
 
 # ----------------------------------------------------------------------
@@ -252,8 +241,9 @@ def get_backend(name: str) -> type[ExecutionBackend]:
 def create_backend(name: str, *, profile=None, options=None,
                    workers: int = 1, seed: int = 0, bus=None,
                    cancel=None, **kwargs) -> ExecutionBackend:
-    """Instantiate a backend with the shared constructor contract, and
-    choose its ledger's lock (not an option: see
+    """Instantiate a backend with the shared constructor contract plus
+    the backend's own keywords (``kwargs``: MiniDB's workload and spill
+    settings), and choose its ledger's lock (not an option: see
     :data:`_ONE_THREAD_BACKENDS`)."""
     cls = get_backend(name)
     backend = cls(profile=profile, options=options, workers=workers,

@@ -28,9 +28,10 @@ once:
 
 :meth:`~NodeKernel.run_node` is those phases back to back on the
 kernel's own clock — that *is* the serial simulator, the parallel
-scheduler's ``workers=1`` route and every node of a service request
-(which then awaits its event loop until the kernel's clock), so the
-three are equal by construction.  The parallel scheduler interleaves
+scheduler's ``workers=1`` route, every node of a service request
+(which then awaits its event loop until the kernel's clock) and every
+node of an adaptive refresh (which re-plans only the flags), so these
+are equal by construction.  The parallel scheduler interleaves
 other work and sequences the phases itself: it reads and computes at
 dispatch and places tier-direct outputs at the completion event.  The
 run state is explicit — ledger,

@@ -274,13 +274,6 @@ class MemoryLedger:
             self._commit_entry(node_id, size, n_consumers,
                                materialization_pending)
 
-    def cancel_reservation(self, node_id: str) -> None:
-        """Drop a reservation without committing (the node spilled)."""
-        with self._lock:
-            if node_id not in self._reserved:
-                raise CatalogError(f"table {node_id!r} has no reservation")
-            del self._reserved[node_id]
-
     # ------------------------------------------------------------------
     # release protocol
     # ------------------------------------------------------------------

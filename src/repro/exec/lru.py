@@ -29,13 +29,13 @@ from repro.engine.trace import NodeTrace, RunTrace
 from repro.errors import ValidationError
 from repro.exec.base import (
     ExecutionBackend,
-    ExecutionContext,
     SimulatorOptions,
     register_backend,
 )
 from repro.exec.kernel import NodeKernel, finish_run
 from repro.exec.ledger import MemoryLedger
 from repro.graph.dag import DependencyGraph
+from repro.graph.topo import kahn_topological_order
 from repro.metadata.costmodel import DeviceProfile
 from repro.obs.events import emit_node_events
 
@@ -104,9 +104,10 @@ class LruBackend(ExecutionBackend):
     name = "lru"
     requires_plan = False
 
-    def prepare(self, graph: DependencyGraph, plan: Plan | None,
-                memory_budget: float, method: str = "lru",
-                ) -> ExecutionContext:
+    def run(self, graph: DependencyGraph, plan: Plan | None,
+            memory_budget: float, method: str = "lru") -> RunTrace:
+        """Every node in topological order; all writes are blocking, so
+        the run is durable when its last node ends."""
         if plan is not None:
             raise ValidationError("the LRU baseline does not take a plan")
         cache = LruCache(capacity=memory_budget, lock=self.ledger_lock)
@@ -115,50 +116,33 @@ class LruBackend(ExecutionBackend):
         kernel = NodeKernel(graph, cache.ledger,
                             self.profile or DeviceProfile(),
                             SimulatorOptions(), bus=self.bus)
-        return ExecutionContext(graph=graph, plan=None,
-                                memory_budget=memory_budget,
-                                method=method or "lru",
-                                ledger=cache.ledger,
-                                payload=(kernel, cache),
-                                traces=kernel.traces)
-
-    def execute_node(self, ctx: ExecutionContext, node_id: str) -> None:
-        kernel, cache = ctx.payload
-        graph, storage = ctx.graph, kernel.storage
-        node = graph.node(node_id)
-        trace = NodeTrace(node_id=node_id, start=kernel.clock)
-        clock = kernel.clock
-
-        input_bytes = 0.0
-        for parent in graph.parents(node_id):
-            size = graph.size_of(parent)
-            input_bytes += size
-            if cache.get(parent):
-                duration = kernel.profile.read_time_memory(size)
-                trace.read_memory += duration
-                trace.cache_hits += 1
-            else:
-                duration = storage.read_duration(size, clock)
-                trace.read_disk += duration
-                trace.cache_misses += 1
-                cache.put(parent, size)
-            clock += duration
-        clock = kernel.base_read_and_compute(node, input_bytes, trace, clock)
-
-        duration = storage.write_duration(node.size, clock)
-        trace.write = duration
-        clock += duration
-        cache.put(node_id, node.size)  # query results are cached
-
-        trace.end = clock
-        kernel.clock = clock
-        kernel.traces.append(trace)
-        if self.bus.enabled:
-            emit_node_events(self.bus, trace, "worker-0")
-
-    def finish(self, ctx: ExecutionContext) -> RunTrace:
-        """All writes were blocking: the run is durable when it ends."""
-        kernel, _ = ctx.payload
-        return finish_run(ctx.ledger, self.bus, kernel.traces,
-                          kernel.clock, kernel.clock, ctx.memory_budget,
-                          ctx.method)
+        storage, traces, clock = kernel.storage, kernel.traces, 0.0
+        for node_id in kahn_topological_order(graph):
+            self.check_cancelled(node_id)
+            node = graph.node(node_id)
+            trace = NodeTrace(node_id=node_id, start=clock)
+            input_bytes = 0.0
+            for parent in graph.parents(node_id):
+                size = graph.size_of(parent)
+                input_bytes += size
+                if cache.get(parent):
+                    duration = kernel.profile.read_time_memory(size)
+                    trace.read_memory += duration
+                    trace.cache_hits += 1
+                else:
+                    duration = storage.read_duration(size, clock)
+                    trace.read_disk += duration
+                    trace.cache_misses += 1
+                    cache.put(parent, size)
+                clock += duration
+            clock = kernel.base_read_and_compute(node, input_bytes, trace,
+                                                 clock)
+            trace.write = storage.write_duration(node.size, clock)
+            clock += trace.write
+            cache.put(node_id, node.size)  # query results are cached
+            trace.end = clock
+            traces.append(trace)
+            if self.bus.enabled:
+                emit_node_events(self.bus, trace, "worker-0")
+        return finish_run(cache.ledger, self.bus, traces, clock, clock,
+                          memory_budget, method or "lru")

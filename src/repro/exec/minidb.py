@@ -1,4 +1,4 @@
-"""MiniDB runner as an :class:`ExecutionBackend` (real wall-clock I/O).
+"""MiniDB as an :class:`ExecutionBackend` (real wall-clock I/O).
 
 The honest counterpart of the discrete-event simulators: flagged MVs are
 created in the memory catalog and drained to disk in the background by
@@ -20,8 +20,11 @@ is evicted.  The per-node lifecycle is deliberately its own — it
 not: which victim leaves RAM, what has to cascade out of its way and
 where the accounting lands is the ledger's one eviction path
 (:meth:`~repro.store.tiered.TieredLedger.demote_victim`), and this
-backend only moves the bytes it is asked to (:meth:`MiniDbBackend.
-_move_bytes`, the ledger's ``Mover``).
+backend only moves the bytes it is asked to (:meth:`_MiniDbRun.
+_move_bytes`, the ledger's ``Mover``).  :meth:`MiniDbBackend.run` is the
+only entry point: it builds one private :class:`_MiniDbRun` (ledger,
+drain pool, scratch copies, per-node lifecycle) and steps it in plan
+order; nobody else drives a run node by node.
 
 Warehouse, spill directory and in-memory rung all hold the one table
 format (the self-describing blob of :mod:`repro.db.columnar_codec`), and
@@ -31,8 +34,9 @@ demotion into a compressing tier share — whoever asks first encodes, the
 other waits for that encode and adopts the bytes, and a blob moves
 between rung, spill file and warehouse verbatim.
 
-Construct with the workload: ``create_backend("minidb", workload=wl)``;
-``run`` then takes the workload's own dependency graph.  Passing
+Construct with the workload: ``create_backend("minidb", workload=wl)``
+(every MiniDB setting is a keyword of :class:`MiniDbBackend`); ``run``
+then takes the workload's own dependency graph.  Passing
 ``spill_dir=<path>`` (plus optional ``spill_policy``) additionally arms
 *real* spill-to-disk through a :class:`~repro.store.tiered.TieredLedger`:
 when memory is pinned by entries with outstanding consumers, policy-ranked
@@ -72,12 +76,11 @@ loop exactly like simulated charges.
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.plan import Plan
 from repro.db import columnar_codec, storage_format
@@ -85,14 +88,14 @@ from repro.db.catalog import DatabaseCatalog
 from repro.db.table import Table
 from repro.engine.trace import NodeTrace, RunTrace
 from repro.errors import CatalogError, ExecutionError, ValidationError
-from repro.exec.base import (
-    ExecutionBackend,
-    ExecutionContext,
-    register_backend,
-)
+from repro.exec.base import ExecutionBackend, register_backend
 from repro.exec.kernel import finish_run
 from repro.exec.ledger import MemoryLedger
 from repro.graph.dag import DependencyGraph
+
+if TYPE_CHECKING:
+    from repro.db.engine import SqlWorkload
+    from repro.store.config import CodecAdaptConfig
 
 _GB = 1024.0 ** 3
 
@@ -138,123 +141,128 @@ class _Drain:
         catalog.persist(name, self.blob(storage_format.DEFAULT_CODEC))
 
 
-@dataclass
-class _MiniDbState:
-    """Controller-thread view of an in-progress MiniDB run."""
-
-    by_name: dict
-    pool: ThreadPoolExecutor
-    # background writes not yet applied to the ledger (a drained and
-    # applied write leaves; what it wrote is then durable)
-    writes: dict[str, _Drain] = field(default_factory=dict)
-    run_started: float = 0.0
-    evicted: set[str] = field(default_factory=set)
-    spill_dir: str | None = None
-    spill_files: set[str] = field(default_factory=set)
-    # ledger index of the on-disk spill tier: 2 when the compressed-in-
-    # RAM rung (ram_compressed_gb extra) sits above it as tier 1.  A
-    # rung entry's bytes are its drain's blob, which outlives a
-    # promotion back to RAM — tables are immutable, so a re-spill reuses
-    # it without re-encoding (the in-memory twin of the spill_files
-    # reuse rule)
-    device_tier: int = 1
-
-
 @register_backend
 class MiniDbBackend(ExecutionBackend):
-    """Execute an S/C plan on the real MiniDB with background writes."""
+    """Execute an S/C plan on the real MiniDB with background writes.
+
+    ``workload`` is the :class:`~repro.db.engine.SqlWorkload` to refresh;
+    ``spill_dir`` arms real spills (``spill_policy``, ``spill_codec``,
+    ``spill_adapt``), and ``ram_compressed_gb`` the in-memory rung above
+    them.  The rest are :class:`ExecutionBackend`'s own arguments.
+    """
 
     name = "minidb"
 
-    def prepare(self, graph: DependencyGraph, plan: Plan | None,
-                memory_budget: float, method: str = "") -> ExecutionContext:
-        workload = self.extra.get("workload")
+    def __init__(self, *, workload: SqlWorkload | None = None,
+                 spill_dir: str | None = None, spill_policy: str = "cost",
+                 spill_codec: str = "none",
+                 spill_adapt: CodecAdaptConfig | None = None,
+                 ram_compressed_gb: float = 0.0, **common) -> None:
+        super().__init__(**common)
+        self.workload = workload
+        self.spill_dir = spill_dir
+        self.spill_policy = spill_policy
+        self.spill_codec = spill_codec
+        self.spill_adapt = spill_adapt
+        self.ram_compressed_gb = ram_compressed_gb
+
+    def run(self, graph: DependencyGraph, plan: Plan | None,
+            memory_budget: float, method: str = "") -> RunTrace:
+        """Every node in plan order, then every drain; a failed or
+        cancelled run leaves no drain thread and no spill file behind."""
+        run = _MiniDbRun(self, graph, plan, memory_budget)
+        try:
+            for node_id in run.plan.order:
+                self.check_cancelled(node_id)
+                run.run_node(node_id)
+            return run.finish(method)
+        except BaseException:
+            run.close()
+            raise
+
+
+class _MiniDbRun:
+    """One MiniDB refresh, seen from the controller thread: the ledger,
+    the drain pool, the scratch copies and the per-node lifecycle."""
+
+    def __init__(self, backend: MiniDbBackend, graph: DependencyGraph,
+                 plan: Plan | None, memory_budget: float) -> None:
+        workload = backend.workload
         if workload is None:
             raise ValidationError(
                 "the minidb backend needs workload=<SqlWorkload>")
         if plan is None:
             raise ValidationError(
                 "the minidb backend requires a plan; optimize first")
-        by_name = {d.name: d for d in workload.definitions}
-        missing = [v for v in plan.order if v not in by_name]
+        self.sql = {d.name: d.sql for d in workload.definitions}
+        missing = [v for v in plan.order if v not in self.sql]
         if missing:
             raise ExecutionError(f"plan mentions unknown MVs: {missing[:5]}")
-        spill_dir = self.extra.get("spill_dir")
-        rung_gb = float(self.extra.get("ram_compressed_gb") or 0.0)
+        spill_dir = backend.spill_dir
+        rung_gb = backend.ram_compressed_gb
         if rung_gb > 0 and not spill_dir:
             raise ValidationError(
                 "ram_compressed_gb needs spill_dir=<path> as well — the "
                 "rung cascades its victims into the spill directory")
+        self.graph, self.plan, self.bus = graph, plan, backend.bus
+        self.db = workload.db
         if spill_dir:
             from repro.store.config import minidb_spill_config
             from repro.store.tiered import TieredLedger
 
             os.makedirs(spill_dir, exist_ok=True)
             config = minidb_spill_config(
-                rung_gb,
-                policy=self.extra.get("spill_policy", "cost"),
-                codec=self.extra.get("spill_codec", "none"),
-                adapt=self.extra.get("spill_adapt"))
+                rung_gb, policy=backend.spill_policy,
+                codec=backend.spill_codec, adapt=backend.spill_adapt)
             # charge_io=False: this backend measures real wall clocks
             # around real (de)serialization instead of charging a model
-            ledger: MemoryLedger = TieredLedger(memory_budget, config,
-                                                charge_io=False,
-                                                bus=self.bus)
+            self.ledger: MemoryLedger = TieredLedger(
+                memory_budget, config, charge_io=False, bus=self.bus)
         else:
-            ledger = MemoryLedger(budget=memory_budget)
+            self.ledger = MemoryLedger(budget=memory_budget)
         # re-base the bus epoch to the run start: this backend's logical
         # clock IS wall time, so event timestamps line up with the
         # run-relative NodeTrace clocks
         self.bus.rebase()
-        state = _MiniDbState(
-            by_name=by_name,
-            # threads start with the first flagged MV, not here
-            pool=ThreadPoolExecutor(max_workers=_DRAIN_WORKERS,
-                                    thread_name_prefix="materialize"),
-            run_started=time.perf_counter(),
-            spill_dir=spill_dir,
-            device_tier=2 if rung_gb > 0 else 1)
-        return ExecutionContext(graph=graph, plan=plan,
-                                memory_budget=memory_budget, method=method,
-                                ledger=ledger,
-                                payload=state)
-
-    def run(self, graph: DependencyGraph, plan: Plan | None,
-            memory_budget: float, method: str = "") -> RunTrace:
-        """The serial template, plus: a failed or cancelled run leaves no
-        drain thread and no spill file behind."""
-        ctx = self.prepare(graph, plan, memory_budget, method=method)
-        try:
-            for node_id in ctx.plan.order:
-                self.check_cancelled(node_id)
-                self.execute_node(ctx, node_id)
-            return self.finish(ctx)
-        except BaseException:
-            self._close(ctx.payload)
-            raise
+        # threads start with the first flagged MV, not here
+        self.pool = ThreadPoolExecutor(max_workers=_DRAIN_WORKERS,
+                                       thread_name_prefix="materialize")
+        self.started = time.perf_counter()
+        # background writes not yet applied to the ledger (a drained and
+        # applied write leaves; what it wrote is then durable)
+        self.writes: dict[str, _Drain] = {}
+        self.evicted: set[str] = set()
+        self.spill_dir = spill_dir
+        self.spill_files: set[str] = set()
+        # ledger index of the on-disk spill tier: 2 when the compressed-in-
+        # RAM rung sits above it as tier 1.  A rung entry's bytes are its
+        # drain's blob, which outlives a promotion back to RAM — tables
+        # are immutable, so a re-spill reuses it without re-encoding (the
+        # in-memory twin of the spill_files reuse rule)
+        self.device_tier = 2 if rung_gb > 0 else 1
+        self.traces: list[NodeTrace] = []
 
     # ------------------------------------------------------------------
-    def execute_node(self, ctx: ExecutionContext, node_id: str) -> None:
-        state: _MiniDbState = ctx.payload
-        db = self.extra["workload"].db
+    def run_node(self, node_id: str) -> None:
+        ledger, db = self.ledger, self.db
         trace = NodeTrace(node_id=node_id,
-                          start=time.perf_counter() - state.run_started,
-                          flagged=ctx.plan.is_flagged(node_id))
-        if state.spill_dir:
-            self._stage_spilled_parents(ctx, node_id, trace)
-        result, timing = db.query(state.by_name[node_id].sql)
+                          start=time.perf_counter() - self.started,
+                          flagged=self.plan.is_flagged(node_id))
+        if self.spill_dir:
+            self._stage_spilled_parents(node_id, trace)
+        result, timing = db.query(self.sql[node_id])
         trace.read_disk = timing.read_seconds
         trace.read_memory = 0.0
         trace.compute = timing.compute_seconds
         size_gb = result.nbytes / _GB
 
-        if trace.flagged and self._reclaim(ctx, size_gb, trace):
+        if trace.flagged and self._reclaim(size_gb, trace):
             db.catalog.put_memory(node_id, result)
-            ctx.ledger.insert(node_id, size_gb,
-                              n_consumers=ctx.graph.out_degree(node_id),
-                              materialization_pending=True)
-            state.writes[node_id] = _Drain(state.pool, db.catalog,
-                                           node_id, result)
+            ledger.insert(node_id, size_gb,
+                          n_consumers=self.graph.out_degree(node_id),
+                          materialization_pending=True)
+            self.writes[node_id] = _Drain(self.pool, db.catalog, node_id,
+                                          result)
         else:
             write_started = time.perf_counter()
             db.catalog.persist(node_id, result)
@@ -262,21 +270,41 @@ class MiniDbBackend(ExecutionBackend):
 
         # apply any background writes that drained while the query ran, so
         # a fully-consumed parent releases here, not at the next stall
-        self._reap_drained(ctx)
-        for parent in ctx.graph.parents(node_id):
-            if parent in ctx.ledger:
-                if ctx.ledger.consumer_done(parent):
-                    self.evict(ctx, parent)
+        self._reap_drained()
+        for parent in self.graph.parents(node_id):
+            if parent in ledger:
+                if ledger.consumer_done(parent):
+                    self._evict(parent)
 
-        trace.end = time.perf_counter() - state.run_started
-        ctx.traces.append(trace)
+        trace.end = time.perf_counter() - self.started
+        self.traces.append(trace)
         if self.bus.enabled:
             from repro.obs.events import emit_node_events
 
             emit_node_events(self.bus, trace, "worker-0")
 
+    def finish(self, method: str) -> RunTrace:
+        compute_finished = time.perf_counter() - self.started
+        for node_id in list(self.writes):
+            self._materialize(node_id)
+        # the run is over when every MV is durable and the scratch is gone
+        self.close()
+        return finish_run(self.ledger, self.bus, self.traces,
+                          compute_finished,
+                          time.perf_counter() - self.started,
+                          self.ledger.budget, method)
+
+    def close(self) -> None:
+        """Stop the drain pool — a running write is waited for, queued
+        ones (a failed or cancelled run's) are dropped — and remove the
+        leftover scratch copies; idempotent."""
+        self.pool.shutdown(wait=True, cancel_futures=True)
+        for node_id in self.spill_files:
+            storage_format.delete_table(self.spill_dir, node_id)
+        self.spill_files.clear()
+
     # ------------------------------------------------------------------
-    def materialize(self, ctx: ExecutionContext, node_id: str) -> None:
+    def _materialize(self, node_id: str) -> None:
         """Wait for ``node_id``'s background write and apply it: clear
         the hold, evict if released.
 
@@ -284,67 +312,40 @@ class MiniDbBackend(ExecutionBackend):
         of the table could be evicted, and takes the drain pool and the
         spill files with it.
         """
-        state: _MiniDbState = ctx.payload
-        drain = state.writes.get(node_id)
+        drain = self.writes.get(node_id)
         if drain is None:
             return
         try:
             drain.future.result()
         except Exception as exc:
-            self._close(state)
+            self.close()
             raise ExecutionError(
                 f"background write of MV {node_id!r} failed: {exc}") \
                 from exc
-        del state.writes[node_id]
-        if node_id in ctx.ledger and ctx.ledger.materialized(node_id):
-            self.evict(ctx, node_id)
+        del self.writes[node_id]
+        if node_id in self.ledger and self.ledger.materialized(node_id):
+            self._evict(node_id)
 
-    def evict(self, ctx: ExecutionContext, node_id: str) -> None:
+    def _evict(self, node_id: str) -> None:
         """Drop a fully released MV from MiniDB's memory catalog."""
-        state: _MiniDbState = ctx.payload
-        if node_id in state.evicted:
+        if node_id in self.evicted:
             return
-        if node_id in ctx.ledger:  # force-eviction path (cleanup)
-            ctx.ledger.force_release(node_id)
-        state.evicted.add(node_id)
-        db = self.extra["workload"].db
-        if db.catalog.in_memory(node_id):
-            db.release_memory(node_id)
-        if node_id in state.spill_files:
-            storage_format.delete_table(state.spill_dir, node_id)
-            state.spill_files.discard(node_id)
+        if node_id in self.ledger:  # force-eviction path (cleanup)
+            self.ledger.force_release(node_id)
+        self.evicted.add(node_id)
+        if self.db.catalog.in_memory(node_id):
+            self.db.release_memory(node_id)
+        if node_id in self.spill_files:
+            storage_format.delete_table(self.spill_dir, node_id)
+            self.spill_files.discard(node_id)
 
-    def finish(self, ctx: ExecutionContext) -> RunTrace:
-        state: _MiniDbState = ctx.payload
-        compute_finished = time.perf_counter() - state.run_started
-        for node_id in list(state.writes):
-            self.materialize(ctx, node_id)
-        # the run is over when every MV is durable and the scratch is gone
-        self._close(state)
-        return finish_run(ctx.ledger, self.bus, ctx.traces,
-                          compute_finished,
-                          time.perf_counter() - state.run_started,
-                          ctx.memory_budget, ctx.method)
-
-    def _close(self, state: _MiniDbState) -> None:
-        """Stop the drain pool — a running write is waited for, queued
-        ones (a failed or cancelled run's) are dropped — and remove the
-        leftover scratch copies; idempotent."""
-        state.pool.shutdown(wait=True, cancel_futures=True)
-        for node_id in state.spill_files:
-            storage_format.delete_table(state.spill_dir, node_id)
-        state.spill_files.clear()
-
-    # ------------------------------------------------------------------
-    def _reap_drained(self, ctx: ExecutionContext) -> None:
+    def _reap_drained(self) -> None:
         """Apply any background writes that have finished."""
-        state: _MiniDbState = ctx.payload
-        for node_id, drain in list(state.writes.items()):
+        for node_id, drain in list(self.writes.items()):
             if drain.future.done():
-                self.materialize(ctx, node_id)
+                self._materialize(node_id)
 
-    def _reclaim(self, ctx: ExecutionContext, target_gb: float,
-                 trace: NodeTrace,
+    def _reclaim(self, target_gb: float, trace: NodeTrace,
                  protect: frozenset = frozenset()) -> bool:
         """Stall until ``target_gb`` fits, waiting for background writes.
 
@@ -358,34 +359,33 @@ class MiniDbBackend(ExecutionBackend):
         stay where they are (the parents of the node currently being
         staged), in RAM or as cascade victims below it.
         """
-        state: _MiniDbState = ctx.payload
+        ledger = self.ledger
         stall_started = time.perf_counter()
         spilling_before = trace.spill_write
 
         def in_ram(name: str) -> bool:  # spilled entries free no RAM
-            return not state.spill_dir or ctx.ledger.tier_of(name) == 0
+            return not self.spill_dir or ledger.tier_of(name) == 0
 
-        while not ctx.ledger.fits(target_gb):
-            self._reap_drained(ctx)
-            if ctx.ledger.fits(target_gb):
+        while not ledger.fits(target_gb):
+            self._reap_drained()
+            if ledger.fits(target_gb):
                 break
-            waiting = [d.future for n, d in state.writes.items()
-                       if n in ctx.ledger and in_ram(n)
-                       and ctx.ledger.consumers_left(n) <= 0]
+            waiting = [d.future for n, d in self.writes.items()
+                       if n in ledger and in_ram(n)
+                       and ledger.consumers_left(n) <= 0]
             if waiting:
                 # the stall ends when the first of them frees its memory
                 wait(waiting, return_when=FIRST_COMPLETED)
                 continue
-            if not state.spill_dir:
+            if not self.spill_dir:
                 return False  # outstanding consumers hold the memory
             spill_started = time.perf_counter()
-            moved = ctx.ledger.demote_victim(
-                exclude=protect,
-                mover=functools.partial(self._move_bytes, ctx))
+            moved = ledger.demote_victim(exclude=protect,
+                                         mover=self._move_bytes)
             if moved is None:
                 return False  # ... and nothing in RAM may be spilled
             # the victim's accounting has left RAM: so may its table
-            self.extra["workload"].db.release_memory(moved[0])
+            self.db.release_memory(moved[0])
             trace.spill_write += time.perf_counter() - spill_started
         # spill seconds were booked into spill_write; stall is the rest
         trace.stall += max(0.0, time.perf_counter() - stall_started
@@ -399,8 +399,7 @@ class MiniDbBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # real spill-to-disk (spill_dir configured)
     # ------------------------------------------------------------------
-    def _move_bytes(self, ctx: ExecutionContext, node_id: str, src: int,
-                    dst: int) -> float:
+    def _move_bytes(self, node_id: str, src: int, dst: int) -> float:
         """The ledger's :data:`~repro.store.tiered.Mover`: put
         ``node_id``'s bytes where tier ``dst`` keeps them and return the
         *measured* stored GB.
@@ -422,38 +421,36 @@ class MiniDbBackend(ExecutionBackend):
         current codec is ``none``, else written as its blob — the one
         its drain encoded, or one encoded here for the drain to reuse.
         """
-        state: _MiniDbState = ctx.payload
-        db = self.extra["workload"].db
+        ledger, db = self.ledger, self.db
         if db.catalog.persisted(node_id):
             return 0.0
-        on_disk = dst == state.device_tier
-        if on_disk and node_id in state.spill_files:
+        on_disk = dst == self.device_tier
+        if on_disk and node_id in self.spill_files:
             return storage_format.on_disk_size(
-                state.spill_dir, node_id) / _GB
+                self.spill_dir, node_id) / _GB
         started = time.perf_counter()
-        codec = ctx.ledger.tiers[dst].codec.name
+        codec = ledger.tiers[dst].codec.name
         if not on_disk:
             # a RAM resident that is not durable has its write pending
-            stored = len(state.writes[node_id].blob(codec))
+            stored = len(self.writes[node_id].blob(codec))
         else:
-            if state.device_tier > 1:
-                payload: Table | bytes = self._rung_blob(state, node_id)
+            if self.device_tier > 1:
+                payload: Table | bytes = self._rung_blob(node_id)
             elif codec == "none":
                 payload = db.catalog.get_memory(node_id)
             else:
-                payload = state.writes[node_id].blob(codec)
-            stored = storage_format.write_table(payload, state.spill_dir,
+                payload = self.writes[node_id].blob(codec)
+            stored = storage_format.write_table(payload, self.spill_dir,
                                                 node_id, codec=codec)
-            state.spill_files.add(node_id)
-        ctx.ledger.record_wall_seconds(
+            self.spill_files.add(node_id)
+        ledger.record_wall_seconds(
             dst, "spill_in", time.perf_counter() - started,
-            ctx.ledger.size_of(node_id))
+            ledger.size_of(node_id))
         return stored / _GB
 
-    @staticmethod
-    def _rung_blob(state: _MiniDbState, name: str) -> bytes:
+    def _rung_blob(self, name: str) -> bytes:
         """The bytes of rung entry ``name``: its pending drain's blob."""
-        drain = state.writes.get(name)
+        drain = self.writes.get(name)
         blob = drain.encoded if drain is not None else None
         if blob is None:
             raise CatalogError(
@@ -461,7 +458,7 @@ class MiniDbBackend(ExecutionBackend):
                 f"copy")
         return blob
 
-    def _stage_spilled_parents(self, ctx: ExecutionContext, node_id: str,
+    def _stage_spilled_parents(self, node_id: str,
                                trace: NodeTrace) -> None:
         """Make every spilled parent of ``node_id`` readable again.
 
@@ -473,36 +470,35 @@ class MiniDbBackend(ExecutionBackend):
         other victims to make room); when even that is impossible, the
         parent's background write is waited for so a durable copy exists.
         """
-        state: _MiniDbState = ctx.payload
-        db = self.extra["workload"].db
-        protect = frozenset(ctx.graph.parents(node_id))
+        ledger, db = self.ledger, self.db
+        protect = frozenset(self.graph.parents(node_id))
         for parent in sorted(protect):
-            tier = ctx.ledger.tier_of(parent)
+            tier = ledger.tier_of(parent)
             if tier is None or tier == 0:
                 continue
             if db.catalog.persisted(parent):
                 continue  # resolver reads the durable copy from disk
             # _reclaim books its own stall/spill time; promote_read
             # covers only the read-back and re-admission below
-            if self._reclaim(ctx, ctx.ledger.size_of(parent), trace,
+            if self._reclaim(ledger.size_of(parent), trace,
                              protect=protect):
                 if db.catalog.persisted(parent):
                     continue  # its write drained while room was made
                 started = time.perf_counter()
-                if tier != state.device_tier:
+                if tier != self.device_tier:
                     # rung-resident: lazy in-RAM decode
                     table = columnar_codec.decode_table(
-                        self._rung_blob(state, parent))
+                        self._rung_blob(parent))
                 else:
-                    table = storage_format.read_table(state.spill_dir,
+                    table = storage_format.read_table(self.spill_dir,
                                                       parent)
                 db.catalog.put_memory(parent, table)
-                ctx.ledger.promote(parent)
+                ledger.promote(parent)
                 elapsed = time.perf_counter() - started
-                ctx.ledger.record_wall_seconds(
-                    tier, "read", elapsed, ctx.ledger.size_of(parent))
+                ledger.record_wall_seconds(
+                    tier, "read", elapsed, ledger.size_of(parent))
                 trace.promote_read += elapsed
             else:  # wait for the durable copy
                 started = time.perf_counter()
-                self.materialize(ctx, parent)
+                self._materialize(parent)
                 trace.stall += time.perf_counter() - started

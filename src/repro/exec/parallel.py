@@ -136,16 +136,17 @@ class _Schedule:
         self.completed = 0
 
     def run(self, check_cancelled: Callable[[], None]) -> None:
+        """Dispatch and advance until every node completed; a set cancel
+        event stops the run before a dispatch round starts anything."""
         n = self.kernel.graph.n
-        self.dispatch()
         while self.completed < n:
             check_cancelled()
+            self.dispatch()
             if self.next_event() is None:
                 raise ExecutionError(
                     "parallel scheduler stalled: "
                     f"{n - self.completed} nodes unreachable")
             self.advance()
-            self.dispatch()
 
     def next_event(self) -> float | None:
         """When the next drain or completion lands (None: nothing is in

@@ -14,8 +14,6 @@ from repro.graph.topo import (
 )
 from repro.graph.traversal import (
     ancestors,
-    critical_path,
-    descendants,
     last_consumer_position,
     longest_path_levels,
 )
@@ -29,9 +27,7 @@ __all__ = [
     "dfs_topological_order",
     "is_topological_order",
     "ancestors",
-    "descendants",
     "longest_path_levels",
-    "critical_path",
     "last_consumer_position",
     "LayeredDagConfig",
     "generate_layered_dag",

@@ -69,19 +69,3 @@ def save_graph(graph: DependencyGraph, path: str) -> None:
 def load_graph(path: str) -> DependencyGraph:
     with open(path, encoding="utf-8") as handle:
         return graph_from_json(handle.read())
-
-
-def graph_to_dot(graph: DependencyGraph,
-                 flagged: set[str] | None = None) -> str:
-    """Graphviz rendering; flagged nodes (kept in memory) are shaded."""
-    flagged = flagged or set()
-    lines = ["digraph dependency_graph {", "  rankdir=TB;"]
-    for node in graph.node_objects():
-        label = f"{node.node_id}\\n{node.size:.3g}"
-        style = ' style=filled fillcolor="lightblue"' \
-            if node.node_id in flagged else ""
-        lines.append(f'  "{node.node_id}" [label="{label}"{style}];')
-    for producer, consumer in graph.edges():
-        lines.append(f'  "{producer}" -> "{consumer}";')
-    lines.append("}")
-    return "\n".join(lines)

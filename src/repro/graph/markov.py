@@ -71,18 +71,6 @@ class MarkovChain:
                 return candidate
         return END  # floating-point slack lands on the final state
 
-    def sample_sequence(self, rng: random.Random,
-                        max_length: int = 32) -> list[str]:
-        """Sample a full operation sequence (END and START excluded)."""
-        sequence: list[str] = []
-        state = START
-        while len(sequence) < max_length:
-            state = self.sample_next(state, rng)
-            if state == END:
-                break
-            sequence.append(state)
-        return sequence
-
     def sample_operation(self, previous: str | None,
                          rng: random.Random) -> str:
         """Sample one operation following ``previous`` (or START).

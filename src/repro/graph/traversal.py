@@ -1,9 +1,9 @@
-"""Reachability, levels, and critical-path helpers over dependency graphs."""
+"""Reachability and level helpers over dependency graphs."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.errors import GraphError
 from repro.graph.dag import DependencyGraph
@@ -12,11 +12,6 @@ from repro.graph.dag import DependencyGraph
 def ancestors(graph: DependencyGraph, node_id: str) -> set[str]:
     """All transitive producers ``node_id`` depends on (excluding itself)."""
     return _reach(graph, node_id, graph.parents)
-
-
-def descendants(graph: DependencyGraph, node_id: str) -> set[str]:
-    """All transitive consumers of ``node_id`` (excluding itself)."""
-    return _reach(graph, node_id, graph.children)
 
 
 def _reach(graph: DependencyGraph, start: str, step) -> set[str]:
@@ -56,38 +51,6 @@ def longest_path_levels(graph: DependencyGraph) -> dict[str, int]:
     if processed != graph.n:
         raise GraphError("longest_path_levels requires an acyclic graph")
     return levels
-
-
-def critical_path(graph: DependencyGraph,
-                  weights: Mapping[str, float] | None = None,
-                  ) -> tuple[float, list[str]]:
-    """Heaviest root-to-sink chain.
-
-    ``weights`` defaults to each node's ``compute_time`` (or 0 when unset).
-    Returns ``(total_weight, path)``. The execution simulator uses this as a
-    lower bound on the refresh makespan regardless of scheduling.
-    """
-    if weights is None:
-        weights = {v: (graph.node(v).compute_time or 0.0)
-                   for v in graph.nodes()}
-    levels = longest_path_levels(graph)  # also validates acyclicity
-    order = sorted(graph.nodes(), key=lambda v: levels[v])
-    best: dict[str, float] = {}
-    best_parent: dict[str, str | None] = {}
-    for node in order:
-        parent_costs = [(best[p], p) for p in graph.parents(node)]
-        if parent_costs:
-            cost, parent = max(parent_costs)
-        else:
-            cost, parent = 0.0, None
-        best[node] = cost + float(weights.get(node, 0.0))
-        best_parent[node] = parent
-    end = max(best, key=lambda v: best[v])
-    path = [end]
-    while best_parent[path[-1]] is not None:
-        path.append(best_parent[path[-1]])  # type: ignore[arg-type]
-    path.reverse()
-    return best[end], path
 
 
 def last_consumer_position(graph: DependencyGraph,

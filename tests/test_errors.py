@@ -37,9 +37,3 @@ def test_sql_error_position():
     err = errors.SqlError("bad", sql="SELEC", position=0)
     assert err.sql == "SELEC"
     assert err.position == 0
-
-
-def test_solver_timeout_carries_incumbent():
-    err = errors.SolverTimeoutError("slow", incumbent=[1, 2])
-    assert err.incumbent == [1, 2]
-    assert isinstance(err, errors.SolverError)

@@ -78,9 +78,9 @@ class TestRegistryDispatch:
         # itself, not a subclass with its own accounting
         problem = make_random_problem(3, n_nodes=8)
         plan = optimize(problem, "sc").plan
-        ctx = create_backend("simulator").prepare(
+        run = create_backend("simulator").prepare(
             problem.graph, plan, problem.memory_budget)
-        assert type(ctx.ledger) is MemoryLedger
+        assert type(run.kernel.ledger) is MemoryLedger
 
 
 class TestParallelScheduler:
@@ -206,9 +206,3 @@ class TestLedgerConcurrentAdmission:
         assert "a" in ledger
         assert ledger.materialized("a")  # 0 consumers + drained: released
         assert "a" not in ledger
-
-    def test_cancel_reservation_frees_space(self):
-        ledger = MemoryLedger(budget=10.0)
-        assert ledger.reserve("a", 8.0)
-        ledger.cancel_reservation("a")
-        assert ledger.reserve("b", 8.0)

@@ -8,7 +8,6 @@ from repro.graph.io import (
     graph_from_dict,
     graph_from_json,
     graph_to_dict,
-    graph_to_dot,
     graph_to_json,
     load_graph,
     save_graph,
@@ -46,12 +45,3 @@ class TestJsonRoundTrip:
         payload["edges"].append(["b", "a"])
         with pytest.raises(Exception):
             graph_from_dict(payload)
-
-
-class TestDot:
-    def test_flagged_nodes_highlighted(self, diamond_graph):
-        dot = graph_to_dot(diamond_graph, flagged={"b"})
-        assert '"a" -> "b"' in dot
-        assert "lightblue" in dot
-        assert dot.count("fillcolor") == 1
-

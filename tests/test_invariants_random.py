@@ -354,7 +354,7 @@ def test_checked_ledger_actually_checks(seed, monkeypatch):
 
     ledger = create_backend(
         "simulator", options=SimulatorOptions(spill=spill)).prepare(
-            graph, plan, ram).ledger
+            graph, plan, ram).kernel.ledger
     assert isinstance(ledger, CheckedLedger)
     ledger.insert("probe", min(ram, 1.0), n_consumers=1)
     assert ledger.checks_run > 0

@@ -23,6 +23,8 @@ from repro.engine.controller import Controller
 from repro.exec import create_backend
 from repro.exec.kernel import NodeKernel
 from repro.exec.ledger import MemoryLedger, NoLock
+from repro.exec.lru import LruCache
+from repro.exec.minidb import _MiniDbRun
 from repro.exec.simulator import SerialSimulatorBackend
 from repro.graph.dag import DependencyGraph
 from repro.serve import RefreshService, ServiceConfig, TenantSpec
@@ -81,11 +83,25 @@ def test_discrete_event_simulators_lock_nothing(name, workers, options,
     assert all(isinstance(lock, NoLock) for lock in locks)
 
 
-def test_lru_baseline_locks_nothing():
+def _spy_on_init(monkeypatch, cls):
+    """Every instance of ``cls`` built while the spy is on."""
+    built = []
+    init = cls.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(cls, "__init__", spy)
+    return built
+
+
+def test_lru_baseline_locks_nothing(monkeypatch):
     graph, _ = _chain()
-    backend = create_backend("lru")
-    assert isinstance(backend.prepare(graph, None, 2.0).ledger._lock,
-                      NoLock)
+    caches = _spy_on_init(monkeypatch, LruCache)
+    assert create_backend("lru").run(graph, None, 2.0).nodes
+    [cache] = caches
+    assert isinstance(cache.ledger._lock, NoLock)
 
 
 def test_service_keeps_the_reentrant_lock():
@@ -97,27 +113,26 @@ def test_service_keeps_the_reentrant_lock():
     assert all(isinstance(lock, RLOCK) for lock in locks)
 
 
-def test_minidb_keeps_the_reentrant_lock(tmp_path):
+def test_minidb_keeps_the_reentrant_lock(tmp_path, monkeypatch):
     db = MiniDB(str(tmp_path / "wh"))
     db.register_table("t", Table({"k": np.arange(100)}))
     workload = SqlWorkload(db=db, definitions=[
         MvDefinition("mv", "SELECT k FROM t WHERE k > 3")])
     plan = Plan.make(["mv"], {"mv"})
+    runs = _spy_on_init(monkeypatch, _MiniDbRun)
     for extra in ({}, {"spill_dir": str(tmp_path / "spill")}):
         backend = create_backend("minidb", workload=workload, **extra)
-        ctx = backend.prepare(workload.graph(), plan, 1.0)
-        try:
-            locks = _locks(ctx.ledger)
-            assert len(locks) == (2 if extra else 1)
-            assert all(isinstance(lock, RLOCK) for lock in locks)
-        finally:
-            backend.finish(ctx)
+        assert backend.run(workload.graph(), plan, 1.0).nodes
+        locks = _locks(runs[-1].ledger)
+        assert len(locks) == (2 if extra else 1)
+        assert all(isinstance(lock, RLOCK) for lock in locks)
+    assert len(runs) == 2
 
 
 def test_only_create_backend_chooses():
     # a backend built by hand is not known to be single-threaded
     graph, plan = _chain()
-    ledger = SerialSimulatorBackend().prepare(graph, plan, 2.0).ledger
+    ledger = SerialSimulatorBackend().prepare(graph, plan, 2.0).kernel.ledger
     assert isinstance(ledger._lock, RLOCK)
     assert isinstance(MemoryLedger(1.0)._lock, RLOCK)
 
@@ -174,8 +189,8 @@ def _counted_run(ram_fraction, paths):
     tally = _Tally()
     backend = SerialSimulatorBackend(options=SimulatorOptions(spill=spill))
     backend.ledger_lock = lambda: _CountingRLock(tally)
-    ctx = backend.prepare(graph, plan, ram_fraction * peak)
-    ledger, seen = ctx.ledger, {name: [] for name in paths}
+    run = backend.prepare(graph, plan, ram_fraction * peak)
+    ledger, seen = run.kernel.ledger, {name: [] for name in paths}
     for name in paths:
         def counted(*args, _call=getattr(ledger, name), _seen=seen[name],
                     **kwargs):
@@ -185,8 +200,8 @@ def _counted_run(ram_fraction, paths):
             return result
         setattr(ledger, name, counted)
     for node_id in plan.order:
-        backend.execute_node(ctx, node_id)
-    spills = backend.finish(ctx).extras["tiered_store"]["spill_count"]
+        backend.execute_node(run, node_id)
+    spills = backend.finish(run).extras["tiered_store"]["spill_count"]
     return seen, spills
 
 

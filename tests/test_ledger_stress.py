@@ -65,7 +65,7 @@ def test_random_schedule_single_threaded(seed):
         if shadow.entries:
             ops += ["consumer_done", "materialized", "force_release"] * 2
         if shadow.reserved:
-            ops += ["commit_reservation", "cancel_reservation"] * 2
+            ops += ["commit_reservation"] * 2
         op = rng.choice(ops)
 
         if op in ("insert", "try_insert", "reserve"):
@@ -98,10 +98,6 @@ def test_random_schedule_single_threaded(seed):
             ledger.commit_reservation(name, consumers, pending)
             shadow.entries[name] = [shadow.reserved.pop(name), consumers,
                                     pending]
-        elif op == "cancel_reservation":
-            name = rng.choice(sorted(shadow.reserved))
-            ledger.cancel_reservation(name)
-            del shadow.reserved[name]
         elif op == "consumer_done":
             name = rng.choice(sorted(shadow.entries))
             entry = shadow.entries[name]
@@ -135,7 +131,8 @@ def test_random_schedule_single_threaded(seed):
 
     # convergence: draining every outstanding hold empties the ledger
     for name in sorted(shadow.reserved):
-        ledger.cancel_reservation(name)
+        ledger.commit_reservation(name, 0, materialization_pending=True)
+        shadow.entries[name] = [shadow.reserved.pop(name), 0, True]
     for name, entry in sorted(shadow.entries.items()):
         if entry[2]:
             ledger.materialized(name)
@@ -181,9 +178,6 @@ def test_random_schedule_multi_threaded(seed):
                         continue
                 else:
                     if not ledger.reserve(name, size):
-                        continue
-                    if rng.random() < 0.2:
-                        ledger.cancel_reservation(name)
                         continue
                     ledger.commit_reservation(name, consumers,
                                               materialization_pending=True)

@@ -44,14 +44,6 @@ class TestProbabilities:
 
 
 class TestSampling:
-    def test_sample_sequence_terminates(self):
-        chain = MarkovChain().fit(OPERATION_SEQUENCES)
-        rng = random.Random(0)
-        for _ in range(20):
-            sequence = chain.sample_sequence(rng, max_length=16)
-            assert len(sequence) <= 16
-            assert END not in sequence
-
     def test_sample_operation_never_returns_end(self):
         chain = MarkovChain().fit(OPERATION_SEQUENCES)
         rng = random.Random(1)

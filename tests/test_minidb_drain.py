@@ -26,6 +26,7 @@ from repro.engine.controller import Controller
 from repro.errors import ExecutionError, RunCancelledError
 from repro.exec import create_backend
 from repro.exec import minidb as minidb_backend
+from repro.exec.minidb import _MiniDbRun
 from repro.store import SpillConfig
 
 
@@ -199,12 +200,15 @@ class TestDrainPool:
             return real(table, directory, name, codec)
 
         monkeypatch.setattr(storage_format, "write_table", watching)
-        backend = create_backend("minidb", workload=workload)
-        ctx = backend.prepare(workload.graph(), plan, 1000.0)
-        for node_id in plan.order:
-            backend.execute_node(ctx, node_id)
+        run_node = _MiniDbRun.run_node
+
+        def at_the_boundary(run, node_id):
+            run_node(run, node_id)
             seen.append(len(drain_threads()))
-        trace = backend.finish(ctx)
+
+        monkeypatch.setattr(_MiniDbRun, "run_node", at_the_boundary)
+        backend = create_backend("minidb", workload=workload)
+        trace = backend.run(workload.graph(), plan, 1000.0)
         assert len(seen) == 50          # 25 drains + 25 node boundaries
         assert 1 <= max(seen) <= minidb_backend._DRAIN_WORKERS
         assert drain_threads() == []    # none survives finish
@@ -298,15 +302,16 @@ class TestFailedBackgroundWrite:
 
     def test_hook_driven_run_fails_at_the_reap(self, workload,
                                                monkeypatch):
-        """Drivers that call the hooks themselves (the perf harness, the
-        adaptive loop) get the same error and a stopped pool."""
+        """The reap that meets the failed drain stops the pool itself:
+        stepped node by node without ``MiniDbBackend.run``'s cleanup
+        around it, the run gets the same error and no thread lives on."""
         profiled = workload.profile()
         plan = Controller().plan(profiled, 1000.0, method="sc")
         self.fill_the_disk_for(monkeypatch, workload, "mv_b")
         backend = create_backend("minidb", workload=workload)
-        ctx = backend.prepare(workload.graph(), plan, 1000.0)
+        run = _MiniDbRun(backend, workload.graph(), plan, 1000.0)
         with pytest.raises(ExecutionError, match="'mv_b'"):
             for node_id in plan.order:
-                backend.execute_node(ctx, node_id)
-            backend.finish(ctx)
+                run.run_node(node_id)
+            run.finish("sc")
         assert drain_threads() == []

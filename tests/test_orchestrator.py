@@ -385,19 +385,60 @@ class TestFailureIsolation:
         time.sleep(0.2)  # the pre-fix thread would still be appending
         assert len(emitted) == count
 
-    def test_cancel_event_stops_a_real_backend_run(self):
+    @pytest.mark.parametrize("backend,workers", [
+        ("simulator", 1), ("parallel", 1), ("parallel", 4), ("lru", 1),
+        ("minidb", 1)])
+    def test_cancel_event_stops_a_real_backend_run(self, backend, workers,
+                                                   tmp_path, monkeypatch):
         """End-to-end: a Controller built with a pre-set cancel event
-        raises RunCancelledError before executing any node, leaving the
-        trial's trace unemitted — the path _run_with_timeout drives."""
+        raises RunCancelledError before starting any node — no modeled
+        node is charged, MiniDB runs no query — leaving the trial's
+        trace unemitted: the path _run_with_timeout drives."""
         from repro.engine.controller import Controller
+        from repro.exec.kernel import NodeKernel
         from repro.workloads.five_workloads import build_workload
 
         cancel = threading.Event()
         cancel.set()
-        graph = build_workload("io1", scale_gb=1.0)
         controller = Controller(cancel=cancel)
-        with pytest.raises(RunCancelledError):
-            controller.refresh(graph, graph.total_size(), method="sc")
+        # every modeled backend charges a started node through this
+        # (read_and_compute ends in it; the LRU baseline calls it alone)
+        started = []
+        charge = NodeKernel.base_read_and_compute
+
+        def counting(kernel, node, *args):
+            started.append(node.node_id)
+            return charge(kernel, node, *args)
+
+        monkeypatch.setattr(NodeKernel, "base_read_and_compute", counting)
+        if backend == "minidb":
+            import numpy as np
+
+            from repro.db import MiniDB, SqlWorkload, Table
+            from repro.db.engine import MvDefinition
+
+            db = MiniDB(str(tmp_path / "wh"))
+            db.register_table("t", Table({"k": np.arange(100)}))
+            workload = SqlWorkload(db=db, definitions=[
+                MvDefinition("mv", "SELECT k FROM t WHERE k > 3")])
+            workload.profile()
+            query = db.query
+
+            def counting_query(sql):
+                started.append(sql)
+                return query(sql)
+
+            monkeypatch.setattr(db, "query", counting_query)
+            with pytest.raises(RunCancelledError):
+                controller.refresh_on_minidb(workload, 1000.0)
+        else:
+            graph = build_workload("io1", scale_gb=1.0)
+            with pytest.raises(RunCancelledError):
+                controller.refresh(
+                    graph, graph.total_size(),
+                    method="lru" if backend == "lru" else "sc",
+                    backend=backend, workers=workers)
+        assert started == []
 
 
 # ----------------------------------------------------------------------

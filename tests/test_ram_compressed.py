@@ -323,6 +323,7 @@ class TestMiniDbRung:
         from repro.db import storage_format
         from repro.engine.trace import NodeTrace
         from repro.exec import create_backend
+        from repro.exec.minidb import _MiniDbRun
         from tests.test_minidb_drain import star_of_25
 
         workload, plan = star_of_25(tmp_path)
@@ -338,29 +339,38 @@ class TestMiniDbRung:
             return real(table, directory, name, codec)
 
         monkeypatch.setattr(storage_format, "write_table", holding_back)
+        run_node = _MiniDbRun.run_node
+        probes = []
+
+        def reclaim_all_of_ram_after_root(run, node_id):
+            run_node(run, node_id)
+            if node_id != "root":
+                return
+            try:
+                probe = NodeTrace(node_id="probe", start=0.0, flagged=True)
+                assert run._reclaim(ram, probe)  # all of RAM: root goes
+                ledger = run.ledger
+                rung, disk = ledger.stats.tiers[1], ledger.stats.tiers[2]
+                assert ledger.tier_of("root") == 2
+                assert ledger.stats.spill_count == 1
+                assert rung.spill_in.count == 0 and disk.spill_in.count == 1
+                assert ledger.stored_size_of("root") > 0.0
+                assert ledger.tiers[1].ledger.peak_usage == 0.0
+                assert not workload.db.catalog.in_memory("root")
+                assert probe.spill_write > 0.0
+                probes.append(probe)
+            finally:
+                written.set()
+
+        monkeypatch.setattr(_MiniDbRun, "run_node",
+                            reclaim_all_of_ram_after_root)
         spill_dir = tmp_path / "spill"
         backend = create_backend(
             "minidb", workload=workload, spill_dir=str(spill_dir),
             spill_policy="largest", ram_compressed_gb=1.0 / 1024 ** 3)
-        ctx = backend.prepare(workload.graph(), plan, ram)
-        try:
-            backend.execute_node(ctx, "root")
-            probe = NodeTrace(node_id="probe", start=0.0, flagged=True)
-            assert backend._reclaim(ctx, ram, probe)  # all of RAM: root goes
-            ledger = ctx.ledger
-            rung, disk = ledger.stats.tiers[1], ledger.stats.tiers[2]
-            assert ledger.tier_of("root") == 2
-            assert ledger.stats.spill_count == 1
-            assert rung.spill_in.count == 0 and disk.spill_in.count == 1
-            assert ledger.stored_size_of("root") > 0.0
-            assert ledger.tiers[1].ledger.peak_usage == 0.0
-            assert not workload.db.catalog.in_memory("root")
-            assert probe.spill_write > 0.0
-        finally:
-            written.set()
-        for node_id in plan.order[1:]:
-            backend.execute_node(ctx, node_id)
-        report = backend.finish(ctx).extras["tiered_store"]
+        report = backend.run(workload.graph(), plan,
+                             ram).extras["tiered_store"]
+        assert len(probes) == 1
         # the rung only ever took the books of durable (zero-byte) victims
         assert report["tiers"][1]["peak"] == 0.0
         assert report["tiers"][1]["observed"]["spill_in_stored_gb"] == 0.0
@@ -378,7 +388,7 @@ class TestMiniDbRung:
             Controller(ram_compressed_gb=1.0).refresh_on_minidb(
                 workload, 1000.0)
         frame = traceback.extract_tb(info.tb)[-1]
-        assert frame.name == "prepare"
+        assert frame.name == "__init__"   # of the run MiniDbBackend.run builds
         assert frame.filename.endswith(os.path.join("exec", "minidb.py"))
 
     def test_adaptation_requires_a_spill_dir(self, workload):

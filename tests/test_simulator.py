@@ -16,17 +16,18 @@ from tests.conftest import make_random_problem
 
 
 def simulator(profile=None, options=None):
-    """The serial backend (``prepare`` -> ``execute_node``* -> ``finish``;
-    ``run`` is that template over the whole plan)."""
+    """The serial backend (``prepare`` -> ``execute_node``* -> ``finish``
+    over a ``SerialRun``; ``run`` is that template over the whole
+    plan)."""
     return create_backend("simulator", profile=profile, options=options)
 
 
-def run_segment(backend, ctx, order, flagged):
-    """Execute ``order`` under ``flagged`` on a context left by earlier
+def run_segment(backend, run, order, flagged):
+    """Execute ``order`` under ``flagged`` on a run left by earlier
     segments — what a mid-run re-plan does."""
-    ctx.plan = Plan.make(order, set(flagged) & set(order))
+    run.plan = Plan.make(order, set(flagged) & set(order))
     for node_id in order:
-        backend.execute_node(ctx, node_id)
+        backend.execute_node(run, node_id)
 
 
 def simple_profile() -> DeviceProfile:
@@ -206,10 +207,10 @@ class TestResumableState:
         backend = simulator(profile=simple_profile())
         whole = backend.run(chain_graph, plan, memory_budget=100.0)
 
-        ctx = backend.prepare(chain_graph, plan, 100.0)
-        run_segment(backend, ctx, ["a", "b"], plan.flagged)
-        run_segment(backend, ctx, ["c", "d"], plan.flagged)
-        pieced = backend.finish(ctx)
+        run = backend.prepare(chain_graph, plan, 100.0)
+        run_segment(backend, run, ["a", "b"], plan.flagged)
+        run_segment(backend, run, ["c", "d"], plan.flagged)
+        pieced = backend.finish(run)
 
         assert pieced.end_to_end_time == pytest.approx(
             whole.end_to_end_time)
@@ -223,24 +224,24 @@ class TestResumableState:
         for node_id in chain_graph.nodes():
             chain_graph.node(node_id).compute_time = 0.0
         backend = simulator(profile=simple_profile())
-        ctx = backend.prepare(
+        run = backend.prepare(
             chain_graph, Plan.unoptimized(["a", "b", "c", "d"]), 100.0)
-        run_segment(backend, ctx, ["a"], {"a"})
-        assert ctx.ledger.usage > 0
-        run_segment(backend, ctx, ["b"], ())
-        trace_b = ctx.traces[-1]
+        run_segment(backend, run, ["a"], {"a"})
+        assert run.kernel.ledger.usage > 0
+        run_segment(backend, run, ["b"], ())
+        trace_b = run.kernel.traces[-1]
         assert trace_b.read_memory > 0
         assert trace_b.read_disk == 0
 
     def test_resident_bytes_drop_after_release(self, chain_graph):
         backend = simulator(profile=simple_profile())
-        ctx = backend.prepare(
+        run = backend.prepare(
             chain_graph, Plan.unoptimized(["a", "b", "c", "d"]), 100.0)
-        run_segment(backend, ctx, ["a"], {"a"})
-        before = ctx.ledger.usage
-        run_segment(backend, ctx, ["b", "c", "d"], ())
-        backend.finish(ctx)
-        assert ctx.ledger.usage < before
+        run_segment(backend, run, ["a"], {"a"})
+        before = run.kernel.ledger.usage
+        run_segment(backend, run, ["b", "c", "d"], ())
+        backend.finish(run)
+        assert run.kernel.ledger.usage < before
 
     def test_negative_budget_rejected_in_prepare(self, chain_graph):
         with pytest.raises(ValidationError):
@@ -250,12 +251,12 @@ class TestResumableState:
     def test_flag_changes_between_segments_respected(self, chain_graph):
         # a node flagged by a later segment's plan behaves like any flag
         backend = simulator(profile=simple_profile())
-        ctx = backend.prepare(
+        run = backend.prepare(
             chain_graph, Plan.unoptimized(["a", "b", "c", "d"]), 100.0)
-        run_segment(backend, ctx, ["a"], ())
-        run_segment(backend, ctx, ["b"], {"b"})
-        assert ctx.traces[0].flagged is False
-        assert ctx.traces[1].flagged is True
+        run_segment(backend, run, ["a"], ())
+        run_segment(backend, run, ["b"], {"b"})
+        assert run.kernel.traces[0].flagged is False
+        assert run.kernel.traces[1].flagged is True
 
     @given(seed=st.integers(0, 500), cut=st.integers(1, 14))
     @settings(max_examples=30, deadline=None)
@@ -266,10 +267,10 @@ class TestResumableState:
         backend = simulator()
         whole = backend.run(problem.graph, plan, problem.memory_budget)
 
-        ctx = backend.prepare(problem.graph, plan, problem.memory_budget)
+        run = backend.prepare(problem.graph, plan, problem.memory_budget)
         order = list(plan.order)
-        run_segment(backend, ctx, order[:cut], plan.flagged)
-        run_segment(backend, ctx, order[cut:], plan.flagged)
-        pieced = backend.finish(ctx)
+        run_segment(backend, run, order[:cut], plan.flagged)
+        run_segment(backend, run, order[cut:], plan.flagged)
+        pieced = backend.finish(run)
         assert pieced.end_to_end_time == pytest.approx(
             whole.end_to_end_time, rel=1e-9)

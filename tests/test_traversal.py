@@ -6,19 +6,15 @@ from repro.errors import GraphError
 from repro.graph.dag import DependencyGraph
 from repro.graph.traversal import (
     ancestors,
-    critical_path,
-    descendants,
     last_consumer_position,
     longest_path_levels,
 )
 
 
 class TestReachability:
-    def test_ancestors_descendants(self, diamond_graph):
+    def test_ancestors(self, diamond_graph):
         assert ancestors(diamond_graph, "d") == {"a", "b", "c"}
         assert ancestors(diamond_graph, "a") == set()
-        assert descendants(diamond_graph, "a") == {"b", "c", "d"}
-        assert descendants(diamond_graph, "d") == set()
 
     def test_unknown_node(self, diamond_graph):
         with pytest.raises(GraphError):
@@ -44,22 +40,6 @@ class TestLevels:
         graph = DependencyGraph.from_edges([("a", "b"), ("b", "a")])
         with pytest.raises(GraphError):
             longest_path_levels(graph)
-
-
-class TestCriticalPath:
-    def test_weighted_path(self, diamond_graph):
-        weights = {"a": 1.0, "b": 5.0, "c": 1.0, "d": 1.0}
-        total, path = critical_path(diamond_graph, weights)
-        assert total == pytest.approx(7.0)
-        assert path == ["a", "b", "d"]
-
-    def test_defaults_to_compute_time(self, diamond_graph):
-        for node_id, value in (("a", 1.0), ("b", 1.0), ("c", 4.0),
-                               ("d", 1.0)):
-            diamond_graph.node(node_id).compute_time = value
-        total, path = critical_path(diamond_graph)
-        assert total == pytest.approx(6.0)
-        assert path == ["a", "c", "d"]
 
 
 class TestLastConsumerPosition:

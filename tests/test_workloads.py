@@ -16,7 +16,6 @@ from repro.workloads.five_workloads import (
     WORKLOAD_SUMMARY,
     build_five_workloads,
     build_workload,
-    workload_info,
 )
 from repro.workloads.generator import (
     GeneratedWorkloadConfig,
@@ -109,11 +108,6 @@ class TestFiveWorkloads:
     def test_unknown_workload(self):
         with pytest.raises(WorkloadError):
             build_workload("io99")
-
-    def test_workload_info(self):
-        info = workload_info("io1")
-        assert info.tpcds_queries == (5, 77, 80)
-        assert info.n_nodes == 21
 
 
 class TestGeneratedWorkloads:
