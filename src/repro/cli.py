@@ -37,7 +37,7 @@ from repro.store.config import (
     minidb_spill_config,
     parse_tier,
 )
-from repro.store.policy import policy_help, policy_names
+from repro.store.policy import POLICIES
 from repro.workloads.five_workloads import WORKLOAD_NAMES, build_workload
 
 
@@ -47,10 +47,12 @@ def _run_flags(methods: list[str]) -> argparse.ArgumentParser:
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--method", default="sc", choices=methods)
     run.add_argument("--seed", type=int, default=0)
+    policies = "; ".join(f"'{name}': {summary}"
+                         for name, (_, summary) in sorted(POLICIES.items()))
     run.add_argument("--spill-policy", default="cost",
-                     choices=sorted(policy_names()),
+                     choices=sorted(POLICIES),
                      help=f"victim-selection policy for spilling — "
-                          f"{policy_help()}")
+                          f"{policies}")
     run.add_argument("--spill-codec", default="none",
                      choices=sorted(SPILL_CODECS),
                      help="compress what spills with this codec: the "

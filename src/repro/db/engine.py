@@ -32,7 +32,6 @@ from repro.db.sql import SelectStatement, parse_select
 from repro.db.table import Table
 from repro.errors import CatalogError, WorkloadError
 from repro.graph.dag import DependencyGraph
-from repro.metadata.costmodel import DeviceProfile
 
 _GB = 1024.0 ** 3
 
@@ -234,13 +233,13 @@ class SqlWorkload:
             node.meta["base_input_gb"] = base_bytes / _GB
 
     # ------------------------------------------------------------------
-    def profile(self, cost_model: DeviceProfile | None = None,
-                cleanup: bool = True) -> DependencyGraph:
+    def profile(self) -> DependencyGraph:
         """One observation run: execute every MV to disk, record metadata.
 
         This is the "previous MV refresh run" the paper's optimizer learns
         from. Returns the annotated graph with speedup scores computed from
-        the measured write times and per-consumer read times.
+        the measured write times and per-consumer read times; the MVs it
+        wrote are dropped again.
         """
         graph = self.graph()
         from repro.graph.topo import kahn_topological_order
@@ -264,9 +263,8 @@ class SqlWorkload:
             write_saving = self._observed[name].write_seconds
             node.score = max(0.0, n_consumers * read_time[name]
                              + write_saving)
-        if cleanup:
-            for name in order:
-                self.db.drop(name)
+        for name in order:
+            self.db.drop(name)
         return graph
 
 

@@ -405,7 +405,7 @@ class Controller:
             plan = self.plan_for_minidb(graph, memory_budget,
                                         method=method, seed=seed,
                                         tier_aware=tier_aware)
-        executor = create_backend(  # lazy import: optional numpy dep
+        executor = create_backend(
             "minidb", profile=self.profile, options=self.options,
             seed=seed, bus=self.bus, cancel=self.cancel,
             workload=workload, spill_dir=self.spill_dir,

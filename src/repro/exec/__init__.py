@@ -13,7 +13,7 @@ Every way this repo can *run* a refresh plan lives behind one protocol:
 * :class:`~repro.exec.kernel.NodeKernel` — the one modeled per-node
   lifecycle (§III-C) every model-charging backend runs, and the one run
   epilogue;
-* a lazy **registry** (:func:`~repro.exec.base.create_backend`) the
+* one **backend table** (:func:`~repro.exec.base.create_backend`) the
   Controller dispatches on by name.
 
 Built-in backends:
@@ -37,13 +37,7 @@ spill tiers (SSD/disk) instead of blocking; the simulators arm it via
 ``SimulatorOptions(spill=...)`` and MiniDB via ``spill_dir=``.
 """
 
-from repro.exec.base import (
-    ExecutionBackend,
-    backend_names,
-    create_backend,
-    get_backend,
-    register_backend,
-)
+from repro.exec.base import ExecutionBackend, backend_names, create_backend
 from repro.exec.ledger import MemoryLedger
 
 __all__ = [
@@ -51,6 +45,4 @@ __all__ = [
     "MemoryLedger",
     "backend_names",
     "create_backend",
-    "get_backend",
-    "register_backend",
 ]

@@ -15,12 +15,12 @@ steps it through three hooks a caller may also drive itself:
 * :meth:`ExecutionBackend.execute_node` — run one DAG node;
 * :meth:`ExecutionBackend.finish` — drain outstanding work and summarize.
 
-Backends register under a short name (``"simulator"``, ``"lru"``,
-``"parallel"``, ``"minidb"``) and are constructed through
-:func:`create_backend`, which is what :class:`repro.engine.controller.
-Controller` dispatches on — no executor-specific branches remain in the
-controller.  Registration is lazy: naming a backend imports its module on
-first use.
+The four backends (``"simulator"``, ``"lru"``, ``"parallel"``,
+``"minidb"``) are rows of one name → (module, class) table and are
+constructed through :func:`create_backend`, which is what
+:class:`repro.engine.controller.Controller` dispatches on — no
+executor-specific branches remain in the controller.  Naming a backend
+imports its module on first use.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ class SimulatorOptions:
     """Runtime policy knobs of the modeled backends.
 
     Attributes:
-        on_overflow: what to do when a flagged insert cannot fit even after
-            stalling for background drains — ``"spill"`` (write to disk,
-            keep going) or ``"error"`` (raise :class:`ExecutionError`).
         compute_penalty: fractional compute slowdown applied to every node,
             modeling a Memory Catalog carved out of *query memory* instead
             of spare memory (Figure 11b); 0 means spare memory.
@@ -66,13 +63,10 @@ class SimulatorOptions:
             the original single-tier behavior exactly.
     """
 
-    on_overflow: str = "spill"
     compute_penalty: float = 0.0
     spill: SpillConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.on_overflow not in ("spill", "error"):
-            raise ValidationError("on_overflow must be 'spill' or 'error'")
         if self.compute_penalty < 0:
             raise ValidationError("compute_penalty must be >= 0")
         if self.spill is not None:
@@ -98,9 +92,9 @@ class SerialRun:
 class ExecutionBackend:
     """Base class for refresh-run executors.
 
-    Subclasses set ``name`` (the registry key) and ``requires_plan``
-    (False for executors like the LRU baseline that plan nothing and run
-    in topological order).
+    Subclasses set ``name`` (their key in :data:`_BACKENDS`) and
+    ``requires_plan`` (False for executors like the LRU baseline that
+    plan nothing and run in topological order).
     """
 
     name: ClassVar[str] = ""
@@ -170,16 +164,14 @@ class ExecutionBackend:
 
 
 # ----------------------------------------------------------------------
-# registry
+# the backend table
 # ----------------------------------------------------------------------
-_BACKENDS: dict[str, type[ExecutionBackend]] = {}
-
-#: Where each built-in backend lives; imported on first use.
-_BACKEND_MODULES: dict[str, str] = {
-    "simulator": "repro.exec.simulator",
-    "lru": "repro.exec.lru",
-    "parallel": "repro.exec.parallel",
-    "minidb": "repro.exec.minidb",
+#: Every backend: name -> (module, class), imported on first use.
+_BACKENDS: dict[str, tuple[str, str]] = {
+    "simulator": ("repro.exec.simulator", "SerialSimulatorBackend"),
+    "lru": ("repro.exec.lru", "LruBackend"),
+    "parallel": ("repro.exec.parallel", "ParallelSimulatorBackend"),
+    "minidb": ("repro.exec.minidb", "MiniDbBackend"),
 }
 
 #: Backends whose ledger only the run's own thread ever touches (the
@@ -189,53 +181,9 @@ _BACKEND_MODULES: dict[str, str] = {
 _ONE_THREAD_BACKENDS = frozenset({"simulator", "parallel", "lru"})
 
 
-def register_backend(cls: type[ExecutionBackend]) -> type[ExecutionBackend]:
-    """Class decorator adding a backend to the registry by its ``name``.
-
-    Re-registering the same class — including the fresh class object a
-    module reload creates — is a no-op; claiming an already-taken name
-    with a genuinely different class is an error, because silent
-    replacement would reroute every Controller dispatch on that name.
-    """
-    if not cls.name:
-        raise ValidationError(f"backend {cls.__name__} has no name")
-    existing = _BACKENDS.get(cls.name)
-    if existing is not None and existing is not cls and (
-            (existing.__module__, existing.__qualname__)
-            != (cls.__module__, cls.__qualname__)):
-        raise ValidationError(
-            f"execution backend {cls.name!r} is already registered to "
-            f"{existing.__name__}")
-    _BACKENDS[cls.name] = cls
-    return cls
-
-
 def backend_names() -> tuple[str, ...]:
-    """Every dispatchable backend name (registered or lazily importable)."""
-    return tuple(sorted(set(_BACKENDS) | set(_BACKEND_MODULES)))
-
-
-def get_backend(name: str) -> type[ExecutionBackend]:
-    """Resolve a backend class by name, importing its module if needed.
-
-    Raises :class:`ValidationError` for an unknown name, for a backend
-    module that fails to import (missing optional dependency, typo in
-    :data:`_BACKEND_MODULES`), and for a module that imports cleanly but
-    never registers the promised name.
-    """
-    if name not in _BACKENDS and name in _BACKEND_MODULES:
-        module = _BACKEND_MODULES[name]
-        try:
-            importlib.import_module(module)
-        except ImportError as exc:
-            raise ValidationError(
-                f"execution backend {name!r} could not be loaded: "
-                f"importing {module!r} failed ({exc})") from exc
-    if name not in _BACKENDS:
-        raise ValidationError(
-            f"unknown execution backend {name!r}; "
-            f"choose from {backend_names()}")
-    return _BACKENDS[name]
+    """Every dispatchable backend name."""
+    return tuple(sorted(_BACKENDS))
 
 
 def create_backend(name: str, *, profile=None, options=None,
@@ -244,8 +192,17 @@ def create_backend(name: str, *, profile=None, options=None,
     """Instantiate a backend with the shared constructor contract plus
     the backend's own keywords (``kwargs``: MiniDB's workload and spill
     settings), and choose its ledger's lock (not an option: see
-    :data:`_ONE_THREAD_BACKENDS`)."""
-    cls = get_backend(name)
+    :data:`_ONE_THREAD_BACKENDS`).
+
+    Raises:
+        ValidationError: ``name`` is not a backend.
+    """
+    if name not in _BACKENDS:
+        raise ValidationError(
+            f"unknown execution backend {name!r}; "
+            f"choose from {backend_names()}")
+    module, class_name = _BACKENDS[name]
+    cls = getattr(importlib.import_module(module), class_name)
     backend = cls(profile=profile, options=options, workers=workers,
                   seed=seed, bus=bus, cancel=cancel, **kwargs)
     if name in _ONE_THREAD_BACKENDS:

@@ -55,7 +55,7 @@ from typing import Callable
 
 from repro.engine.storage import StorageDevice
 from repro.engine.trace import NodeTrace, RunTrace
-from repro.errors import BudgetExceededError, ExecutionError, ValidationError
+from repro.errors import BudgetExceededError, ValidationError
 from repro.exec.base import SimulatorOptions
 from repro.exec.ledger import MemoryLedger
 from repro.graph.dag import DependencyGraph, Node
@@ -312,16 +312,13 @@ class NodeKernel:
         if not trace.flagged:
             return self._blocking_write(size, trace, clock)
         self.apply_drains(clock)
-        raise_on_overflow = self.options.on_overflow == "error"
         if self.options.spill is not None:
             if arbitrate:
                 clock = self._arbitrate(size, trace, clock)
-            return self._place_tiered(node_id, size, trace, clock,
-                                      raise_on_overflow)
+            return self._place_tiered(node_id, size, trace, clock)
 
         ledger, drains = self.ledger, self.drains
-        spill_cost = self.storage.write_duration(size, clock)
-        deadline = float("inf") if raise_on_overflow else clock + spill_cost
+        deadline = clock + self.storage.write_duration(size, clock)
         while not ledger.fits(size) and drains:
             event_time = drains[0][0]
             if event_time <= clock:
@@ -335,10 +332,6 @@ class NodeKernel:
         if not ledger.fits(size):
             # even a fully drained catalog has no room: the positional
             # plan was infeasible (or the budget too small for the node)
-            if raise_on_overflow:
-                raise ExecutionError(
-                    f"Memory Catalog cannot host {node_id!r} "
-                    f"({size:.6g} GB; {ledger.available:.6g} free)")
             self.spilled.add(node_id)
             return self._blocking_write(size, trace, clock)
         clock = self.charge_create(size, trace, clock)
@@ -411,7 +404,7 @@ class NodeKernel:
         return clock
 
     def _place_tiered(self, node_id: str, size: float, trace: NodeTrace,
-                      clock: float, raise_on_overflow: bool) -> float:
+                      clock: float) -> float:
         """Create a flagged output somewhere in the hierarchy, billing
         the demotions it needed to ``trace.spill_write``.
 
@@ -429,10 +422,6 @@ class NodeKernel:
             for charge in exc.charges:
                 trace.spill_write += charge.seconds
                 clock += charge.seconds
-            if raise_on_overflow:
-                raise ExecutionError(
-                    f"no storage tier can host {node_id!r} "
-                    f"({size:.6g} GB)") from None
             self.spilled.add(node_id)
             return self._blocking_write(size, trace, clock)
         for charge in charges:

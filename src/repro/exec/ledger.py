@@ -1,9 +1,7 @@
 """The Memory Ledger: one budget accountant for every execution backend.
 
-Before the ``repro.exec`` refactor, three executors (the discrete-event
-simulator, the LRU baseline, and the MiniDB runner) each re-implemented
-byte accounting, peak tracking, and the flagged-residency release protocol.
-:class:`MemoryLedger` centralizes all of it:
+:class:`MemoryLedger` is the byte accounting, peak tracking and
+flagged-residency release protocol every backend shares:
 
 * **budget accounting** — ``usage`` / ``peak_usage`` / ``available`` with a
   single epsilon-tolerant ``fits`` test, plus raw ``charge``/``credit``
@@ -16,12 +14,12 @@ byte accounting, peak tracking, and the flagged-residency release protocol.
   against admission (so concurrent workers can never over-commit) but not
   against ``usage``/``peak_usage`` (so serial peak semantics are preserved);
 * **thread safety** — every mutation runs under one re-entrant lock, so
-  :meth:`try_insert` is an atomic check-and-claim that concurrent
-  threads (MiniDB's drains, the service's requests) can race safely.  A
-  public call takes that lock once: what it needs under it (the fit
-  test, the release cores) are unlocked ``_`` helpers, never another
-  public call.  A ledger only one thread ever touches (the
-  discrete-event simulators') is built with :class:`NoLock` instead —
+  :meth:`reserve` is an atomic check-and-claim: two threads reserving
+  at once can never jointly exceed the budget.  A public call takes
+  that lock once: what it needs under it (the fit test, the release
+  cores) are unlocked ``_`` helpers, never another public call.  A
+  ledger only one thread ever touches (the discrete-event simulators')
+  is built with :class:`NoLock` instead —
   :func:`repro.exec.base.create_backend` makes that choice, per
   backend.
 
@@ -226,22 +224,6 @@ class MemoryLedger:
                     requested=size, available=self.available)
             self._commit_entry(node_id, size, n_consumers,
                                materialization_pending)
-
-    def try_insert(self, node_id: str, size: float, n_consumers: int,
-                   materialization_pending: bool = True) -> bool:
-        """Atomic check-and-insert; returns False instead of raising.
-
-        This is the admission primitive for concurrent schedulers: the fit
-        test and the usage update happen under one lock acquisition, so two
-        workers can never jointly exceed the budget.
-        """
-        with self._lock:
-            self._check_new(node_id, size)
-            if not self._fits(size):
-                return False
-            self._commit_entry(node_id, size, n_consumers,
-                               materialization_pending)
-            return True
 
     # ------------------------------------------------------------------
     # reservations (parallel dispatch-time admission)

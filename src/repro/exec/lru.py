@@ -27,11 +27,7 @@ from typing import Callable
 from repro.core.plan import Plan
 from repro.engine.trace import NodeTrace, RunTrace
 from repro.errors import ValidationError
-from repro.exec.base import (
-    ExecutionBackend,
-    SimulatorOptions,
-    register_backend,
-)
+from repro.exec.base import ExecutionBackend, SimulatorOptions
 from repro.exec.kernel import NodeKernel, finish_run
 from repro.exec.ledger import MemoryLedger
 from repro.graph.dag import DependencyGraph
@@ -97,7 +93,6 @@ class LruCache:
         self.ledger.charge(size)
 
 
-@register_backend
 class LruBackend(ExecutionBackend):
     """Topological-order execution with an LRU result cache."""
 

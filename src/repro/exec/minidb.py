@@ -88,7 +88,7 @@ from repro.db.catalog import DatabaseCatalog
 from repro.db.table import Table
 from repro.engine.trace import NodeTrace, RunTrace
 from repro.errors import CatalogError, ExecutionError, ValidationError
-from repro.exec.base import ExecutionBackend, register_backend
+from repro.exec.base import ExecutionBackend
 from repro.exec.kernel import finish_run
 from repro.exec.ledger import MemoryLedger
 from repro.graph.dag import DependencyGraph
@@ -141,7 +141,6 @@ class _Drain:
         catalog.persist(name, self.blob(storage_format.DEFAULT_CODEC))
 
 
-@register_backend
 class MiniDbBackend(ExecutionBackend):
     """Execute an S/C plan on the real MiniDB with background writes.
 

@@ -26,7 +26,7 @@ simulator escapes drain backpressure: when nothing is running, nothing
 is draining, and no ready node fits, the first ready node runs
 *spilled* (blocking write, no flag) — or, on the tiered store, keeps
 its flag and is placed below RAM — so a refresh can always make
-progress, and ``on_overflow="error"`` raises instead.
+progress.
 
 Every per-node charge — reads from whichever tier holds a parent,
 compute, output placement, drains, parent release — is the shared
@@ -53,14 +53,13 @@ from typing import Callable
 from repro.core.plan import Plan
 from repro.engine.trace import NodeTrace, RunTrace
 from repro.errors import ExecutionError, ValidationError
-from repro.exec.base import ExecutionBackend, register_backend
+from repro.exec.base import ExecutionBackend
 from repro.exec.kernel import NodeKernel
 from repro.graph.dag import DependencyGraph
 from repro.graph.topo import check_topological_order
 from repro.obs.events import emit_node_events
 
 
-@register_backend
 class ParallelSimulatorBackend(ExecutionBackend):
     """Discrete-event simulation of a memory-bounded worker pool."""
 
@@ -191,17 +190,11 @@ class _Schedule:
                 # every ready node is flagged and over budget: a
                 # completion or drain in flight will free space; with
                 # none, waiting cannot help — give up the first one's RAM
-                # residency (or raise)
+                # residency
                 if self.next_event() is not None:
                     return
-                node_id = candidates[0]
-                if kernel.options.on_overflow == "error":
-                    raise ExecutionError(
-                        f"Memory Catalog cannot host {node_id!r} "
-                        f"({kernel.graph.size_of(node_id):.6g} GB; "
-                        f"{self.ledger.available:.6g} free)")
                 (self.tier_direct if self.tiered
-                 else kernel.spilled).add(node_id)
+                 else kernel.spilled).add(candidates[0])
                 continue
             self._start(chosen)
             candidates.remove(chosen)

@@ -18,13 +18,12 @@ from __future__ import annotations
 from repro.core.plan import Plan
 from repro.engine.trace import RunTrace
 from repro.errors import ValidationError
-from repro.exec.base import ExecutionBackend, SerialRun, register_backend
+from repro.exec.base import ExecutionBackend, SerialRun
 from repro.exec.kernel import NodeKernel
 from repro.graph.dag import DependencyGraph
 from repro.graph.topo import check_topological_order
 
 
-@register_backend
 class SerialSimulatorBackend(ExecutionBackend):
     """The paper's serial execution model (§III-C), one node at a time."""
 

@@ -102,12 +102,14 @@ class CostFeedback:
     def from_trace(cls, trace) -> "CostFeedback":
         """Distill a :class:`~repro.engine.trace.RunTrace`.
 
-        Simulated runs carry per-tier observed seconds directly in the
-        tier report.  Real-I/O runs (``charge_io=False``, e.g. MiniDB
-        with a spill directory) report ``None`` there — their costs are
-        wall clocks on the node traces — so when the hierarchy has a
-        single spill tier the node-level ``spill_write`` /
-        ``promote_read`` seconds are attributed to it instead.
+        Every run carries per-tier observed seconds in the tier report:
+        simulated runs their modeled charges, real-I/O runs
+        (``charge_io=False``: MiniDB with a spill directory) the wall
+        seconds they measure and record through
+        :meth:`~repro.store.tiered.TieredLedger.record_wall_seconds`.
+        Only a tier report without any seconds, under a single spill
+        tier, has the node-level ``spill_write`` / ``promote_read``
+        seconds attributed to that tier instead.
 
         Raises:
             ValidationError: when the trace carries no tiered-store

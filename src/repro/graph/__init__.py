@@ -7,11 +7,7 @@ an insertion-ordered DAG whose nodes carry the paper's per-node metadata
 """
 
 from repro.graph.dag import DependencyGraph, Node
-from repro.graph.topo import (
-    dfs_topological_order,
-    is_topological_order,
-    kahn_topological_order,
-)
+from repro.graph.topo import is_topological_order, kahn_topological_order
 from repro.graph.traversal import (
     ancestors,
     last_consumer_position,
@@ -24,7 +20,6 @@ __all__ = [
     "DependencyGraph",
     "Node",
     "kahn_topological_order",
-    "dfs_topological_order",
     "is_topological_order",
     "ancestors",
     "longest_path_levels",

@@ -80,9 +80,7 @@ def _stage_sizes(config: LayeredDagConfig, rng: random.Random) -> list[int]:
 
 
 def generate_layered_dag(config: LayeredDagConfig | None = None,
-                         seed: int | random.Random = 0,
-                         node_prefix: str = "v",
-                         ) -> DependencyGraph:
+                         seed: int | random.Random = 0) -> DependencyGraph:
     """Generate a layered DAG; node ids are ``v0..v{n-1}`` in stage order.
 
     Every node outside the first stage is guaranteed at least one parent, so
@@ -101,7 +99,7 @@ def generate_layered_dag(config: LayeredDagConfig | None = None,
     for stage_idx, count in enumerate(sizes):
         stage_nodes = []
         for _ in range(count):
-            node_id = f"{node_prefix}{counter}"
+            node_id = f"v{counter}"
             counter += 1
             graph.add_node(node_id, meta={"stage": stage_idx})
             stage_nodes.append(node_id)
@@ -156,8 +154,7 @@ def generate_layered_dag(config: LayeredDagConfig | None = None,
 
 
 def generate_random_dag(n_nodes: int, edge_probability: float = 0.15,
-                        seed: int | random.Random = 0,
-                        node_prefix: str = "v") -> DependencyGraph:
+                        seed: int | random.Random = 0) -> DependencyGraph:
     """Erdős–Rényi-style random DAG (edges only forward in node order).
 
     Used by property-based tests as an unstructured counterpart to
@@ -169,7 +166,7 @@ def generate_random_dag(n_nodes: int, edge_probability: float = 0.15,
         raise ValidationError("edge_probability must be in [0, 1]")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     graph = DependencyGraph()
-    ids = [f"{node_prefix}{i}" for i in range(n_nodes)]
+    ids = [f"v{i}" for i in range(n_nodes)]
     for node_id in ids:
         graph.add_node(node_id)
     for i in range(n_nodes):

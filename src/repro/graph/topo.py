@@ -1,40 +1,26 @@
-"""Topological orders with pluggable, deterministic tie-breaking.
+"""Topological orders: the deterministic Kahn order, and validation.
 
 S/C's initial execution order (Algorithm 2 line 1) is "any topological
-sort"; MA-DFS and its random-tie-break ablation are DFS-flavoured orders that
-differ only in which ready branch they descend into first. Both families live
-here so the core optimizer can treat "an order" uniformly: a list of node ids
-that respects every dependency edge.
+sort"; the core optimizer treats "an order" uniformly as a list of node
+ids that respects every dependency edge.  MA-DFS, the DFS-flavoured
+order of §V-B, lives in :mod:`repro.core.madfs`.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.errors import CycleError, GraphError
 from repro.graph.dag import DependencyGraph
 
-# A tie-break key: smaller keys are scheduled earlier.
-TieBreak = Callable[[str], tuple]
 
-
-def kahn_topological_order(graph: DependencyGraph,
-                           tie_break: TieBreak | None = None) -> list[str]:
-    """Kahn's algorithm; among ready nodes, the smallest tie-break key runs.
-
-    Without ``tie_break`` the order falls back to node insertion order, which
-    keeps results reproducible run to run.
-    """
-    insertion_rank = {v: i for i, v in enumerate(graph.nodes())}
-    if tie_break is None:
-        key = lambda v: (insertion_rank[v],)
-    else:
-        key = lambda v: (*tie_break(v), insertion_rank[v])
-
+def kahn_topological_order(graph: DependencyGraph) -> list[str]:
+    """Kahn's algorithm; among ready nodes, the earliest inserted runs
+    first, which keeps results reproducible run to run."""
+    rank = {v: i for i, v in enumerate(graph.nodes())}
     indegree = {v: graph.in_degree(v) for v in graph.nodes()}
-    heap = [(key(v), v) for v in graph.nodes() if indegree[v] == 0]
+    heap = [(rank[v], v) for v in graph.nodes() if indegree[v] == 0]
     heapq.heapify(heap)
     order: list[str] = []
     while heap:
@@ -43,60 +29,10 @@ def kahn_topological_order(graph: DependencyGraph,
         for child in graph.children(node):
             indegree[child] -= 1
             if indegree[child] == 0:
-                heapq.heappush(heap, (key(child), child))
+                heapq.heappush(heap, (rank[child], child))
     if len(order) != graph.n:
         raise CycleError(
             "graph has a cycle; topological order covers "
-            f"{len(order)}/{graph.n} nodes")
-    return order
-
-
-def dfs_topological_order(graph: DependencyGraph,
-                          tie_break: TieBreak | None = None,
-                          rng: random.Random | None = None) -> list[str]:
-    """DFS-flavoured topological order.
-
-    After emitting a node, its *newly ready* children are pushed on a stack so
-    the traversal finishes a branch before starting a new one — the property
-    MA-DFS relies on to release flagged nodes quickly (paper §V-B). Among
-    simultaneously readied nodes the one with the smallest ``tie_break`` key
-    is descended into first; with neither ``tie_break`` nor ``rng`` supplied,
-    insertion order breaks ties, and with ``rng`` ties are broken uniformly at
-    random (the paper's "DFS with random tie-breaking" ablation).
-    """
-    if tie_break is not None and rng is not None:
-        raise GraphError("pass either tie_break or rng, not both")
-    insertion_rank = {v: i for i, v in enumerate(graph.nodes())}
-    if rng is not None:
-        noise = {v: rng.random() for v in graph.nodes()}
-        key = lambda v: (noise[v],)
-    elif tie_break is not None:
-        key = lambda v: (*tie_break(v), insertion_rank[v])
-    else:
-        key = lambda v: (insertion_rank[v],)
-
-    indegree = {v: graph.in_degree(v) for v in graph.nodes()}
-    # Stack of ready nodes. Pushing children sorted descending by key means
-    # the smallest key is on top, i.e. explored first, depth-first.
-    roots = sorted((v for v in graph.nodes() if indegree[v] == 0),
-                   key=key, reverse=True)
-    stack: list[str] = list(roots)
-    order: list[str] = []
-    emitted: set[str] = set()
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        emitted.add(node)
-        ready_children = []
-        for child in graph.children(node):
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                ready_children.append(child)
-        ready_children.sort(key=key, reverse=True)
-        stack.extend(ready_children)
-    if len(order) != graph.n:
-        raise CycleError(
-            "graph has a cycle; DFS order covers "
             f"{len(order)}/{graph.n} nodes")
     return order
 

@@ -51,6 +51,7 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
+import math
 import random
 import threading
 from dataclasses import dataclass, field
@@ -103,6 +104,12 @@ class ServiceConfig:
         deadline_s: default per-request deadline in *loop* seconds
             (``None``: no deadline); enforced cooperatively at node
             boundaries, like cancellation.
+
+    Raises:
+        ValidationError: a limit below 1, a ``time_scale`` that is not
+            finite and positive, or a ``deadline_s`` that is not
+            positive — a service built with one would never start a
+            request or never finish one.
     """
 
     ram_budget_gb: float
@@ -111,6 +118,15 @@ class ServiceConfig:
     max_concurrent: int = 8
     time_scale: float = 1e-3
     deadline_s: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.queue_limit < 1 or self.max_concurrent < 1:
+            raise ValidationError(
+                "queue_limit and max_concurrent must be >= 1")
+        if not (math.isfinite(self.time_scale) and self.time_scale > 0):
+            raise ValidationError("time_scale must be finite and > 0")
+        if self.deadline_s is not None and not self.deadline_s > 0:
+            raise ValidationError("deadline_s must be > 0")
 
 
 @dataclass
@@ -222,7 +238,7 @@ class RefreshService:
         # exactly like the single-run backends' storage device
         self._storage = StorageDevice(profile=self.profile)
         # runtime policy of every request's kernel: the service's tiers,
-        # never raise on overflow, no compute penalty
+        # no compute penalty
         self._options = SimulatorOptions(spill=config.spill)
         self._epoch: float | None = None  # loop time at __aenter__
         self._seq = itertools.count()
@@ -346,17 +362,20 @@ class RefreshService:
     # request execution
     # ------------------------------------------------------------------
     async def _run_request(self, request: _Request) -> None:
-        request.started_s = self.wall()
         tenant = request.tenant.name
-        started_logical = self._now()
-        if self.bus.enabled:
-            self.bus.instant("admitted", "request", f"tenant:{tenant}",
-                             started_logical,
-                             args={"request": request.request_id,
-                                   "queue_wait_s":
-                                       request.started_s - request.queued_s})
         status, trace, error = "ok", None, None
         try:
+            # everything that can raise is in the try: whatever happens,
+            # the request ends, its future resolves and its slot frees
+            request.started_s = self.wall()
+            started_logical = self._now()
+            if self.bus.enabled:
+                self.bus.instant(
+                    "admitted", "request", f"tenant:{tenant}",
+                    started_logical,
+                    args={"request": request.request_id,
+                          "queue_wait_s":
+                              request.started_s - request.queued_s})
             trace = await self._execute(request, started_logical)
         except RunCancelledError as exc:
             status = ("timeout" if "deadline" in str(exc) else "cancelled")

@@ -16,7 +16,7 @@ Architecture — an accounting core and three things beside it
     and each lower :class:`~repro.store.tiered.StorageTier` owns a plain
     ``MemoryLedger`` of its own, so per-tier usage, peak and admission
     share the exact accounting code RAM uses.  Every method backends
-    already call — ``insert`` / ``try_insert``, reservations, ``fits``,
+    already call — ``insert``, reservations, ``fits``,
     ``usage`` / ``peak_usage``, ``consumer_done`` / ``materialized`` /
     ``force_release``, ``in`` — keeps its meaning, with release-protocol
     calls routed to whichever tier holds the entry.  It holds only what
@@ -49,16 +49,14 @@ Architecture — an accounting core and three things beside it
     charged where the core commits RAM bytes and credited where they
     leave (a demotion or a release).
 
-**The policy contract** (:class:`~repro.store.policy.SpillPolicy`)
-    Victim selection is pluggable: ``cost`` (S/C-style scoring —
-    smallest expected reload penalty per byte freed), ``lru``, and
-    ``largest`` ship built in; third parties register more with
-    :func:`~repro.store.policy.register_policy`.  Rankings always end
-    with the node id, keeping runs deterministic.  A policy is its
-    ``key``, a pure function of the entry's ``VictimInfo``: the ledger
-    keeps every tier ranked in a lazily synced
-    :class:`~repro.store.victim_index.VictimIndex` and re-keys an entry
-    only when one of those fields changes.
+**The policies** (:data:`~repro.store.policy.POLICIES`)
+    Victim selection is one of three sort keys: ``cost`` (S/C-style
+    scoring — smallest expected reload penalty per byte freed),
+    ``lru``, and ``largest``.  Rankings always end with the node id,
+    keeping runs deterministic.  A key is a pure function of the
+    entry's ``VictimInfo``: the ledger keeps every tier ranked in a
+    lazily synced :class:`~repro.store.victim_index.VictimIndex` and
+    re-keys an entry only when one of those fields changes.
 
 **The mover contract** (:data:`~repro.store.tiered.Mover`)
     An executor doing *real* I/O hands ``demote_victim`` a callable
@@ -131,13 +129,7 @@ from repro.store.config import (
     parse_tier,
     resolve_codec,
 )
-from repro.store.policy import (
-    SpillPolicy,
-    VictimInfo,
-    create_policy,
-    policy_names,
-    register_policy,
-)
+from repro.store.policy import VictimInfo
 from repro.store.tiered import SpillCharge, StorageTier, TieredLedger
 
 __all__ = [
@@ -152,16 +144,12 @@ __all__ = [
     "SSD_PROFILE",
     "SpillCharge",
     "SpillConfig",
-    "SpillPolicy",
     "StorageTier",
     "TierSpec",
     "TieredLedger",
     "VictimInfo",
     "ZLIB1_CODEC",
     "ZLIB_CODEC",
-    "create_policy",
     "parse_tier",
-    "policy_names",
-    "register_policy",
     "resolve_codec",
 ]

@@ -196,30 +196,23 @@ class CodecAdaptConfig:
     Bases*).  With adaptation armed, the tiered ledger measures the
     realized ratio of the first ``samples`` tables spilled into each
     compressing tier and, when the observed ratio diverges from the
-    codec's nominal ratio by more than ``threshold``, *re-prices* the
-    tier: the arbitration/victim cost model switches to the observed
-    ratio, and — when ``allow_switch`` is set and the observed saving no
-    longer covers the codec's encode+decode tax — the tier drops its
-    codec entirely and stores future spills raw.  Every decision is
-    logged in ``extras["tiered_store"]["codec_adapt"]``.
+    codec's nominal ratio by more than
+    :data:`~repro.store.pricing.ADAPT_THRESHOLD`, *re-prices* the tier:
+    the arbitration/victim cost model switches to the observed ratio,
+    and — when the observed saving no longer covers the codec's
+    encode+decode tax — the tier drops its codec entirely and stores
+    future spills raw.  Every decision is logged in
+    ``extras["tiered_store"]["codec_adapt"]``.
 
     Attributes:
         samples: spilled tables to measure before deciding (per tier).
-        threshold: relative ratio divergence that triggers a re-price
-            (``|observed - nominal| / nominal``).
-        allow_switch: permit dropping a codec that stops paying for
-            itself (re-pricing alone never changes stored bytes).
     """
 
     samples: int = 4
-    threshold: float = 0.25
-    allow_switch: bool = True
 
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValidationError("adapt samples must be >= 1")
-        if not self.threshold > 0:  # also rejects NaN
-            raise ValidationError("adapt threshold must be > 0")
 
 
 @dataclass(frozen=True)

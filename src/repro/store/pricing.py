@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 from repro.metadata.costmodel import DeviceProfile
-from repro.store.config import CodecAdaptConfig, CodecProfile
+from repro.store.config import CodecProfile
 
 
 def realized_ratio(codec: CodecProfile, priced_ratio: float,
@@ -140,14 +140,19 @@ def warehouse_ram_gain(profile: DeviceProfile) -> float:
             - 2.0 / profile.memory_bandwidth)
 
 
+#: Relative divergence ``|observed - nominal| / nominal`` of a tier's
+#: measured codec ratio past which :func:`adapt_codec` re-prices it.
+ADAPT_THRESHOLD = 0.25
+
+
 def adapt_codec(codec: CodecProfile, observed: float,
-                adapt: CodecAdaptConfig, device: DeviceProfile,
+                device: DeviceProfile,
                 below: DeviceProfile | None) -> tuple[bool, bool]:
     """Decide a tier's codec after its measured spills:
     ``(re-price, switch the codec off)``.
 
     The tier is *re-priced* to the ``observed`` ratio when that diverges
-    from the codec's preset past ``adapt.threshold``.  It additionally
+    from the codec's preset past :data:`ADAPT_THRESHOLD`.  It additionally
     drops the codec when the saving no longer covers the encode + decode
     tax: one device round trip of the bytes the codec actually removes
     against its two CPU stages.  A transfer-free rung's own legs cost
@@ -156,7 +161,7 @@ def adapt_codec(codec: CodecProfile, observed: float,
     round trip, and with nothing below compression is pure capacity and
     the codec stays.
     """
-    if abs(observed - codec.ratio) / codec.ratio <= adapt.threshold:
+    if abs(observed - codec.ratio) / codec.ratio <= ADAPT_THRESHOLD:
         return False, False
     round_trip = transfer_round_trip_per_gb(device)
     if round_trip <= 0.0 and observed > 1.0:
@@ -167,4 +172,4 @@ def adapt_codec(codec: CodecProfile, observed: float,
     headroom = max(0.0, 1.0 - 1.0 / observed)
     saving = round_trip * headroom if headroom > 0.0 else 0.0
     tax = codec.encode_seconds_per_gb + codec.decode_seconds_per_gb
-    return True, adapt.allow_switch and tax >= saving
+    return True, tax >= saving

@@ -69,7 +69,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from repro.errors import BudgetExceededError, CatalogError
+from repro.errors import BudgetExceededError, CatalogError, ValidationError
 from repro.exec.ledger import MemoryLedger
 from repro.metadata.costmodel import DeviceProfile
 from repro.obs.events import EventBus, resolve_bus
@@ -81,7 +81,7 @@ from repro.store.config import (
     SpillConfig,
     TierSpec,
 )
-from repro.store.policy import VictimInfo, create_policy
+from repro.store.policy import POLICIES, VictimInfo
 from repro.store.stats import StoreStats
 from repro.store.tenants import TenantAccounts
 from repro.store.victim_index import VictimIndex
@@ -216,7 +216,10 @@ class TieredLedger(MemoryLedger):
         super().__init__(budget=budget, lock=lock)
         self.bus = resolve_bus(bus)
         self.config = config or SpillConfig()
-        self.policy = create_policy(self.config.policy)
+        if self.config.policy not in POLICIES:
+            raise ValidationError(
+                f"unknown spill policy {self.config.policy!r}; choose "
+                f"from {tuple(sorted(POLICIES))}")
         self.profile = profile or DeviceProfile()
         #: False for executors that measure real wall clocks instead of
         #: charging the model: every simulated second stays zero
@@ -237,8 +240,8 @@ class TieredLedger(MemoryLedger):
         self._tick = 0
         # every tier's policy ranking, synced lazily: mutations below
         # only mark the entries they touch (see repro.store.victim_index)
-        self._victim_index = VictimIndex(self.policy, len(self.tiers),
-                                         self._victim_info)
+        self._victim_index = VictimIndex(POLICIES[self.config.policy][0],
+                                         len(self.tiers), self._victim_info)
         # a --replan second pass builds a fresh ledger and therefore
         # fresh counts
         self.stats = StoreStats(self.config, self.tiers, self.bus,
@@ -381,7 +384,7 @@ class TieredLedger(MemoryLedger):
         below = (self.tiers[index + 1].profile
                  if index + 1 < len(self.tiers) else None)
         repriced, switched = pricing.adapt_codec(
-            tier.codec, observed, adapt, tier.profile, below)
+            tier.codec, observed, tier.profile, below)
         self.stats.adapted(tier.name, tier.codec, observed,
                            seen.encoded_count, repriced, switched)
         if repriced:
@@ -458,20 +461,14 @@ class TieredLedger(MemoryLedger):
         with self._lock:
             return self.tenants.account(name).usage
 
-    def tenant_available(self, name: str) -> float:
-        """Bytes left in the tenant's RAM share (budget − usage)."""
-        with self._lock:
-            account = self.tenants.account(name)
-            return account.budget - account.usage
-
     # The two RAM hooks.  Every path committing RAM bytes (insert /
-    # try_insert / commit_reservation / adopt / promote) lands in
-    # _commit_entry, and every path returning them in a release (then
-    # _forget) or in detach, so these keep recency, the victim ranking
-    # and the tenant balances in lockstep with tier-0 usage.  Only
-    # tier 0 is hooked: lower-tier ledgers are plain MemoryLedger
-    # objects, and the release rule is MemoryLedger's alone.  The
-    # tenant books are touched only once some tenant owns an entry.
+    # commit_reservation / adopt / promote) lands in _commit_entry, and
+    # every path returning them in a release (then _forget) or in
+    # detach, so these keep recency, the victim ranking and the tenant
+    # balances in lockstep with tier-0 usage.  Only tier 0 is hooked:
+    # lower-tier ledgers are plain MemoryLedger objects, and the
+    # release rule is MemoryLedger's alone.  The tenant books are
+    # touched only once some tenant owns an entry.
     def _commit_entry(self, node_id: str, size: float, n_consumers: int,  # lint: locked
                       materialization_pending: bool) -> None:
         MemoryLedger._commit_entry(self, node_id, size, n_consumers,

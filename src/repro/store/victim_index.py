@@ -3,11 +3,9 @@
 Ranking a tier's residents from scratch — one :class:`VictimInfo` per
 entry, then a full sort — is linear in residents, and the tiered store
 asks for a ranking on every stall-vs-spill estimate and every demotion.
-The index keeps, per tier, one sorted list of
-``(*policy.key(info), node_id)`` — the very tuple
-:meth:`SpillPolicy.order` sorts by, so rank order and tie-breaks are
-that reference ranking's by construction — and brings it up to date
-*lazily*:
+The index keeps, per tier, one sorted list of ``(*key(info), node_id)``
+— the policy's key, then the node id as the tie-break — and brings it
+up to date *lazily*:
 
 * a ledger mutation that can change an entry's key (it entered the
   tier, lost a consumer, was read) only **marks** the entry — one
@@ -29,24 +27,25 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Callable, Iterator, KeysView
 
-from repro.store.policy import SpillPolicy, VictimInfo
+from repro.store.policy import VictimInfo
 
 
 class VictimIndex:
     """Lazily synced per-tier ranking of demotion candidates.
 
     Args:
-        policy: its ``key`` ranks the entries (and must be a pure
-            function of the :class:`VictimInfo`, since keys are cached).
+        key: the policy's sort key (a :data:`~repro.store.policy.
+            POLICIES` row); it must be a pure function of the
+            :class:`VictimInfo`, since keys are cached.
         n_tiers: tiers to index, RAM first.
         describe: ``(tier, node_id) -> VictimInfo`` for a resident of
             that tier, or ``None`` when the tier's entries are not
             demotion candidates (nothing below to demote into).
     """
 
-    def __init__(self, policy: SpillPolicy, n_tiers: int,
+    def __init__(self, key: Callable[[VictimInfo], tuple], n_tiers: int,
                  describe: Callable[[int, str], VictimInfo | None]) -> None:
-        self._key = policy.key
+        self._key = key
         self._describe = describe
         # per tier: the sorted rank tuples, each indexed entry's
         # (rank tuple, VictimInfo), and the entries awaiting a re-rank

@@ -25,10 +25,10 @@ Intermediate sizes derive deterministically from the TPC-DS table census
 scaled to the requested dataset size. The **TPC-DSp** variant models the
 date-partitioned datasets with two factors:
 
-* ``partition_scan_factor`` — fraction of a fact table's bytes a scan
+* :data:`PARTITION_SCAN_FACTOR` — fraction of a fact table's bytes a scan
   actually reads after partition elimination (whole year-partitions are
   skipped);
-* ``partition_row_factor`` — fraction of fact rows the MV definitions
+* :data:`PARTITION_ROW_FACTOR` — fraction of fact rows the MV definitions
   retain. It is larger than the scan factor because several query units
   compare across years (Q2/Q59/Q74 this-year-vs-last-year analyses), so
   the logical working set spans more partitions than a single report
@@ -67,12 +67,12 @@ WORKLOAD_NAMES: tuple[str, ...] = tuple(WORKLOAD_SUMMARY)
 #: date-partitioned datasets (only whole-year partitions that match the
 #: report predicates are scanned; TPC-DS spans ~8 years and the report
 #: queries mostly target a single year plus a month window).
-DEFAULT_PARTITION_FACTOR = 0.12
+PARTITION_SCAN_FACTOR = 0.12
 
 #: Fraction of fact rows the MV definitions retain on the partitioned
 #: datasets; larger than the scan factor because cross-year comparison
 #: units keep several years in their working set.
-DEFAULT_PARTITION_ROW_FACTOR = 0.35
+PARTITION_ROW_FACTOR = 0.35
 
 #: Columnar projection: an SPJ unit reads only the columns it needs, so a
 #: base-table scan touches this fraction of the table's bytes (ORC/Parquet
@@ -108,14 +108,11 @@ class _Builder:
     """Accumulates node specs; sizes derive from parents + base tables."""
 
     def __init__(self, table_sizes: dict[str, float],
-                 partitioned: bool, partition_scan_factor: float,
-                 partition_row_factor: float, scale_gb: float,
+                 partitioned: bool, scale_gb: float,
                  column_factor: float = COLUMN_PRUNING_FACTOR):
         self.graph = DependencyGraph()
         self.table_sizes = table_sizes
         self.partitioned = partitioned
-        self.partition_scan_factor = partition_scan_factor
-        self.partition_row_factor = partition_row_factor
         self.column_factor = column_factor
         # Group-by cardinality saturation: AGG outputs shrink relative to
         # their inputs as the dataset grows.
@@ -128,8 +125,8 @@ class _Builder:
 
         ``out`` is the output size as a fraction of total input bytes
         (parents + column-pruned base tables). On partitioned datasets a
-        fact-table base input contributes ``partition_scan_factor`` of its
-        bytes to the scan cost but ``partition_row_factor`` of its bytes to
+        fact-table base input contributes :data:`PARTITION_SCAN_FACTOR` of
+        its bytes to the scan cost but :data:`PARTITION_ROW_FACTOR` of them to
         the output-size derivation (cross-year units retain rows from more
         partitions than one report scan touches).
         """
@@ -142,8 +139,8 @@ class _Builder:
                 raise WorkloadError(f"unknown base table {table!r}")
             size = self.table_sizes[table] * self.column_factor
             if self.partitioned and table in FACT_TABLES:
-                scan_gb += size * self.partition_scan_factor
-                row_gb += size * self.partition_row_factor
+                scan_gb += size * PARTITION_SCAN_FACTOR
+                row_gb += size * PARTITION_ROW_FACTOR
             else:
                 scan_gb += size
                 row_gb += size
@@ -325,26 +322,22 @@ _BUILDERS = {
 
 def build_workload(name: str, scale_gb: float = 100.0,
                    partitioned: bool = False,
-                   partition_factor: float = DEFAULT_PARTITION_FACTOR,
-                   partition_row_factor: float = DEFAULT_PARTITION_ROW_FACTOR,
                    cost_model: DeviceProfile | None = None,
                    ) -> DependencyGraph:
     """Build one of the five workloads at the given dataset scale.
 
-    ``partitioned=True`` yields the TPC-DSp variant (``partition_factor``
-    is the scan-pruning fraction, ``partition_row_factor`` the row
-    retention). The returned graph is fully annotated: sizes,
-    ``base_input_gb``, calibrated compute times, and speedup scores.
+    ``partitioned=True`` yields the TPC-DSp variant (scans pruned to
+    :data:`PARTITION_SCAN_FACTOR`, rows retained at
+    :data:`PARTITION_ROW_FACTOR`). The returned graph is fully annotated:
+    sizes, ``base_input_gb``, calibrated compute times, and speedup
+    scores.
     """
     if name not in _BUILDERS:
         raise WorkloadError(
             f"unknown workload {name!r}; choose from {WORKLOAD_NAMES}")
     cost_model = cost_model or DeviceProfile()
     builder = _Builder(table_sizes=scaled_table_sizes(scale_gb),
-                       partitioned=partitioned,
-                       partition_scan_factor=partition_factor,
-                       partition_row_factor=partition_row_factor,
-                       scale_gb=scale_gb)
+                       partitioned=partitioned, scale_gb=scale_gb)
     _BUILDERS[name](builder)
     graph = builder.graph
     graph.validate()
@@ -371,17 +364,12 @@ def build_workload(name: str, scale_gb: float = 100.0,
 
 def build_five_workloads(scale_gb: float = 100.0,
                          partitioned: bool = False,
-                         partition_factor: float = DEFAULT_PARTITION_FACTOR,
-                         partition_row_factor: float =
-                         DEFAULT_PARTITION_ROW_FACTOR,
                          cost_model: DeviceProfile | None = None,
                          ) -> dict[str, DependencyGraph]:
     """All five Table III workloads keyed by name."""
     return {
         name: build_workload(name, scale_gb=scale_gb,
                              partitioned=partitioned,
-                             partition_factor=partition_factor,
-                             partition_row_factor=partition_row_factor,
                              cost_model=cost_model)
         for name in WORKLOAD_NAMES
     }

@@ -42,7 +42,6 @@ class GeneratedWorkloadConfig:
     max_outdegree: int = 4
     stage_stdev: float = 1.0
     io_time_share: float = 0.5
-    size_scale: float = 1.0
 
     def dag_config(self) -> LayeredDagConfig:
         return LayeredDagConfig(
@@ -83,7 +82,7 @@ class WorkloadGenerator:
             parents = graph.parents(node_id)
             if not parents:
                 op = "SCAN"
-                base = rng.choice(table_sizes) * config.size_scale
+                base = rng.choice(table_sizes)
                 node.meta["base_input_gb"] = base
                 node.size = self.estimator.estimate(op, [base], rng)
             else:

@@ -125,9 +125,19 @@ def chain_graph() -> DependencyGraph:
     return graph
 
 
+def reference_order(policy: str, victims: list) -> list:
+    """The reference ranking of a spill policy: sorted by the policy's
+    key, then node id.  The store never sorts this way — it keeps a
+    ``VictimIndex`` — and the tests hold the index to this."""
+    from repro.store.policy import POLICIES
+
+    key = POLICIES[policy][0]
+    return sorted(victims, key=lambda v: (*key(v), v.node_id))
+
+
 def reference_victims(ledger, tier: int) -> list:
     """Tier ``tier``'s ranking rebuilt from scratch — a fresh
-    ``VictimInfo`` per resident, then ``policy.order`` — which is how
+    ``VictimInfo`` per resident, then :func:`reference_order` — which is how
     the tiered store ranked victims before it kept a ``VictimIndex``.
     Kept here, formula and all, as the reference the index is held to.
     The cached prices are held to a fresh ``_move_seconds`` — the call
@@ -159,7 +169,7 @@ def reference_victims(ledger, tier: int) -> list:
                                              stored_dst, logical),
             create_cost=(ledger.profile.create_time_memory(logical)
                          if ledger.charge_io else 0.0)))
-    return ledger.policy.order(infos)
+    return reference_order(ledger.config.policy, infos)
 
 
 def assert_victim_index_current(ledger) -> None:

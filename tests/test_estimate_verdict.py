@@ -172,12 +172,13 @@ def test_prices_follow_set_compressibility():
 
 def test_prices_follow_an_adaptive_codec_decision():
     # two incompressible spills into the zlib tier: observed ratio 1.0
-    # against the 2.6 preset re-prices the tier, which moves the demote
-    # price of every RAM entry without a multiplier of its own
+    # against the 2.6 preset saves nothing for the codec's tax, so the
+    # tier drops the codec, which moves the demote price of every RAM
+    # entry without a multiplier of its own: no encode stage is left
     ledger = TieredLedger(4.0, SpillConfig(
         tiers=(TierSpec("ssd", 100.0, profile=SSD_PROFILE,
                         codec=ZLIB_CODEC), TierSpec("disk")),
-        adapt=CodecAdaptConfig(samples=2, allow_switch=False)))
+        adapt=CodecAdaptConfig(samples=2)))
     ledger.set_compressibility({"s0": 0.0, "s1": 0.0})
     for name in ("s0", "s1"):
         ledger.insert(name, 1.0, n_consumers=1)
@@ -186,9 +187,10 @@ def test_prices_follow_an_adaptive_codec_decision():
     for name in ("s0", "s1"):
         ledger.demote(name)
     assert "ssd" in ledger.stats.codec_adapt
+    assert ledger.tiers[1].codec is NONE_CODEC
     assert ledger.tiers[1].priced_ratio == 1.0
     after = _assert_prices_fresh(ledger)
-    assert after["keep"] > before["keep"]
+    assert after["keep"] < before["keep"]
 
 
 # ----------------------------------------------------------------------

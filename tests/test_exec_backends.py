@@ -176,8 +176,9 @@ class TestLedgerConcurrentAdmission:
             for i in range(300):
                 name = f"t{worker_id}-{i}"
                 size = rng.uniform(1.0, 40.0)
-                if ledger.try_insert(name, size, n_consumers=1,
-                                     materialization_pending=True):
+                if ledger.reserve(name, size):
+                    ledger.commit_reservation(name, n_consumers=1,
+                                              materialization_pending=True)
                     ledger.materialized(name)
                     ledger.consumer_done(name)
 

@@ -278,8 +278,6 @@ class TestCodecAdaptation:
     def test_bad_adapt_config_rejected(self):
         with pytest.raises(ValidationError):
             CodecAdaptConfig(samples=0)
-        with pytest.raises(ValidationError):
-            CodecAdaptConfig(threshold=0.0)
 
 
 # ----------------------------------------------------------------------

@@ -298,8 +298,7 @@ def _random_case(rng: random.Random):
         arbitrate=rng.random() < 0.8,
         codec=codec,
         prefetch=rng.random() < 0.5,
-        adapt=(CodecAdaptConfig(samples=rng.choice([1, 2, 4]),
-                                threshold=rng.choice([0.1, 0.25]))
+        adapt=(CodecAdaptConfig(samples=rng.choice([1, 2, 4]))
                if rng.random() < 0.5 else None))
     return graph, plan, ram, spill
 

@@ -20,7 +20,7 @@ import threading
 
 import pytest
 
-from repro.errors import CatalogError
+from repro.errors import BudgetExceededError, CatalogError
 from repro.exec.ledger import MemoryLedger
 
 BUDGET = 100.0
@@ -61,14 +61,14 @@ def test_random_schedule_single_threaded(seed):
     next_id = 0
 
     for _ in range(600):
-        ops = ["insert", "try_insert", "reserve"]
+        ops = ["insert", "claim", "reserve"]
         if shadow.entries:
             ops += ["consumer_done", "materialized", "force_release"] * 2
         if shadow.reserved:
             ops += ["commit_reservation"] * 2
         op = rng.choice(ops)
 
-        if op in ("insert", "try_insert", "reserve"):
+        if op in ("insert", "claim", "reserve"):
             name = f"t{next_id}"
             next_id += 1
             size = rng.uniform(1.0, 40.0)
@@ -82,10 +82,10 @@ def test_random_schedule_single_threaded(seed):
                 else:
                     with pytest.raises(CatalogError):
                         ledger.insert(name, size, consumers, pending)
-            elif op == "try_insert":
-                assert ledger.try_insert(name, size, consumers,
-                                         pending) == fits
+            elif op == "claim":  # reserve and commit at once
+                assert ledger.reserve(name, size) == fits
                 if fits:
+                    ledger.commit_reservation(name, consumers, pending)
                     shadow.entries[name] = [size, consumers, pending]
             else:
                 assert ledger.reserve(name, size) == fits
@@ -173,8 +173,10 @@ def test_random_schedule_multi_threaded(seed):
                 size = rng.uniform(1.0, 40.0)
                 consumers = rng.randint(0, 2)
                 if rng.random() < 0.5:
-                    if not ledger.try_insert(name, size, consumers,
-                                             materialization_pending=True):
+                    try:
+                        ledger.insert(name, size, consumers,
+                                      materialization_pending=True)
+                    except BudgetExceededError:
                         continue
                 else:
                     if not ledger.reserve(name, size):

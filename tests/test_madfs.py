@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.madfs import actual_memory_consumption, ma_dfs_order
 from repro.core.residency import average_memory_usage, peak_memory_usage
-from repro.graph.topo import dfs_topological_order, is_topological_order
+from repro.graph.topo import is_topological_order
 from tests.conftest import (
     make_fig7_problem,
     make_fig8_problem,
     make_random_problem,
 )
+from tests.random_dfs import dfs_topological_order
 
 
 class TestActualMemoryConsumption:

@@ -15,6 +15,7 @@ requests x random cancellations x checked ledger) lives in
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 
 import pytest
@@ -24,6 +25,7 @@ from repro.engine.controller import Controller
 from repro.errors import ServiceOverloadError, ValidationError
 from repro.graph.dag import DependencyGraph
 from repro.metadata.costmodel import DeviceProfile
+from repro.obs.events import EventBus
 from repro.serve import RefreshService, ServiceConfig, TenantSpec
 from repro.serve.service import percentile
 from repro.store.config import SpillConfig, TierSpec
@@ -77,8 +79,54 @@ def test_tenant_shares_register_on_the_shared_ledger():
     service = RefreshService(_config(8.0), [TenantSpec("a", 0.75),
                                             TenantSpec("b", 0.25)])
     assert sorted(service.ledger.tenant_names()) == ["a", "b"]
-    assert service.ledger.tenant_available("a") == pytest.approx(6.0)
-    assert service.ledger.tenant_available("b") == pytest.approx(2.0)
+    for name, budget in (("a", 6.0), ("b", 2.0)):
+        assert service.ledger.tenants.account(name).budget == \
+            pytest.approx(budget)
+        assert service.ledger.tenant_usage(name) == 0.0
+
+
+@pytest.mark.parametrize("setting", [
+    {"max_concurrent": 0}, {"queue_limit": 0}, {"time_scale": 0.0},
+    {"time_scale": -1e-4}, {"time_scale": math.inf},
+    {"time_scale": math.nan}, {"deadline_s": 0.0}, {"deadline_s": -1.0},
+], ids=lambda setting: "{}={}".format(*next(iter(setting.items()))))
+def test_config_rejects_settings_under_which_no_request_ends(setting):
+    # max_concurrent=0 never starts a request; time_scale=0 divides by
+    # zero as a request starts; a deadline <= 0 expires every request
+    with pytest.raises(ValidationError):
+        _config(1.0, **setting)
+
+
+class _AdmissionFails(EventBus):
+    """A bus whose ``admitted`` instant raises: the first statement of
+    a request's start-up fails."""
+
+    def instant(self, name, *args, **kwargs):
+        if name == "admitted":
+            raise RuntimeError("admission hook failed")
+        super().instant(name, *args, **kwargs)
+
+
+def test_a_request_whose_start_up_raises_ends_failed_and_frees_its_slot():
+    graph, plan, budget = _case()
+
+    async def main():
+        service = RefreshService(_config(budget, max_concurrent=1),
+                                 [TenantSpec("a", 1.0)],
+                                 bus=_AdmissionFails())
+        async with service as svc:
+            handles = [await svc.submit(graph, plan, tenant="a")
+                       for _ in range(2)]
+            # the second request starts only once the first freed the
+            # one slot; a hang times out in virtual seconds instead
+            results = [await asyncio.wait_for(handle, timeout=60.0)
+                       for handle in handles]
+        return service, results
+
+    service, results = run_virtual(main())
+    assert [r.status for r in results] == ["failed"] * 2
+    assert all("admission hook failed" in r.error for r in results)
+    _assert_clean(service)
 
 
 def test_submit_rejects_unknown_tenant():

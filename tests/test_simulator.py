@@ -9,7 +9,7 @@ from repro.core.optimizer import optimize
 from repro.core.plan import Plan
 from repro.engine import SimulatorOptions
 from repro.engine.storage import StorageDevice
-from repro.errors import ExecutionError, ValidationError
+from repro.errors import ValidationError
 from repro.exec import create_backend
 from repro.metadata.costmodel import DeviceProfile
 from tests.conftest import make_random_problem
@@ -112,17 +112,7 @@ class TestOverflowPolicies:
         assert trace.nodes[0].write > 0  # spilled to a blocking write
         assert trace.peak_catalog_usage == 0.0
 
-    def test_error_policy_raises(self, chain_graph):
-        plan = Plan.make(["a", "b", "c", "d"], {"a"})
-        backend = simulator(
-            profile=simple_profile(),
-            options=SimulatorOptions(on_overflow="error"))
-        with pytest.raises(ExecutionError):
-            backend.run(chain_graph, plan, memory_budget=0.5)
-
     def test_invalid_options(self):
-        with pytest.raises(ValidationError):
-            SimulatorOptions(on_overflow="panic")
         with pytest.raises(ValidationError):
             SimulatorOptions(compute_penalty=-0.1)
 

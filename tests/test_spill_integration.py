@@ -21,7 +21,6 @@ from repro.core.optimizer import optimize
 from repro.core.problem import ScProblem
 from repro.engine.controller import Controller
 from repro.engine import SimulatorOptions
-from repro.errors import ExecutionError
 from repro.store import SpillConfig, TierSpec
 from repro.workloads.generator import (
     GeneratedWorkloadConfig,
@@ -165,15 +164,6 @@ class TestSimulatorSpill:
         assert big.write > 0                # flag lost: nothing could host it
         assert report["spill_count"] == 1   # v1 demoted while trying
         assert trace.spill_time > 0         # ...and that move was billed
-
-    def test_error_overflow_still_raises_on_finite_hierarchy(self):
-        graph, plan, budget = _case(0)
-        tiny = SimulatorOptions(
-            on_overflow="error",
-            spill=SpillConfig(tiers=(TierSpec("ssd", 1e-9),)))
-        with pytest.raises(ExecutionError, match="no storage tier"):
-            Controller(options=tiny).refresh(graph, 1e-9, plan=plan,
-                                             method="sc")
 
     def test_unbounded_last_tier_never_loses_a_flag(self):
         """Even an absurd RAM budget completes with every flag kept."""

