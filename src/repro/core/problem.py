@@ -99,7 +99,7 @@ class TierAwareBudget:
     tiers: tuple[TierCapacity, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.ram < 0:
+        if not self.ram >= 0:  # also rejects NaN
             raise ValidationError("ram budget must be >= 0")
         object.__setattr__(self, "tiers", tuple(self.tiers))
 
@@ -249,10 +249,10 @@ class ScProblem:
     _scores: dict[str, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.memory_budget < 0:
+        if not self.memory_budget >= 0:  # also rejects NaN
             raise ValidationError(
                 f"memory_budget must be >= 0, got {self.memory_budget}")
-        if self.size_cap is not None and self.size_cap < 0:
+        if self.size_cap is not None and not self.size_cap >= 0:
             raise ValidationError(
                 f"size_cap must be >= 0, got {self.size_cap}")
         if (self.tier_budget is not None

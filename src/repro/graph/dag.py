@@ -49,10 +49,10 @@ class Node:
     def __post_init__(self) -> None:
         if not self.node_id:
             raise ValidationError("node_id must be a non-empty string")
-        if self.size < 0:
+        if not self.size >= 0:  # also rejects NaN
             raise ValidationError(
                 f"node {self.node_id!r}: size must be >= 0, got {self.size}")
-        if self.score < 0:
+        if not self.score >= 0:
             raise ValidationError(
                 f"node {self.node_id!r}: score must be >= 0, got {self.score}")
 

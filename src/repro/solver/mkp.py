@@ -45,10 +45,20 @@ changing the search:
   subtracting a zero weight is the identity, and on a skipped row the
   dense test ``0 <= residual + eps`` holds because every include keeps
   ``residual >= -eps``.
-* **Lazy rows.** A row's ratio order and zero-weight suffix sums are
-  built the first time that row is the tightest; a scan then reads flat
-  ``(position, weight, profit)`` tuples and starts past the leading
-  entries that are already decided.
+* **Undecided entries only.** A row's scan is built the first time that
+  row is the tightest: zero-weight suffix sums, and for each branching
+  position a list of the row's undecided ``(weight, profit)`` entries in
+  ratio order. The lists share one tuple per entry, so a scan at ``pos``
+  reads no decided entry and adds the same profits in the same order as
+  a scan of the full ratio order that skips the decided ones.
+* **Cached tightest row.** The tightest row is kept as ``(residual,
+  first index)`` — what ``min(residual)`` and ``residual.index`` give —
+  instead of being searched for at each bound. An include only lowers
+  the rows it touches, so the new tightest row is the least of the
+  cached one and those rows, the lower index winning a tie. An undo only
+  raises rows, so the cache stays right unless it raised the cached row;
+  then it is marked stale, and the next bound that needs it recomputes
+  it. An include leaves a stale cache stale.
 
 The contract: same nodes, same order, same prune verdicts — hence equal
 ``MkpSolution`` fields on every instance — as the straightforward dense
@@ -58,6 +68,7 @@ holds it to that, with and without the LP stage.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -94,11 +105,11 @@ class MkpInstance:
                 raise ValidationError(
                     f"weight row {row_idx} has {len(row)} entries for "
                     f"{n_items} items")
-            if any(w < 0 for w in row):
+            if not all(w >= 0 for w in row):  # also rejects NaN
                 raise ValidationError("weights must be >= 0")
-        if any(p < 0 for p in self.profits):
+        if not all(p >= 0 for p in self.profits):
             raise ValidationError("profits must be >= 0")
-        if any(c < 0 for c in self.capacities):
+        if not all(c >= 0 for c in self.capacities):
             raise ValidationError("capacities must be >= 0")
 
     @property
@@ -176,32 +187,40 @@ class _RowScan:
     """One constraint row laid out for Dantzig-bound threshold tests.
 
     ``zero_suffix[pos]`` is the profit of the row's zero-weight positions
-    from ``pos`` on; ``weighted`` holds its other positions as
-    ``(position, weight, profit)`` by decreasing profit ratio; and
-    ``first_live[pos]`` is the index of the first of those at ``pos`` or
-    later — every entry ahead of it is already decided at ``pos``.
+    from ``pos`` on, and ``undecided[pos]`` holds the row's other
+    positions from ``pos`` on as ``(weight, profit)`` by decreasing profit
+    ratio. A position's tuple is built once and shared by every list that
+    holds it, and a position outside the row shares its successor's list,
+    so a list costs one pointer per entry.
     """
 
-    __slots__ = ("zero_suffix", "weighted", "first_live")
+    __slots__ = ("zero_suffix", "undecided")
 
     def __init__(self, row: Sequence[float], order: Sequence[int],
                  profit_at: Sequence[float]) -> None:
         n_order = len(order)
         # Stable sort: equal ratios stay in branching order.
-        weighted = [(pos, row[item], profit_at[pos])
-                    for pos, item in enumerate(order) if row[item] > 0]
-        weighted.sort(key=lambda entry: entry[2] / entry[1], reverse=True)
+        ranked = [pos for pos, item in enumerate(order) if row[item] > 0]
+        ranked.sort(key=lambda pos: profit_at[pos] / row[order[pos]],
+                    reverse=True)
+        rank_at = {pos: rank for rank, pos in enumerate(ranked)}
         zero_suffix = [0.0] * (n_order + 1)
-        first_live = [len(weighted)] * (n_order + 1)
-        for index, (pos, _, _) in enumerate(weighted):
-            first_live[pos] = index
+        live: list[tuple[float, float]] = []
+        live_ranks: list[int] = []
+        undecided = [live] * (n_order + 1)
         for pos in range(n_order - 1, -1, -1):
-            free = profit_at[pos] if row[order[pos]] <= 0 else 0.0
+            weight = row[order[pos]]
+            free = profit_at[pos] if weight <= 0 else 0.0
             zero_suffix[pos] = zero_suffix[pos + 1] + free
-            first_live[pos] = min(first_live[pos], first_live[pos + 1])
+            if weight > 0:
+                rank = rank_at[pos]
+                at = bisect_left(live_ranks, rank)
+                live_ranks.insert(at, rank)
+                live = live.copy()
+                live.insert(at, (weight, profit_at[pos]))
+            undecided[pos] = live
         self.zero_suffix = zero_suffix
-        self.weighted = weighted
-        self.first_live = first_live
+        self.undecided = undecided
 
     def beats(self, pos: int, capacity: float, base: float,
               threshold: float) -> bool:
@@ -214,9 +233,7 @@ class _RowScan:
         if base + total > threshold:
             return True
         remaining = capacity
-        for p, w, profit in self.weighted[self.first_live[pos]:]:
-            if p < pos:
-                continue  # already decided
+        for w, profit in self.undecided[pos]:
             if w <= remaining:
                 remaining -= w
                 total += profit
@@ -235,9 +252,6 @@ class BranchAndBoundSolver:
     Attributes:
         node_limit: max search-tree nodes before returning the incumbent
             with ``optimal=False``.
-        use_fractional_bound: disable to fall back to the (much weaker)
-            remaining-profit-sum bound — exposed for the bound-strength
-            ablation in the test suite.
         tolerance: relative optimality gap. Branches that cannot beat the
             incumbent by more than ``tolerance * incumbent`` are pruned,
             which collapses the near-tie plateaus typical of S/C instances.
@@ -246,15 +260,12 @@ class BranchAndBoundSolver:
             exact optimality.
     """
 
-    def __init__(self, node_limit: int = 60_000,
-                 use_fractional_bound: bool = True,
-                 tolerance: float = 0.01):
+    def __init__(self, node_limit: int = 60_000, tolerance: float = 0.01):
         if node_limit < 1:
             raise ValidationError("node_limit must be >= 1")
         if tolerance < 0:
             raise ValidationError("tolerance must be >= 0")
         self.node_limit = node_limit
-        self.use_fractional_bound = use_fractional_bound
         self.tolerance = tolerance
 
     # ------------------------------------------------------------------
@@ -331,10 +342,13 @@ class BranchAndBoundSolver:
         for pos in range(n_order - 1, -1, -1):
             suffix_profit[pos] = suffix_profit[pos + 1] + profit_at[pos]
 
-        fractional = self.use_fractional_bound
         surrogate_scan = _RowScan(surrogate, order, profit_at)
-        row_scans: dict[int, _RowScan] = {}
+        row_scans: list[_RowScan | None] = [None] * n_rows
         residual = list(capacities)
+        # The tightest row as (residual, first index); tight_row < 0 marks
+        # it stale, to be recomputed by the next prunes that needs it.
+        tight_value = 0.0
+        tight_row = -1
 
         def prunes(pos: int, base: float, residual_surrogate: float,
                    threshold: float) -> bool:
@@ -344,23 +358,25 @@ class BranchAndBoundSolver:
             and tightest-row bounds, evaluated only as far as the verdict
             needs.
             """
+            nonlocal tight_value, tight_row
             remaining = suffix_profit[pos]
             if base + remaining <= threshold:
                 return True
-            if not fractional or remaining <= 0:
+            if remaining <= 0:
                 return False
             if not surrogate_scan.beats(pos, residual_surrogate, base,
                                         threshold):
                 return True
             if not n_rows:
                 return False
-            tightest_residual = min(residual)
-            tightest = residual.index(tightest_residual)
-            scan = row_scans.get(tightest)
+            if tight_row < 0:
+                tight_value = min(residual)
+                tight_row = residual.index(tight_value)
+            scan = row_scans[tight_row]
             if scan is None:
-                scan = row_scans[tightest] = _RowScan(
-                    weights[tightest], order, profit_at)
-            return not scan.beats(pos, tightest_residual, base, threshold)
+                scan = row_scans[tight_row] = _RowScan(
+                    weights[tight_row], order, profit_at)
+            return not scan.beats(pos, tight_value, base, threshold)
 
         node_limit = self.node_limit
         residual_surrogate = surrogate_cap
@@ -411,8 +427,18 @@ class BranchAndBoundSolver:
                     if w > residual[x] + _EPS:
                         break
                 else:
-                    for x, w in rows:
-                        residual[x] -= w
+                    if tight_row < 0:
+                        for x, w in rows:
+                            residual[x] -= w
+                    else:
+                        # Only the rows just lowered can undercut the
+                        # cached tightest row; the lower index wins a tie.
+                        for x, w in rows:
+                            r = residual[x] = residual[x] - w
+                            if r < tight_value or (r == tight_value
+                                                   and x < tight_row):
+                                tight_value = r
+                                tight_row = x
                     residual_surrogate -= surrogate_at[pos]
                     current_profit += profit_at[pos]
                     include_marks.append(pos)
@@ -425,6 +451,8 @@ class BranchAndBoundSolver:
                     current_profit -= profit_at[pos]
                     for x, w in occupied_at[pos]:
                         residual[x] += w
+                    if tight_row >= 0 and weights[tight_row][order[pos]] > 0:
+                        tight_row = -1  # raised: no longer known least
                     residual_surrogate += surrogate_at[pos]
                 phase[pos] = _UNWIND
                 if not prunes(pos + 1, current_profit, residual_surrogate,
@@ -458,12 +486,9 @@ class BranchAndBoundSolver:
 
 
 def solve_mkp(instance: MkpInstance, node_limit: int = 60_000,
-              use_fractional_bound: bool = True,
               tolerance: float = 0.01) -> MkpSolution:
     """Convenience wrapper over :class:`BranchAndBoundSolver`."""
-    solver = BranchAndBoundSolver(node_limit=node_limit,
-                                  use_fractional_bound=use_fractional_bound,
-                                  tolerance=tolerance)
+    solver = BranchAndBoundSolver(node_limit=node_limit, tolerance=tolerance)
     solution = solver.solve(instance)
     if not instance.is_feasible(solution.selected):  # defensive invariant
         raise SolverError("BnB produced an infeasible solution "

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.graph.io import save_graph
+from repro.graph.io import graph_to_dict, save_graph
 from tests.conftest import make_fig7_problem
 
 
@@ -88,6 +88,8 @@ REJECTED = {
                                         "disk:inf", "--feedback",
                                         "{untiered}"],
     "replan without tiers": [*_SIM, "--memory", "1", "--replan"],
+    "NaN memory budget": ["optimize", "{graph}", "--memory", "nan"],
+    "NaN node size": ["optimize", "{nan_size}", "--memory", "2"],
     "plan tiers without spill dir": [*_DB, "--plan-tiers"],
     "rung without spill dir": [*_DB, "--ram-compressed", "0.001"],
     "minidb nothing to adapt": [*_DB, "--spill-dir", "{spill}",
@@ -106,9 +108,14 @@ class TestRejectedFlags:
     def files(self, tmp_path_factory) -> dict:
         root = tmp_path_factory.mktemp("rejected")
         paths = {name: str(root / f"{name}.json")
-                 for name in ("graph", "plan", "trace", "untiered")}
+                 for name in ("graph", "plan", "trace", "untiered",
+                              "nan_size")}
         paths["spill"] = str(root / "spill")
         save_graph(make_fig7_problem().graph, paths["graph"])
+        payload = graph_to_dict(make_fig7_problem().graph)
+        payload["nodes"][1]["size"] = float("nan")
+        with open(paths["nan_size"], "w") as out:
+            json.dump(payload, out)
         assert main(["optimize", paths["graph"], "--memory", "100",
                      "--output", paths["plan"]]) == 0
         for key, tiers in (("trace", ["--tier", "disk:inf"]),

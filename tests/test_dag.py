@@ -19,6 +19,11 @@ class TestNode:
         with pytest.raises(ValidationError):
             Node(node_id="a", score=-0.1)
 
+    @pytest.mark.parametrize("field", ["size", "score"])
+    def test_rejects_nan(self, field):
+        with pytest.raises(ValidationError):
+            Node(node_id="a", **{field: float("nan")})
+
 
 class TestConstruction:
     def test_add_node_and_lookup(self):

@@ -12,6 +12,7 @@ from repro.solver.mkp import (
     solve_mkp,
 )
 from tests.brute_mkp import solve_mkp_brute_force
+from tests.reference_mkp import ReferenceBranchAndBoundSolver
 
 
 def random_instance(rng: random.Random, max_items: int = 12,
@@ -41,6 +42,19 @@ class TestInstanceValidation:
             MkpInstance.from_lists([1.0], [[-1.0]], [5.0])
         with pytest.raises(ValidationError):
             MkpInstance.from_lists([1.0], [[1.0]], [-5.0])
+
+    def test_nan_values_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ValidationError):
+            MkpInstance.from_lists([nan], [[1.0]], [5.0])
+        with pytest.raises(ValidationError):
+            MkpInstance.from_lists([1.0], [[nan]], [5.0])
+        with pytest.raises(ValidationError):
+            MkpInstance.from_lists([1.0], [[1.0]], [nan])
+
+    def test_infinite_capacity_accepted(self):
+        inst = MkpInstance.from_lists([1.0], [[1.0]], [float("inf")])
+        assert inst.is_feasible([0])
 
     def test_feasibility_and_objective(self):
         inst = MkpInstance.from_lists([3.0, 4.0], [[2.0, 3.0]], [4.0])
@@ -77,8 +91,7 @@ class TestSolverBasics:
     def test_node_limit_returns_incumbent(self):
         rng = random.Random(11)
         inst = random_instance(rng, max_items=12, max_rows=4)
-        solver = BranchAndBoundSolver(node_limit=1, tolerance=0.0,
-                                      use_fractional_bound=False)
+        solver = BranchAndBoundSolver(node_limit=1, tolerance=0.0)
         solution = solver.solve(inst)
         assert inst.is_feasible(solution.selected)
 
@@ -109,14 +122,23 @@ class TestAgainstBruteForce:
             assert approx.objective >= reference.objective * 0.99 - 1e-9
 
     def test_weak_bound_still_exact(self):
+        """Bound-strength ablation: the reference solver with only the
+        remaining-profit bound is still exact, and the fractional bounds
+        never make the search larger (and here make it smaller)."""
         rng = random.Random(44)
+        weak_nodes = strong_nodes = 0
         for _ in range(15):
             inst = random_instance(rng, max_items=10)
-            weak = solve_mkp(inst, tolerance=0.0,
-                             use_fractional_bound=False)
+            weak = ReferenceBranchAndBoundSolver(
+                tolerance=0.0, use_fractional_bound=False).solve(inst)
+            strong = solve_mkp(inst, tolerance=0.0)
             reference = solve_mkp_brute_force(inst)
             assert weak.objective == pytest.approx(reference.objective,
                                                    rel=1e-6)
+            assert strong.nodes_explored <= weak.nodes_explored
+            weak_nodes += weak.nodes_explored
+            strong_nodes += strong.nodes_explored
+        assert strong_nodes < weak_nodes
 
 
 #: Small hand-built instances: (profits, weight rows, capacities, the

@@ -128,12 +128,43 @@ def instances(draw) -> MkpInstance:
 def test_small_instances_search_identically(stage, instance):
     with lp_stage(stage):
         for tolerance in (0.0, 0.01):
-            for use_fractional_bound in (True, False):
-                for node_limit in (1, 5, 50, 60_000):
-                    assert_same_search(
-                        instance, node_limit=node_limit,
-                        use_fractional_bound=use_fractional_bound,
-                        tolerance=tolerance)
+            for node_limit in (1, 5, 50, 60_000):
+                assert_same_search(instance, node_limit=node_limit,
+                                   tolerance=tolerance)
+
+
+# S/C-shaped instances in small: as in the MKP of a DAG, every row has the
+# same capacity (the memory budget) and an item weighs its one size in
+# each row of a run (its residency interval). Sizes, capacities and
+# profits are small integers, so residuals tie often and the tightest row
+# is decided by its index. The example budget comes from the Hypothesis
+# profile (tests/conftest.py).
+@st.composite
+def sc_shaped_instances(draw) -> MkpInstance:
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n_items = rng.randint(1, 14)
+    n_rows = rng.randint(1, 8)
+    capacity = float(rng.randint(2, 8))
+    weights = [[0.0] * n_items for _ in range(n_rows)]
+    for i in range(n_items):
+        first = rng.randrange(n_rows)
+        last = rng.randint(first, min(n_rows, first + 4) - 1)
+        size = float(rng.randint(1, 3))
+        for x in range(first, last + 1):
+            weights[x][i] = size
+    profits = [float(rng.randint(0, 9)) for _ in range(n_items)]
+    return MkpInstance.from_lists(profits, weights, [capacity] * n_rows)
+
+
+@pytest.mark.parametrize("stage", LP_STAGES)
+@settings(deadline=None)
+@given(instance=sc_shaped_instances())
+def test_sc_shaped_instances_search_identically(stage, instance):
+    with lp_stage(stage):
+        for tolerance in (0.0, 0.01):
+            for node_limit in (5, 60_000):
+                assert_same_search(instance, node_limit=node_limit,
+                                   tolerance=tolerance)
 
 
 # Includes are accepted up to ``capacity + eps``, so a residual may sit

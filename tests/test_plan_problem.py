@@ -55,6 +55,19 @@ class TestScProblem:
         with pytest.raises(ValidationError):
             ScProblem(graph=diamond_graph, memory_budget=-1.0)
 
+    def test_nan_budget_and_size_cap_rejected(self, diamond_graph):
+        with pytest.raises(ValidationError):
+            ScProblem(graph=diamond_graph, memory_budget=float("nan"))
+        with pytest.raises(ValidationError):
+            ScProblem(graph=diamond_graph, memory_budget=1.0,
+                      size_cap=float("nan"))
+
+    def test_infinite_budget_and_size_cap_accepted(self, diamond_graph):
+        problem = ScProblem(graph=diamond_graph,
+                            memory_budget=float("inf"),
+                            size_cap=float("inf"))
+        assert problem.memory_budget == float("inf")
+
     def test_cyclic_graph_rejected(self):
         from repro.graph.dag import DependencyGraph
 

@@ -74,6 +74,8 @@ class TestTierAwareBudget:
                          penalty_seconds_per_gb=0.0)
         with pytest.raises(ValidationError):
             TierAwareBudget(ram=-1.0)
+        with pytest.raises(ValidationError):
+            TierAwareBudget(ram=float("nan"))
 
 
 class TestScProblemTierBudget:
