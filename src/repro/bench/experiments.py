@@ -4,8 +4,12 @@ plus the repo's own sweeps of the tiered store.
 Every driver returns an :class:`ExperimentResult` whose ``rows`` regenerate
 the corresponding artifact.  Called with no arguments a driver runs at the
 size ``repro-sc bench <id>`` prints and ``benchmarks/bench_experiments.py``
-checks its claims on; the size knobs (number of DAGs, scales) keep the
-tier-1 smoke tests tiny and the paper-scale sweep one argument away.  The
+checks its claims on.  Every other setting is fixed in the driver's body.
+The only parameters left are size knobs that the tier-1 smoke tests pass
+to keep a driver small: ``scales_gb`` (fig3, fig10), ``scale_gb`` (fig9,
+fig11, table4, fig12, table5), ``fractions`` (fig11, table4),
+``worker_counts`` (table5), ``dag_sizes`` and ``n_dags`` (fig13), and
+``n_dags`` (fig14).  The
 five tiered sweeps keep only their arms and row shaping: the case (DAG,
 plan, no-spill peak) and the planned-and-executed cell are
 :mod:`repro.bench.below_peak`'s, shared with ``bench matrix``.
@@ -76,7 +80,7 @@ class ExperimentResult:
 # ----------------------------------------------------------------------
 # Figure 2 — runtime breakdown by query type across ten warehouses
 # ----------------------------------------------------------------------
-def fig2_query_type_breakdown(seed: int = 7) -> ExperimentResult:
+def fig2_query_type_breakdown() -> ExperimentResult:
     """Synthetic reproduction of the warehouse-fleet characterization.
 
     The original data comes from a proprietary fleet analysis [35]; we
@@ -85,7 +89,7 @@ def fig2_query_type_breakdown(seed: int = 7) -> ExperimentResult:
     rest — the motivating shape: materialization is a significant,
     sometimes dominant, cost.
     """
-    rng = random.Random(seed)
+    rng = random.Random(7)
     rows = []
     shares = {}
     for idx in range(1, 11):
@@ -113,7 +117,7 @@ def fig2_query_type_breakdown(seed: int = 7) -> ExperimentResult:
 # Figure 3 — read/compute/write breakdown of a 4-table join CTAS
 # ----------------------------------------------------------------------
 def fig3_io_breakdown(scales_gb: tuple[float, ...] = (0.01, 0.02, 0.05),
-                      seed: int = 0) -> ExperimentResult:
+                      ) -> ExperimentResult:
     """Real MiniDB timing of the TPC-H Q8 join at increasing scales."""
     import shutil
     import tempfile
@@ -127,7 +131,7 @@ def fig3_io_breakdown(scales_gb: tuple[float, ...] = (0.01, 0.02, 0.05),
         tmp = tempfile.mkdtemp(prefix="repro_fig3_")
         try:
             db = MiniDB(tmp)
-            load_tpch(db, scale_gb=scale, seed=seed)
+            load_tpch(db, scale_gb=scale)
             timing = db.ctas("q8_result", TPCH_Q8_JOIN_SQL)
             total = timing.total_seconds
             rows.append([
@@ -178,8 +182,7 @@ def table3_workload_summary() -> ExperimentResult:
 # ----------------------------------------------------------------------
 # Figure 9 — end-to-end refresh times, six methods, both datasets
 # ----------------------------------------------------------------------
-def fig9_end_to_end(scale_gb: float = 100.0, seed: int = 2,
-                    ) -> ExperimentResult:
+def fig9_end_to_end(scale_gb: float = 100.0) -> ExperimentResult:
     """End-to-end refresh time: six methods x five workloads x two datasets."""
     profile = DeviceProfile()
     rows = []
@@ -194,7 +197,7 @@ def fig9_end_to_end(scale_gb: float = 100.0, seed: int = 2,
             times = {}
             for method, _ in FIGURE9_METHODS:
                 trace = run_method(graph, budget, method,
-                                   profile=profile, seed=seed)
+                                   profile=profile, seed=2)
                 times[method] = trace.end_to_end_time
             raw[(dataset, workload)] = times
             base = times["none"]
@@ -218,7 +221,7 @@ def fig9_end_to_end(scale_gb: float = 100.0, seed: int = 2,
 # Figure 10 — speedup across dataset scales
 # ----------------------------------------------------------------------
 def fig10_scales(scales_gb: tuple[float, ...] = (10, 25, 50, 100, 1000),
-                 seed: int = 2) -> ExperimentResult:
+                 ) -> ExperimentResult:
     """S/C speedup across dataset scales, catalog fixed at 1.6 % of data."""
     profile = DeviceProfile()
     rows = []
@@ -234,10 +237,10 @@ def fig10_scales(scales_gb: tuple[float, ...] = (10, 25, 50, 100, 1000),
             for graph in graphs.values():
                 total_none += run_method(graph, budget, "none",
                                          profile=profile,
-                                         seed=seed).end_to_end_time
+                                         seed=2).end_to_end_time
                 total_sc += run_method(graph, budget, "sc",
                                        profile=profile,
-                                       seed=seed).end_to_end_time
+                                       seed=2).end_to_end_time
             speedup = total_none / total_sc
             raw[(dataset, scale)] = speedup
             rows.append([dataset, f"{scale:g}", total_none, total_sc,
@@ -259,13 +262,12 @@ def fig10_scales(scales_gb: tuple[float, ...] = (10, 25, 50, 100, 1000),
 def fig11_memory_sweep(scale_gb: float = 100.0,
                        fractions: tuple[float, ...] = (
                            0.004, 0.008, 0.016, 0.032, 0.064),
-                       query_memory_gb: float = 50.0,
-                       seed: int = 2) -> ExperimentResult:
+                       ) -> ExperimentResult:
     """Speedup vs catalog size on TPC-DSp, from spare vs query memory.
 
-    Carving the catalog out of query memory slows operators in proportion
-    to the memory taken (the paper reports only up to a 0.25x speedup
-    loss, i.e. the penalty is mild).
+    Carving the catalog out of 50 GB of query memory slows operators in
+    proportion to the memory taken (the paper reports only up to a 0.25x
+    speedup loss, i.e. the penalty is mild).
     """
     profile = DeviceProfile()
     graphs = build_five_workloads(scale_gb=scale_gb, partitioned=True)
@@ -275,20 +277,17 @@ def fig11_memory_sweep(scale_gb: float = 100.0,
         budget = fraction * scale_gb
         speedups = {}
         for source in ("spare", "query"):
-            penalty = (budget / query_memory_gb if source == "query"
-                       else 0.0)
+            penalty = budget / 50.0 if source == "query" else 0.0
             options = SimulatorOptions(compute_penalty=penalty)
             total_none = 0.0
             total_sc = 0.0
             for graph in graphs.values():
-                controller_kwargs = dict(profile=profile, seed=seed,
-                                         options=options)
                 total_none += run_method(graph, budget, "none",
-                                         **controller_kwargs
-                                         ).end_to_end_time
+                                         profile=profile, seed=2,
+                                         options=options).end_to_end_time
                 total_sc += run_method(graph, budget, "sc",
-                                       **controller_kwargs
-                                       ).end_to_end_time
+                                       profile=profile, seed=2,
+                                       options=options).end_to_end_time
             speedups[source] = total_none / total_sc
         raw[fraction] = speedups
         rows.append([f"{100 * fraction:.1f}%", speedups["spare"],
@@ -310,7 +309,7 @@ def fig11_memory_sweep(scale_gb: float = 100.0,
 def table4_latency_breakdown(scale_gb: float = 100.0,
                              fractions: tuple[float, ...] = (
                                  0.004, 0.008, 0.016, 0.032, 0.064),
-                             seed: int = 2) -> ExperimentResult:
+                             ) -> ExperimentResult:
     """Table-read / compute / query latency vs Memory Catalog size."""
     profile = DeviceProfile()
     rows = []
@@ -325,7 +324,7 @@ def table4_latency_breakdown(scale_gb: float = 100.0,
             read = compute = query = 0.0
             for graph in graphs.values():
                 trace = run_method(graph, budget, method, profile=profile,
-                                   seed=seed)
+                                   seed=2)
                 read += trace.table_read_latency
                 compute += trace.compute_latency
                 query += trace.query_latency
@@ -354,8 +353,7 @@ def table4_latency_breakdown(scale_gb: float = 100.0,
 # ----------------------------------------------------------------------
 # Figure 12 — ablation of the two subproblem solutions
 # ----------------------------------------------------------------------
-def fig12_ablation(scale_gb: float = 100.0, seed: int = 2,
-                   ) -> ExperimentResult:
+def fig12_ablation(scale_gb: float = 100.0) -> ExperimentResult:
     """Each subproblem solution swapped for a baseline inside Algorithm 2."""
     profile = DeviceProfile()
     rows = []
@@ -369,7 +367,7 @@ def fig12_ablation(scale_gb: float = 100.0, seed: int = 2,
             total = 0.0
             for graph in graphs.values():
                 total += run_method(graph, budget, method, profile=profile,
-                                    seed=seed).end_to_end_time
+                                    seed=2).end_to_end_time
             raw[(dataset, method)] = total
             rows.append([f"{dataset} {label}", total])
     for partitioned in (False, True):
@@ -394,7 +392,7 @@ def fig12_ablation(scale_gb: float = 100.0, seed: int = 2,
 # ----------------------------------------------------------------------
 def table5_cluster_scaling(scale_gb: float = 100.0,
                            worker_counts: tuple[int, ...] = (1, 2, 3, 4, 5),
-                           seed: int = 2) -> ExperimentResult:
+                           ) -> ExperimentResult:
     """S/C on multi-worker clusters: runtimes and speedup per cluster size."""
     graphs = build_five_workloads(scale_gb=scale_gb, partitioned=False)
     budget = 0.016 * scale_gb
@@ -410,7 +408,7 @@ def table5_cluster_scaling(scale_gb: float = 100.0,
         for graph in graphs.values():
             problem = ScProblem(graph=graph, memory_budget=budget)
             plan_none = optimize(problem, method="none").plan
-            plan_sc = optimize(problem, method="sc", seed=seed).plan
+            plan_sc = optimize(problem, method="sc", seed=2).plan
             total_none += simulate_cluster_run(
                 graph, plan_none, budget, cluster).end_to_end_time
             total_sc += simulate_cluster_run(
@@ -433,8 +431,7 @@ def table5_cluster_scaling(scale_gb: float = 100.0,
 # Figure 13 — optimization time vs DAG size
 # ----------------------------------------------------------------------
 def fig13_optimization_time(dag_sizes: tuple[int, ...] = (10, 25, 50, 100),
-                            n_dags: int = 5, seed: int = 0,
-                            ) -> ExperimentResult:
+                            n_dags: int = 5) -> ExperimentResult:
     """Wall-clock optimizer time per method (mean over generated DAGs).
 
     The paper generates 1000 DAGs per setting with OR-Tools' C++ solver
@@ -451,7 +448,7 @@ def fig13_optimization_time(dag_sizes: tuple[int, ...] = (10, 25, 50, 100),
         graphs = []
         for i in range(n_dags):
             config = GeneratedWorkloadConfig(n_nodes=size)
-            graphs.append(generator.generate(config, seed=seed + i))
+            graphs.append(generator.generate(config, seed=i))
         per_method = {}
         for method in methods:
             elapsed = 0.0
@@ -459,7 +456,7 @@ def fig13_optimization_time(dag_sizes: tuple[int, ...] = (10, 25, 50, 100),
                 problem = ScProblem(
                     graph=graph, memory_budget=0.016 * graph.total_size())
                 started = time.perf_counter()  # repro-lint: disable=REP001 -- fig13 measures real optimizer wall time
-                optimize(problem, method=method, seed=seed)
+                optimize(problem, method=method)
                 elapsed += time.perf_counter() - started  # repro-lint: disable=REP001 -- fig13 measures real optimizer wall time
             per_method[method] = elapsed / len(graphs)
         raw[size] = per_method
@@ -477,32 +474,30 @@ def fig13_optimization_time(dag_sizes: tuple[int, ...] = (10, 25, 50, 100),
 # ----------------------------------------------------------------------
 # Parallel scaling — the memory-bounded scheduler on wide DAGs
 # ----------------------------------------------------------------------
-def parallel_scaling(worker_counts: tuple[int, ...] = (1, 2, 4, 8),
-                     n_dags: int = 3, n_nodes: int = 48,
-                     budget_fraction: float = 0.25, seed: int = 0,
-                     ) -> ExperimentResult:
+def parallel_scaling() -> ExperimentResult:
     """Measure (don't claim) the parallel backend's speedup on wide DAGs.
 
-    The simulated makespan per worker count over ``n_dags`` generated
-    wide DAGs (height/width ratio 0.25, so plenty of ready nodes
-    coexist): total end-to-end time from the deterministic
-    discrete-event scheduler, with the ``MemoryLedger`` peak checked
-    against the budget on every run.
+    The simulated makespan per worker count (1, 2, 4, 8) over three
+    generated 48-node wide DAGs (height/width ratio 0.25, so plenty of
+    ready nodes coexist) at a quarter of each DAG's total size: total
+    end-to-end time from the deterministic discrete-event scheduler,
+    with the ``MemoryLedger`` peak checked against the budget on every
+    run.
     """
     generator = WorkloadGenerator()
-    config = GeneratedWorkloadConfig(n_nodes=n_nodes,
-                                     height_width_ratio=0.25)
+    config = GeneratedWorkloadConfig(n_nodes=48, height_width_ratio=0.25)
     cases = []
-    for i in range(n_dags):
-        graph = generator.generate(config, seed=seed + i)
-        budget = budget_fraction * graph.total_size()
+    for i in range(3):
+        graph = generator.generate(config, seed=i)
+        budget = 0.25 * graph.total_size()
         problem = ScProblem(graph=graph, memory_budget=budget)
-        plan = optimize(problem, method="sc", seed=seed).plan
+        plan = optimize(problem, method="sc").plan
         cases.append((graph, plan, budget))
 
     from repro.engine.controller import Controller
 
-    controller = Controller(profile=DeviceProfile())
+    controller = Controller()
+    worker_counts = (1, 2, 4, 8)
     rows = []
     totals: dict[int, float] = {}
     budget_ok = True
@@ -515,15 +510,14 @@ def parallel_scaling(worker_counts: tuple[int, ...] = (1, 2, 4, 8),
             total += trace.end_to_end_time
             budget_ok &= trace.peak_catalog_usage <= budget + 1e-9
         totals[workers] = total
-    base = totals[worker_counts[0]]
     for workers in worker_counts:
         rows.append([str(workers), totals[workers],
-                     base / totals[workers]])
+                     totals[1] / totals[workers]])
 
     return ExperimentResult(
         experiment_id="parallel",
-        title=f"Memory-bounded parallel scheduler: {n_dags} wide DAGs "
-              f"({n_nodes} nodes, {100 * budget_fraction:g}% budget)",
+        title="Memory-bounded parallel scheduler: 3 wide DAGs "
+              "(48 nodes, 25% budget)",
         headers=["workers", "total time (s)", "speedup vs 1 worker"],
         rows=rows,
         data={"totals": totals, "budget_ok": budget_ok},
@@ -533,12 +527,7 @@ def parallel_scaling(worker_counts: tuple[int, ...] = (1, 2, 4, 8),
 # ----------------------------------------------------------------------
 # Tiered spill store — runtime penalty vs RAM budget below the plan's peak
 # ----------------------------------------------------------------------
-def spill_tier_sweep(budget_fractions: tuple[float, ...] =
-                     (1.0, 0.75, 0.5, 0.25, 0.1),
-                     n_dags: int = 3, n_nodes: int = 32, seed: int = 0,
-                     policy: str = "cost",
-                     backend: str = "simulator",
-                     ) -> ExperimentResult:
+def spill_tier_sweep() -> ExperimentResult:
     """Sweep RAM budgets *below* an S/C plan's peak with spilling armed.
 
     Not a paper figure: this measures the repo's own tiered storage
@@ -551,7 +540,8 @@ def spill_tier_sweep(budget_fractions: tuple[float, ...] =
     budget, spill/promote counts, and whether the RAM-tier peak stayed
     within its budget on *every* run.
     """
-    cases = generated_cases(n_dags, n_nodes, seed)
+    cases = generated_cases(3, 32, 0)
+    budget_fractions = (1.0, 0.75, 0.5, 0.25, 0.1)
     totals: dict[float, float] = {}
     spills: dict[float, int] = {}
     promotes: dict[float, int] = {}
@@ -563,24 +553,23 @@ def spill_tier_sweep(budget_fractions: tuple[float, ...] =
         for case in cases:
             ram = fraction * case.peak
             run = run_cell(case.graph, ram,
-                           SpillConfig(tiers=ssd_and_disk(case.peak),
-                                       policy=policy),
-                           "given", plan=case.plan, backend=backend)
+                           SpillConfig(tiers=ssd_and_disk(case.peak)),
+                           "given", plan=case.plan)
             totals[fraction] += run.trace.end_to_end_time
             spills[fraction] += run.report["spill_count"]
             promotes[fraction] += run.report["promote_count"]
             spilled_gb[fraction] += run.report["spill_bytes_gb"]
             budget_ok &= run.within(ram)
 
-    full = totals[max(budget_fractions)]
+    full = totals[1.0]
     rows = [[f"{100 * fraction:g}%", totals[fraction],
              totals[fraction] / full, spills[fraction],
              promotes[fraction], spilled_gb[fraction]]
             for fraction in budget_fractions]
     return ExperimentResult(
         experiment_id="spill",
-        title=f"Tiered spill store ({policy} policy): {n_dags} DAGs "
-              f"({n_nodes} nodes), RAM swept below the plan's peak",
+        title="Tiered spill store (cost policy): 3 DAGs (32 nodes), RAM "
+              "swept below the plan's peak",
         headers=["RAM (% of peak)", "total time (s)", "vs full RAM",
                  "spills", "promotes", "spilled GB"],
         rows=rows,
@@ -593,12 +582,7 @@ def spill_tier_sweep(budget_fractions: tuple[float, ...] =
 # ----------------------------------------------------------------------
 # Spill-aware planning — tier-blind vs tier-aware plans below the peak
 # ----------------------------------------------------------------------
-def spill_planning_sweep(budget_fractions: tuple[float, ...] =
-                         (0.9, 0.7, 0.5, 0.3),
-                         n_dags: int = 3, n_nodes: int = 32, seed: int = 0,
-                         policy: str = "cost",
-                         backend: str = "simulator",
-                         ) -> ExperimentResult:
+def spill_planning_sweep() -> ExperimentResult:
     """Does teaching the planner the tier hierarchy pay off?
 
     Not a paper figure: this measures the repo's own spill-aware
@@ -615,7 +599,8 @@ def spill_planning_sweep(budget_fractions: tuple[float, ...] =
     plans beat tier-blind plans because they flag the nodes whose
     warehouse round trip dwarfs a cheap SSD spill.
     """
-    cases = generated_cases(n_dags, n_nodes, seed)
+    cases = generated_cases(3, 32, 0)
+    budget_fractions = (0.9, 0.7, 0.5, 0.3)
     blind_totals: dict[float, float] = {}
     aware_totals: dict[float, float] = {}
     blind_flags: dict[float, int] = {}
@@ -630,9 +615,8 @@ def spill_planning_sweep(budget_fractions: tuple[float, ...] =
         stall_avoided[fraction] = 0.0
         for case in cases:
             ram = fraction * case.peak
-            spill = SpillConfig(tiers=ssd_and_disk(case.peak), policy=policy)
-            blind, aware = (run_cell(case.graph, ram, spill, planning,
-                                     seed=seed, backend=backend)
+            spill = SpillConfig(tiers=ssd_and_disk(case.peak))
+            blind, aware = (run_cell(case.graph, ram, spill, planning)
                             for planning in ("blind", "aware"))
             budget_ok &= blind.within(ram) and aware.within(ram)
             blind_totals[fraction] += blind.trace.end_to_end_time
@@ -650,8 +634,8 @@ def spill_planning_sweep(budget_fractions: tuple[float, ...] =
             for fraction in budget_fractions]
     return ExperimentResult(
         experiment_id="spillplan",
-        title=f"Spill-aware planning ({policy} policy): {n_dags} DAGs "
-              f"({n_nodes} nodes), tier-blind vs tier-aware plans",
+        title="Spill-aware planning (cost policy): 3 DAGs (32 nodes), "
+              "tier-blind vs tier-aware plans",
         headers=["RAM (% of peak)", "blind (s)", "tier-aware (s)",
                  "aware/blind", "flags b/a", "spills", "stall avoided"],
         rows=rows,
@@ -666,13 +650,7 @@ def spill_planning_sweep(budget_fractions: tuple[float, ...] =
 # ----------------------------------------------------------------------
 # Compressed spill pipeline — codec x prefetch below the plan's peak
 # ----------------------------------------------------------------------
-def compressed_spill_sweep(budget_fractions: tuple[float, ...] =
-                           (0.75, 0.5, 0.25),
-                           n_dags: int = 3, n_nodes: int = 32, seed: int = 0,
-                           policy: str = "cost",
-                           backend: str = "simulator",
-                           codecs: tuple[str, ...] = ("none", "zlib"),
-                           ) -> ExperimentResult:
+def compressed_spill_sweep() -> ExperimentResult:
     """Does compressing spill files (and prefetching them back) pay off?
 
     Not a paper figure: this measures the repo's own compressed spill
@@ -693,7 +671,9 @@ def compressed_spill_sweep(budget_fractions: tuple[float, ...] =
     * every run's trace extras carry the per-codec accounting
       (``codec``, ``spill_stored_gb``, ``prefetch`` counters).
     """
-    cases = generated_cases(n_dags, n_nodes, seed)
+    cases = generated_cases(3, 32, 0)
+    budget_fractions = (0.75, 0.5, 0.25)
+    codecs = ("none", "zlib")
     arms = [(codec, prefetch) for codec in codecs
             for prefetch in (False, True)]
     totals: dict[tuple[str, bool], dict[float, float]] = {
@@ -712,9 +692,9 @@ def compressed_spill_sweep(budget_fractions: tuple[float, ...] =
                 ram = fraction * case.peak
                 run = run_cell(
                     case.graph, ram,
-                    SpillConfig(tiers=ssd_and_disk(case.peak), policy=policy,
-                                codec=codec, prefetch=prefetch),
-                    "given", plan=case.plan, backend=backend)
+                    SpillConfig(tiers=ssd_and_disk(case.peak), codec=codec,
+                                prefetch=prefetch),
+                    "given", plan=case.plan)
                 totals[arm][fraction] += run.trace.end_to_end_time
                 report = run.report
                 extras_ok &= (report.get("codec") == codec
@@ -730,9 +710,8 @@ def compressed_spill_sweep(budget_fractions: tuple[float, ...] =
                 budget_ok &= run.within(ram)
 
     rows = []
-    base_arm = (codecs[0], False)  # first codec, no prefetch = baseline
     for fraction in budget_fractions:
-        base = totals[base_arm][fraction]
+        base = totals[("none", False)][fraction]  # the baseline arm
         row = [f"{100 * fraction:g}%"]
         for arm in arms:
             row.append(totals[arm][fraction])
@@ -747,11 +726,11 @@ def compressed_spill_sweep(budget_fractions: tuple[float, ...] =
     headers = (["RAM (% of peak)"]
                + [f"{codec}{'+pf' if prefetch else ''} (s)"
                   for codec, prefetch in arms]
-               + [f"best/{codecs[0]}"])
+               + ["best/none"])
     return ExperimentResult(
         experiment_id="spillcodec",
-        title=f"Compressed spill pipeline ({policy} policy): {n_dags} "
-              f"DAGs ({n_nodes} nodes), codec x prefetch below the peak",
+        title="Compressed spill pipeline (cost policy): 3 DAGs (32 nodes), "
+              "codec x prefetch below the peak",
         headers=headers,
         rows=rows,
         data={"fractions": list(budget_fractions),
@@ -769,13 +748,7 @@ def compressed_spill_sweep(budget_fractions: tuple[float, ...] =
 # ----------------------------------------------------------------------
 # Compressed-in-RAM rung — same physical RAM, three ways to spend it
 # ----------------------------------------------------------------------
-def ram_compression_sweep(budget_fractions: tuple[float, ...] =
-                          (0.75, 0.5, 0.35),
-                          n_dags: int = 3, n_nodes: int = 32, seed: int = 0,
-                          policy: str = "cost",
-                          backend: str = "simulator",
-                          rung_fraction: float = 0.35,
-                          ) -> ExperimentResult:
+def ram_compression_sweep() -> ExperimentResult:
     """Is a compressed-in-RAM rung the best way to spend scarce RAM?
 
     Not a paper figure: this measures the repo's own ``ram-compressed``
@@ -790,7 +763,7 @@ def ram_compression_sweep(budget_fractions: tuple[float, ...] =
     * ``ssd`` — all of ``R`` holds uncompressed tables and cold victims
       are demoted straight to an SSD + unbounded-disk hierarchy with
       raw dumps (the PR 3/4 pipeline);
-    * ``rung`` — ``rung_fraction`` of ``R`` is re-dedicated to a
+    * ``rung`` — 35 % of ``R`` is re-dedicated to a
       ``ram-compressed`` tier (budgeted in *stored* bytes, so the
       physical footprint is identical): victims are encoded in place at
       codec cost only — no device transfer — and the rung's zlib1
@@ -806,7 +779,9 @@ def ram_compression_sweep(budget_fractions: tuple[float, ...] =
     rung arm is strictly faster than *both* baselines at every
     below-peak point.
     """
-    cases = generated_cases(n_dags, n_nodes, seed)
+    cases = generated_cases(3, 32, 0)
+    budget_fractions = (0.75, 0.5, 0.35)
+    rung_fraction = 0.35
     arms = ("nospill", "ssd", "rung")
     totals: dict[str, dict[float, float]] = {arm: {} for arm in arms}
     rung_spills: dict[float, int] = {}
@@ -826,10 +801,8 @@ def ram_compression_sweep(budget_fractions: tuple[float, ...] =
                     tiers = (TierSpec(RAM_COMPRESSED, rung_gb), *tiers)
                 run = run_cell(
                     case.graph, ram,
-                    SpillConfig(tiers=tiers, policy=policy) if tiers
-                    else None,
-                    "aware" if tiers else "blind",
-                    seed=seed, backend=backend)
+                    SpillConfig(tiers=tiers) if tiers else None,
+                    "aware" if tiers else "blind")
                 totals[arm][fraction] += run.trace.end_to_end_time
                 budget_ok &= run.within(ram)
                 if arm == "rung":
@@ -856,8 +829,8 @@ def ram_compression_sweep(budget_fractions: tuple[float, ...] =
                       if rung_ratio_gb[1] else None)
     return ExperimentResult(
         experiment_id="ramcodec",
-        title=f"Compressed-in-RAM rung ({policy} policy): {n_dags} DAGs "
-              f"({n_nodes} nodes), same physical RAM spent three ways",
+        title="Compressed-in-RAM rung (cost policy): 3 DAGs (32 nodes), "
+              "same physical RAM spent three ways",
         headers=["RAM (% of peak)", "nospill (s)", "ssd (s)", "rung (s)",
                  "rung/best-base", "rung spills", "rung promotes"],
         rows=rows,
@@ -872,28 +845,21 @@ def ram_compression_sweep(budget_fractions: tuple[float, ...] =
 # ----------------------------------------------------------------------
 # Feedback loop — observed-cost replanning + adaptive codec re-pricing
 # ----------------------------------------------------------------------
-def _mixed_compressibility(graph, seed: int, lean_fraction: float,
-                           lean: float = 0.05, rich: float = 1.0) -> None:
+def _mixed_compressibility(graph, seed: int, lean_fraction: float) -> None:
     """Stamp per-node codec compressibility multipliers onto ``graph``.
 
-    ``lean_fraction`` of the nodes get the ``lean`` multiplier (barely
-    compressible), the rest ``rich`` — a mixed-compressibility workload
+    ``lean_fraction`` of the nodes get the lean multiplier 0.05 (barely
+    compressible), the rest 1.0 — a mixed-compressibility workload
     whose realized spill ratios genuinely diverge from the codec
     preset, the regime the feedback loop exists for.
     """
     rng = random.Random(seed)
     for node_id in sorted(graph.nodes()):
         graph.node(node_id).meta["compressibility"] = (
-            lean if rng.random() < lean_fraction else rich)
+            0.05 if rng.random() < lean_fraction else 1.0)
 
 
-def feedback_loop_sweep(budget_fractions: tuple[float, ...] =
-                        (0.75, 0.5, 0.35),
-                        n_dags: int = 3, n_nodes: int = 32, seed: int = 0,
-                        policy: str = "cost",
-                        backend: str = "simulator",
-                        adapt_samples: int = 3,
-                        ) -> ExperimentResult:
+def feedback_loop_sweep() -> ExperimentResult:
     """Does closing the model-vs-runtime loop pay off?
 
     Not a paper figure: this measures the repo's own observed-cost
@@ -923,9 +889,9 @@ def feedback_loop_sweep(budget_fractions: tuple[float, ...] =
     """
     def build_cases(lean_fraction: float) -> list[Case]:
         return generated_cases(
-            n_dags, n_nodes, seed,
+            3, 32, 0,
             stamp=lambda graph, i: _mixed_compressibility(
-                graph, seed=seed * 977 + i, lean_fraction=lean_fraction))
+                graph, seed=i, lean_fraction=lean_fraction))
 
     def spill_config(peak: float, codec: str, adapt: bool = False,
                      cold: bool = False) -> SpillConfig:
@@ -935,10 +901,8 @@ def feedback_loop_sweep(budget_fractions: tuple[float, ...] =
         # preset makes the static planner over-flag
         last = TierSpec("cold") if cold else TierSpec("disk")
         return SpillConfig(
-            tiers=(TierSpec("ssd", 0.4 * peak), last),
-            policy=policy, codec=codec,
-            adapt=(CodecAdaptConfig(samples=adapt_samples)
-                   if adapt else None))
+            tiers=(TierSpec("ssd", 0.4 * peak), last), codec=codec,
+            adapt=CodecAdaptConfig(samples=3) if adapt else None)
 
     # ---- replanning: static tier-aware plan vs feedback replan ----
     static_totals: dict[float, float] = {}
@@ -947,6 +911,7 @@ def feedback_loop_sweep(budget_fractions: tuple[float, ...] =
     replan_flags: dict[float, int] = {}
     observed_ratios: list[float] = []
     budget_ok = True
+    budget_fractions = (0.75, 0.5, 0.35)
     cases = build_cases(lean_fraction=0.7)
     for fraction in budget_fractions:
         static_totals[fraction] = replan_totals[fraction] = 0.0
@@ -956,7 +921,7 @@ def feedback_loop_sweep(budget_fractions: tuple[float, ...] =
             second = run_cell(
                 case.graph, ram,
                 spill_config(case.peak, codec="zlib", cold=True),
-                "replan", seed=seed, backend=backend)
+                "replan")
             first = second.first
             observed_ratios += [  # of the spill tiers, as the replan saw them
                 tier["observed"]["observed_ratio"]
@@ -988,7 +953,7 @@ def feedback_loop_sweep(budget_fractions: tuple[float, ...] =
                     spill_config(case.peak,
                                  codec="none" if arm == "none" else "zlib",
                                  adapt=arm == "adaptive"),
-                    "given", plan=case.plan, backend=backend)
+                    "given", plan=case.plan)
                 arms[arm] += run.trace.end_to_end_time
                 budget_ok &= run.within(ram)
                 if arm == "adaptive":
@@ -1017,9 +982,9 @@ def feedback_loop_sweep(budget_fractions: tuple[float, ...] =
                      if observed_ratios else None)
     return ExperimentResult(
         experiment_id="feedback",
-        title=f"Feedback loop ({policy} policy): {n_dags} DAGs "
-              f"({n_nodes} nodes), observed-cost replanning + adaptive "
-              f"codec, mixed compressibility",
+        title="Feedback loop (cost policy): 3 DAGs (32 nodes), "
+              "observed-cost replanning + adaptive codec, mixed "
+              "compressibility",
         headers=["RAM (% of peak) / mix", "static|none (s)",
                  "replan|zlib (s)", "ratio vs best", "flags s/r"],
         rows=rows,
@@ -1037,8 +1002,7 @@ def feedback_loop_sweep(budget_fractions: tuple[float, ...] =
 # ----------------------------------------------------------------------
 # Figure 14 — DAG-shape parameter sweeps vs predicted savings
 # ----------------------------------------------------------------------
-def fig14_parameter_sweep(n_dags: int = 10, seed: int = 0,
-                          ) -> ExperimentResult:
+def fig14_parameter_sweep(n_dags: int = 10) -> ExperimentResult:
     """Normalized predicted savings across the four generation axes.
 
     Savings = total speedup score of the flagged set found by S/C divided
@@ -1053,7 +1017,7 @@ def fig14_parameter_sweep(n_dags: int = 10, seed: int = 0,
     def mean_savings(config: GeneratedWorkloadConfig) -> float:
         total = 0.0
         for i in range(n_dags):
-            graph = generator.generate(config, seed=seed + i)
+            graph = generator.generate(config, seed=i)
             problem = ScProblem(graph=graph,
                                 memory_budget=0.016 * graph.total_size())
             total += (optimize(problem, method="sc").total_score

@@ -41,15 +41,10 @@ FIGURE12_METHODS: tuple[tuple[str, str], ...] = (
 
 def run_method(graph: DependencyGraph, memory_budget: float, method: str,
                profile: DeviceProfile | None = None, seed: int = 0,
-               options: SimulatorOptions | None = None,
-               backend: str | None = None, workers: int = 1) -> RunTrace:
-    """Optimize (when applicable) and execute one refresh run.
-
-    ``backend``/``workers`` select the execution backend (default: the
-    serial simulator; ``backend="parallel"`` runs the memory-bounded
-    parallel scheduler with ``workers`` logical workers).
-    """
+               options: SimulatorOptions | None = None) -> RunTrace:
+    """Optimize (when applicable) and execute one refresh run on the
+    serial simulator (``method="lru"`` on the plan-free LRU baseline)."""
     controller = Controller(profile=profile or DeviceProfile(),
                             options=options or SimulatorOptions())
     return controller.refresh(graph, memory_budget, method=method,
-                              seed=seed, backend=backend, workers=workers)
+                              seed=seed)

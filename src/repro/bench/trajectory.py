@@ -129,9 +129,9 @@ def snapshot_date(path: str) -> str | None:
     return match.group(1) if match else None
 
 
-def check_files(paths: list[str],
-                noise: float = DEFAULT_NOISE) -> list[str]:
-    """Validate every snapshot, then gate each consecutive dated pair.
+def check_files(paths: list[str]) -> list[str]:
+    """Validate every snapshot, then gate each consecutive dated pair at
+    the default noise threshold.
 
     Raises :class:`ValidationError` on unreadable input; returns the
     combined list of schema errors and regression failures.
@@ -163,7 +163,7 @@ def check_files(paths: list[str],
     for (_, old_path, old), (_, new_path, new) in zip(loaded, loaded[1:]):
         if old.get("experiment") != new.get("experiment"):
             continue
-        for failure in regression_gate(old, new, noise=noise):
+        for failure in regression_gate(old, new):
             problems.append(f"{new_path} (vs {old_path}): {failure}")
     return problems
 

@@ -22,7 +22,7 @@ ablations (Greedy/Random/Ratio + MA-DFS, MKP + SA/Separator) are expressed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 from repro.core.knapsack_select import select_nodes_mkp
 from repro.core.madfs import ma_dfs_order
@@ -72,10 +72,6 @@ class AlternatingResult:
     iterations: int
     stop_reason: str
     history: list[IterationRecord] = field(default_factory=list)
-
-
-class SupportsOptimize(Protocol):  # pragma: no cover - typing helper
-    def optimize(self, problem: ScProblem) -> AlternatingResult: ...
 
 
 @dataclass

@@ -33,20 +33,15 @@ class SelectionResult:
 
 def build_mkp_instance(problem: ScProblem,
                        constraints: ConstraintSets,
-                       round_scores: bool = False,
                        ) -> tuple[MkpInstance, list[str]]:
     """Lay out the MKP of Algorithm 1 lines 4-7.
 
-    Returns the instance and the item-index → node-id mapping. With
-    ``round_scores`` profits are rounded to the nearest integer, matching
-    the paper's footnote 3 (an artifact of their ILP solver; our BnB handles
-    floats, so the default keeps full precision).
+    Returns the instance and the item-index → node-id mapping.  Profits
+    are the scores at full precision: the paper rounds them to integers
+    (footnote 3, an artifact of its ILP solver), our BnB handles floats.
     """
     mkp_nodes = sorted(constraints.mkp_nodes)
-    profits = []
-    for node in mkp_nodes:
-        score = problem.score_of(node)
-        profits.append(float(round(score)) if round_scores else score)
+    profits = [problem.score_of(node) for node in mkp_nodes]
     weights = [
         [problem.size_of(node) if node in cset else 0.0
          for node in mkp_nodes]
@@ -58,8 +53,6 @@ def build_mkp_instance(problem: ScProblem,
 
 
 def select_nodes_mkp(problem: ScProblem, order: Sequence[str],
-                     round_scores: bool = False,
-                     node_limit: int = 60_000,
                      tolerance: float = 0.01) -> SelectionResult:
     """Solve S/C Opt Nodes exactly for a fixed execution order.
 
@@ -77,10 +70,8 @@ def select_nodes_mkp(problem: ScProblem, order: Sequence[str],
     solution: MkpSolution | None = None
     mkp_nodes: list[str] = []
     if constraints.sets:
-        instance, mkp_nodes = build_mkp_instance(
-            problem, constraints, round_scores=round_scores)
-        solution = solve_mkp(instance, node_limit=node_limit,
-                             tolerance=tolerance)
+        instance, mkp_nodes = build_mkp_instance(problem, constraints)
+        solution = solve_mkp(instance, tolerance=tolerance)
         flagged.update(mkp_nodes[i] for i in solution.selected)
 
     return SelectionResult(

@@ -16,17 +16,16 @@ from typing import Callable, Sequence
 from repro.core.problem import ScProblem
 from repro.core.residency import average_memory_usage
 from repro.graph.topo import kahn_topological_order
-from repro.solver.sa import AnnealingSchedule, anneal_order
+from repro.solver.sa import anneal_order
 from repro.solver.separator import separator_order
 
 OrderSolver = Callable[[ScProblem, frozenset[str]], Sequence[str]]
 
 
-def sa_order_solver(schedule: AnnealingSchedule | None = None,
-                    seed: int = 0) -> OrderSolver:
-    """Simulated annealing minimizing average memory usage of ``flagged``."""
-    schedule = schedule or AnnealingSchedule(iterations=10_000)
-
+def sa_order_solver(seed: int = 0) -> OrderSolver:
+    """Simulated annealing minimizing average memory usage of ``flagged``
+    over the default :class:`~repro.solver.sa.AnnealingSchedule` (the
+    paper's 10,000 iterations)."""
     def solve(problem: ScProblem, flagged: frozenset[str]) -> list[str]:
         graph = problem.graph
         initial = kahn_topological_order(graph)
@@ -34,7 +33,7 @@ def sa_order_solver(schedule: AnnealingSchedule | None = None,
         def objective(order: Sequence[str]) -> float:
             return average_memory_usage(graph, order, flagged)
 
-        return anneal_order(graph, initial, objective, schedule=schedule,
+        return anneal_order(graph, initial, objective,
                             rng=random.Random(seed))
 
     return solve

@@ -105,6 +105,3 @@ class DatabaseCatalog:
         if name in self._persisted:
             storage_format.delete_table(self.directory, name)
             self._persisted.discard(name)
-
-    def on_disk_bytes(self, name: str) -> int:
-        return storage_format.on_disk_size(self.directory, name)

@@ -126,9 +126,6 @@ class Table:
         columns[name] = np.asarray(values)
         return Table(columns)
 
-    def head(self, n: int = 5) -> "Table":
-        return Table({name: col[:n] for name, col in self._columns.items()})
-
     # ------------------------------------------------------------------
     @staticmethod
     def concat(tables: list["Table"]) -> "Table":

@@ -111,21 +111,20 @@ def _suffix_subgraph(graph: DependencyGraph, remaining: list[str],
 class AdaptiveController:
     """Executes refresh runs with drift detection and suffix re-planning.
 
+    Every plan is an ``"sc"`` plan (optimizer seed 0), simulated and
+    scored on the default :class:`~repro.metadata.costmodel.DeviceProfile`.
+
     Attributes:
-        profile: device cost model for simulation and speedup scores.
         options: simulator policy knobs.
         drift_threshold: re-plan when the median |observed/estimated − 1|
             over the check window exceeds this fraction.
-        method: optimizer method for the initial plan and every re-plan.
         check_window: number of most recent nodes whose drift is pooled
             per check (checks run after every node; the window smooths
             single-node noise).
     """
 
-    profile: DeviceProfile = field(default_factory=DeviceProfile)
     options: SimulatorOptions = field(default_factory=SimulatorOptions)
     drift_threshold: float = 0.25
-    method: str = "sc"
     check_window: int = 3
 
     def __post_init__(self) -> None:
@@ -137,7 +136,7 @@ class AdaptiveController:
     # ------------------------------------------------------------------
     def refresh(self, estimated: DependencyGraph,
                 true_sizes: dict[str, float], memory_budget: float,
-                seed: int = 0) -> AdaptiveRunReport:
+                ) -> AdaptiveRunReport:
         """Run the workload whose *estimates* are ``estimated`` but whose
         actual output sizes are ``true_sizes``.
 
@@ -151,7 +150,7 @@ class AdaptiveController:
         truth = _truth_graph(estimated, true_sizes)
         # the kernel outlives every plan: a (re-)plan below only changes
         # which of the nodes still to run are flagged
-        kernel = NodeKernel.for_run(truth, memory_budget, self.profile,
+        kernel = NodeKernel.for_run(truth, memory_budget, None,
                                     self.options, lock=NoLock)
         report = AdaptiveRunReport(total_time=0.0)
 
@@ -162,7 +161,7 @@ class AdaptiveController:
         while planning_graph.n > 0:
             problem = ScProblem(graph=planning_graph,
                                 memory_budget=memory_budget)
-            plan = optimize(problem, method=self.method, seed=seed).plan
+            plan = optimize(problem, method="sc").plan
 
             segment: list[str] = []
             segment_start = kernel.clock
@@ -198,7 +197,7 @@ class AdaptiveController:
                 correction = _median(recent_ratios[-self.check_window:])
                 for node_id in planning_graph.nodes():
                     planning_graph.node(node_id).size *= correction
-                compute_speedup_scores(planning_graph, self.profile)
+                compute_speedup_scores(planning_graph, DeviceProfile())
                 recent_ratios.clear()
 
         trace = kernel.finish_run(kernel.clock, memory_budget, "adaptive")
@@ -208,29 +207,28 @@ class AdaptiveController:
 
     # ------------------------------------------------------------------
     def oracle_time(self, estimated: DependencyGraph,
-                    true_sizes: dict[str, float], memory_budget: float,
-                    seed: int = 0) -> float:
+                    true_sizes: dict[str, float],
+                    memory_budget: float) -> float:
         """Wall-clock had the optimizer known the true sizes upfront."""
         truth = _truth_graph(estimated, true_sizes)
-        compute_speedup_scores(truth, self.profile)
+        compute_speedup_scores(truth, DeviceProfile())
         problem = ScProblem(graph=truth, memory_budget=memory_budget)
-        plan = optimize(problem, method=self.method, seed=seed).plan
+        plan = optimize(problem, method="sc").plan
         return self._backend().run(truth, plan,
                                    memory_budget).end_to_end_time
 
     def stale_time(self, estimated: DependencyGraph,
-                   true_sizes: dict[str, float], memory_budget: float,
-                   seed: int = 0) -> float:
+                   true_sizes: dict[str, float],
+                   memory_budget: float) -> float:
         """Wall-clock of planning once on stale estimates, never adapting."""
         problem = ScProblem(graph=estimated, memory_budget=memory_budget)
-        plan = optimize(problem, method=self.method, seed=seed).plan
+        plan = optimize(problem, method="sc").plan
         truth = _truth_graph(estimated, true_sizes)
         return self._backend().run(truth, plan,
                                    memory_budget).end_to_end_time
 
     def _backend(self) -> ExecutionBackend:
-        return create_backend("simulator", profile=self.profile,
-                              options=self.options)
+        return create_backend("simulator", options=self.options)
 
 
 def _truth_graph(graph: DependencyGraph,

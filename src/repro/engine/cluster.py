@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.core.plan import Plan
 from repro.engine.trace import RunTrace
-from repro.exec.base import SimulatorOptions, create_backend
+from repro.exec.base import create_backend
 from repro.graph.dag import DependencyGraph
 from repro.metadata.costmodel import ClusterProfile
 
@@ -36,7 +36,6 @@ def _cluster_graph(graph: DependencyGraph,
 def simulate_cluster_run(graph: DependencyGraph, plan: Plan,
                          memory_budget: float,
                          cluster: ClusterProfile,
-                         options: SimulatorOptions | None = None,
                          method: str = "") -> RunTrace:
     """Run ``plan`` on an ``n``-worker cluster; returns the usual trace.
 
@@ -44,7 +43,6 @@ def simulate_cluster_run(graph: DependencyGraph, plan: Plan,
     a fixed catalog (e.g. 1.6 % of data size) regardless of worker count.
     """
     backend = create_backend("simulator",
-                             profile=cluster.effective_device(),
-                             options=options)
+                             profile=cluster.effective_device())
     return backend.run(_cluster_graph(graph, cluster), plan, memory_budget,
                        method=method)

@@ -45,8 +45,6 @@ class Controller:
     Attributes:
         profile: device cost model for the simulation backends.
         options: simulator runtime policy.
-        backend: default execution backend name (overridable per call).
-        workers: default worker count for parallel backends.
         spill: optional tiered-store configuration applied to simulated
             backends (shorthand for ``options.spill``; per-tier usage and
             spill/promote counts surface in ``RunTrace.extras``).
@@ -68,8 +66,6 @@ class Controller:
 
     profile: DeviceProfile = field(default_factory=DeviceProfile)
     options: SimulatorOptions = field(default_factory=SimulatorOptions)
-    backend: str = "simulator"
-    workers: int = 1
     spill: SpillConfig | None = None
     spill_dir: str | None = None
     ram_compressed_gb: float = 0.0
@@ -191,7 +187,7 @@ class Controller:
     def refresh(self, graph: DependencyGraph, memory_budget: float,
                 method: str = "sc", seed: int = 0,
                 plan: Plan | None = None, backend: str | None = None,
-                workers: int | None = None,
+                workers: int = 1,
                 tier_aware: bool = False, feedback=None) -> RunTrace:
         """Optimize (unless a plan is given) and execute a refresh run.
 
@@ -202,8 +198,8 @@ class Controller:
                 LRU baseline (no plan, no other backend).
             seed: optimizer seed.
             plan: pre-computed plan; skips optimization when given.
-            backend: executor registry name (default: the controller's
-                ``backend`` field).
+            backend: executor registry name (default: ``"simulator"``,
+                or ``"lru"`` for ``method="lru"``).
             workers: worker count for parallel backends.
             tier_aware: when optimizing here (no ``plan`` given), price
                 flagging against the spill tiers (see :meth:`plan`).
@@ -218,7 +214,7 @@ class Controller:
                 spill on the LRU baseline, or ``tier_aware`` /
                 ``feedback`` without a spill configuration.
         """
-        name = backend or ("lru" if method == "lru" else self.backend)
+        name = backend or ("lru" if method == "lru" else "simulator")
         if method == "lru" and name != "lru":
             raise ValidationError(
                 f"method 'lru' runs on the 'lru' backend, not {name!r}")
@@ -231,7 +227,7 @@ class Controller:
                 "disable spill or pick another backend")
         executor = create_backend(
             name, profile=self.profile, options=options,
-            workers=self.workers if workers is None else workers, seed=seed,
+            workers=workers, seed=seed,
             bus=self.bus, cancel=self.cancel)
         if not executor.requires_plan:
             if method != name:
@@ -280,15 +276,14 @@ class Controller:
                               bus=self.bus)
 
     def refresh_concurrent(self, requests, memory_budget: float,
-                           tenants, max_concurrent: int = 8,
-                           time_scale: float = 1e-3,
-                           deadline_s: float | None = None):
+                           tenants, time_scale: float = 1e-3):
         """Run many refresh requests concurrently over one shared ledger.
 
         The synchronous convenience wrapper over
         :meth:`create_service` — submits every request up front and
         drains the service (long-running callers should drive the async
-        API directly).
+        API directly).  ``max_concurrent`` and ``deadline_s`` keep
+        their :meth:`create_service` defaults.
 
         Args:
             requests: iterable of ``(graph, plan, tenant)`` triples;
@@ -296,6 +291,7 @@ class Controller:
                 with nothing flagged.
             memory_budget: shared RAM budget the tenant shares partition.
             tenants: list of :class:`~repro.serve.service.TenantSpec`.
+            time_scale: see :class:`~repro.serve.service.ServiceConfig`.
 
         Returns:
             ``(results, service)`` — the terminal
@@ -307,10 +303,8 @@ class Controller:
 
         requests = list(requests)
         service = self.create_service(
-            memory_budget, tenants,
-            queue_limit=max(len(requests), 1),
-            max_concurrent=max_concurrent, time_scale=time_scale,
-            deadline_s=deadline_s)
+            memory_budget, tenants, queue_limit=max(len(requests), 1),
+            time_scale=time_scale)
 
         async def _run_all():
             async with service as svc:

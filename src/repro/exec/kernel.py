@@ -160,7 +160,7 @@ class NodeKernel:
         tiered, with the graph's per-node ``meta["compressibility"]``
         installed, when ``options.spill`` is armed — built with
         ``lock``, and its own device, drain heap and clock."""
-        if memory_budget < 0:
+        if not memory_budget >= 0:  # also rejects NaN
             raise ValidationError("memory_budget must be >= 0")
         profile = profile or DeviceProfile()
         options = options or SimulatorOptions()

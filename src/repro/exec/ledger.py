@@ -86,7 +86,7 @@ class MemoryLedger:
 
     def __init__(self, budget: float = 0.0,
                  lock: Callable[[], object] = threading.RLock) -> None:
-        if budget < 0:
+        if not budget >= 0:  # also rejects NaN
             raise CatalogError("ledger budget must be >= 0")
         self.budget = budget
         self._entries: dict[str, _Entry] = {}

@@ -46,7 +46,7 @@ class LruCache:
 
     def __init__(self, capacity: float,
                  lock: Callable[[], object] = threading.RLock) -> None:
-        if capacity < 0:
+        if not capacity >= 0:  # also rejects NaN
             raise ValidationError("cache capacity must be >= 0")
         self.capacity = capacity
         self.ledger = MemoryLedger(budget=capacity, lock=lock)

@@ -186,6 +186,8 @@ class _MiniDbRun:
 
     def __init__(self, backend: MiniDbBackend, graph: DependencyGraph,
                  plan: Plan | None, memory_budget: float) -> None:
+        if not memory_budget >= 0:  # also rejects NaN
+            raise ValidationError("memory_budget must be >= 0")
         workload = backend.workload
         if workload is None:
             raise ValidationError(

@@ -11,9 +11,9 @@ demotion dearer.
 
 :class:`CostFeedback` closes that loop.  It reads the per-tier
 telemetry a tiered run leaves in ``RunTrace.extras["tiered_store"]`` —
-observed spill-write and promote-read seconds per GB, realized codec
+observed spill-write and promote-read seconds per GB and realized codec
 ratios (from MiniDB's real spill dumps or the simulator's per-entry
-compressibility), arbitration win/loss counts, prefetch hit rates — and
+compressibility), the three numbers per tier that planning reads — and
 re-derives the planner's tier discounts from *observed* rather than
 modeled costs (:meth:`CostFeedback.tier_budget`, backed by
 :meth:`~repro.core.problem.TierAwareBudget.from_observations`).  The
@@ -30,7 +30,7 @@ keeps its modeled price, and an ``observed_ratio`` of ``None`` means
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.core.problem import TierAwareBudget
 from repro.errors import ValidationError
@@ -55,17 +55,12 @@ class TierObservation:
         observed_ratio: realized codec ratio (logical GB per stored GB)
             of the bytes actually encoded into this tier; ``None`` when
             no spill reached it.
-        spilled_logical_gb: logical GB demoted into this tier (how much
-            evidence backs the averages).
-        read_logical_gb: logical GB read back from this tier.
     """
 
     name: str
     spill_write_seconds_per_gb: float | None = None
     promote_read_seconds_per_gb: float | None = None
     observed_ratio: float | None = None
-    spilled_logical_gb: float = 0.0
-    read_logical_gb: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -76,26 +71,16 @@ class CostFeedback:
     :meth:`~repro.engine.controller.Controller.refresh` via
     ``feedback=`` or derive a budget directly with :meth:`tier_budget`.
 
+    Migration counts, arbitration outcomes, prefetch hits and codec
+    switches stay in the trace's ``extras["tiered_store"]``: planning
+    reads none of them.
+
     Attributes:
         tiers: per-spill-tier observations (RAM is not listed — the
             feedback loop re-prices the hierarchy *below* RAM).
-        spill_count / promote_count: migration totals of the source run.
-        stall_wins / spill_wins: stall-vs-spill arbitration outcomes.
-        prefetch_hit_rate: fraction of prefetch attempts that promoted
-            (``None`` when prefetching was off or never attempted).
-        codec_switches: ``(tier, new_codec)`` pairs mid-run adaptation
-            performed in the source run.
-        source_method: the source trace's optimizer method label.
     """
 
-    tiers: tuple[TierObservation, ...] = ()
-    spill_count: int = 0
-    promote_count: int = 0
-    stall_wins: int = 0
-    spill_wins: int = 0
-    prefetch_hit_rate: float | None = None
-    codec_switches: tuple[tuple[str, str], ...] = ()
-    source_method: str = ""
+    tiers: tuple[TierObservation, ...]
 
     # ------------------------------------------------------------------
     @classmethod
@@ -129,31 +114,9 @@ class CostFeedback:
                 spill_write_seconds_per_gb=observed.get(
                     "spill_write_seconds_per_gb"),
                 promote_read_seconds_per_gb=cls._read_leg(observed),
-                observed_ratio=observed.get("observed_ratio"),
-                spilled_logical_gb=observed.get("spill_in_gb", 0.0),
-                read_logical_gb=observed.get("read_gb", 0.0)))
-        observations = cls._wall_clock_fallback(trace, report,
-                                                observations)
-        arbitration = report.get("arbitration", {})
-        prefetch = report.get("prefetch", {})
-        attempts = (prefetch.get("count", 0)
-                    + prefetch.get("misses", 0))
-        switches = tuple(
-            (name, record["switched_to"])
-            for name, record in sorted(
-                report.get("codec_adapt", {}).get("tiers", {}).items())
-            if record.get("switched_to"))
-        return cls(
-            tiers=tuple(observations),
-            spill_count=report.get("spill_count", 0),
-            promote_count=report.get("promote_count", 0),
-            stall_wins=arbitration.get("stall_wins", 0),
-            spill_wins=arbitration.get("spill_wins", 0),
-            prefetch_hit_rate=(prefetch.get("count", 0) / attempts
-                               if prefetch.get("enabled") and attempts
-                               else None),
-            codec_switches=switches,
-            source_method=trace.method)
+                observed_ratio=observed.get("observed_ratio")))
+        return cls(tiers=tuple(
+            cls._wall_clock_fallback(trace, report, observations)))
 
     @staticmethod
     def _read_leg(observed: dict) -> float | None:
@@ -195,18 +158,9 @@ class CostFeedback:
             name=tier.name,
             spill_write_seconds_per_gb=write,
             promote_read_seconds_per_gb=read,
-            observed_ratio=tier.observed_ratio,
-            spilled_logical_gb=tier.spilled_logical_gb,
-            read_logical_gb=tier.read_logical_gb)]
+            observed_ratio=tier.observed_ratio)]
 
     # ------------------------------------------------------------------
-    def observation(self, name: str) -> TierObservation | None:
-        """The observation for tier ``name``, if any."""
-        for tier in self.tiers:
-            if tier.name == name:
-                return tier
-        return None
-
     def tier_budget(self, ram: float, spill,
                     profile=None) -> TierAwareBudget:
         """Feedback-derived planner budget for the next run.
@@ -228,18 +182,3 @@ class CostFeedback:
         }
         return TierAwareBudget.from_observations(
             ram, spill, observations, profile=profile)
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-dict form (JSON-compatible)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CostFeedback":
-        """Inverse of :meth:`to_dict`."""
-        data = dict(payload)
-        tiers = tuple(TierObservation(**tier)
-                      for tier in data.pop("tiers", ()))
-        switches = tuple(tuple(pair)
-                         for pair in data.pop("codec_switches", ()))
-        return cls(tiers=tiers, codec_switches=switches, **data)

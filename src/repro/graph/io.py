@@ -53,8 +53,8 @@ def graph_from_dict(payload: dict[str, Any]) -> DependencyGraph:
     return graph
 
 
-def graph_to_json(graph: DependencyGraph, indent: int | None = 2) -> str:
-    return json.dumps(graph_to_dict(graph), indent=indent)
+def graph_to_json(graph: DependencyGraph) -> str:
+    return json.dumps(graph_to_dict(graph), indent=2)
 
 
 def graph_from_json(text: str) -> DependencyGraph:

@@ -176,14 +176,14 @@ POLARS_PROFILE = DeviceProfile(
 
 @dataclass(frozen=True)
 class ClusterProfile:
-    """A Presto-style cluster: ``worker_count`` devices with scaling losses.
+    """A Presto-style cluster: ``worker_count`` default
+    :class:`DeviceProfile` devices with scaling losses.
 
     Scaling follows Amdahl's law with a serial fraction: doubling workers
     less than halves runtimes, matching the sub-linear no-opt runtimes of
     Table V (1528 s → 868 s → 656 s ... for 1..5 workers).
     """
 
-    device: DeviceProfile = DeviceProfile()
     worker_count: int = 1
     serial_fraction: float = 0.12
 
@@ -201,4 +201,4 @@ class ClusterProfile:
 
     def effective_device(self) -> DeviceProfile:
         """Single-device equivalent of the whole cluster."""
-        return self.device.scaled(self.speedup_factor)
+        return DeviceProfile().scaled(self.speedup_factor)

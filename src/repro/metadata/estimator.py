@@ -30,6 +30,14 @@ DEFAULT_SELECTIVITY: dict[str, tuple[float, float]] = {
     "WINDOW": (0.8, 1.1),
 }
 
+#: Multiplier range of an operation the selectivity table does not name.
+UNKNOWN_OP_RANGE: tuple[float, float] = (0.3, 1.0)
+
+#: Floor so deeply nested MVs never vanish entirely (the paper notes
+#: nested MVs shrink from repeated filters/projections but remain
+#: materialized).
+MIN_SIZE = 1e-4
+
 
 @dataclass
 class OperatorSizeEstimator:
@@ -37,16 +45,12 @@ class OperatorSizeEstimator:
 
     Attributes:
         selectivity: per-op multiplier ranges; unknown ops fall back to
-            ``default_range``.
-        min_size: floor so deeply nested MVs never vanish entirely
-            (the paper notes nested MVs shrink from repeated
-            filters/projections but remain materialized).
+            :data:`UNKNOWN_OP_RANGE`.  No estimate is below
+            :data:`MIN_SIZE`.
     """
 
     selectivity: dict[str, tuple[float, float]] = field(
         default_factory=lambda: dict(DEFAULT_SELECTIVITY))
-    default_range: tuple[float, float] = (0.3, 1.0)
-    min_size: float = 1e-4
 
     def __post_init__(self) -> None:
         for op, (low, high) in self.selectivity.items():
@@ -59,10 +63,10 @@ class OperatorSizeEstimator:
         """Sampled output size in the same unit as the inputs."""
         if not input_sizes:
             raise ValidationError(f"{op}: need at least one input size")
-        low, high = self.selectivity.get(op.upper(), self.default_range)
+        low, high = self.selectivity.get(op.upper(), UNKNOWN_OP_RANGE)
         factor = rng.uniform(low, high)
         if op.upper() == "UNION":
             base = sum(input_sizes)
         else:
             base = max(input_sizes)
-        return max(self.min_size, base * factor)
+        return max(MIN_SIZE, base * factor)

@@ -118,8 +118,8 @@ def events_from_jsonl(path) -> list[Event]:
 
 
 # ----------------------------------------------------------------------
-def text_timeline(events: Iterable[Event], width: int = 72) -> str:
-    """Per-lane ASCII timeline of span events.
+def text_timeline(events: Iterable[Event]) -> str:
+    """Per-lane ASCII timeline of span events, 72 columns wide.
 
     Same visual language as ``RunTrace.gantt()`` — one row per span,
     ``#`` bars on a shared time axis — but grouped by lane so parallel
@@ -129,6 +129,7 @@ def text_timeline(events: Iterable[Event], width: int = 72) -> str:
     drawable = [e for e in events if e.kind in ("span", "instant")]
     if not drawable:
         return "(no events)"
+    width = 72
     horizon = max(e.t1 if e.t1 is not None else e.t0 for e in drawable)
     horizon = max(horizon, 1e-9)
     scale = width / horizon

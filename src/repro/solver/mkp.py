@@ -485,10 +485,10 @@ class BranchAndBoundSolver:
         return taken
 
 
-def solve_mkp(instance: MkpInstance, node_limit: int = 60_000,
+def solve_mkp(instance: MkpInstance,
               tolerance: float = 0.01) -> MkpSolution:
     """Convenience wrapper over :class:`BranchAndBoundSolver`."""
-    solver = BranchAndBoundSolver(node_limit=node_limit, tolerance=tolerance)
+    solver = BranchAndBoundSolver(tolerance=tolerance)
     solution = solver.solve(instance)
     if not instance.is_feasible(solution.selected):  # defensive invariant
         raise SolverError("BnB produced an infeasible solution "

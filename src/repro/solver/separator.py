@@ -43,9 +43,9 @@ def _cut_weight(graph: DependencyGraph, order: Sequence[str], split: int,
 
 
 def _refine_split(graph: DependencyGraph, order: list[str], split: int,
-                  node_weight: Mapping[str, float],
-                  max_passes: int = 2) -> list[str]:
-    """Local moves across the boundary that reduce the cut weight.
+                  node_weight: Mapping[str, float]) -> list[str]:
+    """Local moves across the boundary that reduce the cut weight, for
+    at most two passes.
 
     A node just before the boundary may move to ``B`` if all its children are
     in ``B``; a node just after may move to ``A`` if all its parents are in
@@ -53,7 +53,7 @@ def _refine_split(graph: DependencyGraph, order: list[str], split: int,
     halves balanced and the refinement linear per pass.
     """
     position = {v: i for i, v in enumerate(order)}
-    for _ in range(max_passes):
+    for _ in range(2):
         improved = False
         current = _cut_weight(graph, order, split, node_weight)
         left, right = order[split - 1], order[split]

@@ -25,9 +25,10 @@ from repro.errors import ValidationError
 _BLOCK = "█"
 
 
-def memory_profile_chart(problem: ScProblem, plan: Plan,
-                         width: int = 40) -> str:
-    """Occupancy bar per execution position, scaled to the budget."""
+def memory_profile_chart(problem: ScProblem, plan: Plan) -> str:
+    """Occupancy bar per execution position, 40 columns wide, scaled to
+    the budget."""
+    width = 40
     profile = memory_profile(problem.graph, plan.order, plan.flagged)
     budget = problem.memory_budget
     scale = max(budget, max(profile, default=0.0), 1e-12)

@@ -108,12 +108,11 @@ class _Builder:
     """Accumulates node specs; sizes derive from parents + base tables."""
 
     def __init__(self, table_sizes: dict[str, float],
-                 partitioned: bool, scale_gb: float,
-                 column_factor: float = COLUMN_PRUNING_FACTOR):
+                 partitioned: bool, scale_gb: float):
         self.graph = DependencyGraph()
         self.table_sizes = table_sizes
         self.partitioned = partitioned
-        self.column_factor = column_factor
+        self.column_factor = COLUMN_PRUNING_FACTOR
         # Group-by cardinality saturation: AGG outputs shrink relative to
         # their inputs as the dataset grows.
         self.agg_damping = ((scale_gb / REFERENCE_SCALE_GB)

@@ -19,7 +19,7 @@ transformation workloads.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.graph.dag import DependencyGraph
 from repro.graph.generators import LayeredDagConfig, generate_layered_dag
@@ -52,17 +52,14 @@ class GeneratedWorkloadConfig:
         )
 
 
-@dataclass
 class WorkloadGenerator:
-    """Reusable generator holding the fitted Markov chain."""
+    """Reusable generator holding the fitted Markov chain.  Sizes come
+    from the default :class:`OperatorSizeEstimator`; compute times and
+    scores from the default :class:`DeviceProfile`."""
 
-    estimator: OperatorSizeEstimator = field(
-        default_factory=OperatorSizeEstimator)
-    cost_model: DeviceProfile = field(default_factory=DeviceProfile)
-    _chain: MarkovChain = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self) -> None:
         self._chain = MarkovChain().fit(OPERATION_SEQUENCES)
+        self._estimator = OperatorSizeEstimator()
 
     # ------------------------------------------------------------------
     def generate(self, config: GeneratedWorkloadConfig | None = None,
@@ -84,27 +81,25 @@ class WorkloadGenerator:
                 op = "SCAN"
                 base = rng.choice(table_sizes)
                 node.meta["base_input_gb"] = base
-                node.size = self.estimator.estimate(op, [base], rng)
+                node.size = self._estimator.estimate(op, [base], rng)
             else:
                 anchor = max(parents, key=graph.size_of)
                 op = self._chain.sample_operation(op_of[anchor], rng)
                 if op == "SCAN":
                     op = "PROJECT"  # interior nodes transform, not scan
                 sizes = [graph.size_of(p) for p in parents]
-                node.size = self.estimator.estimate(op, sizes, rng)
+                node.size = self._estimator.estimate(op, sizes, rng)
             op_of[node_id] = op
             node.op = op
 
         share = min(max(config.io_time_share, 1e-3), 0.999)
-        calibrate_compute_times(graph, self.cost_model, share)
-        compute_speedup_scores(graph, self.cost_model)
+        profile = DeviceProfile()
+        calibrate_compute_times(graph, profile, share)
+        compute_speedup_scores(graph, profile)
         return graph
 
 
 def generate_workload(config: GeneratedWorkloadConfig | None = None,
-                      seed: int = 0,
-                      cost_model: DeviceProfile | None = None,
-                      ) -> DependencyGraph:
+                      seed: int = 0) -> DependencyGraph:
     """Module-level convenience around :class:`WorkloadGenerator`."""
-    generator = WorkloadGenerator(cost_model=cost_model or DeviceProfile())
-    return generator.generate(config=config, seed=seed)
+    return WorkloadGenerator().generate(config=config, seed=seed)

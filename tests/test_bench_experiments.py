@@ -9,6 +9,7 @@ the same experiments; and the below-peak cell the tiered sweeps and
 
 import argparse
 import dataclasses
+import inspect
 
 import pytest
 
@@ -112,7 +113,35 @@ class TestDrivers:
             pytest.approx(1.0)
 
 
+#: Every driver parameter there is: the size knobs a ``TestDrivers``
+#: smoke test passes to keep its driver small.  Any other setting is
+#: fixed in the driver's body, so a parameter no caller passes fails
+#: :meth:`TestRegistry.test_drivers_take_only_the_size_knobs_tests_pass`.
+DRIVER_PARAMETERS = {
+    "fig3": ("scales_gb",),
+    "fig9": ("scale_gb",),
+    "fig10": ("scales_gb",),
+    "fig11": ("scale_gb", "fractions"),
+    "table4": ("scale_gb", "fractions"),
+    "fig12": ("scale_gb",),
+    "table5": ("scale_gb", "worker_counts"),
+    "fig13": ("dag_sizes", "n_dags"),
+    "fig14": ("n_dags",),
+}
+
+
 class TestRegistry:
+    def test_drivers_take_only_the_size_knobs_tests_pass(self):
+        """Each driver is callable with no arguments (how ``repro-sc
+        bench`` and CI run it) and has exactly its allowlisted
+        parameters."""
+        for experiment_id, driver in EXPERIMENTS.items():
+            signature = inspect.signature(driver)
+            signature.bind()  # every parameter has a default
+            assert tuple(signature.parameters) == \
+                DRIVER_PARAMETERS.get(experiment_id, ()), experiment_id
+        assert sum(map(len, DRIVER_PARAMETERS.values())) == 13
+
     def test_every_driver_has_claims_and_a_bench_id(self):
         """A driver without claims, claims without a driver, or either
         out of ``repro-sc bench``'s reach fails here."""

@@ -89,6 +89,17 @@ REJECTED = {
                                         "{untiered}"],
     "replan without tiers": [*_SIM, "--memory", "1", "--replan"],
     "NaN memory budget": ["optimize", "{graph}", "--memory", "nan"],
+    # a run handed its plan builds no ScProblem: the run checks the budget
+    "NaN budget, given plan": [*_SIM, "--memory", "nan", "--plan",
+                               "{plan}"],
+    "NaN budget, lru": [*_SIM, "--memory", "nan", "--method", "lru"],
+    "NaN budget, parallel, given plan": [*_SIM, "--memory", "nan",
+                                         "--plan", "{plan}", "--backend",
+                                         "parallel", "--workers", "4"],
+    "NaN budget, minidb": ["minidb", "--memory", "nan", "--plan-memory",
+                           "0.01", "--rows", "2000"],
+    "negative budget, minidb": ["minidb", "--memory", "-1",
+                                "--plan-memory", "0.01", "--rows", "2000"],
     "NaN node size": ["optimize", "{nan_size}", "--memory", "2"],
     "plan tiers without spill dir": [*_DB, "--plan-tiers"],
     "rung without spill dir": [*_DB, "--ram-compressed", "0.001"],
@@ -118,6 +129,10 @@ class TestRejectedFlags:
             json.dump(payload, out)
         assert main(["optimize", paths["graph"], "--memory", "100",
                      "--output", paths["plan"]]) == 0
+        with open(paths["plan"]) as report:   # --plan reads the bare plan
+            plan = json.load(report)["plan"]
+        with open(paths["plan"], "w") as out:
+            json.dump(plan, out)
         for key, tiers in (("trace", ["--tier", "disk:inf"]),
                            ("untiered", [])):
             assert main(["simulate", paths["graph"], "--memory", "100",

@@ -1,8 +1,10 @@
-"""Documentation health: intra-repo markdown links and doctests.
+"""Documentation health: intra-repo markdown links, doctests and
+README's code.
 
 Run by the CI ``docs`` job (and by the tier-1 suite): every relative
-link in README/ROADMAP/docs/* must resolve to a real file, and the
-doctest examples on the public API must pass.
+link in README/ROADMAP/docs/* must resolve to a real file, the
+doctest examples on the public API must pass, and every ``python``
+block of README.md must run as written.
 """
 
 import doctest
@@ -23,6 +25,9 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: Modules whose doctests gate the docs job.
 DOCTEST_MODULES = ["repro.core.optimizer"]
+
+#: A fenced ``python`` block's body.
+_PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
 
 
 def _relative_links(path: Path) -> list[str]:
@@ -58,3 +63,14 @@ def test_doctests_pass(module_name):
     result = doctest.testmod(module, verbose=False)
     assert result.attempted > 0, f"{module_name} lost its doctests"
     assert result.failed == 0
+
+
+def test_readme_python_blocks_run():
+    """Each ``python`` block of README.md runs in a fresh namespace, so
+    an API change cannot leave README's example stale."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = _PYTHON_BLOCK.findall(readme)
+    assert blocks, "README.md lost its python examples"
+    for number, block in enumerate(blocks, 1):
+        exec(compile(block, f"README.md python block {number}", "exec"),
+             {"__name__": "readme"})

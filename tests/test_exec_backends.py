@@ -10,7 +10,7 @@ from repro.core.optimizer import optimize
 from repro.core.plan import Plan
 from repro.core.problem import ScProblem
 from repro.engine.controller import Controller
-from repro.errors import ValidationError
+from repro.errors import CatalogError, ValidationError
 from repro.exec import MemoryLedger, backend_names, create_backend
 from repro.workloads.generator import (
     GeneratedWorkloadConfig,
@@ -27,6 +27,27 @@ def _generated_case(seed, n_nodes=24, ratio=0.5, budget_fraction=0.25):
     plan = optimize(ScProblem(graph=graph, memory_budget=budget),
                     method="sc", seed=seed).plan
     return graph, plan, budget
+
+
+class TestRunBudget:
+    """A run handed its plan builds no ``ScProblem``, so every run
+    checks its RAM budget where it starts: NaN and negative budgets
+    never reach a node."""
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0])
+    @pytest.mark.parametrize("backend", ["simulator", "parallel", "lru"])
+    def test_rejected_with_a_given_plan(self, backend, budget):
+        graph, plan, _ = _generated_case(0, n_nodes=12)
+        method = "lru" if backend == "lru" else "sc"
+        with pytest.raises(ValidationError, match="must be >= 0"):
+            Controller().refresh(
+                graph, budget, method=method, backend=backend, workers=2,
+                plan=None if backend == "lru" else plan)
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0])
+    def test_ledger_rejects_the_budget(self, budget):
+        with pytest.raises(CatalogError, match="must be >= 0"):
+            MemoryLedger(budget=budget)
 
 
 class TestRegistryDispatch:

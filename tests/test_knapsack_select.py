@@ -46,17 +46,6 @@ class TestMkpLayout:
                 else:
                     assert weight == 0.0
 
-    def test_round_scores(self):
-        problem = make_fig7_problem()
-        problem.graph.node("v2").score = 10.4
-        problem = ScProblem(graph=problem.graph, memory_budget=100)
-        tau1 = ["v1", "v2", "v3", "v4", "v5", "v6"]
-        constraints = get_constraints(problem, tau1)
-        instance, nodes = build_mkp_instance(problem, constraints,
-                                             round_scores=True)
-        if "v2" in nodes:
-            assert instance.profits[nodes.index("v2")] == 10.0
-
 
 class TestEdgeCases:
     def test_zero_budget_flags_nothing_sized(self):

@@ -296,9 +296,8 @@ class TestMiniDbRung:
         # measured wall clocks feed the per-tier feedback observations
         from repro.feedback.observe import CostFeedback
 
-        observation = CostFeedback.from_trace(trace).observation(
-            RAM_COMPRESSED)
-        assert observation is not None
+        [observation] = [t for t in CostFeedback.from_trace(trace).tiers
+                         if t.name == RAM_COMPRESSED]
         assert observation.observed_ratio == pytest.approx(
             rung["observed"]["observed_ratio"])
         # every MV durable and numerically correct despite the rung
