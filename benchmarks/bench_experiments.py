@@ -53,7 +53,7 @@ def _fig3(result):
     Measured here (2 vCPUs, indicative): the write is 73-76 % of the
     statement at 0.01 / 0.02 / 0.05 GB — above the paper's band,
     because Q8's four FK -> PK joins are nearly free on this engine.
-    Whether the band is a gate or a historical note is ROADMAP 3(d),
+    Whether the band is a gate or a historical note is ROADMAP item 9,
     still open; the assertions below are the qualitative claim only."""
     for scale, timing in result.data["timings"].items():
         total = timing.total_seconds

@@ -34,8 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="repro-lint: static checks for the project's "
-                    "determinism, locking, and observability "
-                    "invariants.")
+                    "determinism and observability invariants.")
     parser.add_argument(
         "paths", nargs="*",
         help="files/directories to scan, relative to the repo root "

@@ -48,10 +48,6 @@ class LintConfig:
     )
     #: REP004 — helper modules that are NULL_BUS-safe by construction.
     bus_helper_files: tuple[str, ...] = ("repro/obs/events.py",)
-    #: REP003 — root classes whose underscore state is lock-protected.
-    lock_classes: tuple[str, ...] = ("MemoryLedger", "TieredLedger")
-    #: REP003 — the lock attribute that must be held for writes.
-    lock_attr: str = "_lock"
     #: REP006 — public entry-point files with a closed error taxonomy.
     error_taxonomy_files: tuple[str, ...] = (
         "repro/cli.py",
@@ -75,10 +71,10 @@ class LintConfig:
 
 
 _LIST_KEYS = {
-    "paths", "wallclock_allow", "bus_helper_files", "lock_classes",
+    "paths", "wallclock_allow", "bus_helper_files",
     "error_taxonomy_files", "schema_constants", "schema_producers",
 }
-_STR_KEYS = {"baseline", "lock_attr", "error_module", "schema_module"}
+_STR_KEYS = {"baseline", "error_module", "schema_module"}
 
 
 def parse_pyproject(text: str, name: str) -> dict:

@@ -145,13 +145,6 @@ class SourceFile:
     def snippet(self, line: int) -> str:
         return self._snippet(line)
 
-    # -- contract comments (REP003) --------------------------------
-
-    def comment_in_range(self, first: int, last: int, needle: str) -> bool:
-        """Any comment containing ``needle`` on lines [first, last]?"""
-        return any(first <= line <= last and needle in text
-                   for line, text in self.comments)
-
     # -- tree helpers ----------------------------------------------
 
     def parents(self) -> dict:

@@ -5,7 +5,6 @@ from .base import Rule
 from .busguard import BusGuardRule
 from .errors_taxonomy import ErrorTaxonomyRule
 from .extras_schema import ExtrasSchemaRule
-from .locks import LockDisciplineRule
 from .reachability import UnreachableModuleRule
 from .rng import RngRule
 from .wallclock import WallClockRule
@@ -13,7 +12,6 @@ from .wallclock import WallClockRule
 ALL_RULES: tuple[Rule, ...] = (
     WallClockRule(),
     RngRule(),
-    LockDisciplineRule(),
     BusGuardRule(),
     ExtrasSchemaRule(),
     ErrorTaxonomyRule(),

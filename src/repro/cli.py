@@ -27,7 +27,7 @@ from repro.core.optimizer import OPTIMIZER_METHODS, optimize, plan_summary
 from repro.core.plan import Plan
 from repro.core.problem import ScProblem
 from repro.engine.controller import Controller
-from repro.errors import ValidationError
+from repro.errors import GraphError, ValidationError
 from repro.exec.base import backend_names
 from repro.graph.io import graph_from_json, graph_to_json
 from repro.store.config import (
@@ -310,6 +310,21 @@ def _write_or_print(text: str, path: str | None) -> None:
         print(text)
 
 
+def _read_plan(path: str, graph) -> Plan:
+    """The plan in ``path``, a file ``optimize --output`` wrote for
+    ``graph``: ``{"plan": ..., "summary": ...}`` is the one plan-file
+    format."""
+    try:
+        plan = Plan.from_dict(json.loads(_read(path))["plan"])
+        plan.validate_against(graph)
+    except (ValueError, LookupError, TypeError, AttributeError,
+            GraphError) as exc:
+        raise ValidationError(
+            f"{path} is not a plan `optimize --output` wrote for this "
+            f"graph ({type(exc).__name__}: {exc})") from None
+    return plan
+
+
 def _cmd_optimize(args) -> int:
     problem = ScProblem(graph=graph_from_json(_read(args.graph)),
                         memory_budget=args.memory)
@@ -478,7 +493,7 @@ def _cmd_simulate(args) -> int:
         controller.tier_budget(memory)  # no tiers: fail before pass 1
     plan = None
     if args.plan:
-        plan = Plan.from_json(_read(args.plan))
+        plan = _read_plan(args.plan, graph)
     elif args.feedback or args.tier_aware_plan:
         feedback = None
         if args.feedback:

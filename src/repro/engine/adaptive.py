@@ -41,7 +41,6 @@ from repro.exec.base import (
     create_backend,
 )
 from repro.exec.kernel import NodeKernel
-from repro.exec.ledger import NoLock
 from repro.graph.dag import DependencyGraph
 from repro.metadata.costmodel import DeviceProfile
 
@@ -151,7 +150,7 @@ class AdaptiveController:
         # the kernel outlives every plan: a (re-)plan below only changes
         # which of the nodes still to run are flagged
         kernel = NodeKernel.for_run(truth, memory_budget, None,
-                                    self.options, lock=NoLock)
+                                    self.options)
         report = AdaptiveRunReport(total_time=0.0)
 
         planning_graph = estimated.copy()

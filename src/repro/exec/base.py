@@ -26,13 +26,11 @@ imports its module on first use.
 from __future__ import annotations
 
 import importlib
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
 from repro.core.plan import Plan
 from repro.errors import ValidationError
-from repro.exec.ledger import NoLock
 from repro.graph.dag import DependencyGraph
 
 if TYPE_CHECKING:  # annotation-only: keeps repro.exec importable without
@@ -118,9 +116,6 @@ class ExecutionBackend:
         # the next node boundary; backends raise
         # RunCancelledError after unwinding their ledger state
         self.cancel = cancel
-        # what the run's ledger locks with; create_backend swaps in
-        # NoLock for the backends that touch it from one thread only
-        self.ledger_lock = threading.RLock
 
     # ------------------------------------------------------------------
     def check_cancelled(self, node_id: str | None = None) -> None:
@@ -174,12 +169,6 @@ _BACKENDS: dict[str, tuple[str, str]] = {
     "minidb": ("repro.exec.minidb", "MiniDbBackend"),
 }
 
-#: Backends whose ledger only the run's own thread ever touches (the
-#: discrete-event simulators): :func:`create_backend` builds their
-#: ledgers with :class:`~repro.exec.ledger.NoLock`.  MiniDB's drain
-#: threads need the re-entrant lock, so it keeps it.
-_ONE_THREAD_BACKENDS = frozenset({"simulator", "parallel", "lru"})
-
 
 def backend_names() -> tuple[str, ...]:
     """Every dispatchable backend name."""
@@ -191,8 +180,7 @@ def create_backend(name: str, *, profile=None, options=None,
                    cancel=None, **kwargs) -> ExecutionBackend:
     """Instantiate a backend with the shared constructor contract plus
     the backend's own keywords (``kwargs``: MiniDB's workload and spill
-    settings), and choose its ledger's lock (not an option: see
-    :data:`_ONE_THREAD_BACKENDS`).
+    settings).
 
     Raises:
         ValidationError: ``name`` is not a backend.
@@ -203,8 +191,5 @@ def create_backend(name: str, *, profile=None, options=None,
             f"choose from {backend_names()}")
     module, class_name = _BACKENDS[name]
     cls = getattr(importlib.import_module(module), class_name)
-    backend = cls(profile=profile, options=options, workers=workers,
-                  seed=seed, bus=bus, cancel=cancel, **kwargs)
-    if name in _ONE_THREAD_BACKENDS:
-        backend.ledger_lock = NoLock
-    return backend
+    return cls(profile=profile, options=options, workers=workers,
+               seed=seed, bus=bus, cancel=cancel, **kwargs)

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import threading
 from typing import Callable
 
 from repro.engine.storage import StorageDevice
@@ -153,13 +152,11 @@ class NodeKernel:
     def for_run(cls, graph: DependencyGraph, memory_budget: float,
                 profile: DeviceProfile | None,
                 options: SimulatorOptions | None,
-                bus: EventBus = NULL_BUS,
-                lock: Callable[[], object] = threading.RLock,
-                ) -> "NodeKernel":
+                bus: EventBus = NULL_BUS) -> "NodeKernel":
         """Fresh single-run state: a ledger sized ``memory_budget`` —
         tiered, with the graph's per-node ``meta["compressibility"]``
-        installed, when ``options.spill`` is armed — built with
-        ``lock``, and its own device, drain heap and clock."""
+        installed, when ``options.spill`` is armed — and its own device,
+        drain heap and clock."""
         if not memory_budget >= 0:  # also rejects NaN
             raise ValidationError("memory_budget must be >= 0")
         profile = profile or DeviceProfile()
@@ -173,11 +170,10 @@ class NodeKernel:
             )
 
             ledger: MemoryLedger = TieredLedger(
-                memory_budget, options.spill, profile=profile, bus=bus,
-                lock=lock)
+                memory_budget, options.spill, profile=profile, bus=bus)
             ledger.set_compressibility(compressibility_from_graph(graph))
         else:
-            ledger = MemoryLedger(budget=memory_budget, lock=lock)
+            ledger = MemoryLedger(budget=memory_budget)
         return cls(graph, ledger, profile, options, bus=bus)
 
     # ------------------------------------------------------------------

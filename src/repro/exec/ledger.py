@@ -13,15 +13,10 @@ flagged-residency release protocol every backend shares:
   at *dispatch* time and commits it at *output* time.  Reserved bytes count
   against admission (so concurrent workers can never over-commit) but not
   against ``usage``/``peak_usage`` (so serial peak semantics are preserved);
-* **thread safety** — every mutation runs under one re-entrant lock, so
-  :meth:`reserve` is an atomic check-and-claim: two threads reserving
-  at once can never jointly exceed the budget.  A public call takes
-  that lock once: what it needs under it (the fit test, the release
-  cores) are unlocked ``_`` helpers, never another public call.  A
-  ledger only one thread ever touches (the discrete-event simulators')
-  is built with :class:`NoLock` instead —
-  :func:`repro.exec.base.create_backend` makes that choice, per
-  backend.
+* **one owner thread** — a ledger is called only from the thread that
+  built it (the run's, or the service's event loop: MiniDB's drain
+  threads touch the warehouse catalog, never the ledger), so it takes
+  no lock and :meth:`reserve` is a check-and-claim by construction.
 
 This ledger *is* the paper's Memory Catalog accounting for every backend,
 so they share one implementation of the invariant the paper cares about:
@@ -30,36 +25,12 @@ flagged residency never exceeds the configured budget.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.errors import BudgetExceededError, CatalogError
 
 #: Absolute slack used by every fit test, mirroring the optimizer's epsilon.
 _EPS = 1e-12
-
-
-class NoLock:
-    """The lock of a ledger one thread owns: it guards nothing, and
-    entering it costs less than an uncontended ``RLock`` round trip.
-    Same protocol as ``RLock`` (context manager, ``acquire`` /
-    ``release``), so lock wrappers such as the test suite's lock-order
-    audit (``tests/lockorder.py``) still wrap it."""
-
-    __slots__ = ()
-
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        return True
-
-    def release(self) -> None:
-        pass
-
-    def __enter__(self) -> bool:
-        return True
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
 
 
 @dataclass
@@ -70,22 +41,15 @@ class _Entry:
 
 
 class MemoryLedger:
-    """Thread-safe bounded accounting of in-memory table residency.
+    """Bounded accounting of in-memory table residency, owned by the
+    thread that built it.
 
     Attributes:
         budget: capacity in the same unit as table sizes (GB throughout
             the repo).
-
-    ``lock`` builds the ledger's lock: ``threading.RLock`` unless every
-    call comes from one thread (:class:`NoLock`).  Each public call
-    acquires it once; ``consumer_done`` and ``materialized`` are that
-    lock around the unlocked ``_consumer_done`` / ``_materialized``
-    cores, which a :class:`~repro.store.tiered.TieredLedger` calls on
-    its tier ledgers under its own lock.
     """
 
-    def __init__(self, budget: float = 0.0,
-                 lock: Callable[[], object] = threading.RLock) -> None:
+    def __init__(self, budget: float = 0.0) -> None:
         if not budget >= 0:  # also rejects NaN
             raise CatalogError("ledger budget must be >= 0")
         self.budget = budget
@@ -94,7 +58,6 @@ class MemoryLedger:
         self._usage = 0.0
         self._peak = 0.0
         self._charged = 0.0
-        self._lock = lock()
 
     # ------------------------------------------------------------------
     # accounting views
@@ -140,8 +103,7 @@ class MemoryLedger:
         Raises:
             CatalogError: when ``node_id`` is not resident.
         """
-        with self._lock:
-            return self._require(node_id).consumers_left
+        return self._require(node_id).consumers_left
 
     def size_of(self, node_id: str) -> float:
         """Resident size of an entry.
@@ -149,8 +111,7 @@ class MemoryLedger:
         Raises:
             CatalogError: when ``node_id`` is not resident.
         """
-        with self._lock:
-            return self._require(node_id).size
+        return self._require(node_id).size
 
     def fits(self, size: float) -> bool:
         """Whether ``size`` GB can be admitted right now.
@@ -159,11 +120,6 @@ class MemoryLedger:
         feasibility epsilon) and reservation-aware: bytes promised to
         dispatched nodes count as taken.
         """
-        with self._lock:
-            return self._fits(size)
-
-    def _fits(self, size: float) -> bool:
-        """:meth:`fits` for a caller that holds the lock."""
         return size <= self.available + _EPS
 
     # ------------------------------------------------------------------
@@ -177,22 +133,20 @@ class MemoryLedger:
         """
         if size < 0:
             raise CatalogError("charged size must be >= 0")
-        with self._lock:
-            self._usage += size
-            self._charged += size
-            self._peak = max(self._peak, self._usage)
+        self._usage += size
+        self._charged += size
+        self._peak = max(self._peak, self._usage)
 
     def credit(self, size: float) -> None:
         """Return bytes previously taken with :meth:`charge`."""
         if size < 0:
             raise CatalogError("credited size must be >= 0")
-        with self._lock:
-            if size > self._charged + _EPS:
-                raise CatalogError(
-                    f"credit of {size:.6g} exceeds charged bytes "
-                    f"({self._charged:.6g})")
-            self._usage -= size
-            self._charged -= size
+        if size > self._charged + _EPS:
+            raise CatalogError(
+                f"credit of {size:.6g} exceeds charged bytes "
+                f"({self._charged:.6g})")
+        self._usage -= size
+        self._charged -= size
 
     # ------------------------------------------------------------------
     # flagged-entry protocol
@@ -214,16 +168,15 @@ class MemoryLedger:
                 decide whether to stall, spill, or abort.
             CatalogError: duplicate id or negative size.
         """
-        with self._lock:
-            self._check_new(node_id, size)
-            if not self._fits(size):
-                raise BudgetExceededError(
-                    f"inserting {node_id!r} ({size:.6g}) exceeds Memory "
-                    f"Catalog budget ({self.available:.6g} available of "
-                    f"{self.budget:.6g})",
-                    requested=size, available=self.available)
-            self._commit_entry(node_id, size, n_consumers,
-                               materialization_pending)
+        self._check_new(node_id, size)
+        if not self.fits(size):
+            raise BudgetExceededError(
+                f"inserting {node_id!r} ({size:.6g}) exceeds Memory "
+                f"Catalog budget ({self.available:.6g} available of "
+                f"{self.budget:.6g})",
+                requested=size, available=self.available)
+        self._commit_entry(node_id, size, n_consumers,
+                           materialization_pending)
 
     # ------------------------------------------------------------------
     # reservations (parallel dispatch-time admission)
@@ -236,25 +189,23 @@ class MemoryLedger:
         runs (at the node's output time), keeping peak semantics identical
         to the serial simulator.
         """
-        with self._lock:
-            self._check_new(node_id, size)
-            if node_id in self._reserved:
-                raise CatalogError(
-                    f"table {node_id!r} already has a reservation")
-            if not self._fits(size):
-                return False
-            self._reserved[node_id] = size
-            return True
+        self._check_new(node_id, size)
+        if node_id in self._reserved:
+            raise CatalogError(
+                f"table {node_id!r} already has a reservation")
+        if not self.fits(size):
+            return False
+        self._reserved[node_id] = size
+        return True
 
     def commit_reservation(self, node_id: str, n_consumers: int,
                            materialization_pending: bool = True) -> None:
         """Convert a reservation into a committed resident entry."""
-        with self._lock:
-            if node_id not in self._reserved:
-                raise CatalogError(f"table {node_id!r} has no reservation")
-            size = self._reserved.pop(node_id)
-            self._commit_entry(node_id, size, n_consumers,
-                               materialization_pending)
+        if node_id not in self._reserved:
+            raise CatalogError(f"table {node_id!r} has no reservation")
+        size = self._reserved.pop(node_id)
+        self._commit_entry(node_id, size, n_consumers,
+                           materialization_pending)
 
     # ------------------------------------------------------------------
     # release protocol
@@ -270,10 +221,6 @@ class MemoryLedger:
             CatalogError: when ``node_id`` is not resident or has no
                 outstanding consumers.
         """
-        with self._lock:
-            return self._consumer_done(node_id)
-
-    def _consumer_done(self, node_id: str) -> bool:  # lint: locked
         entry = self._require(node_id)
         if entry.consumers_left <= 0:
             raise CatalogError(
@@ -291,10 +238,6 @@ class MemoryLedger:
             CatalogError: when ``node_id`` is not resident or was
                 already materialized.
         """
-        with self._lock:
-            return self._materialized(node_id)
-
-    def _materialized(self, node_id: str) -> bool:  # lint: locked
         entry = self._require(node_id)
         if not entry.materialization_pending:
             raise CatalogError(
@@ -318,12 +261,11 @@ class MemoryLedger:
         :meth:`adopt` — the two calls together are the spill/promote
         migration primitive.
         """
-        with self._lock:
-            entry = self._require(node_id)
-            self._usage -= entry.size
-            del self._entries[node_id]
-            return (entry.size, entry.consumers_left,
-                    entry.materialization_pending)
+        entry = self._require(node_id)
+        self._usage -= entry.size
+        del self._entries[node_id]
+        return (entry.size, entry.consumers_left,
+                entry.materialization_pending)
 
     def adopt(self, node_id: str, size: float, consumers_left: int,
               materialization_pending: bool) -> None:
@@ -332,16 +274,15 @@ class MemoryLedger:
         Unlike :meth:`insert` the consumer count may be mid-countdown;
         the admission/fit rules are identical.
         """
-        with self._lock:
-            self._check_new(node_id, size)
-            if not self._fits(size):
-                raise BudgetExceededError(
-                    f"adopting {node_id!r} ({size:.6g}) exceeds ledger "
-                    f"budget ({self.available:.6g} available of "
-                    f"{self.budget:.6g})",
-                    requested=size, available=self.available)
-            self._commit_entry(node_id, size, consumers_left,
-                               materialization_pending)
+        self._check_new(node_id, size)
+        if not self.fits(size):
+            raise BudgetExceededError(
+                f"adopting {node_id!r} ({size:.6g}) exceeds ledger "
+                f"budget ({self.available:.6g} available of "
+                f"{self.budget:.6g})",
+                requested=size, available=self.available)
+        self._commit_entry(node_id, size, consumers_left,
+                           materialization_pending)
 
     # ------------------------------------------------------------------
     def _check_new(self, node_id: str, size: float) -> None:
@@ -350,7 +291,7 @@ class MemoryLedger:
         if size < 0:
             raise CatalogError(f"table {node_id!r} has negative size")
 
-    def _commit_entry(self, node_id: str, size: float, n_consumers: int,  # lint: locked
+    def _commit_entry(self, node_id: str, size: float, n_consumers: int,
                       materialization_pending: bool) -> None:
         self._entries[node_id] = _Entry(
             size=size,
@@ -360,8 +301,7 @@ class MemoryLedger:
         if self._usage > self._peak:
             self._peak = self._usage
 
-    def _maybe_release(self, node_id: str,  # lint: locked
-                       entry: _Entry) -> bool:
+    def _maybe_release(self, node_id: str, entry: _Entry) -> bool:
         """The release rule: ``node_id`` (whose record is ``entry``)
         leaves once its last consumer finished *and* its drain
         completed."""

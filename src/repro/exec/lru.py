@@ -20,9 +20,7 @@ here.  Base-table reads and compute are charged by the shared
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
-from typing import Callable
 
 from repro.core.plan import Plan
 from repro.engine.trace import NodeTrace, RunTrace
@@ -44,12 +42,11 @@ class LruCache:
     peak reporting share the budget accountant of all backends.
     """
 
-    def __init__(self, capacity: float,
-                 lock: Callable[[], object] = threading.RLock) -> None:
+    def __init__(self, capacity: float) -> None:
         if not capacity >= 0:  # also rejects NaN
             raise ValidationError("cache capacity must be >= 0")
         self.capacity = capacity
-        self.ledger = MemoryLedger(budget=capacity, lock=lock)
+        self.ledger = MemoryLedger(budget=capacity)
         self._entries: "OrderedDict[str, float]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -105,7 +102,7 @@ class LruBackend(ExecutionBackend):
         the run is durable when its last node ends."""
         if plan is not None:
             raise ValidationError("the LRU baseline does not take a plan")
-        cache = LruCache(capacity=memory_budget, lock=self.ledger_lock)
+        cache = LruCache(capacity=memory_budget)
         # the baseline ignores the Controller's runtime policy (it never
         # did apply compute_penalty): the kernel charges with defaults
         kernel = NodeKernel(graph, cache.ledger,

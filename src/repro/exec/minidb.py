@@ -356,7 +356,7 @@ class _MiniDbRun:
         fallback is a *real* spill of a policy-ranked victim instead: the
         ledger selects it, cascades whatever has to make way for it and
         moves the accounting, :meth:`_move_bytes` moves the bytes — one
-        call, one lock acquisition.  ``protect`` names entries that must
+        call.  ``protect`` names entries that must
         stay where they are (the parents of the node currently being
         staged), in RAM or as cascade victims below it.
         """

@@ -72,8 +72,7 @@ class ParallelSimulatorBackend(ExecutionBackend):
                 "the parallel backend requires a plan; optimize first")
         check_topological_order(graph, plan.order)
         kernel = NodeKernel.for_run(graph, memory_budget, self.profile,
-                                    self.options, bus=self.bus,
-                                    lock=self.ledger_lock)
+                                    self.options, bus=self.bus)
         if self.workers == 1:
             # nothing to schedule: the kernel once per node in plan
             # order, which is the serial simulator by construction

@@ -36,8 +36,7 @@ class SerialSimulatorBackend(ExecutionBackend):
                 "the simulator backend requires a plan; optimize first")
         check_topological_order(graph, plan.order)
         kernel = NodeKernel.for_run(graph, memory_budget, self.profile,
-                                    self.options, bus=self.bus,
-                                    lock=self.ledger_lock)
+                                    self.options, bus=self.bus)
         return SerialRun(kernel, plan, method)
 
     def execute_node(self, run: SerialRun, node_id: str) -> None:

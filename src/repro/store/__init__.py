@@ -19,9 +19,9 @@ Architecture — an accounting core and three things beside it
     already call — ``insert``, reservations, ``fits``,
     ``usage`` / ``peak_usage``, ``consumer_done`` / ``materialized`` /
     ``force_release``, ``in`` — keeps its meaning, with release-protocol
-    calls routed to whichever tier holds the entry.  It holds only what
-    must change under the lock: entries, budgets, holds, routing,
-    recency, the victim ranking, and migration.  Entries migrate with
+    calls routed to whichever tier holds the entry.  It holds only the
+    accounting state: entries, budgets, holds, routing, recency, the
+    victim ranking, and migration.  Entries migrate with
     the ledger's ``detach``/``adopt`` primitive, carrying their consumer
     counts and materialization holds with them, so the paper's release
     protocol is tier-agnostic — and there is **one eviction path**
@@ -61,7 +61,7 @@ Architecture — an accounting core and three things beside it
 **The mover contract** (:data:`~repro.store.tiered.Mover`)
     An executor doing *real* I/O hands ``demote_victim`` a callable
     ``mover(node_id, src, dst) -> stored_gb``.  The core picks the
-    victim and, under the same lock acquisition, asks the mover to put
+    victim and, in the same call, asks the mover to put
     its bytes where tier ``dst`` keeps them, makes room there for the
     **measured** size (cascading that tier's own victims through the
     same mover, never one the caller excluded), and moves the

@@ -11,7 +11,7 @@ arithmetic of their own, so a plan and the run it predicts cannot price
 a tier differently.
 
 The functions take profiles, codecs, ratios and sizes — never a ledger —
-so none of them needs a lock.  Sizes are GB: ``logical`` is an entry's
+so none of them reads or moves accounting state.  Sizes are GB: ``logical`` is an entry's
 decoded size, ``stored`` its on-tier size (``logical / ratio``).
 """
 

@@ -9,8 +9,8 @@ when the bus is on, and alone assembles
 a direct collaborator, not an event-bus sink — the report has to be
 filled with the bus off, and off has to cost one attribute check.
 
-Not thread-safe on its own: the owning ledger calls it with its lock
-held, and readers go through ``TieredLedger.tier_report()``.
+Only the owning ledger calls it, and readers go through
+``TieredLedger.tier_report()``.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ enforces a share at admission time — ``TieredLedger.spill_insert``
 sheds the owner's own RAM entries, and a promote that would not fit
 the share is not made — so a single over-share output (a node bigger
 than what its tenant can free of its slice) degrades to shared-RAM
-pressure instead of deadlocking the request.  Not thread-safe on its
-own: the owning ledger calls it with its lock held.
+pressure instead of deadlocking the request.  Only the owning ledger
+calls it.
 """
 
 from __future__ import annotations

@@ -11,8 +11,10 @@ materialization hold wherever it lives, and the release protocol
 (``consumer_done`` / ``materialized`` / ``force_release`` / ``in``)
 routes transparently to the holding tier.
 
-This class holds only what has to change under the lock: entries,
-budgets, holds, routing, recency, the victim ranking, and migration.
+This class holds only the accounting state: entries, budgets, holds,
+routing, recency, the victim ranking, and migration.  Like every
+ledger it is called only from the thread that built it (see
+:mod:`repro.exec.ledger`), so it takes no lock.
 What a move *costs* is :mod:`repro.store.pricing` (pure functions the
 planner shares), what a run *did* is :class:`~repro.store.stats.
 StoreStats` (counters, per-tier telemetry, ``tier_report()`` assembly),
@@ -65,7 +67,6 @@ Two run-time refinements close the model-vs-runtime loop:
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -87,8 +88,8 @@ from repro.store.tenants import TenantAccounts
 from repro.store.victim_index import VictimIndex
 
 #: How an executor doing *real* I/O takes part in a demotion:
-#: ``mover(node_id, src, dst) -> stored_gb``.  The ledger calls it under
-#: its lock, *before* it moves the accounting, with the tier indices the
+#: ``mover(node_id, src, dst) -> stored_gb``.  The ledger calls it
+#: *before* it moves the accounting, with the tier indices the
 #: entry is about to move between: put the entry's bytes where tier
 #: ``dst`` keeps them (encode, dump) and hand back the **measured**
 #: stored GB — ``0.0`` when a durable copy already serves readers.  Only
@@ -185,7 +186,7 @@ class TieredLedger(MemoryLedger):
       RAM);
     * :meth:`try_make_room` — free RAM ahead of a reservation;
     * :meth:`demote_victim` — select the policy's best victim and demote
-      it under one lock acquisition; executors doing *real* I/O pass a
+      it in one call; executors doing *real* I/O pass a
       :data:`Mover` and the same call moves their bytes
       (``charge_io=False`` keeps every simulated charge at zero);
     * :meth:`promote` — bring a spilled entry back up after a read;
@@ -201,19 +202,15 @@ class TieredLedger(MemoryLedger):
       parallel scheduler), pricing encode + compressed
       transfer on the demote leg and decode on the reload leg.
 
-    All mutations run under the inherited re-entrant lock, so the same
-    thread-safety guarantees concurrent schedulers rely on carry over;
-    :attr:`stats` and :attr:`tenants` are only touched with it held.
-    ``lock`` builds it and every tier ledger's lock (see
-    :class:`~repro.exec.ledger.MemoryLedger`).
+    :attr:`stats` and :attr:`tenants` are touched only by this ledger's
+    own methods.
     """
 
     def __init__(self, budget: float, config: SpillConfig | None = None,
                  profile: DeviceProfile | None = None,
                  charge_io: bool = True,
-                 bus: EventBus | None = None,
-                 lock: Callable[[], object] = threading.RLock) -> None:
-        super().__init__(budget=budget, lock=lock)
+                 bus: EventBus | None = None) -> None:
+        super().__init__(budget=budget)
         self.bus = resolve_bus(bus)
         self.config = config or SpillConfig()
         if self.config.policy not in POLICIES:
@@ -231,7 +228,7 @@ class TieredLedger(MemoryLedger):
         for spec in self.config.tiers:
             codec = spec.resolved_codec(self.config.codec)
             self.tiers.append(StorageTier(
-                spec, MemoryLedger(budget=spec.budget, lock=lock),
+                spec, MemoryLedger(budget=spec.budget),
                 spec.resolved_profile(), codec, codec.ratio))
         self._below: dict[str, _Spilled] = {}
         # per-node compressibility multipliers (see set_compressibility)
@@ -250,8 +247,7 @@ class TieredLedger(MemoryLedger):
 
     # ------------------------------------------------------------------
     # routing: an entry lives in exactly one tier, and every release-
-    # protocol call runs the base-class core on that tier's ledger,
-    # under this ledger's lock alone
+    # protocol call runs the base-class method on that tier's ledger
     # ------------------------------------------------------------------
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._entries or node_id in self._below
@@ -264,15 +260,13 @@ class TieredLedger(MemoryLedger):
 
     def tier_of(self, node_id: str) -> int | None:
         """Index of the tier holding ``node_id`` (0 = RAM), or None."""
-        with self._lock:
-            if node_id in self._entries:
-                return 0
-            spilled = self._below.get(node_id)
-            return None if spilled is None else spilled.tier
+        if node_id in self._entries:
+            return 0
+        spilled = self._below.get(node_id)
+        return None if spilled is None else spilled.tier
 
     def resident(self) -> list[str]:
-        with self._lock:
-            return list(self._entries) + list(self._below)
+        return list(self._entries) + list(self._below)
 
     def size_of(self, node_id: str) -> float:
         """Logical (decoded) GB of a resident entry, wherever it lives.
@@ -281,44 +275,38 @@ class TieredLedger(MemoryLedger):
         stored (possibly compressed) on-tier size is
         :meth:`stored_size_of`.
         """
-        with self._lock:
-            idx, _ = self._holding(node_id)
-            return self._logical_size(idx, node_id)
+        idx, _ = self._holding(node_id)
+        return self._logical_size(idx, node_id)
 
     def stored_size_of(self, node_id: str) -> float:
         """On-tier GB the entry occupies (compressed below RAM)."""
-        with self._lock:
-            _, tier = self._holding(node_id)
-            return MemoryLedger.size_of(tier.ledger, node_id)
+        _, tier = self._holding(node_id)
+        return MemoryLedger.size_of(tier.ledger, node_id)
 
     def consumers_left(self, node_id: str) -> int:
-        with self._lock:
-            _, tier = self._holding(node_id)
-            return MemoryLedger.consumers_left(tier.ledger, node_id)
+        _, tier = self._holding(node_id)
+        return MemoryLedger.consumers_left(tier.ledger, node_id)
 
     def consumer_done(self, node_id: str) -> bool:
-        with self._lock:
-            idx, tier = self._holding(node_id)
-            released = tier.ledger._consumer_done(node_id)
-            if released:
-                self._forget(idx, node_id)
-            else:
-                self._victim_index.mark(idx, node_id)
-            return released
+        idx, tier = self._holding(node_id)
+        released = MemoryLedger.consumer_done(tier.ledger, node_id)
+        if released:
+            self._forget(idx, node_id)
+        else:
+            self._victim_index.mark(idx, node_id)
+        return released
 
     def materialized(self, node_id: str) -> bool:
-        with self._lock:
-            idx, tier = self._holding(node_id)
-            released = tier.ledger._materialized(node_id)
-            if released:
-                self._forget(idx, node_id)
-            return released
+        idx, tier = self._holding(node_id)
+        released = MemoryLedger.materialized(tier.ledger, node_id)
+        if released:
+            self._forget(idx, node_id)
+        return released
 
     def force_release(self, node_id: str) -> None:
-        with self._lock:
-            idx, tier = self._holding(node_id)
-            MemoryLedger.force_release(tier.ledger, node_id)
-            self._forget(idx, node_id)
+        idx, tier = self._holding(node_id)
+        MemoryLedger.force_release(tier.ledger, node_id)
+        self._forget(idx, node_id)
 
     def _holding(self, node_id: str) -> tuple[int, StorageTier]:
         if node_id in self._entries:
@@ -334,7 +322,7 @@ class TieredLedger(MemoryLedger):
             return self._entries[node_id].size
         return self._below[node_id].logical
 
-    def _forget(self, index: int, node_id: str) -> None:  # lint: locked
+    def _forget(self, index: int, node_id: str) -> None:
         """Drop every record of an entry released out of tier
         ``index`` (crediting its owner for the RAM bytes it left)."""
         self._victim_index.discard(index, node_id)
@@ -351,13 +339,12 @@ class TieredLedger(MemoryLedger):
         """Install per-node compressibility multipliers (see
         :func:`repro.store.pricing.realized_ratio`).  Unknown nodes
         default to 1."""
-        with self._lock:
-            for node_id, mult in mapping.items():
-                if mult < 0:
-                    raise CatalogError(
-                        f"compressibility of {node_id!r} must be >= 0")
-            self._compressibility = dict(mapping)
-            self._victim_index.mark_all()  # every realized ratio moved
+        for node_id, mult in mapping.items():
+            if mult < 0:
+                raise CatalogError(
+                    f"compressibility of {node_id!r} must be >= 0")
+        self._compressibility = dict(mapping)
+        self._victim_index.mark_all()  # every realized ratio moved
 
     def _entry_ratio(self, index: int, node_id: str) -> float:
         """Realized stored ratio of ``node_id`` encoded into ``index`` —
@@ -368,7 +355,7 @@ class TieredLedger(MemoryLedger):
         return pricing.realized_ratio(tier.codec, tier.priced_ratio,
                                       self._compressibility.get(node_id))
 
-    def _maybe_adapt(self, index: int) -> None:  # lint: locked
+    def _maybe_adapt(self, index: int) -> None:
         """Decide tier ``index``'s codec once, after ``adapt.samples``
         measured spills into it (zero-byte dumps carry no ratio and do
         not count): re-price the cost model to the observed ratio, or
@@ -396,7 +383,7 @@ class TieredLedger(MemoryLedger):
     # ------------------------------------------------------------------
     # recency (for the LRU policy; logical, not wall-clock)
     # ------------------------------------------------------------------
-    def _touch(self, index: int, node_id: str) -> None:  # lint: locked
+    def _touch(self, index: int, node_id: str) -> None:
         """Stamp an access of ``node_id``, resident in tier ``index``,
         and mark it for a re-rank (its recency moved; a new arrival is
         stamped too, which is what first enters it in the ranking)."""
@@ -415,16 +402,15 @@ class TieredLedger(MemoryLedger):
         :meth:`promote`), which leaves the final tick and the victim
         index's marks what touching after them would.
         """
-        with self._lock:
-            if node_id in self._entries:
-                index = 0
-            else:
-                spilled = self._below.get(node_id)
-                if spilled is None:
-                    return None
-                index = spilled.tier
-            self._touch(index, node_id)
-            return index
+        if node_id in self._entries:
+            index = 0
+        else:
+            spilled = self._below.get(node_id)
+            if spilled is None:
+                return None
+            index = spilled.tier
+        self._touch(index, node_id)
+        return index
 
     # ------------------------------------------------------------------
     # tenants (multi-tenant serving; see repro.store.tenants)
@@ -433,8 +419,7 @@ class TieredLedger(MemoryLedger):
         """Register (or re-budget) a tenant's RAM share, in GB of the
         RAM budget — shares partition tier 0 only, spill tiers stay
         shared."""
-        with self._lock:
-            self.tenants.register(name, budget)
+        self.tenants.register(name, budget)
 
     def set_owner(self, node_id: str, tenant: str) -> None:
         """Attribute ``node_id``'s RAM residency to ``tenant``.
@@ -447,19 +432,16 @@ class TieredLedger(MemoryLedger):
         and clears when the entry fully leaves the hierarchy, or when
         its admission fails.
         """
-        with self._lock:
-            entry = self._entries.get(node_id)
-            self.tenants.set_owner(
-                node_id, tenant, None if entry is None else entry.size)
+        entry = self._entries.get(node_id)
+        self.tenants.set_owner(
+            node_id, tenant, None if entry is None else entry.size)
 
     def tenant_names(self) -> list[str]:
-        with self._lock:
-            return list(self.tenants.accounts)
+        return list(self.tenants.accounts)
 
     def tenant_usage(self, name: str) -> float:
         """Committed RAM bytes of entries ``name`` owns."""
-        with self._lock:
-            return self.tenants.account(name).usage
+        return self.tenants.account(name).usage
 
     # The two RAM hooks.  Every path committing RAM bytes (insert /
     # commit_reservation / adopt / promote) lands in _commit_entry, and
@@ -469,7 +451,7 @@ class TieredLedger(MemoryLedger):
     # lower-tier ledgers are plain MemoryLedger objects, and the
     # release rule is MemoryLedger's alone.  The tenant books are
     # touched only once some tenant owns an entry.
-    def _commit_entry(self, node_id: str, size: float, n_consumers: int,  # lint: locked
+    def _commit_entry(self, node_id: str, size: float, n_consumers: int,
                       materialization_pending: bool) -> None:
         MemoryLedger._commit_entry(self, node_id, size, n_consumers,
                                    materialization_pending)
@@ -478,17 +460,15 @@ class TieredLedger(MemoryLedger):
             self.tenants.charge(node_id, size)
 
     def detach(self, node_id: str) -> tuple[float, int, bool]:
-        with self._lock:
-            size, consumers, pending = super().detach(node_id)
-            self._victim_index.discard(0, node_id)
-            self.tenants.credit(node_id)
-            return size, consumers, pending
+        size, consumers, pending = super().detach(node_id)
+        self._victim_index.discard(0, node_id)
+        self.tenants.credit(node_id)
+        return size, consumers, pending
 
     # ------------------------------------------------------------------
     # spill / promote
     # ------------------------------------------------------------------
-    def _victim_info(self, index: int,  # lint: locked
-                     node_id: str) -> VictimInfo | None:
+    def _victim_info(self, index: int, node_id: str) -> VictimInfo | None:
         """What the spill policy sees of ``node_id``, resident in tier
         ``index``; None when nothing sits below to demote into.
 
@@ -522,7 +502,7 @@ class TieredLedger(MemoryLedger):
             create_cost=(self.profile.create_time_memory(logical)
                          if self.charge_io else 0.0))
 
-    def _make_room(self, index: int, size: float, now: float,  # lint: locked
+    def _make_room(self, index: int, size: float, now: float,
                    mover: Mover | None = None,
                    exclude: frozenset = frozenset(),
                    ) -> tuple[bool, list[SpillCharge]]:
@@ -537,14 +517,14 @@ class TieredLedger(MemoryLedger):
         if size > tier.ledger.available + tier.ledger._usage:
             return False, []  # bigger than the tier can ever admit
         charges: list[SpillCharge] = []
-        while not tier.ledger._fits(size):
+        while not tier.ledger.fits(size):
             victim, moved = self._demote_best(index, now, mover, exclude)
             charges.extend(moved)
             if victim is None:
                 return False, charges
         return True, charges
 
-    def _demote_best(self, index: int, now: float,  # lint: locked
+    def _demote_best(self, index: int, now: float,
                      mover: Mover | None, exclude: frozenset,
                      owner: str | None = None,
                      ) -> tuple[str | None, list[SpillCharge]]:
@@ -560,8 +540,7 @@ class TieredLedger(MemoryLedger):
                     owner is not None
                     and self.tenants.owners.get(victim.node_id) != owner):
                 continue
-            ok, moved = self._demote_locked(victim.node_id, now, mover,
-                                            exclude)
+            ok, moved = self._demote(victim.node_id, now, mover, exclude)
             charges.extend(moved)
             if ok:
                 return victim.node_id, charges
@@ -599,7 +578,7 @@ class TieredLedger(MemoryLedger):
             dst_idx += 1
         return dst_idx
 
-    def _place_below(self, node_id: str, src_idx: int | None,  # lint: locked
+    def _place_below(self, node_id: str, src_idx: int | None,
                      stored_src: float, dst_idx: int, stored: float,
                      logical: float, consumers: int, pending: bool,
                      now: float) -> SpillCharge:
@@ -640,10 +619,10 @@ class TieredLedger(MemoryLedger):
             src.profile, src_codec, stored_src, dst.profile, dst.codec,
             stored_dst, logical)
 
-    def _demote_locked(self, node_id: str, now: float,  # lint: locked
-                       mover: Mover | None = None,
-                       exclude: frozenset = frozenset(),
-                       ) -> tuple[bool, list[SpillCharge]]:
+    def _demote(self, node_id: str, now: float,
+                mover: Mover | None = None,
+                exclude: frozenset = frozenset(),
+                ) -> tuple[bool, list[SpillCharge]]:
         """Move one entry down the hierarchy, cascading.
 
         Returns ``(moved, charges)``; ``charges`` holds the cascade's
@@ -693,48 +672,42 @@ class TieredLedger(MemoryLedger):
                 demotions the attempt made on the way are real — the
                 error carries them in a ``charges`` attribute.
         """
-        with self._lock:
-            moved, charges = self._demote_locked(node_id, now)
-            if not moved:
-                _, src = self._holding(node_id)
-                error = BudgetExceededError(
-                    f"cannot demote {node_id!r} below tier {src.name!r}",
-                    requested=src.ledger.size_of(node_id), available=0.0)
-                error.charges = charges
-                raise error
-            return charges
+        moved, charges = self._demote(node_id, now)
+        if not moved:
+            _, src = self._holding(node_id)
+            error = BudgetExceededError(
+                f"cannot demote {node_id!r} below tier {src.name!r}",
+                requested=src.ledger.size_of(node_id), available=0.0)
+            error.charges = charges
+            raise error
+        return charges
 
     def try_make_room(self, size: float,
                       now: float = 0.0) -> tuple[bool, list[SpillCharge]]:
         """Free RAM for ``size`` bytes by demoting victims; the charges
         are every move made, whatever the verdict."""
-        with self._lock:
-            return self._make_room(0, size, now)
+        return self._make_room(0, size, now)
 
     def demote_victim(self, exclude: frozenset = frozenset(),
                       now: float = 0.0, owner: str | None = None,
                       mover: Mover | None = None,
                       ) -> tuple[str, list[SpillCharge]] | None:
-        """Atomically select the best RAM victim *and* demote it.
+        """Select the best RAM victim *and* demote it.
 
         Selection, the byte move (when ``mover`` is given — see
-        :data:`Mover`) and the accounting move run under one
-        ledger-lock acquisition, so two concurrent admitters can never
-        pick the same victim.  Entries named in ``exclude`` are never
-        offered, in RAM or as cascade victims further down.  When
-        ``owner`` is given only RAM entries owned by that tenant are
-        considered — the selection :meth:`spill_insert` sheds an
-        over-share tenant with.  Falls down the policy ranking past victims
-        that cannot move (e.g. too big for every lower tier), mirroring
-        :meth:`_make_room`.
+        :data:`Mover`) and the accounting move are one call.  Entries
+        named in ``exclude`` are never offered, in RAM or as cascade
+        victims further down.  When ``owner`` is given only RAM entries
+        owned by that tenant are considered — the selection
+        :meth:`spill_insert` sheds an over-share tenant with.  Falls down
+        the policy ranking past victims that cannot move (e.g. too big
+        for every lower tier), mirroring :meth:`_make_room`.
 
         Returns ``(victim_id, charges)`` or ``None`` when no eligible
         victim can be demoted.
         """
-        with self._lock:
-            victim, charges = self._demote_best(0, now, mover, exclude,
-                                                owner)
-            return None if victim is None else (victim, charges)
+        victim, charges = self._demote_best(0, now, mover, exclude, owner)
+        return None if victim is None else (victim, charges)
 
     def spill_insert(self, node_id: str, size: float, n_consumers: int,
                      materialization_pending: bool = True,
@@ -752,41 +725,40 @@ class TieredLedger(MemoryLedger):
         the raised error carries them in a ``charges`` attribute so the
         caller can still bill them.
         """
-        with self._lock:
-            self._check_new(node_id, size)
-            if node_id in self._below:
-                _, tier = self._holding(node_id)
-                raise CatalogError(
-                    f"table {node_id!r} already resident in tier "
-                    f"{tier.name!r}")
-            charges = (self._shed_owner(node_id, size, now)
-                       if node_id in self.tenants.owners else [])
-            ok, more = self._make_room(0, size, now)
+        self._check_new(node_id, size)
+        if node_id in self._below:
+            _, tier = self._holding(node_id)
+            raise CatalogError(
+                f"table {node_id!r} already resident in tier "
+                f"{tier.name!r}")
+        charges = (self._shed_owner(node_id, size, now)
+                   if node_id in self.tenants.owners else [])
+        ok, more = self._make_room(0, size, now)
+        charges.extend(more)
+        if ok:  # checked and made room for: commit it
+            self._commit_entry(node_id, size, n_consumers,
+                               materialization_pending)
+            return 0, charges
+        for idx in range(1, len(self.tiers)):
+            stored = size / self._entry_ratio(idx, node_id)
+            fits, more = self._make_room(idx, stored, now)
             charges.extend(more)
-            if ok:  # checked and made room for: commit it
-                self._commit_entry(node_id, size, n_consumers,
-                                   materialization_pending)
-                return 0, charges
-            for idx in range(1, len(self.tiers)):
-                stored = size / self._entry_ratio(idx, node_id)
-                fits, more = self._make_room(idx, stored, now)
-                charges.extend(more)
-                if not fits:
-                    continue
-                charges.append(self._place_below(
-                    node_id, None, 0.0, idx, stored, size, n_consumers,
-                    materialization_pending, now))
-                self._touch(idx, node_id)
-                return idx, charges
-            # the entry never existed: forget whom it was tagged for
-            self.tenants.owners.pop(node_id, None)
-            error = BudgetExceededError(
-                f"no storage tier can host {node_id!r} ({size:.6g} GB)",
-                requested=size, available=self.available)
-            error.charges = charges
-            raise error
+            if not fits:
+                continue
+            charges.append(self._place_below(
+                node_id, None, 0.0, idx, stored, size, n_consumers,
+                materialization_pending, now))
+            self._touch(idx, node_id)
+            return idx, charges
+        # the entry never existed: forget whom it was tagged for
+        self.tenants.owners.pop(node_id, None)
+        error = BudgetExceededError(
+            f"no storage tier can host {node_id!r} ({size:.6g} GB)",
+            requested=size, available=self.available)
+        error.charges = charges
+        raise error
 
-    def _shed_owner(self, node_id: str, size: float,  # lint: locked
+    def _shed_owner(self, node_id: str, size: float,
                     now: float) -> list[SpillCharge]:
         """Enforce the share of tenant-owned ``node_id``'s owner ahead
         of its RAM admission: demote the owner's *own* RAM victims while
@@ -798,7 +770,7 @@ class TieredLedger(MemoryLedger):
         tenant owning the whole budget sheds exactly what
         :meth:`_make_room` would have demoted.  Only an output bigger
         than all the owner can free overshoots its share, by that one
-        entry (promotes never do: :meth:`_promote_locked`).
+        entry (promotes never do: :meth:`_promote`).
         """
         owner = self.tenants.owners[node_id]
         charges: list[SpillCharge] = []
@@ -812,13 +784,12 @@ class TieredLedger(MemoryLedger):
                 break  # nothing of the owner's left to shed
         return charges
 
-    def _admits(self, node_id: str, size: float) -> bool:  # lint: locked
+    def _admits(self, node_id: str, size: float) -> bool:
         """Whether ``size`` GB of ``node_id`` may enter RAM with no
         demotion: they fit RAM and what is left of the owner's share."""
-        return self._fits(size) and self.tenants.fits(node_id, size)
+        return self.fits(size) and self.tenants.fits(node_id, size)
 
-    def _promote_locked(self, node_id: str,  # lint: locked
-                        now: float) -> SpillCharge | None:
+    def _promote(self, node_id: str, now: float) -> SpillCharge | None:
         """Move a spilled entry into RAM (run counters are the
         caller's); None = no move.
 
@@ -835,8 +806,7 @@ class TieredLedger(MemoryLedger):
         _, consumers, pending = src.ledger.detach(node_id)
         self._victim_index.discard(idx, node_id)
         del self._below[node_id]
-        # _admits checked the fit: commit as adopt would, without
-        # re-entering this ledger's lock
+        # _admits checked the fit: commit as adopt would
         self._commit_entry(node_id, logical, consumers, pending)
         charge = SpillCharge(
             node_id=node_id, src=src.name, dst="ram", size=logical,
@@ -854,12 +824,11 @@ class TieredLedger(MemoryLedger):
         logical bytes.  Returns the charge, or None when the entry is
         already in RAM or does not fit.
         """
-        with self._lock:
-            charge = self._promote_locked(node_id, now)
-            if charge is not None:
-                self.stats.promote_count += 1
-                self.stats.promote_bytes += charge.size
-            return charge
+        charge = self._promote(node_id, now)
+        if charge is not None:
+            self.stats.promote_count += 1
+            self.stats.promote_bytes += charge.size
+        return charge
 
     def prefetch(self, parents: Iterable[str],
                  now: float = 0.0) -> float:
@@ -889,22 +858,21 @@ class TieredLedger(MemoryLedger):
         if not self._below:
             return 0.0  # nothing below RAM to promote
         hidden = 0.0
-        with self._lock:
-            for parent in parents:
-                spilled = self._below.get(parent)
-                if spilled is None:
-                    continue
-                if not self._admits(parent, spilled.logical):
-                    if not spilled.prefetch_missed:
-                        spilled.prefetch_missed = True
-                        self.stats.prefetch_miss(parent, spilled, now)
-                    continue
-                read = self.tier_read_seconds(parent, now=now)
-                charge = self._promote_locked(parent, now)
-                assert charge is not None  # it is below RAM, and it fits
-                self.stats.prefetch_hit(charge, read + charge.seconds, now)
-                hidden += read + charge.seconds
-            self.stats.prefetch_hidden_seconds += hidden
+        for parent in parents:
+            spilled = self._below.get(parent)
+            if spilled is None:
+                continue
+            if not self._admits(parent, spilled.logical):
+                if not spilled.prefetch_missed:
+                    spilled.prefetch_missed = True
+                    self.stats.prefetch_miss(parent, spilled, now)
+                continue
+            read = self.tier_read_seconds(parent, now=now)
+            charge = self._promote(parent, now)
+            assert charge is not None  # it is below RAM, and it fits
+            self.stats.prefetch_hit(charge, read + charge.seconds, now)
+            hidden += read + charge.seconds
+        self.stats.prefetch_hidden_seconds += hidden
         return hidden
 
     def estimate_spill_seconds(self, size: float, now: float = 0.0,
@@ -938,34 +906,33 @@ class TieredLedger(MemoryLedger):
             hierarchy with no tier below RAM to demote into), the
             modeled seconds otherwise.
         """
-        with self._lock:
-            available = self.available
-            if size <= available + 1e-12:  # it fits
-                return 0.0
-            if len(self.tiers) < 2:
-                return None  # RAM-only hierarchy: no demotion possible
-            if size > available + self._usage + 1e-12:
-                return None  # exceeds what RAM can ever admit
-            deficit = size - available
-            promote = self.config.promote
-            stop = math.inf if at_least is None else at_least
-            freed = 0.0
-            cost = 0.0
-            for victim in self._victim_index.ranked(0):
-                if freed >= deficit - 1e-12:
-                    break
-                freed += victim.size
-                if cost >= stop:
-                    continue  # the verdict is in: only sizes matter now
-                cost += victim.demote_cost
-                if victim.consumers_left > 0:
-                    if promote:
-                        cost += victim.reload_cost + victim.create_cost
-                    else:
-                        cost += victim.consumers_left * victim.reload_cost
-            if freed < deficit - 1e-12:
-                return None
-            return cost
+        available = self.available
+        if size <= available + 1e-12:  # it fits
+            return 0.0
+        if len(self.tiers) < 2:
+            return None  # RAM-only hierarchy: no demotion possible
+        if size > available + self._usage + 1e-12:
+            return None  # exceeds what RAM can ever admit
+        deficit = size - available
+        promote = self.config.promote
+        stop = math.inf if at_least is None else at_least
+        freed = 0.0
+        cost = 0.0
+        for victim in self._victim_index.ranked(0):
+            if freed >= deficit - 1e-12:
+                break
+            freed += victim.size
+            if cost >= stop:
+                continue  # the verdict is in: only sizes matter now
+            cost += victim.demote_cost
+            if victim.consumers_left > 0:
+                if promote:
+                    cost += victim.reload_cost + victim.create_cost
+                else:
+                    cost += victim.consumers_left * victim.reload_cost
+        if freed < deficit - 1e-12:
+            return None
+        return cost
 
     def record_wall_seconds(self, index: int, leg: str, seconds: float,
                             gb: float) -> None:
@@ -980,8 +947,7 @@ class TieredLedger(MemoryLedger):
         per-GB averages in the tier's ``observed`` block exactly like
         simulated charges.
         """
-        with self._lock:
-            self.stats.wall(index, leg, seconds, gb)
+        self.stats.wall(index, leg, seconds, gb)
 
     def record_arbitration(self, stalled: bool, stall_seconds: float = 0.0,
                            avoided: float = 0.0,
@@ -994,8 +960,7 @@ class TieredLedger(MemoryLedger):
             avoided: the modeled spill cost the stall avoided.
             now: timeline position of the decision (for tracing only).
         """
-        with self._lock:
-            self.stats.arbitrated(stalled, stall_seconds, avoided, now)
+        self.stats.arbitrated(stalled, stall_seconds, avoided, now)
 
     def tier_read_seconds(self, node_id: str, now: float = 0.0) -> float:
         """Device + decode seconds to read a resident entry (0 for RAM;
@@ -1008,31 +973,28 @@ class TieredLedger(MemoryLedger):
         resident read) and the prefetch pass price through this one
         method.
         """
-        with self._lock:
-            idx, tier = self._holding(node_id)
-            if idx == 0:
-                return 0.0
-            spilled = self._below[node_id]
-            seconds = pricing.read_seconds(
-                tier.profile, spilled.codec,
-                tier.ledger._require(node_id).size,
-                spilled.logical) if self.charge_io else 0.0
-            self.stats.read(node_id, spilled, seconds, now)
-            return seconds
+        idx, tier = self._holding(node_id)
+        if idx == 0:
+            return 0.0
+        spilled = self._below[node_id]
+        seconds = pricing.read_seconds(
+            tier.profile, spilled.codec,
+            tier.ledger._require(node_id).size,
+            spilled.logical) if self.charge_io else 0.0
+        self.stats.read(node_id, spilled, seconds, now)
+        return seconds
 
     # ------------------------------------------------------------------
     def tier_report(self) -> dict:
         """``RunTrace.extras["tiered_store"]``: per-tier usage, observed
         telemetry and the run's spill / promote / prefetch / arbitration
         / adaptation counters — see
-        :meth:`repro.store.stats.StoreStats.report`.  Read under the
-        lock, so the occupancy it shows is one consistent state."""
-        with self._lock:
-            return self.stats.report(
-                [sum(self._logical_size(index, node_id)
-                     for node_id in tier.ledger._entries)
-                 for index, tier in enumerate(self.tiers)],
-                self.tenants.report(self._entries))
+        :meth:`repro.store.stats.StoreStats.report`."""
+        return self.stats.report(
+            [sum(self._logical_size(index, node_id)
+                 for node_id in tier.ledger._entries)
+             for index, tier in enumerate(self.tiers)],
+            self.tenants.report(self._entries))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = "->".join(tier.name for tier in self.tiers)

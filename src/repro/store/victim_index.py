@@ -18,8 +18,7 @@ up to date *lazily*:
 A run that never spills therefore never computes a key, and a query
 costs ``O(marked * log n)`` instead of ``O(n log n)``.
 
-The index is not thread-safe on its own: the owning ledger calls it
-with its lock held.
+Only the owning ledger calls the index.
 """
 
 from __future__ import annotations

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import functools
 import random
+import threading
 
 import pytest
 from hypothesis import settings
 
 from repro.core.problem import ScProblem
 from repro.exec import create_backend
+from repro.exec.ledger import MemoryLedger
 from repro.graph.dag import DependencyGraph
+from repro.store.tiered import TieredLedger
 
 # Tier-1 is a function of the commit: every @given test draws the same
 # examples on every run, and nothing is replayed from (or written to) a
@@ -22,6 +26,63 @@ settings.load_profile("tier1")
 # their own (tests/test_select_parity.py) take their budget from here.
 settings.register_profile("fuzz", max_examples=1500, derandomize=False,
                           database=None)
+
+
+# A ledger belongs to the thread that built it: no run path shares one
+# (MiniDB's drain threads touch only the warehouse catalog, and the
+# service runs on its event loop's thread), so the ledger takes no lock.
+# Every public method and property of the two ledger classes is wrapped
+# once per session to hold each call to that contract; a call from any
+# other thread is recorded here and fails the test that made it.
+_FOREIGN_LEDGER_CALLS: list[str] = []
+
+
+def _owner_checked(name: str, method):
+    @functools.wraps(method)
+    def call(self, *args, **kwargs):
+        if threading.get_ident() != self.__dict__["_owner_thread"]:
+            _FOREIGN_LEDGER_CALLS.append(
+                f"{type(self).__name__}.{name} from thread "
+                f"{threading.current_thread().name!r}")
+        return method(self, *args, **kwargs)
+    return call
+
+
+def _hold_ledgers_to_their_owner_thread() -> None:
+    init = MemoryLedger.__init__
+    if hasattr(init, "__wrapped__"):
+        return  # wrapped already: test modules import this file again
+
+    @functools.wraps(init)
+    def owned_init(self, *args, **kwargs):
+        self.__dict__.setdefault("_owner_thread", threading.get_ident())
+        init(self, *args, **kwargs)
+
+    MemoryLedger.__init__ = owned_init
+    for cls in (MemoryLedger, TieredLedger):
+        for name, member in list(vars(cls).items()):
+            if name.startswith("_") and name != "__contains__":
+                continue
+            if isinstance(member, property):
+                setattr(cls, name, property(_owner_checked(name,
+                                                           member.fget)))
+            elif callable(member):
+                setattr(cls, name, _owner_checked(name, member))
+
+
+_hold_ledgers_to_their_owner_thread()
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    del _FOREIGN_LEDGER_CALLS[:]
+    result = yield
+    if _FOREIGN_LEDGER_CALLS:
+        calls = sorted(set(_FOREIGN_LEDGER_CALLS))
+        del _FOREIGN_LEDGER_CALLS[:]
+        pytest.fail(f"{len(calls)} ledger call(s) off the owner thread: "
+                    + "; ".join(calls[:3]), pytrace=False)
+    return result
 
 
 def pytest_configure(config):
@@ -182,16 +243,15 @@ def assert_victim_index_current(ledger) -> None:
     way it would unobserved.
     """
     index = ledger._victim_index
-    with ledger._lock:
-        saved = ([list(order) for order in index._order],
-                 [dict(entries) for entries in index._entries],
-                 [set(marked) for marked in index._marked])
-        try:
-            for tier in range(len(ledger.tiers)):
-                reference = reference_victims(ledger, tier)
-                assert list(index.ranked(tier)) == reference, (
-                    f"tier {tier}: index ranking differs from a rebuild")
-                assert set(index.members(tier)) == {
-                    victim.node_id for victim in reference}
-        finally:
-            index._order, index._entries, index._marked = saved
+    saved = ([list(order) for order in index._order],
+             [dict(entries) for entries in index._entries],
+             [set(marked) for marked in index._marked])
+    try:
+        for tier in range(len(ledger.tiers)):
+            reference = reference_victims(ledger, tier)
+            assert list(index.ranked(tier)) == reference, (
+                f"tier {tier}: index ranking differs from a rebuild")
+            assert set(index.members(tier)) == {
+                victim.node_id for victim in reference}
+    finally:
+        index._order, index._entries, index._marked = saved

@@ -90,82 +90,6 @@ def test_rep002_allows_seeded_constructors(tmp_path):
     assert result.active == []
 
 
-# -- REP003 lock discipline -------------------------------------------
-
-LEDGER_HEADER = (
-    "import threading\n"
-    "class MemoryLedger:\n"
-    "    def __init__(self):\n"
-    "        self._lock = threading.RLock()\n"
-    "        self._usage = 0.0\n")
-
-
-def test_rep003_flags_unlocked_write(tmp_path):
-    result = lint(tmp_path, LEDGER_HEADER + (
-        "    def bump(self):\n"
-        "        self._usage += 1\n"))
-    assert codes_and_lines(result) == [("REP003", 7)]
-
-
-def test_rep003_accepts_locked_write_and_exempts_init(tmp_path):
-    result = lint(tmp_path, LEDGER_HEADER + (
-        "    def bump(self):\n"
-        "        with self._lock:\n"
-        "            self._usage += 1\n"))
-    assert result.active == []
-
-
-def test_rep003_contract_helper_checked_at_call_sites(tmp_path):
-    source = LEDGER_HEADER + (
-        "    def _apply(self, n):  # lint: locked\n"
-        "        self._usage += n\n"
-        "    def good(self):\n"
-        "        with self._lock:\n"
-        "            self._apply(1)\n"
-        "    def bad(self):\n"
-        "        self._apply(2)\n")
-    result = lint(tmp_path, source)
-    assert codes_and_lines(result) == [("REP003", 12)]
-    assert "_apply" in result.active[0].message
-
-
-def test_rep003_covers_subclasses_by_name(tmp_path):
-    result = lint(tmp_path, LEDGER_HEADER + (
-        "class TierLedger(MemoryLedger):\n"
-        "    def poke(self):\n"
-        "        self._usage = 5\n"))
-    assert codes_and_lines(result) == [("REP003", 8)]
-
-
-def test_rep003_mutator_calls_count_as_writes(tmp_path):
-    result = lint(tmp_path, LEDGER_HEADER + (
-        "    def track(self, x):\n"
-        "        self._entries = {}\n"
-        "    def poke(self, x):\n"
-        "        self._entries.update(x)\n"
-        "    def touch(self, x):\n"
-        "        self._victim_index.mark(0, x)\n"))
-    assert [(v.code, v.line) for v in result.active] == [
-        ("REP003", 7), ("REP003", 9), ("REP003", 11)]
-
-
-def test_rep003_release_core_needs_the_lock(tmp_path):
-    """The public release call is the lock around an unlocked core; a
-    caller that reaches the core without the lock is flagged."""
-    result = lint(tmp_path, LEDGER_HEADER + (
-        "    def consumer_done(self, n):\n"
-        "        with self._lock:\n"
-        "            return self._consumer_done(n)\n"
-        "    def _consumer_done(self, n):  # lint: locked\n"
-        "        self._usage -= n\n"
-        "        return True\n"
-        "class TieredLedger(MemoryLedger):\n"
-        "    def consumer_done(self, n):\n"
-        "        return self._consumer_done(n)\n"))
-    assert codes_and_lines(result) == [("REP003", 14)]
-    assert "_consumer_done" in result.active[0].message
-
-
 # -- REP004 bus guard --------------------------------------------------
 
 def test_rep004_flags_unguarded_emission(tmp_path):
@@ -513,13 +437,13 @@ def test_cli_exit_2_on_config_errors(tmp_path):
 
 def test_cli_explain_and_list_rules(tmp_path):
     repo = _mini_repo(tmp_path, "x = 1\n")
-    proc = _run_cli(repo, "--explain", "REP003")
+    proc = _run_cli(repo, "--explain", "REP004")
     assert proc.returncode == 0
-    assert "lint: locked" in proc.stdout
+    assert "bus.enabled" in proc.stdout
     proc = _run_cli(repo, "--list-rules")
     assert proc.returncode == 0
-    for code in ("REP001", "REP002", "REP003", "REP004", "REP005",
-                 "REP006", "REP007", "REP000"):
+    for code in ("REP001", "REP002", "REP004", "REP005", "REP006",
+                 "REP007", "REP000"):
         assert code in proc.stdout
 
 
@@ -528,20 +452,13 @@ def test_cli_explain_and_list_rules(tmp_path):
 SCRATCH = '''\
 import time
 import random
-import threading
 
-class MemoryLedger:
-    def __init__(self):
-        self._lock = threading.RLock()
-        self._usage = 0.0
-
-    def bump(self, bus, trace):
-        t = time.perf_counter()
-        x = random.random()
-        self._usage += x
-        bus.counter("a", "b", t, x)
-        report = trace.extras["tiered_store"]
-        return report["definitely_not_a_key"]
+def bump(bus, trace):
+    t = time.perf_counter()
+    x = random.random()
+    bus.counter("a", "b", t, x)
+    report = trace.extras["tiered_store"]
+    return report["definitely_not_a_key"]
 
 def main(argv):
     raise RuntimeError("boom")
@@ -554,12 +471,11 @@ import pkg
 #: the rest SCRATCH's.
 EXPECTED = [
     ("REP007", 1),
-    ("REP001", 11),
-    ("REP002", 12),
-    ("REP003", 13),
-    ("REP004", 14),
-    ("REP005", 16),
-    ("REP006", 19),
+    ("REP001", 5),
+    ("REP002", 6),
+    ("REP004", 7),
+    ("REP005", 9),
+    ("REP006", 12),
 ]
 
 

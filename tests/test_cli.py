@@ -50,6 +50,22 @@ class TestSimulate:
                      "--method", "lru"]) == 0
         assert "lru" in capsys.readouterr().out
 
+    def test_runs_the_plan_file_optimize_wrote(self, tmp_path, capsys):
+        """``workload --output`` into ``optimize --output`` into
+        ``simulate --plan``: the file optimize writes is the one plan
+        file simulate reads, and running it is running the plan
+        simulate would have made itself."""
+        graph, plan = str(tmp_path / "wl.json"), str(tmp_path / "plan.json")
+        assert main(["workload", "io1", "--output", graph]) == 0
+        assert main(["optimize", graph, "--memory", "5",
+                     "--output", plan]) == 0
+        capsys.readouterr()
+        assert main(["simulate", graph, "--memory", "5",
+                     "--plan", plan]) == 0
+        given = capsys.readouterr().out
+        assert main(["simulate", graph, "--memory", "5"]) == 0
+        assert given == capsys.readouterr().out
+
 
 _SIM = ["simulate", "{graph}"]
 _DB = ["minidb", "--memory", "0.001", "--rows", "2000"]
@@ -101,6 +117,11 @@ REJECTED = {
     "negative budget, minidb": ["minidb", "--memory", "-1",
                                 "--plan-memory", "0.01", "--rows", "2000"],
     "NaN node size": ["optimize", "{nan_size}", "--memory", "2"],
+    "bare plan, not an optimize file": [*_SIM, "--memory", "1", "--plan",
+                                        "{bare_plan}"],
+    "plan file not JSON": [*_SIM, "--memory", "1", "--plan", "{not_json}"],
+    "plan file for another graph": [*_SIM, "--memory", "1", "--plan",
+                                    "{other_plan}"],
     "plan tiers without spill dir": [*_DB, "--plan-tiers"],
     "rung without spill dir": [*_DB, "--ram-compressed", "0.001"],
     "minidb nothing to adapt": [*_DB, "--spill-dir", "{spill}",
@@ -120,7 +141,8 @@ class TestRejectedFlags:
         root = tmp_path_factory.mktemp("rejected")
         paths = {name: str(root / f"{name}.json")
                  for name in ("graph", "plan", "trace", "untiered",
-                              "nan_size")}
+                              "nan_size", "bare_plan", "not_json",
+                              "other_plan")}
         paths["spill"] = str(root / "spill")
         save_graph(make_fig7_problem().graph, paths["graph"])
         payload = graph_to_dict(make_fig7_problem().graph)
@@ -129,10 +151,15 @@ class TestRejectedFlags:
             json.dump(payload, out)
         assert main(["optimize", paths["graph"], "--memory", "100",
                      "--output", paths["plan"]]) == 0
-        with open(paths["plan"]) as report:   # --plan reads the bare plan
-            plan = json.load(report)["plan"]
-        with open(paths["plan"], "w") as out:
-            json.dump(plan, out)
+        with open(paths["plan"]) as report:
+            payload = json.load(report)
+        with open(paths["bare_plan"], "w") as out:
+            json.dump(payload["plan"], out)
+        with open(paths["not_json"], "w") as out:
+            out.write("order: v1 v2\n")
+        payload["plan"]["order"].pop()
+        with open(paths["other_plan"], "w") as out:
+            json.dump(payload, out)
         for key, tiers in (("trace", ["--tier", "disk:inf"]),
                            ("untiered", [])):
             assert main(["simulate", paths["graph"], "--memory", "100",

@@ -1,9 +1,6 @@
 """Tests for the unified execution layer: registry dispatch, the shared
 MemoryLedger, and the memory-bounded parallel scheduler."""
 
-import random
-import threading
-
 import pytest
 
 from repro.core.optimizer import optimize
@@ -178,45 +175,6 @@ class TestParallelScheduler:
 
 
 class TestLedgerConcurrentAdmission:
-    def test_budget_never_exceeded_under_concurrent_admission(self):
-        """Property-style hammering: N threads admit/release random-sized
-        entries; committed usage must never exceed the budget."""
-        budget = 100.0
-        ledger = MemoryLedger(budget=budget)
-        violations = []
-        stop = threading.Event()
-
-        def sampler():
-            while not stop.is_set():
-                usage = ledger.usage
-                if usage > budget + 1e-9:
-                    violations.append(usage)
-
-        def hammer(worker_id):
-            rng = random.Random(worker_id)
-            for i in range(300):
-                name = f"t{worker_id}-{i}"
-                size = rng.uniform(1.0, 40.0)
-                if ledger.reserve(name, size):
-                    ledger.commit_reservation(name, n_consumers=1,
-                                              materialization_pending=True)
-                    ledger.materialized(name)
-                    ledger.consumer_done(name)
-
-        threads = [threading.Thread(target=hammer, args=(w,))
-                   for w in range(8)]
-        watcher = threading.Thread(target=sampler)
-        watcher.start()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        stop.set()
-        watcher.join()
-        assert not violations
-        assert ledger.peak_usage <= budget + 1e-9
-        assert ledger.usage == pytest.approx(0.0)
-
     def test_reservations_block_admission_but_not_peak(self):
         ledger = MemoryLedger(budget=10.0)
         assert ledger.reserve("a", 6.0)

@@ -1,7 +1,7 @@
 """Randomized-operation stress tests for MemoryLedger invariants.
 
-Single-threaded runs drive seeded random operation schedules against a
-shadow model and check after every step that:
+Seeded random operation schedules are held to a shadow model; after
+every step the test checks that:
 
 * committed usage never exceeds the budget (and matches the shadow);
 * usage + outstanding reservations never exceed the budget;
@@ -9,18 +9,13 @@ shadow model and check after every step that:
 * the release protocol converges — an entry leaves exactly when its
   consumers hit zero *and* its materialization hold cleared, and after
   draining every schedule the ledger is empty.
-
-Multi-threaded runs hammer the same protocol (plus reservations) from
-many workers with seeded per-worker schedules while a sampler thread
-watches for budget violations.
 """
 
 import random
-import threading
 
 import pytest
 
-from repro.errors import BudgetExceededError, CatalogError
+from repro.errors import CatalogError
 from repro.exec.ledger import MemoryLedger
 
 BUDGET = 100.0
@@ -144,65 +139,3 @@ def test_random_schedule_single_threaded(seed):
     assert ledger.usage == pytest.approx(0.0)
     assert ledger.reserved == 0.0
     assert not ledger.resident()
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_random_schedule_multi_threaded(seed):
-    """Seeded per-worker schedules; a sampler watches the budget."""
-    ledger = MemoryLedger(budget=BUDGET)
-    violations = []
-    errors = []
-    stop = threading.Event()
-
-    def sampler():
-        while not stop.is_set():
-            usage, reserved = ledger.usage, ledger.reserved
-            if usage > BUDGET + 1e-9:
-                violations.append(("usage", usage))
-            if usage + reserved > BUDGET + 1e-9 + 40.0:
-                # usage and reserved are read unlocked in sequence, so a
-                # release between the reads can overshoot by at most one
-                # max-sized entry; a violation beyond that is real
-                violations.append(("admission", usage + reserved))
-
-    def worker(worker_id):
-        rng = random.Random(1000 * seed + worker_id)
-        try:
-            for i in range(400):
-                name = f"w{worker_id}-{i}"
-                size = rng.uniform(1.0, 40.0)
-                consumers = rng.randint(0, 2)
-                if rng.random() < 0.5:
-                    try:
-                        ledger.insert(name, size, consumers,
-                                      materialization_pending=True)
-                    except BudgetExceededError:
-                        continue
-                else:
-                    if not ledger.reserve(name, size):
-                        continue
-                    ledger.commit_reservation(name, consumers,
-                                              materialization_pending=True)
-                released = ledger.materialized(name)
-                for _ in range(consumers):
-                    assert not released
-                    released = ledger.consumer_done(name)
-                assert released
-        except Exception as exc:  # pragma: no cover - failure reporting
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
-    watcher = threading.Thread(target=sampler)
-    watcher.start()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    stop.set()
-    watcher.join()
-
-    assert not errors
-    assert not violations
-    assert ledger.peak_usage <= BUDGET + 1e-9
-    assert ledger.usage == pytest.approx(0.0)
-    assert ledger.reserved == 0.0
