@@ -221,17 +221,17 @@ def _table5(result):
 
 def _fig13(result):
     """MKP + MA-DFS scales roughly linearly with DAG size and remains
-    negligible at 100 nodes (0.02 s with OR-Tools' C++ BnB; our
-    pure-Python solver is slower in absolute terms but must preserve
-    the shape); the scan baselines are faster, SA and Separator are
-    markedly slower than MKP + MA-DFS."""
+    negligible at 100 nodes (0.02 s with OR-Tools' C++ solver; ours
+    hands each MKP to HiGHS from a Python loop, slower in absolute terms
+    but it must preserve the shape); the scan baselines are faster, SA
+    and Separator are markedly slower than MKP + MA-DFS."""
     times = result.data["times"]
     sizes = sorted(times)
     ours = [times[s]["mkp+madfs"] for s in sizes]
 
-    # bounded growth at scale: easy instances solve in milliseconds; once
-    # the BnB node cap engages (dense 50+-node DAGs) the time is capped, so
-    # doubling the DAG from 50 to 100 nodes costs at most a few x
+    # bounded growth at scale: with the MILP at a 1 % gap a 50- or
+    # 100-node DAG averages tens of milliseconds, so doubling the DAG
+    # from 50 to 100 nodes costs at most a few x
     assert ours[-1] / max(ours[-2], 1e-6) < 6, ours
     assert ours[-1] < 5.0, ours  # seconds; paper's C++ solver: 0.02 s
     # SA is the slowest family at scale (10k objective evaluations)

@@ -4,7 +4,8 @@ Pipeline: compute ``V_exclude`` and the pruned constraint sets
 (:func:`repro.core.constraints.get_constraints`); lay the surviving
 candidates out as a multidimensional 0-1 knapsack — profits = speedup
 scores, one capacity-``M`` constraint per retained set, an item weighing its
-size in exactly the sets containing it — and solve with branch-and-bound.
+size in exactly the sets containing it — and solve it as a MILP with
+HiGHS (:func:`repro.solver.mkp.solve_mkp`).
 Candidates that appear in no retained constraint set can never contribute to
 a violation, so they are flagged unconditionally (line 9).
 """
@@ -16,7 +17,7 @@ from typing import Sequence
 
 from repro.core.constraints import ConstraintSets, get_constraints
 from repro.core.problem import ScProblem
-from repro.solver.mkp import MkpInstance, MkpSolution, solve_mkp
+from repro.solver.mkp import MkpInstance, solve_mkp
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,6 @@ class SelectionResult:
     flagged: frozenset[str]
     total_score: float
     constraint_sets: ConstraintSets
-    mkp_solution: MkpSolution | None
     n_variables: int
     n_constraints: int
 
@@ -38,7 +38,7 @@ def build_mkp_instance(problem: ScProblem,
 
     Returns the instance and the item-index → node-id mapping.  Profits
     are the scores at full precision: the paper rounds them to integers
-    (footnote 3, an artifact of its ILP solver), our BnB handles floats.
+    (footnote 3, an artifact of its ILP solver); HiGHS takes floats.
     """
     mkp_nodes = sorted(constraints.mkp_nodes)
     profits = [problem.score_of(node) for node in mkp_nodes]
@@ -56,7 +56,7 @@ def select_nodes_mkp(problem: ScProblem, order: Sequence[str],
                      tolerance: float = 0.01) -> SelectionResult:
     """Solve S/C Opt Nodes exactly for a fixed execution order.
 
-    ``tolerance`` is the branch-and-bound relative optimality gap; the 1 %
+    ``tolerance`` is the MILP's relative optimality gap; the 1 %
     default mirrors the paper's integer rounding of scores (footnote 3),
     0 is fully exact.
     """
@@ -67,7 +67,6 @@ def select_nodes_mkp(problem: ScProblem, order: Sequence[str],
     # nodes sit in V_exclude and never reach candidacy).
     flagged = set(constraints.free_nodes)
 
-    solution: MkpSolution | None = None
     mkp_nodes: list[str] = []
     if constraints.sets:
         instance, mkp_nodes = build_mkp_instance(problem, constraints)
@@ -78,7 +77,6 @@ def select_nodes_mkp(problem: ScProblem, order: Sequence[str],
         flagged=frozenset(flagged),
         total_score=problem.total_score(flagged),
         constraint_sets=constraints,
-        mkp_solution=solution,
         n_variables=len(mkp_nodes),
         n_constraints=len(constraints.sets),
     )

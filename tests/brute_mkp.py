@@ -1,7 +1,7 @@
-"""Exhaustive MKP solver — the test oracle for the branch-and-bound solver.
+"""Exhaustive MKP solver — the test oracle for the MILP solver.
 
 Enumerates all ``2^n`` subsets, so it is only usable for small ``n``; the
-test suite uses it to certify BnB optimality on randomized instances.
+test suite uses it to certify the MILP's optimality on small instances.
 """
 
 from __future__ import annotations
@@ -31,5 +31,4 @@ def solve_mkp_brute_force(instance: MkpInstance) -> MkpSolution:
             if profit > best_profit + 1e-12:
                 best_profit = profit
                 best = subset
-    return MkpSolution(selected=best, objective=best_profit, optimal=True,
-                       nodes_explored=2 ** n)
+    return MkpSolution(selected=best, objective=best_profit, optimal=True)

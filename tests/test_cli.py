@@ -6,6 +6,10 @@ import pytest
 
 from repro.cli import main
 from repro.graph.io import graph_to_dict, save_graph
+from repro.workloads.generator import (
+    GeneratedWorkloadConfig,
+    generate_workload,
+)
 from tests.conftest import make_fig7_problem
 
 
@@ -29,6 +33,17 @@ class TestOptimize:
               "--output", out])
         payload = json.loads(open(out).read())
         assert payload["plan"]["order"][0] == "v1"
+
+    def test_stdout_is_only_json(self, tmp_path, capfd):
+        """On this DAG HiGHS's MIP solver writes a line of its own
+        straight to file descriptor 1; none of it may reach stdout."""
+        graph = generate_workload(GeneratedWorkloadConfig(n_nodes=20),
+                                  seed=6)
+        path = str(tmp_path / "g.json")
+        save_graph(graph, path)
+        assert main(["optimize", path, "--memory",
+                     str(0.1 * graph.total_size())]) == 0
+        assert json.loads(capfd.readouterr().out)["plan"]["flagged"]
 
     def test_method_choice_enforced(self, graph_file):
         with pytest.raises(SystemExit):

@@ -25,8 +25,7 @@ import sys
 
 import pytest
 
-from repro.core.optimizer import optimize
-from repro.core.problem import ScProblem
+from repro.core.plan import Plan
 from repro.engine import AdaptiveController, Controller, SimulatorOptions
 from repro.exec import create_backend
 from repro.graph.topo import kahn_topological_order
@@ -40,15 +39,21 @@ from repro.workloads.generator import (
 from tests.virtual_clock import run_virtual
 
 DATA = pathlib.Path(__file__).parent / "data"
+FIXED_PLANS = json.loads((DATA / "fixed_case_plans.json").read_text())
 
 
 def _fixed_case(n_nodes, seed):
+    """A generated DAG, its 0.3 budget, a fixed plan and that plan's peak.
+
+    The plan is read from ``fixed_case_plans.json``, written once by the
+    planner of commit ``cd585ec``, so the goldens built on these cases pin
+    the scheduler, not the node selector.
+    """
     graph = WorkloadGenerator().generate(
         GeneratedWorkloadConfig(n_nodes=n_nodes, height_width_ratio=0.5),
         seed=seed)
     budget = 0.3 * graph.total_size()
-    plan = optimize(ScProblem(graph=graph, memory_budget=budget),
-                    method="sc", seed=seed).plan
+    plan = Plan.from_dict(FIXED_PLANS[f"n{n_nodes}-s{seed}"])
     peak = Controller().refresh(
         graph, budget, plan=plan, method="sc").peak_catalog_usage
     return graph, plan, budget, peak

@@ -1,18 +1,16 @@
-"""Tests for the branch-and-bound MKP solver (the OR-Tools replacement)."""
+"""Tests for the MKP solver: HiGHS's MILP against the brute-force oracle."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ValidationError
-from repro.solver.mkp import (
-    BranchAndBoundSolver,
-    MkpInstance,
-    solve_mkp,
-)
+from repro.solver.mkp import MkpInstance, solve_mkp
 from tests.brute_mkp import solve_mkp_brute_force
-from tests.reference_mkp import ReferenceBranchAndBoundSolver
 
 
 def random_instance(rng: random.Random, max_items: int = 12,
@@ -80,6 +78,11 @@ class TestSolverBasics:
         solution = solve_mkp(inst)
         assert 0 not in solution.selected
 
+    def test_negative_tolerance_rejected(self):
+        inst = MkpInstance.from_lists([1.0], [[1.0]], [1.0])
+        with pytest.raises(ValidationError):
+            solve_mkp(inst, tolerance=-0.1)
+
     def test_classic_knapsack(self):
         # profits/weights chosen so density-greedy is suboptimal
         inst = MkpInstance.from_lists(
@@ -87,19 +90,6 @@ class TestSolverBasics:
         solution = solve_mkp(inst, tolerance=0.0)
         assert solution.objective == pytest.approx(220.0)
         assert set(solution.selected) == {1, 2}
-
-    def test_node_limit_returns_incumbent(self):
-        rng = random.Random(11)
-        inst = random_instance(rng, max_items=12, max_rows=4)
-        solver = BranchAndBoundSolver(node_limit=1, tolerance=0.0)
-        solution = solver.solve(inst)
-        assert inst.is_feasible(solution.selected)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValidationError):
-            BranchAndBoundSolver(node_limit=0)
-        with pytest.raises(ValidationError):
-            BranchAndBoundSolver(tolerance=-0.1)
 
 
 class TestAgainstBruteForce:
@@ -121,25 +111,6 @@ class TestAgainstBruteForce:
             reference = solve_mkp_brute_force(inst)
             assert approx.objective >= reference.objective * 0.99 - 1e-9
 
-    def test_weak_bound_still_exact(self):
-        """Bound-strength ablation: the reference solver with only the
-        remaining-profit bound is still exact, and the fractional bounds
-        never make the search larger (and here make it smaller)."""
-        rng = random.Random(44)
-        weak_nodes = strong_nodes = 0
-        for _ in range(15):
-            inst = random_instance(rng, max_items=10)
-            weak = ReferenceBranchAndBoundSolver(
-                tolerance=0.0, use_fractional_bound=False).solve(inst)
-            strong = solve_mkp(inst, tolerance=0.0)
-            reference = solve_mkp_brute_force(inst)
-            assert weak.objective == pytest.approx(reference.objective,
-                                                   rel=1e-6)
-            assert strong.nodes_explored <= weak.nodes_explored
-            weak_nodes += weak.nodes_explored
-            strong_nodes += strong.nodes_explored
-        assert strong_nodes < weak_nodes
-
 
 #: Small hand-built instances: (profits, weight rows, capacities, the
 #: optimal selection).
@@ -160,6 +131,10 @@ HAND_INSTANCES = {
     "two-rows-six-items": (
         [10, 8, 6, 4, 9, 2], [[3, 2, 2, 1, 3, 1], [1, 2, 3, 1, 2, 2]],
         [4.0, 4.0], {0, 3}),
+    # 2e-7 over: inside HiGHS's default feasibility tolerance (1e-6),
+    # outside is_feasible's 1e-9.
+    "just-over-capacity": ([1, 1], [[0.5, 0.5000002]], [1.0], {0}),
+    "exact-fit": ([1, 1], [[0.5, 0.5]], [1.0], {0, 1}),
 }
 
 
@@ -200,3 +175,15 @@ def test_single_row_bnb_matches_brute_force(items, capacity):
     reference = solve_mkp_brute_force(inst)
     assert exact.objective == pytest.approx(reference.objective, rel=1e-6)
     assert inst.is_feasible(exact.selected)
+
+
+def test_importing_repro_loads_no_scipy():
+    """scipy costs ~60 MB of RSS; only solve_mkp imports it, so the
+    paths that never select nodes do not pay for it."""
+    code = ("import sys, repro, repro.cli, repro.engine, repro.serve; "
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         timeout=120, capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
