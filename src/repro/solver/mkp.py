@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -24,6 +25,8 @@ _EPS = 1e-9
 # HiGHS accepts a row up to its feasibility tolerance (1e-6 by default)
 # past its bound; below _EPS, what it returns passes is_feasible.
 _HIGHS_FEASIBILITY = 1e-10
+
+_SOLVE_LOCK = threading.Lock()  # held by one solve at a time
 
 
 @dataclass(frozen=True)
@@ -76,11 +79,8 @@ class MkpInstance:
 
     def is_feasible(self, selected: Sequence[int]) -> bool:
         chosen = set(selected)
-        for row, capacity in zip(self.weights, self.capacities):
-            used = sum(row[i] for i in chosen)
-            if used > capacity + _EPS:
-                return False
-        return True
+        return all(sum(row[i] for i in chosen) <= capacity + _EPS
+                   for row, capacity in zip(self.weights, self.capacities))
 
     def objective(self, selected: Sequence[int]) -> float:
         return sum(self.profits[i] for i in set(selected))
@@ -88,18 +88,19 @@ class MkpInstance:
 
 @dataclass
 class MkpSolution:
-    """Selected item indices, their profit, and whether the solve proved
-    them within the requested gap."""
+    """Selected item indices and their profit."""
 
     selected: tuple[int, ...]
     objective: float
-    optimal: bool
 
 
 @contextmanager
 def _stdout_silenced() -> Iterator[None]:
     """Point fd 1 at the null device: HiGHS's MIP solver writes some
-    lines straight to it even with console logging off."""
+    lines straight to it even with console logging off. Callers hold
+    ``_SOLVE_LOCK``: fd 1 and the warnings filters are the whole
+    process's, and two overlapping redirects would leave fd 1 on the
+    null device."""
     sys.stdout.flush()
     saved = os.dup(1)
     try:
@@ -120,7 +121,7 @@ def solve_mkp(instance: MkpInstance,
     if not tolerance >= 0:
         raise ValidationError("tolerance must be >= 0")
     if not instance.n_items:
-        return MkpSolution(selected=(), objective=0.0, optimal=True)
+        return MkpSolution(selected=(), objective=0.0)
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -131,10 +132,11 @@ def solve_mkp(instance: MkpInstance,
     options = {"mip_rel_gap": tolerance,
                "mip_feasibility_tolerance": _HIGHS_FEASIBILITY,
                "primal_feasibility_tolerance": _HIGHS_FEASIBILITY}
-    with warnings.catch_warnings(), _stdout_silenced():
+    with _SOLVE_LOCK, warnings.catch_warnings(), _stdout_silenced():
         # milp passes the two tolerances on to HiGHS, warning that it
         # does not know them.
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.filterwarnings("ignore", message="Unrecognized options",
+                                category=RuntimeWarning)
         result = milp(-np.array(instance.profits), integrality=1,
                       bounds=Bounds(0, 1), constraints=constraints,
                       options=options)
@@ -145,5 +147,4 @@ def solve_mkp(instance: MkpInstance,
         raise SolverError("MILP produced an infeasible solution "
                           f"(selected={selected})")
     return MkpSolution(selected=selected,
-                       objective=instance.objective(selected),
-                       optimal=result.status == 0)
+                       objective=instance.objective(selected))

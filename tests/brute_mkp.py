@@ -31,4 +31,4 @@ def solve_mkp_brute_force(instance: MkpInstance) -> MkpSolution:
             if profit > best_profit + 1e-12:
                 best_profit = profit
                 best = subset
-    return MkpSolution(selected=best, objective=best_profit, optimal=True)
+    return MkpSolution(selected=best, objective=best_profit)

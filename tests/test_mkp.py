@@ -4,6 +4,9 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -66,7 +69,6 @@ class TestSolverBasics:
         solution = solve_mkp(MkpInstance.from_lists([], [], []))
         assert solution.selected == ()
         assert solution.objective == 0.0
-        assert solution.optimal
 
     def test_unconstrained_takes_everything(self):
         inst = MkpInstance.from_lists([1.0, 2.0, 3.0], [], [])
@@ -187,3 +189,38 @@ def test_importing_repro_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          timeout=120, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_concurrent_solves_restore_stdout(monkeypatch):
+    """Each solve points fd 1 at the null device. A second thread's solve
+    that starts while the first is inside milp must wait for it: else
+    it saves the null device as fd 1 and restores fd 1 to it."""
+    import scipy.optimize
+
+    real_milp = scipy.optimize.milp
+    active, peak = [0], [0]
+    inside = threading.Event()
+
+    def slow_milp(*args, **kwargs):
+        active[0] += 1
+        peak[0] = max(peak[0], active[0])
+        inside.set()
+        time.sleep(0.05)  # the second solve starts meanwhile
+        active[0] -= 1
+        return real_milp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", slow_milp)
+    inst = MkpInstance.from_lists([1.0, 2.0], [[1.0, 1.0]], [1.0])
+    before = os.fstat(1)
+
+    def solve(after_first: bool):
+        if after_first:
+            assert inside.wait(timeout=10)
+        return solve_mkp(inst).selected
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(solve, after) for after in (False, True)]
+        assert [f.result() for f in futures] == [(1,), (1,)]
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+    assert peak[0] == 1
