@@ -45,6 +45,17 @@ CASES = {
         "simulate", "{graph}", "--tier", "ram:1.5", "--tier", "disk:inf",
         "--spill-codec", "zlib", "--tier-aware-plan", "--adaptive-codec",
         "--adapt-samples", "2", "--metrics"],
+    "simulate_plain_metrics": ["simulate", "{graph}", "--memory", "1.5",
+                               "--metrics"],
+    "simulate_lru_metrics": ["simulate", "{graph}", "--memory", "4",
+                             "--method", "lru", "--metrics"],
+    "simulate_parallel_metrics": [
+        "simulate", "{graph}", "--tier", "ram:1.2", "--tier", "ssd:1",
+        "--tier", "disk:inf", "--prefetch", "--backend", "parallel",
+        "--workers", "2", "--metrics"],
+    "simulate_replan_metrics": ["simulate", "{graph}", *_COLD,
+                                "--tier-aware-plan", "--replan",
+                                "--metrics"],
 }
 
 

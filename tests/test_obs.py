@@ -419,6 +419,49 @@ class TestCli:
         assert "=== metrics ===" in out
         assert "store.spill.count" in out
 
+    def test_minidb_store_metrics_equal_its_tier_report(
+            self, tmp_path, monkeypatch, capsys):
+        """``minidb --metrics`` prints the real run's store counters
+        exactly as its tier report holds them."""
+        from repro.cli import main
+
+        traces = []
+        refresh = Controller.refresh_on_minidb
+
+        def keep(self, *args, **kwargs):
+            traces.append(refresh(self, *args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(Controller, "refresh_on_minidb", keep)
+        assert main(["minidb", "--memory", "0.0002", "--plan-memory",
+                     "1000", "--rows", "20000", "--spill-dir",
+                     str(tmp_path), "--metrics"]) == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            name, _, value = line.strip().partition("  ")
+            if name.startswith("store."):
+                printed[name] = value.strip()
+        report = traces[0].extras["tiered_store"]
+        assert report["spill_count"] > 0
+        expected = {
+            "store.spill.count": report["spill_count"],
+            "store.spill.logical_gb": report["spill_bytes_gb"],
+            "store.spill.stored_gb": report["spill_stored_gb"],
+            "store.promote.count": report["promote_count"],
+            "store.promote.logical_gb": report["promote_bytes_gb"],
+            "store.demote.bypass_count": report["demote_bypass_count"],
+            "store.prefetch.count": report["prefetch"]["count"],
+            "store.prefetch.logical_gb": report["prefetch"]["bytes_gb"],
+            "store.prefetch.hidden_seconds": (
+                report["prefetch"]["hidden_seconds"]),
+            "store.prefetch.misses": report["prefetch"]["misses"],
+            **{f"store.arbitration.{key}": report["arbitration"][key]
+               for key in ("stall_wins", "spill_wins", "stall_seconds",
+                           "avoided_spill_seconds")},
+        }
+        assert printed == {name: f"{value:g}"
+                           for name, value in expected.items()}
+
     def test_obs_report_subcommand(self, graph_file, tmp_path, capsys):
         from repro.cli import main
 
