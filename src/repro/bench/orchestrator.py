@@ -362,10 +362,14 @@ def run_matrix(config: MatrixConfig, run_dir: str, *,
         A :class:`MatrixRun` summary.
 
     Raises:
-        ValidationError: bad config, or a run-dir/config mismatch.
+        ValidationError: bad config, ``jobs`` below 1, or a
+            run-dir/config mismatch.
     """
     run_path = pathlib.Path(run_dir)
     config.validate()
+    workers = config.jobs if jobs is None else jobs
+    if workers < 1:
+        raise ValidationError(f"jobs must be >= 1, got {workers}")
     _check_run_dir(run_path, config, resume=resume)
     trials_dir = run_path / "trials"
     trials_dir.mkdir(exist_ok=True)
@@ -390,7 +394,6 @@ def run_matrix(config: MatrixConfig, run_dir: str, *,
     if stop_after is not None:
         pending = pending[:stop_after]
 
-    workers = max(1, jobs if jobs is not None else config.jobs)
     if pending:
         say(f"matrix {config.name}: {len(pending)} cell(s) to run, "
             f"{len(run.skipped)} already done, {len(pruned)} pruned")

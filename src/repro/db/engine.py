@@ -30,7 +30,7 @@ from repro.db.catalog import DatabaseCatalog
 from repro.db.planner import execute_select
 from repro.db.sql import SelectStatement, parse_select
 from repro.db.table import Table
-from repro.errors import CatalogError, WorkloadError
+from repro.errors import CatalogError, ValidationError, WorkloadError
 from repro.graph.dag import DependencyGraph
 
 _GB = 1024.0 ** 3
@@ -278,6 +278,9 @@ def demo_workload(data_dir: str, rows: int = 120_000,
     and two aggregations over a generated ``events`` table, deep
     enough that a shrunken catalog genuinely spills.
     """
+    if rows < 0:
+        raise ValidationError(f"rows must be >= 0, got {rows!r}")
+
     import numpy as np
 
     from repro.db.table import Table

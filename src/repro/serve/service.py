@@ -539,6 +539,12 @@ def run_open_loop(service: RefreshService, graph: DependencyGraph, plan,
     a completion — the clock keeps ticking while the service queues,
     which is what exposes queueing delay (a closed loop self-throttles
     and hides the knee)."""
+    if n_requests < 0:
+        raise ValidationError(
+            f"n_requests must be >= 0, got {n_requests!r}")
+    if not arrival_rate > 0:
+        raise ValidationError(
+            f"arrival_rate must be positive, got {arrival_rate!r}")
     rng = random.Random(seed)
     names = list(service.tenants)
 

@@ -45,8 +45,10 @@ formula.
 
 from __future__ import annotations
 
+import math
+
 from repro.core.speedup import compute_speedup_scores
-from repro.errors import WorkloadError
+from repro.errors import ValidationError, WorkloadError
 from repro.graph.dag import DependencyGraph
 from repro.metadata.costmodel import DeviceProfile, POLARS_PROFILE
 from repro.workloads.calibrate import calibrate_compute_times
@@ -334,6 +336,9 @@ def build_workload(name: str, scale_gb: float = 100.0,
     if name not in _BUILDERS:
         raise WorkloadError(
             f"unknown workload {name!r}; choose from {WORKLOAD_NAMES}")
+    if not (math.isfinite(scale_gb) and scale_gb > 0):
+        raise ValidationError(
+            f"scale_gb must be a positive finite size, got {scale_gb!r}")
     cost_model = cost_model or DeviceProfile()
     builder = _Builder(table_sizes=scaled_table_sizes(scale_gb),
                        partitioned=partitioned, scale_gb=scale_gb)

@@ -147,6 +147,19 @@ REJECTED = {
     "matrix without config": ["bench", "matrix"],
     "run dir and resume": ["bench", "matrix", "matrix.toml", "--run-dir",
                            "a", "--resume", "b"],
+    "zero jobs": ["bench", "matrix", "{matrix}", "--run-dir",
+                  "{run_dir}-zero", "--jobs", "0"],
+    "negative jobs": ["bench", "matrix", "{matrix}", "--run-dir",
+                      "{run_dir}-negative", "--jobs", "-2"],
+    "zero scale, workload": ["workload", "io1", "--scale-gb", "0"],
+    "negative scale, workload": ["workload", "io1", "--scale-gb", "-1"],
+    "NaN scale, workload": ["workload", "io1", "--scale-gb", "nan"],
+    "infinite scale, workload": ["workload", "io1", "--scale-gb", "inf"],
+    "zero scale, serve": ["serve", "--scale-gb", "0"],
+    "negative rows, minidb": [*_DB[:3], "--rows", "-5"],
+    "zero arrival rate": ["serve", "--arrival-rate", "0"],
+    "negative arrival rate": ["serve", "--arrival-rate", "-1"],
+    "negative requests": ["serve", "--requests", "-1"],
 }
 
 
@@ -159,6 +172,13 @@ class TestRejectedFlags:
                               "nan_size", "bare_plan", "not_json",
                               "other_plan")}
         paths["spill"] = str(root / "spill")
+        paths["run_dir"] = str(root / "matrix_run")
+        paths["matrix"] = str(root / "matrix.toml")
+        with open(paths["matrix"], "w") as out:
+            out.write('[experiment]\nname = "one-cell"\n'
+                      '[axes]\nbackend = ["simulator"]\n'
+                      'workload = ["io1"]\nram_fraction = [0.5]\n'
+                      '[fixed]\nscale_gb = 1.0\n')
         save_graph(make_fig7_problem().graph, paths["graph"])
         payload = graph_to_dict(make_fig7_problem().graph)
         payload["nodes"][1]["size"] = float("nan")
