@@ -74,7 +74,7 @@ def _run_flags(methods: list[str]) -> argparse.ArgumentParser:
                           "chrome://tracing); with --replan only the "
                           "second pass is recorded")
     run.add_argument("--metrics", action="store_true",
-                     help="print the run's metrics registry "
+                     help="print the run's metrics "
                           "(counters/gauges/histograms) after the "
                           "summary")
     run.add_argument("--profile", metavar="PATH",
@@ -378,8 +378,9 @@ def _make_bus(args):
     return EventBus()
 
 
-def _emit_observability(args, bus) -> None:
-    """Write --events output (format by extension) and print --metrics."""
+def _emit_observability(args, bus, trace) -> None:
+    """Write --events output (format by extension) and print --metrics
+    (read off ``trace`` and the bus's events)."""
     if bus is None:
         return
     if args.events:
@@ -394,9 +395,11 @@ def _emit_observability(args, bus) -> None:
         print(f"events:            {args.events} "
               f"({len(bus.events)} events, {note})", file=sys.stderr)
     if args.metrics:
+        from repro.obs.report import metrics_table
+
         print()
         print("=== metrics ===")
-        print(bus.metrics.render())
+        print(metrics_table(trace, bus.events))
 
 
 def _print_spill_stats(trace) -> None:
@@ -533,7 +536,7 @@ def _cmd_simulate(args) -> int:
     if args.save_trace:
         pathlib.Path(args.save_trace).write_text(trace.to_json(),
                                                  encoding="utf-8")
-    _emit_observability(args, bus)
+    _emit_observability(args, bus, trace)
     if args.gantt:
         print()
         print(trace.gantt())
@@ -608,7 +611,7 @@ def _cmd_minidb(args) -> int:
     head += [f"  planned tier:    {node:<16s} -> {tier}"
              for node, tier in plan.expected_tiers]
     _print_summary(head, trace, peak="{:.6f} / {:.6f} GB")
-    _emit_observability(args, bus)
+    _emit_observability(args, bus, trace)
     return 0
 
 

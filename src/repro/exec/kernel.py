@@ -40,7 +40,7 @@ function can be shared (the service hands every request the same three
 and a request-scoped key), the lost-flag set is per run.
 
 :func:`finish_run` is the one run epilogue (tiered-store report,
-``run-finish`` event, store counters published, :class:`RunTrace`).
+``run-finish`` event, :class:`RunTrace`).
 MiniDB shares that and the ledger's eviction path: it *measures* real
 bytes moved by real threads where the kernel *charges* a model, so the
 two per-node lifecycles share no logic.
@@ -87,9 +87,6 @@ def finish_run(ledger: MemoryLedger, bus: EventBus, nodes: list[NodeTrace],
                           "compute_finished_at": compute_finished,
                           "background_drained_at": drained,
                           **event_args})
-        stats = getattr(ledger, "stats", None)
-        if stats is not None:
-            stats.publish(bus.metrics)
     return RunTrace(
         nodes=nodes,
         end_to_end_time=end_to_end,

@@ -158,7 +158,6 @@ class _Schedule:
         kernel, ready, idle = self.kernel, self.ready, self.idle
         bus = kernel.bus
         if bus.enabled and ready and idle:
-            bus.metrics.counter("scheduler.dispatch_rounds").inc()
             bus.instant("dispatch-round", "scheduler", "scheduler",
                         self.now, args={"ready": len(ready),
                                         "idle_workers": len(idle),

@@ -1,11 +1,10 @@
-"""Unified run observability: event bus, metrics registry, exporters.
+"""Unified run observability: one event bus, its exporters and reports.
 
 See :mod:`repro.obs.events` for the tracing model, ``docs/ARCHITECTURE.md``
 ("Observability") for the taxonomy and exporter table.
 """
 
 from repro.obs.events import (
-    EVENT_CATEGORIES,
     Event,
     EventBus,
     NULL_BUS,
@@ -16,14 +15,11 @@ from repro.obs.export import (
     chrome_trace,
     events_from_jsonl,
     events_to_jsonl,
-    text_timeline,
     write_chrome_trace,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.report import attribution_table, stage_totals
+from repro.obs.report import attribution_table, metrics_table, stage_totals
 
 __all__ = [
-    "EVENT_CATEGORIES",
     "Event",
     "EventBus",
     "NULL_BUS",
@@ -33,11 +29,7 @@ __all__ = [
     "write_chrome_trace",
     "events_to_jsonl",
     "events_from_jsonl",
-    "text_timeline",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "attribution_table",
+    "metrics_table",
     "stage_totals",
 ]

@@ -1,9 +1,8 @@
 """Span-based structured event tracing with a zero-overhead-when-off bus.
 
-Every run-time layer that used to keep private tallies — the serial
-simulator, the parallel scheduler's dispatch rounds, the MiniDB real-I/O
-paths, and the :class:`~repro.store.tiered.TieredLedger` — emits typed
-events into one in-process :class:`EventBus`:
+Every run-time layer — the serial simulator, the parallel scheduler,
+the MiniDB real-I/O paths and the tiered store — emits typed events
+into one in-process :class:`EventBus`, the run's one recorder:
 
 * **span** — an interval on a *lane* (``worker-0``, ``tier:ssd``,
   ``scheduler``): node executions and their read/compute/output phases;
@@ -26,29 +25,14 @@ pre-observability goldens (measured in
 ``benchmarks/bench_obs_overhead.py``).
 
 Exporters live in :mod:`repro.obs.export` (Chrome-trace/Perfetto JSON,
-JSONL event log, text timeline); the per-stage attribution report in
-:mod:`repro.obs.report`.
+JSONL event log); the attribution report and the ``--metrics`` table,
+both read off a finished run, in :mod:`repro.obs.report`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-
-#: Event taxonomy: category → what its events mean.  Kept as data so
-#: exporters and docs render the same vocabulary the emitters use.
-EVENT_CATEGORIES: dict[str, str] = {
-    "node": "one DAG node's execution on a worker lane",
-    "phase": "a node-internal stage: read / compute / stall / spill / "
-             "output",
-    "store": "tiered-store traffic: demote / promote / prefetch / "
-             "bypass / arbitration",
-    "occupancy": "per-tier stored-GB level samples (counter events)",
-    "scheduler": "dispatch rounds of the parallel backend",
-    "run": "run-level markers: replan boundaries, backend start/finish",
-    "request": "serve-layer request lifecycle: queued / admitted / "
-               "running / done / cancelled",
-}
 
 
 class Event:
@@ -57,7 +41,9 @@ class Event:
     Attributes:
         kind: ``"span"`` / ``"instant"`` / ``"counter"``.
         name: short label (node id, ``"demote"``, a counter name).
-        cat: taxonomy category (see :data:`EVENT_CATEGORIES`).
+        cat: taxonomy category (``node``, ``phase``, ``store``,
+            ``occupancy``, ``scheduler``, ``run``, ``request``; the
+            table is in docs/ARCHITECTURE.md "Observability").
         lane: timeline the event belongs to (``worker-0``, ``tier:ssd``).
         t0: logical-clock start (seconds).
         t1: logical-clock end for spans (``None`` otherwise).
@@ -96,15 +82,10 @@ class Event:
                    wall=payload.get("wall", 0.0),
                    args=payload.get("args") or {})
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tail = f"..{self.t1:.6g}" if self.t1 is not None else ""
-        return (f"Event({self.kind} {self.cat}/{self.name} "
-                f"@{self.lane} {self.t0:.6g}{tail})")
-
 
 class EventBus:
-    """In-process collector of :class:`Event` records plus the run-level
-    :class:`~repro.obs.metrics.MetricsRegistry`.
+    """In-process collector of :class:`Event` records — the run's one
+    recorder; every report and exporter reads this list.
 
     One bus spans one observed run (the CLI clears and re-bases it
     between ``--replan`` passes).  Appends are lock-protected so the
@@ -116,11 +97,8 @@ class EventBus:
     enabled = True
 
     def __init__(self) -> None:
-        from repro.obs.metrics import MetricsRegistry
-
         self._lock = threading.Lock()
         self.events: list[Event] = []
-        self.metrics = MetricsRegistry()
         self._epoch = time.perf_counter()  # repro-lint: disable=REP001 -- the bus epoch is real wall time for Chrome-trace timestamps
 
     # ------------------------------------------------------------------
@@ -134,10 +112,9 @@ class EventBus:
         self._epoch = time.perf_counter()  # repro-lint: disable=REP001 -- the bus epoch is real wall time for Chrome-trace timestamps
 
     def clear(self) -> None:
-        """Drop all events and metrics (between ``--replan`` passes)."""
+        """Drop all events (between ``--replan`` passes)."""
         with self._lock:
             self.events.clear()
-        self.metrics.clear()
 
     # ------------------------------------------------------------------
     def span(self, name: str, cat: str, lane: str, t0: float, t1: float,
@@ -213,8 +190,7 @@ def emit_node_events(bus: EventBus, trace, lane: str) -> None:
     the parallel scheduler, and the MiniDB executor, so every backend's
     trace carries the same taxonomy.  Phase spans are laid out
     sequentially from ``trace.start`` and clipped to ``trace.end``, so
-    per-lane spans always nest properly inside their node span.  Also
-    feeds the run-level ``node.elapsed_seconds`` histogram.
+    per-lane spans always nest properly inside their node span.
     """
     start, end = trace.start, trace.end
     bus.span(trace.node_id, "node", lane, start, end,
@@ -231,4 +207,3 @@ def emit_node_events(bus: EventBus, trace, lane: str) -> None:
         bus.span(phase, "phase", lane, clock, t1,
                  args={"node": trace.node_id})
         clock = t1
-    bus.metrics.histogram("node.elapsed_seconds").observe(end - start)

@@ -1,21 +1,21 @@
 """Exporters for :class:`~repro.obs.events.EventBus` traces.
 
-Three targets, one event stream:
+Two targets, one event stream:
 
 * :func:`chrome_trace` — Chrome trace / Perfetto JSON (load the file at
   ``ui.perfetto.dev`` or ``chrome://tracing``): one track per lane
   (worker, tier, scheduler), ``"X"`` complete spans, ``"i"`` instants,
   ``"C"`` counter tracks for tier occupancy;
 * :func:`events_to_jsonl` / :func:`events_from_jsonl` — lossless JSONL
-  event log, one event per line, args round-trip exactly;
-* :func:`text_timeline` — per-lane ASCII timeline extending the visual
-  language of ``RunTrace.gantt()`` to multi-lane traces.
+  event log, one event per line, args round-trip exactly.
+
+The CLI's ASCII timeline is ``RunTrace.gantt()``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.obs.events import Event
 
@@ -115,38 +115,3 @@ def events_from_jsonl(path) -> list[Event]:
             if line:
                 events.append(Event.from_dict(json.loads(line)))
     return events
-
-
-# ----------------------------------------------------------------------
-def text_timeline(events: Iterable[Event]) -> str:
-    """Per-lane ASCII timeline of span events, 72 columns wide.
-
-    Same visual language as ``RunTrace.gantt()`` — one row per span,
-    ``#`` bars on a shared time axis — but grouped by lane so parallel
-    workers and tier traffic read side by side.  Instants render as a
-    single ``|`` tick.
-    """
-    drawable = [e for e in events if e.kind in ("span", "instant")]
-    if not drawable:
-        return "(no events)"
-    width = 72
-    horizon = max(e.t1 if e.t1 is not None else e.t0 for e in drawable)
-    horizon = max(horizon, 1e-9)
-    scale = width / horizon
-    label_width = max(len(e.name) for e in drawable)
-    label_width = min(max(label_width, 4), 20)
-    lines = [f"timeline  0.0s .. {horizon:.3f}s  ({width} cols)"]
-    for lane in _lane_order(drawable):
-        lines.append(f"[{lane}]")
-        lane_events = sorted((e for e in drawable if e.lane == lane),
-                             key=lambda e: (e.t0, -(e.duration)))
-        for event in lane_events:
-            left = int(event.t0 * scale)
-            if event.kind == "span":
-                span_cols = max(1, int(round(event.duration * scale)))
-                bar = " " * left + "#" * span_cols
-            else:
-                bar = " " * left + "|"
-            name = event.name[:label_width]
-            lines.append(f"  {name:<{label_width}s} |{bar:<{width}s}|")
-    return "\n".join(lines)

@@ -1,20 +1,22 @@
-"""Per-stage attribution report over a saved :class:`RunTrace`.
+"""Reports read off one finished run: its trace and bus events.
 
-Mirrors the paper's Figure 3 evidence: every second of a run charged
-to a named stage, rendered as the same aligned table the benchmark
-suite uses.  ``repro obs report TRACE`` is the CLI entry point; the
-totals here are exactly the sums behind ``RunTrace.breakdown()`` and
-``RunTrace`` latency properties, just itemized.
+:func:`attribution_table` mirrors the paper's Figure 3 evidence: every
+second of a run charged to a named stage, rendered as the same aligned
+table the benchmark suite uses (``repro obs report TRACE``); the totals
+are the sums behind ``RunTrace.breakdown()``, itemized.
+:func:`metrics_table` is the ``--metrics`` body; it records nothing of
+its own.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # annotation-only: repro.engine imports repro.obs at
     # module load (simulator instrumentation), so importing back here
     # eagerly would be circular
     from repro.engine.trace import RunTrace
+    from repro.obs.events import Event
 
 #: Stage → NodeTrace attribute, in presentation order.  "read",
 #: "compute", and "write"+"output create" are the Figure 3 axes;
@@ -40,21 +42,6 @@ def stage_totals(trace: RunTrace) -> dict[str, float]:
     return totals
 
 
-def breakdown_from_stages(totals: dict[str, float]) -> dict[str, float]:
-    """Recompute the Figure 3 read/compute/write fractions from stage
-    totals — must match ``RunTrace.breakdown()`` to float tolerance
-    (promote reads are tier traffic, not table reads, so they are
-    excluded exactly as ``breakdown()`` excludes them)."""
-    read = totals["read (disk)"] + totals["read (memory)"]
-    compute = totals["compute"]
-    write = totals["write (blocking)"] + totals["output create"]
-    total = read + compute + write
-    if total == 0:
-        return {"read": 0.0, "compute": 0.0, "write": 0.0}
-    return {"read": read / total, "compute": compute / total,
-            "write": write / total}
-
-
 def attribution_table(trace: RunTrace) -> str:
     """Render the per-stage table (the ``repro obs report`` body)."""
     from repro.bench.report import format_table
@@ -72,8 +59,59 @@ def attribution_table(trace: RunTrace) -> str:
              f"({len(trace.nodes)} nodes, "
              f"end-to-end {trace.end_to_end_time:.3f}s)")
     table = format_table(("stage", "seconds", "share"), rows, title=title)
-    parts = breakdown_from_stages(totals)
+    parts = trace.breakdown()
     fig3 = (f"figure-3 axes: read {parts['read'] * 100.0:.1f}%  "
             f"compute {parts['compute'] * 100.0:.1f}%  "
             f"write {parts['write'] * 100.0:.1f}%")
     return f"{table}\n{fig3}"
+
+
+def metrics_table(trace: RunTrace, events: Sequence[Event]) -> str:
+    """Render the ``--metrics`` body: the tier report's ``store.*``
+    totals, the ``dispatch-round`` instants counted, each tier lane's
+    last occupancy sample and the node spans' durations — each only
+    when the run produced it."""
+    report = trace.extras.get("tiered_store")
+    counters: dict[str, float] = {}
+    if report:
+        prefetch = report["prefetch"]
+        counters = {
+            "store.spill.count": report["spill_count"],
+            "store.spill.logical_gb": report["spill_bytes_gb"],
+            "store.spill.stored_gb": report["spill_stored_gb"],
+            "store.promote.count": report["promote_count"],
+            "store.promote.logical_gb": report["promote_bytes_gb"],
+            "store.demote.bypass_count": report["demote_bypass_count"],
+            "store.prefetch.count": prefetch["count"],
+            "store.prefetch.logical_gb": prefetch["bytes_gb"],
+            "store.prefetch.hidden_seconds": prefetch["hidden_seconds"],
+            "store.prefetch.misses": prefetch["misses"],
+            **{f"store.arbitration.{key}": value
+               for key, value in report["arbitration"].items()
+               if key != "enabled"}}
+    gauges: dict[str, float] = {}
+    elapsed: list[float] = []
+    for event in events:
+        if event.kind == "counter":
+            tier = event.lane.removeprefix("tier:")
+            gauges[f"tier.{tier}.usage_gb"] = event.args["value"]
+        elif event.cat == "scheduler" and event.name == "dispatch-round":
+            name = "scheduler.dispatch_rounds"
+            counters[name] = counters.get(name, 0) + 1
+        elif event.cat == "node":
+            elapsed.append(event.duration)
+    histogram = "node.elapsed_seconds" if elapsed else ""
+    width = max(map(len, [*counters, *gauges, histogram]))
+    lines = [f"  {name:<{width}s}  {value:g}"
+             for name, value in sorted(counters.items())]
+    lines += [f"  {name:<{width}s}  {value:g} (gauge)"
+              for name, value in sorted(gauges.items())]
+    if elapsed:
+        total = 0.0
+        for seconds in elapsed:   # a running sum, in emission order
+            total += seconds
+        lines.append(
+            f"  {histogram:<{width}s}  n={len(elapsed)} sum={total:g} "
+            f"mean={total / len(elapsed):g} min={min(elapsed):g} "
+            f"max={max(elapsed):g}")
+    return "\n".join(lines) if lines else "  (no metrics recorded)"

@@ -5,9 +5,11 @@
 the ledger tells it once per migration, tier read, prefetch outcome and
 arbitration what happened; it counts, emits the matching ``store`` event
 when the bus is on, and alone assembles
-``RunTrace.extras["tiered_store"]`` (:meth:`StoreStats.report`).  It is
-a direct collaborator, not an event-bus sink — the report has to be
-filled with the bus off, and off has to cost one attribute check.
+``RunTrace.extras["tiered_store"]`` (:meth:`StoreStats.report`) — the
+one record of the run counters; ``--metrics`` prints its ``store.*``
+lines from that report.  It is a direct collaborator, not an event-bus
+sink — the report has to be filled with the bus off, and off has to
+cost one attribute check.
 
 Only the owning ledger calls it, and readers go through
 ``TieredLedger.tier_report()``.
@@ -15,22 +17,15 @@ Only the owning ledger calls it, and readers go through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 from repro.obs.events import EventBus
-from repro.obs.metrics import MetricsRegistry
 from repro.store import pricing
 from repro.store.config import NONE_CODEC, CodecProfile, SpillConfig
 
 if TYPE_CHECKING:
     from repro.store.tiered import SpillCharge, StorageTier, _Spilled
-
-def _tally(zero: float, metric: str) -> Any:
-    """A run counter: starts at ``zero`` (typed — int counts stay int,
-    so reports serialize the same from run to run) and is published as
-    ``metric`` in a :class:`MetricsRegistry`."""
-    return field(default=zero, metadata={"metric": metric})
 
 
 @dataclass
@@ -102,35 +97,34 @@ class StoreStats:
         tiers: each tier's :class:`TierTelemetry`.
         codec_adapt: tier name -> the adaptation decision taken there.
 
-    The counters are plain attributes; the ledger bumps the ones no
-    event goes with (``promote_count``, ``prefetch_hidden_seconds``)
-    directly.
+    The counters are plain attributes with typed defaults (int counts
+    stay int, so reports serialize the same from run to run); the
+    ledger bumps the ones no event goes with (``promote_count``,
+    ``prefetch_hidden_seconds``) directly.
     """
 
     config: SpillConfig
     rungs: Sequence[StorageTier]
     bus: EventBus
     charge_io: bool
-    spill_count: int = _tally(0, "store.spill.count")
-    promote_count: int = _tally(0, "store.promote.count")
-    spill_bytes: float = _tally(0.0, "store.spill.logical_gb")
-    promote_bytes: float = _tally(0.0, "store.promote.logical_gb")
-    spill_stored_bytes: float = _tally(0.0, "store.spill.stored_gb")
+    spill_count: int = 0
+    promote_count: int = 0
+    spill_bytes: float = 0.0
+    promote_bytes: float = 0.0
+    spill_stored_bytes: float = 0.0
     # demotions that landed further than one tier down: modeled ones
     # skip a full transfer-free rung when the displaced cascade would
     # cost more than going direct, a real mover's any tier that could
     # not make room for the measured bytes
-    demote_bypass_count: int = _tally(0, "store.demote.bypass_count")
-    prefetch_count: int = _tally(0, "store.prefetch.count")
-    prefetch_bytes: float = _tally(0.0, "store.prefetch.logical_gb")
-    prefetch_hidden_seconds: float = _tally(
-        0.0, "store.prefetch.hidden_seconds")
-    prefetch_misses: int = _tally(0, "store.prefetch.misses")
-    stall_wins: int = _tally(0, "store.arbitration.stall_wins")
-    spill_wins: int = _tally(0, "store.arbitration.spill_wins")
-    stall_seconds: float = _tally(0.0, "store.arbitration.stall_seconds")
-    avoided_spill_seconds: float = _tally(
-        0.0, "store.arbitration.avoided_spill_seconds")
+    demote_bypass_count: int = 0
+    prefetch_count: int = 0
+    prefetch_bytes: float = 0.0
+    prefetch_hidden_seconds: float = 0.0
+    prefetch_misses: int = 0
+    stall_wins: int = 0
+    spill_wins: int = 0
+    stall_seconds: float = 0.0
+    avoided_spill_seconds: float = 0.0
     tiers: list[TierTelemetry] = field(init=False)
     codec_adapt: dict[str, dict] = field(default_factory=dict)
 
@@ -148,16 +142,14 @@ class StoreStats:
                 now if self.charge_io else self.bus.wall(), args=args)
 
     def _occupancy(self, now: float, *indices: int) -> None:
-        """Sample the named tiers' stored-GB levels, each once: a gauge
-        per tier in the run's metrics registry plus a Chrome counter
-        event per tier lane."""
+        """Sample the named tiers' stored-GB levels, each once: one
+        counter event per tier lane."""
         if not self.bus.enabled:
             return
         t = now if self.charge_io else self.bus.wall()
         for index in set(indices):
             tier = self.rungs[index]
             usage = tier.ledger.usage
-            self.bus.metrics.gauge(f"tier.{tier.name}.usage_gb").set(usage)
             self.bus.counter(f"{tier.name} GB", f"tier:{tier.name}",
                              t, usage)
 
@@ -365,12 +357,3 @@ class StoreStats:
             } for index, tier in enumerate(self.rungs)],
             **({"tenants": tenants} if tenants else {}),
         }
-
-    def publish(self, registry: MetricsRegistry) -> None:
-        """Write the run counters into ``registry`` under their
-        ``store.*`` names.  Values overwrite, so a ``--replan`` second
-        pass reports the latest run, never a double count."""
-        for tally in fields(self):
-            if "metric" in tally.metadata:
-                registry.counter(tally.metadata["metric"]).value = getattr(
-                    self, tally.name)

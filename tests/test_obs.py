@@ -2,20 +2,19 @@
 
 Four contracts:
 
-* **Metrics** — typed counters/gauges/histograms, overwrite-merge, and
-  the descriptor-backed ledger tallies keeping their Python numeric
-  types (so ``tier_report()`` serializes exactly as before).
+* **Metrics** — the ``--metrics`` table is read off the run's trace and
+  events: ``store.*`` equal the tier report, the node summary counts
+  the node spans.
 * **Events + exporters** — Chrome-trace output is valid JSON with
   properly nested, per-lane non-overlapping spans; the JSONL log
-  round-trips events (args included) losslessly; the text timeline
-  renders every lane.
+  round-trips events (args included) losslessly.
 * **Off-by-default** — a run without a bus emits nothing, and the
   PR 5 golden scenario re-run on the instrumented code stays bit-equal
   to ``tests/data/golden_pr5_trace.json``.
-* **Attribution report** — ``repro obs report`` reproduces
-  ``RunTrace.breakdown()`` within float tolerance, and the trajectory
-  gate (schema + regression checks over ``BENCH_*.json``) catches what
-  it exists to catch.
+* **Attribution report** — ``repro obs report`` itemizes every stage
+  and prints ``RunTrace.breakdown()``'s Figure 3 axes, and the
+  trajectory gate (schema + regression checks over ``BENCH_*.json``)
+  catches what it exists to catch.
 """
 
 import json
@@ -40,15 +39,9 @@ from repro.obs.export import (
     chrome_trace,
     events_from_jsonl,
     events_to_jsonl,
-    text_timeline,
     write_chrome_trace,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import (
-    attribution_table,
-    breakdown_from_stages,
-    stage_totals,
-)
+from repro.obs.report import attribution_table, metrics_table, stage_totals
 from repro.store import SpillConfig, TierSpec
 from repro.store.config import CodecAdaptConfig
 from repro.workloads.generator import (
@@ -86,60 +79,6 @@ def traced_run():
     return bus, trace
 
 
-class TestMetricsRegistry:
-    def test_counter_keeps_numeric_type(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("spills")
-        assert counter.value == 0 and isinstance(counter.value, int)
-        counter.inc()
-        counter.inc(2)
-        assert counter.value == 3 and isinstance(counter.value, int)
-        counter.value += 0.5  # GB-style counters go float on first add
-        assert isinstance(counter.value, float)
-
-    def test_create_on_first_use_returns_same_instance(self):
-        registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
-        assert registry.gauge("x") is registry.gauge("x")
-        assert registry.histogram("x") is registry.histogram("x")
-
-    def test_histogram_buckets_are_powers_of_two(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("sizes")
-        for value in (0.0, -1.0, 3.0, 4.0, 5.0):
-            histogram.observe(value)
-        assert histogram.count == 5
-        assert histogram.min == -1.0 and histogram.max == 5.0
-        # 0 and -1 -> 0-bucket; 3,4 -> 4; 5 -> 8
-        assert histogram.buckets == {0.0: 2, 4.0: 2, 8.0: 1}
-        assert histogram.mean == pytest.approx(11.0 / 5.0)
-
-    def test_publish_overwrites_never_double_counts(self):
-        """A ledger's run counters land in the run registry under their
-        store.* names; a second publish (a --replan second pass reusing
-        the bus) reports the latest totals, never a sum."""
-        from repro.store.tiered import TieredLedger
-
-        ledger = TieredLedger(10.0)
-        ledger.insert("a", 6.0, n_consumers=1)
-        ledger.spill_insert("b", 8.0, n_consumers=1)   # demotes a
-        registry = MetricsRegistry()
-        registry.counter("store.spill.count").value = 99
-        ledger.stats.publish(registry)
-        ledger.stats.publish(registry)
-        counters = registry.snapshot()["counters"]
-        assert counters["store.spill.count"] == 1
-        assert isinstance(counters["store.spill.count"], int)
-        assert counters["store.spill.logical_gb"] == 6.0
-        assert counters["store.promote.count"] == 0
-
-    def test_render_empty_and_populated(self):
-        registry = MetricsRegistry()
-        assert "no metrics" in registry.render()
-        registry.counter("a.count").inc()
-        assert "a.count" in registry.render()
-
-
 class TestEventBus:
     def test_null_bus_is_disabled_and_collects_nothing(self):
         assert NULL_BUS.enabled is False
@@ -154,12 +93,18 @@ class TestEventBus:
         assert resolve_bus(bus) is bus
 
     def test_clear_drops_events_and_metrics(self):
+        """Metrics are read off the events, so clearing the events
+        clears them too."""
+        from repro.engine.trace import RunTrace
+
         bus = EventBus()
-        bus.instant("x", "run", "scheduler", 0.0)
-        bus.metrics.counter("c").inc()
+        bus.instant("dispatch-round", "scheduler", "scheduler", 0.0)
+        assert "scheduler.dispatch_rounds" in metrics_table(RunTrace(),
+                                                            bus.events)
         bus.clear()
         assert bus.events == []
-        assert bus.metrics.snapshot()["counters"] == {}
+        assert metrics_table(RunTrace(), bus.events) == (
+            "  (no metrics recorded)")
 
     def test_event_dict_roundtrip(self):
         event = Event("span", "mv_1", "node", "worker-3", 1.0, 2.5,
@@ -214,12 +159,14 @@ class TestInstrumentedRun:
     def test_ledger_metrics_surface_on_the_bus(self, traced_run):
         bus, trace = traced_run
         report = trace.extras["tiered_store"]
-        counters = bus.metrics.snapshot()["counters"]
-        assert counters["store.spill.count"] == report["spill_count"]
-        assert counters["store.prefetch.count"] == (
-            report["prefetch"]["count"])
-        assert bus.metrics.histogram("node.elapsed_seconds").count == (
-            len(trace.nodes))
+        lines = dict(line.split(None, 1)
+                     for line in metrics_table(trace, bus.events)
+                     .splitlines())
+        assert lines["store.spill.count"] == f"{report['spill_count']:g}"
+        assert lines["store.prefetch.count"] == (
+            f"{report['prefetch']['count']:g}")
+        assert lines["node.elapsed_seconds"].startswith(
+            f"n={len(trace.nodes)} ")
 
 
 class TestChromeTraceExport:
@@ -274,18 +221,6 @@ class TestJsonlExport:
         assert events_from_jsonl(path) == []
 
 
-class TestTextTimeline:
-    def test_renders_every_lane(self, traced_run):
-        bus, _ = traced_run
-        text = text_timeline(bus.events)
-        assert "[worker-0]" in text
-        assert "#" in text   # span bars
-        assert "|" in text
-
-    def test_no_events(self):
-        assert text_timeline([]) == "(no events)"
-
-
 class TestOffByDefault:
     def test_events_off_run_emits_nothing_and_matches_pr5_golden(self):
         before = len(NULL_BUS.events)
@@ -311,13 +246,6 @@ class TestAttributionReport:
         assert (totals["read (disk)"] + totals["read (memory)"]
                 == pytest.approx(trace.table_read_latency))
         assert totals["stall"] == pytest.approx(trace.stall_time)
-
-    def test_breakdown_matches_runtrace_breakdown(self, traced_run):
-        _, trace = traced_run
-        ours = breakdown_from_stages(stage_totals(trace))
-        theirs = trace.breakdown()
-        for key in ("read", "compute", "write"):
-            assert ours[key] == pytest.approx(theirs[key])
 
     def test_table_renders_every_stage_and_the_fig3_axes(self,
                                                          traced_run):
