@@ -108,7 +108,7 @@ def metrics_table(trace: RunTrace, events: Sequence[Event]) -> str:
               for name, value in sorted(gauges.items())]
     if elapsed:
         total = 0.0
-        for seconds in elapsed:   # a running sum, in emission order
+        for seconds in elapsed:   # left to right: sum() compensates on 3.12+
             total += seconds
         lines.append(
             f"  {histogram:<{width}s}  n={len(elapsed)} sum={total:g} "
