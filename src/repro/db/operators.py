@@ -5,8 +5,13 @@ sort-merge-expanded equi-join: one stable sort of the build side, each
 probe key's run of matches located either through a direct-address
 count/offset table (dense integer keys) or by binary search (anything
 else), then a vectorized range expansion — skipped altogether when every
-probe row matches exactly once. The aggregate is lexsort + ``reduceat``.
-All standard columnar techniques that keep everything in C loops.
+probe row matches exactly once. The aggregate is a stable sort of the
+group keys + ``reduceat``. All standard columnar techniques that keep
+everything in C loops.
+
+A single dense integer key — a build key, a group key — is sorted as
+``uint16`` offsets from its minimum, which numpy radix-sorts in two
+passes where a wider key takes a merge sort (:func:`_stable_order`).
 """
 
 from __future__ import annotations
@@ -38,6 +43,31 @@ def project(table: Table, projections: list[Projection]) -> Table:
             raise SqlError(f"duplicate output column {item.alias!r}")
         columns[item.alias] = item.expr.evaluate(table)
     return Table(columns)
+
+
+#: A key whose values span at most this many integers is sorted as
+#: ``uint16`` offsets.
+_RADIX_SPAN = 1 << 16
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``, radix-sorted for a dense
+    integer key.
+
+    A stable sort has exactly one result, so sorting each key's offset
+    from the minimum instead of the key gives the same permutation.  The
+    offsets are taken in the *unsigned* arithmetic of the key's width,
+    where they cannot overflow: in int8, ``127 - (-128)`` wraps to -1,
+    in uint8 it is 255.
+    """
+    if keys.dtype.kind in "iu" and len(keys):
+        low = keys.min()
+        if int(keys.max()) - int(low) < _RADIX_SPAN:
+            unsigned = np.dtype(f"u{keys.itemsize}")
+            offsets = keys.view(unsigned) - low.astype(unsigned)
+            return np.argsort(offsets.astype(np.uint16, copy=False),
+                              kind="stable")
+    return np.argsort(keys, kind="stable")
 
 
 #: Direct addressing is used while the build side's key span is at most
@@ -114,7 +144,7 @@ def hash_join(left: Table, right: Table, left_key: str, right_key: str,
         right_columns = join_output_names(left_columns, right.column_names,
                                            right_key, right_prefix)
 
-    order = np.argsort(right_values, kind="stable")
+    order = _stable_order(right_values)
     runs = _direct_runs(left_values, right_values)
     if runs is None:
         sorted_values = right_values[order]
@@ -181,7 +211,8 @@ def _grouped_reduce(spec: AggSpec, values: np.ndarray | None,
 
 def aggregate(table: Table, group_by: list[str],
               aggs: list[AggSpec]) -> Table:
-    """Group-by aggregation via lexsort + ``reduceat``.
+    """Group-by aggregation via a stable sort + ``reduceat``: a single
+    key by :func:`_stable_order`, several by ``np.lexsort``.
 
     With an empty ``group_by`` this is a full-table aggregate producing one
     row (zero rows in → one row with COUNT 0 / neutral sums, matching SQL
@@ -227,7 +258,8 @@ def aggregate(table: Table, group_by: list[str],
             columns[spec.alias] = np.zeros(0, dtype=dtype)
         return Table(columns)
 
-    order = np.lexsort(keys[::-1])
+    order = (_stable_order(keys[0]) if len(keys) == 1
+             else np.lexsort(keys[::-1]))
     sorted_keys = [k[order] for k in keys]
     change = np.zeros(n, dtype=bool)
     change[0] = True

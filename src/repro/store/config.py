@@ -372,7 +372,14 @@ def minidb_spill_config(ram_compressed_gb: float = 0.0,
 
     The one builder of that hierarchy: the backend runs it and
     ``Controller.minidb_tier_budget`` prices it.
+
+    Raises:
+        ValidationError: for a rung size that is negative or NaN (zero
+            arms no rung).
     """
+    if not ram_compressed_gb >= 0:
+        raise ValidationError(
+            f"ram_compressed_gb must be >= 0, got {ram_compressed_gb!r}")
     tiers: tuple[TierSpec, ...] = (TierSpec("spill-disk"),)
     if ram_compressed_gb > 0:
         tiers = (TierSpec(RAM_COMPRESSED, ram_compressed_gb),) + tiers

@@ -139,6 +139,9 @@ REJECTED = {
                                     "{other_plan}"],
     "plan tiers without spill dir": [*_DB, "--plan-tiers"],
     "rung without spill dir": [*_DB, "--ram-compressed", "0.001"],
+    "negative rung": [*_DB, "--spill-dir", "{spill}", "--ram-compressed",
+                      "-1"],
+    "NaN rung": [*_DB, "--spill-dir", "{spill}", "--ram-compressed", "nan"],
     "minidb nothing to adapt": [*_DB, "--spill-dir", "{spill}",
                                 "--adaptive-codec"],
     "adaptation without spill dir": [*_DB, "--spill-codec", "zlib",

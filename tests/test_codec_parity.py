@@ -221,7 +221,11 @@ def test_dense_keys_are_counted_and_floats_are_sorted(sorted_columns):
     keys = Table({"k": rng.integers(-2_000, 3_000, 100_000)})
     blob = columnar_codec.encode_table(keys, "columnar")
     assert sorted_columns == []
-    assert blob == reference_codec.encode_table(keys, "columnar")
+    # uniform codes sample at ~0.12 and are stored, so the blob is not
+    # the parent's: hold the dictionary and the round trip instead
+    assert_same_dictionary(columnar_codec._dictionary(keys["k"]),
+                           reference_codec._dictionary(keys["k"]))
+    assert_same_table(columnar_codec.decode_table(blob), keys)
 
     wide = Table({"k": rng.integers(0, 10 * BOUND, 1_000)})
     measures = Table({"m": rng.integers(0, 50, 100_000) * 0.25})

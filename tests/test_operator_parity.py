@@ -1,10 +1,15 @@
 """Differential test: the sorting operators against their parent.
 
-``tests/reference_operators.py`` keeps the parent's ``aggregate``,
-``hash_join`` and ``Table.mask``, which lexsort, argsort and
-boolean-index; ``repro.db.operators`` and ``Table.mask`` must agree
-with them bit for bit:
+``repro.db.operators`` orders a single group key and a join's build key
+by :func:`~repro.db.operators._stable_order`, and ``Table.mask``
+gathers every column by one index array; ``tests/reference_operators.py``
+(the parent's code) lexsorts, argsorts and boolean-indexes.  A stable
+sort has one result, and a gather by the mask's indices picks the rows
+the mask picks, so nothing may show:
 
+* ``_stable_order`` equals ``np.argsort(kind="stable")`` for every
+  integer width, spans on both sides of the 65,536 bound, keys pinned
+  at the dtype's own minimum and maximum, and any other dtype;
 * ``aggregate``, ``hash_join`` and ``mask`` return bit-identical tables;
 * the 25 MVs of the benchmark's star equal the parent operators' MVs,
   column by column.
@@ -32,6 +37,7 @@ from tests.test_codec_parity import integer_columns
 from tests.test_select_binder import star_definitions
 from tests.test_table_format import (
     FLOAT_DTYPES,
+    INT_DTYPES,
     _column,
     assert_same_table,
     tables,
@@ -59,6 +65,72 @@ def keys(draw, rows: int | None = None):
     if rows is None:
         rows = draw(st.integers(0, 60))
     return draw(_column(dtype, rows))
+
+
+# ----------------------------------------------------------------------
+# _stable_order
+# ----------------------------------------------------------------------
+def assert_stable_argsort(column: np.ndarray) -> None:
+    order = operators._stable_order(column)
+    expected = np.argsort(column, kind="stable")
+    assert order.dtype == expected.dtype
+    assert order.tobytes() == expected.tobytes()
+
+
+@given(column=keys())
+def test_stable_order_is_a_stable_argsort(column):
+    assert_stable_argsort(column)
+
+
+def test_stable_order_at_the_edges_of_every_integer_dtype():
+    """Empty and one-row keys, keys pinned at the dtype's ends (where a
+    signed offset overflows) and spans of 65,536 and 65,537."""
+    for dtype in INT_DTYPES:
+        info = np.iinfo(dtype)
+        cases = [[], [info.min], [info.max], [info.max, info.min] * 3,
+                 [info.min, 0, info.min + 1, 0, info.min],
+                 [info.max, info.max - 1, 0] * 3]
+        if info.max - info.min >= 1 << 16:
+            for low in (info.min, info.max - (1 << 16), 0, -1):
+                low = max(info.min, min(low, info.max - (1 << 16)))
+                for span in (1 << 16, (1 << 16) + 1):
+                    cases.append([low + span - 1, low, low + 7, low,
+                                  low + span - 1, low + 1])
+        for values in cases:
+            assert_stable_argsort(np.array(values, dtype=dtype))
+
+
+@pytest.fixture
+def sorted_dtypes(monkeypatch) -> list[np.dtype]:
+    """Dtypes of the arrays ``np.argsort`` and ``np.lexsort`` sort."""
+    dtypes: list[np.dtype] = []
+    argsort, lexsort = np.argsort, np.lexsort
+
+    def counting_argsort(array, *args, **kwargs):
+        dtypes.append(np.asarray(array).dtype)
+        return argsort(array, *args, **kwargs)
+
+    def counting_lexsort(arrays, *args, **kwargs):
+        dtypes.extend(np.asarray(array).dtype for array in arrays)
+        return lexsort(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    monkeypatch.setattr(np, "lexsort", counting_lexsort)
+    return dtypes
+
+
+@pytest.mark.parametrize("span, sorted_as", [
+    (1 << 16, np.uint16), ((1 << 16) + 1, np.int64)])
+def test_dense_keys_are_sorted_as_uint16(sorted_dtypes, span, sorted_as):
+    """The join's build key and a single group key: radix-sorted while
+    their span fits 16 bits, sorted as they are past it."""
+    key = np.random.default_rng(7).integers(0, span, 5_000) - 2**62
+    key[:2] = (-2**62, -2**62 + span - 1)
+    table = Table({"k": key, "v": np.arange(len(key))})
+    operators.hash_join(table, table.rename({"k": "k2", "v": "w"}),
+                        "k", "k2")
+    operators.aggregate(table, ["k"], AGGS)
+    assert sorted_dtypes == [np.dtype(sorted_as)] * 2
 
 
 # ----------------------------------------------------------------------

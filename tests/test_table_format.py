@@ -246,6 +246,21 @@ def test_dictionary_codes_that_do_not_deflate_are_stored():
         columnar_codec.decode_table(bytes(damaged))
 
 
+def test_the_line_sits_between_uniform_item_and_store_keys():
+    """The codes of 2,000 uniformly drawn keys (an item key: the sample
+    saves 0.18) are stored; those of 40 (a store key: 0.30) deflate."""
+    rng = np.random.default_rng(17)
+    table = Table({"item": rng.integers(0, 2_000, 100_000),
+                   "store": rng.integers(0, 40, 100_000)})
+    blob = columnar_codec.encode_table(table, "columnar")
+    header, _ = split(blob)
+    item, store = header["columns"]
+    assert item["code_dtype"] == "<u2" and store["code_dtype"] == "|u1"
+    assert item["stored"] == [False, True]
+    assert "stored" not in store and "crc" not in store
+    assert_same_table(columnar_codec.decode_table(blob), table)
+
+
 def test_none_blob_records_a_crc_per_chunk():
     table = stored_table()
     header, _ = split(columnar_codec.encode_table(table, "none"))
