@@ -32,11 +32,11 @@ samples a chunk of 64 KiB or more first (three 16 KiB slices at its own
 level) and, unless the sample loses a quarter, *stores* the chunk as it
 is — float measures deflate to 0.95 of their size at a tenth of the
 speed of everything else, and the codes of uniformly drawn keys to
-0.82-0.88, which saves less than the inflate on every read costs.  The column's header entry then carries
-``"stored"`` (a bool per chunk) and ``"crc"`` (the CRC-32 of each stored
-chunk, ``null`` for a deflated one, which zlib's Adler-32 covers); an
-entry with no stored chunk has neither, and such a blob is byte for
-byte what the format always was.  ``none`` stores every chunk by
+0.82-0.88, which saves less than an inflate on every read costs.  The
+column's header entry then carries ``"stored"`` (a bool per chunk) and
+``"crc"`` (the CRC-32 of each stored chunk, ``null`` for a deflated
+one, which zlib's Adler-32 covers); an entry with no stored chunk has
+neither, and such a blob is byte for byte what the format always was.  ``none`` stores every chunk by
 definition and records the same ``"crc"`` list.  The decoder checks a
 stored chunk before it uses a byte of it; a column nobody asked for is
 neither inflated nor checked.  Dense integer keys get their dictionary

@@ -2,9 +2,11 @@
 — test-only.
 
 ``aggregate`` and ``hash_join`` below are the parent commit's
-``repro.db.operators`` functions of those names, bodies verbatim: a
-group-by orders its rows with ``np.lexsort`` whatever the keys are, and
-a join orders its build side with ``np.argsort(kind="stable")``.
+``repro.db.operators`` functions of those names, bodies verbatim but
+for ``aggregate``'s ungrouped case, which the change left alone and
+which is not kept here: a group-by orders its rows with ``np.lexsort``
+whatever the keys are, and a join orders its build side with
+``np.argsort(kind="stable")``.
 ``mask`` is the parent's ``Table.mask`` as a function: every column
 boolean-indexed by the predicate.  What the change left alone — the
 per-group reductions, the direct-address join runs, the output names —
@@ -90,32 +92,9 @@ def hash_join(left: Table, right: Table, left_key: str, right_key: str,
 def aggregate(table: Table, group_by: list[str],
               aggs: list[AggSpec]) -> Table:
     """Group-by aggregation via lexsort + ``reduceat``."""
-    if not aggs and not group_by:
-        raise ValidationError("aggregate needs group keys or aggregates")
-    n = len(table)
-
     if not group_by:
-        columns: dict[str, np.ndarray] = {}
-        for spec in aggs:
-            values = (spec.arg.evaluate(table)
-                      if spec.arg is not None else None)
-            if spec.func == "COUNT":
-                columns[spec.alias] = np.array([n], dtype=np.int64)
-            elif n == 0:
-                # neutral element in the argument's own dtype, so empty
-                # inputs don't silently promote integer columns to float
-                dtype = values.dtype if values is not None else np.float64
-                dtype = np.float64 if spec.func == "AVG" else dtype
-                columns[spec.alias] = np.zeros(1, dtype=dtype)
-            elif spec.func == "SUM":
-                columns[spec.alias] = np.array([values.sum()])
-            elif spec.func == "AVG":
-                columns[spec.alias] = np.array([values.mean()])
-            elif spec.func == "MIN":
-                columns[spec.alias] = np.array([values.min()])
-            elif spec.func == "MAX":
-                columns[spec.alias] = np.array([values.max()])
-        return Table(columns)
+        raise ValueError("the reference covers grouped aggregates only")
+    n = len(table)
 
     keys = [table[name] for name in group_by]
     if n == 0:
