@@ -3,11 +3,11 @@
 This module is the single source of truth for every string key that
 may appear in the tiered-store telemetry blob (built by
 ``TieredLedger.tier_report()`` and attached to traces by each
-backend's ``finish()``).  repro-lint's REP005 rule checks both sides
-against these constants: producers may only emit declared keys, and
-consumers (CLI spill report, feedback loop, bench experiments) may
-only read declared keys — so a typo fails the lint run instead of
-silently flatlining a metric.
+backend's ``finish()``).  REP005 in ``tests/test_analysis.py`` checks
+both sides of ``src/repro`` against these constants: producers may
+only emit declared keys, and consumers (CLI spill report, feedback
+loop, bench experiments) may only read declared keys — so a typo fails
+tier-1 instead of silently flatlining a metric.
 
 When adding a key: add it to the matching constant below *and* emit /
 consume it in the same PR.  Removing a key is a schema break — check

@@ -1,201 +1,873 @@
-"""repro-lint engine tests: per-rule fixtures, suppressions, the
-baseline ratchet, CLI exit codes, and the repo's own cleanliness.
+"""The project's invariant rules, as plain ``ast`` walks over ``src/repro``.
 
-Most tests drive the in-process API (`repro.analysis.analyze`) against
-tiny fixture trees under tmp_path; the CLI contract (exit codes 0
-clean / 1 violations / 2 config error) is exercised via subprocess,
-as is the acceptance check that `python -m repro.analysis src/repro`
-runs clean against the committed baseline.
+The golden traces and the fuzz harness check these promises at run
+time; the rules below check them on every line of the package, and
+the fixtures hold each rule to the cases it must catch and those it
+must leave alone:
+
+====== ============================ =========================================
+code   name                         protects
+====== ============================ =========================================
+REP001 wall-clock-in-logical-path   golden-trace determinism (logical clocks)
+REP002 unseeded-rng                 seeded tie-breaks, reproducible runs
+REP004 bus-guard                    <2% observability overhead when off
+REP005 extras-schema                ``extras["tiered_store"]`` key stability
+REP006 error-taxonomy               ``repro.errors``-only public failures
+REP007 unreachable-module           no module only tests or examples import
+====== ============================ =========================================
+
+A site that is exempt on purpose says why on its own line::
+
+    t0 = time.perf_counter()  # repro-lint: disable=REP001 -- real wall executor
+
+or, for a whole file, on a line of its own::
+
+    # repro-lint: file-disable=REP001 -- engine times real disk I/O
+
+A directive that is malformed, gives no reason after ``--``, names an
+unknown code or suppresses nothing is a ``REP000`` finding.
+``SUPPRESSION_BASELINE`` counts the reviewed suppressions, so a new
+one needs an edit here.  Each file is parsed once per pytest run; the
+rules and ``tests/test_reachability.py`` share the parse.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+import ast
+import builtins
+import collections
+import dataclasses
+import functools
+import io
+import re
+import tokenize
+from pathlib import Path, PurePosixPath
+from typing import Iterable, Iterator
 
 import pytest
 
-from repro.analysis import analyze
-from repro.analysis import baseline as baseline_mod
-from repro.analysis.config import LintConfig, LintConfigError, path_matches
-from repro.analysis.engine import HYGIENE_CODE
+from repro.bench.experiment import parse_toml
+from tests.report_schema import ALL_TIERED_STORE_KEYS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Config for fixture trees: schema checking off unless a test opts in.
-BARE = LintConfig(schema_module=None)
+# -- policy --------------------------------------------------------------
+
+#: REP001: files where a real wall-clock read is the point (MiniDB
+#: times its real disk I/O; the orchestrator enforces trial budgets)
+WALLCLOCK_ALLOW = frozenset({"src/repro/exec/minidb.py",
+                             "src/repro/bench/orchestrator.py"})
+#: REP004: the NULL_BUS-safe emission helpers, exempt as a unit
+BUS_HELPERS = frozenset({"src/repro/obs/events.py"})
+#: REP006: entry points whose failures are all ``ERROR_MODULE`` types
+ENTRY_POINTS = frozenset({"src/repro/cli.py",
+                          "src/repro/engine/controller.py"})
+ERROR_MODULE = "repro.errors"
+#: REP005: every declared ``extras["tiered_store"]`` key, and the
+#: functions that build the blob
+SCHEMA_KEYS = ALL_TIERED_STORE_KEYS
+SCHEMA_PRODUCERS = {
+    "src/repro/store/stats.py": frozenset({"report", "observed",
+                                           "adapted"}),
+    "src/repro/store/tenants.py": frozenset({"report"}),
+}
+#: (file, code) -> violations its directives suppress, as reviewed
+SUPPRESSION_BASELINE = {
+    ("src/repro/bench/experiments.py", "REP001"): 2,
+    ("src/repro/db/engine.py", "REP001"): 8,
+    ("src/repro/obs/events.py", "REP001"): 3,
+}
+
+RULES = ("REP001", "REP002", "REP004", "REP005", "REP006", "REP007")
+#: Directive problems; never suppressible
+HYGIENE_CODE = "REP000"
 
 
-def lint(tmp_path: Path, source: str, config: LintConfig = BARE,
-         filename: str = "mod.py"):
-    (tmp_path / "src").mkdir(exist_ok=True)
-    (tmp_path / "src" / filename).write_text(source, encoding="utf-8")
-    return analyze(tmp_path, ("src",), config)
+# -- parsed sources ------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True, order=True)
+class Violation:
+    rel: str
+    line: int
+    code: str
+    message: str
+
+    def __str__(self) -> str:
+        return f"{self.rel}:{self.line}: {self.code} {self.message}"
 
 
-def codes_and_lines(result):
-    return [(v.code, v.line) for v in result.active]
+@dataclasses.dataclass(frozen=True)
+class Directive:
+    line: int
+    scope: str  # "line" | "file"
+    codes: tuple[str, ...]
 
 
-# -- REP001 wall clock -------------------------------------------------
+_DIRECTIVE = re.compile(r"repro-lint:\s*(?P<rest>.*)$")
+_SUPPRESS = re.compile(
+    r"^(?P<scope>file-disable|disable)\s*=\s*"
+    r"(?P<codes>[A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)"
+    r"(?:\s*--\s*(?P<why>.*\S))?\s*$")
 
-def test_rep001_flags_time_calls_with_line(tmp_path):
-    result = lint(tmp_path, (
+
+class Source:
+    """One parsed file: its path, text, AST nodes (walked once) and
+    suppression directives, with the problems found in them."""
+
+    def __init__(self, rel: str, text: str) -> None:
+        self.rel = rel
+        self.text = text
+        self.tree = ast.parse(text, filename=rel)
+        self.nodes = list(ast.walk(self.tree))
+        self.directives: list[Directive] = []
+        self.problems: list[Violation] = []
+        if "repro-lint:" in text:
+            for token in tokenize.generate_tokens(io.StringIO(text).readline):
+                match = (token.type == tokenize.COMMENT
+                         and _DIRECTIVE.search(token.string))
+                if match:
+                    self._directive(token.start[0], match.group("rest"))
+
+    def _directive(self, line: int, rest: str) -> None:
+        match = _SUPPRESS.match(rest)
+        if match is None:
+            problem = ("malformed repro-lint directive; expected "
+                       "`# repro-lint: disable=REP00x -- justification`")
+        elif not match.group("why"):
+            problem = ("suppression is missing its justification; append "
+                       "` -- <why this site is exempt>`")
+        else:
+            codes = tuple(code.strip().upper()
+                          for code in match.group("codes").split(","))
+            unknown = [code for code in codes if code not in RULES]
+            if not unknown:
+                scope = ("file" if match.group("scope") == "file-disable"
+                         else "line")
+                self.directives.append(Directive(line, scope, codes))
+                return
+            problem = (f"suppression names unknown or unsuppressible "
+                       f"code(s) {', '.join(unknown)}")
+        self.problems.append(Violation(self.rel, line, HYGIENE_CODE, problem))
+
+    @functools.cached_property
+    def parents(self) -> dict[ast.AST, ast.AST]:
+        return {child: parent for parent in self.nodes
+                for child in ast.iter_child_nodes(parent)}
+
+
+@functools.lru_cache(maxsize=None)
+def parse(rel: str, text: str) -> Source:
+    return Source(rel, text)
+
+
+def read_tree(top: str) -> list[Source]:
+    """Every ``.py`` file under ``REPO_ROOT / top``, parsed."""
+    return [parse(path.relative_to(REPO_ROOT).as_posix(),
+                  path.read_text(encoding="utf-8"))
+            for path in sorted((REPO_ROOT / top).rglob("*.py"))
+            if "__pycache__" not in path.parts]
+
+
+def console_scripts(pyproject: str) -> list[str]:
+    """Modules named by the ``[project.scripts]`` table of a pyproject
+    text (the table alone goes to ``parse_toml``, whose 3.10 fallback
+    reads flat tables only)."""
+    table = pyproject.partition("[project.scripts]")[2]
+    table = re.split(r"^\[", table, maxsplit=1, flags=re.M)[0]
+    return [target.partition(":")[0].strip()
+            for target in parse_toml(table, name="[project.scripts]").values()]
+
+
+@functools.lru_cache(maxsize=None)
+def repo_inputs() -> tuple[list[Source], list[Source], list[str]]:
+    """What the rules read: the package, ``benchmarks/`` and the
+    console scripts."""
+    pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    return (read_tree("src/repro"), read_tree("benchmarks"),
+            console_scripts(pyproject))
+
+
+def dotted_name(node: ast.AST) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def _function_of(src: Source, node: ast.AST) -> ast.AST | None:
+    """The nearest enclosing (async) function, or None."""
+    current = src.parents.get(node)
+    while current is not None and not isinstance(
+            current, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        current = src.parents.get(current)
+    return current
+
+
+def _calls(src: Source) -> Iterator[ast.Call]:
+    return (node for node in src.nodes if isinstance(node, ast.Call))
+
+
+# -- REP001 wall clock ---------------------------------------------------
+# The simulator, planner and feedback loop run on a logical clock; one
+# real clock read makes traces differ run to run.  Fix: thread the `now`
+# the caller carries, or suppress where real hardware is measured.
+
+#: ``time`` functions that read a real clock
+WALL_CLOCKS = frozenset({
+    "time", "time_ns", "perf_counter", "perf_counter_ns",
+    "monotonic", "monotonic_ns", "clock_gettime", "clock_gettime_ns",
+    "process_time", "process_time_ns",
+})
+
+
+def rep001(src: Source, allow=WALLCLOCK_ALLOW) -> Iterator[Violation]:
+    if src.rel in allow:
+        return
+    aliases: set[str] = set()
+    direct: set[str] = set()
+    for node in src.nodes:
+        if isinstance(node, ast.Import):
+            aliases.update(item.asname or "time" for item in node.names
+                           if item.name == "time")
+        elif isinstance(node, ast.ImportFrom) and node.module == "time":
+            direct.update(item.asname or item.name for item in node.names
+                          if item.name in WALL_CLOCKS)
+    for call in _calls(src):
+        func, name = call.func, None
+        if isinstance(func, ast.Attribute):
+            receiver = dotted_name(func.value)
+            if receiver in aliases and func.attr in WALL_CLOCKS:
+                name = f"{receiver}.{func.attr}"
+        elif isinstance(func, ast.Name) and func.id in direct:
+            name = func.id
+        if name is not None:
+            yield Violation(
+                src.rel, call.lineno, "REP001",
+                f"wall-clock read `{name}()` in a logical-time path; "
+                f"thread the simulated clock instead, or allowlist/"
+                f"suppress if this measures real I/O")
+
+
+# -- REP002 unseeded RNG -------------------------------------------------
+# Every draw comes from a generator built with an explicit seed and
+# passed down; the module-level conveniences share process-wide state.
+
+#: constructors of a seedable generator
+SEEDED_RANDOM = frozenset({"Random", "SystemRandom"})
+SEEDED_NUMPY = frozenset({"default_rng", "Generator", "SeedSequence",
+                          "PCG64", "Philox", "MT19937"})
+
+
+def rep002(src: Source) -> Iterator[Violation]:
+    random_aliases: set[str] = set()
+    numpy_aliases = {"numpy.random", "np.random"}
+    direct: set[str] = set()
+    for node in src.nodes:
+        if isinstance(node, ast.Import):
+            for item in node.names:
+                if item.name == "random":
+                    random_aliases.add(item.asname or "random")
+                elif item.name == "numpy.random":
+                    numpy_aliases.add(item.asname or "numpy.random")
+        elif isinstance(node, ast.ImportFrom):
+            allowed = {"random": SEEDED_RANDOM,
+                       "numpy.random": SEEDED_NUMPY}.get(node.module)
+            for item in node.names:
+                if allowed is not None and item.name not in allowed:
+                    direct.add(item.asname or item.name)
+                elif node.module == "numpy" and item.name == "random":
+                    numpy_aliases.add(item.asname or "random")
+    for call in _calls(src):
+        func = call.func
+        if isinstance(func, ast.Name) and func.id in direct:
+            yield Violation(
+                src.rel, call.lineno, "REP002",
+                f"`{func.id}()` draws from the global RNG; pass a seeded "
+                f"Random/Generator instead")
+            continue
+        if not isinstance(func, ast.Attribute):
+            continue
+        receiver = dotted_name(func.value)
+        if receiver in random_aliases and func.attr not in SEEDED_RANDOM:
+            yield Violation(
+                src.rel, call.lineno, "REP002",
+                f"`{receiver}.{func.attr}()` uses the global random state; "
+                f"draw from a seeded `random.Random(seed)` passed in")
+        elif receiver in numpy_aliases and func.attr not in SEEDED_NUMPY:
+            yield Violation(
+                src.rel, call.lineno, "REP002",
+                f"`{receiver}.{func.attr}()` uses numpy's global RNG; draw "
+                f"from a seeded `default_rng(seed)` passed in")
+
+
+# -- REP004 bus guard ----------------------------------------------------
+# Events off must cost one attribute read per site: an emission sits
+# under `if bus.enabled:` (or after `if not bus.enabled: return`), so its
+# payload is never built, or goes through an obs/events.py helper.
+
+EMIT_METHODS = frozenset({"span", "instant", "counter"})
+
+
+def rep004(src: Source, helpers=BUS_HELPERS) -> Iterator[Violation]:
+    if src.rel in helpers:
+        return
+    for call in _calls(src):
+        func = call.func
+        if not isinstance(func, ast.Attribute) or func.attr not in EMIT_METHODS:
+            continue
+        receiver = dotted_name(func.value)
+        if (receiver is None or receiver.split(".")[-1] != "bus"
+                or _bus_guarded(src, call, f"{receiver}.enabled")):
+            continue
+        yield Violation(
+            src.rel, call.lineno, "REP004",
+            f"unguarded emission `{receiver}.{func.attr}(...)`; wrap in "
+            f"`if {receiver}.enabled:` or route through an obs/events.py "
+            f"helper")
+
+
+def _bus_guarded(src: Source, call: ast.Call, enabled: str) -> bool:
+    child: ast.AST = call
+    current = src.parents.get(call)
+    while current is not None and not isinstance(
+            current, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if (isinstance(current, ast.If) and child is not current.test
+                and not any(child is stmt for stmt in current.orelse)
+                and any(dotted_name(node) == enabled
+                        for node in ast.walk(current.test))):
+            return True
+        child, current = current, src.parents.get(current)
+    # an earlier `if not <bus>.enabled: return` in the enclosing function
+    for stmt in current.body if current is not None else ():
+        if stmt.lineno >= call.lineno:
+            break
+        test = getattr(stmt, "test", None)
+        if (isinstance(stmt, ast.If) and not stmt.orelse
+                and isinstance(test, ast.UnaryOp)
+                and isinstance(test.op, ast.Not)
+                and dotted_name(test.operand) == enabled
+                and isinstance(stmt.body[-1],
+                               (ast.Return, ast.Raise, ast.Continue))):
+            return True
+    return False
+
+
+# -- REP005 extras schema ------------------------------------------------
+# `RunTrace.extras["tiered_store"]` is the telemetry contract between the
+# store and the CLI, feedback loop and experiments; a drifted key reads
+# its `.get()` default and a metric flatlines.  Producers may build, and
+# consumers (expressions rooted at `*.extras["tiered_store"]`,
+# `*.extras.get("tiered_store")` or `*.tier_report()`, followed through
+# locals, loops and `.get` chains) may read, only declared keys.
+
+EXTRAS_KEY = "tiered_store"
+#: dict methods whose result still belongs to the report
+_CHAIN_METHODS = frozenset({"get", "items", "values", "keys", "copy",
+                            "setdefault"})
+
+
+def rep005(src: Source, declared=SCHEMA_KEYS,
+           producers=SCHEMA_PRODUCERS) -> Iterator[Violation]:
+    funcs = producers.get(src.rel, frozenset())
+    for function in src.nodes:
+        if (isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and function.name in funcs):
+            for node in ast.walk(function):
+                keys = (node.keys if isinstance(node, ast.Dict) else
+                        [target.slice for target in node.targets
+                         if isinstance(target, ast.Subscript)]
+                        if isinstance(node, ast.Assign) else [])
+                for key in keys:
+                    if (isinstance(key, ast.Constant)
+                            and isinstance(key.value, str)
+                            and key.value not in declared):
+                        yield Violation(
+                            src.rel, key.lineno, "REP005",
+                            f"undeclared tiered_store key {key.value!r} in "
+                            f"`{function.name}`; declare it in "
+                            f"tests/report_schema.py (or fix the typo)")
+    if EXTRAS_KEY not in src.text and "tier_report" not in src.text:
+        return  # no expression here can root a report
+    scopes: dict[ast.AST, list[ast.AST]] = {}
+    for node in src.nodes:
+        scopes.setdefault(_function_of(src, node), []).append(node)
+    for nodes in scopes.values():
+        yield from _consumer_scope(src, nodes, declared)
+
+
+def _consumer_scope(src: Source, nodes: list[ast.AST],
+                    declared) -> Iterator[Violation]:
+    tracked: set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for node in nodes:
+            targets: list[ast.AST] = []
+            if isinstance(node, ast.Assign) and _reportish(node.value,
+                                                           tracked):
+                targets = node.targets
+            elif (isinstance(node, (ast.For, ast.AsyncFor))
+                  and _reportish(node.iter, tracked)):
+                targets = [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id not in tracked:
+                    tracked.add(target.id)
+                    changed = True
+    seen: set[tuple[int, str]] = set()
+    for node in nodes:
+        if isinstance(node, ast.Subscript):
+            key, report = node.slice, node.value
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and node.args):
+            key, report = node.args[0], node.func.value
+        else:
+            continue
+        if (not isinstance(key, ast.Constant)
+                or not isinstance(key.value, str)
+                or key.value == EXTRAS_KEY or key.value in declared
+                or (node.lineno, key.value) in seen
+                or not _reportish(report, tracked)):
+            continue
+        seen.add((node.lineno, key.value))
+        yield Violation(
+            src.rel, node.lineno, "REP005",
+            f"read of undeclared tiered_store key {key.value!r}; declare "
+            f"it in tests/report_schema.py (or fix the typo)")
+
+
+def _is_root(node: ast.AST) -> bool:
+    if isinstance(node, ast.Subscript):
+        return (isinstance(node.value, ast.Attribute)
+                and node.value.attr == "extras"
+                and isinstance(node.slice, ast.Constant)
+                and node.slice.value == EXTRAS_KEY)
+    if not (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)):
+        return False
+    func = node.func
+    return func.attr == "tier_report" or (
+        func.attr == "get" and isinstance(func.value, ast.Attribute)
+        and func.value.attr == "extras" and bool(node.args)
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == EXTRAS_KEY)
+
+
+def _reportish(node: ast.AST, tracked: set[str]) -> bool:
+    """Does this expression denote (part of) a tiered_store report?"""
+    if _is_root(node):
+        return True
+    if isinstance(node, ast.Name):
+        return node.id in tracked
+    if isinstance(node, ast.Subscript):
+        return _reportish(node.value, tracked)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _CHAIN_METHODS):
+        return _reportish(node.func.value, tracked)
+    if isinstance(node, ast.BoolOp):
+        return any(_reportish(value, tracked) for value in node.values)
+    if isinstance(node, ast.IfExp):
+        return (_reportish(node.body, tracked)
+                or _reportish(node.orelse, tracked))
+    return False
+
+
+# -- REP006 error taxonomy -----------------------------------------------
+# The CLI maps `repro.errors` types to exit codes, and embedders catch
+# `ReproError`; a builtin raised from an entry point escapes both.
+# Allowed: names imported from `repro.errors`, local subclasses of them,
+# bare re-raises and names the walk cannot resolve.
+
+BUILTIN_EXCEPTIONS = frozenset(
+    name for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, BaseException))
+
+
+def rep006(src: Source, entry_points=ENTRY_POINTS) -> Iterator[Violation]:
+    if src.rel not in entry_points:
+        return
+    allowed = _taxonomy_names(src)
+    for node in src.nodes:
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        name = dotted_name(exc)
+        if (name is not None and name not in allowed
+                and name.split(".")[-1] in BUILTIN_EXCEPTIONS):
+            yield Violation(
+                src.rel, node.lineno, "REP006",
+                f"entry point raises builtin `{name}`; raise a "
+                f"`{ERROR_MODULE}` type instead so the CLI exit-code "
+                f"mapping and embedders' `except ReproError` keep working")
+
+
+def _taxonomy_names(src: Source) -> set[str]:
+    """Names bound to ``ERROR_MODULE`` types: its imports, aliases of
+    the module itself, and local subclasses of either."""
+    allowed: set[str] = set()
+    tail = ERROR_MODULE.rsplit(".", 1)[-1]
+    for node in src.nodes:
+        if isinstance(node, ast.ImportFrom) and (
+                node.module == ERROR_MODULE
+                or (node.level > 0 and node.module == tail)):
+            allowed.update(item.asname or item.name for item in node.names)
+        elif isinstance(node, ast.Import):
+            allowed.update(item.asname or ERROR_MODULE for item in node.names
+                           if item.name == ERROR_MODULE)
+    classes = [node for node in src.nodes if isinstance(node, ast.ClassDef)]
+    changed = True
+    while changed:
+        changed = False
+        for node in classes:
+            bases = [dotted_name(base) for base in node.bases]
+            if node.name not in allowed and any(
+                    base is not None and (base in allowed
+                                          or base.split(".")[0] in allowed)
+                    for base in bases):
+                allowed.add(node.name)
+                changed = True
+    return allowed
+
+
+# -- REP007 unreachable module -------------------------------------------
+# A module only tests or examples import is kept alive by its own tests.
+# Roots: the console scripts, every `__main__.py` or module with an
+# `if __name__ == "__main__":` guard, every file outside a package, and
+# what `benchmarks/` imports.  Edges: every import at any depth, and
+# every string constant equal to a module's dotted `a.b` name (a lazily
+# imported table); `from pkg import name` follows the `__init__`'s own
+# binding of `name`.  Fix: delete the module, or move an oracle under
+# tests/.
+
+#: an import: (module, the name imported from it or None for all of it)
+Edge = tuple[str, "str | None"]
+
+
+def rep007(package: list[Source], benchmarks: Iterable[Source] = (),
+           scripts: Iterable[str] = ()) -> Iterator[Violation]:
+    rels = {src.rel for src in package}
+    files: dict[str, tuple[Source, bool]] = {}  # name -> (src, is package)
+    roots: list[Edge] = [(target, None) for target in scripts]
+    for src in package:
+        name, packaged = _module_name(src.rel, rels)
+        files[name] = (src, src.rel.endswith("/__init__.py"))
+        if (not packaged or src.rel.endswith("/__main__.py")
+                or _has_main_guard(src)):
+            roots.append((name, None))
+    for src in benchmarks:
+        roots += _edges(src, "", False, files)
+
+    reached: set[str] = set()
+    seen: set[Edge] = set()
+    stack = roots
+    while stack:
+        edge = stack.pop()
+        target, attr = edge
+        if edge in seen or target not in files:
+            continue
+        seen.add(edge)
+        # importing a module runs every package __init__ above it
+        parts = target.split(".")
+        reached.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
+        src, is_package = files[target]
+        bindings = _bindings(src, target) if is_package else {}
+        if attr is not None and f"{target}.{attr}" in files:
+            stack.append((f"{target}.{attr}", None))
+        elif attr is not None and attr in bindings:
+            stack.append(bindings[attr])
+        else:
+            stack.extend(_edges(src, target, is_package, files))
+    for name, (src, _) in sorted(files.items()):
+        if name not in reached:
+            yield Violation(
+                src.rel, 1, "REP007",
+                f"module `{name}` is reachable from no run path (console "
+                f"script, __main__ module, benchmarks/); delete it, or move "
+                f"a test oracle under tests/")
+
+
+def _module_name(rel: str, rels: set[str]) -> tuple[str, bool]:
+    """Dotted name of ``rel`` from the packages (directories holding an
+    ``__init__.py``) above it, and whether it is in a package at all."""
+    path = PurePosixPath(rel)
+    parts = [] if path.name == "__init__.py" else [path.stem]
+    parent = path.parent
+    while f"{parent}/__init__.py" in rels:
+        parts.append(parent.name)
+        parent = parent.parent
+    return ".".join(reversed(parts)), parent != path.parent
+
+
+@functools.lru_cache(maxsize=None)
+def _has_main_guard(src: Source) -> bool:
+    return any(isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"
+               for node in src.tree.body)
+
+
+def _absolute(node: ast.ImportFrom, name: str, is_package: bool) -> str:
+    """The module a (possibly relative) ``from ... import`` names."""
+    if not node.level:
+        return node.module or ""
+    package = (name if is_package else name.rpartition(".")[0]).split(".")
+    base = package[:len(package) - node.level + 1]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+@functools.lru_cache(maxsize=None)
+def _imports(src: Source, name: str, is_package: bool) -> list[Edge]:
+    edges: list[Edge] = []
+    for node in src.nodes:
+        if isinstance(node, ast.Import):
+            edges += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = _absolute(node, name, is_package)
+            edges += [(module, None if alias.name == "*" else alias.name)
+                      for alias in node.names]
+    return edges
+
+
+@functools.lru_cache(maxsize=None)
+def _dotted_strings(src: Source) -> list[str]:
+    return [node.value for node in src.nodes
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and "." in node.value]
+
+
+def _edges(src: Source, name: str, is_package: bool, known) -> list[Edge]:
+    """Every import in ``src``, plus every string constant that is a
+    ``known`` module's dotted name (a bare top-level name like
+    ``"repro"`` is more often a path component than an import, so it
+    needs the dot)."""
+    return _imports(src, name, is_package) + [
+        (text, None) for text in _dotted_strings(src) if text in known]
+
+
+@functools.lru_cache(maxsize=None)
+def _bindings(src: Source, name: str) -> dict[str, Edge]:
+    """Name -> import edge for each name a package ``__init__`` binds
+    by a top-level import (its re-exports)."""
+    bound: dict[str, Edge] = {}
+    for node in src.tree.body:
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname, (alias.name, None))
+                         for alias in node.names if alias.asname)
+        elif isinstance(node, ast.ImportFrom):
+            module = _absolute(node, name, True)
+            bound.update((alias.asname or alias.name, (module, alias.name))
+                         for alias in node.names if alias.name != "*")
+    return bound
+
+
+# -- running the rules ---------------------------------------------------
+
+@dataclasses.dataclass
+class Result:
+    active: list[Violation]      # rule findings and directive problems
+    suppressed: list[Violation]  # silenced by a directive
+
+
+def check(package: list[Source], benchmarks: Iterable[Source] = (),
+          scripts: Iterable[str] = (), *, wallclock_allow=WALLCLOCK_ALLOW,
+          bus_helpers=BUS_HELPERS, declared=SCHEMA_KEYS,
+          producers=SCHEMA_PRODUCERS,
+          entry_points=ENTRY_POINTS) -> Result:
+    """Every rule over ``package``, then its suppression directives."""
+    raw = list(rep007(package, benchmarks, scripts))
+    for src in package:
+        raw += [*rep001(src, wallclock_allow), *rep002(src),
+                *rep004(src, bus_helpers),
+                *rep005(src, declared, producers),
+                *rep006(src, entry_points)]
+    by_rel = {src.rel: src for src in package}
+    active: list[Violation] = []
+    suppressed: list[Violation] = []
+    used: set[tuple[str, int, str]] = set()
+    for violation in sorted(raw):
+        hits = [d.line for d in by_rel[violation.rel].directives
+                if violation.code in d.codes
+                and (d.scope == "file" or d.line == violation.line)]
+        used.update((violation.rel, line, violation.code) for line in hits)
+        (suppressed if hits else active).append(violation)
+    for src in package:
+        active += src.problems
+        for directive in src.directives:
+            stale = [code for code in directive.codes
+                     if (src.rel, directive.line, code) not in used]
+            if stale:
+                active.append(Violation(
+                    src.rel, directive.line, HYGIENE_CODE,
+                    f"suppression for {', '.join(stale)} matches no "
+                    f"violation; delete the stale directive"))
+    return Result(sorted(active), suppressed)
+
+
+def audit(suppressed: list[Violation], baseline: dict) -> list[str]:
+    """Where the suppressed counts per (file, code) differ from
+    ``baseline``."""
+    counts = collections.Counter((v.rel, v.code) for v in suppressed)
+    return [f"{rel}: {counts[rel, code]} {code} suppression(s), "
+            f"{baseline.get((rel, code), 0)} in SUPPRESSION_BASELINE"
+            for rel, code in sorted(set(counts) | set(baseline))
+            if counts[rel, code] != baseline.get((rel, code), 0)]
+
+
+@functools.lru_cache(maxsize=None)
+def repo_result() -> Result:
+    return check(*repo_inputs())
+
+
+# -- the repo ------------------------------------------------------------
+
+# REP007's check of the repo is tests/test_reachability.py, one case
+# per module
+@pytest.mark.parametrize("code", [code for code in RULES if code != "REP007"])
+def test_repo_obeys_the_rule(code):
+    found = [str(v) for v in repo_result().active if v.code == code]
+    assert not found, "\n".join(found)
+
+
+def test_repo_is_clean_against_committed_baseline():
+    """Every directive in src/ is well formed and used, and the
+    suppressions are the reviewed ones."""
+    result = repo_result()
+    problems = [str(v) for v in result.active if v.code == HYGIENE_CODE]
+    problems += audit(result.suppressed, SUPPRESSION_BASELINE)
+    assert not problems, "\n".join(problems)
+
+
+def test_console_scripts_read_under_the_310_fallback():
+    """``parse_toml`` falls back to a flat-table parser without
+    ``tomllib``; the slice it is handed must read the same there."""
+    from repro.bench.experiment import _parse_simple_toml
+    pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    table = re.split(r"^\[", pyproject.partition("[project.scripts]")[2],
+                     maxsplit=1, flags=re.M)[0]
+    assert console_scripts(pyproject) == ["repro.cli"]
+    assert _parse_simple_toml(table) == parse_toml(table)
+
+
+# -- fixtures ------------------------------------------------------------
+
+def lint(source: str, filename: str = "mod.py", **policy) -> list[Violation]:
+    return check([parse(f"src/{filename}", source)], **policy).active
+
+
+def codes_and_lines(active: list[Violation]) -> list[tuple[str, int]]:
+    return [(v.code, v.line) for v in active]
+
+
+def test_rep001_flags_time_calls_with_line():
+    assert codes_and_lines(lint(
         "import time\n"
         "from time import perf_counter as pc\n"
         "a = time.perf_counter()\n"
         "b = pc()\n"
-        "c = time.monotonic()\n"))
-    assert codes_and_lines(result) == [
+        "c = time.monotonic()\n")) == [
         ("REP001", 3), ("REP001", 4), ("REP001", 5)]
 
 
-def test_rep001_ignores_non_clock_time_functions(tmp_path):
-    result = lint(tmp_path, "import time\ntime.sleep(0)\n")
-    assert result.active == []
+def test_rep001_ignores_non_clock_time_functions():
+    assert lint("import time\ntime.sleep(0)\n") == []
 
 
-def test_rep001_allowlisted_file_is_exempt(tmp_path):
-    config = LintConfig(schema_module=None,
-                        wallclock_allow=("minidb.py", "bench/"))
-    result = lint(tmp_path, "import time\ntime.time()\n",
-                  config, filename="minidb.py")
-    assert result.active == []
+def test_rep001_allowlisted_file_is_exempt():
+    assert lint("import time\ntime.time()\n", filename="minidb.py",
+                wallclock_allow={"src/minidb.py"}) == []
 
 
-# -- REP002 unseeded RNG ----------------------------------------------
-
-def test_rep002_flags_global_rng_calls(tmp_path):
-    result = lint(tmp_path, (
+def test_rep002_flags_global_rng_calls():
+    assert codes_and_lines(lint(
         "import random\n"
         "import numpy as np\n"
         "from random import shuffle\n"
         "x = random.random()\n"
         "np.random.rand(3)\n"
-        "shuffle([1, 2])\n"))
-    assert codes_and_lines(result) == [
+        "shuffle([1, 2])\n")) == [
         ("REP002", 4), ("REP002", 5), ("REP002", 6)]
 
 
-def test_rep002_allows_seeded_constructors(tmp_path):
-    result = lint(tmp_path, (
+def test_rep002_allows_seeded_constructors():
+    assert lint(
         "import random\n"
         "import numpy as np\n"
         "rng = random.Random(7)\n"
         "gen = np.random.default_rng(7)\n"
-        "rng.random(); gen.normal()\n"))
-    assert result.active == []
+        "rng.random(); gen.normal()\n") == []
 
 
-# -- REP004 bus guard --------------------------------------------------
-
-def test_rep004_flags_unguarded_emission(tmp_path):
-    result = lint(tmp_path, (
+def test_rep004_flags_unguarded_emission():
+    assert codes_and_lines(lint(
         "def run(bus):\n"
-        "    bus.instant('x', 'lane', 0.0)\n"))
-    assert codes_and_lines(result) == [("REP004", 2)]
+        "    bus.instant('x', 'lane', 0.0)\n")) == [("REP004", 2)]
 
 
-def test_rep004_accepts_guards_and_guard_clauses(tmp_path):
-    result = lint(tmp_path, (
+def test_rep004_accepts_guards_and_guard_clauses():
+    assert lint(
         "def wrapped(bus):\n"
         "    if bus.enabled:\n"
         "        bus.instant('x', 'lane', 0.0)\n"
         "def clause(self):\n"
         "    if not self.bus.enabled:\n"
         "        return\n"
-        "    self.bus.counter('a', 'b', 0.0, 1)\n"))
-    assert result.active == []
+        "    self.bus.counter('a', 'b', 0.0, 1)\n") == []
 
 
-def test_rep004_else_branch_is_not_guarded(tmp_path):
-    result = lint(tmp_path, (
+def test_rep004_else_branch_is_not_guarded():
+    assert codes_and_lines(lint(
         "def run(bus):\n"
         "    if bus.enabled:\n"
         "        pass\n"
         "    else:\n"
-        "        bus.instant('x', 'lane', 0.0)\n"))
-    assert codes_and_lines(result) == [("REP004", 5)]
+        "        bus.instant('x', 'lane', 0.0)\n")) == [("REP004", 5)]
 
 
-def test_rep004_helper_module_is_exempt(tmp_path):
-    config = LintConfig(schema_module=None,
-                        bus_helper_files=("events.py",))
-    result = lint(tmp_path, "def f(bus):\n    bus.span('a','b',0,1)\n",
-                  config, filename="events.py")
-    assert result.active == []
+def test_rep004_helper_module_is_exempt():
+    assert lint("def f(bus):\n    bus.span('a','b',0,1)\n",
+                filename="events.py", bus_helpers={"src/events.py"}) == []
 
 
-# -- REP005 extras schema ---------------------------------------------
-
-SCHEMA_SOURCE = (
-    'DECLARED = frozenset({\n'
-    '    "spill_count",\n'
-    '    "tiers",\n'
-    '    "name",\n'
-    '})\n')
+#: a declared schema and one producer for the REP005 fixtures
+SCHEMA = dict(declared=frozenset({"spill_count", "tiers", "name"}),
+              producers={"src/mod.py": {"tier_report"}})
 
 
-def schema_config(tmp_path: Path) -> LintConfig:
-    (tmp_path / "schema.py").write_text(SCHEMA_SOURCE, encoding="utf-8")
-    return LintConfig(
-        schema_module="schema.py",
-        schema_constants=("DECLARED",),
-        schema_producers=("mod.py::tier_report",))
-
-
-def test_rep005_flags_undeclared_producer_key(tmp_path):
-    config = schema_config(tmp_path)
-    result = lint(tmp_path, (
+def test_rep005_flags_undeclared_producer_key():
+    active = lint(
         "def tier_report(self):\n"
-        "    return {'spill_count': 1, 'spil_count_typo': 2}\n"),
-        config)
-    assert codes_and_lines(result) == [("REP005", 2)]
-    assert "spil_count_typo" in result.active[0].message
+        "    return {'spill_count': 1, 'spil_count_typo': 2}\n", **SCHEMA)
+    assert codes_and_lines(active) == [("REP005", 2)]
+    assert "spil_count_typo" in active[0].message
 
 
-def test_rep005_follows_consumer_dataflow(tmp_path):
-    config = schema_config(tmp_path)
+def test_rep005_follows_consumer_dataflow():
     # the typo'd nested read is caught; declared keys pass
-    result = lint(tmp_path, (
+    assert codes_and_lines(lint(
         "def read(trace):\n"
         "    report = trace.extras.get('tiered_store') or {}\n"
         "    ok = report.get('spill_count', 0)\n"
         "    for tier in report['tiers']:\n"
         "        tier['name']\n"
-        "        tier['nmae']\n"), config)
-    assert codes_and_lines(result) == [("REP005", 6)]
+        "        tier['nmae']\n", **SCHEMA)) == [("REP005", 6)]
 
 
-def test_rep005_missing_schema_module_is_config_error(tmp_path):
-    config = LintConfig(schema_module="nope.py",
-                        schema_constants=("DECLARED",))
-    with pytest.raises(LintConfigError):
-        lint(tmp_path, "x = 1\n", config)
-
-
-# -- REP006 error taxonomy --------------------------------------------
-
-def test_rep006_flags_builtin_raise_in_entry_point(tmp_path):
-    config = LintConfig(schema_module=None,
-                        error_taxonomy_files=("cli.py",))
-    result = lint(tmp_path, (
+def test_rep006_flags_builtin_raise_in_entry_point():
+    assert codes_and_lines(lint(
         "from repro.errors import ValidationError\n"
         "class LocalError(ValidationError):\n"
         "    pass\n"
         "def main(argv):\n"
-        "    raise ValueError('bad')\n"),
-        config, filename="cli.py")
-    assert codes_and_lines(result) == [("REP006", 5)]
+        "    raise ValueError('bad')\n",
+        filename="cli.py", entry_points={"src/cli.py"})) == [("REP006", 5)]
 
 
-def test_rep006_allows_taxonomy_and_unresolved_names(tmp_path):
-    config = LintConfig(schema_module=None,
-                        error_taxonomy_files=("cli.py",))
-    result = lint(tmp_path, (
+def test_rep006_allows_taxonomy_and_unresolved_names():
+    assert lint(
         "from repro.errors import ValidationError\n"
         "class LocalError(ValidationError):\n"
         "    pass\n"
@@ -204,17 +876,13 @@ def test_rep006_allows_taxonomy_and_unresolved_names(tmp_path):
         "        raise ValidationError('x')\n"
         "    if exc:\n"
         "        raise exc\n"
-        "    raise LocalError('y')\n"),
-        config, filename="cli.py")
-    assert result.active == []
+        "    raise LocalError('y')\n",
+        filename="cli.py", entry_points={"src/cli.py"}) == []
 
 
-def test_rep006_only_applies_to_configured_files(tmp_path):
-    result = lint(tmp_path, "def f():\n    raise ValueError('x')\n")
-    assert result.active == []
+def test_rep006_only_applies_to_configured_files():
+    assert lint("def f():\n    raise ValueError('x')\n") == []
 
-
-# -- REP007 unreachable module ----------------------------------------
 
 #: A package tree: ``pkg.cli`` is the console script, ``benchmarks/``
 #: imports ``pkg.api``; everything else is reached only as noted.
@@ -236,218 +904,101 @@ REACH_TREE = {
     "src/pkg/tabled.py": "x = 1\n",
     "src/pkg/lazy.py": "x = 1\n",
     "src/pkg/tool.py": "if __name__ == '__main__':\n    print(1)\n",
-    "src/pkg/schema.py": SCHEMA_SOURCE,
 }
 
 
-def lint_tree(tmp_path: Path, tree: dict[str, str]):
-    for rel, source in tree.items():
-        path = tmp_path / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(source, encoding="utf-8")
-    return analyze(tmp_path, ("src",), LintConfig(
-        schema_module="src/pkg/schema.py", schema_constants=("DECLARED",),
-        schema_producers=()))
+def lint_tree(tree: dict[str, str]) -> list[Violation]:
+    sources = {rel: parse(rel, text) for rel, text in tree.items()
+               if rel.endswith(".py")}
+    return check(
+        [src for rel, src in sources.items() if rel.startswith("src/")],
+        [src for rel, src in sources.items() if rel.startswith("benchmarks/")],
+        console_scripts(tree["pyproject.toml"])).active
 
 
-def test_rep007_flags_test_only_modules(tmp_path):
+def test_rep007_flags_test_only_modules():
     """Re-exported by the package but imported by no run path, and named
     only inside a docstring: both are test-only."""
-    result = lint_tree(tmp_path, REACH_TREE)
-    assert [(v.code, v.path, v.line) for v in result.active] == [
+    assert [(v.code, v.rel, v.line) for v in lint_tree(REACH_TREE)] == [
         ("REP007", "src/pkg/dead.py", 1),
         ("REP007", "src/pkg/doconly.py", 1)]
 
 
-def test_rep007_quiet_on_every_kind_of_root_and_edge(tmp_path):
+def test_rep007_quiet_on_every_kind_of_root_and_edge():
     """A lazy relative import, an exact dotted-name string, a
-    ``__main__`` guard, the console script and the schema module."""
+    ``__main__`` guard and the console script."""
     tree = dict(REACH_TREE)
     tree["src/pkg/__init__.py"] = "from pkg.api import run\n"
     tree["src/pkg/api.py"] += "BACKENDS['doc'] = 'pkg.doconly'\n"
     tree["src/pkg/dead.py"] = ""
     tree["benchmarks/perf/run.py"] += "import pkg.dead\n"
-    assert lint_tree(tmp_path, tree).active == []
+    assert lint_tree(tree) == []
 
 
-def test_rep007_follows_the_binding_not_the_whole_init(tmp_path):
+def test_rep007_follows_the_binding_not_the_whole_init():
     tree = dict(REACH_TREE)
     tree["benchmarks/perf/run.py"] = "from pkg import run\n"
-    flagged = [v.path for v in lint_tree(tmp_path, tree).active]
     # `run` binds pkg.api, whose lazy import and string stay edges;
     # `helper` (pkg.dead) is never asked for
-    assert flagged == ["src/pkg/dead.py", "src/pkg/doconly.py"]
+    assert [v.rel for v in lint_tree(tree)] == [
+        "src/pkg/dead.py", "src/pkg/doconly.py"]
     tree["benchmarks/perf/run.py"] = "import pkg\n"
-    flagged = [v.path for v in lint_tree(tmp_path, tree).active]
-    assert flagged == ["src/pkg/doconly.py"]
+    assert [v.rel for v in lint_tree(tree)] == ["src/pkg/doconly.py"]
 
 
-# -- suppressions ------------------------------------------------------
+# -- suppressions --------------------------------------------------------
 
-def test_suppression_silences_and_inventories(tmp_path):
-    result = lint(tmp_path, (
+def test_suppression_silences_and_inventories():
+    result = check([parse("src/mod.py", (
         "import time\n"
-        "t = time.time()  # repro-lint: disable=REP001 -- real I/O timer\n"))
+        "t = time.time()  # repro-lint: disable=REP001 -- real I/O timer\n"))])
     assert result.active == []
-    assert [v.code for v in result.suppressed] == ["REP001"]
-    assert result.suppression_inventory() == {
-        ("REP001", "src/mod.py"): 1}
+    assert audit(result.suppressed, {("src/mod.py", "REP001"): 1}) == []
 
 
-def test_file_scope_suppression_covers_all_lines(tmp_path):
-    result = lint(tmp_path, (
+def test_file_scope_suppression_covers_all_lines():
+    result = check([parse("src/mod.py", (
         "# repro-lint: file-disable=REP001 -- whole module times real I/O\n"
         "import time\n"
         "a = time.time()\n"
-        "b = time.monotonic()\n"))
+        "b = time.monotonic()\n"))])
     assert result.active == []
     assert len(result.suppressed) == 2
 
 
-def test_suppression_without_justification_is_hygiene_error(tmp_path):
-    result = lint(tmp_path, (
+def test_suppression_without_justification_is_hygiene_error():
+    codes = [v.code for v in lint(
         "import time\n"
-        "t = time.time()  # repro-lint: disable=REP001\n"))
+        "t = time.time()  # repro-lint: disable=REP001\n")]
     # the directive is rejected, so the violation stays active too
-    codes = [v.code for v in result.active]
     assert HYGIENE_CODE in codes and "REP001" in codes
 
 
-def test_unknown_code_and_unused_suppression_are_hygiene_errors(tmp_path):
-    result = lint(tmp_path, (
+def test_unknown_code_and_unused_suppression_are_hygiene_errors():
+    messages = [v.message for v in lint(
         "x = 1  # repro-lint: disable=REP999 -- no such rule\n"
-        "y = 2  # repro-lint: disable=REP001 -- nothing to suppress here\n"))
-    messages = [v.message for v in result.active]
-    assert len(messages) == 2
+        "y = 2  # repro-lint: disable=REP001 -- nothing to suppress here\n"
+        "z = 3  # repro-lint: disable REP001\n")]
+    assert len(messages) == 3
     assert any("unknown" in m for m in messages)
     assert any("matches no" in m for m in messages)
+    assert any("malformed" in m for m in messages)
 
 
-# -- baseline ratchet --------------------------------------------------
-
-VIOLATING = "import time\na = time.time()\nb = time.monotonic()\n"
-
-
-def test_baseline_ratchet(tmp_path):
-    result = lint(tmp_path, VIOLATING)
-    assert len(result.violations) == 2
-    baseline_path = tmp_path / "baseline.json"
-    baseline_mod.save(baseline_path, result)
-    baseline = baseline_mod.load(baseline_path)
-
-    # same findings: clean against the baseline
-    delta = baseline_mod.compare(result, baseline)
-    assert delta.clean and delta.fixed == 0
-
-    # one violation fixed: still clean, improvement reported
-    improved = lint(tmp_path, "import time\na = time.time()\n")
-    delta = baseline_mod.compare(improved, baseline)
-    assert delta.clean and delta.fixed == 1
-
-    # a new violation appears: ratchet fails with exactly the new one
-    worse = lint(tmp_path, VIOLATING + "c = time.perf_counter()\n")
-    delta = baseline_mod.compare(worse, baseline)
-    assert not delta.clean
-    assert [(v.code, v.line) for v in delta.new] == [("REP001", 4)]
-
-
-def test_baseline_audits_new_suppressions(tmp_path):
-    clean = lint(tmp_path, "x = 1\n")
-    baseline_path = tmp_path / "baseline.json"
-    baseline_mod.save(baseline_path, clean)
-    suppressing = lint(tmp_path, (
+def test_baseline_audits_new_suppressions():
+    """A suppression the baseline does not list fails the audit, as
+    does a listed one that went away."""
+    suppressed = check([parse("src/mod.py", (
         "import time\n"
-        "t = time.time()  # repro-lint: disable=REP001 -- real timer\n"))
-    delta = baseline_mod.compare(suppressing,
-                                 baseline_mod.load(baseline_path))
-    assert not delta.clean
-    assert delta.new_suppressions == [("REP001", "src/mod.py", 1, 0)]
+        "t = time.time()  # repro-lint: disable=REP001 -- real timer\n"
+    ))]).suppressed
+    assert audit(suppressed, {}) == [
+        "src/mod.py: 1 REP001 suppression(s), 0 in SUPPRESSION_BASELINE"]
+    assert audit([], {("src/mod.py", "REP001"): 1}) == [
+        "src/mod.py: 0 REP001 suppression(s), 1 in SUPPRESSION_BASELINE"]
 
 
-def test_malformed_baseline_is_config_error(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text("{\"version\": 99}", encoding="utf-8")
-    with pytest.raises(LintConfigError):
-        baseline_mod.load(bad)
-
-
-# -- config ------------------------------------------------------------
-
-def test_path_matches_suffix_and_directory_patterns():
-    assert path_matches("src/repro/exec/minidb.py",
-                        ("repro/exec/minidb.py",))
-    assert not path_matches("src/repro/exec/minidb.py", ("exec/mini.py",))
-    assert path_matches("benchmarks/bench_x.py", ("benchmarks/",))
-    assert path_matches("src/benchmarks/bench_x.py", ("benchmarks/",))
-    assert not path_matches("src/xbenchmarks/bench_x.py", ("benchmarks/",))
-
-
-# -- CLI (subprocess) --------------------------------------------------
-
-def _run_cli(cwd: Path, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    return subprocess.run(
-        [sys.executable, "-m", "repro.analysis", *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
-
-
-PYPROJECT = (
-    "[tool.repro-lint]\n"
-    "paths = [\"src\"]\n"
-    "baseline = \"baseline.json\"\n"
-    "schema_module = \"\"\n")
-
-
-def _mini_repo(tmp_path: Path, source: str) -> Path:
-    (tmp_path / "pyproject.toml").write_text(PYPROJECT, encoding="utf-8")
-    (tmp_path / "src").mkdir()
-    (tmp_path / "src" / "mod.py").write_text(source, encoding="utf-8")
-    return tmp_path
-
-
-def test_cli_exit_0_on_clean_tree(tmp_path):
-    repo = _mini_repo(tmp_path, "x = 1\n")
-    proc = _run_cli(repo)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "no violations" in proc.stdout
-
-
-def test_cli_exit_1_on_violations_and_0_after_update_baseline(tmp_path):
-    repo = _mini_repo(tmp_path, "import time\nt = time.time()\n")
-    proc = _run_cli(repo)
-    assert proc.returncode == 1
-    assert "REP001" in proc.stdout
-    proc = _run_cli(repo, "--update-baseline")
-    assert proc.returncode == 0
-    assert json.loads((repo / "baseline.json").read_text())["violations"]
-    proc = _run_cli(repo)  # baselined now: clean
-    assert proc.returncode == 0
-
-
-def test_cli_exit_2_on_config_errors(tmp_path):
-    repo = _mini_repo(tmp_path, "x = 1\n")
-    assert _run_cli(repo, "no/such/dir").returncode == 2
-    assert _run_cli(repo, "--explain", "NOPE").returncode == 2
-    (repo / "pyproject.toml").write_text(
-        "[tool.repro-lint]\nbogus_key = 1\n", encoding="utf-8")
-    assert _run_cli(repo).returncode == 2
-
-
-def test_cli_explain_and_list_rules(tmp_path):
-    repo = _mini_repo(tmp_path, "x = 1\n")
-    proc = _run_cli(repo, "--explain", "REP004")
-    assert proc.returncode == 0
-    assert "bus.enabled" in proc.stdout
-    proc = _run_cli(repo, "--list-rules")
-    assert proc.returncode == 0
-    for code in ("REP001", "REP002", "REP004", "REP005", "REP006",
-                 "REP007", "REP000"):
-        assert code in proc.stdout
-
-
-# -- acceptance: every rule catches a seeded violation ----------------
+# -- every rule catches a seeded violation -------------------------------
 
 SCRATCH = '''\
 import time
@@ -479,25 +1030,10 @@ EXPECTED = [
 ]
 
 
-def test_every_rule_catches_its_seeded_violation(tmp_path):
-    config = LintConfig(
-        schema_module="schema.py",
-        schema_constants=("DECLARED",),
-        schema_producers=(),
-        error_taxonomy_files=("scratch.py",))
-    (tmp_path / "schema.py").write_text(SCHEMA_SOURCE, encoding="utf-8")
-    (tmp_path / "src" / "pkg").mkdir(parents=True)
-    (tmp_path / "src" / "pkg" / "__init__.py").write_text("")
-    (tmp_path / "src" / "pkg" / "orphan.py").write_text("x = 1\n")
-    result = lint(tmp_path, SCRATCH, config, filename="scratch.py")
-    assert codes_and_lines(result) == EXPECTED
-
-
-# -- the repo itself ---------------------------------------------------
-
-def test_repo_is_clean_against_committed_baseline():
-    """`python -m repro.analysis src/repro` exits 0 at the repo root —
-    the acceptance criterion CI's static-analysis job enforces."""
-    proc = _run_cli(REPO_ROOT, "src/repro")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "no violations" in proc.stdout
+def test_every_rule_catches_its_seeded_violation():
+    package = [parse("src/pkg/__init__.py", ""),
+               parse("src/pkg/orphan.py", "x = 1\n"),
+               parse("src/scratch.py", SCRATCH)]
+    active = check(package, declared=SCHEMA["declared"], producers={},
+                   entry_points={"src/scratch.py"}).active
+    assert codes_and_lines(active) == EXPECTED

@@ -16,6 +16,7 @@ from repro.engine.controller import Controller
 from repro.engine import SimulatorOptions
 from repro.errors import ValidationError
 from repro.metadata.costmodel import DeviceProfile
+from repro.obs.events import EventBus
 from repro.store import (
     NONE_CODEC,
     ZLIB_CODEC,
@@ -81,12 +82,12 @@ class TestCodecConfig:
 # tiered ledger: logical vs stored accounting
 # ----------------------------------------------------------------------
 def _zledger(ram=10.0, ssd=5.0, ratio=2.0, encode=1.0, decode=0.5,
-             prefetch=False):
+             prefetch=False, bus=None):
     codec = CodecProfile("test", ratio=ratio, encode_seconds_per_gb=encode,
                          decode_seconds_per_gb=decode)
     return TieredLedger(ram, SpillConfig(
         tiers=(TierSpec("ssd", ssd), TierSpec("disk")),
-        codec=codec, prefetch=prefetch))
+        codec=codec, prefetch=prefetch), bus=bus)
 
 
 class TestCompressedAccounting:
@@ -178,18 +179,25 @@ class TestCompressedAccounting:
 # ----------------------------------------------------------------------
 class TestPrefetch:
     def test_prefetch_promotes_spilled_parents(self):
-        ledger = _zledger(ram=10.0, ssd=20.0, prefetch=True)
+        bus = EventBus()
+        ledger = _zledger(ram=10.0, ssd=20.0, prefetch=True, bus=bus)
         ledger.insert("p", 6.0, n_consumers=1)
         ledger.demote("p")
-        hidden = ledger.prefetch(["p", "absent"])
-        assert hidden > 0.0
+        # hidden: the tier's read of 3 stored GB, the decode of 6 logical
+        # GB, and RAM's in-memory create of them
+        expected = (ledger.tiers[1].profile.read_time_disk(3.0) + 0.5 * 6.0
+                    + ledger.profile.create_time_memory(6.0))
+        assert ledger.prefetch(["p", "absent"]) == pytest.approx(expected)
         assert ledger.tier_of("p") == 0
         report = ledger.tier_report()["prefetch"]
         assert report["enabled"] is True
         assert report["count"] == 1
         assert report["bytes_gb"] == 6.0
-        assert report["hidden_seconds"] == pytest.approx(hidden)
+        assert report["hidden_seconds"] == pytest.approx(expected)
         assert report["misses"] == 0
+        [hit] = [event for event in bus.events
+                 if event.name == "prefetch-hit"]
+        assert hit.args["hidden_s"] == pytest.approx(expected)
 
     def test_prefetch_never_demotes_to_make_room(self):
         ledger = _zledger(ram=10.0, ssd=20.0, prefetch=True)

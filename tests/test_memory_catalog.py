@@ -92,3 +92,36 @@ class TestReleaseProtocol:
         catalog.force_release("a")
         assert catalog.usage == 0.0
         assert catalog.resident() == []
+
+
+class TestRawCharge:
+    """``charge``/``credit``: bytes an executor tracks without an entry
+    (the LRU cache's residents)."""
+
+    def test_zero_size_charge_is_accepted(self):
+        catalog = MemoryLedger(budget=10.0)
+        catalog.charge(0.0)
+        catalog.credit(0.0)
+        assert catalog.usage == 0.0
+        with pytest.raises(CatalogError):
+            catalog.charge(-1.0)
+
+    def test_credit_beyond_the_charged_bytes_rejected(self):
+        catalog = MemoryLedger(budget=10.0)
+        catalog.insert("a", 4.0, n_consumers=1)
+        catalog.charge(2.0)
+        with pytest.raises(CatalogError, match="exceeds charged bytes"):
+            catalog.credit(2.5)  # usage is 6: only the charge counts
+
+    def test_partial_credits_keep_the_charge_exact(self):
+        catalog = MemoryLedger(budget=10.0)
+        catalog.charge(3.0)
+        catalog.credit(1.0)
+        assert catalog.usage == pytest.approx(2.0)
+        with pytest.raises(CatalogError):
+            catalog.credit(2.5)  # 2 GB are left charged, not 4
+        catalog.credit(2.0)
+        assert catalog.usage == pytest.approx(0.0)
+        assert catalog.peak_usage == pytest.approx(3.0)
+        with pytest.raises(CatalogError):
+            catalog.credit(0.5)

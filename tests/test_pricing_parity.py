@@ -95,3 +95,24 @@ def test_estimate_for_one_victim_is_its_demote_charge_plus_reload(
     # without promotion every remaining consumer re-reads the tier
     assert estimate == charge.seconds + consumers * victim.reload_cost
     assert victim.reload_cost == ledger.tier_read_seconds("x")
+
+
+@pytest.mark.parametrize("margin, dearer", [(-0.5, False), (0.5, True)])
+def test_rung_detour_against_the_direct_write_and_encode(margin, dearer):
+    """Going direct pays the device write of the stored bytes *plus*
+    the encode of the logical ones; a detour is dearer only past that
+    sum.  The detour here is priced ``margin`` seconds either side of
+    it, well inside the 4 s the direct encode adds."""
+    below = SSD_PROFILE
+    below_codec = CodecProfile("below", ratio=2.0, encode_seconds_per_gb=2.0)
+    logical, displaced = 2.0, 1.0
+    direct = below.write_time_disk(1.0) + 2.0 * logical
+    # the detour: the rung's encode of the entry, a free decode of what
+    # it displaces, that one's write and its encode below
+    rest = below.write_time_disk(0.5) + 2.0 * displaced
+    rung_encode = (direct + margin - rest) / logical
+    rung_codec = CodecProfile("rung", ratio=2.0,
+                              encode_seconds_per_gb=rung_encode)
+    assert pricing.rung_detour_is_dearer(
+        rung_codec, below, below_codec, logical, displaced,
+        displaced_stored=0.5, direct_stored=1.0) is dearer

@@ -1,8 +1,8 @@
 """REP007 on the project's own tree.
 
-Two promises of the unreachable-module rule, checked against a copy of
-what it reads (``src/repro``, ``benchmarks/`` and ``pyproject.toml``)
-and with no baseline in between:
+Two promises of the unreachable-module rule, checked on what it reads
+(``src/repro``, ``benchmarks/`` and ``pyproject.toml``), as parsed once
+per pytest run by ``tests/test_analysis.py``:
 
 * its root set reaches every module in ``src/repro``, one test per
   module, so a failure names the module;
@@ -13,20 +13,12 @@ and with no baseline in between:
 
 from __future__ import annotations
 
-import shutil
-from pathlib import Path
-
 import pytest
 
-from repro.analysis.config import load_config
-from repro.analysis.engine import Project, SourceFile
-from repro.analysis.rules.reachability import UnreachableModuleRule
+from tests.test_analysis import parse, rep007, repo_inputs
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC = REPO_ROOT / "src" / "repro"
-MODULES = sorted(path.relative_to(REPO_ROOT).as_posix()
-                 for path in SRC.rglob("*.py")
-                 if "__pycache__" not in path.parts)
+PACKAGE, BENCHMARKS, SCRIPTS = repo_inputs()
+MODULES = [src.rel for src in PACKAGE]
 
 BODY = ("from repro.graph.dag import DependencyGraph\n\n\n"
         "def restored(graph: DependencyGraph) -> int:\n"
@@ -66,42 +58,26 @@ RESTORED = {
     "graph/stats": (
         {"graph/stats.py": BODY},
         {"graph/__init__.py": "from repro.graph.stats import restored\n"}),
+    "store/report_schema": ({"store/report_schema.py": BODY}, {}),
+    # the lint package without its `__main__` (a `python -m` run path of
+    # its own) and without the console script that named its CLI
+    "analysis": (
+        {"analysis/__init__.py": "from .engine import restored\n",
+         "analysis/engine.py": BODY,
+         "analysis/cli.py": BODY + "from .rules import restored\n",
+         "analysis/rules/__init__.py": "from .reachability import restored\n",
+         "analysis/rules/reachability.py": BODY},
+        {}),
 }
 
 
-def _copy(root: Path) -> None:
-    """The files REP007 reads, under ``root``."""
-    for path in [*SRC.rglob("*.py"), *(REPO_ROOT / "benchmarks").rglob("*.py"),
-                 REPO_ROOT / "pyproject.toml"]:
-        if "__pycache__" in path.parts:
-            continue
-        target = root / path.relative_to(REPO_ROOT)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(path, target)
-
-
-def _source(root: Path, path: Path, text: str) -> SourceFile:
-    return SourceFile(path, path.relative_to(root).as_posix(), text)
+def unreachable(package) -> list[str]:
+    return [v.rel for v in rep007(package, BENCHMARKS, SCRIPTS)]
 
 
 @pytest.fixture(scope="module")
-def tree(tmp_path_factory):
-    """(root, parsed src/repro files) of a copy of the tree."""
-    root = tmp_path_factory.mktemp("tree")
-    _copy(root)
-    files = [_source(root, path, path.read_text(encoding="utf-8"))
-             for path in sorted((root / "src" / "repro").rglob("*.py"))]
-    return root, files
-
-
-def unreachable(root: Path, files: list[SourceFile]) -> list[str]:
-    project = Project(root, files, load_config(root))
-    return [v.path for v in UnreachableModuleRule().check(project)]
-
-
-@pytest.fixture(scope="module")
-def flagged(tree):
-    return set(unreachable(*tree))
+def flagged():
+    return set(unreachable(PACKAGE))
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -112,32 +88,13 @@ def test_root_set_reaches(module, flagged):
 @pytest.mark.parametrize("reexported", [False, True],
                          ids=["bare", "reexported"])
 @pytest.mark.parametrize("name", sorted(RESTORED))
-def test_restoring_a_deleted_module_fires(name, reexported, tree):
-    root, files = tree
+def test_restoring_a_deleted_module_fires(name, reexported):
     added, reexports = RESTORED[name]
-    package = root / "src" / "repro"
-    written = []
-    try:
-        for rel, text in sorted(added.items()):
-            path = package / rel
-            if not path.parent.exists():
-                path.parent.mkdir()
-                written.append(path.parent)
-            path.write_text(text, encoding="utf-8")
-            written.append(path)
-        changed = {package / rel: line
-                   for rel, line in reexports.items() if reexported}
-        project_files = [
-            _source(root, file.path, file.source + changed[file.path])
-            if file.path in changed else file
-            for file in files]
-        project_files += [_source(root, package / rel, text)
-                          for rel, text in added.items()]
-        assert unreachable(root, project_files) == sorted(
-            f"src/repro/{rel}" for rel in added)
-    finally:
-        for path in reversed(written):
-            if path.is_dir():
-                path.rmdir()
-            else:
-                path.unlink()
+    changed = {f"src/repro/{rel}": line
+               for rel, line in reexports.items() if reexported}
+    package = [parse(src.rel, src.text + changed[src.rel])
+               if src.rel in changed else src for src in PACKAGE]
+    package += [parse(f"src/repro/{rel}", text)
+                for rel, text in added.items()]
+    assert unreachable(package) == sorted(
+        f"src/repro/{rel}" for rel in added)

@@ -23,6 +23,7 @@ from repro.errors import CycleError, GraphError, ValidationError
 from repro.exec import create_backend
 from repro.graph.dag import DependencyGraph
 from repro.graph.io import graph_from_dict, graph_from_json, graph_to_json
+from repro.metadata.costmodel import DeviceProfile
 
 #: (id, output GB, compute s, external input GB)
 JOBS = [
@@ -150,6 +151,26 @@ def test_plan_runs_faster_than_the_unoptimized_schedule():
     slow = backend.run(daily_etl(), unoptimized, 1.0)
     assert optimized.flagged and not unoptimized.flagged
     assert fast.end_to_end_time < slow.end_to_end_time
+
+
+def test_a_child_without_compute_time_computes_over_all_its_inputs():
+    """A graph file may leave ``compute_time`` out; the kernel then
+    prices compute from the device model over the parents' bytes plus
+    the node's own base-table bytes."""
+    graph = graph_from_dict({"version": 1, "nodes": [
+        {"id": "a", "size": 1.5, "compute_time": 1.0},
+        {"id": "b", "size": 0.5, "compute_time": 1.0},
+        {"id": "c", "size": 0.25, "meta": {"base_input_gb": 2.0}},
+    ], "edges": [["a", "c"], ["b", "c"]]})
+    profile = DeviceProfile()
+    plan = optimize(ScProblem(graph=graph, memory_budget=10.0),
+                    method="none").plan
+    trace = create_backend("simulator", profile=profile).run(
+        graph, plan, 10.0)
+    child = next(node for node in trace.nodes if node.node_id == "c")
+    assert child.compute == pytest.approx(
+        profile.compute_time(1.5 + 0.5 + 2.0))
+    assert child.compute > 0.0
 
 
 # -- the command line ---------------------------------------------------
