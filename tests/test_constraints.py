@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.constraints import get_constraints
 from repro.core.problem import ScProblem
-from repro.core.residency import residency_sets
 from repro.graph.topo import kahn_topological_order
 from tests.conftest import make_fig7_problem, make_random_problem
+from tests.reference_planner import residency_sets
 
 
 def naive_constraint_sets(problem, order):

@@ -22,6 +22,22 @@ class TestActualMemoryConsumption:
         assert weights == {"a": 0.0, "b": 2.0, "c": 3.0, "d": 0.0}
 
 
+class TestReleaseLookahead:
+    def test_a_node_freeing_a_child_ties_with_a_leaf(self):
+        """Equal sizes: ``a`` unblocks its only child ``c`` (lookahead
+        0), ``b`` has no child (lookahead 0 too).  The tie falls to
+        readiness, and ``a`` was readied last, so it runs first and
+        ``c`` follows before ``b``.  A lookahead counted one too high
+        for ``a`` would run the leaf ``b`` first."""
+        from repro.graph.dag import DependencyGraph
+
+        graph = DependencyGraph()
+        for node in ("b", "a", "c"):
+            graph.add_node(node, size=1.0)
+        graph.add_edge("a", "c")
+        assert ma_dfs_order(graph, {"a", "b"}) == ["a", "c", "b"]
+
+
 class TestFigure7:
     def test_madfs_enables_both_big_nodes(self):
         problem = make_fig7_problem()

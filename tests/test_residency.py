@@ -1,5 +1,6 @@
 """Tests for residency intervals and memory accounting (paper §IV)."""
 
+import math
 import random
 
 import pytest
@@ -11,11 +12,11 @@ from repro.core.residency import (
     memory_profile,
     peak_memory_usage,
     residency_intervals,
-    residency_sets,
 )
 from repro.errors import GraphError
 from repro.graph.topo import kahn_topological_order
 from tests.conftest import make_fig7_problem, make_random_problem
+from tests.reference_planner import residency_sets
 
 
 class TestIntervals:
@@ -60,6 +61,18 @@ class TestFigure7:
         profile = memory_profile(graph, tau2, flagged)
         assert max(profile) == peak_memory_usage(graph, tau2, flagged)
         assert profile == [100, 100, 100, 100, 100, 10]
+
+
+def test_feasibility_includes_the_slack():
+    """The budget check allows 1e-9 over, inclusive: a peak equal to
+    ``budget + 1e-9`` is feasible, one ulp more is not."""
+    from repro.graph.dag import DependencyGraph
+
+    edge = 10.0 + 1e-9
+    for size, feasible in ((edge, True), (math.nextafter(edge, 11.0), False)):
+        graph = DependencyGraph()
+        graph.add_node("a", size=size)
+        assert is_feasible(graph, ["a"], {"a"}, 10.0) is feasible
 
 
 class TestAverageMemoryUsage:

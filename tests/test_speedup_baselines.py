@@ -77,6 +77,34 @@ class TestSelectionBaselines:
         assert "b" in flagged
         assert "a" not in flagged
 
+    def test_the_budget_is_inclusive(self):
+        """A node the budget's size fits, and so do overlapping nodes
+        whose sizes pass the budget by less than the 1e-9 slack."""
+        from repro.core.problem import ScProblem
+
+        whole = ScProblem.from_tables(
+            edges=[("a", "b")], sizes={"a": 10.0, "b": 0.0},
+            scores={"a": 1.0, "b": 1.0}, memory_budget=10.0)
+        assert "a" in greedy_selection(whole, ["a", "b"])
+        shared = ScProblem.from_tables(
+            edges=[("a", "c"), ("b", "c")],
+            sizes={"a": 6.0, "b": 4.0 + 5e-10, "c": 10.0},
+            scores={"a": 1.0, "b": 1.0, "c": 1.0}, memory_budget=10.0)
+        assert greedy_selection(shared, ["a", "b", "c"]) == {"a", "b"}
+
+    def test_ratio_ranks_by_score_per_size(self):
+        """``a`` has the higher ratio (2 against 1), ``b`` the higher
+        score times size; only one of them fits beside the other."""
+        from repro.core.problem import ScProblem
+
+        problem = ScProblem.from_tables(
+            edges=[("a", "c"), ("b", "c")],
+            sizes={"a": 1.0, "b": 4.0, "c": 0.0},
+            scores={"a": 2.0, "b": 4.0, "c": 0.0}, memory_budget=4.0)
+        flagged = ratio_selection(problem, ["a", "b", "c"])
+        assert "a" in flagged
+        assert "b" not in flagged
+
     def test_random_is_seeded(self):
         problem = make_random_problem(7, n_nodes=20)
         order = kahn_topological_order(problem.graph)
