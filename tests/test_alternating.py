@@ -75,6 +75,45 @@ class TestLoopMechanics:
         assert result.stop_reason == "no_improvement"
 
 
+    def test_history_records_are_frozen(self):
+        from dataclasses import FrozenInstanceError
+
+        record = AlternatingOptimizer().optimize(
+            make_fig7_problem()).history[0]
+        with pytest.raises(FrozenInstanceError):
+            record.peak_memory = 0.0
+
+    def test_a_kept_order_is_recorded_unchanged(self):
+        result = AlternatingOptimizer(order_solver=None).optimize(
+            make_fig7_problem())
+        assert result.stop_reason == "selection_only"
+        assert [r.order_changed for r in result.history] == [False]
+
+    def test_convergence_counts_what_it_names(self):
+        """``new`` flags more bytes but less score than ``old``."""
+        problem = ScProblem.from_tables(
+            edges=[], sizes={"a": 5.0, "b": 1.0},
+            scores={"a": 1.0, "b": 9.0}, memory_budget=10.0)
+        new, old = frozenset({"a"}), frozenset({"b"})
+        assert AlternatingOptimizer(convergence="size")._improves(
+            problem, new, old)
+        assert not AlternatingOptimizer(convergence="score")._improves(
+            problem, new, old)
+
+    def test_a_new_order_at_the_slack_is_feasible(self):
+        """MA-DFS's order holds ``a`` and ``b`` together at exactly
+        ``budget + 1e-9``: within the budget, so the loop does not call
+        the order infeasible."""
+        problem = ScProblem.from_tables(
+            edges=[("a", "c"), ("b", "c")],
+            sizes={"a": 6.0, "b": 4.0 + 1e-9, "c": 0.0},
+            scores={"a": 1.0, "b": 1.0, "c": 1.0}, memory_budget=10.0)
+        result = optimize(problem, method="greedy+madfs")
+        assert result.plan.flagged == {"a", "b", "c"}
+        assert result.peak_memory == 10.0 + 1e-9
+        assert result.stop_reason != "order_infeasible"
+
+
 class TestInfeasibleOrderHandling:
     def test_infeasible_new_order_keeps_previous(self):
         problem = make_fig7_problem()
