@@ -21,14 +21,18 @@ ablations (Greedy/Random/Ratio + MA-DFS, MKP + SA/Separator) are expressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from repro.core.knapsack_select import select_nodes_mkp
 from repro.core.madfs import ma_dfs_order
-from repro.core.plan import Plan
+from repro.core.plan import Plan, check_peak
 from repro.core.problem import ScProblem
-from repro.core.residency import average_memory_usage, peak_memory_usage
+from repro.core.residency import (
+    interval_average,
+    interval_peak,
+    residency_intervals,
+)
 from repro.errors import ValidationError
 from repro.graph.topo import is_topological_order, kahn_topological_order
 
@@ -120,6 +124,11 @@ class AlternatingOptimizer:
         # plan returns this order — equally good for the selected set and
         # free of gratuitous reshuffling.
         selection_order = list(order)
+        selection_peak = 0.0
+        # Each order's residency intervals are built once and each
+        # (order, flagged) peak computed once; a peak iterates
+        # set(flagged), as peak_memory_usage does, so its float is the same.
+        intervals = None      # of `order`, built when first needed
         history: list[IterationRecord] = []
         stop_reason = "max_iterations"
 
@@ -130,19 +139,23 @@ class AlternatingOptimizer:
                 break
             flagged = new_flagged
             selection_order = list(order)
+            if intervals is None:
+                intervals = residency_intervals(graph, order)
+            selection_peak = interval_peak(graph, intervals, set(flagged))
             history.append(IterationRecord(
                 iteration=iteration,
                 flagged=flagged,
                 total_score=problem.total_score(flagged),
                 total_size=problem.total_size(flagged),
-                peak_memory=peak_memory_usage(graph, order, flagged),
+                peak_memory=selection_peak,
                 order_changed=False,
             ))
             if self.order_solver is None:
                 stop_reason = "selection_only"
                 break
             new_order = list(self.order_solver(problem, flagged))
-            peak = peak_memory_usage(graph, new_order, flagged)
+            new_intervals = residency_intervals(graph, new_order)
+            peak = interval_peak(graph, new_intervals, set(flagged))
             if peak > problem.memory_budget + 1e-9:
                 # The new order cannot host the current flag set; the
                 # previous order is our final answer (Algorithm 2 line 8).
@@ -151,26 +164,21 @@ class AlternatingOptimizer:
             # Adopt the new order only when it strictly improves the order
             # subproblem's own objective — otherwise the incumbent order is
             # already as good and reshuffling buys nothing.
-            if (average_memory_usage(graph, new_order, flagged)
-                    >= average_memory_usage(graph, order, flagged) - 1e-12):
+            if (interval_average(graph, new_intervals, flagged)
+                    >= interval_average(graph, intervals, flagged) - 1e-12):
                 stop_reason = "order_not_improved"
                 break
-            order = new_order
-            history[-1] = IterationRecord(
-                iteration=iteration,
-                flagged=flagged,
-                total_score=problem.total_score(flagged),
-                total_size=problem.total_size(flagged),
-                peak_memory=peak,
-                order_changed=True,
-            )
+            order, intervals = new_order, new_intervals
+            history[-1] = replace(history[-1], peak_memory=peak,
+                                  order_changed=True)
 
         plan = Plan.make(selection_order, flagged)
-        plan.validate_against(graph, problem.memory_budget)
+        plan.validate_against(graph)
+        check_peak(selection_peak, problem.memory_budget)
         return AlternatingResult(
             plan=plan,
             total_score=problem.total_score(flagged),
-            peak_memory=peak_memory_usage(graph, selection_order, flagged),
+            peak_memory=selection_peak,
             iterations=len(history),
             stop_reason=stop_reason,
             history=history,

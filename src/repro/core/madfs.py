@@ -33,6 +33,7 @@ defers ``v4`` until its co-parent branch has run.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable
 
 from repro.errors import CycleError
@@ -49,50 +50,75 @@ def actual_memory_consumption(graph: DependencyGraph,
 
 def ma_dfs_order(graph: DependencyGraph,
                  flagged: Iterable[str]) -> list[str]:
-    """Memory-aware DFS execution order for the given flagged set."""
+    """Memory-aware DFS execution order for the given flagged set.
+
+    The ready set is a heap of ``(weight, lookahead, -readiness,
+    insertion)`` keys, so a step costs ``O(log n)`` plus the co-parents
+    of the node's children, not a scan of every ready node.  While a
+    node waits, only its lookahead can change, and it only falls: it is
+    a minimum over its children's pending-parent counts, which only
+    drop.  So when a child's count drops, each ready flagged co-parent
+    whose lookahead falls is pushed again under its new key, and a
+    popped entry that is not its node's latest (or whose node ran) is
+    skipped.  Keys are unique by insertion, so the first live entry
+    popped is the minimum the definition above asks for.
+    """
     flagged = set(flagged)
     weight = actual_memory_consumption(graph, flagged)
-    insertion = {v: i for i, v in enumerate(graph.nodes())}
-    pending_parents = {v: graph.in_degree(v) for v in graph.nodes()}
+    nodes = graph.nodes()
+    insertion = {v: i for i, v in enumerate(nodes)}
+    children = {v: graph.children(v) for v in nodes}
+    parents = {v: graph.parents(v) for v in nodes}
+    pending_parents = {v: len(parents[v]) for v in nodes}
 
-    ready: dict[str, int] = {}  # node -> readiness timestamp
+    heap: list[tuple[float, int, int, int, str]] = []
+    # ready flagged node -> (lookahead, -readiness); its latest heap key
+    waiting: dict[str, tuple[int, int]] = {}
     ready_counter = 0
-    for node in graph.nodes():
+
+    def make_ready(node: str) -> None:
+        nonlocal ready_counter
+        if node in flagged:
+            # release lookahead: 0 means some child becomes fully
+            # unblocked by this node alone; larger values mean every
+            # child still waits on other branches.  Only meaningful
+            # for flagged nodes — unflagged ones occupy nothing.
+            ahead = min((pending_parents[c] - 1 for c in children[node]),
+                        default=0)
+            waiting[node] = (ahead, -ready_counter)
+        else:
+            ahead = 0
+        heapq.heappush(heap, (weight[node], ahead, -ready_counter,
+                              insertion[node], node))
+        ready_counter += 1
+
+    for node in nodes:
         if pending_parents[node] == 0:
-            ready[node] = ready_counter
-            ready_counter += 1
-
-    def release_lookahead(node: str) -> int:
-        """How soon could this node leave memory once scheduled?
-
-        0 means some child becomes fully unblocked by this node alone;
-        larger values mean every child still waits on other branches.
-        Only meaningful for flagged nodes — unflagged ones occupy nothing.
-        """
-        if node not in flagged:
-            return 0
-        children = graph.children(node)
-        if not children:
-            return 0
-        return min(pending_parents[child] - 1 for child in children)
+            make_ready(node)
 
     order: list[str] = []
-    while ready:
-        node = min(
-            ready,
-            key=lambda v: (weight[v], release_lookahead(v), -ready[v],
-                           insertion[v]),
-        )
-        del ready[node]
+    while heap:
+        _, ahead, readiness, _, node = heapq.heappop(heap)
+        if node in flagged:
+            if waiting.get(node) != (ahead, readiness):
+                continue  # ran already, or pushed again with a lower key
+            del waiting[node]
         order.append(node)
-        for child in graph.children(node):
+        for child in children[node]:
             pending_parents[child] -= 1
-            if pending_parents[child] == 0:
-                ready[child] = ready_counter
-                ready_counter += 1
+            left = pending_parents[child]
+            if left == 0:
+                make_ready(child)
+                continue
+            for co_parent in parents[child]:
+                entry = waiting.get(co_parent)
+                if entry is not None and left - 1 < entry[0]:
+                    waiting[co_parent] = (left - 1, entry[1])
+                    heapq.heappush(heap, (weight[co_parent], left - 1,
+                                          entry[1], insertion[co_parent],
+                                          co_parent))
 
     if len(order) != graph.n:
         raise CycleError(
             f"graph has a cycle; MA-DFS covered {len(order)}/{graph.n} nodes")
     return order
-

@@ -95,11 +95,8 @@ class Plan:
         if memory_budget is not None:
             from repro.core.residency import peak_memory_usage
 
-            peak = peak_memory_usage(graph, self.order, self.flagged)
-            if peak > memory_budget + 1e-9:
-                raise InfeasiblePlanError(
-                    f"plan peak memory {peak:.6g} exceeds budget "
-                    f"{memory_budget:.6g}", peak=peak, budget=memory_budget)
+            check_peak(peak_memory_usage(graph, self.order, self.flagged),
+                       memory_budget)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -125,3 +122,12 @@ class Plan:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Plan(n={len(self.order)}, "
                 f"flagged={len(self.flagged)})")
+
+
+def check_peak(peak: float, memory_budget: float) -> None:
+    """Raise :class:`InfeasiblePlanError` when a plan's peak flagged
+    residency exceeds ``memory_budget``."""
+    if peak > memory_budget + 1e-9:
+        raise InfeasiblePlanError(
+            f"plan peak memory {peak:.6g} exceeds budget "
+            f"{memory_budget:.6g}", peak=peak, budget=memory_budget)

@@ -30,10 +30,35 @@ def residency_intervals(graph: DependencyGraph,
     position of its last consumer (``start`` itself for consumer-less nodes).
     """
     position = {v: i for i, v in enumerate(order)}
-    if len(position) != graph.n or set(position) != set(graph.nodes()):
+    if len(position) != graph.n or not all(map(position.__contains__,
+                                               graph)):
         raise GraphError("order must be a permutation of the graph's nodes")
     release = last_consumer_position(graph, order)
-    return {v: (position[v], release[v]) for v in graph.nodes()}
+    return {v: (position[v], release[v]) for v in graph}
+
+
+def add_interval(profile, start: int, end: int, size: float,
+                 limit: float | None = None) -> bool:
+    """Add ``size`` to ``profile[start..end]``, a NumPy float64 array,
+    unless ``limit`` is given and a covered position would then exceed
+    it; True when added.
+
+    The one window test of the selection scan, the memory profile and
+    tier placement.  It is exact against testing and adding position by
+    position: float addition rounds monotonically, so
+    ``max(window) + size <= limit`` holds iff ``p + size <= limit`` at
+    every covered position (an empty window counts as 0.0), and each
+    position then takes the same IEEE add.  Callers add nodes in the
+    order a per-position loop would, so every position's float is the
+    same too.
+    """
+    window = profile[start:end + 1]
+    if limit is not None:
+        top = window.max() if window.size else 0.0
+        if not top + size <= limit:
+            return False
+    window += size
+    return True
 
 
 def memory_profile(graph: DependencyGraph, order: Sequence[str],
@@ -44,17 +69,17 @@ def memory_profile(graph: DependencyGraph, order: Sequence[str],
     interval covers position ``p`` — the shaded-region heights in Figures 7
     and 8.
     """
+    import numpy as np
+
     flagged = set(flagged)
     intervals = residency_intervals(graph, order)
-    profile = [0.0] * len(order)
+    profile = np.zeros(len(order))
     for node in flagged:
         if node not in intervals:
             raise GraphError(f"flagged node {node!r} not in graph")
         start, end = intervals[node]
-        size = graph.size_of(node)
-        for p in range(start, end + 1):
-            profile[p] += size
-    return profile
+        add_interval(profile, start, end, graph.size_of(node))
+    return profile.tolist()
 
 
 def peak_memory_usage(graph: DependencyGraph, order: Sequence[str],
@@ -67,8 +92,19 @@ def peak_memory_usage(graph: DependencyGraph, order: Sequence[str],
     flagged = set(flagged)
     if not flagged:
         return 0.0
-    intervals = residency_intervals(graph, order)
-    delta = [0.0] * (len(order) + 1)
+    return interval_peak(graph, residency_intervals(graph, order), flagged)
+
+
+def interval_peak(graph: DependencyGraph,
+                  intervals: dict[str, tuple[int, int]],
+                  flagged: set[str]) -> float:
+    """:func:`peak_memory_usage` over intervals built already.
+
+    ``flagged`` is summed in its own iteration order, so a caller holding
+    an input ``U`` passes ``set(U)``, as :func:`peak_memory_usage` does,
+    to get its float bit for bit.
+    """
+    delta = [0.0] * (len(intervals) + 1)
     for node in flagged:
         if node not in intervals:
             raise GraphError(f"flagged node {node!r} not in graph")
@@ -95,7 +131,14 @@ def average_memory_usage(graph: DependencyGraph, order: Sequence[str],
     flagged = set(flagged)
     if not flagged:
         return 0.0
-    intervals = residency_intervals(graph, order)
+    return interval_average(graph, residency_intervals(graph, order),
+                            flagged)
+
+
+def interval_average(graph: DependencyGraph,
+                     intervals: dict[str, tuple[int, int]],
+                     flagged: Iterable[str]) -> float:
+    """:func:`average_memory_usage` over intervals built already."""
     terms = []
     for node in flagged:
         if node not in intervals:
@@ -103,7 +146,7 @@ def average_memory_usage(graph: DependencyGraph, order: Sequence[str],
         start, end = intervals[node]
         terms.append((end - start) * graph.size_of(node))
     # exact sum: ``flagged`` is a set, and its order must not reach a float
-    return math.fsum(terms) / len(order)
+    return math.fsum(terms) / len(intervals)
 
 
 def is_feasible(graph: DependencyGraph, order: Sequence[str],
@@ -136,6 +179,8 @@ def assign_expected_tiers(graph: DependencyGraph, order: Sequence[str],
         ``{node: tier_name}`` for every flagged node, tier names being
         ``"ram"`` or the given lower-tier names.
     """
+    import numpy as np
+
     flagged = set(flagged)
     if not flagged:
         return {}
@@ -144,49 +189,16 @@ def assign_expected_tiers(graph: DependencyGraph, order: Sequence[str],
     if stray:
         raise GraphError(f"flagged nodes not in graph: {sorted(stray)}")
     levels: list[tuple[str, float]] = [("ram", ram_budget), *tiers]
-    usage = [[0.0] * len(order) for _ in levels]
+    usage = [np.zeros(len(order)) for _ in levels]
     assignment: dict[str, str] = {}
     for node in sorted(flagged, key=lambda v: (intervals[v][0], v)):
         start, end = intervals[node]
         size = graph.size_of(node)
-        placed = len(levels) - 1
-        for index, (_, capacity) in enumerate(levels):
-            span = usage[index][start:end + 1]
-            if (max(span) if span else 0.0) + size <= capacity + 1e-9:
-                placed = index
+        for (name, capacity), profile in zip(levels, usage):
+            if add_interval(profile, start, end, size, capacity + 1e-9):
+                assignment[node] = name
                 break
-        for p in range(start, end + 1):
-            usage[placed][p] += size
-        assignment[node] = levels[placed][0]
+        else:   # fits nowhere: the last tier takes it anyway
+            add_interval(usage[-1], start, end, size)
+            assignment[node] = levels[-1][0]
     return assignment
-
-
-def residency_sets(graph: DependencyGraph, order: Sequence[str],
-                   exclude: set[str] | None = None,
-                   ) -> list[frozenset[str]]:
-    """The raw ``V_i`` sets, one per execution position.
-
-    ``V_i = {v_j : τ(j) <= τ(i) <= last-consumer(j), v_j not excluded}`` —
-    every non-excluded node that would be memory-resident while position
-    ``i``'s node runs, if flagged. Computed with one sweep over positions,
-    applying arrivals and departures, so the total work is linear in
-    ``n + Σ|V_i|``.
-    """
-    exclude = exclude or set()
-    intervals = residency_intervals(graph, order)
-    n = len(order)
-    arrivals: list[list[str]] = [[] for _ in range(n)]
-    departures: list[list[str]] = [[] for _ in range(n + 1)]
-    for node, (start, end) in intervals.items():
-        if node in exclude:
-            continue
-        arrivals[start].append(node)
-        departures[end + 1].append(node)
-    live: set[str] = set()
-    sets: list[frozenset[str]] = []
-    for p in range(n):
-        for node in departures[p]:
-            live.discard(node)
-        live.update(arrivals[p])
-        sets.append(frozenset(live))
-    return sets

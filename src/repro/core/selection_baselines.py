@@ -19,7 +19,7 @@ import random
 from typing import Sequence
 
 from repro.core.problem import ScProblem
-from repro.core.residency import residency_intervals
+from repro.core.residency import add_interval, residency_intervals
 
 
 def _scan_flag(problem: ScProblem, order: Sequence[str],
@@ -30,19 +30,18 @@ def _scan_flag(problem: ScProblem, order: Sequence[str],
     a node with residency ``[start, end]`` fits iff every covered position
     stays within the budget after adding its size.
     """
+    import numpy as np
+
     budget = problem.memory_budget
     intervals = residency_intervals(problem.graph, order)
-    profile = [0.0] * len(order)
+    profile = np.zeros(len(order))
     flagged: set[str] = set()
     for node in scan_order:
         size = problem.size_of(node)
         if size > budget:
             continue  # can never fit, mirrors V_exclude
         start, end = intervals[node]
-        if all(profile[p] + size <= budget + 1e-9
-               for p in range(start, end + 1)):
-            for p in range(start, end + 1):
-                profile[p] += size
+        if add_interval(profile, start, end, size, budget + 1e-9):
             flagged.add(node)
     return frozenset(flagged)
 

@@ -116,16 +116,28 @@ def generate_layered_dag(config: LayeredDagConfig | None = None,
     # Phase 1 (coverage): every node outside the first stage draws one
     # parent — usually from the immediately preceding stage, sometimes from
     # any earlier stage — preferring producers with remaining budget so
-    # repairs don't inflate fan-out.
+    # repairs don't inflate fan-out.  The funded producers of each pool
+    # are kept as they change, in pool order, so each draw picks what a
+    # filter of the pool would hand it.
+    earlier: list[str] = []
+    funded_earlier: list[str] = []
     for stage_idx, stage_nodes in enumerate(stages[1:], start=1):
-        earlier = [v for s in stages[:stage_idx] for v in s]
         previous = stages[stage_idx - 1]
+        funded_previous = [v for v in previous if budgets[v] > 0]
+        earlier += previous
+        funded_earlier += funded_previous
         for node in stage_nodes:
-            pool = previous if rng.random() < config.forward_bias else earlier
-            funded = [v for v in pool if budgets[v] > 0]
+            if rng.random() < config.forward_bias:
+                pool, funded = previous, funded_previous
+            else:
+                pool, funded = earlier, funded_earlier
             if funded:
                 parent = rng.choice(funded)
                 budgets[parent] -= 1
+                if budgets[parent] == 0:
+                    funded_earlier.remove(parent)
+                    if parent in funded_previous:
+                        funded_previous.remove(parent)
             else:
                 lowest = min(graph.out_degree(v) for v in pool)
                 parent = rng.choice([v for v in pool
@@ -134,8 +146,11 @@ def generate_layered_dag(config: LayeredDagConfig | None = None,
 
     # Phase 2 (extras): spend remaining budgets on additional forward
     # edges, preferring the next stage.
+    flat = [v for s in stages for v in s]
+    offset = 0
     for stage_idx, stage_nodes in enumerate(stages[:-1]):
-        later = [v for s in stages[stage_idx + 1:] for v in s]
+        offset += len(stage_nodes)
+        later = flat[offset:]
         next_stage = stages[stage_idx + 1]
         for node in stage_nodes:
             budget = min(budgets[node], len(later))

@@ -28,10 +28,13 @@ class MarkovChain:
         self.alpha = alpha
         self._transitions: dict[str, Counter] = defaultdict(Counter)
         self._states: set[str] = set()
+        # state -> its smoothed table, built on first read after a fit
+        self._tables: dict[str, dict[str, float]] = {}
 
     # ------------------------------------------------------------------
     def fit(self, sequences: Iterable[Sequence[str]]) -> "MarkovChain":
         """Count transitions from operation sequences (one per query)."""
+        self._tables.clear()
         any_seq = False
         for seq in sequences:
             if not seq:
@@ -53,13 +56,22 @@ class MarkovChain:
         return sorted(self._states)
 
     def transition_probabilities(self, state: str) -> dict[str, float]:
-        """Smoothed P(next | state) over observed states plus END."""
-        if not self._states:
-            raise ValidationError("chain has not been fitted")
-        counts = self._transitions.get(state, Counter())
-        support = self.states + [END]
-        total = sum(counts.values()) + self.alpha * len(support)
-        return {s: (counts.get(s, 0) + self.alpha) / total for s in support}
+        """Smoothed P(next | state) over observed states plus END.
+
+        Each state's table is computed once per fit; the caller gets a
+        copy it may change.
+        """
+        table = self._tables.get(state)
+        if table is None:
+            if not self._states:
+                raise ValidationError("chain has not been fitted")
+            counts = self._transitions.get(state, Counter())
+            support = self.states + [END]
+            total = sum(counts.values()) + self.alpha * len(support)
+            table = {s: (counts.get(s, 0) + self.alpha) / total
+                     for s in support}
+            self._tables[state] = table
+        return dict(table)
 
     def sample_next(self, state: str, rng: random.Random) -> str:
         probs = self.transition_probabilities(state)

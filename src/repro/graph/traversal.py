@@ -64,11 +64,9 @@ def last_consumer_position(graph: DependencyGraph,
     position = {v: i for i, v in enumerate(order)}
     if len(position) != graph.n:
         raise GraphError("order must cover every node exactly once")
+    at = position.__getitem__
     release: dict[str, int] = {}
-    for node in graph.nodes():
+    for node in graph:
         children = graph.children(node)
-        if children:
-            release[node] = max(position[c] for c in children)
-        else:
-            release[node] = position[node]
+        release[node] = max(map(at, children)) if children else at(node)
     return release
