@@ -97,7 +97,7 @@ def sites(tree: ast.AST) -> list[Site]:
 class _Flip(ast.NodeTransformer):
     def __init__(self, index: int) -> None:
         self.target = index
-        self.nodes: dict[int, ast.AST] = {}
+        self.nodes: dict[int, int] = {}  # id(node) -> ast.walk index
 
     def flip(self, tree: ast.AST) -> ast.AST:
         self.nodes = {id(n): i for i, n in enumerate(ast.walk(tree))}

@@ -42,6 +42,7 @@ from repro.core import residency, selection_baselines
 from repro.core.madfs import ma_dfs_order
 from repro.core.optimizer import OPTIMIZER_METHODS, optimize
 from repro.core.problem import ScProblem
+from repro.graph.dag import DependencyGraph
 from repro.graph.generators import (
     LayeredDagConfig,
     generate_layered_dag,
@@ -100,7 +101,24 @@ def sized_dags(draw):
         node.size = (rng.uniform(0.0, 5.0) if arbitrary
                      else rng.choice(SIZES))
         node.score = rng.choice((0.0, 1.0, 2.5, rng.uniform(0.0, 9.0)))
+    if draw(st.booleans()):
+        graph = reinserted(graph, rng)
     return graph
+
+
+def reinserted(graph, rng: random.Random):
+    """The same DAG with its nodes and edges added in a random order, so
+    insertion order (MA-DFS's last tie-break) and child-list order are
+    no longer topological."""
+    nodes, edges = graph.node_objects(), graph.edges()
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    copy = DependencyGraph()
+    for node in nodes:
+        copy.add_node(node.node_id, size=node.size, score=node.score)
+    for producer, consumer in edges:
+        copy.add_edge(producer, consumer)
+    return copy
 
 
 def random_topological_order(graph, rng: random.Random) -> list[str]:
@@ -121,7 +139,7 @@ def random_topological_order(graph, rng: random.Random) -> list[str]:
 def planned(draw):
     """``(graph, order, flagged, rng)``: a sized DAG, a random
     topological order (or, sometimes, any permutation), a random flag
-    set in a random iteration history, and the rng for further draws."""
+    set listed in random order, and the rng for further draws."""
     graph = draw(sized_dags())
     rng = random.Random(draw(st.integers(0, 2 ** 16)))
     order = random_topological_order(graph, rng)
@@ -134,8 +152,9 @@ def planned(draw):
 
 
 def boundary_budget(graph, order, rng: random.Random) -> float:
-    """A budget equal to one position of a random flag set's profile,
-    nudged by 0 or a few ulps of the ``1e-9`` slack."""
+    """A budget equal to one position of a random flag set's profile
+    (or its peak, or 0), moved by 0, ±1e-9 or −2e-9 across the ``1e-9``
+    slack."""
     some = [v for v in graph.nodes() if rng.random() < 0.5]
     profile = ref.memory_profile(graph, order, some)
     value = rng.choice(profile + [max(profile), 0.0])
