@@ -83,20 +83,10 @@ class Plan:
         return Plan(order=self.order, flagged=self.flagged,
                     expected_tiers=tuple(sorted(tiers.items())))
 
-    def validate_against(self, graph: DependencyGraph,
-                         memory_budget: float | None = None) -> None:
-        """Check order validity and (optionally) the memory budget.
-
-        Raises :class:`GraphError` for order problems and
-        :class:`InfeasiblePlanError` when peak flagged residency exceeds
-        ``memory_budget``.
-        """
+    def validate_against(self, graph: DependencyGraph) -> None:
+        """Raise :class:`GraphError` unless ``order`` is a topological
+        order of ``graph``; :func:`check_peak` tests the budget."""
         check_topological_order(graph, self.order)
-        if memory_budget is not None:
-            from repro.core.residency import peak_memory_usage
-
-            check_peak(peak_memory_usage(graph, self.order, self.flagged),
-                       memory_budget)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

@@ -5,10 +5,9 @@ Data Selection", IEEE Computer 1978).  Standard library only; not part
 of tier-1.
 
     python tests/mutants.py src/repro/core/madfs.py [more modules]
-        [--count 8] [--seed 7] [--jobs 2] [--timeout 900]
 
-For each module the script draws ``--count`` mutants from a seeded
-sample of every site where one operator can be flipped:
+For each module the script draws ``COUNT`` mutants, seeded by ``SEED``,
+from every site where one operator can be flipped:
 
 * arithmetic ``+ - * / // %`` (``a + b`` -> ``a - b`` and back, also
   in ``+=``), unary minus dropped;
@@ -22,9 +21,10 @@ run outputs left out).  First a control runs the unmutated module
 through ``ast.unparse``: tier-1 must pass on it, or the run stops, since
 a survivor would then say nothing.  Each mutant runs the test files that
 name the module first and the rest of tier-1 after them, both with
-``-x``; a failure, an error or a timeout kills it.  The report gives
-killed / total per module and every survivor as
-``file:line:column``, the flip, and its source line.
+``-x``; a failure, an error or a run over ``TIMEOUT`` seconds kills
+it.  ``JOBS`` mutants run at once.  The report gives killed / total
+per module and every survivor as ``file:line:column``, the flip, and
+its source line.
 
 Survivors are triaged by hand into a missing test, an equivalent
 mutant, or code nothing needs.  Equivalent mutants found so far:
@@ -34,7 +34,6 @@ mutant, or code nothing needs.  Equivalent mutants found so far:
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import random
@@ -48,6 +47,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+COUNT = 8           # mutants per module
+SEED = 7
+JOBS = 2            # mutants run at once, each a tier-1 copy
+TIMEOUT = 900.0     # seconds per pytest run; a hang counts as killed
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
                               ".pytest_cache", "out", "matrix_runs")
 
@@ -126,7 +129,7 @@ def mutant_source(source: str, site: Site | None) -> str:
     return ast.unparse(tree) + "\n"
 
 
-def own_tests(root: Path, module: str) -> list[str]:
+def own_tests(module: str) -> list[str]:
     """Test files that name the module, as a dotted path or ``from``
     import, or are called after it."""
     dotted = module.removeprefix("src/").removesuffix(".py") \
@@ -135,13 +138,13 @@ def own_tests(root: Path, module: str) -> list[str]:
     pattern = re.compile(rf"{re.escape(dotted)}\b|from {re.escape(package)}"
                          rf" import [^\n]*\b{stem}\b")
     names = []
-    for path in sorted((root / "tests").glob("test_*.py")):
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
         if path.stem == f"test_{stem}" or pattern.search(path.read_text()):
             names.append(f"tests/{path.name}")
     return names
 
 
-def run_tier1(copy: Path, first: list[str], timeout: float) -> bool:
+def run_tier1(copy: Path, first: list[str]) -> bool:
     """True when tier-1 passes in ``copy``: ``first``, then the rest."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     base = [sys.executable, "-m", "pytest", "-x", "-q", "-p",
@@ -153,7 +156,7 @@ def run_tier1(copy: Path, first: list[str], timeout: float) -> bool:
             done = subprocess.run(command, cwd=copy, env=env,
                                   stdout=subprocess.DEVNULL,
                                   stderr=subprocess.DEVNULL,
-                                  timeout=timeout)
+                                  timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             return False
         if done.returncode != 0:
@@ -161,50 +164,39 @@ def run_tier1(copy: Path, first: list[str], timeout: float) -> bool:
     return True
 
 
-def check(root: Path, module: str, site: Site | None, first: list[str],
-          timeout: float) -> bool:
+def check(module: str, site: Site | None, first: list[str]) -> bool:
     """Run tier-1 on a scratch copy whose ``module`` is the mutant."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
         copy = Path(scratch) / "repo"
-        shutil.copytree(root, copy, ignore=SKIP)
-        source = (root / module).read_text()
+        shutil.copytree(ROOT, copy, ignore=SKIP)
+        source = (ROOT / module).read_text()
         (copy / module).write_text(mutant_source(source, site))
-        return run_tier1(copy, first, timeout)
+        return run_tier1(copy, first)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("modules", nargs="+",
-                        help="module paths relative to the repository")
-    parser.add_argument("--count", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--timeout", type=float, default=900.0)
-    parser.add_argument("--root", type=Path, default=ROOT,
-                        help="repository to mutate (default: this one)")
-    args = parser.parse_args(argv)
-    if not 1 <= args.jobs <= 4:
-        parser.error("--jobs must be 1 to 4")
-
+def main(modules: list[str]) -> int:
+    if not modules:
+        print("usage: python tests/mutants.py MODULE [MODULE ...]",
+              file=sys.stderr)
+        return 2
     status = 0
-    for module in args.modules:
-        source = (args.root / module).read_text()
+    for module in modules:
+        source = (ROOT / module).read_text()
         lines = source.splitlines()
         every = sites(ast.parse(source))
-        sample = sorted(random.Random(args.seed).sample(
-            every, min(args.count, len(every))), key=lambda s: s.index)
-        first = own_tests(args.root, module)
+        sample = sorted(random.Random(SEED).sample(
+            every, min(COUNT, len(every))), key=lambda s: s.index)
+        first = own_tests(module)
         print(f"{module}: {len(every)} sites, sampling {len(sample)}; "
               f"first {' '.join(first) or '(none)'}", flush=True)
-        if not check(args.root, module, None, first, args.timeout):
+        if not check(module, None, first):
             print(f"{module}: control (ast.unparse, unmutated) fails "
                   f"tier-1; no mutant run", flush=True)
             status = 2
             continue
-        with ThreadPoolExecutor(args.jobs) as pool:
+        with ThreadPoolExecutor(JOBS) as pool:
             survived = list(pool.map(
-                lambda s: check(args.root, module, s, first, args.timeout),
-                sample))
+                lambda s: check(module, s, first), sample))
         killed = survived.count(False)
         print(f"{module}: killed {killed}/{len(sample)}", flush=True)
         for site, alive in zip(sample, survived):
@@ -217,4 +209,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

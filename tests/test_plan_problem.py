@@ -1,9 +1,12 @@
 """Tests for Plan and ScProblem containers."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.plan import Plan
+from repro.core.plan import Plan, check_peak
 from repro.core.problem import ScProblem
+from repro.core.residency import peak_memory_usage
 from repro.errors import (
     GraphError,
     InfeasiblePlanError,
@@ -29,6 +32,11 @@ class TestPlan:
         with pytest.raises(GraphError):
             plan.position("ghost")
 
+    def test_plan_is_immutable(self):
+        plan = Plan.make(["a", "b"], {"b"})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.order = ("b", "a")
+
     def test_json_round_trip(self):
         plan = Plan.make(["x", "y", "z"], {"y", "z"})
         restored = Plan.from_json(plan.to_json())
@@ -43,11 +51,12 @@ class TestPlan:
 
     def test_validate_against_budget(self, diamond_graph):
         plan = Plan.make(["a", "b", "c", "d"], {"a", "b"})
+        peak = peak_memory_usage(diamond_graph, plan.order, plan.flagged)
         with pytest.raises(InfeasiblePlanError) as excinfo:
-            plan.validate_against(diamond_graph, memory_budget=5.0)
+            check_peak(peak, 5.0)
         assert excinfo.value.peak == pytest.approx(6.0)
         assert excinfo.value.budget == 5.0
-        plan.validate_against(diamond_graph, memory_budget=6.0)
+        check_peak(peak, 6.0)
 
 
 class TestScProblem:
