@@ -6,13 +6,14 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ValidationError
-from repro.solver.mkp import MkpInstance, solve_mkp
+from repro.solver.mkp import _EPS, MkpInstance, solve_mkp
 from tests.brute_mkp import solve_mkp_brute_force
 
 
@@ -62,6 +63,15 @@ class TestInstanceValidation:
         assert inst.is_feasible([0])
         assert not inst.is_feasible([0, 1])
         assert inst.objective([0, 1]) == 7.0
+
+    def test_feasibility_bound_is_inclusive(self):
+        """A row may reach ``_EPS`` past its capacity, that bound
+        included: HiGHS's tolerances are set below it, so what the MILP
+        returns always passes."""
+        at_bound = MkpInstance.from_lists([1.0], [[1.0 + _EPS]], [1.0])
+        assert at_bound.is_feasible([0])
+        past = MkpInstance.from_lists([1.0], [[1.0 + 2 * _EPS]], [1.0])
+        assert not past.is_feasible([0])
 
 
 class TestSolverBasics:
@@ -224,3 +234,32 @@ def test_concurrent_solves_restore_stdout(monkeypatch):
     after = os.fstat(1)
     assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
     assert peak[0] == 1
+
+
+def test_highs_recognises_every_option_solve_mkp_passes(monkeypatch):
+    """``solve_mkp`` silences the warnings about the options it passes to
+    HiGHS verbatim, so a name the installed HiGHS does not know would be
+    dropped without a word.  Each option it passes is handed back to
+    ``milp`` with every warning kept: HiGHS must name none of them
+    unrecognised."""
+    import numpy as np
+    import scipy.optimize
+    from scipy.optimize import Bounds, OptimizeWarning
+
+    real_milp = scipy.optimize.milp
+    passed = {}
+
+    def spy(*args, options=None, **kwargs):
+        passed.update(options or {})
+        return real_milp(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    solve_mkp(MkpInstance.from_lists([1.0, 2.0], [[1.0, 1.0]], [1.0]))
+    assert "mip_rel_gap" in passed
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        real_milp(np.array([-1.0]), integrality=1, bounds=Bounds(0, 1),
+                  options=dict(passed))
+    unrecognised = [str(w.message) for w in caught
+                    if issubclass(w.category, OptimizeWarning)]
+    assert unrecognised == []
