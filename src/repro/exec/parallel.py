@@ -149,8 +149,10 @@ class _Schedule:
     def next_event(self) -> float | None:
         """When the next drain or completion lands (None: nothing is in
         flight, so waiting cannot free space)."""
-        return min((heap[0][0] for heap in (self.kernel.drains, self.running)
-                    if heap), default=None)
+        drains, running = self.kernel.drains, self.running
+        if drains and (not running or drains[0][0] <= running[0][0]):
+            return drains[0][0]
+        return running[0][0] if running else None
 
     # ------------------------------------------------------------------
     def dispatch(self) -> None:
@@ -172,8 +174,9 @@ class _Schedule:
         # run: their parents would sit in RAM for many rounds, where
         # this round's admissions would demote them right back (billed).
         if not idle:
-            kernel.prefetch(min(ready, key=self.position.__getitem__),
-                            self.now)
+            if self.ledger.any_below_ram:  # else a prefetch finds nothing
+                kernel.prefetch(min(ready, key=self.position.__getitem__),
+                                self.now)
             return
         # one sort per round: started nodes drop out of the list, blocked
         # ones stay and are retried after every start (a later

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import faulthandler
 import functools
+import os
+import sys
 import random
 import threading
 
@@ -85,7 +88,30 @@ def pytest_runtest_call(item):
     return result
 
 
+# A test that never ends fails the run instead of hanging it: past LIMIT
+# seconds faulthandler writes every thread's stack to the terminal's
+# stderr and exits the process.  The slowest test measured under the fuzz
+# profile (a SELECT parity test) took 16 s, far below the limit.
+LIMIT = 600.0
+_STDERR_FD: list[int] = []  # a dup of the terminal's stderr, not a capture
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    faulthandler.dump_traceback_later(LIMIT, exit=True, file=_STDERR_FD[0])
+    try:
+        return (yield)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+def pytest_unconfigure(config):
+    while _STDERR_FD:
+        os.close(_STDERR_FD.pop())
+
+
 def pytest_configure(config):
+    _STDERR_FD.append(os.dup(sys.stderr.fileno()))
     config.addinivalue_line(
         "markers",
         "random_invariants: seeded randomized ledger-invariant harness "

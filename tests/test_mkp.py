@@ -263,3 +263,27 @@ def test_highs_recognises_every_option_solve_mkp_passes(monkeypatch):
     unrecognised = [str(w.message) for w in caught
                     if issubclass(w.category, OptimizeWarning)]
     assert unrecognised == []
+
+
+def test_a_highs_without_feasibility_jump_solves_silently(monkeypatch):
+    """HiGHS before 1.10 has no feasibility jump: scipy's wrapper then
+    warns that it does not know the option and solves without it.
+    ``solve_mkp`` lets no warning out for that one option name."""
+    import scipy.optimize
+    from scipy.optimize import OptimizeWarning
+
+    real_milp = scipy.optimize.milp
+
+    def older_milp(*args, options=None, **kwargs):
+        options = dict(options)
+        value = options.pop("mip_heuristic_run_feasibility_jump")
+        warnings.warn("Unrecognized options detected: "
+                      f"{{'mip_heuristic_run_feasibility_jump': {value}}}",
+                      OptimizeWarning)
+        return real_milp(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", older_milp)
+    inst = MkpInstance.from_lists([1.0, 2.0], [[1.0, 1.0]], [1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve_mkp(inst).selected == (1,)

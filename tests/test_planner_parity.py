@@ -16,7 +16,8 @@ the same outputs for every input, floats bit for bit:
 
 Inputs are drawn to reach the edges of each loop: random and layered
 DAGs (flat, thin, skewed stages, out-degree 0 to 8, forward bias 0 to
-1), repeated sizes (ties), random flag sets, random topological orders
+1; generated DAGs also at 1,000-1,600 nodes with out-degree 0 or 1,
+whose pools run out of funded producers), repeated sizes (ties), random flag sets, random topological orders
 and, where the parent accepted them, orders that are not topological,
 and budgets set to an exact value of a memory profile, so the ``1e-9``
 boundary of every fit test is hit.
@@ -235,11 +236,33 @@ def test_optimize_reports_the_parent_peaks(graph, fraction, method):
 @settings(deadline=None)
 @given(config=layered_configs, seed=st.integers(0, 2 ** 32))
 def test_layered_dag_equals_parent(config, seed):
+    assert_generates_like_parent(config, seed)
+
+
+def assert_generates_like_parent(config, seed):
     live_rng, ref_rng = random.Random(seed), random.Random(seed)
     live = generate_layered_dag(config, seed=live_rng)
     parent = ref.generate_layered_dag(config, seed=ref_rng)
     assert graph_key(live) == graph_key(parent)
     assert live_rng.getstate() == ref_rng.getstate()
+
+
+#: large DAGs whose producers run out of budget early (out-degree 0 or
+#: 1), so most phase-1 draws fall back to a pool's lowest out-degree
+unfunded_configs = st.builds(
+    LayeredDagConfig,
+    n_nodes=st.integers(1000, 1600),
+    height_width_ratio=st.sampled_from([0.2, 1.0, 4.0]),
+    max_outdegree=st.sampled_from([0, 1]),
+    stage_stdev=st.sampled_from([0.0, 4.0]),
+    forward_bias=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+)
+
+
+@settings(deadline=None, max_examples=6)
+@given(config=unfunded_configs, seed=st.integers(0, 2 ** 32))
+def test_large_unfunded_layered_dag_equals_parent(config, seed):
+    assert_generates_like_parent(config, seed)
 
 
 @settings(deadline=None)

@@ -1,6 +1,8 @@
 """Tests for the discrete-event refresh simulator."""
 
+import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from repro.engine import SimulatorOptions
 from repro.engine.storage import StorageDevice
 from repro.errors import ValidationError
 from repro.exec import create_backend
+from repro.graph.io import load_graph
 from repro.metadata.costmodel import DeviceProfile
 from tests.conftest import make_random_problem
 
@@ -125,6 +128,29 @@ class TestOverflowPolicies:
             options=SimulatorOptions(compute_penalty=0.5)).run(
                 chain_graph, plan, 0.0)
         assert slow.compute_latency == pytest.approx(6.0)
+
+    def test_compute_falls_back_to_the_profile_over_every_input(
+            self, tmp_path):
+        """A node with no observed ``compute_time`` is charged the
+        profile's compute over its parents' bytes plus its base-table
+        bytes, slowed by the compute penalty."""
+        path = tmp_path / "dag.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "nodes": [{"id": "a", "size": 2.0}, {"id": "b", "size": 3.0},
+                      {"id": "c", "size": 1.0,
+                       "meta": {"base_input_gb": 0.5}}],
+            "edges": [["a", "c"], ["b", "c"]]}))
+        graph = load_graph(str(path))
+        assert graph.node("c").compute_time is None
+        profile = replace(simple_profile(), compute_rate=2.0)
+        trace = simulator(
+            profile=profile,
+            options=SimulatorOptions(compute_penalty=0.25)).run(
+                graph, Plan.unoptimized(["a", "b", "c"]), 0.0)
+        computed = {node.node_id: node.compute for node in trace.nodes}
+        assert computed["c"] == pytest.approx(
+            profile.compute_time(2.0 + 3.0 + 0.5) * 1.25)
 
 
 class TestStorageDevice:
