@@ -5,8 +5,8 @@ from __future__ import annotations
 import faulthandler
 import functools
 import os
-import sys
 import random
+import sys
 import threading
 
 import pytest
