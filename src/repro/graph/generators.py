@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from repro.errors import ValidationError
@@ -80,47 +79,6 @@ def _stage_sizes(config: LayeredDagConfig, rng: random.Random) -> list[int]:
     return sizes
 
 
-class _LowestOutDegree:
-    """A producer pool bucketed by out-degree, each bucket in pool order.
-
-    The lowest bucket is the list ``[v for v in pool if out_degree(v) ==
-    min_out_degree]``, kept as edges are added instead of rebuilt per
-    draw, so a draw from it picks the same producer.
-    """
-
-    def __init__(self, graph: DependencyGraph, pool: list[str]):
-        self.graph = graph
-        self.nodes: list[str] = []
-        self.position: dict[str, int] = {}
-        self.buckets: dict[int, list[int]] = {}  # positions, ascending
-        self.low = 0
-        self.extend(pool)
-
-    def extend(self, nodes: list[str]) -> None:
-        """Append ``nodes`` to the end of the pool."""
-        for node in nodes:
-            degree = self.graph.out_degree(node)
-            self.position[node] = len(self.nodes)
-            self.buckets.setdefault(degree, []).append(len(self.nodes))
-            self.nodes.append(node)
-        self.low = min(d for d, bucket in self.buckets.items() if bucket)
-
-    def bump(self, node: str) -> None:
-        """Note the edge just added out of ``node``, if it is a member."""
-        position = self.position.get(node)
-        if position is None:
-            return
-        degree = self.graph.out_degree(node)
-        bucket = self.buckets[degree - 1]
-        del bucket[bisect_left(bucket, position)]
-        insort(self.buckets.setdefault(degree, []), position)
-        while not self.buckets.get(self.low):
-            self.low += 1
-
-    def draw(self, rng: random.Random) -> str:
-        return self.nodes[rng.choice(self.buckets[self.low])]
-
-
 def generate_layered_dag(config: LayeredDagConfig | None = None,
                          seed: int | random.Random = 0) -> DependencyGraph:
     """Generate a layered DAG; node ids are ``v0..v{n-1}`` in stage order.
@@ -160,23 +118,19 @@ def generate_layered_dag(config: LayeredDagConfig | None = None,
     # any earlier stage — preferring producers with remaining budget so
     # repairs don't inflate fan-out.  The funded producers of each pool
     # are kept as they change, in pool order, so each draw picks what a
-    # filter of the pool would hand it.  A pool with no funded producer
-    # left draws among its lowest-out-degree ones, kept the same way from
-    # that pool's first such draw on.
+    # filter of the pool would hand it.
     earlier: list[str] = []
     funded_earlier: list[str] = []
-    lowest_earlier: _LowestOutDegree | None = None
     for stage_idx, stage_nodes in enumerate(stages[1:], start=1):
         previous = stages[stage_idx - 1]
         funded_previous = [v for v in previous if budgets[v] > 0]
-        lowest_previous: _LowestOutDegree | None = None
         earlier += previous
         funded_earlier += funded_previous
-        if lowest_earlier is not None:
-            lowest_earlier.extend(previous)
         for node in stage_nodes:
-            forward = rng.random() < config.forward_bias
-            funded = funded_previous if forward else funded_earlier
+            if rng.random() < config.forward_bias:
+                pool, funded = previous, funded_previous
+            else:
+                pool, funded = earlier, funded_earlier
             if funded:
                 parent = rng.choice(funded)
                 budgets[parent] -= 1
@@ -184,18 +138,11 @@ def generate_layered_dag(config: LayeredDagConfig | None = None,
                     funded_earlier.remove(parent)
                     if parent in funded_previous:
                         funded_previous.remove(parent)
-            elif forward:
-                if lowest_previous is None:
-                    lowest_previous = _LowestOutDegree(graph, previous)
-                parent = lowest_previous.draw(rng)
             else:
-                if lowest_earlier is None:
-                    lowest_earlier = _LowestOutDegree(graph, earlier)
-                parent = lowest_earlier.draw(rng)
+                lowest = min(graph.out_degree(v) for v in pool)
+                parent = rng.choice([v for v in pool
+                                     if graph.out_degree(v) == lowest])
             graph.add_edge(parent, node)
-            for lowest in (lowest_previous, lowest_earlier):
-                if lowest is not None:
-                    lowest.bump(parent)
 
     # Phase 2 (extras): spend remaining budgets on additional forward
     # edges, preferring the next stage.

@@ -236,12 +236,26 @@ def test_concurrent_solves_restore_stdout(monkeypatch):
     assert peak[0] == 1
 
 
-def test_highs_recognises_every_option_solve_mkp_passes(monkeypatch):
-    """``solve_mkp`` silences the warnings about the options it passes to
-    HiGHS verbatim, so a name the installed HiGHS does not know would be
-    dropped without a word.  Each option it passes is handed back to
-    ``milp`` with every warning kept: HiGHS must name none of them
-    unrecognised."""
+#: the one option ``solve_mkp`` passes that HiGHS only knows from 1.10 on
+FEASIBILITY_JUMP = "mip_heuristic_run_feasibility_jump"
+
+
+def highs_version() -> tuple[int, int] | None:
+    """The installed HiGHS's (major, minor); None for a scipy whose
+    HiGHS wrapper does not expose it (an older wrapper)."""
+    try:
+        from scipy.optimize._highspy._core import (HIGHS_VERSION_MAJOR,
+                                                   HIGHS_VERSION_MINOR)
+    except ImportError:
+        return None
+    return HIGHS_VERSION_MAJOR, HIGHS_VERSION_MINOR
+
+
+def unforgiven_options(monkeypatch, version) -> list[str]:
+    """The warnings of an unrecognised option that ``milp`` raises when
+    handed every option ``solve_mkp`` passes, all warnings kept; on a
+    HiGHS of ``version`` before 1.10 (None: unknown) the one about
+    feasibility jump, which such a HiGHS does not have, is left out."""
     import numpy as np
     import scipy.optimize
     from scipy.optimize import Bounds, OptimizeWarning
@@ -253,16 +267,55 @@ def test_highs_recognises_every_option_solve_mkp_passes(monkeypatch):
         passed.update(options or {})
         return real_milp(*args, options=options, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "milp", spy)
-    solve_mkp(MkpInstance.from_lists([1.0, 2.0], [[1.0, 1.0]], [1.0]))
-    assert "mip_rel_gap" in passed
+    with monkeypatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        patch.setattr(scipy.optimize, "milp", spy)
+        solve_mkp(MkpInstance.from_lists([1.0, 2.0], [[1.0, 1.0]], [1.0]))
+    assert {"mip_rel_gap", FEASIBILITY_JUMP} <= set(passed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         real_milp(np.array([-1.0]), integrality=1, bounds=Bounds(0, 1),
                   options=dict(passed))
     unrecognised = [str(w.message) for w in caught
                     if issubclass(w.category, OptimizeWarning)]
-    assert unrecognised == []
+    if version is None or version < (1, 10):
+        unrecognised = [m for m in unrecognised
+                        if repr(FEASIBILITY_JUMP) not in m]
+    return unrecognised
+
+
+def test_highs_recognises_every_option_solve_mkp_passes(monkeypatch):
+    """``solve_mkp`` silences the warnings about the options it passes to
+    HiGHS verbatim, so a name the installed HiGHS does not know would be
+    dropped without a word: HiGHS must name none of them unrecognised,
+    except feasibility jump on a HiGHS older than 1.10."""
+    assert unforgiven_options(monkeypatch, highs_version()) == []
+
+
+def test_only_feasibility_jump_is_forgiven_on_an_older_highs(monkeypatch):
+    """Against a ``milp`` that does not know some options, as an older
+    HiGHS's does not know feasibility jump, the check above forgives
+    that one name before 1.10 only, and never a misspelt option."""
+    import scipy.optimize
+    from scipy.optimize import OptimizeWarning
+
+    real_milp = scipy.optimize.milp
+    unknown = {FEASIBILITY_JUMP}
+
+    def older_milp(*args, options=None, **kwargs):
+        options = dict(options)
+        for key in sorted(unknown & set(options)):
+            warnings.warn("Unrecognized options detected: "
+                          f"{ {key: options.pop(key)} }", OptimizeWarning)
+        return real_milp(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", older_milp)
+    assert unforgiven_options(monkeypatch, (1, 9)) == []
+    assert unforgiven_options(monkeypatch, None) == []
+    assert unforgiven_options(monkeypatch, (1, 10)) != []
+    unknown.add("mip_rel_gap")
+    assert unforgiven_options(monkeypatch, (1, 9)) == [
+        "Unrecognized options detected: {'mip_rel_gap': 0.01}"]
 
 
 def test_a_highs_without_feasibility_jump_solves_silently(monkeypatch):

@@ -17,10 +17,11 @@ the same outputs for every input, floats bit for bit:
 Inputs are drawn to reach the edges of each loop: random and layered
 DAGs (flat, thin, skewed stages, out-degree 0 to 8, forward bias 0 to
 1; generated DAGs also at 1,000-1,600 nodes with out-degree 0 or 1,
-whose pools run out of funded producers), repeated sizes (ties), random flag sets, random topological orders
-and, where the parent accepted them, orders that are not topological,
-and budgets set to an exact value of a memory profile, so the ``1e-9``
-boundary of every fit test is hit.
+whose pools run out of funded producers), repeated sizes (ties), random
+flag sets, random topological orders and, where the parent accepted
+them, orders that are not topological, and budgets set to an exact
+value of a memory profile, so the ``1e-9`` boundary of every fit test
+is hit.
 
 Beyond the drawn inputs, the benchmark's DAGs and the plans every
 optimizer method makes of them are pinned to the digests the parent
