@@ -55,16 +55,16 @@ def main() -> None:
             controller = Controller(options=SimulatorOptions(spill=spill))
             trace = controller.refresh(graph, ram, plan=plan, method="sc",
                                        backend=backend, workers=4)
-            report = trace.extras["tiered_store"]
+            report = trace.tier_report()
             # the RAM tier never exceeds its budget, on every run
             assert trace.peak_catalog_usage <= ram + 1e-9
-            assert report["tiers"][0]["peak"] <= ram + 1e-9
+            assert report.tiers[0].peak <= ram + 1e-9
             assert len(trace.nodes) == graph.n
             print(f"{100 * fraction:10.0f} % "
                   f"{trace.end_to_end_time:10.2f} "
                   f"{trace.end_to_end_time / baseline.end_to_end_time:7.2f}x "
-                  f"{report['spill_count']:7d} "
-                  f"{report['promote_count']:9d} "
+                  f"{report.spill_count:7d} "
+                  f"{report.promote_count:9d} "
                   f"{trace.peak_catalog_usage:8.2f}")
 
 

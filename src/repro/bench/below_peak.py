@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from repro.core.plan import Plan
@@ -25,6 +26,7 @@ from repro.engine.trace import RunTrace
 from repro.exec.base import SimulatorOptions
 from repro.graph.dag import DependencyGraph
 from repro.store.config import SpillConfig, TierSpec
+from repro.store.report import TierReport
 from repro.workloads.generator import (
     GeneratedWorkloadConfig,
     WorkloadGenerator,
@@ -87,17 +89,17 @@ class CellRun:
     trace: RunTrace
     first: CellRun | None = None
 
-    @property
-    def report(self) -> dict:
-        """The run's ``extras["tiered_store"]`` telemetry ({} untiered)."""
-        return self.trace.extras.get("tiered_store") or {}
+    @cached_property
+    def report(self) -> TierReport | None:
+        """The run's tier report (``None`` untiered)."""
+        return self.trace.tier_report()
 
     def within(self, ram: float) -> bool:
         """The RAM budget held: on the trace's catalog peak and on the
         store's own tier-0 peak, for every pass of the cell."""
-        tiers = self.report.get("tiers")
         return (self.trace.peak_catalog_usage <= ram + 1e-9
-                and (not tiers or tiers[0]["peak"] <= ram + 1e-9)
+                and (self.report is None
+                     or self.report.tiers[0].peak <= ram + 1e-9)
                 and (self.first is None or self.first.within(ram)))
 
 

@@ -32,9 +32,8 @@ example)::
     jobs = 2
     trial_timeout_s = 120
 
-Configs parse with :mod:`tomllib` where available (Python >= 3.11); a
-minimal built-in TOML subset parser covers older interpreters so the
-orchestrator needs nothing outside the standard library.
+Configs parse with the standard library's :mod:`tomllib`, so the
+orchestrator needs nothing outside it.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from __future__ import annotations
 import itertools
 import json
 import pathlib
+import tomllib
 from dataclasses import dataclass, fields
 
 from repro.errors import ValidationError
@@ -303,107 +303,9 @@ def load_config(path: str) -> MatrixConfig:
 
 
 def parse_toml(text: str, name: str = "config") -> dict:
-    """Parse TOML via :mod:`tomllib`, falling back to the built-in
-    subset parser on interpreters without it (Python < 3.11)."""
-    try:
-        import tomllib
-    except ImportError:  # pragma: no cover - version dependent
-        return _parse_simple_toml(text, name=name)
+    """Parse TOML via :mod:`tomllib`; a malformed text raises
+    :class:`~repro.errors.ValidationError` naming ``name``."""
     try:
         return tomllib.loads(text)
     except tomllib.TOMLDecodeError as exc:
         raise ValidationError(f"cannot parse {name}: {exc}") from exc
-
-
-def _parse_simple_toml(text: str, name: str = "config") -> dict:
-    """A minimal TOML subset: ``[section]`` tables and ``key = value``
-    pairs whose values are strings, numbers, booleans, or single-line
-    arrays of those.  Enough for matrix configs on Python 3.10."""
-    root: dict = {}
-    table = root
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_toml_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            key = line[1:-1].strip()
-            if not key or key.startswith("["):
-                raise ValidationError(
-                    f"{name}:{lineno}: unsupported table header {line!r}")
-            table = root.setdefault(key, {})
-            continue
-        if "=" not in line:
-            raise ValidationError(
-                f"{name}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        table[key.strip()] = _parse_toml_value(value.strip(),
-                                               f"{name}:{lineno}")
-    return root
-
-
-def _strip_toml_comment(line: str) -> str:
-    in_string: str | None = None
-    for index, char in enumerate(line):
-        if in_string:
-            if char == in_string:
-                in_string = None
-        elif char in "\"'":
-            in_string = char
-        elif char == "#":
-            return line[:index]
-    return line
-
-
-def _parse_toml_value(text: str, where: str):
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_toml_value(part.strip(), where)
-                for part in _split_toml_array(inner, where)]
-    if (len(text) >= 2 and text[0] in "\"'" and text[-1] == text[0]):
-        return text[1:-1]
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ValidationError(
-            f"{where}: unsupported TOML value {text!r}") from None
-
-
-def _split_toml_array(inner: str, where: str) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    in_string: str | None = None
-    current = ""
-    for char in inner:
-        if in_string:
-            current += char
-            if char == in_string:
-                in_string = None
-        elif char in "\"'":
-            in_string = char
-            current += char
-        elif char == "[":
-            depth += 1
-            current += char
-        elif char == "]":
-            depth -= 1
-            current += char
-        elif char == "," and depth == 0:
-            parts.append(current)
-            current = ""
-        else:
-            current += char
-    if in_string or depth:
-        raise ValidationError(f"{where}: unterminated array")
-    if current.strip():
-        parts.append(current)
-    return parts

@@ -556,9 +556,9 @@ def spill_tier_sweep() -> ExperimentResult:
                            SpillConfig(tiers=ssd_and_disk(case.peak)),
                            "given", plan=case.plan)
             totals[fraction] += run.trace.end_to_end_time
-            spills[fraction] += run.report["spill_count"]
-            promotes[fraction] += run.report["promote_count"]
-            spilled_gb[fraction] += run.report["spill_bytes_gb"]
+            spills[fraction] += run.report.spill_count
+            promotes[fraction] += run.report.promote_count
+            spilled_gb[fraction] += run.report.spill_bytes_gb
             budget_ok &= run.within(ram)
 
     full = totals[1.0]
@@ -623,7 +623,7 @@ def spill_planning_sweep() -> ExperimentResult:
             aware_totals[fraction] += aware.trace.end_to_end_time
             blind_flags[fraction] += len(blind.plan.flagged)
             aware_flags[fraction] += len(aware.plan.flagged)
-            aware_spills[fraction] += aware.report["spill_count"]
+            aware_spills[fraction] += aware.report.spill_count
             stall_avoided[fraction] += aware.trace.stall_avoided_time
 
     rows = [[f"{100 * fraction:g}%", blind_totals[fraction],
@@ -697,16 +697,12 @@ def compressed_spill_sweep() -> ExperimentResult:
                     "given", plan=case.plan)
                 totals[arm][fraction] += run.trace.end_to_end_time
                 report = run.report
-                extras_ok &= (report.get("codec") == codec
-                              and "spill_stored_gb" in report
-                              and report.get("prefetch", {}).get(
-                                  "enabled") is prefetch
-                              and all("codec_ratio" in tier
-                                      for tier in report["tiers"]))
-                stored_gb[codec] += report["spill_stored_gb"]
-                logical_gb[codec] += report["spill_bytes_gb"]
+                extras_ok &= (report.codec == codec
+                              and report.prefetch.enabled is prefetch)
+                stored_gb[codec] += report.spill_stored_gb
+                logical_gb[codec] += report.spill_bytes_gb
                 if prefetch:
-                    prefetches[fraction] += report["prefetch"]["count"]
+                    prefetches[fraction] += report.prefetch.count
                 budget_ok &= run.within(ram)
 
     rows = []
@@ -806,13 +802,12 @@ def ram_compression_sweep() -> ExperimentResult:
                 totals[arm][fraction] += run.trace.end_to_end_time
                 budget_ok &= run.within(ram)
                 if arm == "rung":
-                    rung_tier = run.report["tiers"][1]
-                    budget_ok &= rung_tier["peak"] <= rung_gb + 1e-9
-                    rung_spills[fraction] += run.report["spill_count"]
-                    rung_promotes[fraction] += run.report["promote_count"]
-                    observed = rung_tier["observed"]
-                    rung_ratio_gb[0] += observed["spill_in_gb"]
-                    rung_ratio_gb[1] += observed["spill_in_stored_gb"]
+                    rung_tier = run.report.tiers[1]
+                    budget_ok &= rung_tier.peak <= rung_gb + 1e-9
+                    rung_spills[fraction] += run.report.spill_count
+                    rung_promotes[fraction] += run.report.promote_count
+                    rung_ratio_gb[0] += rung_tier.observed.spill_in_gb
+                    rung_ratio_gb[1] += rung_tier.observed.spill_in_stored_gb
 
     rows = []
     for fraction in budget_fractions:
@@ -924,9 +919,9 @@ def feedback_loop_sweep() -> ExperimentResult:
                 "replan")
             first = second.first
             observed_ratios += [  # of the spill tiers, as the replan saw them
-                tier["observed"]["observed_ratio"]
-                for tier in first.report["tiers"][1:]
-                if tier["observed"]["observed_ratio"] is not None]
+                tier.observed.observed_ratio
+                for tier in first.report.tiers[1:]
+                if tier.observed.observed_ratio is not None]
             static_totals[fraction] += first.trace.end_to_end_time
             replan_totals[fraction] += second.trace.end_to_end_time
             static_flags[fraction] += len(first.plan.flagged)
@@ -957,12 +952,11 @@ def feedback_loop_sweep() -> ExperimentResult:
                 arms[arm] += run.trace.end_to_end_time
                 budget_ok &= run.within(ram)
                 if arm == "adaptive":
-                    for name, record in run.report[
-                            "codec_adapt"]["tiers"].items():
+                    for name, record in run.report.codec_adapt.tiers.items():
                         tally = events.setdefault(
                             name, {"repriced": 0, "switched": 0})
-                        tally["repriced"] += bool(record["repriced"])
-                        tally["switched"] += bool(record["switched_to"])
+                        tally["repriced"] += bool(record.repriced)
+                        tally["switched"] += bool(record.switched_to)
         codec_totals[mix] = arms
         adapt_events[mix] = events
 

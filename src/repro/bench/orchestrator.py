@@ -14,8 +14,8 @@
   completes, so an interrupted matrix resumes (``resume=True``)
   without re-running completed cells.
 
-A completed run aggregates the per-trial ``RunTrace`` totals and
-``extras["tiered_store"]`` telemetry into a schema-valid
+A completed run aggregates the per-trial ``RunTrace`` totals and tier
+report counters into a schema-valid
 ``BENCH_<date>.json`` (validated by :mod:`repro.bench.trajectory`) and
 a markdown report with per-axis pivot tables under the run directory.
 
@@ -183,13 +183,13 @@ def _run_minidb_trial(spec: TrialSpec, config: MatrixConfig,
 
 
 def _metrics(run) -> dict:
-    trace = run.trace
+    trace, report = run.trace, run.report
     metrics = {
         "end_to_end_s": trace.end_to_end_time,
         "peak_catalog": trace.peak_catalog_usage,
         "memory_budget": trace.memory_budget,
-        "spill_count": run.report.get("spill_count", 0),
-        "promote_count": run.report.get("promote_count", 0),
+        "spill_count": report.spill_count if report else 0,
+        "promote_count": report.promote_count if report else 0,
     }
     if run.first is not None:
         metrics["first_pass_s"] = run.first.trace.end_to_end_time

@@ -403,56 +403,54 @@ def _emit_observability(args, bus, trace) -> None:
 
 
 def _print_spill_stats(trace) -> None:
-    report = trace.extras.get("tiered_store")
-    if not report:
+    report = trace.tier_report()
+    if report is None:
         return
-    print(f"spills:            {report['spill_count']} "
-          f"({report['spill_bytes_gb']:.3f} GB) "
-          f"[policy {report['policy']}]")
-    bypasses = report.get("demote_bypass_count", 0)
-    if bypasses:
-        print(f"demote bypasses:   {bypasses} "
+    print(f"spills:            {report.spill_count} "
+          f"({report.spill_bytes_gb:.3f} GB) "
+          f"[policy {report.policy}]")
+    if report.demote_bypass_count:
+        print(f"demote bypasses:   {report.demote_bypass_count} "
               f"(demotions that skipped past a full middle tier)")
-    codec = report.get("codec", "none")
-    if codec != "none":
-        observed = report.get("observed_codec_ratio")
+    if report.codec != "none":
+        observed = report.observed_codec_ratio
         # None means no spill carried ratio data — print n/a, never
         # 0.0, so "no data" stays distinct from "incompressible" (1.0)
         note = "n/a (no spills)" if observed is None else f"{observed:.2f}x"
-        print(f"spill codec:       {codec} "
-              f"({report['spill_stored_gb']:.3f} GB stored of "
-              f"{report['spill_bytes_gb']:.3f} GB logical, "
+        print(f"spill codec:       {report.codec} "
+              f"({report.spill_stored_gb:.3f} GB stored of "
+              f"{report.spill_bytes_gb:.3f} GB logical, "
               f"observed ratio {note})")
-    for record in report.get("codec_adapt", {}).get("tiers", {}).values():
-        action = (f"switched to {record['switched_to']}"
-                  if record["switched_to"] else
-                  "repriced" if record["repriced"] else "kept")
-        print(f"codec adapt:       tier {record['tier']} {record['codec']} "
-              f"x{record['nominal_ratio']:g} -> observed "
-              f"x{record['observed_ratio']:.2f} after "
-              f"{record['samples']} spills: {action}")
-    print(f"promotes:          {report['promote_count']} "
-          f"({report['promote_bytes_gb']:.3f} GB)")
+    for record in report.codec_adapt.tiers.values():
+        action = (f"switched to {record.switched_to}"
+                  if record.switched_to else
+                  "repriced" if record.repriced else "kept")
+        print(f"codec adapt:       tier {record.tier} {record.codec} "
+              f"x{record.nominal_ratio:g} -> observed "
+              f"x{record.observed_ratio:.2f} after "
+              f"{record.samples} spills: {action}")
+    print(f"promotes:          {report.promote_count} "
+          f"({report.promote_bytes_gb:.3f} GB)")
     print(f"spill/promote t:   {trace.spill_time:.3f} s")
-    arbitration = report.get("arbitration", {})
-    if arbitration.get("enabled"):
-        print(f"arbitration:       {arbitration['stall_wins']} stalls / "
-              f"{arbitration['spill_wins']} spills chosen "
-              f"(avoided {arbitration['avoided_spill_seconds']:.3f} s "
+    arbitration = report.arbitration
+    if arbitration.enabled:
+        print(f"arbitration:       {arbitration.stall_wins} stalls / "
+              f"{arbitration.spill_wins} spills chosen "
+              f"(avoided {arbitration.avoided_spill_seconds:.3f} s "
               f"of spill)")
-    prefetch = report.get("prefetch", {})
-    if prefetch.get("enabled"):
-        print(f"prefetch:          {prefetch['count']} hits / "
-              f"{prefetch['misses']} misses "
-              f"({prefetch['bytes_gb']:.3f} GB promoted ahead, "
-              f"{prefetch['hidden_seconds']:.3f} s hidden in idle "
+    prefetch = report.prefetch
+    if prefetch.enabled:
+        print(f"prefetch:          {prefetch.count} hits / "
+              f"{prefetch.misses} misses "
+              f"({prefetch.bytes_gb:.3f} GB promoted ahead, "
+              f"{prefetch.hidden_seconds:.3f} s hidden in idle "
               f"time)")
-    for tier in report["tiers"]:
-        budget = ("unbounded" if tier["budget"] == float("inf")
-                  else f"{tier['budget']:.3f}")
-        codec_note = (f" [{tier['codec']} x{tier['codec_ratio']:g}]"
-                      if tier.get("codec", "none") != "none" else "")
-        print(f"  tier {tier['name']:<10s} peak {tier['peak']:9.3f} "
+    for tier in report.tiers:
+        budget = ("unbounded" if tier.budget == float("inf")
+                  else f"{tier.budget:.3f}")
+        codec_note = (f" [{tier.codec} x{tier.codec_ratio:g}]"
+                      if tier.codec != "none" else "")
+        print(f"  tier {tier.name:<10s} peak {tier.peak:9.3f} "
               f"/ {budget}{codec_note}")
 
 

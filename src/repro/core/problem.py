@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.errors import ValidationError
 from repro.graph.dag import DependencyGraph
 
 if TYPE_CHECKING:  # annotation-only; importing repro.metadata here would
     # cycle through its package init back into repro.core
+    from repro.feedback import TierObservation
     from repro.metadata.costmodel import DeviceProfile
     from repro.store.config import SpillConfig
 
@@ -131,7 +132,7 @@ class TierAwareBudget:
 
     @classmethod
     def from_observations(cls, ram: float, spill: "SpillConfig",
-                          observations: Mapping[str, Mapping] | None,
+                          observations: Sequence[TierObservation] | None,
                           profile: "DeviceProfile | None" = None,
                           ) -> "TierAwareBudget":
         """Price a spill hierarchy from *observed* per-byte costs.
@@ -140,20 +141,16 @@ class TierAwareBudget:
         trusting the device/codec presets, each tier's write leg, read
         leg, and codec ratio may be overridden with figures measured
         from a previous (or in-flight) run — see
-        :meth:`repro.feedback.CostFeedback.tier_budget`, which builds
-        the ``observations`` mapping from ``RunTrace`` telemetry.
+        :meth:`repro.feedback.CostFeedback.tier_budget`, which hands
+        over the rows it distilled from a ``RunTrace``.
 
         Args:
             ram: RAM budget in GB.
             spill: the tier hierarchy the next run will execute with.
-            observations: per-tier-name mapping with optional keys
-                ``spill_write_seconds_per_gb`` (observed demote cost per
-                logical GB, encode included),
-                ``promote_read_seconds_per_gb`` (observed reload cost
-                per logical GB, decode included), and
-                ``observed_ratio`` (realized logical/stored ratio).
-                Missing tiers/keys (or ``None`` values — "no data")
-                fall back to the modeled preset, so a partial
+            observations: one :class:`~repro.feedback.TierObservation`
+                per observed tier, matched to ``spill``'s tiers by
+                name.  A missing tier or a ``None`` figure ("no data")
+                falls back to the modeled preset, so a partial
                 observation never degrades the budget below
                 :meth:`from_spill`'s answer.
             profile: warehouse device model valuing a RAM byte.
@@ -162,28 +159,29 @@ class TierAwareBudget:
             A budget whose discounts reflect observed reality where it
             was measured and the model everywhere else.
         """
-        # imported here: both packages import repro.core on their way in
+        # imported here: the packages import repro.core on their way in
+        from repro.feedback import TierObservation
         from repro.metadata.costmodel import DeviceProfile
         from repro.store import pricing
 
         ram_gain = pricing.warehouse_ram_gain(profile or DeviceProfile())
-        observations = observations or {}
+        by_name = {tier.name: tier for tier in observations or ()}
         tiers = []
         for spec in spill.tiers:
             device = spec.resolved_profile()
             codec = spec.resolved_codec(spill.codec)
-            observed = observations.get(spec.name, {})
-            ratio = observed.get("observed_ratio")
+            observed = by_name.get(spec.name) or TierObservation(spec.name)
+            ratio = observed.observed_ratio
             if ratio is None:
                 ratio = codec.ratio
             # modeled fallback legs divide the transfer by the best
             # known ratio — the observed one when the run measured it —
             # so a budget never mixes observed capacity with
             # preset-ratio transfer pricing
-            write_leg = observed.get("spill_write_seconds_per_gb")
+            write_leg = observed.spill_write_seconds_per_gb
             if write_leg is None:
                 write_leg = pricing.write_leg_per_gb(device, codec, ratio)
-            read_leg = observed.get("promote_read_seconds_per_gb")
+            read_leg = observed.promote_read_seconds_per_gb
             if read_leg is None:
                 read_leg = pricing.read_leg_per_gb(device, codec, ratio)
             penalty = write_leg + read_leg

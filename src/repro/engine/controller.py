@@ -47,7 +47,7 @@ class Controller:
         options: simulator runtime policy.
         spill: optional tiered-store configuration applied to simulated
             backends (shorthand for ``options.spill``; per-tier usage and
-            spill/promote counts surface in ``RunTrace.extras``).
+            spill/promote counts surface in ``RunTrace.tier_report()``).
         spill_dir: optional directory arming *real* spill-to-disk on the
             MiniDB backend (:meth:`refresh_on_minidb`).
         ram_compressed_gb: optional budget (GB of compressed bytes)
@@ -153,10 +153,10 @@ class Controller:
                           method: str = "sc", seed: int = 0) -> Plan:
         """Re-plan against the costs an executed run actually observed.
 
-        The two-pass feedback loop in one call: the trace's
-        ``extras["tiered_store"]`` telemetry is distilled into a
-        :class:`~repro.feedback.CostFeedback` and the optimizer solves
-        against the feedback-derived
+        The two-pass feedback loop in one call: the trace's tier report
+        (:meth:`~repro.engine.trace.RunTrace.tier_report`) is distilled
+        into a :class:`~repro.feedback.CostFeedback` and the optimizer
+        solves against the feedback-derived
         :class:`~repro.core.problem.TierAwareBudget` — observed
         spill-write/promote-read seconds per GB and realized codec
         ratios replacing the device/codec presets.

@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
+from repro.store.report import TierReport
+
 
 @dataclass
 class NodeTrace:
@@ -74,9 +76,11 @@ class RunTrace:
     """A whole refresh run: per-node traces plus run-level facts.
 
     ``extras`` is a generic mapping for backend-specific run counters —
-    the tiered store publishes per-tier usage and spill/promote stats
-    under ``extras["tiered_store"]`` — so future backends report their
-    own facts without overloading unrelated fields.
+    the tiered store publishes its report's JSON form under
+    ``extras["tiered_store"]`` (the types live in
+    :mod:`repro.store.report`; read it through :meth:`tier_report`) —
+    so future backends report their own facts without overloading
+    unrelated fields.
     """
 
     nodes: list[NodeTrace] = field(default_factory=list)
@@ -132,9 +136,19 @@ class RunTrace:
         promote round-trip cost the run would have paid under the old
         spill-always-wins rule.  Zero when no tiered store ran.
         """
-        report = self.extras.get("tiered_store", {})
-        return report.get("arbitration", {}).get(
-            "avoided_spill_seconds", 0.0)
+        report = self.tier_report()
+        return report.arbitration.avoided_spill_seconds if report else 0.0
+
+    def tier_report(self) -> TierReport | None:
+        """The tiered store's report, parsed from ``extras``; ``None``
+        when no tiered store ran.
+
+        Raises:
+            ValidationError: the stored report lacks a key or has one
+                the report does not declare.
+        """
+        report = self.extras.get("tiered_store")
+        return None if report is None else TierReport.from_dict(report)
 
     def breakdown(self) -> dict[str, float]:
         """Fraction of summed node time per category (Figure 3 axes)."""

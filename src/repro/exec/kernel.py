@@ -80,7 +80,7 @@ def finish_run(ledger: MemoryLedger, bus: EventBus, nodes: list[NodeTrace],
     extras = {}
     report = getattr(ledger, "tier_report", None)
     if callable(report):
-        extras["tiered_store"] = report()
+        extras["tiered_store"] = report().to_dict()
     if bus.enabled:
         bus.instant("run-finish", "run", "scheduler", end_to_end,
                     args={"method": method,
@@ -344,7 +344,7 @@ class NodeKernel:
         their promote round trip later, priced by
         :meth:`~repro.store.tiered.TieredLedger.estimate_spill_seconds`)
         and take the cheaper move.  Decisions are counted on the ledger
-        (``tier_report()["arbitration"]``) and recorded in
+        (``tier_report().arbitration``) and recorded in
         ``trace.admission``; :meth:`_place_tiered` then demotes only if
         the stalls did not free enough room.  Once a stall has recorded
         the estimate it ``avoided``, every later turn asks the ledger

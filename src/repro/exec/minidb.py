@@ -53,7 +53,7 @@ the one its drain already encoded (whatever codec that was), or, drain
 still queued, one encoded here with ``spill_codec`` and left for the
 drain to write.  Either way the ledger's spill tier is charged the
 *measured* on-disk bytes of every dump, so
-``extras["tiered_store"]["spill_stored_gb"]`` reports the genuine
+the tier report's ``spill_stored_gb`` reports the genuine
 compressed footprint next to the logical ``spill_bytes_gb``.
 
 ``spill_adapt`` (a :class:`~repro.store.config.CodecAdaptConfig`) arms
@@ -61,7 +61,7 @@ mid-run codec re-pricing on those *measured* ratios: after the first K
 real dumps the ledger compares the realized compression against the
 codec preset and, when the observed saving no longer covers the codec
 tax, drops the codec for the rest of the run — later victims dump raw
-(``extras["tiered_store"]["codec_adapt"]`` logs the decision).
+(the tier report's ``codec_adapt`` logs the decision).
 
 ``ram_compressed_gb=<GB>`` inserts a *real* compressed-in-RAM rung
 between RAM and the spill disk: a victim's blob (adopted or encoded as

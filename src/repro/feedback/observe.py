@@ -9,16 +9,18 @@ instead of the preset 2.6x makes every tier look bigger and cheaper
 than it is, and a device that is busier than its profile makes every
 demotion dearer.
 
-:class:`CostFeedback` closes that loop.  It reads the per-tier
-telemetry a tiered run leaves in ``RunTrace.extras["tiered_store"]`` —
-observed spill-write and promote-read seconds per GB and realized codec
-ratios (from MiniDB's real spill dumps or the simulator's per-entry
-compressibility), the three numbers per tier that planning reads — and
-re-derives the planner's tier discounts from *observed* rather than
-modeled costs (:meth:`CostFeedback.tier_budget`, backed by
-:meth:`~repro.core.problem.TierAwareBudget.from_observations`).  The
-next ``optimize()`` call then plans against the hierarchy the run
-actually experienced: ``Controller.replan_from_trace(trace)`` /
+:class:`CostFeedback` closes that loop. It reads the tier report a
+tiered run leaves in its trace
+(:meth:`~repro.engine.trace.RunTrace.tier_report`, typed in
+:mod:`repro.store.report`) — observed spill-write and promote-read
+seconds per GB and realized codec ratios (from MiniDB's real spill dumps
+or the simulator's per-entry compressibility), the three numbers per
+tier that planning reads — and re-derives the planner's tier discounts
+from *observed* rather than modeled costs
+(:meth:`CostFeedback.tier_budget`, backed by
+:meth:`~repro.core.problem.TierAwareBudget.from_observations`). The next
+``optimize()`` call then plans against the hierarchy the run actually
+experienced: ``Controller.replan_from_trace(trace)`` /
 ``Controller.refresh(feedback=...)``, or ``repro-sc simulate --replan``
 for the two-pass mode end to end.
 
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 
 from repro.core.problem import TierAwareBudget
 from repro.errors import ValidationError
+from repro.store.report import Observed
 
 
 @dataclass(frozen=True)
@@ -72,8 +75,8 @@ class CostFeedback:
     ``feedback=`` or derive a budget directly with :meth:`tier_budget`.
 
     Migration counts, arbitration outcomes, prefetch hits and codec
-    switches stay in the trace's ``extras["tiered_store"]``: planning
-    reads none of them.
+    switches stay in the trace's tier report: planning reads none of
+    them.
 
     Attributes:
         tiers: per-spill-tier observations (RAM is not listed — the
@@ -91,74 +94,34 @@ class CostFeedback:
         simulated runs their modeled charges, real-I/O runs
         (``charge_io=False``: MiniDB with a spill directory) the wall
         seconds they measure and record through
-        :meth:`~repro.store.tiered.TieredLedger.record_wall_seconds`.
-        Only a tier report without any seconds, under a single spill
-        tier, has the node-level ``spill_write`` / ``promote_read``
-        seconds attributed to that tier instead.
+        :meth:`~repro.store.tiered.TieredLedger.record_wall_seconds`
+        against the tier they moved bytes to or from.
 
         Raises:
             ValidationError: when the trace carries no tiered-store
                 telemetry (the run never armed a tiered store).
         """
-        report = trace.extras.get("tiered_store")
-        if not report:
+        report = trace.tier_report()
+        if report is None:
             raise ValidationError(
-                "trace carries no extras['tiered_store'] telemetry; "
-                "run with a spill configuration to collect feedback")
-        lower = report.get("tiers", [])[1:]  # skip the RAM rung
-        observations = []
-        for tier in lower:
-            observed = tier.get("observed", {})
-            observations.append(TierObservation(
-                name=tier["name"],
-                spill_write_seconds_per_gb=observed.get(
-                    "spill_write_seconds_per_gb"),
-                promote_read_seconds_per_gb=cls._read_leg(observed),
-                observed_ratio=observed.get("observed_ratio")))
-        return cls(tiers=tuple(
-            cls._wall_clock_fallback(trace, report, observations)))
+                "trace carries no tier report; run with a spill "
+                "configuration to collect feedback")
+        return cls(tiers=tuple(TierObservation(
+            name=tier.name,
+            spill_write_seconds_per_gb=(
+                tier.observed.spill_write_seconds_per_gb),
+            promote_read_seconds_per_gb=cls._read_leg(tier.observed),
+            observed_ratio=tier.observed.observed_ratio)
+            for tier in report.tiers[1:]))  # skip the RAM rung
 
     @staticmethod
-    def _read_leg(observed: dict) -> float | None:
+    def _read_leg(observed: Observed) -> float | None:
         """Observed reload cost per GB: device read + decode + create."""
-        read = observed.get("read_seconds_per_gb")
-        create = observed.get("promote_create_seconds_per_gb")
+        read = observed.read_seconds_per_gb
+        create = observed.promote_create_seconds_per_gb
         if read is None and create is None:
             return None
         return (read or 0.0) + (create or 0.0)
-
-    @staticmethod
-    def _wall_clock_fallback(trace, report: dict,
-                             observations: list[TierObservation],
-                             ) -> list[TierObservation]:
-        """Attribute node-trace wall clocks to a single untimed tier.
-
-        Only applies when the hierarchy has exactly one spill tier whose
-        report carries no simulated seconds (a ``charge_io=False``
-        real-I/O run) — with several tiers the wall clocks cannot be
-        attributed and the modeled fallback stands.
-        """
-        if len(observations) != 1:
-            return observations
-        tier = observations[0]
-        if tier.spill_write_seconds_per_gb is not None or \
-                tier.promote_read_seconds_per_gb is not None:
-            return observations
-        spill_seconds = sum(n.spill_write for n in trace.nodes)
-        promote_seconds = sum(n.promote_read for n in trace.nodes)
-        spilled = report.get("spill_bytes_gb", 0.0)
-        promoted = report.get("promote_bytes_gb", 0.0)
-        write = (spill_seconds / spilled
-                 if spill_seconds > 0 and spilled > 0 else None)
-        read = (promote_seconds / promoted
-                if promote_seconds > 0 and promoted > 0 else None)
-        if write is None and read is None:
-            return observations
-        return [TierObservation(
-            name=tier.name,
-            spill_write_seconds_per_gb=write,
-            promote_read_seconds_per_gb=read,
-            observed_ratio=tier.observed_ratio)]
 
     # ------------------------------------------------------------------
     def tier_budget(self, ram: float, spill,
@@ -170,15 +133,5 @@ class CostFeedback:
         keeps :meth:`~repro.core.problem.TierAwareBudget.from_spill`'s
         modeled price.
         """
-        observations = {
-            tier.name: {
-                "spill_write_seconds_per_gb":
-                    tier.spill_write_seconds_per_gb,
-                "promote_read_seconds_per_gb":
-                    tier.promote_read_seconds_per_gb,
-                "observed_ratio": tier.observed_ratio,
-            }
-            for tier in self.tiers
-        }
         return TierAwareBudget.from_observations(
-            ram, spill, observations, profile=profile)
+            ram, spill, self.tiers, profile=profile)

@@ -71,24 +71,26 @@ def metrics_table(trace: RunTrace, events: Sequence[Event]) -> str:
     totals, the ``dispatch-round`` instants counted, each tier lane's
     last occupancy sample and the node spans' durations — each only
     when the run produced it."""
-    report = trace.extras.get("tiered_store")
+    report = trace.tier_report()
     counters: dict[str, float] = {}
-    if report:
-        prefetch = report["prefetch"]
+    if report is not None:
+        prefetch, arbitration = report.prefetch, report.arbitration
         counters = {
-            "store.spill.count": report["spill_count"],
-            "store.spill.logical_gb": report["spill_bytes_gb"],
-            "store.spill.stored_gb": report["spill_stored_gb"],
-            "store.promote.count": report["promote_count"],
-            "store.promote.logical_gb": report["promote_bytes_gb"],
-            "store.demote.bypass_count": report["demote_bypass_count"],
-            "store.prefetch.count": prefetch["count"],
-            "store.prefetch.logical_gb": prefetch["bytes_gb"],
-            "store.prefetch.hidden_seconds": prefetch["hidden_seconds"],
-            "store.prefetch.misses": prefetch["misses"],
-            **{f"store.arbitration.{key}": value
-               for key, value in report["arbitration"].items()
-               if key != "enabled"}}
+            "store.spill.count": report.spill_count,
+            "store.spill.logical_gb": report.spill_bytes_gb,
+            "store.spill.stored_gb": report.spill_stored_gb,
+            "store.promote.count": report.promote_count,
+            "store.promote.logical_gb": report.promote_bytes_gb,
+            "store.demote.bypass_count": report.demote_bypass_count,
+            "store.prefetch.count": prefetch.count,
+            "store.prefetch.logical_gb": prefetch.bytes_gb,
+            "store.prefetch.hidden_seconds": prefetch.hidden_seconds,
+            "store.prefetch.misses": prefetch.misses,
+            "store.arbitration.stall_wins": arbitration.stall_wins,
+            "store.arbitration.spill_wins": arbitration.spill_wins,
+            "store.arbitration.stall_seconds": arbitration.stall_seconds,
+            "store.arbitration.avoided_spill_seconds":
+                arbitration.avoided_spill_seconds}
     gauges: dict[str, float] = {}
     elapsed: list[float] = []
     for event in events:

@@ -39,7 +39,8 @@ Architecture — an accounting core and three things beside it
 **Stats** (:class:`~repro.store.stats.StoreStats`)
     What a run did: the spill / promote / prefetch / arbitration
     counters, per-tier observed telemetry, the ``codec_adapt`` log, the
-    ``store`` events (bus on) and the assembly of ``tier_report()``.
+    ``store`` events (bus on) and the assembly of ``tier_report()``,
+    a :class:`~repro.store.report.TierReport`.
     The core calls it directly, once per migration, tier read, prefetch
     outcome and arbitration — it is not a bus sink, so the report is
     filled with the bus off.
@@ -104,9 +105,11 @@ during idle device time so their consumers read at memory bandwidth.
 ``codec="none"`` with prefetch off stays bit-identical to the
 uncompressed pipeline.
 
-Run-level observability lives in ``RunTrace.extras["tiered_store"]``
-(per-tier usage/peak plus spill/promote counts and bytes, codec names,
-stored-vs-logical volumes, and prefetch outcomes), surfaced by the
+Run-level observability lives in the tier report
+(:mod:`repro.store.report`; a run stores its JSON form in
+``RunTrace.extras["tiered_store"]``): per-tier usage/peak plus
+spill/promote counts and bytes, codec names, stored-vs-logical
+volumes, and prefetch outcomes, surfaced by the
 Controller, the CLI (``--tier``, ``--spill-policy``, ``--spill-dir``,
 ``--spill-codec``, ``--prefetch``), ``repro-sc bench spill`` and
 ``repro-sc bench spillcodec``.

@@ -202,7 +202,7 @@ class CodecAdaptConfig:
     and — when the observed saving no longer covers the codec's
     encode+decode tax — the tier drops its codec entirely and stores
     future spills raw.  Every decision is logged in
-    ``extras["tiered_store"]["codec_adapt"]``.
+    the tier report's ``codec_adapt`` block.
 
     Attributes:
         samples: spilled tables to measure before deciding (per tier).

@@ -4,12 +4,13 @@
 :class:`~repro.store.tiered.TieredLedger` keeps beside its accounting:
 the ledger tells it once per migration, tier read, prefetch outcome and
 arbitration what happened; it counts, emits the matching ``store`` event
-when the bus is on, and alone assembles
-``RunTrace.extras["tiered_store"]`` (:meth:`StoreStats.report`) — the
-one record of the run counters; ``--metrics`` prints its ``store.*``
-lines from that report.  It is a direct collaborator, not an event-bus
-sink — the report has to be filled with the bus off, and off has to
-cost one attribute check.
+when the bus is on, and alone assembles the run's report
+(:meth:`StoreStats.report`, a :class:`~repro.store.report.TierReport`;
+the types live in :mod:`repro.store.report`, and its JSON form is
+``RunTrace.extras["tiered_store"]``) — the one record of the run
+counters; ``--metrics`` prints its ``store.*`` lines from that report.
+It is a direct collaborator, not an event-bus sink — the report has to
+be filled with the bus off, and off has to cost one attribute check.
 
 Only the owning ledger calls it, and readers go through
 ``TieredLedger.tier_report()``.
@@ -23,6 +24,16 @@ from typing import TYPE_CHECKING, Sequence
 from repro.obs.events import EventBus
 from repro.store import pricing
 from repro.store.config import NONE_CODEC, CodecProfile, SpillConfig
+from repro.store.report import (
+    Arbitration,
+    CodecAdapt,
+    CodecAdaptRecord,
+    Observed,
+    Prefetch,
+    TenantRow,
+    TierReport,
+    TierRow,
+)
 
 if TYPE_CHECKING:
     from repro.store.tiered import SpillCharge, StorageTier, _Spilled
@@ -126,7 +137,7 @@ class StoreStats:
     stall_seconds: float = 0.0
     avoided_spill_seconds: float = 0.0
     tiers: list[TierTelemetry] = field(init=False)
-    codec_adapt: dict[str, dict] = field(default_factory=dict)
+    codec_adapt: dict[str, CodecAdaptRecord] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.tiers = [TierTelemetry() for _ in self.rungs]
@@ -260,100 +271,88 @@ class StoreStats:
     def adapted(self, tier: str, codec: CodecProfile, observed: float,
                 samples: int, repriced: bool, switched: bool) -> None:
         """Log tier ``tier``'s one adaptation decision."""
-        self.codec_adapt[tier] = {
-            "tier": tier,
-            "codec": codec.name,
-            "nominal_ratio": codec.ratio,
-            "observed_ratio": observed,
-            "samples": samples,
-            "repriced": repriced,
-            "switched_to": NONE_CODEC.name if switched else None,
-            "at_spill": self.spill_count,
-        }
+        self.codec_adapt[tier] = CodecAdaptRecord(
+            tier=tier, codec=codec.name, nominal_ratio=codec.ratio,
+            observed_ratio=observed, samples=samples, repriced=repriced,
+            switched_to=NONE_CODEC.name if switched else None,
+            at_spill=self.spill_count)
 
     # ------------------------------------------------------------------
     # what readers get
     # ------------------------------------------------------------------
-    def observed(self, index: int) -> dict:
-        """One tier's observed-cost telemetry, report-ready.
+    def observed(self, index: int) -> Observed:
+        """One tier's observed-cost telemetry.
 
         ``observed_ratio`` is ``None`` when the tier never received a
         spill, so "no data" is distinguishable from "incompressible"
         (ratio 1.0); the per-GB seconds follow :meth:`Traffic.per_gb`.
         """
         tier = self.tiers[index]
-        return {
-            "spill_in_count": tier.spill_in.count,
-            "spill_in_gb": tier.spill_in.gb,
-            "spill_in_stored_gb": tier.spill_in_stored_gb,
-            "spill_write_seconds_per_gb": tier.spill_in.per_gb(
+        return Observed(
+            spill_in_count=tier.spill_in.count,
+            spill_in_gb=tier.spill_in.gb,
+            spill_in_stored_gb=tier.spill_in_stored_gb,
+            spill_write_seconds_per_gb=tier.spill_in.per_gb(self.charge_io),
+            read_gb=tier.read.gb,
+            read_seconds_per_gb=tier.read.per_gb(self.charge_io),
+            promote_gb=tier.promote.gb,
+            promote_create_seconds_per_gb=tier.promote.per_gb(
                 self.charge_io),
-            "read_gb": tier.read.gb,
-            "read_seconds_per_gb": tier.read.per_gb(self.charge_io),
-            "promote_gb": tier.promote.gb,
-            "promote_create_seconds_per_gb": tier.promote.per_gb(
-                self.charge_io),
-            "observed_ratio": (
+            observed_ratio=(
                 tier.encoded_logical_gb / tier.encoded_stored_gb
-                if tier.encoded_stored_gb > 0.0 else None),
-        }
+                if tier.encoded_stored_gb > 0.0 else None))
 
-    def report(self, logical: Sequence[float], tenants: dict) -> dict:
-        """``RunTrace.extras["tiered_store"]``.
+    def report(self, logical: Sequence[float],
+               tenants: dict[str, TenantRow]) -> TierReport:
+        """The run's :class:`~repro.store.report.TierReport`.
 
         ``usage``/``peak`` are *stored* (on-tier, possibly compressed)
         GB — the unit each tier's capacity is charged in; ``logical``
         (handed in per tier by the ledger, which alone knows it) is the
         decoded GB currently resident there.  ``tenants`` is the
-        per-tenant books, left out when there are none so single-tenant
-        reports stay bit-equal to the pre-tenant goldens
-        (tests/data/golden_pr5_trace.json).
+        per-tenant books, empty when none were registered.
         """
         encoded_stored = sum(t.encoded_stored_gb for t in self.tiers)
-        return {
-            "policy": self.config.policy,
-            "promote": self.config.promote,
-            "codec": self.config.codec.name,
-            "spill_count": self.spill_count,
-            "demote_bypass_count": self.demote_bypass_count,
-            "promote_count": self.promote_count,
-            "spill_bytes_gb": self.spill_bytes,
-            "spill_stored_gb": self.spill_stored_bytes,
-            "promote_bytes_gb": self.promote_bytes,
-            "observed_codec_ratio": (
+        return TierReport(
+            policy=self.config.policy,
+            promote=self.config.promote,
+            codec=self.config.codec.name,
+            spill_count=self.spill_count,
+            demote_bypass_count=self.demote_bypass_count,
+            promote_count=self.promote_count,
+            spill_bytes_gb=self.spill_bytes,
+            spill_stored_gb=self.spill_stored_bytes,
+            promote_bytes_gb=self.promote_bytes,
+            observed_codec_ratio=(
                 sum(t.encoded_logical_gb for t in self.tiers)
                 / encoded_stored if encoded_stored > 0.0 else None),
-            "arbitration": {
-                "enabled": self.config.arbitrate,
-                "stall_wins": self.stall_wins,
-                "spill_wins": self.spill_wins,
-                "stall_seconds": self.stall_seconds,
-                "avoided_spill_seconds": self.avoided_spill_seconds,
-            },
-            "prefetch": {
-                "enabled": self.config.prefetch,
-                "count": self.prefetch_count,
-                "bytes_gb": self.prefetch_bytes,
-                "hidden_seconds": self.prefetch_hidden_seconds,
-                "misses": self.prefetch_misses,
-            },
-            "codec_adapt": {
-                "enabled": self.config.adapt is not None,
-                "tiers": dict(self.codec_adapt),
-            },
-            "tiers": [{
-                "name": tier.name,
-                "budget": tier.ledger.budget,
-                "usage": tier.ledger.usage,
-                "peak": tier.ledger.peak_usage,
+            arbitration=Arbitration(
+                enabled=self.config.arbitrate,
+                stall_wins=self.stall_wins,
+                spill_wins=self.spill_wins,
+                stall_seconds=self.stall_seconds,
+                avoided_spill_seconds=self.avoided_spill_seconds),
+            prefetch=Prefetch(
+                enabled=self.config.prefetch,
+                count=self.prefetch_count,
+                bytes_gb=self.prefetch_bytes,
+                hidden_seconds=self.prefetch_hidden_seconds,
+                misses=self.prefetch_misses),
+            codec_adapt=CodecAdapt(
+                enabled=self.config.adapt is not None,
+                tiers=dict(self.codec_adapt)),
+            tiers=tuple(TierRow(
+                name=tier.name,
+                budget=tier.ledger.budget,
+                usage=tier.ledger.usage,
+                peak=tier.ledger.peak_usage,
                 # the tier's own residents (resident() on the RAM rung
                 # spans the whole hierarchy)
-                "resident": len(tier.ledger._entries),
-                "codec": tier.codec.name,
-                "codec_ratio": tier.codec.ratio,
-                "priced_ratio": tier.priced_ratio,
-                "logical": logical[index],
-                "observed": self.observed(index),
-            } for index, tier in enumerate(self.rungs)],
-            **({"tenants": tenants} if tenants else {}),
-        }
+                resident=len(tier.ledger._entries),
+                codec=tier.codec.name,
+                codec_ratio=tier.codec.ratio,
+                priced_ratio=tier.priced_ratio,
+                logical=logical[index],
+                observed=self.observed(index),
+            ) for index, tier in enumerate(self.rungs)),
+            tenants=tenants)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.errors import CatalogError
+from repro.store.report import TenantRow
 
 
 @dataclass
@@ -119,17 +120,17 @@ class TenantAccounts:
         self.credit(node_id)
         self.owners.pop(node_id, None)
 
-    def report(self, ram_entries: Iterable[str]) -> dict:
-        """Per-tenant accounting block for ``tier_report()["tenants"]``;
+    def report(self, ram_entries: Iterable[str]) -> dict[str, TenantRow]:
+        """Per-tenant accounting rows for ``tier_report().tenants``;
         ``ram_entries`` are the ids resident in RAM."""
         resident: dict[str, int] = {}
         for node_id in ram_entries:
             tenant = self.owners.get(node_id)
             if tenant is not None:
                 resident[tenant] = resident.get(tenant, 0) + 1
-        return {name: {
-            "budget": account.budget,
-            "usage": account.usage,
-            "peak": account.peak,
-            "resident": resident.get(name, 0),
-        } for name, account in self.accounts.items()}
+        return {name: TenantRow(
+            budget=account.budget,
+            usage=account.usage,
+            peak=account.peak,
+            resident=resident.get(name, 0),
+        ) for name, account in self.accounts.items()}

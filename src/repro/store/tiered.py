@@ -61,7 +61,7 @@ Two run-time refinements close the model-vs-runtime loop:
   hands the first K measured spills of each tier to
   :func:`repro.store.pricing.adapt_codec` and *re-prices* (or drops) a
   codec whose measured ratio diverges from its preset
-  (``tier_report()["codec_adapt"]``).
+  (``tier_report().codec_adapt``).
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ from repro.store.config import (
     TierSpec,
 )
 from repro.store.policy import POLICIES, VictimInfo
+from repro.store.report import TierReport
 from repro.store.stats import StoreStats
 from repro.store.tenants import TenantAccounts
 from repro.store.victim_index import VictimIndex
@@ -941,9 +942,8 @@ class TieredLedger(MemoryLedger):
         Real-I/O executors (``charge_io=False``) call this around their
         actual encode/dump (``leg="spill_in"``) and read-back/decode
         (``leg="read"``) work on ``gb`` logical GB, so the feedback
-        loop gets per-tier observed seconds even with several spill
-        tiers — where the single-tier node-trace fallback cannot
-        attribute the wall clocks.  :meth:`tier_report` surfaces the
+        loop gets per-tier observed seconds with any number of spill
+        tiers.  :meth:`tier_report` surfaces the
         per-GB averages in the tier's ``observed`` block exactly like
         simulated charges.
         """
@@ -985,11 +985,11 @@ class TieredLedger(MemoryLedger):
         return seconds
 
     # ------------------------------------------------------------------
-    def tier_report(self) -> dict:
-        """``RunTrace.extras["tiered_store"]``: per-tier usage, observed
-        telemetry and the run's spill / promote / prefetch / arbitration
-        / adaptation counters — see
-        :meth:`repro.store.stats.StoreStats.report`."""
+    def tier_report(self) -> TierReport:
+        """Per-tier usage, observed telemetry and the run's spill /
+        promote / prefetch / arbitration / adaptation counters — see
+        :meth:`repro.store.stats.StoreStats.report`; its ``to_dict()``
+        is ``RunTrace.extras["tiered_store"]``."""
         return self.stats.report(
             [sum(self._logical_size(index, node_id)
                  for node_id in tier.ledger._entries)

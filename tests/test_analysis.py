@@ -11,7 +11,6 @@ code   name                         protects
 REP001 wall-clock-in-logical-path   golden-trace determinism (logical clocks)
 REP002 unseeded-rng                 seeded tie-breaks, reproducible runs
 REP004 bus-guard                    <2% observability overhead when off
-REP005 extras-schema                ``extras["tiered_store"]`` key stability
 REP006 error-taxonomy               ``repro.errors``-only public failures
 REP007 unreachable-module           no module only tests or examples import
 ====== ============================ =========================================
@@ -41,13 +40,11 @@ import functools
 import io
 import re
 import tokenize
+import tomllib
 from pathlib import Path, PurePosixPath
 from typing import Iterable, Iterator
 
 import pytest
-
-from repro.bench.experiment import parse_toml
-from tests.report_schema import ALL_TIERED_STORE_KEYS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,14 +60,6 @@ BUS_HELPERS = frozenset({"src/repro/obs/events.py"})
 ENTRY_POINTS = frozenset({"src/repro/cli.py",
                           "src/repro/engine/controller.py"})
 ERROR_MODULE = "repro.errors"
-#: REP005: every declared ``extras["tiered_store"]`` key, and the
-#: functions that build the blob
-SCHEMA_KEYS = ALL_TIERED_STORE_KEYS
-SCHEMA_PRODUCERS = {
-    "src/repro/store/stats.py": frozenset({"report", "observed",
-                                           "adapted"}),
-    "src/repro/store/tenants.py": frozenset({"report"}),
-}
 #: (file, code) -> violations its directives suppress, as reviewed
 SUPPRESSION_BASELINE = {
     ("src/repro/bench/experiments.py", "REP001"): 2,
@@ -78,7 +67,7 @@ SUPPRESSION_BASELINE = {
     ("src/repro/obs/events.py", "REP001"): 3,
 }
 
-RULES = ("REP001", "REP002", "REP004", "REP005", "REP006", "REP007")
+RULES = ("REP001", "REP002", "REP004", "REP006", "REP007")
 #: Directive problems; never suppressible
 HYGIENE_CODE = "REP000"
 
@@ -170,12 +159,9 @@ def read_tree(top: str) -> list[Source]:
 
 def console_scripts(pyproject: str) -> list[str]:
     """Modules named by the ``[project.scripts]`` table of a pyproject
-    text (the table alone goes to ``parse_toml``, whose 3.10 fallback
-    reads flat tables only)."""
-    table = pyproject.partition("[project.scripts]")[2]
-    table = re.split(r"^\[", table, maxsplit=1, flags=re.M)[0]
-    return [target.partition(":")[0].strip()
-            for target in parse_toml(table, name="[project.scripts]").values()]
+    text."""
+    scripts = tomllib.loads(pyproject)["project"]["scripts"]
+    return [target.partition(":")[0].strip() for target in scripts.values()]
 
 
 @functools.lru_cache(maxsize=None)
@@ -197,15 +183,6 @@ def dotted_name(node: ast.AST) -> str | None:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def _function_of(src: Source, node: ast.AST) -> ast.AST | None:
-    """The nearest enclosing (async) function, or None."""
-    current = src.parents.get(node)
-    while current is not None and not isinstance(
-            current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        current = src.parents.get(current)
-    return current
 
 
 def _calls(src: Source) -> Iterator[ast.Call]:
@@ -354,126 +331,6 @@ def _bus_guarded(src: Source, call: ast.Call, enabled: str) -> bool:
                 and isinstance(stmt.body[-1],
                                (ast.Return, ast.Raise, ast.Continue))):
             return True
-    return False
-
-
-# -- REP005 extras schema ------------------------------------------------
-# `RunTrace.extras["tiered_store"]` is the telemetry contract between the
-# store and the CLI, feedback loop and experiments; a drifted key reads
-# its `.get()` default and a metric flatlines.  Producers may build, and
-# consumers (expressions rooted at `*.extras["tiered_store"]`,
-# `*.extras.get("tiered_store")` or `*.tier_report()`, followed through
-# locals, loops and `.get` chains) may read, only declared keys.
-
-EXTRAS_KEY = "tiered_store"
-#: dict methods whose result still belongs to the report
-_CHAIN_METHODS = frozenset({"get", "items", "values", "keys", "copy",
-                            "setdefault"})
-
-
-def rep005(src: Source, declared=SCHEMA_KEYS,
-           producers=SCHEMA_PRODUCERS) -> Iterator[Violation]:
-    funcs = producers.get(src.rel, frozenset())
-    for function in src.nodes:
-        if (isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and function.name in funcs):
-            for node in ast.walk(function):
-                keys = (node.keys if isinstance(node, ast.Dict) else
-                        [target.slice for target in node.targets
-                         if isinstance(target, ast.Subscript)]
-                        if isinstance(node, ast.Assign) else [])
-                for key in keys:
-                    if (isinstance(key, ast.Constant)
-                            and isinstance(key.value, str)
-                            and key.value not in declared):
-                        yield Violation(
-                            src.rel, key.lineno, "REP005",
-                            f"undeclared tiered_store key {key.value!r} in "
-                            f"`{function.name}`; declare it in "
-                            f"tests/report_schema.py (or fix the typo)")
-    if EXTRAS_KEY not in src.text and "tier_report" not in src.text:
-        return  # no expression here can root a report
-    scopes: dict[ast.AST, list[ast.AST]] = {}
-    for node in src.nodes:
-        scopes.setdefault(_function_of(src, node), []).append(node)
-    for nodes in scopes.values():
-        yield from _consumer_scope(src, nodes, declared)
-
-
-def _consumer_scope(src: Source, nodes: list[ast.AST],
-                    declared) -> Iterator[Violation]:
-    tracked: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for node in nodes:
-            targets: list[ast.AST] = []
-            if isinstance(node, ast.Assign) and _reportish(node.value,
-                                                           tracked):
-                targets = node.targets
-            elif (isinstance(node, (ast.For, ast.AsyncFor))
-                  and _reportish(node.iter, tracked)):
-                targets = [node.target]
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id not in tracked:
-                    tracked.add(target.id)
-                    changed = True
-    seen: set[tuple[int, str]] = set()
-    for node in nodes:
-        if isinstance(node, ast.Subscript):
-            key, report = node.slice, node.value
-        elif (isinstance(node, ast.Call)
-              and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "get" and node.args):
-            key, report = node.args[0], node.func.value
-        else:
-            continue
-        if (not isinstance(key, ast.Constant)
-                or not isinstance(key.value, str)
-                or key.value == EXTRAS_KEY or key.value in declared
-                or (node.lineno, key.value) in seen
-                or not _reportish(report, tracked)):
-            continue
-        seen.add((node.lineno, key.value))
-        yield Violation(
-            src.rel, node.lineno, "REP005",
-            f"read of undeclared tiered_store key {key.value!r}; declare "
-            f"it in tests/report_schema.py (or fix the typo)")
-
-
-def _is_root(node: ast.AST) -> bool:
-    if isinstance(node, ast.Subscript):
-        return (isinstance(node.value, ast.Attribute)
-                and node.value.attr == "extras"
-                and isinstance(node.slice, ast.Constant)
-                and node.slice.value == EXTRAS_KEY)
-    if not (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)):
-        return False
-    func = node.func
-    return func.attr == "tier_report" or (
-        func.attr == "get" and isinstance(func.value, ast.Attribute)
-        and func.value.attr == "extras" and bool(node.args)
-        and isinstance(node.args[0], ast.Constant)
-        and node.args[0].value == EXTRAS_KEY)
-
-
-def _reportish(node: ast.AST, tracked: set[str]) -> bool:
-    """Does this expression denote (part of) a tiered_store report?"""
-    if _is_root(node):
-        return True
-    if isinstance(node, ast.Name):
-        return node.id in tracked
-    if isinstance(node, ast.Subscript):
-        return _reportish(node.value, tracked)
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _CHAIN_METHODS):
-        return _reportish(node.func.value, tracked)
-    if isinstance(node, ast.BoolOp):
-        return any(_reportish(value, tracked) for value in node.values)
-    if isinstance(node, ast.IfExp):
-        return (_reportish(node.body, tracked)
-                or _reportish(node.orelse, tracked))
     return False
 
 
@@ -674,15 +531,13 @@ class Result:
 
 def check(package: list[Source], benchmarks: Iterable[Source] = (),
           scripts: Iterable[str] = (), *, wallclock_allow=WALLCLOCK_ALLOW,
-          bus_helpers=BUS_HELPERS, declared=SCHEMA_KEYS,
-          producers=SCHEMA_PRODUCERS,
+          bus_helpers=BUS_HELPERS,
           entry_points=ENTRY_POINTS) -> Result:
     """Every rule over ``package``, then its suppression directives."""
     raw = list(rep007(package, benchmarks, scripts))
     for src in package:
         raw += [*rep001(src, wallclock_allow), *rep002(src),
                 *rep004(src, bus_helpers),
-                *rep005(src, declared, producers),
                 *rep006(src, entry_points)]
     by_rel = {src.rel: src for src in package}
     active: list[Violation] = []
@@ -739,17 +594,6 @@ def test_repo_is_clean_against_committed_baseline():
     problems = [str(v) for v in result.active if v.code == HYGIENE_CODE]
     problems += audit(result.suppressed, SUPPRESSION_BASELINE)
     assert not problems, "\n".join(problems)
-
-
-def test_console_scripts_read_under_the_310_fallback():
-    """``parse_toml`` falls back to a flat-table parser without
-    ``tomllib``; the slice it is handed must read the same there."""
-    from repro.bench.experiment import _parse_simple_toml
-    pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
-    table = re.split(r"^\[", pyproject.partition("[project.scripts]")[2],
-                     maxsplit=1, flags=re.M)[0]
-    assert console_scripts(pyproject) == ["repro.cli"]
-    assert _parse_simple_toml(table) == parse_toml(table)
 
 
 # -- fixtures ------------------------------------------------------------
@@ -830,30 +674,6 @@ def test_rep004_else_branch_is_not_guarded():
 def test_rep004_helper_module_is_exempt():
     assert lint("def f(bus):\n    bus.span('a','b',0,1)\n",
                 filename="events.py", bus_helpers={"src/events.py"}) == []
-
-
-#: a declared schema and one producer for the REP005 fixtures
-SCHEMA = dict(declared=frozenset({"spill_count", "tiers", "name"}),
-              producers={"src/mod.py": {"tier_report"}})
-
-
-def test_rep005_flags_undeclared_producer_key():
-    active = lint(
-        "def tier_report(self):\n"
-        "    return {'spill_count': 1, 'spil_count_typo': 2}\n", **SCHEMA)
-    assert codes_and_lines(active) == [("REP005", 2)]
-    assert "spil_count_typo" in active[0].message
-
-
-def test_rep005_follows_consumer_dataflow():
-    # the typo'd nested read is caught; declared keys pass
-    assert codes_and_lines(lint(
-        "def read(trace):\n"
-        "    report = trace.extras.get('tiered_store') or {}\n"
-        "    ok = report.get('spill_count', 0)\n"
-        "    for tier in report['tiers']:\n"
-        "        tier['name']\n"
-        "        tier['nmae']\n", **SCHEMA)) == [("REP005", 6)]
 
 
 def test_rep006_flags_builtin_raise_in_entry_point():
@@ -1004,12 +824,10 @@ SCRATCH = '''\
 import time
 import random
 
-def bump(bus, trace):
+def bump(bus):
     t = time.perf_counter()
     x = random.random()
     bus.counter("a", "b", t, x)
-    report = trace.extras["tiered_store"]
-    return report["definitely_not_a_key"]
 
 def main(argv):
     raise RuntimeError("boom")
@@ -1025,8 +843,7 @@ EXPECTED = [
     ("REP001", 5),
     ("REP002", 6),
     ("REP004", 7),
-    ("REP005", 9),
-    ("REP006", 12),
+    ("REP006", 10),
 ]
 
 
@@ -1034,6 +851,5 @@ def test_every_rule_catches_its_seeded_violation():
     package = [parse("src/pkg/__init__.py", ""),
                parse("src/pkg/orphan.py", "x = 1\n"),
                parse("src/scratch.py", SCRATCH)]
-    active = check(package, declared=SCHEMA["declared"], producers={},
-                   entry_points={"src/scratch.py"}).active
+    active = check(package, entry_points={"src/scratch.py"}).active
     assert codes_and_lines(active) == EXPECTED

@@ -176,7 +176,7 @@ class TestBelowPeakCell:
         assert run.within(ram)
         if planning == "given":  # the full-budget plan must spill here
             assert run.plan is case.plan
-            assert run.report["spill_count"] > 0
+            assert run.report.spill_count > 0
         if planning == "replan":
             first = run.first
             assert first.first is None and first.plan is not run.plan
@@ -189,7 +189,7 @@ class TestBelowPeakCell:
         ram = 0.4 * case.peak
         run = run_cell(case.graph, ram,
                        SpillConfig(tiers=ssd_and_disk(case.peak)), "replan")
-        tier0_peak = run.report["tiers"][0]["peak"]
+        tier0_peak = run.report.tiers[0].peak
         assert 0 < tier0_peak <= ram + 1e-9
         quiet = dataclasses.replace(run.trace, peak_catalog_usage=0.0)
         assert not CellRun(run.plan, quiet).within(0.5 * tier0_peak)
@@ -214,7 +214,7 @@ class TestBelowPeakCell:
     def test_controller_defines_the_edge_cases(self, case):
         # given, no plan: refresh optimizes tier-blind on its own
         unplanned = run_cell(case.graph, case.peak, None, "given")
-        assert unplanned.plan is None and unplanned.report == {}
+        assert unplanned.plan is None and unplanned.report is None
         assert unplanned.within(case.peak)
         # ... or runs a plan-free baseline
         lru = run_cell(case.graph, case.peak, None, "given", method="lru")

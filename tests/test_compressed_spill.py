@@ -137,13 +137,13 @@ class TestCompressedAccounting:
         ledger.insert("a", 8.0, n_consumers=1)
         ledger.demote("a")
         report = ledger.tier_report()
-        assert report["spill_bytes_gb"] == 8.0
-        assert report["spill_stored_gb"] == 4.0
-        assert report["codec"] == "test"
-        assert report["tiers"][1]["codec"] == "test"
-        assert report["tiers"][1]["codec_ratio"] == 2.0
-        assert report["tiers"][1]["logical"] == 8.0
-        assert report["tiers"][1]["usage"] == 4.0
+        assert report.spill_bytes_gb == 8.0
+        assert report.spill_stored_gb == 4.0
+        assert report.codec == "test"
+        assert report.tiers[1].codec == "test"
+        assert report.tiers[1].codec_ratio == 2.0
+        assert report.tiers[1].logical == 8.0
+        assert report.tiers[1].usage == 4.0
 
     def test_estimate_prices_encode_and_compression(self):
         plain = TieredLedger(10.0, SpillConfig(
@@ -189,12 +189,12 @@ class TestPrefetch:
                     + ledger.profile.create_time_memory(6.0))
         assert ledger.prefetch(["p", "absent"]) == pytest.approx(expected)
         assert ledger.tier_of("p") == 0
-        report = ledger.tier_report()["prefetch"]
-        assert report["enabled"] is True
-        assert report["count"] == 1
-        assert report["bytes_gb"] == 6.0
-        assert report["hidden_seconds"] == pytest.approx(expected)
-        assert report["misses"] == 0
+        report = ledger.tier_report().prefetch
+        assert report.enabled is True
+        assert report.count == 1
+        assert report.bytes_gb == 6.0
+        assert report.hidden_seconds == pytest.approx(expected)
+        assert report.misses == 0
         [hit] = [event for event in bus.events
                  if event.name == "prefetch-hit"]
         assert hit.args["hidden_s"] == pytest.approx(expected)
@@ -207,7 +207,7 @@ class TestPrefetch:
         ledger.prefetch(["p"])
         assert ledger.tier_of("p") == 1  # did not fit, stayed put
         assert ledger.tier_of("hog") == 0  # and nothing was evicted
-        assert ledger.tier_report()["prefetch"]["misses"] == 1
+        assert ledger.tier_report().prefetch.misses == 1
 
     def test_simulator_prefetch_reads_at_memory_bandwidth(self):
         from repro.core.optimizer import optimize

@@ -2,6 +2,8 @@
 feedback-derived budgets (TierAwareBudget.from_observations), and
 mid-run codec adaptation (SpillConfig.adapt)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.optimizer import optimize
@@ -65,6 +67,21 @@ class TestFromTrace:
         # codec "none": incompressible is 1.0, not None
         assert ssd.observed_ratio == pytest.approx(1.0)
 
+    def test_reload_leg_adds_the_promote_create(self):
+        """A tier's reload price is its device read + decode plus RAM's
+        in-memory create of what it promoted, per logical GB."""
+        graph, plan, peak = _spilling_case()
+        spill = SpillConfig(tiers=(TierSpec("ssd", 0.5 * peak),
+                                   TierSpec("disk")))
+        trace = _run(graph, plan, 0.8 * peak, spill)
+        ssd = trace.tier_report().tiers[1].observed
+        assert ssd.read_seconds_per_gb > 0
+        assert ssd.promote_create_seconds_per_gb > 0
+        feedback = CostFeedback.from_trace(trace)
+        assert feedback.tiers[0].promote_read_seconds_per_gb == \
+            pytest.approx(ssd.read_seconds_per_gb
+                          + ssd.promote_create_seconds_per_gb)
+
     def test_untouched_tier_reports_none_not_zero(self):
         """The 'no data vs incompressible' fix: a tier that never
         received a spill reports observed ratio/costs as None."""
@@ -82,6 +99,7 @@ class TestFromTrace:
         for tier in feedback.tiers:
             assert tier.observed_ratio is None
             assert tier.spill_write_seconds_per_gb is None
+            assert tier.promote_read_seconds_per_gb is None
 
     def test_compressibility_meta_drives_observed_ratio(self):
         graph, plan, peak = _spilling_case(compressibility=0.0)
@@ -95,9 +113,30 @@ class TestFromTrace:
         assert report["spill_stored_gb"] == \
             pytest.approx(report["spill_bytes_gb"])
 
+    def test_feedback_is_immutable(self):
+        feedback = CostFeedback(tiers=(TierObservation("ssd"),))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            feedback.tiers = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            feedback.tiers[0].observed_ratio = 2.0
+
     def test_trace_without_tiered_store_rejected(self):
         with pytest.raises(ValidationError):
             CostFeedback.from_trace(RunTrace())
+
+    def test_unmeasured_wall_clock_is_no_data(self):
+        """A real executor that moved bytes in no measurable time gives
+        no figure, so the planner keeps the modeled price instead of
+        reading the tier as free."""
+        ledger = TieredLedger(10.0, SpillConfig(tiers=(TierSpec("ssd"),)),
+                              charge_io=False)
+        ledger.record_wall_seconds(1, "read", 0.0, 1.0)
+        ledger.record_wall_seconds(1, "promote", 0.5, 0.0)  # empty table
+        ledger.record_wall_seconds(1, "spill_in", 2.0, 1.0)
+        observed = ledger.tier_report().tiers[1].observed
+        assert observed.read_seconds_per_gb is None
+        assert observed.promote_create_seconds_per_gb is None
+        assert observed.spill_write_seconds_per_gb == 2.0
 
 
 # ----------------------------------------------------------------------
@@ -110,8 +149,8 @@ class TestFromObservations:
         modeled = TierAwareBudget.from_spill(4.0, spill)
         observed = TierAwareBudget.from_observations(4.0, spill, None)
         assert observed == modeled
-        empty = TierAwareBudget.from_observations(4.0, spill,
-                                                  {"ssd": {}})
+        empty = TierAwareBudget.from_observations(
+            4.0, spill, [TierObservation("ssd")])
         assert empty == modeled
 
     def test_observed_penalty_shrinks_discount(self):
@@ -120,8 +159,8 @@ class TestFromObservations:
         gain = warehouse_ram_gain(DeviceProfile())
         dear = TierAwareBudget.from_observations(
             4.0, spill,
-            {"ssd": {"spill_write_seconds_per_gb": gain,
-                     "promote_read_seconds_per_gb": gain}})
+            [TierObservation("ssd", spill_write_seconds_per_gb=gain,
+                             promote_read_seconds_per_gb=gain)])
         assert dear.tiers[0].discount == 0.0
         assert dear.tiers[0].discount < modeled.tiers[0].discount
         assert dear.effective_budget() == pytest.approx(4.0)
@@ -129,7 +168,7 @@ class TestFromObservations:
     def test_observed_ratio_rescales_capacity(self):
         spill = SpillConfig(tiers=(TierSpec("ssd", 8.0),), codec="zlib")
         observed = TierAwareBudget.from_observations(
-            4.0, spill, {"ssd": {"observed_ratio": 1.0}})
+            4.0, spill, [TierObservation("ssd", observed_ratio=1.0)])
         assert observed.tiers[0].capacity == pytest.approx(8.0)
         assert observed.tiers[0].codec_ratio == pytest.approx(1.0)
         modeled = TierAwareBudget.from_spill(4.0, spill)
@@ -138,9 +177,9 @@ class TestFromObservations:
     def test_none_values_fall_back_to_model(self):
         spill = SpillConfig(tiers=(TierSpec("ssd", 8.0),), codec="zlib")
         observed = TierAwareBudget.from_observations(
-            4.0, spill, {"ssd": {"observed_ratio": None,
-                                 "spill_write_seconds_per_gb": None,
-                                 "promote_read_seconds_per_gb": None}})
+            4.0, spill, [TierObservation("ssd", observed_ratio=None,
+                                         spill_write_seconds_per_gb=None,
+                                         promote_read_seconds_per_gb=None)])
         assert observed == TierAwareBudget.from_spill(4.0, spill)
 
 
@@ -206,9 +245,9 @@ class TestCodecAdaptation:
             ledger.insert(name, 0.9, n_consumers=1)
             ledger.demote(name)
         record = ledger.stats.codec_adapt["ssd"]
-        assert record["repriced"] is True
-        assert record["switched_to"] == "none"
-        assert record["observed_ratio"] == pytest.approx(1.0)
+        assert record.repriced is True
+        assert record.switched_to == "none"
+        assert record.observed_ratio == pytest.approx(1.0)
         assert ledger.tiers[1].codec.name == "none"
         assert ledger.tiers[1].priced_ratio == pytest.approx(1.0)
         # entries stored before the switch keep their encoding codec
@@ -221,8 +260,8 @@ class TestCodecAdaptation:
             ledger.insert(name, 0.9, n_consumers=1)
             ledger.demote(name)
         record = ledger.stats.codec_adapt["ssd"]
-        assert record["repriced"] is False
-        assert record["switched_to"] is None
+        assert record.repriced is False
+        assert record.switched_to is None
         assert ledger.tiers[1].codec.name == "zlib"
         assert ledger.tiers[1].priced_ratio == pytest.approx(2.6)
 
@@ -239,8 +278,8 @@ class TestCodecAdaptation:
             ledger.insert(name, 0.9, n_consumers=1)
             ledger.demote(name)
         record = ledger.stats.codec_adapt["disk"]
-        assert record["repriced"] is True
-        assert record["switched_to"] is None
+        assert record.repriced is True
+        assert record.switched_to is None
         assert ledger.tiers[1].codec.name == "zlib"
         assert ledger.tiers[1].priced_ratio == pytest.approx(1.8)
 
@@ -305,7 +344,7 @@ class TestCompressibility:
 
 
 # ----------------------------------------------------------------------
-# MiniDB: wall-clock fallback + real measured adaptation
+# MiniDB: measured wall clocks + real measured adaptation
 # ----------------------------------------------------------------------
 class TestMiniDbFeedback:
     @pytest.fixture
@@ -346,8 +385,7 @@ class TestMiniDbFeedback:
         assert report["spill_count"] > 0
         # charge_io=False: the report's per-GB seconds come from the
         # *measured* wall clocks the backend records per tier, so the
-        # feedback loop prices the tier even in multi-tier hierarchies
-        # where the node-trace fallback cannot attribute the time
+        # feedback loop prices each tier of any hierarchy
         tier = report["tiers"][1]
         assert tier["observed"]["spill_write_seconds_per_gb"] > 0
         assert tier["observed"]["observed_ratio"] is not None

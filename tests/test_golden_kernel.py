@@ -140,7 +140,7 @@ def service_payload() -> dict:
         "trace": None if result.trace is None else result.trace.to_dict(),
     } for result in run_virtual(session())]
     return {"requests": requests,
-            "tiered_store": service.ledger.tier_report(),
+            "tiered_store": service.ledger.tier_report().to_dict(),
             "audit": service.audit()}
 
 

@@ -150,9 +150,9 @@ def test_a_durable_victim_is_charged_no_stored_bytes():
     assert ledger.stored_size_of("kept") == 0.0
     assert ledger.size_of("kept") == 3.0          # logical is kept
     assert ledger.tiers[1].ledger.usage == 0.0
-    observed = ledger.tier_report()["tiers"][1]["observed"]
-    assert observed["spill_in_count"] == 1
-    assert observed["observed_ratio"] is None      # no ratio information
+    observed = ledger.tier_report().tiers[1].observed
+    assert observed.spill_in_count == 1
+    assert observed.observed_ratio is None         # no ratio information
 
 
 def test_a_victim_the_middle_tier_cannot_host_is_one_move_below_it():
@@ -164,10 +164,10 @@ def test_a_victim_the_middle_tier_cannot_host_is_one_move_below_it():
     assert moves_of(ledger, charges) == [("wide", 0, 2)]
     assert mover.calls == [("wide", 0, 1), ("wide", 0, 2)]
     report = ledger.tier_report()
-    assert report["spill_count"] == 1
-    assert report["tiers"][1]["observed"]["spill_in_count"] == 0
-    assert report["tiers"][2]["observed"]["spill_in_count"] == 1
-    assert report["demote_bypass_count"] == 1      # it skipped a tier
+    assert report.spill_count == 1
+    assert report.tiers[1].observed.spill_in_count == 0
+    assert report.tiers[2].observed.spill_in_count == 1
+    assert report.demote_bypass_count == 1         # it skipped a tier
 
 
 def test_nothing_below_can_host_it_means_no_move_at_all():

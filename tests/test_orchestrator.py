@@ -1,14 +1,13 @@
 """The standing experiment orchestrator, end to end.
 
-Covers the declarative config layer (TOML/JSON parsing, the 3.10
-fallback parser, axis validation), matrix expansion and structural
-pruning, the matrix driver (crash isolation, timeouts, incremental
-persistence), resumability (an interrupted matrix resumed with
-``resume=True`` re-executes nothing and aggregates bit-identically to
-an uninterrupted run), cross-backend determinism (every
-serial/parallel-workers=1 cell pair has bit-equal traces), the
-``bench matrix`` CLI, and the shared artifact-emission helper behind
-the ``bench_*.py`` files.
+Covers the declarative config layer (TOML/JSON parsing, axis
+validation), matrix expansion and structural pruning, the matrix driver
+(crash isolation, timeouts, incremental persistence), resumability (an
+interrupted matrix resumed with ``resume=True`` re-executes nothing and
+aggregates bit-identically to an uninterrupted run), cross-backend
+determinism (every serial/parallel-workers=1 cell pair has bit-equal
+traces), the ``bench matrix`` CLI, and the shared artifact-emission
+helper behind the ``bench_*.py`` files.
 """
 
 import json
@@ -23,7 +22,6 @@ from repro.bench import orchestrator
 from repro.bench.experiment import (
     MatrixConfig,
     TrialSpec,
-    _parse_simple_toml,
     expand_matrix,
     load_config,
 )
@@ -92,6 +90,12 @@ class TestConfigLoading:
         assert config.title == "j"  # defaults to the name
         assert config.jobs == 4
 
+    def test_malformed_toml_rejected(self, tmp_path):
+        path = tmp_path / "m.toml"
+        path.write_text('[axes]\nbackend = ["lru"\n', encoding="utf-8")
+        with pytest.raises(ValidationError, match="cannot parse .*m.toml"):
+            load_config(str(path))
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ValidationError, match="unknown config"):
             MatrixConfig.from_dict({
@@ -126,38 +130,6 @@ class TestConfigLoading:
     def test_validate_rejects_bad_values(self, field, value, match):
         with pytest.raises(ValidationError, match=match):
             small_config(**{field: value}).validate()
-
-
-class TestSimpleTomlParser:
-    """The Python-3.10 fallback must agree with tomllib on the configs
-    this repo actually ships."""
-
-    def test_matches_tomllib_on_smoke_config(self):
-        tomllib = pytest.importorskip("tomllib")
-        text = SMOKE_CONFIG.read_text(encoding="utf-8")
-        assert _parse_simple_toml(text) == tomllib.loads(text)
-
-    def test_values_comments_and_strings(self):
-        parsed = _parse_simple_toml(
-            '[t]\n'
-            'a = [1, 2.5, true, false]  # trailing comment\n'
-            's = "has # not a comment"\n'
-            'empty = []\n')
-        assert parsed == {"t": {"a": [1, 2.5, True, False],
-                                "s": "has # not a comment",
-                                "empty": []}}
-
-    def test_bad_value_rejected(self):
-        with pytest.raises(ValidationError, match="unsupported TOML"):
-            _parse_simple_toml("[t]\nv = 2026-01-01\n")
-
-    def test_unterminated_array_rejected(self):
-        with pytest.raises(ValidationError, match="unterminated"):
-            _parse_simple_toml('[t]\nv = ["a, "b"]\n')
-
-    def test_missing_equals_rejected(self):
-        with pytest.raises(ValidationError, match="key = value"):
-            _parse_simple_toml("[t]\njust a line\n")
 
 
 # ----------------------------------------------------------------------

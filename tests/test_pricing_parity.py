@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.problem import TierAwareBudget
+from repro.feedback import TierObservation
 from repro.store import pricing
 from repro.store.config import (
     COLD_PROFILE,
@@ -64,7 +65,7 @@ def test_planner_penalty_is_what_the_ledger_bills(profile, codec, mult,
     # own observation, which is how the feedback loop hands it over
     ratio = ledger.size_of("x") / ledger.stored_size_of("x")
     (tier,) = TierAwareBudget.from_observations(
-        size, spill, {"t": {"observed_ratio": ratio}}).tiers
+        size, spill, [TierObservation("t", observed_ratio=ratio)]).tiers
     assert tier.penalty_seconds_per_gb * size + profile.read_latency == \
         pytest.approx(billed, rel=1e-9)
     if mult is None:    # the preset: from_spill says the same

@@ -211,19 +211,19 @@ class TestRungAdaptation:
         legs are free (the saving is priced at the tier below)."""
         ledger = self._adapted(0.0)
         record = ledger.stats.codec_adapt[RAM_COMPRESSED]
-        assert record["observed_ratio"] == pytest.approx(1.0)
-        assert record["repriced"] and record["switched_to"] == "none"
+        assert record.observed_ratio == pytest.approx(1.0)
+        assert record.repriced and record.switched_to == "none"
         assert ledger.tiers[1].codec.name == "none"
         assert ledger.tiers[1].priced_ratio == 1.0
 
     def test_highly_compressible_rung_keeps_its_codec(self):
         ledger = self._adapted(2.0)
         record = ledger.stats.codec_adapt[RAM_COMPRESSED]
-        assert record["observed_ratio"] > ZLIB1.ratio
-        assert record["repriced"] and record["switched_to"] is None
+        assert record.observed_ratio > ZLIB1.ratio
+        assert record.repriced and record.switched_to is None
         assert ledger.tiers[1].codec.name == "zlib1"
         assert ledger.tiers[1].priced_ratio == pytest.approx(
-            record["observed_ratio"])
+            record.observed_ratio)
 
 
 class TestRungPlanning:

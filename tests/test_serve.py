@@ -395,11 +395,11 @@ def test_tenant_share_is_enforced_by_shedding_own_entries():
     assert all(r.status == "ok" for r in results)
     report = service.ledger.tier_report()
     for name in ("a", "b"):
-        tenant = report["tenants"][name]
-        assert tenant["peak"] > 0  # both tenants actually used RAM
-        assert tenant["peak"] <= tenant["budget"] + largest + 1e-6, (
-            f"tenant {name} peak {tenant['peak']} burst more than one "
-            f"entry past its share {tenant['budget']}")
+        tenant = report.tenants[name]
+        assert tenant.peak > 0  # both tenants actually used RAM
+        assert tenant.peak <= tenant.budget + largest + 1e-6, (
+            f"tenant {name} peak {tenant.peak} burst more than one "
+            f"entry past its share {tenant.budget}")
     _assert_clean(service)
 
 

@@ -327,10 +327,10 @@ class TestTieredLedger:
         ledger.insert("a", 6.0, n_consumers=1)
         ledger.spill_insert("b", 8.0, n_consumers=1)
         report = ledger.tier_report()
-        assert report["policy"] == "cost"
-        assert report["spill_count"] == 1
-        names = [tier["name"] for tier in report["tiers"]]
+        assert report.policy == "cost"
+        assert report.spill_count == 1
+        names = [tier.name for tier in report.tiers]
         assert names == ["ram", "ssd", "disk"]
-        assert report["tiers"][0]["peak"] <= 10.0
-        assert report["tiers"][1]["usage"] == 6.0
-        assert report["tiers"][0]["resident"] == 1
+        assert report.tiers[0].peak <= 10.0
+        assert report.tiers[1].usage == 6.0
+        assert report.tiers[0].resident == 1

@@ -212,8 +212,8 @@ def test_machine_reaches_adaptation_and_lower_tiers():
         machine.spill_insert(node, 2.5, 2, False)
         machine.index_equals_rebuild()
     report = ledger.tier_report()
-    assert report["codec_adapt"]["tiers"], "adaptation never decided"
-    assert [tier["resident"] for tier in report["tiers"]] == [2, 1, 3]
+    assert report.codec_adapt.tiers, "adaptation never decided"
+    assert [tier.resident for tier in report.tiers] == [2, 1, 3]
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ before every jump, and with no timer left it blocks as usual.
 
 It relies on ``BaseEventLoop._scheduled`` (the timer heap, whose head
 the loop has cleared of cancelled handles before it selects), as on
-Python 3.10–3.12.  Run a coroutine on it with :func:`run_virtual`.
+Python 3.11–3.12.  Run a coroutine on it with :func:`run_virtual`.
 """
 
 from __future__ import annotations
